@@ -611,12 +611,11 @@ let explain_cmd =
         let report = Gqkg_analysis.Analyze.plan inst simplified in
         (match report.Gqkg_analysis.Analyze.nfa with
         | None -> Printf.printf "\nanalysis: statically empty on %s\n" path
-        | Some trimmed ->
+        | Some _ ->
             Printf.printf "\nanalysis: %d -> %d states after trimming; seed cost fwd %.0f / bwd %.0f\n"
               report.Gqkg_analysis.Analyze.states_before
               report.Gqkg_analysis.Analyze.states_after
-              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost;
-            ignore trimmed);
+              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost);
         List.iter
           (fun d -> print_endline (Gqkg_analysis.Diagnostic.to_string d))
           report.Gqkg_analysis.Analyze.diagnostics;
@@ -630,6 +629,17 @@ let explain_cmd =
                else "already minimal, kept as-is")
               (if plan.Planner.plan_cache_hit then "; plan cache hit" else "")
         | None -> ());
+        (* The measured counts all-pairs evaluation picks its direction
+           from, beside the static estimate that plays no part in it. *)
+        Option.iter
+          (fun c ->
+            Printf.printf
+              "live seeds: forward %d, backward %s; pairs run %s (static seed cost fwd %.0f / bwd %.0f)\n"
+              c.Rpq.forward_live
+              (match c.Rpq.backward_live with Some b -> string_of_int b | None -> "-")
+              (match c.Rpq.direction with Rpq.Forward -> "forward" | Rpq.Backward -> "backward")
+              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost)
+          (Rpq.seed_counts ~budget inst simplified);
         (match plan.Planner.prep with
         | Planner.Empty ->
             Printf.printf "on %s: 0 product states materialized, 0 answer pairs\n" path
@@ -1103,6 +1113,16 @@ let serve_cmd =
         fault_drop_after = fault_drop;
       }
     in
+    (* SIGTERM/SIGINT request a graceful drain: stop accepting, finish
+       or trip in-flight work, flush every response, then exit 0.  The
+       handlers go in before the listener opens, so a signal that
+       arrives as soon as the first request is answered still drains. *)
+    let stop_requested = ref false in
+    let request_stop _ = stop_requested := true in
+    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
+     with Invalid_argument _ -> ());
+    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
+     with Invalid_argument _ -> ());
     let server =
       match Gqkg_server.Server.start ~port ~config mgr with
       | s -> s
@@ -1114,14 +1134,6 @@ let serve_cmd =
     Printf.printf "gqkg serve: listening on 127.0.0.1:%d (epoch %d, %d nodes, %d edges)\n%!"
       (Gqkg_server.Server.port server)
       snap.Snapshot.epoch snap.Snapshot.num_nodes snap.Snapshot.num_edges;
-    (* SIGTERM/SIGINT request a graceful drain: stop accepting, finish
-       or trip in-flight work, flush every response, then exit 0. *)
-    let stop_requested = ref false in
-    let request_stop _ = stop_requested := true in
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ -> ());
     while not !stop_requested do
       try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done;

@@ -16,15 +16,16 @@
      3. NFA trimming — the Thompson automaton of the pruned expression
         is rebuilt keeping only states reachable from the start AND
         co-reachable from the accept over statically-alive moves;
-     4. seed-cost hints — estimated sizes of the first forward frontier
-        (edge moves out of the start closure) and first backward
-        frontier (edge moves into the accept co-closure), from per-label
-        edge multiplicities; the evaluator uses them to pick forward or
-        backward seeding.
+     4. seed-cost estimates — estimated sizes of the first forward
+        frontier (edge moves out of the start closure) and first
+        backward frontier (edge moves into the accept co-closure), from
+        per-label edge multiplicities.  A lint/explain figure only: the
+        evaluator picks its direction from measured live-seed counts
+        (Rpq), not from this guess.
 
    The final verdict is [Empty] (no path can ever match: the evaluator
    answers without touching the product) or [Possibly_nonempty] (the
-   trimmed automaton and hints feed the kernel).  All rewrites are
+   trimmed automaton feeds the kernel).  All rewrites are
    instance-truth-preserving, so analysis on/off is observationally
    identical — checked by property tests. *)
 
@@ -205,7 +206,7 @@ let trim nfa ~alive =
          ~transitions)
   end
 
-(* ---- Seed-cost hints --------------------------------------------------- *)
+(* ---- Seed-cost estimates ----------------------------------------------- *)
 
 (* Estimated number of edges examined by the first expansion when
    evaluating forwards (edge moves out of the start's spontaneous

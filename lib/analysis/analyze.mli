@@ -6,7 +6,8 @@
     evaluation with analysis on and off is observationally identical
     (property-tested); the payoff is that statically-empty queries are
     answered without constructing any product state, and the kernel gets
-    a trimmed automaton plus a forward/backward seeding hint. *)
+    a trimmed automaton.  The seed-cost estimates are a lint/explain
+    figure only. *)
 
 open Gqkg_graph
 open Gqkg_automata
@@ -28,7 +29,7 @@ type report = {
 
 (** Global switch consulted by {!plan_if_enabled}; default [true]. The
     off position restores pre-analyzer behavior exactly (untrimmed
-    Thompson automaton of the original expression, no hints). *)
+    Thompson automaton of the original expression). *)
 val enabled : bool ref
 
 val is_empty : report -> bool

@@ -179,13 +179,10 @@ let plan_products ?budget inst regex =
       match r.Analyze.nfa with
       | None -> None
       | Some nfa ->
-          let hints =
-            { Product.fwd_seed_cost = r.Analyze.fwd_cost; bwd_seed_cost = r.Analyze.bwd_cost }
-          in
           (* One budget shared by every per-domain product copy: its
              counters are atomics, so concurrent slices charge it
              together and trip together. *)
-          Some (fun () -> Product.create ?budget ~nfa ~hints inst r.Analyze.regex))
+          Some (fun () -> Product.create ?budget ~nfa inst r.Analyze.regex))
 
 (* Per-source exact contribution, accumulated into [bc]. *)
 let exact_source product ~max_length ~pair_limit bc a =

@@ -51,6 +51,26 @@ let check_tests a = a.check_tests
 let fwd_moves a q = a.fwd.(q)
 let bwd_moves a q = a.bwd.(q)
 
+(* Check occurrences on the spontaneous moves reachable from the start
+   state, every check assumed to pass: the only checks a closure of
+   {start} can ask. *)
+let start_checks a =
+  let seen = Array.make a.num_states false in
+  let out = ref [] in
+  let rec go q =
+    if not seen.(q) then begin
+      seen.(q) <- true;
+      Array.iter go a.eps.(q);
+      Array.iter
+        (fun (idx, _, q') ->
+          out := idx :: !out;
+          go q')
+        a.checks.(q)
+    end
+  in
+  go a.start;
+  Array.of_list (List.sort_uniq Int.compare !out)
+
 (* Assemble an automaton from an explicit transition list, precomputing
    the kernel tables.  This is the single constructor: Thompson's
    construction below and the analyzer's trimming pass both go through

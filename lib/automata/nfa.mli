@@ -22,7 +22,8 @@ val make :
 
 (** Recognizer of the reversed language: transitions flip, edge moves
     swap direction, start and accept swap. Used by the planner to
-    evaluate a query backwards when backward seeding is cheaper. *)
+    evaluate a query backwards when fewer nodes can end a match than
+    start one. *)
 val reverse : t -> t
 
 val num_states : t -> int
@@ -43,6 +44,11 @@ val num_checks : t -> int
     check-answer vector — everything a closure's outcome can depend on
     beyond the seed set. *)
 val check_tests : t -> Regex.test array
+
+(** Indices of the check occurrences a closure of [{start}] can ask
+    (those on spontaneous moves reachable from the start state), sorted.
+    The start closure at a node is a function of their answers there. *)
+val start_checks : t -> int array
 
 (** Forward edge moves out of one state, as a precomputed array. *)
 val fwd_moves : t -> int -> (Regex.test * int) array

@@ -103,8 +103,8 @@ let max_path_length r =
 (* Reversal: [[reverse r]] is [[r]] with every path read back to front.
    Edge steps swap direction, concatenations swap order, node tests stay
    (a zero-length path is its own reverse).  Used by the evaluator to run
-   a query from its targets when the analyzer's seed-cost hints say the
-   backward frontier is cheaper. *)
+   a query from its targets when fewer nodes can end a match than start
+   one. *)
 let rec reverse = function
   | Node_test t -> Node_test t
   | Fwd t -> Bwd t

@@ -18,21 +18,23 @@ let outcome budget value = { Budget.value; completeness = Budget.completeness bu
    budget is sound (it IS the whole truth) and is how the server keeps
    hot queries cheap while every request still carries a deadline. *)
 let eval_pairs ?(use_cache = false) ~budget ?max_length inst regex =
+  (* One plan serves both the key and, on a miss, the evaluation. *)
+  let q = Planner.plan ~budget inst regex in
   let key =
     if (use_cache || Budget.is_unlimited budget) && !Semcache.enabled then
       Option.map
         (fun k ->
           match max_length with Some l -> k ^ "|len" ^ string_of_int l | None -> k)
-        (Planner.semantic_key inst regex)
+        (Planner.key q)
     else None
   in
   match key with
-  | None -> outcome budget (Rpq.eval_pairs ~budget ?max_length inst regex)
+  | None -> outcome budget (Rpq.eval_planned ?max_length q)
   | Some key -> (
       match Semcache.find_pairs inst ~key with
       | Some v -> { Budget.value = v; completeness = Budget.Complete }
       | None ->
-          let v = Rpq.eval_pairs ~budget ?max_length inst regex in
+          let v = Rpq.eval_planned ?max_length q in
           (match Budget.completeness budget with
           | Budget.Complete -> Semcache.store_pairs inst ~key v
           | Budget.Partial _ -> ());

@@ -2,12 +2,11 @@
    core entry point plans its query here instead of calling
    [Product.create] directly.
 
-   With analysis enabled (the default), the query is pruned, its NFA
-   trimmed, and seed costs estimated; a statically-empty query yields
-   [Empty] and the caller answers without constructing any product state
-   at all.  With analysis disabled, [prepare] reproduces the
-   pre-analyzer path bit for bit: the untrimmed Thompson automaton of
-   the original expression, no hints.
+   With analysis enabled (the default), the query is pruned and its NFA
+   trimmed; a statically-empty query yields [Empty] and the caller
+   answers without constructing any product state at all.  With
+   analysis disabled, [prepare] reproduces the pre-analyzer path bit for
+   bit: the untrimmed Thompson automaton of the original expression.
 
    On top of that, with [minimize] on (the default), the trimmed
    automaton is canonicalized by the decision procedures (Decide):
@@ -18,6 +17,13 @@
    the semantic plan cache (Semcache).  Canonicalization runs under a
    pure state cap — no wall clock — so planning stays deterministic;
    when it gives up, the trimmed automaton is used as before.
+
+   [plan] does the analysis and canonicalization once; the products are
+   built from that one plan on demand, so a caller that needs the
+   semantic key first (the Governor's result cache) and a product later
+   plans once.  All-pairs evaluation asks for the product over the
+   reversed automaton too — plan-cached under [key|rev] — and [Rpq]
+   picks the direction from measured live-seed counts.
 
    The optional [budget] is attached to the product here, so every
    kernel downstream of the planner shares one cooperative resource
@@ -44,13 +50,25 @@ let minimize = ref true
    this is evaluated untouched. *)
 let canon_max_states = ref 256
 
+(* A query planned once: analysis and canonicalization done, products
+   built on demand by [build].  [eval] is the analyzed expression and
+   the automaton to evaluate; [None] when statically empty. *)
+type query = {
+  inst : Gqkg_graph.Snapshot.t;
+  budget : Budget.t option;
+  regex : Regex.t;
+  report : Analyze.report option;
+  canon : Decide.canonical option;
+  minimized : bool;
+  eval : (Regex.t * Nfa.t) option;
+}
+
 type plan = {
   prep : prep;
   report : Analyze.report option;
   canon : Decide.canonical option;
   minimized : bool;  (** the canonical automaton is the one being evaluated *)
   plan_cache_hit : bool;
-  swapped : bool;
 }
 
 (* Schema derivation is per epoch, not per query: the vocabulary summary
@@ -77,92 +95,65 @@ let canonical_for inst nfa =
 
 let cacheable = function None -> true | Some b -> Budget.is_unlimited b
 
-let plan_query ?budget ~for_pairs inst regex =
+let plan ?budget inst regex =
+  let q report canon minimized eval = { inst; budget; regex; report; canon; minimized; eval } in
   match Analyze.plan_if_enabled inst regex with
-  | None ->
-      {
-        prep = Ready (Product.create ?budget inst regex);
-        report = None;
-        canon = None;
-        minimized = false;
-        plan_cache_hit = false;
-        swapped = false;
-      }
+  | None -> q None None false None
   | Some r -> (
       match r.Analyze.nfa with
-      | None ->
-          {
-            prep = Empty;
-            report = Some r;
-            canon = None;
-            minimized = false;
-            plan_cache_hit = false;
-            swapped = false;
-          }
+      | None -> q (Some r) None false None
       | Some nfa ->
-          let swap = for_pairs && r.Analyze.bwd_cost *. 2.0 < r.Analyze.fwd_cost in
           let canon = canonical_for inst nfa in
-          let minimized, base_nfa =
+          let minimized, eval_nfa =
             match canon with
             | Some c when c.Decide.states < Nfa.num_states nfa -> (true, c.Decide.nfa)
             | _ -> (false, nfa)
           in
-          let eval_nfa = if swap then Nfa.reverse base_nfa else base_nfa in
-          let fwd, bwd =
-            if swap then (r.Analyze.bwd_cost, r.Analyze.fwd_cost)
-            else (r.Analyze.fwd_cost, r.Analyze.bwd_cost)
-          in
-          let eval_regex = if swap then Regex.reverse r.Analyze.regex else r.Analyze.regex in
-          let hints = { Product.fwd_seed_cost = fwd; bwd_seed_cost = bwd } in
-          let build () = Product.create ?budget ~nfa:eval_nfa ~hints inst eval_regex in
-          let mk prep hit =
-            {
-              prep;
-              report = Some r;
-              canon;
-              minimized;
-              plan_cache_hit = hit;
-              swapped = swap;
-            }
-          in
-          let key =
-            match canon with
-            | Some c when cacheable budget ->
-                Some (if swap then c.Decide.key ^ "|rev" else c.Decide.key)
-            | _ -> None
-          in
-          (match key with
-          | None -> mk (Ready (build ())) false
-          | Some key -> (
-              match Semcache.find_product inst ~key with
-              | Some p -> mk (Ready p) true
-              | None ->
-                  let p = build () in
-                  Semcache.store_product inst ~key p;
-                  mk (Ready p) false)))
-
-let prepare ?budget inst regex = (plan_query ?budget ~for_pairs:false inst regex).prep
-
-let prepare_with_report ?budget inst regex =
-  let p = plan_query ?budget ~for_pairs:false inst regex in
-  (p.prep, p.report)
-
-let prepare_pairs ?budget inst regex =
-  let p = plan_query ?budget ~for_pairs:true inst regex in
-  (p.prep, p.swapped)
-
-let prepare_explained ?budget inst regex = plan_query ?budget ~for_pairs:false inst regex
+          q (Some r) canon minimized (Some (r.Analyze.regex, eval_nfa)))
 
 (* The canonical key of a query on this snapshot, for semantic result
    caching: [None] when analysis or minimization is off, the query is
    statically empty (already O(1) — nothing to cache), or
    canonicalization gave up. *)
-let semantic_key inst regex =
-  if not !minimize then None
-  else
-    match Analyze.plan_if_enabled inst regex with
-    | None -> None
-    | Some r -> (
-        match r.Analyze.nfa with
-        | None -> None
-        | Some nfa -> Option.map (fun c -> c.Decide.key) (canonical_for inst nfa))
+let key (q : query) = Option.map (fun c -> c.Decide.key) q.canon
+
+(* Build (or fetch from the plan cache) the product over the evaluated
+   automaton, or over its reversal; the boolean reports a plan-cache
+   hit.  [None] when statically empty.  Without analysis only the
+   forward product exists: the untrimmed Thompson automaton of the
+   original expression, exactly the pre-analyzer path. *)
+let build (q : query) ~reverse =
+  let budget = q.budget in
+  match (q.report, q.eval) with
+  | None, _ -> if reverse then None else Some (Product.create ?budget q.inst q.regex, false)
+  | Some _, None -> None
+  | Some _, Some (regex, nfa) -> (
+      let create () =
+        if reverse then Product.create ?budget ~nfa:(Nfa.reverse nfa) q.inst (Regex.reverse regex)
+        else Product.create ?budget ~nfa q.inst regex
+      in
+      match q.canon with
+      | Some c when cacheable budget -> (
+          let key = if reverse then c.Decide.key ^ "|rev" else c.Decide.key in
+          match Semcache.find_product q.inst ~key with
+          | Some p -> Some (p, true)
+          | None ->
+              let p = create () in
+              Semcache.store_product q.inst ~key p;
+              Some (p, false))
+      | _ -> Some (create (), false))
+
+let product q = Option.map fst (build q ~reverse:false)
+let reversed q = Option.map fst (build q ~reverse:true)
+
+let prepare ?budget inst regex =
+  match product (plan ?budget inst regex) with None -> Empty | Some p -> Ready p
+
+let prepare_explained ?budget inst regex =
+  let q = plan ?budget inst regex in
+  let prep, plan_cache_hit =
+    match build q ~reverse:false with None -> (Empty, false) | Some (p, hit) -> (Ready p, hit)
+  in
+  { prep; report = q.report; canon = q.canon; minimized = q.minimized; plan_cache_hit }
+
+let semantic_key inst regex = key (plan inst regex)

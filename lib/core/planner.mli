@@ -1,6 +1,6 @@
 (** Bridge between the static analyzer and the product kernel: plans a
-    query (prune, trim, estimate seed costs) before building the
-    product. With {!Gqkg_analysis.Analyze.enabled} off, reproduces the
+    query (prune, trim, canonicalize) before building the product.
+    With {!Gqkg_analysis.Analyze.enabled} off, reproduces the
     pre-analyzer path exactly.
 
     The optional [budget] is attached to the built product, so every
@@ -15,19 +15,6 @@ type prep =
 
 val prepare : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> prep
 
-(** Also expose the analyzer report ([None] when analysis is off). *)
-val prepare_with_report :
-  ?budget:Gqkg_util.Budget.t ->
-  Snapshot.t ->
-  Regex.t ->
-  prep * Gqkg_analysis.Analyze.report option
-
-(** Planning for all-pairs evaluation, where direction is free: when
-    backward seeding is estimated decisively cheaper, builds the product
-    over the reversed automaton; the boolean says whether the caller
-    must swap each result pair. *)
-val prepare_pairs : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> prep * bool
-
 (** Evaluate the minimized canonical automaton when it is strictly
     smaller than the trimmed one (identity-preserving otherwise), and
     key the semantic plan cache by canonical-automaton key. Default
@@ -38,6 +25,25 @@ val minimize : bool ref
     (default 256); past it the query is evaluated untouched. *)
 val canon_max_states : int ref
 
+(** A query planned once — analysis and canonicalization done — whose
+    products are built on demand. *)
+type query
+
+val plan : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> query
+
+(** The canonical cache key of a planned query ({!semantic_key}). *)
+val key : query -> string option
+
+(** The product over the evaluated automaton, from the semantic plan
+    cache when the budget is unlimited; [None] when statically empty. *)
+val product : query -> Product.t option
+
+(** The product over the reversed evaluated automaton (plan-cached
+    under [key|rev]): its runs from node b to node a are the forward
+    runs from a to b.  [None] when statically empty or when analysis is
+    off. *)
+val reversed : query -> Product.t option
+
 (** Everything [explain] wants to show about a plan. *)
 type plan = {
   prep : prep;
@@ -46,7 +52,6 @@ type plan = {
       (** canonical form, when minimization is on and within its cap *)
   minimized : bool;  (** canonical automaton substituted for evaluation *)
   plan_cache_hit : bool;  (** product served from the semantic plan cache *)
-  swapped : bool;
 }
 
 val prepare_explained : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> plan

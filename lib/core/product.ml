@@ -60,7 +60,8 @@ end)
 (* Flat linear-probing int -> int map for the per-set step memo: lookups
    allocate nothing and touch one slot in the common case, which matters
    because every label-pure edge consideration goes through here. Keys
-   and values are non-negative; -1 marks an empty slot / a miss. *)
+   are non-negative; -1 marks an empty slot and is what [find] answers
+   on a miss, so it is never stored as a value. *)
 module Imap = struct
   type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
 
@@ -117,10 +118,6 @@ type dispatch = {
   pure_fwd : int array array;
   pure_bwd : int array array;
 }
-
-(* Seeding hints computed by the static analyzer: estimated edges
-   scanned by the first forward vs backward expansion. *)
-type hints = { fwd_seed_cost : float; bwd_seed_cost : float }
 
 (* Process-wide count of product states ever interned, across all
    products.  Lets tests assert that a statically-empty query was
@@ -183,9 +180,18 @@ type t = {
      automaton has too many checks for one word. *)
   node_sig : int array;
   check_tests : Regex.test array;
-  start_cache : int option array; (* node -> start state id *)
-  start_known : bool array;
-  hints : hints option; (* analyzer seeding hints, if planned *)
+  (* node -> interned set id of its start closure (-1 not yet closed,
+     -2 empty closure), and node -> start state id (-1 not yet
+     interned).  Split so that the live-seed test can close the start
+     set without interning a product state. *)
+  start_set : int array;
+  start_id : int array;
+  (* The start closure at a node is a function of the answers to the
+     start checks ({!Nfa.start_checks}) there: packed answer vector ->
+     start set id.  [None] past 30 start checks. *)
+  start_checks : int array;
+  start_memo : Imap.t option;
+  live : Bytes.t; (* node -> live-seed memo: 0 unknown, 1 live, 2 not *)
   budget : Gqkg_util.Budget.t;
       (* resource budget shared by every kernel walking this product;
          checked per level / per batch, never per edge *)
@@ -231,9 +237,10 @@ let build_dispatch nfa (inst : Snapshot.t) =
 (* [nfa] lets the analyzer substitute a trimmed automaton for the
    Thompson construction of [regex]; both must recognize the same
    language on this instance. *)
-let create ?(budget = Gqkg_util.Budget.unlimited) ?nfa ?hints inst regex =
+let create ?(budget = Gqkg_util.Budget.unlimited) ?nfa inst regex =
   let nfa = match nfa with Some n -> n | None -> Nfa.of_regex regex in
   let labels, gen_fwd, gen_bwd = build_dispatch nfa inst in
+  let start_checks = Nfa.start_checks nfa in
   {
     inst;
     nfa;
@@ -261,15 +268,16 @@ let create ?(budget = Gqkg_util.Budget.unlimited) ?nfa ?hints inst regex =
       (if Nfa.num_checks nfa <= 30 then Array.make (max inst.Snapshot.num_nodes 1) (-1)
        else [||]);
     check_tests = Nfa.check_tests nfa;
-    start_cache = Array.make (max inst.Snapshot.num_nodes 1) None;
-    start_known = Array.make (max inst.Snapshot.num_nodes 1) false;
-    hints;
+    start_set = Array.make (max inst.Snapshot.num_nodes 1) (-1);
+    start_id = Array.make (max inst.Snapshot.num_nodes 1) (-1);
+    start_checks;
+    start_memo = (if Array.length start_checks <= 30 then Some (Imap.create ()) else None);
+    live = Bytes.make (max inst.Snapshot.num_nodes 1) '\000';
     budget;
   }
 
 let instance p = p.inst
 let nfa p = p.nfa
-let hints p = p.hints
 let budget p = p.budget
 
 (* Close [seeds] in place at node [w], caching node-check outcomes. *)
@@ -344,23 +352,56 @@ let intern_state p node sid =
       end;
       id
 
-(* The unique start state at a node: closure of {q0}; [None] when the
-   closure is the empty set of viable states — cannot happen with Thompson
-   NFAs (the start state itself is always in its closure), so this always
-   yields a state; kept total for robustness. *)
-let start_state p node =
-  if p.start_known.(node) then p.start_cache.(node)
+(* Interned set id of the closure of {q0} at [node], or -2 when the
+   closure is the empty set of viable states — cannot happen with
+   Thompson NFAs (the start state itself is always in its closure);
+   kept total for robustness. *)
+let close_start p node =
+  let ws = Array.make p.words 0 in
+  B.raw_add ws (Nfa.start p.nfa);
+  close_at p node ws;
+  if B.raw_is_empty ws then -2 else intern_set p ws
+
+(* [close_start], memoized per node and per start-check answer vector;
+   interns no product state. *)
+let start_set_of p node =
+  let sid = p.start_set.(node) in
+  if sid <> -1 then sid
   else begin
-    let ws = Array.make p.words 0 in
-    B.raw_add ws (Nfa.start p.nfa);
-    close_at p node ws;
-    let result =
-      if B.raw_is_empty ws then None else Some (intern_state p node (intern_set p ws))
+    let sid =
+      match p.start_memo with
+      | None -> close_start p node
+      | Some memo -> (
+          (* Answer the start checks only, then close once per distinct
+             answer vector (a stored -2 is a memoized empty closure). *)
+          let sat = p.inst.Snapshot.node_atom node in
+          let sg = ref 0 in
+          Array.iteri
+            (fun i idx -> if Regex.eval_test sat p.check_tests.(idx) then sg := !sg lor (1 lsl i))
+            p.start_checks;
+          match Imap.find memo !sg with
+          | -1 ->
+              let sid = close_start p node in
+              Imap.add memo !sg sid;
+              sid
+          | sid -> sid)
     in
-    p.start_cache.(node) <- result;
-    p.start_known.(node) <- true;
-    result
+    p.start_set.(node) <- sid;
+    sid
   end
+
+(* The unique start state at a node: the product state over its start
+   closure. *)
+let start_state p node =
+  let id = p.start_id.(node) in
+  if id >= 0 then Some id
+  else
+    match start_set_of p node with
+    | -2 -> None
+    | sid ->
+        let id = intern_state p node sid in
+        p.start_id.(node) <- id;
+        Some id
 
 (* Result of considering one edge during expansion: either the memo
    already knows the successor id, or a freshly closed target set that
@@ -574,6 +615,64 @@ let seed_of p d seed_cache members l ~fwd =
         members;
       seed_cache.(idx) <- Some ws;
       ws
+
+(* Does the state set [sid] have an edge move at node [v]?  Looks for
+   one incident edge whose seed set is non-empty — a move
+   [expand_direct] would emit (a non-empty seed set survives its
+   closure) — without closing or interning anything.  A self-loop is
+   seen once, from the out-list, in both directions. *)
+let has_move p sid v =
+  let flags = Dyn.get p.set_flags sid in
+  let has_fwd = flags land f_fwd <> 0 and has_bwd = flags land f_bwd <> 0 in
+  let has_genf = flags land f_genf <> 0 and has_genb = flags land f_genb <> 0 in
+  let members = Dyn.get p.set_members sid in
+  let seed_cache = Dyn.get p.set_seed_cache sid in
+  let g = p.inst in
+  let moves e ~fwd =
+    (if fwd then has_fwd else has_bwd)
+    && ((match p.labels with
+        | Some d -> not (B.raw_is_empty (seed_of p d seed_cache members g.Snapshot.elabel.(e) ~fwd))
+        | None -> false)
+       || (if fwd then has_genf else has_genb)
+          &&
+          let sat = g.Snapshot.edge_atom e in
+          let tbl = if fwd then p.gen_fwd else p.gen_bwd in
+          Array.exists (fun q -> Array.exists (fun (t, _) -> Regex.eval_test sat t) tbl.(q)) members)
+  in
+  let found = ref false in
+  if has_fwd || has_bwd then begin
+    let i = ref g.Snapshot.out_off.(v) in
+    while (not !found) && !i < g.Snapshot.out_off.(v + 1) do
+      let e = g.Snapshot.out_eid.(!i) in
+      found := moves e ~fwd:true || (g.Snapshot.out_nbr.(!i) = v && moves e ~fwd:false);
+      incr i
+    done;
+    if has_bwd then begin
+      let i = ref g.Snapshot.in_off.(v) in
+      while (not !found) && !i < g.Snapshot.in_off.(v + 1) do
+        found := g.Snapshot.in_nbr.(!i) <> v && moves g.Snapshot.in_eid.(!i) ~fwd:false;
+        incr i
+      done
+    end
+  end;
+  !found
+
+(* A live seed can start a matching path: its start closure accepts (the
+   empty path matches) or has an edge move at the node.  Any other node
+   reaches nothing, so multi-source searches may skip it without
+   changing a single answer. *)
+let live_seed p node =
+  match Bytes.unsafe_get p.live node with
+  | '\001' -> true
+  | '\002' -> false
+  | _ ->
+      let live =
+        match start_set_of p node with
+        | -2 -> false
+        | sid -> Dyn.get p.set_flags sid land f_accept <> 0 || has_move p sid node
+      in
+      Bytes.unsafe_set p.live node (if live then '\001' else '\002');
+      live
 
 (* Packed vector of the node's check answers, computed once per node.
    Only called when the automaton has at most 30 checks (the signature

@@ -11,11 +11,7 @@ type t
     state set. *)
 type state = { node : int; nfa_states : int array }
 
-(** Seeding hints computed by the static analyzer: estimated edges
-    scanned by the first forward vs backward expansion. *)
-type hints = { fwd_seed_cost : float; bwd_seed_cost : float }
-
-(** [create ?budget ?nfa ?hints inst regex] — [nfa] substitutes a
+(** [create ?budget ?nfa inst regex] — [nfa] substitutes a
     (trimmed) automaton for the Thompson construction of [regex]; it
     must recognize the same language on this instance.  [budget]
     (default {!Gqkg_util.Budget.unlimited}) rides along with the
@@ -25,14 +21,12 @@ type hints = { fwd_seed_cost : float; bwd_seed_cost : float }
 val create :
   ?budget:Gqkg_util.Budget.t ->
   ?nfa:Gqkg_automata.Nfa.t ->
-  ?hints:hints ->
   Gqkg_graph.Snapshot.t ->
   Gqkg_automata.Regex.t ->
   t
 
 val instance : t -> Gqkg_graph.Snapshot.t
 val nfa : t -> Gqkg_automata.Nfa.t
-val hints : t -> hints option
 
 (** The budget attached at {!create} time ({!Gqkg_util.Budget.unlimited}
     when none was given). *)
@@ -58,6 +52,15 @@ val is_accepting : t -> int -> bool
 (** The unique start state at a node: the closure of the NFA start there.
     [None] only for degenerate automata with an empty closure. *)
 val start_state : t -> int -> int option
+
+(** Can a matching path start at this node?  True when the node's start
+    closure is accepting or has an edge move at the node (some incident
+    edge passes one of the closure's edge tests); every other node
+    reaches nothing, so multi-source searches seed only live nodes.
+    Memoized per node; it closes and interns the NFA set only, never a
+    product state (a later {!start_state} at the node reuses the
+    closure). *)
+val live_seed : t -> int -> bool
 
 (** [iter_successors p id f] calls [f edge succ] for every successor
     move, in a deterministic order (ascending edge id), reading the

@@ -111,42 +111,111 @@ let reachable_many ?budget ?max_length inst regex ~sources =
   | Planner.Empty -> Array.map (fun _ -> []) sources
   | Planner.Ready product -> Frontier.reachable ?max_length (Frontier.create product) ~sources
 
+(* Live seeds of [product] (see {!Product.live_seed}) in ascending node
+   order, scanning until [limit] are found.  Budget check site: every
+   4096 nodes, node 0 included; [None] when the budget trips — callers
+   answer with an empty (hence sound) partial result. *)
+let live_seeds ?(limit = max_int) product =
+  let n = (Product.instance product).Snapshot.num_nodes in
+  let budget = Product.budget product in
+  let seeds = ref [] and count = ref 0 and v = ref 0 and tripped = ref false in
+  while (not !tripped) && !v < n && !count < limit do
+    if !v land 4095 = 0 && Gqkg_util.Budget.check budget then tripped := true
+    else begin
+      if Product.live_seed product !v then begin
+        seeds := !v :: !seeds;
+        incr count
+      end;
+      incr v
+    end
+  done;
+  if !tripped then None else Some (Array.of_list (List.rev !seeds))
+
+type direction = Forward | Backward
+
+(* The direction with fewer live seeds runs; ties go forward.  Forward
+   live seeds are counted in full, reversed ones only until they reach
+   the forward count — past it the forward product has won anyway, so
+   a selective start never pays a full scan of the reversed side.
+   [None] when the answer is empty without a search: statically empty,
+   no live seed, or the budget tripped in a scan. *)
+let choose_direction q =
+  match Option.map (fun p -> (p, live_seeds p)) (Planner.product q) with
+  | None | Some (_, None) -> None
+  | Some (_, Some [||]) -> None
+  | Some (fwd, Some fwd_seeds) -> (
+      let nf = Array.length fwd_seeds in
+      match Option.map (fun p -> (p, live_seeds ~limit:nf p)) (Planner.reversed q) with
+      | Some (_, None) -> None
+      | Some (rev, Some rev_seeds) when Array.length rev_seeds < nf -> Some (Backward, rev, rev_seeds)
+      | _ -> Some (Forward, fwd, fwd_seeds))
+
 (* All pairs (a, b) such that some path in [[r]] goes from a to b: one
-   batched frontier run over every node as a source.  The planner may
-   hand back the reversed automaton when backward seeding is cheaper;
-   pairs are then swapped back and re-sorted, so the output is identical
-   either way (ascending lexicographic). *)
-let eval_pairs ?budget ?max_length inst regex =
-  match Planner.prepare_pairs ?budget inst regex with
-  | Planner.Empty, _ -> []
-  | Planner.Ready product, swapped ->
-      let n = inst.Snapshot.num_nodes in
-      let per_source =
-        Frontier.reachable ?max_length (Frontier.create product) ~sources:(Array.init n Fun.id)
-      in
+   batched frontier run from the live seeds of the chosen direction.
+   Backward runs reach sources from targets; their pairs are bucketed
+   per source, so the output is identical either way (ascending
+   lexicographic) without a sort. *)
+let eval_planned ?max_length q =
+  match choose_direction q with
+  | None -> []
+  | Some (dir, product, seeds) -> (
+      let per_seed = Frontier.reachable ?max_length (Frontier.create product) ~sources:seeds in
       let out = ref [] in
-      for source = n - 1 downto 0 do
-        List.iter
-          (fun b -> out := (if swapped then (b, source) else (source, b)) :: !out)
-          (List.rev per_source.(source))
-      done;
-      if swapped then List.sort compare !out else !out
+      match dir with
+      | Forward ->
+          for i = Array.length seeds - 1 downto 0 do
+            List.iter (fun b -> out := (seeds.(i), b) :: !out) (List.rev per_seed.(i))
+          done;
+          !out
+      | Backward ->
+          let n = (Product.instance product).Snapshot.num_nodes in
+          let targets = Array.make n [] in
+          for i = Array.length seeds - 1 downto 0 do
+            List.iter (fun a -> targets.(a) <- seeds.(i) :: targets.(a)) per_seed.(i)
+          done;
+          for a = n - 1 downto 0 do
+            List.iter (fun b -> out := (a, b) :: !out) (List.rev targets.(a))
+          done;
+          !out)
+
+let eval_pairs ?budget ?max_length inst regex =
+  eval_planned ?max_length (Planner.plan ?budget inst regex)
+
+type seed_counts = { forward_live : int; backward_live : int option; direction : direction }
+
+(* The live seeds per direction, both counted in full, and the direction
+   [eval_pairs] runs — for explain.  [None] when statically empty or
+   when the budget trips during the forward scan. *)
+let seed_counts ?budget inst regex =
+  let q = Planner.plan ?budget inst regex in
+  let count p = Option.map Array.length (live_seeds p) in
+  match Option.bind (Planner.product q) count with
+  | None -> None
+  | Some forward_live ->
+      let backward_live = Option.bind (Planner.reversed q) count in
+      let direction =
+        match backward_live with Some b when b < forward_live -> Backward | _ -> Forward
+      in
+      Some { forward_live; backward_live; direction }
 
 (* Node extraction (Section 4.3): nodes a with at least one matching path
-   starting at a (existentially quantified endpoint). *)
+   starting at a (existentially quantified endpoint); only live seeds
+   can, so only they are searched. *)
 let source_nodes ?budget ?max_length inst regex =
   match Planner.prepare ?budget inst regex with
   | Planner.Empty -> []
-  | Planner.Ready product ->
-      let n = inst.Snapshot.num_nodes in
-      let per_source =
-        Frontier.reachable ?max_length (Frontier.create product) ~sources:(Array.init n Fun.id)
-      in
-      let out = ref [] in
-      for source = n - 1 downto 0 do
-        match per_source.(source) with [] -> () | _ :: _ -> out := source :: !out
-      done;
-      !out
+  | Planner.Ready product -> (
+      match live_seeds product with
+      | None -> []
+      | Some seeds ->
+          let per_seed =
+            Frontier.reachable ?max_length (Frontier.create product) ~sources:seeds
+          in
+          let out = ref [] in
+          for i = Array.length seeds - 1 downto 0 do
+            match per_seed.(i) with [] -> () | _ :: _ -> out := seeds.(i) :: !out
+          done;
+          !out)
 
 (* Length of the shortest path in [[r]] from a to b, if any: the distance
    d_r(a, b) used by the regex-constrained centrality of Section 4.2. *)

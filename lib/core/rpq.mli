@@ -40,7 +40,11 @@ val reachable_many :
     benchmarked against; hot multi-source paths use {!Frontier}. *)
 val reachable_from_product : ?max_length:int -> Product.t -> source:int -> int list
 
-(** All pairs (a, b) joined by a matching path, sorted. *)
+(** All pairs (a, b) joined by a matching path, sorted.  Runs one
+    batched {!Frontier} search from the live seeds ({!Product.live_seed})
+    of the direction with fewer of them — the forward product or the one
+    over the reversed automaton, ties forward.  The seed scans are a
+    budget check site (every 4096 nodes); a trip there answers [[]]. *)
 val eval_pairs :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->
@@ -48,8 +52,28 @@ val eval_pairs :
   Gqkg_automata.Regex.t ->
   (int * int) list
 
+(** {!eval_pairs} over an already planned query (the budget is the
+    plan's). *)
+val eval_planned : ?max_length:int -> Planner.query -> (int * int) list
+
+type direction = Forward | Backward
+
+type seed_counts = {
+  forward_live : int;
+  backward_live : int option;  (** [None]: no reversed product (analysis off) *)
+  direction : direction;  (** the direction {!eval_pairs} runs *)
+}
+
+(** Live seeds per direction, each counted in full, and the direction
+    {!eval_pairs} picks from them — what [gqkg explain] prints.  [None]
+    when statically empty or when the budget trips in the forward
+    scan. *)
+val seed_counts :
+  ?budget:Gqkg_util.Budget.t -> Gqkg_graph.Snapshot.t -> Gqkg_automata.Regex.t -> seed_counts option
+
 (** Nodes with at least one matching path starting at them (the node
-    extraction of Section 4.3). Sorted. *)
+    extraction of Section 4.3), searched from the live seeds only.
+    Sorted. *)
 val source_nodes :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->

@@ -171,22 +171,75 @@ let test_empty_query_builds_no_product_state () =
   checkb "live query nonempty" true (Rpq.eval_pairs inst ~max_length:1 (parse "rides") <> []);
   checkb "live query interns" true (Product.states_interned_total () > before)
 
-(* ---------- Backward seeding ---------- *)
+(* ---------- Direction from measured live seeds ---------- *)
 
 let test_backward_direction_chosen_and_correct () =
   let inst = contact_instance () in
-  (* Star over the whole vocabulary then a selective last step: the
-     backward frontier (owns-edges) is far smaller than the forward one
-     (all edges), so the planner must pick backward seeding. *)
+  (* Star over the whole vocabulary then a selective last step: far
+     fewer nodes can end a match (owns targets) than start one (every
+     node with an out-edge), so pairs must run backward. *)
   let r = parse "(owns + lives + rides + contact)*/owns" in
   let report = Analyze.plan inst r in
-  checkb "bwd decisively cheaper" true
+  checkb "static estimate agrees" true
     (report.Analyze.bwd_cost *. 2.0 < report.Analyze.fwd_cost);
+  (match Rpq.seed_counts inst r with
+  | Some c ->
+      checkb "backward chosen" true (c.Rpq.direction = Rpq.Backward);
+      checkb "fewer backward seeds" true
+        (match c.Rpq.backward_live with Some b -> b < c.Rpq.forward_live | None -> false)
+  | None -> Alcotest.fail "expected a live query");
   let run () = List.sort compare (Rpq.eval_pairs inst ~max_length:3 r) in
   let on = with_analysis true run in
   let off = with_analysis false run in
   checkb "reversed evaluation identical" true (on = off);
   checkb "nonempty" true (on <> [])
+
+(* The served cold-read shape: a selective Prop-tested start that the
+   static estimate cannot see (it assumes the age check passes and
+   prices the dated contact step at every edge).  The live seeds point
+   forward, and the forward run touches fewer product states than the
+   graph has nodes. *)
+let test_cold_read_runs_forward () =
+  let pg = contact () in
+  let inst = Snapshot.of_property pg in
+  (* A dated contact from an infected person to a person: the query
+     then has at least one seed with a move. *)
+  let name = Const.str in
+  let label v = Property_graph.node_label pg v in
+  let e =
+    let rec find e =
+      if e >= Property_graph.num_edges pg then Alcotest.fail "no infected -> person contact"
+      else
+        let s, d = Property_graph.endpoints pg e in
+        if
+          Const.equal (Property_graph.edge_label pg e) (name "contact")
+          && Const.equal (label s) (name "infected")
+          && Const.equal (label d) (name "person")
+        then e
+        else find (e + 1)
+    in
+    find 0
+  in
+  let _, d = Property_graph.endpoints pg e in
+  let value p = Const.to_string (Option.get p) in
+  let q =
+    Printf.sprintf "?(person & age=%s)/(contact & date=%s)^-/?infected/rides/?bus/rides^-/?person"
+      (value (Property_graph.node_property pg d (name "age")))
+      (value (Property_graph.edge_property pg e (name "date")))
+  in
+  let r = parse q in
+  (match Rpq.seed_counts inst r with
+  | Some c -> checkb "forward chosen" true (c.Rpq.direction = Rpq.Forward)
+  | None -> Alcotest.fail "expected a live query");
+  Semcache.reset ();
+  let before = Product.states_interned_total () in
+  let pairs = Rpq.eval_pairs inst ~max_length:5 r in
+  let interned = Product.states_interned_total () - before in
+  checkb
+    (Printf.sprintf "%d states interned < %d nodes" interned inst.Snapshot.num_nodes)
+    true
+    (interned < inst.Snapshot.num_nodes);
+  checkb "answers = naive" true (pairs = Gqkg_core.Naive.pairs inst r ~max_length:5)
 
 (* ---------- Regex reversal ---------- *)
 
@@ -272,6 +325,7 @@ let () =
           Alcotest.test_case "empty query, no product state" `Quick
             test_empty_query_builds_no_product_state;
           Alcotest.test_case "backward seeding" `Quick test_backward_direction_chosen_and_correct;
+          Alcotest.test_case "cold read runs forward" `Quick test_cold_read_runs_forward;
         ] );
       ( "properties",
         q [ prop_reverse_involution; prop_reverse_semantics; prop_analysis_equivalent ] );

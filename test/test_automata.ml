@@ -208,6 +208,18 @@ let test_nfa_edge_moves_directions () =
   checki "one forward move" 1 (List.length fwd);
   checki "no backward yet" 0 (List.length bwd)
 
+let test_nfa_start_checks () =
+  let tests r =
+    let nfa = Nfa.of_regex (parse r) in
+    Array.map (fun i -> (Nfa.check_tests nfa).(i)) (Nfa.start_checks nfa) |> Array.to_list
+  in
+  let person = Regex.Atom (Atom.label "person") and bus = Regex.Atom (Atom.label "bus") in
+  (* Only checks reachable without consuming an edge count. *)
+  checkb "first test only" true (tests "?person/rides/?bus" = [ person ]);
+  checkb "none before an edge" true (tests "rides/?bus" = []);
+  checkb "both branches" true (List.length (tests "(?person + ?bus)/rides") = 2);
+  checkb "chained checks" true (tests "?person/?bus/rides" = [ person; bus ])
+
 let test_nfa_to_string_smoke () =
   let nfa = Nfa.of_regex (parse "a/b") in
   checkb "dump nonempty" true (String.length (Nfa.to_string nfa) > 20)
@@ -323,6 +335,7 @@ let () =
           Alcotest.test_case "node check guard" `Quick test_nfa_node_check_guard;
           Alcotest.test_case "star accepts empty" `Quick test_nfa_star_accepts_empty;
           Alcotest.test_case "edge move directions" `Quick test_nfa_edge_moves_directions;
+          Alcotest.test_case "start checks" `Quick test_nfa_start_checks;
           Alcotest.test_case "dump" `Quick test_nfa_to_string_smoke;
         ] );
       ( "simplify",

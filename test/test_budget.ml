@@ -314,6 +314,28 @@ let test_fault_injection () =
     insts;
   checkb "sweep exercised at least one check site" true (!total > 0)
 
+(* The live-seed scan in front of eval_pairs / source_nodes is a check
+   site of its own, polled at node 0 and every 4096 nodes after it: the
+   sweep above reaches it (it is the first check of either), and a trip
+   on either poll answers an empty Partial before the frontier runs —
+   not one product state interned. *)
+let test_seed_scan_check_site () =
+  let inst = Gqkg_workload.Gen_graph.stream_gnm (Gqkg_util.Splitmix.create 5) ~nodes:5000 ~edges:6000 in
+  let r = Gqkg_automata.Regex_parser.parse "edge/edge" in
+  checkb "live query" true (Rpq.eval_pairs inst r <> []);
+  List.iter
+    (fun k ->
+      let before = Product.states_interned_total () in
+      let pairs = Governor.eval_pairs ~budget:(Budget.create ~trip_after_checks:k ()) inst r in
+      let sources = Governor.source_nodes ~budget:(Budget.create ~trip_after_checks:k ()) inst r in
+      let tripped o = o.Budget.completeness = Budget.Partial Budget.Injected in
+      checkb (Printf.sprintf "pairs: empty partial at check %d" k) true
+        (pairs.Budget.value = [] && tripped pairs);
+      checkb (Printf.sprintf "sources: empty partial at check %d" k) true
+        (sources.Budget.value = [] && tripped sources);
+      checki "no product state interned" before (Product.states_interned_total ()))
+    [ 0; 1 ]
+
 (* Enumerate under an injected trip must stop cleanly mid-stream. *)
 let test_enumerate_fault () =
   let inst = make_instance (0xfa017, 6, 10) in
@@ -362,6 +384,7 @@ let () =
       ( "fault injection",
         [
           Alcotest.test_case "every check site" `Quick test_fault_injection;
+          Alcotest.test_case "seed scan check site" `Quick test_seed_scan_check_site;
           Alcotest.test_case "enumerate" `Quick test_enumerate_fault;
           Alcotest.test_case "degradation ladder" `Quick test_degradation_ladder;
         ] );

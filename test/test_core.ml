@@ -639,6 +639,118 @@ let prop_count_between_matches_naive =
       done;
       !ok)
 
+(* ---------- Live-seed pair evaluation ---------- *)
+
+(* Property graphs with more nodes than one frontier batch holds: node
+   labels a/b and a node property p, edge labels x/y and an edge
+   property w, each property missing on a fifth of the objects. *)
+let make_property_instance (seed, nodes, edges) =
+  let module S = Gqkg_util.Splitmix in
+  let module B = Property_graph.Builder in
+  let rng = S.create seed in
+  let pick l = List.nth l (S.int rng (List.length l)) in
+  let b = B.create () in
+  for i = 0 to nodes - 1 do
+    let v = B.add_node b (Const.str (Printf.sprintf "n%d" i)) ~label:(Const.str (pick [ "a"; "b" ])) in
+    if S.bernoulli rng 0.8 then
+      B.set_node_property b v ~prop:(Const.str "p") ~value:(Const.of_string (pick [ "1"; "2"; "3" ]))
+  done;
+  for _ = 1 to edges do
+    let e =
+      B.fresh_edge b ~src:(S.int rng nodes) ~dst:(S.int rng nodes) ~label:(Const.str (pick [ "x"; "y" ]))
+    in
+    if S.bernoulli rng 0.8 then
+      B.set_edge_property b e ~prop:(Const.str "w") ~value:(Const.of_string (pick [ "1"; "2" ]))
+  done;
+  Snapshot.of_property (B.freeze b)
+
+(* ?t1 / r / ?t2: Prop node tests first and last, and a random middle
+   whose edge tests may carry Prop atoms anywhere. *)
+let make_property_regex rseed =
+  let module S = Gqkg_util.Splitmix in
+  let rng = S.create rseed in
+  let node_test () =
+    let p = Regex.Atom (Atom.prop "p" (Const.of_string (string_of_int (1 + S.int rng 3)))) in
+    match S.int rng 3 with
+    | 0 -> p
+    | 1 -> Regex.Not p
+    | _ -> Regex.Or (Regex.Atom (Atom.label "a"), p)
+  in
+  let params =
+    {
+      Gqkg_workload.Gen_regex.default with
+      node_labels = [ "a"; "b" ];
+      edge_labels = [ "x"; "y" ];
+      properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2" ]) ];
+      max_depth = 3;
+    }
+  in
+  let first = node_test () in
+  let middle = Gqkg_workload.Gen_regex.generate ~params rng in
+  Regex.Seq (Regex.Node_test first, Regex.Seq (middle, Regex.Node_test (node_test ())))
+
+let property_regex_gen =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* nodes = int_range 150 250 in
+    let* extra = int_range nodes (2 * nodes) in
+    let* rseed = int_bound 1_000_000 in
+    return ((seed, nodes, nodes + extra), rseed))
+
+let prop_pairs_agree_property_tests =
+  QCheck2.Test.make ~name:"eval_pairs = naive pairs (Prop tests, > 63 live seeds)" ~count:60
+    property_regex_gen (fun (g, rseed) ->
+      let inst = make_property_instance g in
+      let r = make_property_regex rseed in
+      Rpq.eval_pairs inst ~max_length:3 r = Naive.pairs inst r ~max_length:3)
+
+(* Pairs of one product searched from the given seeds; a reversed
+   product's pairs are swapped back. *)
+let pairs_from product ~reversed seeds =
+  let per = Frontier.reachable ~max_length:3 (Frontier.create product) ~sources:seeds in
+  Array.to_list per
+  |> List.mapi (fun i bs ->
+         List.map (fun b -> if reversed then (b, seeds.(i)) else (seeds.(i), b)) bs)
+  |> List.concat |> List.sort compare
+
+let live_seeds product =
+  let n = (Product.instance product).Snapshot.num_nodes in
+  Array.of_list (List.filter (Product.live_seed product) (List.init n Fun.id))
+
+let prop_live_seed_directions_agree =
+  QCheck2.Test.make ~name:"forward = reversed = all-node seeds, over live seeds" ~count:60
+    property_regex_gen (fun (g, rseed) ->
+      let inst = make_property_instance g in
+      let r = make_property_regex rseed in
+      let q = Planner.plan inst r in
+      match (Planner.product q, Planner.reversed q) with
+      | None, None -> Rpq.eval_pairs inst ~max_length:3 r = []
+      | Some fwd, Some rev ->
+          let all = Array.init inst.Snapshot.num_nodes Fun.id in
+          let forward = pairs_from fwd ~reversed:false (live_seeds fwd) in
+          forward = pairs_from rev ~reversed:true (live_seeds rev)
+          && forward = pairs_from (Product.create inst r) ~reversed:false all
+          && forward = Rpq.eval_pairs inst ~max_length:3 r
+      | _ -> false)
+
+(* The generator really does put more live seeds in the running
+   direction than one 63-wide batch holds, on a good share of inputs. *)
+let test_property_instances_exceed_a_batch () =
+  let wide = ref 0 in
+  for i = 0 to 19 do
+    let inst = make_property_instance (1000 + i, 200, 500) in
+    match Rpq.seed_counts inst (make_property_regex (7 * i)) with
+    | Some c ->
+        let running =
+          match (c.Rpq.direction, c.Rpq.backward_live) with
+          | Rpq.Backward, Some b -> b
+          | _ -> c.Rpq.forward_live
+        in
+        if running > Frontier.word_bits then incr wide
+    | None -> ()
+  done;
+  checkb "at least 5 of 20 inputs batch more than 63 live seeds" true (!wide >= 5)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_core"
@@ -696,6 +808,7 @@ let () =
           Alcotest.test_case "shortest length" `Quick test_shortest_path_length;
           Alcotest.test_case "source nodes" `Quick test_source_nodes;
           Alcotest.test_case "batched static empty" `Quick test_reachable_many_static_empty;
+          Alcotest.test_case "live seeds exceed a batch" `Quick test_property_instances_exceed_a_batch;
         ] );
       ( "properties",
         q
@@ -710,5 +823,7 @@ let () =
             prop_count_between_matches_naive;
             prop_derivative_equals_nfa;
             prop_uniform_distribution_random_graphs;
+            prop_pairs_agree_property_tests;
+            prop_live_seed_directions_agree;
           ] );
     ]
