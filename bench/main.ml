@@ -992,7 +992,7 @@ let mutation_workload ?(small = false) () =
         (Mutation.Set_node_prop
            { id = Property_graph.node_id pg (Splitmix.int rng nodes); prop = w; value = Const.int i })
   done;
-  let (base', reuse), t_commit = wall (fun () -> Governor.commit mgr ov) in
+  let (base', reuse), t_commit = wall (fun () -> Epochs.commit mgr ov) in
   let committed = Overlay.snapshot base' in
   (* Full-freeze baseline on the identical post-delta state: replay the
      committed base's history from scratch (untimed), then time the

@@ -947,13 +947,12 @@ let mutate_cmd =
       List.rev !ops
     in
     (* Mutations accumulate in a delta overlay; each commit re-freezes
-       incrementally through the Governor (epoch swing + semantic-cache
-       retention accounting). *)
+       incrementally and swings the current epoch. *)
     let overlay = ref (Overlay.create (Epochs.base mgr)) in
     let commits = ref 0 and reused = ref 0 and rebuilt = ref 0 in
     let flush_commit () =
       if Overlay.size !overlay > 0 then begin
-        let _, reuse = Governor.commit mgr !overlay in
+        let _, reuse = Epochs.commit mgr !overlay in
         incr commits;
         reused := !reused + List.length reuse.Overlay.reused;
         rebuilt := !rebuilt + List.length reuse.Overlay.rebuilt;
@@ -995,9 +994,6 @@ let mutate_cmd =
       Printf.printf "columns: %d reused, %d rebuilt across commits (reuse ratio %.2f)\n" !reused
         !rebuilt
         (float_of_int !reused /. float_of_int (max 1 (!reused + !rebuilt)));
-    let s = Semcache.stats () in
-    Printf.printf "semantic cache: %d commits noted, %d entries invalidated, %d + %d entries live\n"
-      s.Semcache.commits s.Semcache.invalidated s.Semcache.plan_entries s.Semcache.result_entries;
     (match journal_out with
     | Some path ->
         let ops = Overlay.history (Epochs.base mgr) in
@@ -1234,16 +1230,11 @@ let stats_cmd =
     Printf.printf "degeneracy (max k-core): %d\n" (Gqkg_analytics.Kcore.degeneracy inst);
     let s = Semcache.stats () in
     Printf.printf
-      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d lookups, \
-       %d + %d entries\n"
+      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d lookups\n"
       s.Semcache.plan_hits
       (s.Semcache.plan_hits + s.Semcache.plan_misses)
       s.Semcache.result_hits
       (s.Semcache.result_hits + s.Semcache.result_misses)
-      s.Semcache.plan_entries s.Semcache.result_entries;
-    Printf.printf "semantic cache retention: %d epoch commits, %d entries invalidated, %d live\n"
-      s.Semcache.commits s.Semcache.invalidated
-      (s.Semcache.plan_entries + s.Semcache.result_entries)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Structural statistics") Term.(const run $ verbose_flag $ graph_arg)
 

@@ -7,9 +7,9 @@ module Budget = Gqkg_util.Budget
 
 let outcome budget value = { Budget.value; completeness = Budget.completeness budget }
 
-(* eval_pairs consults the semantic result cache: keyed by the query's
-   canonical-automaton key (+ max_length) and the snapshot epoch, so
-   syntactically different but equivalent queries share one entry.
+(* eval_pairs consults the snapshot's semantic result cache: keyed by
+   the query's canonical-automaton key (+ max_length), so syntactically
+   different but equivalent queries share one entry.
    Only Complete results are stored, and by default only unlimited
    budgets look up — a Partial answer must never be served as if it
    were the whole truth, and a budgeted run must actually consume its
@@ -60,12 +60,6 @@ let paths ~budget ?sources inst regex ~length =
 let shortest_path_length ~budget ?max_length inst regex ~source ~target =
   outcome budget (Rpq.shortest_path_length ~budget ?max_length inst regex ~source ~target)
 
-(* The write path joins the governed surface here: commit the overlay
-   through the epoch manager, then tell the semantic cache which epochs
-   are still live — entries of retired epochs drop, entries of pinned
-   ones are retained (a reader pinned to epoch N keeps its hits while
-   the writer commits N+1). *)
-let commit mgr overlay =
-  let base, reuse = Gqkg_graph.Epochs.commit mgr overlay in
-  Semcache.note_commit ~live_epochs:(Gqkg_graph.Epochs.live_epochs mgr);
-  (base, reuse)
+(* Derived state lives on each snapshot, so a commit has nothing to
+   invalidate: the governed write path is the epoch manager's. *)
+let commit = Gqkg_graph.Epochs.commit

@@ -76,11 +76,8 @@ val paths :
   length:int ->
   Path.t list Budget.outcome
 
-(** Commit a mutation overlay through the epoch manager and notify the
-    semantic cache: entries keyed by retired epochs are invalidated,
-    entries of the new current epoch and any still-pinned older epochs
-    are retained. The write-path entry point callers should use instead
-    of raw {!Epochs.commit}. *)
+(** Alias of {!Epochs.commit}: derived state lives on each snapshot
+    ({!Snapshot.val-memo}), so a commit has nothing to invalidate. *)
 val commit : Epochs.t -> Overlay.t -> Overlay.base * Overlay.reuse
 
 (** d_r(a, b); [Some d] is always the true shortest length, [Partial

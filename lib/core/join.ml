@@ -316,26 +316,8 @@ module Index = struct
       node_label_cache = Hashtbl.create 8;
     }
 
-  (* Epoch-keyed cache: snapshots are immutable and epochs
-     process-unique, so the index of an epoch never goes stale.  Bounded
-     so long-lived processes cycling through overlay commits don't leak. *)
-  let cache : (int, t) Hashtbl.t = Hashtbl.create 8
-  let cache_mutex = Mutex.create ()
-  let max_cached = 8
-
-  let get snap =
-    Mutex.lock cache_mutex;
-    let idx =
-      match Hashtbl.find_opt cache snap.Snapshot.epoch with
-      | Some idx -> idx
-      | None ->
-          let idx = build snap in
-          if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
-          Hashtbl.replace cache snap.Snapshot.epoch idx;
-          idx
-    in
-    Mutex.unlock cache_mutex;
-    idx
+  let index_id : t Type.Id.t = Type.Id.make ()
+  let get snap = Snapshot.memo snap index_id build
 
   let edge_label_ids idx c =
     match Hashtbl.find_opt idx.label_ids_cache c with

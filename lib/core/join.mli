@@ -33,9 +33,9 @@ module Budget = Gqkg_util.Budget
 module Index : sig
   (** Label-sorted adjacency: for every edge-label id, the distinct
       (src, dst) pairs grouped by src (out orientation) and by dst (in
-      orientation), built once per snapshot by counting sorts and cached
-      by {!Snapshot.epoch}.  Empty when the snapshot interns no edge
-      labels ([num_labels = 0]). *)
+      orientation), built once per snapshot by counting sorts and
+      memoized on it ({!Snapshot.val-memo}).  Empty when the snapshot
+      interns no edge labels ([num_labels = 0]). *)
   type t
 
   val get : Snapshot.t -> t

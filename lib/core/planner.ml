@@ -71,23 +71,11 @@ type plan = {
   plan_cache_hit : bool;
 }
 
-(* Schema derivation is per epoch, not per query: the vocabulary summary
-   of a snapshot is a pure function of its (immutable) columns, so one
-   [Schema.of_snapshot] per committed epoch suffices.  A short memo list
-   (not a single slot) keeps pinned older epochs warm while the writer
-   commits new ones. *)
-let schema_memo : (int * Schema.t) list ref = ref []
-let schema_memo_cap = 8
-
-let schema_for (inst : Gqkg_graph.Snapshot.t) =
-  let epoch = inst.Gqkg_graph.Snapshot.epoch in
-  match List.assoc_opt epoch !schema_memo with
-  | Some s -> s
-  | None ->
-      let s = Schema.of_snapshot inst in
-      let rec take n = function [] -> [] | _ when n <= 0 -> [] | x :: r -> x :: take (n - 1) r in
-      schema_memo := (epoch, s) :: take (schema_memo_cap - 1) !schema_memo;
-      s
+(* Schema derivation is per snapshot, not per query: the vocabulary
+   summary of a snapshot is a pure function of its (immutable) columns,
+   so one [Schema.of_snapshot] per snapshot suffices. *)
+let schema_id : Schema.t Type.Id.t = Type.Id.make ()
+let schema_for inst = Gqkg_graph.Snapshot.memo inst schema_id Schema.of_snapshot
 
 let canonical_for inst nfa =
   if not !minimize then None

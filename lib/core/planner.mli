@@ -62,8 +62,7 @@ val prepare_explained : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> p
     ingredient. *)
 val semantic_key : Snapshot.t -> Regex.t -> string option
 
-(** The snapshot's vocabulary schema, memoized on the epoch stamp: one
-    {!Gqkg_analysis.Schema.of_snapshot} derivation per committed epoch,
-    shared by every plan on that epoch (pinned older epochs stay warm
-    in a short memo). *)
+(** The snapshot's vocabulary schema, memoized on the snapshot: one
+    {!Gqkg_analysis.Schema.of_snapshot} derivation per snapshot, shared
+    by every plan on it. *)
 val schema_for : Snapshot.t -> Gqkg_analysis.Schema.t

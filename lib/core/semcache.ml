@@ -1,92 +1,72 @@
-(* Bounded drop-oldest association caches keyed by (snapshot epoch,
-   canonical key).  Deliberately simple: entry counts are small (a
+(* Bounded drop-oldest association lists keyed by canonical key, one
+   pair of them per snapshot (held in the snapshot's memo, so they are
+   collected with it).  Deliberately simple: entry counts are small (a
    repeated-query workload has few distinct canonical classes), so
    linear scans beat the bookkeeping of a real LRU here. *)
 
 open Gqkg_graph
 
-type stats = {
-  plan_hits : int;
-  plan_misses : int;
-  result_hits : int;
-  result_misses : int;
-  plan_entries : int;
-  result_entries : int;
-  commits : int;
-  invalidated : int;
-}
+type stats = { plan_hits : int; plan_misses : int; result_hits : int; result_misses : int }
 
 let enabled = ref true
+let plan_cap = 32
+let result_cap = 128
 
-type 'a cache = { mutable entries : (int * string * 'a) list; cap : int }
+(* A snapshot's cache is one list, newest first, replaced whole by
+   compare-and-set, so a concurrent reader always scans a complete list. *)
+type 'a cache = (string * 'a) list Atomic.t
 
-let plan_cache : Product.t cache = { entries = []; cap = 32 }
-let result_cache : (int * int) list cache = { entries = []; cap = 128 }
-let plan_hits = ref 0
-let plan_misses = ref 0
-let result_hits = ref 0
-let result_misses = ref 0
-let commits = ref 0
-let invalidated = ref 0
+let plans : Product.t cache Type.Id.t = Type.Id.make ()
+let results : (int * int) list cache Type.Id.t = Type.Id.make ()
+let cache s id = Snapshot.memo s id (fun _ -> Atomic.make [])
+
+let plan_hits = Atomic.make 0
+let plan_misses = Atomic.make 0
+let result_hits = Atomic.make 0
+let result_misses = Atomic.make 0
 
 let stats () =
   {
-    plan_hits = !plan_hits;
-    plan_misses = !plan_misses;
-    result_hits = !result_hits;
-    result_misses = !result_misses;
-    plan_entries = List.length plan_cache.entries;
-    result_entries = List.length result_cache.entries;
-    commits = !commits;
-    invalidated = !invalidated;
+    plan_hits = Atomic.get plan_hits;
+    plan_misses = Atomic.get plan_misses;
+    result_hits = Atomic.get result_hits;
+    result_misses = Atomic.get result_misses;
   }
 
 let reset () =
-  plan_cache.entries <- [];
-  result_cache.entries <- [];
-  plan_hits := 0;
-  plan_misses := 0;
-  result_hits := 0;
-  result_misses := 0;
-  commits := 0;
-  invalidated := 0
+  List.iter (fun c -> Atomic.set c 0) [ plan_hits; plan_misses; result_hits; result_misses ]
 
-(* Epoch-keyed entries can never be *wrong* across commits — a new
-   snapshot has a fresh epoch, so stale entries simply stop matching.
-   Explicit invalidation is about memory and honest accounting: on
-   commit, drop entries whose epoch is no longer live (retained entries
-   are those of still-pinned epochs plus the new current one). *)
-let note_commit ~live_epochs =
-  incr commits;
-  let drop cache =
-    let keep, dead = List.partition (fun (e, _, _) -> List.mem e live_epochs) cache.entries in
-    cache.entries <- keep;
-    List.length dead
-  in
-  invalidated := !invalidated + drop plan_cache + drop result_cache
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
 
 let rec take n = function [] -> [] | _ when n <= 0 -> [] | x :: rest -> x :: take (n - 1) rest
 
-let find cache hits misses epoch key =
+let find id hits misses s key =
   if not !enabled then None
   else
-    match
-      List.find_opt (fun (e, k, _) -> e = epoch && String.equal k key) cache.entries
-    with
-    | Some (_, _, v) ->
-        incr hits;
+    match assoc key (Atomic.get (cache s id)) with
+    | Some v ->
+        Atomic.incr hits;
         Some v
     | None ->
-        incr misses;
+        Atomic.incr misses;
         None
 
-let store cache epoch key v =
-  if
-    !enabled
-    && not (List.exists (fun (e, k, _) -> e = epoch && String.equal k key) cache.entries)
-  then cache.entries <- (epoch, key, v) :: take (cache.cap - 1) cache.entries
+let store id cap s key v =
+  if !enabled then begin
+    let entries = cache s id in
+    let rec insert () =
+      let seen = Atomic.get entries in
+      if
+        Option.is_none (assoc key seen)
+        && not (Atomic.compare_and_set entries seen ((key, v) :: take (cap - 1) seen))
+      then insert ()
+    in
+    insert ()
+  end
 
-let find_product (s : Snapshot.t) ~key = find plan_cache plan_hits plan_misses s.epoch key
-let store_product (s : Snapshot.t) ~key p = store plan_cache s.epoch key p
-let find_pairs (s : Snapshot.t) ~key = find result_cache result_hits result_misses s.epoch key
-let store_pairs (s : Snapshot.t) ~key v = store result_cache s.epoch key v
+let find_product s ~key = find plans plan_hits plan_misses s key
+let store_product s ~key p = store plans plan_cap s key p
+let find_pairs s ~key = find results result_hits result_misses s key
+let store_pairs s ~key v = store results result_cap s key v

@@ -1,47 +1,33 @@
 (** The Governor's semantic cache: plans (warmed products) and full
-    result sets keyed by (snapshot epoch, canonical-automaton key).
+    result sets of one snapshot, keyed by canonical-automaton key.
 
     The key contract (DESIGN.md §5g): two queries share a canonical key
     exactly when their minimal DFAs over the shared signature alphabet
     are isomorphic, which implies equal languages over that alphabet and
     therefore — because every realizable node/edge outcome vector is
     among the enumerated letters — equal answer sets on any snapshot.
-    The snapshot {!Gqkg_graph.Snapshot.t.epoch} stamp is process-unique
-    per constructed snapshot, so entries can never outlive or leak
-    across graph versions. Only [Complete] results may be stored
-    (callers enforce this); a partial answer under a tripped budget is
-    never served back.
+    The entries live in the snapshot's memo
+    ({!Gqkg_graph.Snapshot.val-memo}), so they can never leak across
+    graph versions and are collected with the snapshot. Only [Complete]
+    results may be stored (callers enforce this); a partial answer under
+    a tripped budget is never served back.
 
-    Both caches are bounded (drop-oldest) and process-global; {!reset}
-    clears entries and counters (tests, bench A/B runs). *)
+    Both caches are bounded per snapshot (drop-oldest: 32 plans, 128
+    results). The hit/miss counters are process-global. *)
 
 open Gqkg_graph
 
-type stats = {
-  plan_hits : int;
-  plan_misses : int;
-  result_hits : int;
-  result_misses : int;
-  plan_entries : int;
-  result_entries : int;
-  commits : int;  (** epoch commits observed via {!note_commit} *)
-  invalidated : int;  (** entries dropped across all commits (retired epochs) *)
-}
+type stats = { plan_hits : int; plan_misses : int; result_hits : int; result_misses : int }
 
 (** Master switch; [false] makes every lookup miss silently (no
     counter movement) and every store a no-op. Default [true]. *)
 val enabled : bool ref
 
 val stats : unit -> stats
-val reset : unit -> unit
 
-(** Tell the cache an epoch commit happened: entries keyed by epochs
-    not in [live_epochs] (the new current epoch plus any still-pinned
-    older ones, see {!Gqkg_graph.Epochs.live_epochs}) are dropped and
-    counted as [invalidated]; entries of pinned epochs are retained, so
-    an in-flight reader pinned to epoch N keeps its cache hits while
-    the writer commits N+1. *)
-val note_commit : live_epochs:int list -> unit
+(** Zero the hit/miss counters (tests, bench A/B runs). Entries stay:
+    a fresh snapshot starts with empty caches. *)
+val reset : unit -> unit
 
 (** Plan cache: warmed product automata, reusable because products are
     read-mostly and re-entrant across evaluations on the same snapshot. *)

@@ -2,8 +2,9 @@
     {!Overlay.base} and lets in-flight queries pin the snapshot they
     started on — commits swing the current pointer without touching
     pinned epochs, so readers never block writers and never see a
-    half-applied delta. Old epochs retire (become unreachable) when
-    their pin count drops to zero.
+    half-applied delta. Old epochs retire (become unreachable, and
+    collectable with their derived state) when their pin count drops
+    to zero.
 
     Thread-safe: [pin]/[unpin]/[commit] take a short internal lock;
     queries run lock-free on the pinned immutable snapshot. Writing is
@@ -19,8 +20,8 @@ val base : t -> Overlay.base
 
 val snapshot : t -> Snapshot.t
 
-(** Pin the current epoch: the returned snapshot stays valid (and its
-    semantic-cache entries stay retained) until {!unpin}. *)
+(** Pin the current epoch: the returned snapshot stays valid (and the
+    derived state memoized on it stays warm) until {!unpin}. *)
 val pin : t -> Snapshot.t
 
 (** Release a pinned snapshot. Unpinning a snapshot that is not the
@@ -40,8 +41,7 @@ val with_pinned : t -> (Snapshot.t -> 'a) -> 'a
 val commit : t -> Overlay.t -> Overlay.base * Overlay.reuse
 
 (** Epoch stamps still reachable: the current epoch plus every pinned
-    older one — what {!val-commit} survivors look like to cache
-    retention. *)
+    older one. *)
 val live_epochs : t -> int list
 
 (** Number of commits performed through this manager. *)

@@ -685,6 +685,7 @@ let commit t =
         edge_name = (fun e -> Const.to_string edge_ids.(e));
         stats;
         epoch = Snapshot.fresh_epoch ();
+        memo = Snapshot.fresh_memo ();
       }
     in
     ( {

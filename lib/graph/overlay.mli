@@ -78,8 +78,8 @@ type reuse = { reused : string list; rebuilt : string list }
 
 val reuse_ratio : reuse -> float
 
-(** Freeze the overlay into a new snapshot (fresh epoch), sharing every
-    column the delta did not touch: a props-only delta keeps the whole
+(** Freeze the overlay into a new snapshot (fresh epoch, empty memo of
+    derived state), sharing every column the delta did not touch: a props-only delta keeps the whole
     topology (CSR, endpoints, ids, bitmaps, stats); an adds-only delta
     keeps node columns it only extends; node deletions renumber and
     rebuild. An empty overlay returns the base itself (same epoch) with

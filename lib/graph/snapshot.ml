@@ -4,13 +4,12 @@
    columns, CSR adjacency in both directions, interned edge labels,
    node-label membership bitmaps and degree/label statistics — so the
    Section 4 engines touch plain int arrays instead of per-model
-   closures.  The adapters that used to live in each model
-   (Labeled_graph.to_instance and friends) collapse into the [of_*]
-   constructors below plus [Rdf_graph.to_snapshot] in gqkg_kg; the
-   legacy record survives only behind {!to_instance}.
+   closures.  The per-model freezers are the [of_*] constructors below
+   plus [Rdf_graph.to_snapshot] in gqkg_kg.
 
-   Everything in the record is immutable after [make] returns, and the
-   hot fields are plain int arrays, so snapshots are shared freely
+   Everything in the record is immutable after [make] returns, except
+   the memo of derived state, which only ever grows by compare-and-set;
+   the hot fields are plain int arrays, so snapshots are shared freely
    across OCaml 5 domains (Product.levels, betweenness_parallel). *)
 
 module B = Gqkg_util.Bitset
@@ -28,6 +27,11 @@ type stats = {
   edge_label_counts : int array;
   node_label_counts : int array;
 }
+
+(* Derived state hangs off the snapshot it was computed from: shared by
+   every reader of that snapshot, collected with it. *)
+type binding = Binding : 'a Type.Id.t * 'a -> binding
+type memo = binding list Atomic.t
 
 type t = {
   num_nodes : int;
@@ -54,13 +58,39 @@ type t = {
   edge_name : int -> string;
   stats : stats;
   epoch : int;
+  memo : memo;
 }
 
 (* Process-wide epoch counter: every snapshot constructed in this
-   process (via [make] or the loader's literal record) gets a distinct
-   stamp; the Governor's semantic cache keys on it. *)
+   process (via [make], the overlay commit or the loader's literal
+   record) gets a distinct stamp. *)
 let epoch_counter = Atomic.make 0
 let fresh_epoch () = Atomic.fetch_and_add epoch_counter 1
+let fresh_memo () : memo = Atomic.make []
+
+let rec find_binding : type a. a Type.Id.t -> binding list -> a option =
+ fun id -> function
+  | [] -> None
+  | Binding (id', v) :: rest -> (
+      match Type.Id.provably_equal id id' with
+      | Some Type.Equal -> Some v
+      | None -> find_binding id rest)
+
+(* [build] runs outside any lock: two racing readers may both build,
+   and the first insert wins, so every caller sees one value. *)
+let memo s id build =
+  match find_binding id (Atomic.get s.memo) with
+  | Some v -> v
+  | None ->
+      let v = build s in
+      let rec insert () =
+        let seen = Atomic.get s.memo in
+        match find_binding id seen with
+        | Some v -> v
+        | None ->
+            if Atomic.compare_and_set s.memo seen (Binding (id, v) :: seen) then v else insert ()
+      in
+      insert ()
 
 (* Percentile of a degree distribution given as a counting histogram
    over 0 .. max_degree (nearest-rank on the n node observations). *)
@@ -209,6 +239,7 @@ let make ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat ~num
     edge_name;
     stats = stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_counts;
     epoch = fresh_epoch ();
+    memo = fresh_memo ();
   }
 
 let intern ~n ~get =
@@ -362,25 +393,3 @@ let describe s =
        s.stats.out_degree_p99 s.stats.out_degree_max s.stats.in_degree_p50 s.stats.in_degree_p99
        s.stats.in_degree_max);
   Buffer.contents buf
-
-let to_instance s =
-  {
-    Instance.num_nodes = s.num_nodes;
-    num_edges = s.num_edges;
-    endpoints = endpoints s;
-    out_edges = out_pairs s;
-    in_edges = in_pairs s;
-    node_atom = s.node_atom;
-    edge_atom = s.edge_atom;
-    node_name = s.node_name;
-    edge_name = s.edge_name;
-    labels =
-      (if s.num_labels > 0 then
-         Some
-           {
-             Instance.num_labels = s.num_labels;
-             edge_label_id = (fun e -> s.elabel.(e));
-             label_sat = s.label_sat;
-           }
-       else None);
-  }

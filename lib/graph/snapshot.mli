@@ -9,7 +9,9 @@
     against it.
 
     All array fields are plain immutable int arrays — a snapshot can be
-    shared across OCaml 5 domains without synchronization. Hot paths
+    shared across OCaml 5 domains without synchronization; the one
+    mutable part, the {!memo} of derived state, is updated by
+    compare-and-set. Hot paths
     (the product kernel, Brandes) index the arrays directly; the closure
     fields ([node_atom], [edge_atom], names) serve the cold oracle
     paths only. *)
@@ -28,6 +30,10 @@ type stats = {
   edge_label_counts : int array;  (** edge-label id → multiplicity *)
   node_label_counts : int array;  (** node-label id → member count *)
 }
+
+(** The per-snapshot memo of derived state: at most one value per
+    {!Type.Id.t}. *)
+type memo
 
 type t = {
   num_nodes : int;
@@ -72,8 +78,11 @@ type t = {
   stats : stats;
   epoch : int;
       (** Process-unique freeze stamp: every constructed snapshot gets a
-          fresh value, so (epoch, canonical query key) identifies a
-          result set — the semantic cache key of the Governor. *)
+          fresh value (reported by [gqkg explain], [stats] and serve). *)
+  memo : memo;
+      (** Derived state computed from this snapshot (schema, join index,
+          semantic caches), see {!val-memo}; minted fresh with the epoch,
+          so two snapshots never share it. *)
 }
 
 (** [make] builds the CSR image, label bitmaps and stats from columnar
@@ -121,9 +130,18 @@ val stats_of_columns :
   node_label_counts:int array ->
   stats
 
-(** Next value of the process-wide epoch counter — for code that builds
-    the record directly instead of through {!make} (snapshot loading). *)
+(** Next value of the process-wide epoch counter, and an empty memo —
+    for code that builds the record directly instead of through {!make}
+    (the overlay commit, snapshot loading). Mint both for every record. *)
 val fresh_epoch : unit -> int
+
+val fresh_memo : unit -> memo
+
+(** [memo s id build] is the value memoized on [s] under [id], computed
+    by [build s] on first use. [build] runs outside any lock; when two
+    callers race, the first value inserted wins and both get it. The
+    value lives exactly as long as [s]. *)
+val memo : t -> 'a Type.Id.t -> (t -> 'a) -> 'a
 
 (** Label satisfaction by [Const] equality against an interned universe
     — the rule shared by the labeled, property and vector models, and
@@ -175,8 +193,3 @@ val disjoint_union : t -> t -> t
     universe with multiplicities, and degree percentiles (p50/p99/max)
     — what [gqkg explain] and [gqkg stats] print. *)
 val describe : t -> string
-
-(** Thin compatibility shim onto the legacy closure record. The
-    resulting instance shares the snapshot's arrays; adjacency closures
-    materialize fresh pair arrays per call. *)
-val to_instance : t -> Instance.t

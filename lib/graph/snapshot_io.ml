@@ -632,6 +632,7 @@ let load_with_perm path =
           node_label_counts;
         };
       epoch = Snapshot.fresh_epoch ();
+      memo = Snapshot.fresh_memo ();
     }
   in
   (snapshot, perm)

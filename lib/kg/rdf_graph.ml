@@ -2,7 +2,7 @@
    triples (s, p, o) … so that (s, p, o) represents an edge from s to o
    with label p", with edges unnamed (identified by their triple).
 
-   This module exposes a triple store through the uniform Instance view,
+   This module freezes a triple store into the shared columnar Snapshot,
    which lets every Section 4 algorithm — regular path queries, counting,
    sampling, regex-constrained centrality — run unchanged over RDF.
    Atomic tests are interpreted RDF-style:

@@ -1,7 +1,7 @@
 (** RDF graphs as labeled graphs (Section 3): each triple (s, p, o) is
-    an edge from s to o labeled p. Exposing a triple store through the
-    uniform Instance view lets every Section 4 algorithm run unchanged
-    over RDF. Atomic tests: an edge satisfies label ℓ when its predicate
+    an edge from s to o labeled p. Freezing a triple store into the
+    shared columnar {!Gqkg_graph.Snapshot.t} lets every Section 4
+    algorithm run unchanged over RDF. Atomic tests: an edge satisfies label ℓ when its predicate
     is ℓ or has local name ℓ; a node satisfies ℓ when it has a matching
     rdf:type; (p = v) holds when a literal-valued triple exists. *)
 

@@ -81,11 +81,9 @@ type db = {
 let db_of_instance inst =
   let has_edge = Hashtbl.create 256 in
   let pairs_with_label = Hashtbl.create 16 in
-  (* Every label whose atom an edge satisfies; with Instance we can only
-     test atoms, so we collect the label vocabulary by probing is left to
-     the caller.  Instead we require models where edge labels are
-     enumerable: we reconstruct by testing each edge against the labels
-     that occur syntactically in formulas, lazily (see [ensure_label]). *)
+  (* The snapshot's atom oracle can only test atoms, so the pairs of a
+     label are collected lazily, by testing each edge against the labels
+     that occur syntactically in formulas (see [ensure_label]). *)
   { inst; has_edge; pairs_with_label }
 
 let ensure_label db label =

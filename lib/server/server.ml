@@ -324,7 +324,7 @@ let handle_mutate t req ~id =
                     ("epoch", Jsonx.Num (float_of_int snap.Snapshot.epoch));
                   ])
           | Ok applied ->
-              let base, reuse = Governor.commit t.mgr overlay in
+              let base, reuse = Epochs.commit t.mgr overlay in
               let snap = Overlay.snapshot base in
               Jsonx.Obj
                 ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "mutate") ]

@@ -10,8 +10,9 @@
    node indexes for the first three models; RDF compares name-pair sets
    through the urn:gqkg: node IRIs.
 
-   Plus: readers-never-block (a pinned epoch survives a commit and the
-   semantic cache retains its entries), column-reuse accounting, merge
+   Plus: readers-never-block (a pinned epoch survives a commit and keeps
+   its semantic-cache entries), retired snapshots being collectable,
+   concurrent readers across commits, column-reuse accounting, merge
    semantics, the overlay read API, and torn-journal recovery. *)
 
 open Gqkg_graph
@@ -229,21 +230,119 @@ let test_readers_never_block () =
   ignore (Governor.commit mgr ov);
   let r2 = eval (Epochs.snapshot mgr) in
   checki "current epoch sees the new edge (no stale cache serve)" 2 (List.length r2);
+  let hits = (Semcache.stats ()).Semcache.result_hits in
   let r1' = eval pinned in
   checkb "pinned epoch still answers identically" true (r1 = r1');
+  checki "pinned epoch still hits its cache after the commit" (hits + 1)
+    (Semcache.stats ()).Semcache.result_hits;
   checki "two epochs live while pinned" 2 (List.length (Epochs.live_epochs mgr));
-  let s = Semcache.stats () in
-  checki "commit noted by the cache" 1 s.Semcache.commits;
-  checki "pinned epoch's entries retained" 0 s.Semcache.invalidated;
   Epochs.unpin mgr pinned;
   checki "old epoch retired on unpin" 1 (Epochs.retired mgr);
-  checki "one live epoch after unpin" 1 (List.length (Epochs.live_epochs mgr));
-  (* The next commit sweeps the retired epochs' cache entries. *)
-  let ov2 = Overlay.create (Epochs.base mgr) in
-  Overlay.apply ov2 (Mutation.Set_node_prop { id = c "a"; prop = c "age"; value = Const.int 1 });
-  ignore (Governor.commit mgr ov2);
-  let s2 = Semcache.stats () in
-  checkb "retired epochs' entries invalidated" true (s2.Semcache.invalidated > 0)
+  checki "one live epoch after unpin" 1 (List.length (Epochs.live_epochs mgr))
+
+(* ---------- retired snapshots are collectable ---------- *)
+
+let chain_ops n =
+  List.concat
+    (List.init n (fun i ->
+         Mutation.Add_node { id = c (Printf.sprintf "v%d" i); label = c "person" }
+         ::
+         (if i = 0 then []
+          else
+            [
+              Mutation.Add_edge
+                {
+                  id = c (Printf.sprintf "k%d" i);
+                  src = c (Printf.sprintf "v%d" (i - 1));
+                  dst = c (Printf.sprintf "v%d" i);
+                  label = c (if i mod 3 = 0 then "likes" else "knows");
+                };
+            ])))
+
+(* Derive every kind of per-snapshot state on the pinned epoch (schema,
+   plans and results through the Governor, the join index through a
+   CRPQ), commit past it and unpin.  Returns only a weak pointer; kept
+   out of line so no stack slot of the caller holds the snapshot. *)
+let[@inline never] derive_and_retire mgr =
+  let snap = Epochs.pin mgr in
+  ignore (Governor.eval_pairs ~budget:(Budget.create ()) snap (parse "knows*"));
+  ignore
+    (Gqkg_logic.Crpq.answers snap
+       (Gqkg_logic.Crpq_parser.parse "SELECT x, z WHERE (x)-[knows]->(y), (y)-[likes]->(z)"));
+  let ov = Overlay.create (Epochs.base mgr) in
+  Overlay.apply ov
+    (Mutation.Add_edge { id = c "k0"; src = c "v0"; dst = c "v2"; label = c "likes" });
+  ignore (Governor.commit mgr ov);
+  Epochs.unpin mgr snap;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some snap);
+  w
+
+let test_retired_snapshot_collectable () =
+  let mgr = Epochs.create (Overlay.base_of_property (Journal.replay_ops (chain_ops 8))) in
+  let w = derive_and_retire mgr in
+  Gc.full_major ();
+  checki "one live epoch" 1 (List.length (Epochs.live_epochs mgr));
+  checkb "retired snapshot collected with its derived state" false (Weak.check w 0)
+
+(* ---------- concurrent readers across commits ---------- *)
+
+(* Four reader threads pin whatever epoch is current and run a fixed
+   query set through the cached Governor path while a writer commits 20
+   overlays; every answer must equal the naive evaluator's on the
+   reader's own pinned snapshot. *)
+let test_concurrent_readers () =
+  let n = 12 in
+  let mgr = Epochs.create (Overlay.base_of_property (Journal.replay_ops (chain_ops n))) in
+  let queries =
+    List.map parse [ "knows"; "knows*"; "knows/likes"; "(knows + likes)*"; "-knows/knows" ]
+  in
+  let writer_done = Atomic.make false and mismatches = Atomic.make 0 and checked = Atomic.make 0 in
+  let epochs_seen = Hashtbl.create 32 and seen_lock = Mutex.create () in
+  let reader () =
+    let rounds = ref 0 in
+    while !rounds < 3 || not (Atomic.get writer_done) do
+      incr rounds;
+      Epochs.with_pinned mgr (fun snap ->
+          Mutex.protect seen_lock (fun () -> Hashtbl.replace epochs_seen snap.Snapshot.epoch ());
+          List.iter
+            (fun r ->
+              let o =
+                Governor.eval_pairs ~use_cache:true ~budget:(Budget.create ()) ~max_length:6 snap r
+              in
+              Atomic.incr checked;
+              if
+                o.Budget.completeness <> Budget.Complete
+                || sortp o.Budget.value <> sortp (Naive.pairs snap r ~max_length:6)
+              then Atomic.incr mismatches;
+              Thread.yield ())
+            queries)
+    done
+  in
+  let writer () =
+    let rng = Sm.create 11 in
+    for k = 1 to 20 do
+      let ov = Overlay.create (Epochs.base mgr) in
+      let v () = c (Printf.sprintf "v%d" (Sm.int rng n)) in
+      let label = c (if k mod 2 = 0 then "likes" else "knows") in
+      Overlay.apply ov
+        (Mutation.Add_edge { id = c (Printf.sprintf "w%d" k); src = v (); dst = v (); label });
+      if k mod 5 = 0 then
+        Overlay.apply ov (Mutation.Del_edge { id = c (Printf.sprintf "w%d" (k - 1)) });
+      ignore (Epochs.commit mgr ov);
+      Thread.yield ()
+    done;
+    Atomic.set writer_done true
+  in
+  let readers = List.init 4 (fun _ -> Thread.create reader ()) in
+  let w = Thread.create writer () in
+  Thread.join w;
+  List.iter Thread.join readers;
+  checki "20 commits" 20 (Epochs.commits mgr);
+  checkb "readers ran" true (Atomic.get checked >= 4 * 3 * List.length queries);
+  checkb "readers pinned several epochs" true (Hashtbl.length epochs_seen > 1);
+  checki "every answer equals the naive one on its pinned snapshot" 0 (Atomic.get mismatches);
+  checki "no pins left" 0 (Epochs.pins mgr)
 
 (* ---------- batched frontier with many sources (multi-word batches) ---------- *)
 
@@ -402,6 +501,9 @@ let () =
         [
           Alcotest.test_case "readers never block" `Quick test_readers_never_block;
           Alcotest.test_case "frontier many sources" `Quick test_frontier_many_sources;
+          Alcotest.test_case "retired snapshot collectable" `Quick
+            test_retired_snapshot_collectable;
+          Alcotest.test_case "concurrent readers across commits" `Quick test_concurrent_readers;
         ] );
       ( "reuse",
         [

@@ -259,7 +259,7 @@ let test_labeled_to_vector () =
       (Const.equal (Vector_graph.node_feature vg n 1) (Labeled_graph.node_label lg n))
   done
 
-(* ---------- Instance view ---------- *)
+(* ---------- Snapshot view ---------- *)
 
 let test_instance_consistency () =
   let pg = Figure2.property () in
