@@ -638,7 +638,16 @@ let explain_cmd =
               c.Rpq.forward_live
               (match c.Rpq.backward_live with Some b -> string_of_int b | None -> "-")
               (match c.Rpq.direction with Rpq.Forward -> "forward" | Rpq.Backward -> "backward")
-              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost)
+              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost;
+            let candidates = function
+              | Some k -> Printf.sprintf "%d of %d nodes" k inst.Snapshot.num_nodes
+              | None -> "(full scan)"
+            in
+            Printf.printf "seed candidates: forward %s, backward %s\n"
+              (candidates c.Rpq.forward_candidates)
+              (match c.Rpq.backward_live with
+              | Some _ -> candidates c.Rpq.backward_candidates
+              | None -> "-"))
           (Rpq.seed_counts ~budget inst simplified);
         (match plan.Planner.prep with
         | Planner.Empty ->

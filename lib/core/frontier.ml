@@ -251,13 +251,16 @@ let run_batch ?(direction = `Auto) ?max_length ?level t ~sources =
                  cost: one averaged in-degree per not-yet-covered state,
                  plus the reverse-CSR rebuild when stale.  Dense
                  underlying graphs (high median degree) profit from
-                 pulling earlier because the early-exit saves more. *)
+                 pulling earlier because the early-exit saves more.
+                 With every interned state covered there is nothing
+                 known to pull into (a one-seed batch at level 0): the
+                 estimate would read 0, so push. *)
               let avg = if ns > 0 then max 1 (moves / ns) else 1 in
               let td_cost = !cur.n * avg in
               let bu_cost = ((ns - !covered) * avg) + (if stale then moves else 0) in
               let snap = Product.instance p in
               let alpha = if snap.Gqkg_graph.Snapshot.stats.Gqkg_graph.Snapshot.degree_p50 >= 8 then 2 else 4 in
-              td_cost > alpha * bu_cost
+              !covered < ns && td_cost > alpha * bu_cost
         in
         !next.n <- 0;
         if bottom_up then begin

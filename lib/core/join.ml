@@ -193,8 +193,6 @@ module Index = struct
     in_tries : trie array; (* grouped by dst *)
     self_tries : trie array; (* T1 of self-loop nodes *)
     stats : label_stat array;
-    label_ids_cache : (Const.t, int list) Hashtbl.t;
-    node_label_cache : (Const.t, int array) Hashtbl.t;
   }
 
   (* Build one orientation: edges of label [l] as a T2 keyed by
@@ -306,42 +304,21 @@ module Index = struct
             self_loops;
           })
     in
-    {
-      snap;
-      out_tries;
-      in_tries;
-      self_tries;
-      stats;
-      label_ids_cache = Hashtbl.create 8;
-      node_label_cache = Hashtbl.create 8;
-    }
+    { snap; out_tries; in_tries; self_tries; stats }
 
   let index_id : t Type.Id.t = Type.Id.make ()
   let get snap = Snapshot.memo snap index_id build
 
+  (* O(labels) per call: the index keeps no table written on the read
+     path. *)
   let edge_label_ids idx c =
-    match Hashtbl.find_opt idx.label_ids_cache c with
-    | Some ids -> ids
-    | None ->
-        let ids = ref [] in
-        for l = idx.snap.Snapshot.num_labels - 1 downto 0 do
-          if idx.snap.Snapshot.label_sat l (Atom.Label c) then ids := l :: !ids
-        done;
-        Hashtbl.replace idx.label_ids_cache c !ids;
-        !ids
+    let ids = ref [] in
+    for l = idx.snap.Snapshot.num_labels - 1 downto 0 do
+      if idx.snap.Snapshot.label_sat l (Atom.Label c) then ids := l :: !ids
+    done;
+    !ids
 
-  let nodes_with_const_label idx c =
-    match Hashtbl.find_opt idx.node_label_cache c with
-    | Some a -> a
-    | None ->
-        let snap = idx.snap in
-        let out = ref [] in
-        for v = snap.Snapshot.num_nodes - 1 downto 0 do
-          if snap.Snapshot.node_atom v (Atom.Label c) then out := v :: !out
-        done;
-        let a = Array.of_list !out in
-        Hashtbl.replace idx.node_label_cache c a;
-        a
+  let nodes_with_const_label idx c = Postings.nodes idx.snap (Atom.Label c)
 
   let label_stats idx = Array.copy idx.stats
 

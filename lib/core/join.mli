@@ -40,10 +40,12 @@ module Index : sig
 
   val get : Snapshot.t -> t
 
-  (** Edge-label ids whose [label_sat] accepts the constant. *)
+  (** Edge-label ids whose [label_sat] accepts the constant, computed
+      per call (O(labels)). *)
   val edge_label_ids : t -> Const.t -> int list
 
-  (** Nodes whose node labels satisfy the constant, ascending. *)
+  (** Nodes whose node labels satisfy the constant, ascending: the
+      snapshot's {!Postings} of [Label c] (shared; do not mutate). *)
   val nodes_with_const_label : t -> Const.t -> int array
 
   (** Per edge label: distinct (src, dst) pairs, distinct sources,

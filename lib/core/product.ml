@@ -674,6 +674,78 @@ let live_seed p node =
       Bytes.unsafe_set p.live node (if live then '\001' else '\002');
       live
 
+type seed_candidates = Every_node | Nodes of int array
+
+exception Postings_tripped
+
+(* Union of two ascending duplicate-free arrays (shared when one side
+   is empty). *)
+let union a b =
+  let la = Array.length a and lb = Array.length b in
+  if la = 0 then b
+  else if lb = 0 then a
+  else begin
+    let out = Array.make (la + lb) 0 in
+    let rec go i j k =
+      if i = la && j = lb then Array.sub out 0 k
+      else if j = lb || (i < la && a.(i) < b.(j)) then begin
+        out.(k) <- a.(i);
+        go (i + 1) j (k + 1)
+      end
+      else if i = la || b.(j) < a.(i) then begin
+        out.(k) <- b.(j);
+        go i (j + 1) (k + 1)
+      end
+      else begin
+        out.(k) <- a.(i);
+        go (i + 1) (j + 1) (k + 1)
+      end
+    in
+    go 0 0 0
+  end
+
+(* A superset of the nodes passing [test], ascending; [None] stands for
+   every node. *)
+let rec satisfying p = function
+  | Regex.Atom ((Atom.Label _ | Atom.Prop _) as a) -> (
+      match Postings.nodes_within p.budget p.inst a with
+      | None -> raise Postings_tripped
+      | nodes -> nodes)
+  | Regex.Atom (Atom.Feature _) | Regex.Not _ -> None
+  | Regex.And (a, b) -> (
+      match (satisfying p a, satisfying p b) with
+      | None, s | s, None -> s
+      | Some x, Some y -> Some (if Array.length y < Array.length x then y else x))
+  | Regex.Or (a, b) -> (
+      match satisfying p a with
+      | None -> None
+      | Some x -> Option.map (union x) (satisfying p b))
+
+(* Sound because the start closure at a node is a function of the start
+   checks' answers there: where none holds it is the all-false closure,
+   which the guard below finds dead. *)
+let seed_candidates p =
+  let ws = Array.make p.words 0 in
+  B.raw_add ws (Nfa.start p.nfa);
+  Nfa.close_raw_idx p.nfa ~check_sat:(fun _ _ -> false) ws;
+  let open_start =
+    B.raw_mem ws (Nfa.accept p.nfa)
+    || Array.exists
+         (fun q ->
+           Array.length (Nfa.fwd_moves p.nfa q) > 0 || Array.length (Nfa.bwd_moves p.nfa q) > 0)
+         (B.raw_to_array ws)
+  in
+  if open_start then Some Every_node
+  else
+    let rec gather acc i =
+      if i = Array.length p.start_checks then Some (Nodes acc)
+      else
+        match satisfying p p.check_tests.(p.start_checks.(i)) with
+        | None -> Some Every_node
+        | Some nodes -> gather (union acc nodes) (i + 1)
+    in
+    try gather [||] 0 with Postings_tripped -> None
+
 (* Packed vector of the node's check answers, computed once per node.
    Only called when the automaton has at most 30 checks (the signature
    must fit an immediate int with headroom for the memo-key packing). *)

@@ -62,6 +62,24 @@ val start_state : t -> int -> int option
     closure). *)
 val live_seed : t -> int -> bool
 
+(** Where the live seeds can be.  [Nodes a]: an ascending superset of
+    them, read off the snapshot's atom postings ({!Gqkg_graph.Postings});
+    [Every_node]: no such set was derived and every node is a
+    candidate. *)
+type seed_candidates = Every_node | Nodes of int array
+
+(** The seed candidates of the product.  A set is derived only when the
+    start closure with every start check false ({!Nfa.start_checks})
+    neither accepts nor has an edge move: a node where no start check
+    holds closes to exactly that set, so it is dead, and every live seed
+    satisfies some start check.  The candidates are then the union over
+    the start checks of a superset of each check's satisfying nodes: an
+    atom's postings, the smaller side of an [And], the union of an
+    [Or]; a [Not] or [Feature] test (or an [Or] over one) gives
+    [Every_node].  Postings builds poll the product's budget; [None]
+    when it trips. *)
+val seed_candidates : t -> seed_candidates option
+
 (** [iter_successors p id f] calls [f edge succ] for every successor
     move, in a deterministic order (ascending edge id), reading the
     flat CSR buffer directly.  One entry per (edge, destination) move —

@@ -112,37 +112,51 @@ let reachable_many ?budget ?max_length inst regex ~sources =
   | Planner.Ready product -> Frontier.reachable ?max_length (Frontier.create product) ~sources
 
 (* Live seeds of [product] (see {!Product.live_seed}) in ascending node
-   order, scanning until [limit] are found.  Budget check site: every
-   4096 nodes, node 0 included; [None] when the budget trips — callers
-   answer with an empty (hence sound) partial result. *)
+   order, walking its seed candidates ({!Product.seed_candidates}) until
+   [limit] are found.  Budget check site: every 4096 candidates,
+   candidate 0 included, beside the polls of a postings build; [None]
+   when the budget trips — callers answer with an empty (hence sound)
+   partial result. *)
 let live_seeds ?(limit = max_int) product =
-  let n = (Product.instance product).Snapshot.num_nodes in
-  let budget = Product.budget product in
-  let seeds = ref [] and count = ref 0 and v = ref 0 and tripped = ref false in
-  while (not !tripped) && !v < n && !count < limit do
-    if !v land 4095 = 0 && Gqkg_util.Budget.check budget then tripped := true
-    else begin
-      if Product.live_seed product !v then begin
-        seeds := !v :: !seeds;
-        incr count
-      end;
-      incr v
-    end
-  done;
-  if !tripped then None else Some (Array.of_list (List.rev !seeds))
+  match Product.seed_candidates product with
+  | None -> None
+  | Some candidates ->
+      let count, node =
+        match candidates with
+        | Product.Every_node -> ((Product.instance product).Snapshot.num_nodes, Fun.id)
+        | Product.Nodes nodes -> (Array.length nodes, Array.get nodes)
+      in
+      let budget = Product.budget product in
+      let seeds = ref [] and found = ref 0 and i = ref 0 and tripped = ref false in
+      while (not !tripped) && !i < count && !found < limit do
+        if !i land 4095 = 0 && Gqkg_util.Budget.check budget then tripped := true
+        else begin
+          let v = node !i in
+          if Product.live_seed product v then begin
+            seeds := v :: !seeds;
+            incr found
+          end;
+          incr i
+        end
+      done;
+      if !tripped then None else Some (Array.of_list (List.rev !seeds))
 
 type direction = Forward | Backward
 
 (* The direction with fewer live seeds runs; ties go forward.  Forward
    live seeds are counted in full, reversed ones only until they reach
    the forward count — past it the forward product has won anyway, so
-   a selective start never pays a full scan of the reversed side.
-   [None] when the answer is empty without a search: statically empty,
-   no live seed, or the budget tripped in a scan. *)
+   a selective start never pays a full scan of the reversed side.  One
+   forward seed runs forward without building the reversed product: the
+   reversed side could only tie, or be empty, and then the answer is
+   empty, which the one-seed forward run returns as well.  [None] when
+   the answer is empty without a search: statically empty, no live
+   seed, or the budget tripped in a scan. *)
 let choose_direction q =
   match Option.map (fun p -> (p, live_seeds p)) (Planner.product q) with
   | None | Some (_, None) -> None
   | Some (_, Some [||]) -> None
+  | Some (fwd, Some ([| _ |] as seed)) -> Some (Forward, fwd, seed)
   | Some (fwd, Some fwd_seeds) -> (
       let nf = Array.length fwd_seeds in
       match Option.map (fun p -> (p, live_seeds ~limit:nf p)) (Planner.reversed q) with
@@ -181,22 +195,45 @@ let eval_planned ?max_length q =
 let eval_pairs ?budget ?max_length inst regex =
   eval_planned ?max_length (Planner.plan ?budget inst regex)
 
-type seed_counts = { forward_live : int; backward_live : int option; direction : direction }
+type seed_counts = {
+  forward_live : int;
+  forward_candidates : int option;
+  backward_live : int option;
+  backward_candidates : int option;
+  direction : direction;
+}
 
-(* The live seeds per direction, both counted in full, and the direction
-   [eval_pairs] runs — for explain.  [None] when statically empty or
-   when the budget trips during the forward scan. *)
+(* The live seeds and seed candidates per direction, both counted in
+   full, and the direction [eval_pairs] runs — for explain.  [None]
+   when statically empty or when the budget trips during the forward
+   scan. *)
 let seed_counts ?budget inst regex =
   let q = Planner.plan ?budget inst regex in
   let count p = Option.map Array.length (live_seeds p) in
-  match Option.bind (Planner.product q) count with
+  let candidates p =
+    match Product.seed_candidates p with Some (Product.Nodes a) -> Some (Array.length a) | _ -> None
+  in
+  match Planner.product q with
   | None -> None
-  | Some forward_live ->
-      let backward_live = Option.bind (Planner.reversed q) count in
-      let direction =
-        match backward_live with Some b when b < forward_live -> Backward | _ -> Forward
-      in
-      Some { forward_live; backward_live; direction }
+  | Some fwd -> (
+      match count fwd with
+      | None -> None
+      | Some forward_live ->
+          let rev = Planner.reversed q in
+          let backward_live = Option.bind rev count in
+          let direction =
+            match backward_live with
+            | Some b when b < forward_live && forward_live > 1 -> Backward
+            | _ -> Forward
+          in
+          Some
+            {
+              forward_live;
+              forward_candidates = candidates fwd;
+              backward_live;
+              backward_candidates = Option.bind rev candidates;
+              direction;
+            })
 
 (* Node extraction (Section 4.3): nodes a with at least one matching path
    starting at a (existentially quantified endpoint); only live seeds

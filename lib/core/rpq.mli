@@ -43,8 +43,12 @@ val reachable_from_product : ?max_length:int -> Product.t -> source:int -> int l
 (** All pairs (a, b) joined by a matching path, sorted.  Runs one
     batched {!Frontier} search from the live seeds ({!Product.live_seed})
     of the direction with fewer of them — the forward product or the one
-    over the reversed automaton, ties forward.  The seed scans are a
-    budget check site (every 4096 nodes); a trip there answers [[]]. *)
+    over the reversed automaton, ties forward; a single forward live
+    seed runs forward without building the reversed product.  Live
+    seeds are looked for among the seed candidates only
+    ({!Product.seed_candidates}); the walk is a budget check site
+    (every 4096 candidates), and a trip there or in a postings build
+    answers [[]]. *)
 val eval_pairs :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->
@@ -60,14 +64,18 @@ type direction = Forward | Backward
 
 type seed_counts = {
   forward_live : int;
+  forward_candidates : int option;
+      (** seed candidates walked; [None]: no candidate set, every node scanned *)
   backward_live : int option;  (** [None]: no reversed product (analysis off) *)
+  backward_candidates : int option;
+      (** as [forward_candidates]; [None] too without a reversed product *)
   direction : direction;  (** the direction {!eval_pairs} runs *)
 }
 
-(** Live seeds per direction, each counted in full, and the direction
-    {!eval_pairs} picks from them — what [gqkg explain] prints.  [None]
-    when statically empty or when the budget trips in the forward
-    scan. *)
+(** Live seeds and seed candidates per direction, each counted in full,
+    and the direction {!eval_pairs} picks from them — what [gqkg
+    explain] prints.  [None] when statically empty or when the budget
+    trips in the forward scan. *)
 val seed_counts :
   ?budget:Gqkg_util.Budget.t -> Gqkg_graph.Snapshot.t -> Gqkg_automata.Regex.t -> seed_counts option
 

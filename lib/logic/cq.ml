@@ -55,7 +55,7 @@ let atom_name = function
 
 (* Edge atoms with an interned label are zero-copy CSR views; without a
    label index (num_labels = 0) the relation is scanned once per label
-   constant.  Node atoms use the index's cached label->nodes sets. *)
+   constant.  Node atoms read the snapshot's label postings. *)
 let join_specs inst body =
   let idx = Join.Index.get inst in
   List.map

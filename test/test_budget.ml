@@ -336,6 +336,31 @@ let test_seed_scan_check_site () =
       checki "no product state interned" before (Product.states_interned_total ()))
     [ 0; 1 ]
 
+(* An index-anchored query walks its seed candidates instead of every
+   node.  With the start test's postings already built, the first check
+   is the walk's poll at candidate 0, and a trip there answers an empty
+   Partial without interning a product state; on a fresh snapshot the
+   first check is the postings build's, with the same answer. *)
+let test_candidate_walk_check_site () =
+  let pg = Gqkg_workload.Contact_network.generate (Gqkg_util.Splitmix.create 3) in
+  let r = Gqkg_automata.Regex_parser.parse "?infected/rides/?bus" in
+  let warm = Snapshot.of_property pg in
+  checkb "live query" true (Rpq.eval_pairs warm r <> []);
+  (match Rpq.seed_counts warm r with
+  | Some { Rpq.forward_candidates = Some k; _ } ->
+      checkb "anchored on fewer candidates than nodes" true (k < warm.Snapshot.num_nodes)
+  | _ -> Alcotest.fail "expected a candidate set");
+  List.iter
+    (fun (what, inst) ->
+      let before = Product.states_interned_total () in
+      let b = Budget.create ~trip_after_checks:0 () in
+      let pairs = Governor.eval_pairs ~budget:b inst r in
+      checkb (what ^ ": empty partial") true
+        (pairs.Budget.value = [] && pairs.Budget.completeness = Budget.Partial Budget.Injected);
+      checki (what ^ ": one check") 1 (Budget.checks_performed b);
+      checki (what ^ ": no product state interned") before (Product.states_interned_total ()))
+    [ ("candidate 0", warm); ("postings build", Snapshot.of_property pg) ]
+
 (* Enumerate under an injected trip must stop cleanly mid-stream. *)
 let test_enumerate_fault () =
   let inst = make_instance (0xfa017, 6, 10) in
@@ -385,6 +410,7 @@ let () =
         [
           Alcotest.test_case "every check site" `Quick test_fault_injection;
           Alcotest.test_case "seed scan check site" `Quick test_seed_scan_check_site;
+          Alcotest.test_case "candidate walk check site" `Quick test_candidate_walk_check_site;
           Alcotest.test_case "enumerate" `Quick test_enumerate_fault;
           Alcotest.test_case "degradation ladder" `Quick test_degradation_ladder;
         ] );

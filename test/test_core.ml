@@ -751,6 +751,137 @@ let test_property_instances_exceed_a_batch () =
   done;
   checkb "at least 5 of 20 inputs batch more than 63 live seeds" true (!wide >= 5)
 
+(* ---------- Index-anchored seeding ---------- *)
+
+(* A random node test over the property instances' vocabulary: Label
+   and Prop atoms (label c and p=4 match no node) under And/Or/Not. *)
+let rec seeding_test rng depth =
+  let module S = Gqkg_util.Splitmix in
+  let atom () =
+    if S.int rng 3 = 0 then Regex.Atom (Atom.label (List.nth [ "a"; "b"; "c" ] (S.int rng 3)))
+    else Regex.Atom (Atom.prop "p" (Const.of_string (string_of_int (1 + S.int rng 4))))
+  in
+  if depth = 0 then atom ()
+  else
+    match S.int rng 5 with
+    | 0 -> Regex.And (seeding_test rng (depth - 1), seeding_test rng (depth - 1))
+    | 1 -> Regex.Or (seeding_test rng (depth - 1), seeding_test rng (depth - 1))
+    | 2 -> Regex.Not (seeding_test rng (depth - 1))
+    | _ -> atom ()
+
+(* Four start shapes: ?t/r, anchored on t; ?t1/r1 + ?t2/r2, a union of
+   two anchors; and the two fallbacks — (?t/r)* accepts the empty path,
+   ?t/r1 + x/r2 carries an unguarded edge move. *)
+let make_seeding_regex rseed =
+  let module S = Gqkg_util.Splitmix in
+  let rng = S.create rseed in
+  let params =
+    {
+      Gqkg_workload.Gen_regex.default with
+      node_labels = [ "a"; "b" ];
+      edge_labels = [ "x"; "y" ];
+      properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2" ]) ];
+      max_depth = 2;
+    }
+  in
+  let guarded () =
+    Regex.Seq (Regex.Node_test (seeding_test rng 2), Gqkg_workload.Gen_regex.generate ~params rng)
+  in
+  match S.int rng 4 with
+  | 0 -> guarded ()
+  | 1 -> Regex.Alt (guarded (), guarded ())
+  | 2 -> Regex.Star (guarded ())
+  | _ ->
+      Regex.Alt
+        ( guarded (),
+          Regex.Seq
+            (Regex.Fwd (Regex.Atom (Atom.label "x")), Gqkg_workload.Gen_regex.generate ~params rng)
+        )
+
+(* The candidates are strictly ascending, and walking them finds
+   exactly the live seeds a scan of every node finds. *)
+let candidates_sound product =
+  match Product.seed_candidates product with
+  | None -> false
+  | Some Product.Every_node -> true
+  | Some (Product.Nodes c) ->
+      let ascending = ref true in
+      Array.iteri (fun i v -> if i > 0 && c.(i - 1) >= v then ascending := false) c;
+      let walked = List.filter (Product.live_seed product) (Array.to_list c) in
+      !ascending && Array.of_list walked = live_seeds product
+
+let prop_seed_candidates_sound =
+  QCheck2.Test.make ~name:"seed candidates: live seeds and pairs unchanged" ~count:60
+    property_regex_gen (fun (g, rseed) ->
+      let inst = make_property_instance g in
+      let r = make_seeding_regex rseed in
+      let q = Planner.plan inst r in
+      List.for_all candidates_sound
+        (Product.create inst r :: List.filter_map Fun.id [ Planner.product q; Planner.reversed q ])
+      && Rpq.eval_pairs inst ~max_length:3 r = Naive.pairs inst r ~max_length:3)
+
+(* The generator exercises both sides: anchored candidate sets that are
+   smaller than the graph, and the full-scan fallback. *)
+let test_seeding_shapes_cover_both_paths () =
+  let anchored = ref 0 and full = ref 0 in
+  for i = 0 to 39 do
+    let inst = make_property_instance (2000 + i, 200, 400) in
+    match Product.seed_candidates (Product.create inst (make_seeding_regex (11 * i))) with
+    | Some (Product.Nodes c) when Array.length c < inst.Snapshot.num_nodes -> incr anchored
+    | Some Product.Every_node -> incr full
+    | _ -> ()
+  done;
+  checkb (Printf.sprintf "%d anchored of 40" !anchored) true (!anchored >= 8);
+  checkb (Printf.sprintf "%d full scans of 40" !full) true (!full >= 8)
+
+let atom_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun l -> Atom.label l) (oneofl [ "a"; "b"; "c" ]);
+        map2
+          (fun p v -> Atom.prop p (Const.of_string v))
+          (oneofl [ "p"; "w"; "q" ])
+          (oneofl [ "1"; "2"; "3"; "4" ]);
+        map (fun v -> Atom.feature 1 (Const.of_string v)) (oneofl [ "a"; "1" ]);
+      ])
+
+let prop_postings_equal_scan =
+  QCheck2.Test.make ~name:"Postings.nodes = node_atom scan" ~count:100
+    QCheck2.Gen.(pair property_regex_gen (list_size (int_range 1 6) atom_gen))
+    (fun ((g, _), atoms) ->
+      let inst = make_property_instance g in
+      List.for_all
+        (fun a ->
+          let all = List.init inst.Snapshot.num_nodes Fun.id in
+          let scan = List.filter (fun v -> inst.Snapshot.node_atom v a) all in
+          let postings () = Array.to_list (Postings.nodes inst a) in
+          (* the second call answers from the memo *)
+          postings () = scan && postings () = scan)
+        atoms)
+
+(* One seed covers every state it interns, so [`Auto] has nothing to
+   pull into and pushes at every level, level 0 included. *)
+let test_one_seed_batch_runs_top_down () =
+  let pg = Gqkg_workload.Contact_network.generate (Gqkg_util.Splitmix.create 7) in
+  let inst = Snapshot.of_property pg in
+  let r = parse "?person/rides/?bus/rides^-/?person" in
+  let seed =
+    match live_seeds (Product.create inst r) with
+    | [||] -> Alcotest.fail "no live seed"
+    | seeds -> seeds.(0)
+  in
+  let run direction =
+    Frontier.reachable ~direction (Frontier.create (Product.create inst r)) ~sources:[| seed |]
+  in
+  let bu0 = Frontier.bottom_up_levels_total () in
+  let td0 = Frontier.top_down_levels_total () in
+  let auto = run `Auto in
+  checki "no bottom-up level" 0 (Frontier.bottom_up_levels_total () - bu0);
+  checkb "some top-down level" true (Frontier.top_down_levels_total () > td0);
+  checkb "answers like forced top-down" true (auto = run `Top_down);
+  checkb "non-empty" true (auto.(0) <> [])
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_core"
@@ -809,6 +940,10 @@ let () =
           Alcotest.test_case "source nodes" `Quick test_source_nodes;
           Alcotest.test_case "batched static empty" `Quick test_reachable_many_static_empty;
           Alcotest.test_case "live seeds exceed a batch" `Quick test_property_instances_exceed_a_batch;
+          Alcotest.test_case "seeding shapes cover both paths" `Quick
+            test_seeding_shapes_cover_both_paths;
+          Alcotest.test_case "one-seed batch runs top-down" `Quick
+            test_one_seed_batch_runs_top_down;
         ] );
       ( "properties",
         q
@@ -825,5 +960,7 @@ let () =
             prop_uniform_distribution_random_graphs;
             prop_pairs_agree_property_tests;
             prop_live_seed_directions_agree;
+            prop_seed_candidates_sound;
+            prop_postings_equal_scan;
           ] );
     ]

@@ -240,6 +240,42 @@ let test_readers_never_block () =
   checki "old epoch retired on unpin" 1 (Epochs.retired mgr);
   checki "one live epoch after unpin" 1 (List.length (Epochs.live_epochs mgr))
 
+(* ---------- postings belong to their epoch ---------- *)
+
+(* A commit adds a person aged 41: the new epoch's postings and seeding
+   see it, while the pinned parent's postings, built before the commit,
+   still do not. *)
+let test_postings_per_epoch () =
+  let person id = Mutation.Add_node { id = c id; label = c "person" } in
+  let aged id = Mutation.Set_node_prop { id = c id; prop = c "age"; value = Const.int 41 } in
+  let knows id src dst =
+    Mutation.Add_edge { id = c id; src = c src; dst = c dst; label = c "knows" }
+  in
+  let mgr =
+    Epochs.create
+      (Overlay.base_of_property
+         (Journal.replay_ops [ person "a"; aged "a"; person "b"; knows "e1" "a" "b" ]))
+  in
+  let age = Atom.prop "age" (Const.int 41) in
+  let names snap nodes =
+    List.sort compare (List.map snap.Snapshot.node_name (Array.to_list nodes))
+  in
+  let q = parse "?(person & age=41)/knows" in
+  let parent = Epochs.pin mgr in
+  checkb "parent postings" true (names parent (Postings.nodes parent age) = [ "a" ]);
+  checki "parent pairs" 1 (List.length (Rpq.eval_pairs parent q));
+  let ov = Overlay.create (Epochs.base mgr) in
+  List.iter (Overlay.apply ov) [ person "d"; aged "d"; knows "e2" "d" "b" ];
+  ignore (Governor.commit mgr ov);
+  let child = Epochs.snapshot mgr in
+  checkb "committed epoch's postings include the new node" true
+    (names child (Postings.nodes child age) = [ "a"; "d" ]);
+  checki "committed epoch seeds from it" 2 (List.length (Rpq.eval_pairs child q));
+  checkb "pinned parent's postings do not" true
+    (names parent (Postings.nodes parent age) = [ "a" ]);
+  checki "pinned parent's pairs unchanged" 1 (List.length (Rpq.eval_pairs parent q));
+  Epochs.unpin mgr parent
+
 (* ---------- retired snapshots are collectable ---------- *)
 
 let chain_ops n =
@@ -500,6 +536,7 @@ let () =
       ( "mvcc",
         [
           Alcotest.test_case "readers never block" `Quick test_readers_never_block;
+          Alcotest.test_case "postings per epoch" `Quick test_postings_per_epoch;
           Alcotest.test_case "frontier many sources" `Quick test_frontier_many_sources;
           Alcotest.test_case "retired snapshot collectable" `Quick
             test_retired_snapshot_collectable;

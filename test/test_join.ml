@@ -413,6 +413,50 @@ let test_parser_malformed () =
       checkb "error carries a position" true (position >= 0)
   | _ -> Alcotest.fail "expected Crpq_parser.Error"
 
+(* ---------- domain parallelism ---------- *)
+
+(* Four domains run the same CQ and CRPQ joins on one fresh snapshot,
+   racing to build its join index and label postings, and every answer
+   must equal the sequential one on a twin snapshot.  The CRPQ atoms are
+   single labels (forward and inverse), which the join serves from the
+   index; other regex atoms evaluate through plan-cached products,
+   which are not domain-safe. *)
+let test_domain_parallel_joins () =
+  let inst () =
+    Snapshot.of_labeled
+      (Gen_graph.random_labeled (Splitmix.create 17) ~nodes:300 ~edges:1500
+         ~node_labels:[ "a"; "b"; "c" ] ~edge_labels:[ "x"; "y"; "z" ])
+  in
+  let cqs =
+    [
+      Cq.query ~head:[ "x"; "y"; "z" ]
+        ~body:
+          [
+            Cq.node_atom "a" "x";
+            Cq.edge_atom "x" "x" "y";
+            Cq.edge_atom "y" "y" "z";
+            Cq.node_atom "b" "z";
+          ];
+      Cq.query ~head:[ "x" ]
+        ~body:[ Cq.edge_atom "x" "x" "y"; Cq.edge_atom "y" "y" "z"; Cq.edge_atom "z" "z" "x" ];
+      Cq.query ~head:[ "y" ] ~body:[ Cq.node_atom "c" "y"; Cq.edge_atom "z" "y" "y" ];
+    ]
+  in
+  let crpqs =
+    List.map Crpq_parser.parse
+      [
+        "SELECT x, y, z WHERE (x)-[x]->(y), (y)-[y]->(z), (z)-[z]->(x)";
+        "SELECT x, z WHERE (x)-[y]->(y), (y)-[x^-]->(z)";
+      ]
+  in
+  let run snap = (List.map (Cq.answers snap) cqs, List.map (Crpq.answers snap) crpqs) in
+  let expected = run (inst ()) in
+  checkb "non-trivial answers" true
+    (List.exists (( <> ) []) (fst expected) && List.exists (( <> ) []) (snd expected));
+  let shared = inst () in
+  let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> run shared)) in
+  List.iter (fun d -> checkb "domain answers = sequential" true (Domain.join d = expected)) domains
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_join"
@@ -429,6 +473,7 @@ let () =
           Alcotest.test_case "order hint" `Quick test_order_hint;
           Alcotest.test_case "plan covers variables" `Quick test_plan_covers_vars;
           Alcotest.test_case "index label stats" `Quick test_index_label_stats;
+          Alcotest.test_case "four domains = sequential" `Quick test_domain_parallel_joins;
         ] );
       ( "equivalence",
         q
