@@ -276,11 +276,15 @@ let query_cmd =
         done;
         if repeat > 1 then begin
           let s = Semcache.stats () in
-          Printf.printf "semantic-cache: %d hits / %d lookups (plans: %d hits / %d lookups)\n"
+          Printf.printf
+            "semantic-cache: %d hits / %d lookups (plans: %d hits / %d lookups, shapes: %d hits \
+             / %d lookups)\n"
             s.Semcache.result_hits
             (s.Semcache.result_hits + s.Semcache.result_misses)
             s.Semcache.plan_hits
             (s.Semcache.plan_hits + s.Semcache.plan_misses)
+            s.Semcache.shape_hits
+            (s.Semcache.shape_hits + s.Semcache.shape_misses)
         end;
         Logs.info (fun m -> m "%d pairs" (List.length pairs))
     | Some spec ->
@@ -876,11 +880,11 @@ let save_cmd =
             ~message:"unknown names policy (try auto, keep, drop)"
     in
     let inst = load_instance input in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Gqkg_util.Mclock.now_ms () in
     let renumbered, perm = Renumber.renumber order inst in
     let perm = if Renumber.is_identity perm then None else Some perm in
     let report = Snapshot_io.save ~names ?perm ~path:output renumbered in
-    let save_s = Unix.gettimeofday () -. t0 in
+    let save_s = (Gqkg_util.Mclock.now_ms () -. t0) /. 1000. in
     Printf.printf
       "wrote %s: %d nodes, %d edges, %d sections, %d bytes (%.1f B/edge)\n"
       output inst.Snapshot.num_nodes inst.Snapshot.num_edges
@@ -892,11 +896,11 @@ let save_cmd =
       (if report.Snapshot_io.names_kept then "kept" else "synthetic")
       report.Snapshot_io.checksum save_s;
     if verify then begin
-      let t1 = Unix.gettimeofday () in
+      let t1 = Gqkg_util.Mclock.now_ms () in
       let reloaded = load_snapshot output in
       Printf.printf "verify: reloaded %d nodes, %d edges in %.3fs\n"
         reloaded.Snapshot.num_nodes reloaded.Snapshot.num_edges
-        (Unix.gettimeofday () -. t1)
+        ((Gqkg_util.Mclock.now_ms () -. t1) /. 1000.)
     end
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT" ~doc:"Graph to freeze (.pg text or .gqs snapshot).") in
@@ -1239,11 +1243,14 @@ let stats_cmd =
     Printf.printf "degeneracy (max k-core): %d\n" (Gqkg_analytics.Kcore.degeneracy inst);
     let s = Semcache.stats () in
     Printf.printf
-      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d lookups\n"
+      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d \
+       lookups, shapes %d hits / %d lookups\n"
       s.Semcache.plan_hits
       (s.Semcache.plan_hits + s.Semcache.plan_misses)
       s.Semcache.result_hits
       (s.Semcache.result_hits + s.Semcache.result_misses)
+      s.Semcache.shape_hits
+      (s.Semcache.shape_hits + s.Semcache.shape_misses)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Structural statistics") Term.(const run $ verbose_flag $ graph_arg)
 

@@ -137,10 +137,10 @@ let simplify_test t =
 
 (* ---- NFA trimming ----------------------------------------------------- *)
 
-let reachable n adj root =
+let reachable n adj roots =
   let seen = Array.make n false in
-  let stack = ref [ root ] in
-  seen.(root) <- true;
+  let stack = ref roots in
+  List.iter (fun r -> seen.(r) <- true) roots;
   while !stack <> [] do
     match !stack with
     | [] -> ()
@@ -162,29 +162,23 @@ let reachable n adj root =
    empty. *)
 let trim nfa ~alive =
   let n = Nfa.num_states nfa in
-  let edges = ref [] in
-  for q = n - 1 downto 0 do
-    List.iter
-      (fun (m, q') -> if alive m then edges := (q, m, q') :: !edges)
-      (Nfa.transitions nfa q)
-  done;
+  let all = Nfa.transition_list nfa in
+  let edges = List.filter (fun (_, m, _) -> alive m) all in
   let fwd_adj = Array.make n [] and bwd_adj = Array.make n [] in
   List.iter
     (fun (q, _, q') ->
       fwd_adj.(q) <- q' :: fwd_adj.(q);
       bwd_adj.(q') <- q :: bwd_adj.(q'))
-    !edges;
-  let reach = reachable n fwd_adj (Nfa.start nfa) in
-  let coreach = reachable n bwd_adj (Nfa.accept nfa) in
+    edges;
+  let reach = reachable n fwd_adj [ Nfa.start nfa ] in
+  let coreach = reachable n bwd_adj [ Nfa.accept nfa ] in
   let keep = Array.init n (fun q -> reach.(q) && coreach.(q)) in
   if not (keep.(Nfa.start nfa) && keep.(Nfa.accept nfa)) then None
   else if
     (* Nothing removed: keep the original automaton object, preserving
        its transition order (and thus the kernel's exploration order)
        exactly — the analyzer must be free when it has nothing to say. *)
-    Array.for_all Fun.id keep
-    && List.length !edges
-       = Array.fold_left ( + ) 0 (Array.init n (fun q -> List.length (Nfa.transitions nfa q)))
+    Array.for_all Fun.id keep && List.length edges = List.length all
   then Some nfa
   else begin
     let remap = Array.make n (-1) in
@@ -199,7 +193,7 @@ let trim nfa ~alive =
       List.filter_map
         (fun (q, m, q') ->
           if keep.(q) && keep.(q') then Some (remap.(q), m, remap.(q')) else None)
-        !edges
+        edges
     in
     Some
       (Nfa.make ~num_states:!count ~start:remap.(Nfa.start nfa) ~accept:remap.(Nfa.accept nfa)
@@ -216,18 +210,16 @@ let seed_costs nfa ~edge_cost =
   let n = Nfa.num_states nfa in
   let spont = Array.make n [] and spont_rev = Array.make n [] in
   let edge_out = Array.make n [] in
-  for q = 0 to n - 1 do
-    List.iter
-      (fun (m, q') ->
-        match m with
-        | Nfa.Eps | Nfa.Node_check _ ->
-            spont.(q) <- q' :: spont.(q);
-            spont_rev.(q') <- q :: spont_rev.(q')
-        | Nfa.Forward t | Nfa.Backward t -> edge_out.(q) <- (t, q') :: edge_out.(q))
-      (Nfa.transitions nfa q)
-  done;
-  let start_set = reachable n spont (Nfa.start nfa) in
-  let accept_co = reachable n spont_rev (Nfa.accept nfa) in
+  List.iter
+    (fun (q, m, q') ->
+      match m with
+      | Nfa.Eps | Nfa.Node_check _ ->
+          spont.(q) <- q' :: spont.(q);
+          spont_rev.(q') <- q :: spont_rev.(q')
+      | Nfa.Forward t | Nfa.Backward t -> edge_out.(q) <- (t, q') :: edge_out.(q))
+    (Nfa.transition_list nfa);
+  let start_set = reachable n spont [ Nfa.start nfa ] in
+  let accept_co = reachable n spont_rev [ Nfa.accept nfa ] in
   let fwd = ref 0.0 and bwd = ref 0.0 in
   for q = 0 to n - 1 do
     List.iter
@@ -350,52 +342,34 @@ let of_schema = function
       }
 
 (* Snapshot-backed oracle (the execution path): per-atom exists/forall
-   answers from the data itself.  Label atoms on edges read the
-   snapshot's precomputed label-frequency stats (O(labels), no edge
-   scan at all); other atoms fall back to a single scan, memoized per
-   distinct atom. *)
-let of_snapshot (inst : Snapshot.t) =
+   answers from [count], the number of nodes (edges) satisfying an atom:
+   exists iff it is positive, forall iff it is every object.  Edge label
+   atoms read the snapshot's label-frequency stats instead (O(labels)). *)
+let of_snapshot ~count (inst : Snapshot.t) =
   let edge_universe =
-    lazy
-      (if inst.Snapshot.num_labels = 0 then None
-       else begin
-         let counts = inst.Snapshot.stats.Snapshot.edge_label_counts in
-         let label_sat = inst.Snapshot.label_sat in
-         let out = ref [] in
-         for id = inst.Snapshot.num_labels - 1 downto 0 do
-           if counts.(id) > 0 then
-             out := ((fun t -> Regex.eval_test (label_sat id) t), counts.(id)) :: !out
-         done;
-         Some !out
-       end)
+    if inst.Snapshot.num_labels = 0 then None
+    else begin
+      let counts = inst.Snapshot.stats.Snapshot.edge_label_counts in
+      let label_sat = inst.Snapshot.label_sat in
+      let out = ref [] in
+      for id = inst.Snapshot.num_labels - 1 downto 0 do
+        if counts.(id) > 0 then
+          out := ((fun t -> Regex.eval_test (label_sat id) t), counts.(id)) :: !out
+      done;
+      Some !out
+    end
   in
-  let scan n sat =
-    let exists = ref false and forall = ref true in
-    let i = ref 0 in
-    while !i < n && not (!exists && not !forall) do
-      if sat !i then exists := true else forall := false;
-      incr i
-    done;
-    (!exists, !forall && n > 0)
+  let counted ~edge total a =
+    let n = count ~edge a in
+    (n > 0, n = total && total > 0)
   in
-  let memo = Hashtbl.create 16 in
   let info ctx a =
-    let key = (ctx = Cedge, a) in
-    match Hashtbl.find_opt memo key with
-    | Some v -> v
-    | None ->
-        let v =
-          match (ctx, a, Lazy.force edge_universe) with
-          | Cedge, Atom.Label _, Some u ->
-              let t = Regex.Atom a in
-              let exists = List.exists (fun (ev, _) -> ev t) u in
-              let forall = u <> [] && List.for_all (fun (ev, _) -> ev t) u in
-              (exists, forall)
-          | Cnode, _, _ -> scan inst.Snapshot.num_nodes (fun v -> inst.Snapshot.node_atom v a)
-          | Cedge, _, _ -> scan inst.Snapshot.num_edges (fun e -> inst.Snapshot.edge_atom e a)
-        in
-        Hashtbl.add memo key v;
-        v
+    match (ctx, a, edge_universe) with
+    | Cedge, Atom.Label _, Some u ->
+        let t = Regex.Atom a in
+        (List.exists (fun (ev, _) -> ev t) u, u <> [] && List.for_all (fun (ev, _) -> ev t) u)
+    | Cnode, _, _ -> counted ~edge:false inst.Snapshot.num_nodes a
+    | Cedge, _, _ -> counted ~edge:true inst.Snapshot.num_edges a
   in
   let atom ctx a =
     let exists, forall = info ctx a in
@@ -417,39 +391,34 @@ let of_snapshot (inst : Snapshot.t) =
   {
     atom;
     node_universe = None;
-    edge_universe = Lazy.force edge_universe;
+    edge_universe;
     default_edge_cost = float_of_int (max inst.Snapshot.num_edges 1);
   }
 
-(* Static atom verdict against a schema vocabulary, shared with the
-   decision procedures in Decide: an atom outside a closed universe is
-   statically false there exactly when the GQ001/002/003 pass would say
-   so, which is what keeps containment verdicts consistent with lint
-   (no false "subsumed" reports on out-of-vocabulary labels). *)
-let schema_atom_verdict schema ~edge a =
+(* Static verdict of a test against a schema vocabulary, shared with the
+   decision procedures in Decide: each atom is read as the GQ001/002/003
+   pass reads it (outside a closed universe it is false), then the test
+   is folded and truth-tabled.  That keeps containment verdicts
+   consistent with lint (no false "subsumed" reports on
+   out-of-vocabulary labels). *)
+let schema_verdict schema ~edge t =
   let o = of_schema schema in
-  match fst (o.atom (if edge then Cedge else Cnode) a) with
-  | V_true -> `True
-  | V_false -> `False
-  | V_unknown -> `Unknown
+  match tri_of (fun ctx a -> fst (o.atom ctx a)) (if edge then Cedge else Cnode) t with
+  | T -> `True
+  | F -> `False
+  | U t' -> ( match truth_table t' with `Never -> `False | `Always -> `True | `Open -> `Unknown)
 
 (* ---- The pipeline ----------------------------------------------------- *)
 
 let analyze_with (o : oracle) regex =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let atom_memo = Hashtbl.create 16 in
-  (* Memoized atom verdicts; the vocabulary diagnostic of an atom is
-     emitted once, on first use. *)
+  (* Atom verdicts come straight from the oracle; the vocabulary
+     diagnostic of an atom is emitted once, on first use. *)
   let av ctx a =
-    let key = (ctx = Cedge, a) in
-    match Hashtbl.find_opt atom_memo key with
-    | Some v -> v
-    | None ->
-        let v, d = o.atom ctx a in
-        Option.iter add d;
-        Hashtbl.add atom_memo key v;
-        v
+    let v, d = o.atom ctx a in
+    Option.iter (fun d -> if not (List.mem d !diags) then add d) d;
+    v
   in
   let universe_for = function Cnode -> o.node_universe | Cedge -> o.edge_universe in
   (* Label exclusivity: every node/edge carries exactly one label, so a
@@ -462,77 +431,55 @@ let analyze_with (o : oracle) regex =
         if sats = 0 then `Never else if sats = List.length u then `Always else `Open
     | _ -> `Open
   in
-  let tautology_info t0 =
-    if not (Regex.equal_test t0 Regex.any_test) then
-      add
-        (Diagnostic.make ~code:"GQ011" ~severity:Info
-           ~subterm:(Regex.test_to_string ~top:true t0)
-           ~message:"test always holds; equivalent to the any-test")
-  in
-  let analyze_test ctx t0 =
+  (* The verdict of one test; [report] gets its test-level finding.  The
+     trimming pass asks again quietly: same verdicts, and the pruning
+     pass already reported. *)
+  let classify ~report ctx t0 =
+    let finding code severity message =
+      report (Diagnostic.make ~code ~severity ~subterm:(Regex.test_to_string ~top:true t0) ~message)
+    in
+    let always () =
+      if not (Regex.equal_test t0 Regex.any_test) then
+        finding "GQ011" Info "test always holds; equivalent to the any-test";
+      `T
+    in
     match tri_of av ctx t0 with
     | T -> `T
     | F -> `F
     | U t -> (
         match universe_verdict ctx t with
         | `Never ->
-            add
-              (Diagnostic.make ~code:"GQ013" ~severity:Warning
-                 ~subterm:(Regex.test_to_string ~top:true t0)
-                 ~message:
-                   (Printf.sprintf "no occurring %s label satisfies this test" (where ctx)));
+            finding "GQ013" Warning
+              (Printf.sprintf "no occurring %s label satisfies this test" (where ctx));
             `F
-        | `Always ->
-            tautology_info t0;
-            `T
+        | `Always -> always ()
         | `Open -> (
             match truth_table t with
             | `Never ->
-                add
-                  (Diagnostic.make ~code:"GQ010" ~severity:Warning
-                     ~subterm:(Regex.test_to_string ~top:true t0)
-                     ~message:"test is unsatisfiable (contradiction)");
+                finding "GQ010" Warning "test is unsatisfiable (contradiction)";
                 `F
-            | `Always ->
-                tautology_info t0;
-                `T
+            | `Always -> always ()
             | `Open -> `Test t))
   in
-  (* Quiet variant for the trimming pass: same verdicts, no duplicate
-     diagnostics (the atom memo already holds the answers). *)
-  let statically_false ctx t =
-    match tri_of av ctx t with
-    | F -> true
-    | T -> false
-    | U t' -> (
-        match universe_verdict ctx t' with
-        | `Never -> true
-        | `Always -> false
-        | `Open -> ( match truth_table t' with `Never -> true | `Always | `Open -> false))
-  in
+  let analyze_test = classify ~report:add in
+  let statically_false ctx t = classify ~report:ignore ctx t = `F in
   let alive = function
     | Nfa.Eps -> true
     | Nfa.Node_check t -> not (statically_false Cnode t)
     | Nfa.Forward t | Nfa.Backward t -> not (statically_false Cedge t)
   in
   let prune_diag sub reason = add (Diagnostic.make ~code:"GQ012" ~severity:Info ~subterm:sub ~message:reason) in
+  let guard ctx t mk =
+    match analyze_test ctx t with
+    | `F -> None
+    | `T -> Some (mk Regex.any_test)
+    | `Test t' -> Some (mk t')
+  in
   let rec prune r =
     match r with
-    | Regex.Node_test t -> (
-        match analyze_test Cnode t with
-        | `F -> None
-        | `T -> Some (Regex.Node_test Regex.any_test)
-        | `Test t' -> Some (Regex.Node_test t'))
-    | Regex.Fwd t -> (
-        match analyze_test Cedge t with
-        | `F -> None
-        | `T -> Some (Regex.Fwd Regex.any_test)
-        | `Test t' -> Some (Regex.Fwd t'))
-    | Regex.Bwd t -> (
-        match analyze_test Cedge t with
-        | `F -> None
-        | `T -> Some (Regex.Bwd Regex.any_test)
-        | `Test t' -> Some (Regex.Bwd t'))
+    | Regex.Node_test t -> guard Cnode t (fun t -> Regex.Node_test t)
+    | Regex.Fwd t -> guard Cedge t (fun t -> Regex.Fwd t)
+    | Regex.Bwd t -> guard Cedge t (fun t -> Regex.Bwd t)
     | Regex.Alt (a, b) -> (
         match (prune a, prune b) with
         | None, None -> None
@@ -606,7 +553,13 @@ let analyze_with (o : oracle) regex =
 (* Lint path: static, against an (optional) schema vocabulary. *)
 let run ?schema regex = analyze_with (of_schema schema) regex
 
-(* Execution path: against the instance the query is about to run on. *)
-let plan inst regex = analyze_with (of_snapshot inst) regex
+(* Execution path: against the instance the query is about to run on,
+   its atoms counted by the snapshot's postings (built once per snapshot
+   and atom, shared with seeding and joins). *)
+let plan_with ~count inst regex = analyze_with (of_snapshot ~count inst) regex
+
+let plan inst regex =
+  plan_with inst regex ~count:(fun ~edge a ->
+      Array.length ((if edge then Postings.edges else Postings.nodes) inst a))
 
 let plan_if_enabled inst regex = if !enabled then Some (plan inst regex) else None

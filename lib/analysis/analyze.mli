@@ -40,26 +40,35 @@ val is_empty : report -> bool
 val run : ?schema:Schema.t -> Regex.t -> report
 
 (** Execution path: analyze against the instance the query is about to
-    run on. Atom verdicts come from the data itself (exists/forall
-    scans, memoized per distinct atom; label atoms use the interned
-    label index when present). *)
+    run on. Atom verdicts come from the data itself, read off the
+    snapshot's {!Postings}: an atom holds somewhere iff its postings are
+    non-empty and everywhere iff they hold every node (edge).  Edge
+    label atoms read the snapshot's label-frequency stats instead. *)
 val plan : Snapshot.t -> Regex.t -> report
+
+(** [plan] with the atom counts from [count ~edge atom] — the number of
+    edges ([edge = true]) or nodes satisfying [atom] — instead of the
+    postings; the differential tests pass a scan. *)
+val plan_with : count:(edge:bool -> Atom.t -> int) -> Snapshot.t -> Regex.t -> report
 
 (** [plan] when {!enabled}, [None] otherwise. *)
 val plan_if_enabled : Snapshot.t -> Regex.t -> report option
 
-(** Static verdict of one atom against a schema vocabulary — the same
-    interpretation the GQ001/002/003 pass applies (atoms outside a
-    closed universe are statically false, atoms carried by every object
-    are true). Exposed so {!Decide} buckets test atoms consistently
-    with lint. *)
-val schema_atom_verdict :
-  Schema.t option -> edge:bool -> Atom.t -> [ `True | `False | `Unknown ]
+(** Static verdict of a test against a schema vocabulary: each atom read
+    as the GQ001/002/003 pass reads it (atoms outside a closed universe
+    are statically false, atoms carried by every object are true), then
+    {!simplify_test}'s folding and truth table. Exposed so {!Decide}
+    buckets test atoms and lints disjuncts consistently with lint. *)
+val schema_verdict : Schema.t option -> edge:bool -> Regex.test -> [ `True | `False | `Unknown ]
 
 (** Boolean-only test simplification (no vocabulary): three-valued
     constant folding plus an exhaustive truth table over up to 12
     distinct atoms. [`F] means unsatisfiable, [`T] tautological. *)
 val simplify_test : Regex.test -> [ `T | `F | `Test of Regex.test ]
+
+(** [reachable n adj roots]: which of the states [0, n) the [roots]
+    reach over the adjacency lists [adj]. *)
+val reachable : int -> int list array -> int list -> bool array
 
 (** Rebuild an automaton keeping only states reachable from the start
     and co-reachable from the accept over moves that [alive] admits;

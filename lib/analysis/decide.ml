@@ -73,14 +73,14 @@ let enum_cap = 4096
 
 type nletter = {
   nvec : bool array;  (* outcome per node test: dedup key and formula input *)
-  nkey : string;  (* canonical rendering of the generating assignment *)
+  nbits : bool array;  (* the generating assignment to the side's atoms *)
   nsat : Atom.t -> bool;  (* the assignment itself, for closures *)
   nrep : Const.t list option;  (* labels realizing the letter on a plain node *)
 }
 
 type eletter = {
   evec : bool array;
-  ekey : string;
+  ebits : bool array;
   esat : Atom.t -> bool;
   mutable erep : Const.t option option;
       (* [Some lbl] : a single edge labeled [lbl] (or, for [Some None],
@@ -90,6 +90,8 @@ type eletter = {
 type alphabet = {
   ntests : Regex.test array;
   etests : Regex.test array;
+  natoms : Atom.t array;  (* the atoms of each side, in Atom.compare order *)
+  eatoms : Atom.t array;
   nl : nletter array;
   el : eletter array;
   exact : bool;
@@ -105,17 +107,13 @@ let atoms_of_tests tests =
   List.sort_uniq Atom.compare (List.fold_left (fun acc t -> test_atoms t acc) [] tests)
 
 let tests_of_nfa nfa =
-  let nt = ref [] and et = ref [] in
-  for s = 0 to Nfa.num_states nfa - 1 do
-    List.iter
-      (fun (mv, _) ->
-        match mv with
-        | Nfa.Eps -> ()
-        | Nfa.Node_check t -> nt := t :: !nt
-        | Nfa.Forward t | Nfa.Backward t -> et := t :: !et)
-      (Nfa.transitions nfa s)
-  done;
-  (!nt, !et)
+  List.fold_left
+    (fun (nt, et) (_, mv, _) ->
+      match mv with
+      | Nfa.Eps -> (nt, et)
+      | Nfa.Node_check t -> (t :: nt, et)
+      | Nfa.Forward t | Nfa.Backward t -> (nt, t :: et))
+    ([], []) (Nfa.transition_list nfa)
 
 let dedup_tests ts =
   let sorted = List.sort (fun a b -> compare (Regex.test_to_string a) (Regex.test_to_string b)) ts in
@@ -136,9 +134,32 @@ let sat_of_table table a =
   | Some (_, v) -> v
   | None -> false
 
-let assignment_key table =
-  String.concat ","
-    (List.map (fun (a, v) -> Atom.to_query_string a ^ (if v then "=1" else "=0")) table)
+(* Pin each atom by its schema verdict or leave it a free bit. *)
+let pin schema ~edge atoms =
+  let fixed, free =
+    List.partition_map
+      (fun a ->
+        match Analyze.schema_verdict schema ~edge (Regex.Atom a) with
+        | `True -> Left (a, true)
+        | `False -> Left (a, false)
+        | `Unknown -> Right a)
+      atoms
+  in
+  let nfree = List.length free in
+  if nfree > free_atom_cap then
+    raise
+      (Gave_up
+         (Printf.sprintf "%d unconstrained %s atoms (cap %d)" nfree
+            (if edge then "edge" else "node")
+            free_atom_cap));
+  (fixed, free, nfree)
+
+(* The assignment a mask of the free bits picks, in atom order: every
+   letter of a side assigns the same atoms, so letters compare (and key)
+   by their bits alone. *)
+let assignment pinned free mask =
+  pinned @ List.mapi (fun i a -> (a, mask land (1 lsl i) <> 0)) free
+  |> List.sort (fun (a, _) (b, _) -> Atom.compare a b)
 
 (* Enumerate node letters: every atom is pinned by the schema verdict or
    a free bit.  Node Label bits are independent (multi-label nodes are
@@ -146,19 +167,7 @@ let assignment_key table =
    when no free Prop/Feature atom remains. *)
 let node_letters schema ntests =
   let atoms = atoms_of_tests (Array.to_list ntests) in
-  let fixed, free =
-    List.fold_left
-      (fun (fixed, free) a ->
-        match Analyze.schema_atom_verdict schema ~edge:false a with
-        | `True -> ((a, true) :: fixed, free)
-        | `False -> ((a, false) :: fixed, free)
-        | `Unknown -> (fixed, a :: free))
-      ([], []) atoms
-  in
-  let free = List.rev free in
-  let nfree = List.length free in
-  if nfree > free_atom_cap then
-    raise (Gave_up (Printf.sprintf "%d unconstrained node atoms (cap %d)" nfree free_atom_cap));
+  let fixed, free, nfree = pin schema ~edge:false atoms in
   let inexact =
     List.exists (fun a -> not (is_label_atom a)) free
     || List.exists (fun (a, v) -> v && not (is_label_atom a)) fixed
@@ -168,10 +177,7 @@ let node_letters schema ntests =
   let seen = Hashtbl.create 32 in
   let letters = ref [] in
   for mask = 0 to (1 lsl nfree) - 1 do
-    let table =
-      fixed @ List.mapi (fun i a -> (a, mask land (1 lsl i) <> 0)) free
-      |> List.sort (fun (a, _) (b, _) -> Atom.compare a b)
-    in
+    let table = assignment fixed free mask in
     let sat = sat_of_table table in
     let vec = Array.map (fun t -> Regex.eval_test sat t) ntests in
     if not (Hashtbl.mem seen vec) then begin
@@ -184,12 +190,13 @@ let node_letters schema ntests =
                table)
         else None
       in
-      letters := { nvec = vec; nkey = assignment_key table; nsat = sat; nrep = rep } :: !letters
+      let bits = Array.of_list (List.map snd table) in
+      letters := { nvec = vec; nbits = bits; nsat = sat; nrep = rep } :: !letters
     end
   done;
   let arr = Array.of_list !letters in
-  Array.sort (fun a b -> compare a.nkey b.nkey) arr;
-  (arr, inexact)
+  Array.sort (fun a b -> compare a.nbits b.nbits) arr;
+  (Array.of_list atoms, arr, inexact)
 
 (* Enumerate edge letters: an edge carries exactly one label, so Label
    atoms are enumerated by label choice — over the closed schema
@@ -202,19 +209,7 @@ let edge_letters schema etests =
     List.filter_map (function Atom.Label c -> Some c | _ -> None) atoms
   in
   let others = List.filter (fun a -> not (is_label_atom a)) atoms in
-  let fixed, free =
-    List.fold_left
-      (fun (fixed, free) a ->
-        match Analyze.schema_atom_verdict schema ~edge:true a with
-        | `True -> ((a, true) :: fixed, free)
-        | `False -> ((a, false) :: fixed, free)
-        | `Unknown -> (fixed, a :: free))
-      ([], []) others
-  in
-  let free = List.rev free in
-  let nfree = List.length free in
-  if nfree > free_atom_cap then
-    raise (Gave_up (Printf.sprintf "%d unconstrained edge atoms (cap %d)" nfree free_atom_cap));
+  let fixed, free, nfree = pin schema ~edge:true others in
   let inexact = free <> [] || List.exists (fun (_, v) -> v) fixed in
   let choices =
     match schema with
@@ -232,15 +227,13 @@ let edge_letters schema etests =
   List.iter
     (fun choice ->
       for mask = 0 to (1 lsl nfree) - 1 do
-        let table =
+        let labels =
           List.map
             (fun c ->
               (Atom.Label c, match choice with Some l -> Const.equal c l | None -> false))
             label_consts
-          @ fixed
-          @ List.mapi (fun i a -> (a, mask land (1 lsl i) <> 0)) free
-          |> List.sort (fun (a, _) (b, _) -> Atom.compare a b)
         in
+        let table = assignment (labels @ fixed) free mask in
         let sat = sat_of_table table in
         let vec = Array.map (fun t -> Regex.eval_test sat t) etests in
         let realizable = mask = 0 && List.for_all (fun (_, v) -> not v) fixed in
@@ -250,7 +243,7 @@ let edge_letters schema etests =
             let l =
               {
                 evec = vec;
-                ekey = assignment_key table;
+                ebits = Array.of_list (List.map snd table);
                 esat = sat;
                 erep = (if realizable then Some choice else None);
               }
@@ -260,13 +253,13 @@ let edge_letters schema etests =
       done)
     choices;
   let arr = Array.of_list !letters in
-  Array.sort (fun a b -> compare a.ekey b.ekey) arr;
-  (arr, inexact)
+  Array.sort (fun a b -> compare a.ebits b.ebits) arr;
+  (Array.of_list atoms, arr, inexact)
 
 let build_alphabet schema ~ntests ~etests =
-  let nl, n_inexact = node_letters schema ntests in
-  let el, e_inexact = edge_letters schema etests in
-  { ntests; etests; nl; el; exact = (not n_inexact) && not e_inexact }
+  let natoms, nl, n_inexact = node_letters schema ntests in
+  let eatoms, el, e_inexact = edge_letters schema etests in
+  { ntests; etests; natoms; eatoms; nl; el; exact = (not n_inexact) && not e_inexact }
 
 let alphabet_of_nfas schema nfas =
   let nt, et =
@@ -408,6 +401,17 @@ let equiv ?schema ?budget ?max_states r1 r2 =
 
 (* ---- Canonicalization ------------------------------------------------ *)
 
+(* What [key] renders: each side's atoms in Atom.compare order (every
+   letter of a side assigns the same atoms), each letter's assignment to
+   them, and the transition table in canonical numbering. *)
+type letters = {
+  natoms : Atom.t array;
+  nbits : bool array array;
+  eatoms : Atom.t array;
+  ebits : bool array array;
+  table : string;
+}
+
 type canonical = {
   nfa : Nfa.t;
   dfa_states : int;
@@ -415,16 +419,46 @@ type canonical = {
   hash : int64;
   key : string;
   exact : bool;
+  letters : letters;
 }
 
+(* A plain loop, so the accumulator stays unboxed. *)
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   !h
 
 let hash_hex = Printf.sprintf "%016Lx"
+
+(* The canonical key: the alphabet plus the transition table in
+   canonical numbering — equal iff the minimal DFAs over the same
+   signature alphabet are isomorphic. *)
+let render_key l =
+  let buf = Buffer.create 512 in
+  (* A letter renders as its assignment: [atom=0|1], comma-separated. *)
+  let side atoms bits =
+    let names = Array.map Atom.to_query_string atoms in
+    Array.iter
+      (fun bs ->
+        Array.iteri
+          (fun i b ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_string buf names.(i);
+            Buffer.add_string buf (if b then "=1" else "=0"))
+          bs;
+        Buffer.add_char buf ';')
+      bits
+  in
+  Buffer.add_string buf "v1|N[";
+  side l.natoms l.nbits;
+  Buffer.add_string buf "]E[";
+  side l.eatoms l.ebits;
+  Buffer.add_string buf "]|";
+  Buffer.add_string buf l.table;
+  Buffer.contents buf
 
 type dstate = { sort_node : bool; set : int array; mutable succ : int array; acc : bool }
 
@@ -528,32 +562,11 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
     let st = determinize budget max_states alpha input in
     let n = Array.length st in
     (* Trim: keep only states co-reachable from an accepting state. *)
-    let keep = Array.make n false in
     let rev = Array.make n [] in
     Array.iteri
       (fun i s -> Array.iter (fun t -> if t >= 0 then rev.(t) <- i :: rev.(t)) s.succ)
       st;
-    let stack = ref [] in
-    Array.iteri
-      (fun i s ->
-        if s.acc then begin
-          keep.(i) <- true;
-          stack := i :: !stack
-        end)
-      st;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | i :: rest ->
-          stack := rest;
-          List.iter
-            (fun p ->
-              if not keep.(p) then begin
-                keep.(p) <- true;
-                stack := p :: !stack
-              end)
-            rev.(i)
-    done;
+    let keep = Analyze.reachable n rev (List.filter (fun i -> st.(i).acc) (List.init n Fun.id)) in
     if not keep.(0) then
       (* empty language: one shared canonical form *)
       Some
@@ -564,6 +577,7 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
           hash = fnv1a64 "v1|empty";
           key = "v1|empty";
           exact = alpha.exact;
+          letters = { natoms = [||]; nbits = [||]; eatoms = [||]; ebits = [||]; table = "" };
         }
     else begin
       (* Moore partition refinement; trimmed-away and dead targets form
@@ -617,53 +631,22 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
       done;
       let canon = Hashtbl.create 16 in
       let order = ref [] in
-      let next_id = ref 0 in
+      let qq = Queue.create () in
       let number b =
         if not (Hashtbl.mem canon b) then begin
-          Hashtbl.add canon b !next_id;
-          incr next_id;
-          order := b :: !order
+          Hashtbl.add canon b (Hashtbl.length canon);
+          order := b :: !order;
+          Queue.add b qq
         end
       in
       number block.(0);
-      let qq = Queue.create () in
-      Queue.add block.(0) qq;
-      let seen_b = Hashtbl.create 16 in
-      Hashtbl.add seen_b block.(0) ();
       while not (Queue.is_empty qq) do
-        let b = Queue.pop qq in
-        let r = Hashtbl.find rep b in
-        Array.iter
-          (fun t ->
-            if t >= 0 && keep.(t) then begin
-              let tb = block.(t) in
-              if not (Hashtbl.mem seen_b tb) then begin
-                Hashtbl.add seen_b tb ();
-                number tb;
-                Queue.add tb qq
-              end
-            end)
-          st.(r).succ
+        let r = Hashtbl.find rep (Queue.pop qq) in
+        Array.iter (fun t -> if t >= 0 && keep.(t) then number block.(t)) st.(r).succ
       done;
       let blocks_in_order = Array.of_list (List.rev !order) in
       let nb = Array.length blocks_in_order in
-      (* Canonical key: the alphabet plus the transition table in
-         canonical numbering — equal iff the minimal DFAs over the same
-         signature alphabet are isomorphic. *)
       let buf = Buffer.create 256 in
-      Buffer.add_string buf "v1|N[";
-      Array.iter
-        (fun l ->
-          Buffer.add_string buf l.nkey;
-          Buffer.add_char buf ';')
-        alpha.nl;
-      Buffer.add_string buf "]E[";
-      Array.iter
-        (fun l ->
-          Buffer.add_string buf l.ekey;
-          Buffer.add_char buf ';')
-        alpha.el;
-      Buffer.add_string buf "]|";
       Array.iteri
         (fun ci b ->
           let r = Hashtbl.find rep b in
@@ -678,7 +661,16 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
             st.(r).succ;
           Buffer.add_char buf '|')
         blocks_in_order;
-      let key = Buffer.contents buf in
+      let letters =
+        {
+          natoms = alpha.natoms;
+          nbits = Array.map (fun (l : nletter) -> l.nbits) alpha.nl;
+          eatoms = alpha.eatoms;
+          ebits = Array.map (fun (l : eletter) -> l.ebits) alpha.el;
+          table = Buffer.contents buf;
+        }
+      in
+      let key = render_key letters in
       (* Convert back to a guarded NFA the product kernel can run: block
          ci's moves group its letters by target block; the group's test
          characterizes exactly those letters. *)
@@ -731,7 +723,15 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
       let transitions = List.sort compare !transitions in
       let nfa = Nfa.make ~num_states:(nb + 1) ~start:0 ~accept:nb ~transitions in
       Some
-        { nfa; dfa_states = nb; states = nb + 1; hash = fnv1a64 key; key; exact = alpha.exact }
+        {
+          nfa;
+          dfa_states = nb;
+          states = nb + 1;
+          hash = fnv1a64 key;
+          key;
+          exact = alpha.exact;
+          letters;
+        }
     end
   with
   | Gave_up _ -> None
@@ -740,35 +740,45 @@ let canonicalize_nfa ?schema ?budget ?(max_states = default_dfa_states) input =
 let canonicalize ?schema ?budget ?max_states r =
   canonicalize_nfa ?schema ?budget ?max_states (to_nfa r)
 
-(* ---- GQ05x redundancy lint ------------------------------------------- *)
-
-(* Three-valued status of a boolean test under the schema pins — the
-   same atom interpretation as the GQ0xx passes, then the analyzer's
-   truth-table fold on what remains. *)
-let test_status schema ~edge t =
-  let rec fold t =
-    match t with
-    | Regex.Atom a -> (
-        match Analyze.schema_atom_verdict schema ~edge a with
-        | `True -> `T
-        | `False -> `F
-        | `Unknown -> `U t)
-    | Regex.Not x -> (
-        match fold x with `T -> `F | `F -> `T | `U x' -> `U (Regex.Not x'))
-    | Regex.Or (x, y) -> (
-        match (fold x, fold y) with
-        | `T, _ | _, `T -> `T
-        | `F, r | r, `F -> r
-        | `U x', `U y' -> `U (Regex.Or (x', y')))
-    | Regex.And (x, y) -> (
-        match (fold x, fold y) with
-        | `F, _ | _, `F -> `F
-        | `T, r | r, `T -> r
-        | `U x', `U y' -> `U (Regex.And (x', y')))
+(* Everything above reads an atom's value only through Atom.equal, the
+   Atom.compare order of the atoms, the test_to_string order of the
+   tests and the schema verdict, which depends on the property name or
+   feature index alone.  [shape] records all of these with the
+   Prop/Feature values lifted out: each becomes its Atom.compare rank,
+   so the lifted automaton carries the atom order, and the two sorted
+   test arrays the alphabet is built from carry the test order.  Equal
+   shapes mean one input is the other renamed by the rank-to-rank map,
+   and every step above commutes with that renaming except the
+   transition sort and the key's rendering of the atoms, which
+   [rename_atoms] redoes.  Marshal keeps the key injective. *)
+let shape ?(max_states = default_dfa_states) nfa =
+  let nt, et = tests_of_nfa nfa in
+  let atoms = Array.of_list (List.filter (Fun.negate is_label_atom) (atoms_of_tests (nt @ et))) in
+  let rank a = Const.Int (Option.get (Array.find_index (Atom.equal a) atoms)) in
+  let lift =
+    Regex.map_test_atoms (function
+      | Atom.Label _ as a -> a
+      | Atom.Prop (p, _) as a -> Atom.Prop (p, rank a)
+      | Atom.Feature (i, _) as a -> Atom.Feature (i, rank a))
   in
-  match fold t with
-  | (`T | `F) as r -> r
-  | `U t' -> ( match Analyze.simplify_test t' with `T -> `T | `F -> `F | `Test _ -> `U)
+  let moves = List.map (fun (q, m, q') -> (q, Nfa.map_move lift m, q')) (Nfa.transition_list nfa) in
+  let order ts = Array.map lift (dedup_tests ts) in
+  let ends = (Nfa.num_states nfa, Nfa.start nfa, Nfa.accept nfa) in
+  (atoms, Marshal.to_string (max_states, ends, moves, order nt, order et) [ Marshal.No_sharing ])
+
+let rename_atoms c f =
+  if c.dfa_states = 0 then c
+  else begin
+    let move (q, m, q') = (q, Nfa.map_move (Regex.map_test_atoms f) m, q') in
+    let transitions = List.sort compare (List.map move (Nfa.transition_list c.nfa)) in
+    let nfa = Nfa.make ~num_states:c.states ~start:0 ~accept:c.dfa_states ~transitions in
+    let natoms = Array.map f c.letters.natoms and eatoms = Array.map f c.letters.eatoms in
+    let letters = { c.letters with natoms; eatoms } in
+    let key = render_key letters in
+    { c with nfa; key; hash = fnv1a64 key; letters }
+  end
+
+(* ---- GQ05x redundancy lint ------------------------------------------- *)
 
 let rec flatten_alt r acc =
   match r with Regex.Alt (a, b) -> flatten_alt a (flatten_alt b acc) | _ -> r :: acc
@@ -793,11 +803,12 @@ let lint ?schema ?budget ?max_states r0 =
      ?_|_|!_|_ "any" idiom) are skipped: every disjunct of a tautology
      is doing its job. *)
   let scan_test ~edge t0 =
-    if test_status schema ~edge t0 = `U then begin
+    let status = Analyze.schema_verdict schema ~edge in
+    if status t0 = `Unknown then begin
       let rec scan t =
         match t with
         | Regex.Or (a, b) ->
-            let da = test_status schema ~edge a = `F and db = test_status schema ~edge b = `F in
+            let da = status a = `False and db = status b = `False in
             if da && not db then
               emit "GQ051" Diagnostic.Info
                 (Regex.test_to_string a)
@@ -857,20 +868,16 @@ let lint ?schema ?budget ?max_states r0 =
         List.iter walk factors;
         (* GQ052: adjacent closures where one absorbs the other
            (r*/s* = s* when r ⊆ s). *)
+        let absorbed f g =
+          emit "GQ052" Diagnostic.Warning (Regex.to_string f)
+            (Printf.sprintf
+               "redundant closure: absorbed by the adjacent `%s` (r*/s* = s* when r is \
+                contained in s)"
+               (Regex.to_string ~top:true g))
+        in
         let rec adj = function
           | (Regex.Star _ as f) :: (Regex.Star _ as g) :: rest ->
-              if contains_t f g then
-                emit "GQ052" Diagnostic.Warning (Regex.to_string f)
-                  (Printf.sprintf
-                     "redundant closure: absorbed by the adjacent `%s` (r*/s* = s* when r \
-                      is contained in s)"
-                     (Regex.to_string ~top:true g))
-              else if contains_t g f then
-                emit "GQ052" Diagnostic.Warning (Regex.to_string g)
-                  (Printf.sprintf
-                     "redundant closure: absorbed by the adjacent `%s` (r*/s* = s* when r \
-                      is contained in s)"
-                     (Regex.to_string ~top:true f));
+              if contains_t f g then absorbed f g else if contains_t g f then absorbed g f;
               adj (g :: rest)
           | _ :: rest -> adj rest
           | [] -> ()

@@ -20,7 +20,7 @@
       (all tests label-pure); otherwise they degrade to [Unknown].
 
     Atoms are pinned true/false against the schema exactly as the
-    GQ001/002/003 lint pass would ({!Analyze.schema_atom_verdict}), so
+    GQ001/002/003 lint pass would ({!Analyze.schema_verdict}), so
     containment and lint agree on out-of-vocabulary labels.
 
     Every procedure runs under an optional {!Budget} plus a state cap
@@ -89,6 +89,8 @@ val contains_nfa :
     branches, flattened stars and the like all collapse. [hash] is the
     FNV-1a digest of [key] (cache buckets; equality always compares
     [key] itself). *)
+type letters
+
 type canonical = {
   nfa : Nfa.t;  (** runnable canonical automaton (fresh accept state) *)
   dfa_states : int;  (** live states of the minimal DFA *)
@@ -96,6 +98,7 @@ type canonical = {
   hash : int64;
   key : string;
   exact : bool;  (** no over-approximated (non-label-pure) test atoms *)
+  letters : letters;  (** the signature letters and table [key] renders *)
 }
 
 val canonicalize :
@@ -103,6 +106,21 @@ val canonicalize :
 
 val canonicalize_nfa :
   ?schema:Schema.t -> ?budget:Budget.t -> ?max_states:int -> Nfa.t -> canonical option
+
+(** [shape ?max_states nfa] lifts the [Prop]/[Feature] values out of
+    [nfa]: the lifted atoms in {!Atom.compare} order, and a key holding
+    [max_states], [nfa] with each lifted atom replaced by its rank, and
+    the order facts [canonicalize_nfa] reads off the values.  Two
+    automata with equal keys canonicalize alike up to the rank-to-rank
+    renaming of their atoms: see {!rename_atoms}. *)
+val shape : ?max_states:int -> Nfa.t -> Atom.t array * string
+
+(** [rename_atoms c f], for [c] = [canonicalize_nfa ~max_states nfa] and
+    [f] mapping the atoms of [shape ~max_states nfa] rank for rank to
+    those of an automaton with the same shape key (other atoms to
+    themselves), equals [canonicalize_nfa] of that automaton under the
+    same schema, field for field. *)
+val rename_atoms : canonical -> (Atom.t -> Atom.t) -> canonical
 
 (** 16-hex-digit rendering of a canonical hash. *)
 val hash_hex : int64 -> string

@@ -45,6 +45,16 @@ let num_states a = a.num_states
 let start a = a.start
 let accept a = a.accept
 let transitions a q = a.transitions.(q)
+
+let transition_list a =
+  List.concat
+    (List.init a.num_states (fun q -> List.map (fun (m, q') -> (q, m, q')) a.transitions.(q)))
+
+let map_move f = function
+  | Eps -> Eps
+  | Node_check t -> Node_check (f t)
+  | Forward t -> Forward (f t)
+  | Backward t -> Backward (f t)
 let words a = a.words
 let num_checks a = a.num_checks
 let check_tests a = a.check_tests

@@ -31,6 +31,13 @@ val start : t -> int
 val accept : t -> int
 val transitions : t -> int -> (move * int) list
 
+(** Every transition as [(source, move, target)], sources ascending,
+    each state's moves in {!transitions} order. *)
+val transition_list : t -> (int * move * int) list
+
+(** The move with its test (if any) replaced by [f test]. *)
+val map_move : (Regex.test -> Regex.test) -> move -> move
+
 (** [Bitset] words per state set ([Bitset.words_for (num_states a)]). *)
 val words : t -> int
 

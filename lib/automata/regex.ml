@@ -113,6 +113,12 @@ let rec reverse = function
   | Seq (r1, r2) -> Seq (reverse r2, reverse r1)
   | Star r -> Star (reverse r)
 
+let rec map_test_atoms f = function
+  | Atom a -> Atom (f a)
+  | Not t -> Not (map_test_atoms f t)
+  | Or (t1, t2) -> Or (map_test_atoms f t1, map_test_atoms f t2)
+  | And (t1, t2) -> And (map_test_atoms f t1, map_test_atoms f t2)
+
 (* Concrete syntax, matching what the parser accepts (ASCII for ¬ ∨ ∧). *)
 let rec test_to_string ?(top = false) t =
   let wrap s = if top then s else "(" ^ s ^ ")" in

@@ -68,6 +68,9 @@ val max_path_length : t -> int option
     steps swap direction, concatenations swap order. An involution. *)
 val reverse : t -> t
 
+(** The test with every atom [a] replaced by [f a]. *)
+val map_test_atoms : (Atom.t -> Atom.t) -> test -> test
+
 (** Concrete syntax accepted by {!Regex_parser}. [top] omits the
     outermost parentheses; values that would not re-lex (spaces,
     operator characters, numeric-looking strings) are quoted so the

@@ -77,9 +77,30 @@ type plan = {
 let schema_id : Schema.t Type.Id.t = Type.Id.make ()
 let schema_for inst = Gqkg_graph.Snapshot.memo inst schema_id Schema.of_snapshot
 
+(* The canonical form of the analyzed automaton, from the snapshot's
+   shape cache when a query of the same shape ({!Decide.shape}) was
+   canonicalized before: the cached form with the earlier query's atoms
+   renamed rank for rank to this one's ({!Decide.rename_atoms}), equal
+   to a fresh canonicalization field for field. *)
 let canonical_for inst nfa =
   if not !minimize then None
-  else Decide.canonicalize_nfa ~schema:(schema_for inst) ~max_states:!canon_max_states nfa
+  else begin
+    let max_states = !canon_max_states in
+    let atoms, key = Decide.shape ~max_states nfa in
+    match Semcache.find_shape inst ~key with
+    | Some (_, None) -> None
+    | Some (cached, Some c) ->
+        let rename a =
+          match Array.find_index (Gqkg_graph.Atom.equal a) cached with
+          | Some i -> atoms.(i)
+          | None -> a
+        in
+        Some (Decide.rename_atoms c rename)
+    | None ->
+        let c = Decide.canonicalize_nfa ~schema:(schema_for inst) ~max_states nfa in
+        Semcache.store_shape inst ~key (atoms, c);
+        c
+  end
 
 let cacheable = function None -> true | Some b -> Budget.is_unlimited b
 

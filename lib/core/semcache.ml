@@ -1,16 +1,27 @@
-(* Bounded drop-oldest association lists keyed by canonical key, one
-   pair of them per snapshot (held in the snapshot's memo, so they are
-   collected with it).  Deliberately simple: entry counts are small (a
-   repeated-query workload has few distinct canonical classes), so
-   linear scans beat the bookkeeping of a real LRU here. *)
+(* Bounded drop-oldest association lists keyed by canonical key (shapes:
+   by shape key), three of them per snapshot (held in the snapshot's
+   memo, so they are collected with it).  Deliberately simple: entry
+   counts are small (a repeated-query workload has few distinct
+   canonical classes), so linear scans beat the bookkeeping of a real
+   LRU here. *)
 
 open Gqkg_graph
 
-type stats = { plan_hits : int; plan_misses : int; result_hits : int; result_misses : int }
+type stats = {
+  plan_hits : int;
+  plan_misses : int;
+  result_hits : int;
+  result_misses : int;
+  shape_hits : int;
+  shape_misses : int;
+}
+
+type shape = Atom.t array * Gqkg_analysis.Decide.canonical option
 
 let enabled = ref true
 let plan_cap = 32
 let result_cap = 128
+let shape_cap = 64
 
 (* A snapshot's cache is one list, newest first, replaced whole by
    compare-and-set, so a concurrent reader always scans a complete list. *)
@@ -18,12 +29,15 @@ type 'a cache = (string * 'a) list Atomic.t
 
 let plans : Product.t cache Type.Id.t = Type.Id.make ()
 let results : (int * int) list cache Type.Id.t = Type.Id.make ()
+let shapes : shape cache Type.Id.t = Type.Id.make ()
 let cache s id = Snapshot.memo s id (fun _ -> Atomic.make [])
 
 let plan_hits = Atomic.make 0
 let plan_misses = Atomic.make 0
 let result_hits = Atomic.make 0
 let result_misses = Atomic.make 0
+let shape_hits = Atomic.make 0
+let shape_misses = Atomic.make 0
 
 let stats () =
   {
@@ -31,10 +45,14 @@ let stats () =
     plan_misses = Atomic.get plan_misses;
     result_hits = Atomic.get result_hits;
     result_misses = Atomic.get result_misses;
+    shape_hits = Atomic.get shape_hits;
+    shape_misses = Atomic.get shape_misses;
   }
 
 let reset () =
-  List.iter (fun c -> Atomic.set c 0) [ plan_hits; plan_misses; result_hits; result_misses ]
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ plan_hits; plan_misses; result_hits; result_misses; shape_hits; shape_misses ]
 
 let rec assoc key = function
   | [] -> None
@@ -70,3 +88,5 @@ let find_product s ~key = find plans plan_hits plan_misses s key
 let store_product s ~key p = store plans plan_cap s key p
 let find_pairs s ~key = find results result_hits result_misses s key
 let store_pairs s ~key v = store results result_cap s key v
+let find_shape s ~key = find shapes shape_hits shape_misses s key
+let store_shape s ~key v = store shapes shape_cap s key v

@@ -12,12 +12,23 @@
     results may be stored (callers enforce this); a partial answer under
     a tripped budget is never served back.
 
-    Both caches are bounded per snapshot (drop-oldest: 32 plans, 128
-    results). The hit/miss counters are process-global. *)
+    A third table holds the planner's canonical forms per query shape
+    ([Planner]'s shape cache, DESIGN.md §5g), so every kind of derived
+    plan state has this one owner and one eviction policy.
+
+    The caches are bounded per snapshot (drop-oldest: 32 plans, 128
+    results, 64 shapes). The hit/miss counters are process-global. *)
 
 open Gqkg_graph
 
-type stats = { plan_hits : int; plan_misses : int; result_hits : int; result_misses : int }
+type stats = {
+  plan_hits : int;
+  plan_misses : int;
+  result_hits : int;
+  result_misses : int;
+  shape_hits : int;
+  shape_misses : int;
+}
 
 (** Master switch; [false] makes every lookup miss silently (no
     counter movement) and every store a no-op. Default [true]. *)
@@ -40,3 +51,12 @@ val store_product : Snapshot.t -> key:string -> Product.t -> unit
 val find_pairs : Snapshot.t -> key:string -> (int * int) list option
 
 val store_pairs : Snapshot.t -> key:string -> (int * int) list -> unit
+
+(** Shape cache: a canonical form ([None]: canonicalization gave up)
+    together with the lifted atoms of the query that produced it, in
+    {!Atom.compare} order ({!Gqkg_analysis.Decide.shape}) — what the
+    planner instantiates for another query of the same shape. *)
+type shape = Atom.t array * Gqkg_analysis.Decide.canonical option
+
+val find_shape : Snapshot.t -> key:string -> shape option
+val store_shape : Snapshot.t -> key:string -> shape -> unit

@@ -1,45 +1,84 @@
-(* Atom postings: the nodes satisfying an atomic test, found by one scan
-   of [node_atom] and memoized per snapshot.  The memo is one
-   compare-and-set map on the snapshot's memo; empty postings are not
-   stored, which bounds it by the graph (see the .mli). *)
+(* Atom postings: the nodes (or edges) satisfying an atomic test, found
+   once and memoized per snapshot.  Each side's memo is one
+   compare-and-set map on the snapshot's memo.  Absent atoms are
+   memoized too, as empty postings, but only up to one stored empty per
+   node (per edge): each one was paid for by a full scan, so the cap
+   keeps the memo bounded by the graph (see the .mli). *)
 
 module Amap = Map.Make (Atom)
+module B = Gqkg_util.Bitset
 
-let table_id : int array Amap.t Atomic.t Type.Id.t = Type.Id.make ()
-let table snap = Snapshot.memo snap table_id (fun _ -> Atomic.make Amap.empty)
+type table = { sets : int array Amap.t; empties : int }
 
-(* Ascending scan; [tripped ()] is polled at node 0 and every 4096
-   nodes. *)
-let scan tripped (snap : Snapshot.t) atom =
-  let n = snap.num_nodes in
-  let hits = ref [] and v = ref 0 and stop = ref false in
-  while (not !stop) && !v < n do
-    if !v land 4095 = 0 && tripped () then stop := true
+let node_id : table Atomic.t Type.Id.t = Type.Id.make ()
+let edge_id : table Atomic.t Type.Id.t = Type.Id.make ()
+let table snap id = Snapshot.memo snap id (fun _ -> Atomic.make { sets = Amap.empty; empties = 0 })
+
+(* Ascending scan of [0, n); [tripped ()] is polled at 0 and every 4096
+   objects. *)
+let scan tripped n sat =
+  let hits = ref [] and i = ref 0 and stop = ref false in
+  while (not !stop) && !i < n do
+    if !i land 4095 = 0 && tripped () then stop := true
     else begin
-      if snap.node_atom !v atom then hits := !v :: !hits;
-      incr v
+      if sat !i then hits := !i :: !hits;
+      incr i
     end
   done;
   if !stop then None else Some (Array.of_list (List.rev !hits))
 
-let lookup tripped snap atom =
-  let table = table snap in
-  match Amap.find_opt atom (Atomic.get table) with
-  | Some nodes -> Some nodes
+(* A node-label atom is the union of the label bitmaps it accepts (a
+   node may carry several labels).  Without a label index the snapshot
+   answers label tests through [node_atom] alone. *)
+let build_nodes tripped (snap : Snapshot.t) atom =
+  match atom with
+  | Atom.Label _ when snap.num_node_labels > 0 ->
+      let acc = B.raw_create (max snap.num_nodes 1) in
+      for l = 0 to snap.num_node_labels - 1 do
+        if snap.node_label_sat l atom then B.raw_iter snap.node_label_bits.(l) (B.raw_add acc)
+      done;
+      Some (B.raw_to_array acc)
+  | _ -> scan tripped snap.num_nodes (fun v -> snap.node_atom v atom)
+
+let build_edges tripped (snap : Snapshot.t) atom =
+  scan tripped snap.num_edges (fun e -> snap.edge_atom e atom)
+
+let lookup id ~cap build tripped snap atom =
+  let table = table snap id in
+  match Amap.find_opt atom (Atomic.get table).sets with
+  | Some set -> Some set
   | None -> (
-      match scan tripped snap atom with
-      | Some [||] | None as r -> r
-      | Some nodes ->
-          (* Built outside any lock; the first insert wins. *)
+      match build tripped snap atom with
+      | None -> None
+      | Some set ->
+          (* Built outside any lock; the first insert wins.  An empty
+             past the cap is answered but not kept. *)
+          let empty = Array.length set = 0 in
           let rec insert () =
             let seen = Atomic.get table in
-            match Amap.find_opt atom seen with
-            | Some nodes -> nodes
+            match Amap.find_opt atom seen.sets with
+            | Some set -> set
+            | None when empty && seen.empties >= cap -> set
             | None ->
-                if Atomic.compare_and_set table seen (Amap.add atom nodes seen) then nodes
-                else insert ()
+                let next =
+                  {
+                    sets = Amap.add atom set seen.sets;
+                    empties = (if empty then seen.empties + 1 else seen.empties);
+                  }
+                in
+                if Atomic.compare_and_set table seen next then set else insert ()
           in
           Some (insert ()))
 
-let nodes_within budget = lookup (fun () -> Gqkg_util.Budget.check budget)
-let nodes snap atom = Option.get (lookup (fun () -> false) snap atom)
+let nodes_lookup tripped (snap : Snapshot.t) =
+  lookup node_id ~cap:snap.num_nodes build_nodes tripped snap
+
+let never () = false
+let nodes_within budget = nodes_lookup (fun () -> Gqkg_util.Budget.check budget)
+let nodes snap atom = Option.get (nodes_lookup never snap atom)
+
+let edges (snap : Snapshot.t) atom =
+  Option.get (lookup edge_id ~cap:snap.num_edges build_edges never snap atom)
+
+let stored_empties snap =
+  ((Atomic.get (table snap node_id)).empties, (Atomic.get (table snap edge_id)).empties)

@@ -76,7 +76,10 @@ let percentiles t ps =
   end
 
 let to_json t ~queue_depth ~queue_peak ~clients ~workers ~epoch ~live_epochs
-    ~pins ~cache_hits ~cache_lookups =
+    ~pins ~(cache : Gqkg_core.Semcache.stats) =
+  let num n = Jsonx.Num (float_of_int n) in
+  let cache_hits = cache.result_hits in
+  let cache_lookups = cache.result_hits + cache.result_misses in
   let uptime_ms = Mclock.ns_to_ms (Int64.sub (Mclock.now_ns ()) t.started_ns) in
   let responses = Atomic.get t.responses in
   let qps =
@@ -125,5 +128,9 @@ let to_json t ~queue_depth ~queue_peak ~clients ~workers ~epoch ~live_epochs
               Jsonx.Num
                 (if cache_lookups = 0 then 0.0
                  else float_of_int cache_hits /. float_of_int cache_lookups) );
+            ("plan_hits", num cache.plan_hits);
+            ("plan_lookups", num (cache.plan_hits + cache.plan_misses));
+            ("shape_hits", num cache.shape_hits);
+            ("shape_lookups", num (cache.shape_hits + cache.shape_misses));
           ] );
     ]

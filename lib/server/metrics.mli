@@ -47,9 +47,10 @@ val trips : t -> int
 (** {2 Snapshot} *)
 
 (** [to_json t ~queue_depth ~queue_peak ~clients ~workers ~epoch
-    ~live_epochs ~pins ~cache_hits ~cache_lookups] renders the full
-    metrics object: uptime, qps, p50/p99 latency, every counter, queue
-    and epoch gauges, and the semantic-cache hit rate. *)
+    ~live_epochs ~pins ~cache] renders the full metrics object: uptime,
+    qps, p50/p99 latency, every counter, queue and epoch gauges, and the
+    semantic caches' counters — result hits, lookups and hit rate, plan
+    and shape hits and lookups. *)
 val to_json :
   t ->
   queue_depth:int ->
@@ -59,6 +60,5 @@ val to_json :
   epoch:int ->
   live_epochs:int ->
   pins:int ->
-  cache_hits:int ->
-  cache_lookups:int ->
+  cache:Gqkg_core.Semcache.stats ->
   Jsonx.t

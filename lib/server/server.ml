@@ -391,7 +391,6 @@ let num_clients t =
   n
 
 let metrics t =
-  let s = Semcache.stats () in
   let snap = Epochs.snapshot t.mgr in
   Metrics.to_json t.metrics
     ~queue_depth:(Admission.depth t.queue)
@@ -399,8 +398,7 @@ let metrics t =
     ~clients:(num_clients t) ~workers:t.config.workers
     ~epoch:snap.Snapshot.epoch
     ~live_epochs:(List.length (Epochs.live_epochs t.mgr))
-    ~pins:(Epochs.pins t.mgr) ~cache_hits:s.Semcache.result_hits
-    ~cache_lookups:(s.Semcache.result_hits + s.Semcache.result_misses)
+    ~pins:(Epochs.pins t.mgr) ~cache:(Semcache.stats ())
 
 (* ------------------------------------------------------------------ *)
 (* Connection reader                                                   *)

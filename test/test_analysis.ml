@@ -303,6 +303,74 @@ let prop_analysis_equivalent =
       let p2, c2, e2, s2 = with_analysis false run in
       p1 = p2 && c1 = c2 && s1 = s2 && List.equal Path.equal e1 e2)
 
+(* ---------- Instance oracle: postings against a scan ---------- *)
+
+(* Property graphs whose node property p (1/2) and edge property w (1/2)
+   each miss on some objects, and whose every edge carries all=1. *)
+let make_property_instance (seed, nodes, edges) =
+  let module S = Gqkg_util.Splitmix in
+  let module B = Property_graph.Builder in
+  let rng = S.create seed in
+  let b = B.create () in
+  let value () = Const.int (1 + S.int rng 2) in
+  for i = 0 to nodes - 1 do
+    let label = Const.str (S.choose rng [| "a"; "b" |]) in
+    let v = B.add_node b (Const.str (Printf.sprintf "n%d" i)) ~label in
+    if S.bernoulli rng 0.7 then B.set_node_property b v ~prop:(Const.str "p") ~value:(value ())
+  done;
+  for _ = 1 to edges do
+    let e =
+      B.fresh_edge b ~src:(S.int rng nodes) ~dst:(S.int rng nodes)
+        ~label:(Const.str (S.choose rng [| "x"; "y" |]))
+    in
+    B.set_edge_property b e ~prop:(Const.str "all") ~value:(Const.int 1);
+    if S.bernoulli rng 0.7 then B.set_edge_property b e ~prop:(Const.str "w") ~value:(value ())
+  done;
+  Snapshot.of_property (B.freeze b)
+
+let make_property_regex rseed =
+  let params =
+    {
+      Gqkg_workload.Gen_regex.default with
+      node_labels = [ "a"; "b"; "c" ];
+      edge_labels = [ "x"; "y"; "z" ];
+      properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2"; "3" ]); ("all", [ "1" ]) ];
+      max_depth = 3;
+    }
+  in
+  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+
+(* The oracle the analyzer had before postings: count by scanning. *)
+let scan_count (inst : Snapshot.t) ~edge a =
+  let n = if edge then inst.num_edges else inst.num_nodes in
+  let sat i = if edge then inst.edge_atom i a else inst.node_atom i a in
+  List.length (List.filter sat (List.init n Fun.id))
+
+let prop_plan_matches_scan_oracle =
+  QCheck2.Test.make ~name:"Analyze.plan = plan over a scan oracle" ~count:200
+    QCheck2.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* nodes = int_range 1 12 in
+      let* edges = int_range 0 20 in
+      let* rseed = int_bound 1_000_000 in
+      return ((seed, nodes, edges), rseed))
+    (fun (g, rseed) ->
+      let inst = make_property_instance g in
+      let r = make_property_regex rseed in
+      Analyze.plan inst r = Analyze.plan_with ~count:(scan_count inst) inst r)
+
+let test_plan_atom_verdicts () =
+  let inst = make_property_instance (3, 8, 12) in
+  List.iter
+    (fun (plan : Snapshot.t -> Regex.t -> Analyze.report) ->
+      let everywhere = plan inst (parse "all=1") in
+      checkb "an atom every edge carries is the any-test" true
+        (Regex.equal everywhere.Analyze.regex (Regex.Fwd Regex.any_test));
+      let absent = plan inst (parse "x/(y & w=3)") in
+      checkb "absent value: GQ002" true (code_present "GQ002" absent);
+      checkb "absent value: statically empty" true (Analyze.is_empty absent))
+    [ Analyze.plan; Analyze.plan_with ~count:(scan_count inst) ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_analysis"
@@ -328,7 +396,14 @@ let () =
             test_empty_query_builds_no_product_state;
           Alcotest.test_case "backward seeding" `Quick test_backward_direction_chosen_and_correct;
           Alcotest.test_case "cold read runs forward" `Quick test_cold_read_runs_forward;
+          Alcotest.test_case "atom verdicts from postings" `Quick test_plan_atom_verdicts;
         ] );
       ( "properties",
-        q [ prop_reverse_involution; prop_reverse_semantics; prop_analysis_equivalent ] );
+        q
+          [
+            prop_reverse_involution;
+            prop_reverse_semantics;
+            prop_analysis_equivalent;
+            prop_plan_matches_scan_oracle;
+          ] );
     ]

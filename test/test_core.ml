@@ -860,6 +860,49 @@ let prop_postings_equal_scan =
           postings () = scan && postings () = scan)
         atoms)
 
+(* Edge atoms over the instances above: labels x/y and property w occur,
+   label z, value w=3, property p and the feature test never do. *)
+let edge_atom_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun l -> Atom.label l) (oneofl [ "x"; "y"; "z" ]);
+        map2
+          (fun p v -> Atom.prop p (Const.of_string v))
+          (oneofl [ "w"; "p" ])
+          (oneofl [ "1"; "2"; "3" ]);
+        map (fun v -> Atom.feature 1 (Const.of_string v)) (oneofl [ "a"; "1" ]);
+      ])
+
+let prop_edge_postings_equal_scan =
+  QCheck2.Test.make ~name:"Postings.edges = edge_atom scan" ~count:100
+    QCheck2.Gen.(pair property_regex_gen (list_size (int_range 1 6) edge_atom_gen))
+    (fun ((g, _), atoms) ->
+      let inst = make_property_instance g in
+      List.for_all
+        (fun a ->
+          let all = List.init inst.Snapshot.num_edges Fun.id in
+          let scan = List.filter (fun e -> inst.Snapshot.edge_atom e a) all in
+          let postings () = Array.to_list (Postings.edges inst a) in
+          postings () = scan && postings () = scan)
+        atoms)
+
+(* Absent atoms are memoized as empty postings up to one per node (per
+   edge); past that cap they are still answered [||], and not kept. *)
+let test_postings_cap_on_empties () =
+  let inst = make_property_instance (5, 3, 2) in
+  let absent i = Atom.prop "q" (Const.int i) in
+  for i = 1 to 10 do
+    checkb "absent node atom" true (Postings.nodes inst (absent i) = [||]);
+    checkb "absent edge atom" true (Postings.edges inst (absent i) = [||])
+  done;
+  checkb "stored empties stop at the cap" true (Postings.stored_empties inst = (3, 2));
+  checkb "past the cap still empty" true
+    (Postings.nodes inst (absent 11) = [||] && Postings.edges inst (absent 11) = [||]);
+  checkb "and still not kept" true (Postings.stored_empties inst = (3, 2));
+  let edges l = Array.length (Postings.edges inst (Atom.label l)) in
+  checkb "present atoms are kept past the cap" true (edges "x" + edges "y" = 2)
+
 (* One seed covers every state it interns, so [`Auto] has nothing to
    pull into and pushes at every level, level 0 included. *)
 let test_one_seed_batch_runs_top_down () =
@@ -944,6 +987,7 @@ let () =
             test_seeding_shapes_cover_both_paths;
           Alcotest.test_case "one-seed batch runs top-down" `Quick
             test_one_seed_batch_runs_top_down;
+          Alcotest.test_case "postings cap stored empties" `Quick test_postings_cap_on_empties;
         ] );
       ( "properties",
         q
@@ -962,5 +1006,6 @@ let () =
             prop_live_seed_directions_agree;
             prop_seed_candidates_sound;
             prop_postings_equal_scan;
+            prop_edge_postings_equal_scan;
           ] );
     ]

@@ -317,6 +317,179 @@ let test_cache_epoch_isolation () =
   ignore (Governor.eval_pairs ~budget:(Budget.create ()) s2 r);
   checki "no cross-snapshot hit" before (Semcache.stats ()).Semcache.result_hits
 
+(* ---------- Shape cache ---------- *)
+
+(* Node property p and edge property w take the values 1..12, each on
+   some objects and missing on others, so renaming the values 1..4 of a
+   query by a shift of up to 8 keeps every atom's analyzer verdict — the
+   renamed query can meet the original's shape.  Past 9 the values'
+   order and their renderings' order part ("10" < "9"). *)
+let pw_graph seed =
+  let module S = Gqkg_util.Splitmix in
+  let module B = Property_graph.Builder in
+  let rng = S.create seed in
+  let b = B.create () in
+  let nodes = 24 in
+  for i = 0 to nodes - 1 do
+    let label = Const.str (S.choose rng [| "a"; "b" |]) in
+    let v = B.add_node b (Const.str (Printf.sprintf "n%d" i)) ~label in
+    if i < 16 then B.set_node_property b v ~prop:(Const.str "p") ~value:(Const.int (1 + (i mod 12)))
+  done;
+  for k = 0 to 39 do
+    let e =
+      B.fresh_edge b ~src:(S.int rng nodes) ~dst:(S.int rng nodes)
+        ~label:(Const.str (S.choose rng [| "x"; "y" |]))
+    in
+    if k < 32 then B.set_edge_property b e ~prop:(Const.str "w") ~value:(Const.int (1 + (k mod 12)))
+  done;
+  B.freeze b
+
+let make_pw_regex rseed =
+  let params =
+    {
+      Gqkg_workload.Gen_regex.default with
+      node_labels = [ "a"; "b" ];
+      edge_labels = [ "x"; "y" ];
+      properties = [ ("p", [ "1"; "2"; "3"; "4" ]); ("w", [ "1"; "2"; "3"; "4" ]) ];
+      max_depth = 3;
+    }
+  in
+  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+
+(* An injective renaming of the values 1..4 (ints and their string
+   forms alike): shifted up, order kept, or mirrored, order flipped. *)
+let rename_values ~shift ~flip =
+  let f v = if flip then 5 - v + shift else v + shift in
+  let value = function
+    | Const.Int v -> Const.Int (f v)
+    | Const.Str s as c -> (
+        match int_of_string_opt s with Some v -> Const.Str (string_of_int (f v)) | None -> c)
+    | c -> c
+  in
+  let test =
+    Regex.map_test_atoms (function
+      | Atom.Prop (p, v) -> Atom.Prop (p, value v)
+      | Atom.Feature (i, v) -> Atom.Feature (i, value v)
+      | Atom.Label _ as a -> a)
+  in
+  let rec go = function
+    | Regex.Node_test t -> Regex.Node_test (test t)
+    | Regex.Fwd t -> Regex.Fwd (test t)
+    | Regex.Bwd t -> Regex.Bwd (test t)
+    | Regex.Alt (a, b) -> Regex.Alt (go a, go b)
+    | Regex.Seq (a, b) -> Regex.Seq (go a, go b)
+    | Regex.Star a -> Regex.Star (go a)
+  in
+  go
+
+(* Plan [r] on one snapshot, then [r'] on it (from the shape cache when
+   the shapes meet) and on a fresh freeze of the same graph (planned
+   from scratch): key, canonical form and answers must agree. *)
+let instantiated_equals_fresh_on warm fresh r r' =
+  ignore (Planner.plan warm r);
+  let a = Planner.plan warm r' in
+  let b = Planner.plan fresh r' in
+  let canon inst = (Planner.prepare_explained inst r').Planner.canon in
+  Planner.key a = Planner.key b
+  && canon warm = canon fresh
+  && Rpq.eval_pairs warm r' = Rpq.eval_pairs fresh r'
+
+let instantiated_equals_fresh pg r r' =
+  instantiated_equals_fresh_on (Snapshot.of_property pg) (Snapshot.of_property pg) r r'
+
+let shape_case_gen =
+  QCheck2.Gen.(
+    let* rseed = int_bound 1_000_000 in
+    let* gseed = int_bound 1_000_000 in
+    let* shift = int_bound 8 in
+    let* flip = bool in
+    return (rseed, gseed, shift, flip))
+
+let prop_shape_instantiation =
+  QCheck2.Test.make ~name:"shape cache: instantiated plan = fresh plan" ~count:150
+    shape_case_gen (fun (rseed, gseed, shift, flip) ->
+      let r = make_pw_regex rseed in
+      let ok = instantiated_equals_fresh (pw_graph gseed) r (rename_values ~shift ~flip r) in
+      ok)
+
+(* The served cold reads differ only in their age and date constants:
+   after the first, each is an instantiation, equal to a fresh plan. *)
+let test_shape_cache_cold_reads () =
+  Semcache.reset ();
+  let pg = Gqkg_workload.Contact_network.generate (Gqkg_util.Splitmix.create 3) in
+  let inst = Snapshot.of_property pg in
+  let occurring postings atom values =
+    List.filter (fun v -> Array.length (postings inst (atom v)) > 0) values
+  in
+  let ages =
+    occurring Postings.nodes (fun a -> Atom.prop "age" (Const.int a)) (List.init 86 (( + ) 5))
+  in
+  let days =
+    occurring Postings.edges
+      (fun d -> Atom.prop "date" (Const.date ~year:2021 ~month:1 ~day:d))
+      (List.init 28 (( + ) 1))
+  in
+  let cold i =
+    parse
+      (Printf.sprintf
+         "?(person & age=%d)/(contact & date=1/%d/21)^-/?infected/rides/?bus/rides^-/?person"
+         (List.nth ages i) (List.nth days i))
+  in
+  checkb "cold reads instantiate" true (instantiated_equals_fresh pg (cold 0) (cold 1));
+  checkb "shape hits counted" true ((Semcache.stats ()).Semcache.shape_hits >= 1);
+  (* a renaming that flips the order of two values of one property
+     changes the shape, and still plans alike *)
+  let two a b = parse (Printf.sprintf "?(person & (age=%d | age=%d))/rides" a b) in
+  let a0 = List.nth ages 0 and a1 = List.nth ages 1 in
+  checkb "flipped order" true (instantiated_equals_fresh pg (two a0 a1) (two a1 a0));
+  (* renaming 1, 2 to 9, 10 keeps the values' order but flips their
+     tests' rendering order, which orders the conjuncts of the
+     canonical automaton's tests *)
+  let pw = pw_graph 2 in
+  let split a b = parse (Printf.sprintf "(?p=%d/x + ?p=%d/x)" a b) in
+  checkb "test order" true (instantiated_equals_fresh pw (split 1 2) (split 9 10));
+  (* On the flattened graph a node without p has p's feature = _|_.
+     Renaming 2 -> _|_ keeps the atoms' ranks and the tests' rendering
+     order, so the shapes meet.  The two exclusive tests become two
+     canonical moves out of one state that differ first in that value;
+     polymorphic compare puts _|_ first and Atom.compare last, so only
+     the re-sort orders them as a fresh plan does. *)
+  let vg, schema = Vector_graph.of_property pw in
+  let f = Option.get (Vector_graph.schema_feature_index schema (Const.str "p")) in
+  let branches b =
+    parse (Printf.sprintf "(?(f%d=1 & !f%d=%s)/x + ?(f%d=%s & !f%d=1)/y)" f f b f b f)
+  in
+  let warm = Snapshot.of_vector vg in
+  ignore (Planner.plan warm (branches "2"));
+  let before = (Semcache.stats ()).Semcache.shape_hits in
+  ignore (Planner.plan warm (branches "_|_"));
+  checkb "bottom renaming is a shape hit" true ((Semcache.stats ()).Semcache.shape_hits > before);
+  checkb "renamed to bottom" true
+    (instantiated_equals_fresh_on (Snapshot.of_vector vg) (Snapshot.of_vector vg) (branches "2")
+       (branches "_|_"));
+  (* the state cap is part of the shape: under a cap of 1 state the
+     same query gives up, although its form under the default cap is
+     cached *)
+  let warm = Snapshot.of_property pw in
+  ignore (Planner.plan warm (split 1 2));
+  let cap = !Planner.canon_max_states in
+  Planner.canon_max_states := 1;
+  let gave_up =
+    Fun.protect
+      ~finally:(fun () -> Planner.canon_max_states := cap)
+      (fun () -> Planner.key (Planner.plan warm (split 1 2)) = None)
+  in
+  checkb "state cap in the shape" true gave_up;
+  (* over random queries, some renamings meet their original's shape *)
+  Semcache.reset ();
+  let pg = pw_graph 1 in
+  for rseed = 0 to 40 do
+    let r = make_pw_regex rseed in
+    checkb "random instantiation" true
+      (instantiated_equals_fresh pg r (rename_values ~shift:(rseed mod 5) ~flip:false r))
+  done;
+  checkb "random shapes hit" true ((Semcache.stats ()).Semcache.shape_hits > 0)
+
 (* ---------- QCheck properties ---------- *)
 
 let make_regex rseed =
@@ -461,6 +634,7 @@ let () =
           Alcotest.test_case "equivalent-query hit" `Quick test_cache_hit_and_equivalence;
           Alcotest.test_case "partial never stored" `Quick test_cache_partial_never_stored;
           Alcotest.test_case "epoch isolation" `Quick test_cache_epoch_isolation;
+          Alcotest.test_case "shape cache instantiation" `Quick test_shape_cache_cold_reads;
         ] );
       ( "properties",
         q
@@ -468,6 +642,7 @@ let () =
             prop_canonical_equiv;
             prop_contains_answers;
             prop_minimized_plan_identical;
+            prop_shape_instantiation;
             prop_semantic_cache_equivalent;
           ] );
     ]

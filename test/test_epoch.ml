@@ -276,6 +276,40 @@ let test_postings_per_epoch () =
   checki "pinned parent's pairs unchanged" 1 (List.length (Rpq.eval_pairs parent q));
   Epochs.unpin mgr parent
 
+(* Edge postings too: a dated contact committed in a child epoch is in
+   the child's postings of its date, and the pinned parent's postings —
+   built before the commit, where the date occurs on no edge — stay
+   empty, and so does the parent's analysis of a query naming it. *)
+let test_edge_postings_per_epoch () =
+  let person id = Mutation.Add_node { id = c id; label = c "person" } in
+  let contact id src dst =
+    Mutation.Add_edge { id = c id; src = c src; dst = c dst; label = c "contact" }
+  in
+  let dated id =
+    Mutation.Set_edge_prop { id = c id; prop = c "date"; value = Const.of_string "3/4/21" }
+  in
+  let mgr =
+    Epochs.create
+      (Overlay.base_of_property
+         (Journal.replay_ops [ person "a"; person "b"; contact "e1" "a" "b" ]))
+  in
+  let date = Atom.prop "date" (Const.of_string "3/4/21") in
+  let q = parse "?person/(contact & date=3/4/21)/?person" in
+  let parent = Epochs.pin mgr in
+  checki "parent postings empty" 0 (Array.length (Postings.edges parent date));
+  checkb "parent analysis empty" true
+    (Gqkg_analysis.Analyze.is_empty (Gqkg_analysis.Analyze.plan parent q));
+  let ov = Overlay.create (Epochs.base mgr) in
+  List.iter (Overlay.apply ov) [ contact "e2" "b" "a"; dated "e2" ];
+  ignore (Governor.commit mgr ov);
+  let child = Epochs.snapshot mgr in
+  checkb "committed epoch's postings hold the dated contact" true
+    (List.map child.Snapshot.edge_name (Array.to_list (Postings.edges child date)) = [ "e2" ]);
+  checki "committed epoch answers" 1 (List.length (Rpq.eval_pairs child q));
+  checki "pinned parent's postings stay empty" 0 (Array.length (Postings.edges parent date));
+  checki "pinned parent's answer unchanged" 0 (List.length (Rpq.eval_pairs parent q));
+  Epochs.unpin mgr parent
+
 (* ---------- retired snapshots are collectable ---------- *)
 
 let chain_ops n =
@@ -537,6 +571,7 @@ let () =
         [
           Alcotest.test_case "readers never block" `Quick test_readers_never_block;
           Alcotest.test_case "postings per epoch" `Quick test_postings_per_epoch;
+          Alcotest.test_case "edge postings per epoch" `Quick test_edge_postings_per_epoch;
           Alcotest.test_case "frontier many sources" `Quick test_frontier_many_sources;
           Alcotest.test_case "retired snapshot collectable" `Quick
             test_retired_snapshot_collectable;

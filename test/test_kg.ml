@@ -444,6 +444,28 @@ let test_rdf_graph_atoms () =
     (inst.Snapshot.node_atom julia (Atom.prop "name" (Const.str "Julia")));
   checkb "wrong value" false (inst.Snapshot.node_atom julia (Atom.prop "name" (Const.str "John")))
 
+(* Node-label postings union the type bitmaps a label test accepts (by
+   local name or full IRI), so they equal a node_atom scan — also for a
+   node carrying two types. *)
+let test_rdf_label_postings () =
+  let s =
+    store_with
+      [
+        t3 (iri "urn:x/julia") Rdfs.rdf_type (iri "urn:t/person");
+        t3 (iri "urn:x/julia") Rdfs.rdf_type (iri "urn:t/infected");
+        t3 (iri "urn:x/john") Rdfs.rdf_type (iri "urn:t/person");
+        t3 (iri "urn:x/julia") (iri "urn:p/rides") (iri "urn:x/bus7");
+      ]
+  in
+  let inst = Rdf_graph.to_snapshot (Rdf_graph.of_store s) in
+  List.iter
+    (fun l ->
+      let a = Atom.label l in
+      let all = List.init inst.Snapshot.num_nodes Fun.id in
+      let scan = List.filter (fun v -> inst.Snapshot.node_atom v a) all in
+      checkb l true (Array.to_list (Postings.nodes inst a) = scan))
+    [ "person"; "urn:t/person"; "infected"; "bus"; "ghost" ]
+
 (* ---------- QCheck ---------- *)
 
 let term_gen =
@@ -551,6 +573,7 @@ let () =
           Alcotest.test_case "structure" `Quick test_rdf_graph_structure;
           Alcotest.test_case "rpq over rdf" `Quick test_rdf_graph_rpq;
           Alcotest.test_case "atoms" `Quick test_rdf_graph_atoms;
+          Alcotest.test_case "label postings" `Quick test_rdf_label_postings;
         ] );
       ("properties", q [ prop_ntriples_roundtrip; prop_store_indexes_agree ]);
     ]
