@@ -612,7 +612,8 @@ let explain_cmd =
     | Some path -> (
         let inst = load_instance path in
         Printf.printf "\nsnapshot (epoch %d): %s" inst.Snapshot.epoch (Snapshot.describe inst);
-        let report = Gqkg_analysis.Analyze.plan inst simplified in
+        let plan = Planner.prepare_explained ~budget inst simplified in
+        let report = plan.Planner.report in
         (match report.Gqkg_analysis.Analyze.nfa with
         | None -> Printf.printf "\nanalysis: statically empty on %s\n" path
         | Some _ ->
@@ -623,7 +624,6 @@ let explain_cmd =
         List.iter
           (fun d -> print_endline (Gqkg_analysis.Diagnostic.to_string d))
           report.Gqkg_analysis.Analyze.diagnostics;
-        let plan = Planner.prepare_explained ~budget inst simplified in
         (match plan.Planner.canon with
         | Some c ->
             Printf.printf "canonical: %d -> %d states, hash %s (%s%s)\n"

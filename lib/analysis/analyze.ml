@@ -45,11 +45,6 @@ type report = {
   states_after : int;
 }
 
-(* Global switch consulted by the core entry points (see Planner); the
-   off position restores pre-analyzer behavior exactly, which is what
-   the equivalence property tests and the bench comparisons toggle. *)
-let enabled = ref true
-
 let is_empty r = match r.verdict with Empty -> true | Possibly_nonempty -> false
 
 (* ---- Atom oracles ---------------------------------------------------- *)
@@ -561,5 +556,3 @@ let plan_with ~count inst regex = analyze_with (of_snapshot ~count inst) regex
 let plan inst regex =
   plan_with inst regex ~count:(fun ~edge a ->
       Array.length ((if edge then Postings.edges else Postings.nodes) inst a))
-
-let plan_if_enabled inst regex = if !enabled then Some (plan inst regex) else None

@@ -3,7 +3,7 @@
 
     Pass order and diagnostic codes are documented in DESIGN.md §"Static
     analysis". All rewrites preserve [[r]] on the instance analyzed, so
-    evaluation with analysis on and off is observationally identical
+    planned answers equal the naive reference evaluator's
     (property-tested); the payoff is that statically-empty queries are
     answered without constructing any product state, and the kernel gets
     a trimmed automaton.  The seed-cost estimates are a lint/explain
@@ -27,11 +27,6 @@ type report = {
   states_after : int;  (** states the kernel actually sees *)
 }
 
-(** Global switch consulted by {!plan_if_enabled}; default [true]. The
-    off position restores pre-analyzer behavior exactly (untrimmed
-    Thompson automaton of the original expression). *)
-val enabled : bool ref
-
 val is_empty : report -> bool
 
 (** Lint path: analyze against an optional {!Schema.t} vocabulary.
@@ -50,9 +45,6 @@ val plan : Snapshot.t -> Regex.t -> report
     edges ([edge = true]) or nodes satisfying [atom] — instead of the
     postings; the differential tests pass a scan. *)
 val plan_with : count:(edge:bool -> Atom.t -> int) -> Snapshot.t -> Regex.t -> report
-
-(** [plan] when {!enabled}, [None] otherwise. *)
-val plan_if_enabled : Snapshot.t -> Regex.t -> report option
 
 (** Static verdict of a test against a schema vocabulary: each atom read
     as the GQ001/002/003 pass reads it (atoms outside a closed universe

@@ -173,16 +173,14 @@ let materialize_paths product dag ~target ~limit =
    NFA is immutable and shared read-only across the copies. *)
 let plan_products ?budget inst regex =
   let module Analyze = Gqkg_analysis.Analyze in
-  match Analyze.plan_if_enabled inst regex with
-  | None -> Some (fun () -> Product.create ?budget inst regex)
-  | Some r -> (
-      match r.Analyze.nfa with
-      | None -> None
-      | Some nfa ->
-          (* One budget shared by every per-domain product copy: its
-             counters are atomics, so concurrent slices charge it
-             together and trip together. *)
-          Some (fun () -> Product.create ?budget ~nfa inst r.Analyze.regex))
+  let r = Analyze.plan inst regex in
+  Option.map
+    (fun nfa ->
+      (* One budget shared by every per-domain product copy: its
+         counters are atomics, so concurrent slices charge it together
+         and trip together. *)
+      fun () -> Product.create ?budget ~nfa inst r.Analyze.regex)
+    r.Analyze.nfa
 
 (* Per-source exact contribution, accumulated into [bc]. *)
 let exact_source product ~max_length ~pair_limit bc a =

@@ -214,8 +214,5 @@ let estimate t ~length =
 (* One-shot estimation of Count(G, r, k) within relative error ~epsilon. *)
 let count ?budget ?(seed = 0x5eed) inst regex ~length ~epsilon =
   (* Statically-empty queries need no estimator run: the exact answer is 0. *)
-  match Gqkg_analysis.Analyze.plan_if_enabled inst regex with
-  | Some report when Gqkg_analysis.Analyze.is_empty report -> 0.0
-  | Some _ | None ->
-      let t = create ?budget ~seed inst regex ~epsilon in
-      estimate t ~length
+  if Gqkg_analysis.Analyze.is_empty (Gqkg_analysis.Analyze.plan inst regex) then 0.0
+  else estimate (create ?budget ~seed inst regex ~epsilon) ~length

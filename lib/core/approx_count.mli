@@ -31,24 +31,3 @@ val count :
   length:int ->
   epsilon:float ->
   float
-
-(** {2 Internals exposed for the ablation harness and white-box tests} *)
-
-(** Configuration id: node × NFA state. *)
-val config : t -> node:int -> state:int -> int
-
-val config_node : t -> int -> int
-val config_state : t -> int -> int
-
-(** Single-state ε/node-check closure at a node. *)
-val state_closure : t -> node:int -> int -> int array
-
-(** One-step transitions of a configuration: (edge, successor) pairs. *)
-val config_transitions : t -> int -> (int * int) list
-
-(** Subset simulation of a concrete path (the membership oracle). *)
-val simulate : t -> Path.t -> int array
-
-(** Number of union branches generating [prefix]·[e] into NFA state
-    [q'] — the Karp–Luby multiplicity. *)
-val multiplicity : t -> prefix:Path.t -> e:int -> q':int -> int

@@ -21,7 +21,7 @@ let eval_pairs ?(use_cache = false) ~budget ?max_length inst regex =
   (* One plan serves both the key and, on a miss, the evaluation. *)
   let q = Planner.plan ~budget inst regex in
   let key =
-    if (use_cache || Budget.is_unlimited budget) && !Semcache.enabled then
+    if use_cache || Budget.is_unlimited budget then
       Option.map
         (fun k ->
           match max_length with Some l -> k ^ "|len" ^ string_of_int l | None -> k)

@@ -2,21 +2,19 @@
    core entry point plans its query here instead of calling
    [Product.create] directly.
 
-   With analysis enabled (the default), the query is pruned and its NFA
-   trimmed; a statically-empty query yields [Empty] and the caller
-   answers without constructing any product state at all.  With
-   analysis disabled, [prepare] reproduces the pre-analyzer path bit for
-   bit: the untrimmed Thompson automaton of the original expression.
+   The query is pruned and its NFA trimmed; a statically-empty query
+   yields [Empty] and the caller answers without constructing any
+   product state at all.
 
-   On top of that, with [minimize] on (the default), the trimmed
-   automaton is canonicalized by the decision procedures (Decide):
-   when the minimal canonical automaton is strictly smaller it is
-   evaluated instead of the trimmed one (identity-preserving when the
-   automaton is already minimal), and its canonical key makes
-   syntactically different but equivalent queries share one entry in
-   the semantic plan cache (Semcache).  Canonicalization runs under a
-   pure state cap — no wall clock — so planning stays deterministic;
-   when it gives up, the trimmed automaton is used as before.
+   The trimmed automaton is then canonicalized by the decision
+   procedures (Decide): when the minimal canonical automaton is
+   strictly smaller it is evaluated instead of the trimmed one
+   (identity-preserving when the automaton is already minimal), and its
+   canonical key makes syntactically different but equivalent queries
+   share one entry in the semantic plan cache (Semcache).
+   Canonicalization runs under a pure state cap — no wall clock — so
+   planning stays deterministic; when it gives up, the trimmed
+   automaton is used as before.
 
    [plan] does the analysis and canonicalization once; the products are
    built from that one plan on demand, so a caller that needs the
@@ -40,15 +38,10 @@ module Regex = Gqkg_automata.Regex
 
 type prep = Empty | Ready of Product.t
 
-(* Evaluate the minimized canonical automaton instead of the trimmed
-   one?  Bench A/Bs this; [false] restores the pre-decision-procedure
-   planner exactly. *)
-let minimize = ref true
-
 (* State cap for planning-time canonicalization: deterministic (no
    wall-clock component) and small — a query automaton that blows past
    this is evaluated untouched. *)
-let canon_max_states = ref 256
+let canon_max_states = 256
 
 (* A query planned once: analysis and canonicalization done, products
    built on demand by [build].  [eval] is the analyzed expression and
@@ -56,8 +49,7 @@ let canon_max_states = ref 256
 type query = {
   inst : Gqkg_graph.Snapshot.t;
   budget : Budget.t option;
-  regex : Regex.t;
-  report : Analyze.report option;
+  report : Analyze.report;
   canon : Decide.canonical option;
   minimized : bool;
   eval : (Regex.t * Nfa.t) option;
@@ -65,7 +57,7 @@ type query = {
 
 type plan = {
   prep : prep;
-  report : Analyze.report option;
+  report : Analyze.report;
   canon : Decide.canonical option;
   minimized : bool;  (** the canonical automaton is the one being evaluated *)
   plan_cache_hit : bool;
@@ -83,60 +75,51 @@ let schema_for inst = Gqkg_graph.Snapshot.memo inst schema_id Schema.of_snapshot
    renamed rank for rank to this one's ({!Decide.rename_atoms}), equal
    to a fresh canonicalization field for field. *)
 let canonical_for inst nfa =
-  if not !minimize then None
-  else begin
-    let max_states = !canon_max_states in
-    let atoms, key = Decide.shape ~max_states nfa in
-    match Semcache.find_shape inst ~key with
-    | Some (_, None) -> None
-    | Some (cached, Some c) ->
-        let rename a =
-          match Array.find_index (Gqkg_graph.Atom.equal a) cached with
-          | Some i -> atoms.(i)
-          | None -> a
-        in
-        Some (Decide.rename_atoms c rename)
-    | None ->
-        let c = Decide.canonicalize_nfa ~schema:(schema_for inst) ~max_states nfa in
-        Semcache.store_shape inst ~key (atoms, c);
-        c
-  end
+  let atoms, key = Decide.shape ~max_states:canon_max_states nfa in
+  match Semcache.find_shape inst ~key with
+  | Some (_, None) -> None
+  | Some (cached, Some c) ->
+      let rename a =
+        match Array.find_index (Gqkg_graph.Atom.equal a) cached with
+        | Some i -> atoms.(i)
+        | None -> a
+      in
+      Some (Decide.rename_atoms c rename)
+  | None ->
+      let c = Decide.canonicalize_nfa ~schema:(schema_for inst) ~max_states:canon_max_states nfa in
+      Semcache.store_shape inst ~key (atoms, c);
+      c
 
 let cacheable = function None -> true | Some b -> Budget.is_unlimited b
 
 let plan ?budget inst regex =
-  let q report canon minimized eval = { inst; budget; regex; report; canon; minimized; eval } in
-  match Analyze.plan_if_enabled inst regex with
-  | None -> q None None false None
-  | Some r -> (
-      match r.Analyze.nfa with
-      | None -> q (Some r) None false None
-      | Some nfa ->
-          let canon = canonical_for inst nfa in
-          let minimized, eval_nfa =
-            match canon with
-            | Some c when c.Decide.states < Nfa.num_states nfa -> (true, c.Decide.nfa)
-            | _ -> (false, nfa)
-          in
-          q (Some r) canon minimized (Some (r.Analyze.regex, eval_nfa)))
+  let report = Analyze.plan inst regex in
+  let canon, minimized, eval =
+    match report.Analyze.nfa with
+    | None -> (None, false, None)
+    | Some nfa ->
+        let canon = canonical_for inst nfa in
+        let minimized, eval_nfa =
+          match canon with
+          | Some c when c.Decide.states < Nfa.num_states nfa -> (true, c.Decide.nfa)
+          | _ -> (false, nfa)
+        in
+        (canon, minimized, Some (report.Analyze.regex, eval_nfa))
+  in
+  { inst; budget; report; canon; minimized; eval }
 
 (* The canonical key of a query on this snapshot, for semantic result
-   caching: [None] when analysis or minimization is off, the query is
-   statically empty (already O(1) — nothing to cache), or
-   canonicalization gave up. *)
+   caching: [None] when the query is statically empty (already O(1) —
+   nothing to cache) or canonicalization gave up. *)
 let key (q : query) = Option.map (fun c -> c.Decide.key) q.canon
 
 (* Build (or fetch from the plan cache) the product over the evaluated
    automaton, or over its reversal; the boolean reports a plan-cache
-   hit.  [None] when statically empty.  Without analysis only the
-   forward product exists: the untrimmed Thompson automaton of the
-   original expression, exactly the pre-analyzer path. *)
+   hit.  [None] when statically empty. *)
 let build (q : query) ~reverse =
   let budget = q.budget in
-  match (q.report, q.eval) with
-  | None, _ -> if reverse then None else Some (Product.create ?budget q.inst q.regex, false)
-  | Some _, None -> None
-  | Some _, Some (regex, nfa) -> (
+  Option.map
+    (fun (regex, nfa) ->
       let create () =
         if reverse then Product.create ?budget ~nfa:(Nfa.reverse nfa) q.inst (Regex.reverse regex)
         else Product.create ?budget ~nfa q.inst regex
@@ -145,12 +128,13 @@ let build (q : query) ~reverse =
       | Some c when cacheable budget -> (
           let key = if reverse then c.Decide.key ^ "|rev" else c.Decide.key in
           match Semcache.find_product q.inst ~key with
-          | Some p -> Some (p, true)
+          | Some p -> (p, true)
           | None ->
               let p = create () in
               Semcache.store_product q.inst ~key p;
-              Some (p, false))
-      | _ -> Some (create (), false))
+              (p, false))
+      | _ -> (create (), false))
+    q.eval
 
 let product q = Option.map fst (build q ~reverse:false)
 let reversed q = Option.map fst (build q ~reverse:true)

@@ -1,7 +1,9 @@
 (** Bridge between the static analyzer and the product kernel: plans a
     query (prune, trim, canonicalize) before building the product.
-    With {!Gqkg_analysis.Analyze.enabled} off, reproduces the
-    pre-analyzer path exactly.
+    The minimized canonical automaton is evaluated when it is strictly
+    smaller than the trimmed one (identity-preserving otherwise), and
+    the semantic plan cache is keyed by canonical-automaton key.
+    Canonicalization gives up past a fixed cap of 256 states.
 
     The optional [budget] is attached to the built product, so every
     kernel downstream shares one cooperative resource budget. *)
@@ -14,16 +16,6 @@ type prep =
   | Ready of Product.t
 
 val prepare : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> prep
-
-(** Evaluate the minimized canonical automaton when it is strictly
-    smaller than the trimmed one (identity-preserving otherwise), and
-    key the semantic plan cache by canonical-automaton key. Default
-    [true]; [false] restores the pre-decision-procedure planner. *)
-val minimize : bool ref
-
-(** Deterministic state cap for planning-time canonicalization
-    (default 256); past it the query is evaluated untouched. *)
-val canon_max_states : int ref
 
 (** A query planned once — analysis and canonicalization done — whose
     products are built on demand. *)
@@ -40,16 +32,14 @@ val product : query -> Product.t option
 
 (** The product over the reversed evaluated automaton (plan-cached
     under [key|rev]): its runs from node b to node a are the forward
-    runs from a to b.  [None] when statically empty or when analysis is
-    off. *)
+    runs from a to b.  [None] when statically empty. *)
 val reversed : query -> Product.t option
 
 (** Everything [explain] wants to show about a plan. *)
 type plan = {
   prep : prep;
-  report : Gqkg_analysis.Analyze.report option;  (** [None]: analysis off *)
-  canon : Gqkg_analysis.Decide.canonical option;
-      (** canonical form, when minimization is on and within its cap *)
+  report : Gqkg_analysis.Analyze.report;
+  canon : Gqkg_analysis.Decide.canonical option;  (** canonical form, when within its cap *)
   minimized : bool;  (** canonical automaton substituted for evaluation *)
   plan_cache_hit : bool;  (** product served from the semantic plan cache *)
 }
@@ -57,8 +47,7 @@ type plan = {
 val prepare_explained : ?budget:Gqkg_util.Budget.t -> Snapshot.t -> Regex.t -> plan
 
 (** Canonical cache key of the query on this snapshot ([None] when
-    analysis/minimization is off, the query is statically empty, or
-    canonicalization gave up) — the Governor's result-cache key
+    the query is statically empty or canonicalization gave up) — the Governor's result-cache key
     ingredient. *)
 val semantic_key : Snapshot.t -> Regex.t -> string option
 

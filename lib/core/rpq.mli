@@ -66,9 +66,8 @@ type seed_counts = {
   forward_live : int;
   forward_candidates : int option;
       (** seed candidates walked; [None]: no candidate set, every node scanned *)
-  backward_live : int option;  (** [None]: no reversed product (analysis off) *)
-  backward_candidates : int option;
-      (** as [forward_candidates]; [None] too without a reversed product *)
+  backward_live : int option;  (** [None]: the budget tripped in the backward scan *)
+  backward_candidates : int option;  (** as [forward_candidates] *)
   direction : direction;  (** the direction {!eval_pairs} runs *)
 }
 

@@ -18,7 +18,6 @@ type stats = {
 
 type shape = Atom.t array * Gqkg_analysis.Decide.canonical option
 
-let enabled = ref true
 let plan_cap = 32
 let result_cap = 128
 let shape_cap = 64
@@ -61,28 +60,24 @@ let rec assoc key = function
 let rec take n = function [] -> [] | _ when n <= 0 -> [] | x :: rest -> x :: take (n - 1) rest
 
 let find id hits misses s key =
-  if not !enabled then None
-  else
-    match assoc key (Atomic.get (cache s id)) with
-    | Some v ->
-        Atomic.incr hits;
-        Some v
-    | None ->
-        Atomic.incr misses;
-        None
+  match assoc key (Atomic.get (cache s id)) with
+  | Some v ->
+      Atomic.incr hits;
+      Some v
+  | None ->
+      Atomic.incr misses;
+      None
 
 let store id cap s key v =
-  if !enabled then begin
-    let entries = cache s id in
-    let rec insert () =
-      let seen = Atomic.get entries in
-      if
-        Option.is_none (assoc key seen)
-        && not (Atomic.compare_and_set entries seen ((key, v) :: take (cap - 1) seen))
-      then insert ()
-    in
-    insert ()
-  end
+  let entries = cache s id in
+  let rec insert () =
+    let seen = Atomic.get entries in
+    if
+      Option.is_none (assoc key seen)
+      && not (Atomic.compare_and_set entries seen ((key, v) :: take (cap - 1) seen))
+    then insert ()
+  in
+  insert ()
 
 let find_product s ~key = find plans plan_hits plan_misses s key
 let store_product s ~key p = store plans plan_cap s key p

@@ -30,13 +30,9 @@ type stats = {
   shape_misses : int;
 }
 
-(** Master switch; [false] makes every lookup miss silently (no
-    counter movement) and every store a no-op. Default [true]. *)
-val enabled : bool ref
-
 val stats : unit -> stats
 
-(** Zero the hit/miss counters (tests, bench A/B runs). Entries stay:
+(** Zero the hit/miss counters (tests). Entries stay:
     a fresh snapshot starts with empty caches. *)
 val reset : unit -> unit
 

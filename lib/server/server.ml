@@ -281,20 +281,23 @@ let handle_count t req ~id =
    semantics.  [writer_lock] serializes writers so every overlay is
    built on the current epoch (Epochs.commit enforces it). *)
 let handle_mutate t req ~id =
+  (* Every element must be a string: a non-string is refused by its
+     index in the array as sent, before anything is applied. *)
+  let rec script i acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: rest -> (
+        match Jsonx.str v with
+        | Some line -> script (i + 1) (line :: acc) rest
+        | None -> Error (Printf.sprintf "ops[%d] is not a string script line" i))
+  in
   let ops =
     match Jsonx.member "ops" req with
-    | Some (Jsonx.Arr items) ->
-        Some
-          (List.filter_map
-             (fun v -> match Jsonx.str v with Some s -> Some s | None -> None)
-             items)
-    | _ -> None
+    | Some (Jsonx.Arr items) -> script 0 [] items
+    | _ -> Error {|mutate needs an "ops" array of script lines|}
   in
   match ops with
-  | None ->
-      error_json ~id ~code:"GQ062"
-        ~message:{|mutate needs an "ops" array of script lines|} ()
-  | Some lines ->
+  | Error message -> error_json ~id ~code:"GQ062" ~message ()
+  | Ok lines ->
       Mutex.lock t.writer_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.writer_lock)

@@ -37,7 +37,6 @@ let max_workers = 7
 let pool_lock = Mutex.create ()
 let free : worker list ref = ref []
 let live = ref 0
-let spawned_counter = Atomic.make 0
 
 let worker_loop w =
   let rec loop () =
@@ -58,7 +57,6 @@ let worker_loop w =
 let spawn_worker () =
   let w = { lock = Mutex.create (); cond = Condition.create (); job = None } in
   ignore (Domain.spawn (fun () -> worker_loop w) : unit Domain.t);
-  Atomic.incr spawned_counter;
   w
 
 (* Pop up to [want] parked workers, spawning fresh ones while under the
@@ -92,14 +90,6 @@ let release ws =
     free := List.rev_append ws !free;
     Mutex.unlock pool_lock
   end
-
-let ensure_workers n =
-  let n = min (max 0 n) max_workers in
-  let extra = acquire n in
-  release extra
-
-let live_workers () = !live
-let spawned_total () = Atomic.get spawned_counter
 
 let dispatch w thunk =
   Mutex.lock w.lock;

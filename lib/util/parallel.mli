@@ -43,17 +43,3 @@ val map_reduce :
 
 (** Element-wise sum of [partial] into [into]; returns [into]. *)
 val sum_float_arrays : into:float array -> float array -> float array
-
-(** {1 Pool introspection and warm-up} *)
-
-(** Pre-spawn up to [n] parked workers (clamped to the pool cap) so the
-    first timed join does not pay domain-spawn latency — bench harness
-    warm-up. *)
-val ensure_workers : int -> unit
-
-(** Workers currently alive (parked or running). *)
-val live_workers : unit -> int
-
-(** Total domains ever spawned by the pool — stays flat across repeated
-    joins once the pool is warm. *)
-val spawned_total : unit -> int

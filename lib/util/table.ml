@@ -1,5 +1,5 @@
-(* Plain-text table rendering for the benchmark harness: the bench binary
-   prints every reproduced figure/table as an aligned ASCII table. *)
+(* Plain-text table rendering: the examples print their reproduced
+   figures and tables as aligned ASCII tables. *)
 
 type align = Left | Right
 
@@ -57,12 +57,8 @@ let render t =
 
 let print t = print_string (render t)
 
-let section title =
-  let bar = String.make (String.length title + 4) '=' in
-  Printf.printf "\n%s\n= %s =\n%s\n" bar title bar
-
-(* Minimal ASCII line charts: the benchmark harness renders reproduced
-   figures as rows of scaled bars, one series per row group. *)
+(* Minimal ASCII line charts: a reproduced figure as rows of scaled
+   bars, one series per row group. *)
 let bar_chart ?(width = 50) series =
   let buf = Buffer.create 512 in
   let peak =

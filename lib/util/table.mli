@@ -1,4 +1,4 @@
-(** Aligned ASCII table rendering for the benchmark harness. *)
+(** Aligned ASCII table rendering for the examples. *)
 
 type align = Left | Right
 type t
@@ -12,9 +12,6 @@ val add_row : t -> string list -> unit
 val add_rowf : t -> string list -> unit
 val render : t -> string
 val print : t -> unit
-
-(** Print a banner introducing a bench/experiment section. *)
-val section : string -> unit
 
 (** ASCII bar chart: one group per (series name, (x-label, value) list),
     bars scaled to the global maximum. *)

@@ -7,7 +7,8 @@
    - lint diagnostics (vocabulary misses, suggestions, codes);
    - the two acceptance properties of the analyzer: statically-empty
      queries are answered without interning a single product state, and
-     evaluation with analysis on/off is observationally identical. *)
+     planned evaluation answers exactly as the naive reference
+     evaluator does. *)
 
 open Gqkg_graph
 open Gqkg_automata
@@ -24,11 +25,6 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
-
-let with_analysis flag f =
-  let old = !Analyze.enabled in
-  Analyze.enabled := flag;
-  Fun.protect ~finally:(fun () -> Analyze.enabled := old) f
 
 let contact () =
   Gqkg_workload.Contact_network.scaled (Gqkg_util.Splitmix.create 11) ~scale:1
@@ -188,11 +184,9 @@ let test_backward_direction_chosen_and_correct () =
       checkb "fewer backward seeds" true
         (match c.Rpq.backward_live with Some b -> b < c.Rpq.forward_live | None -> false)
   | None -> Alcotest.fail "expected a live query");
-  let run () = List.sort compare (Rpq.eval_pairs inst ~max_length:3 r) in
-  let on = with_analysis true run in
-  let off = with_analysis false run in
-  checkb "reversed evaluation identical" true (on = off);
-  checkb "nonempty" true (on <> [])
+  let pairs = List.sort compare (Rpq.eval_pairs inst ~max_length:3 r) in
+  checkb "reversed evaluation = naive pairs" true (pairs = Naive.pairs inst r ~max_length:3);
+  checkb "nonempty" true (pairs <> [])
 
 (* The served cold-read shape: a selective Prop-tested start that the
    static estimate cannot see (it assumes the age check passes and
@@ -285,23 +279,23 @@ let prop_reverse_semantics =
       let bwd = Rpq.eval_pairs inst ~max_length:3 (Regex.reverse r) in
       List.sort compare (List.map (fun (a, b) -> (b, a)) bwd) = List.sort compare fwd)
 
-(* ---------- Analysis on/off equivalence ---------- *)
+(* ---------- Planned answers against the naive oracle ---------- *)
 
-let prop_analysis_equivalent =
-  QCheck2.Test.make ~name:"analysis on/off: identical answers" ~count:150 regex_and_graph_gen
+let prop_planned_equals_naive =
+  QCheck2.Test.make ~name:"planned answers = naive oracle" ~count:150 regex_and_graph_gen
     (fun (g, rseed) ->
       let inst = make_instance g in
       let r = make_regex rseed in
-      let run () =
-        let pairs = List.sort compare (Rpq.eval_pairs inst ~max_length:3 r) in
-        let counts = List.map (fun k -> Count.count inst r ~length:k) [ 0; 1; 2; 3 ] in
-        let paths = Enumerate.paths inst r ~length:2 |> List.sort Path.compare in
-        let sources = List.sort compare (Rpq.source_nodes inst ~max_length:3 r) in
-        (pairs, counts, paths, sources)
-      in
-      let p1, c1, e1, s1 = with_analysis true run in
-      let p2, c2, e2, s2 = with_analysis false run in
-      p1 = p2 && c1 = c2 && s1 = s2 && List.equal Path.equal e1 e2)
+      let pairs = List.sort compare (Rpq.eval_pairs inst ~max_length:3 r) in
+      let counts = List.map (fun k -> Count.count inst r ~length:k) [ 0; 1; 2; 3 ] in
+      let paths = Enumerate.paths inst r ~length:2 |> List.sort Path.compare in
+      let sources = List.sort compare (Rpq.source_nodes inst ~max_length:3 r) in
+      let naive_pairs = Naive.pairs inst r ~max_length:3 in
+      pairs = naive_pairs
+      && counts = List.map (fun k -> float_of_int (Naive.count inst r ~length:k)) [ 0; 1; 2; 3 ]
+      && List.equal Path.equal paths
+           (List.filter (fun p -> Path.length p = 2) (Naive.paths inst r ~max_length:2))
+      && sources = List.sort_uniq compare (List.map fst naive_pairs))
 
 (* ---------- Instance oracle: postings against a scan ---------- *)
 
@@ -403,7 +397,7 @@ let () =
           [
             prop_reverse_involution;
             prop_reverse_semantics;
-            prop_analysis_equivalent;
+            prop_planned_equals_naive;
             prop_plan_matches_scan_oracle;
           ] );
     ]

@@ -7,8 +7,8 @@
    - witness soundness: a [False] containment's witness path, rebuilt
      as a concrete line snapshot, matches r1 but not r2;
    - answer-set soundness of [True] verdicts on random snapshots;
-   - minimized plans bit-identical to unminimized across the batched
-     frontier path (including past the 63-source word boundary);
+   - minimized plans answer as the naive reference evaluator across the
+     batched frontier path (including past the 63-source word boundary);
    - schema consistency: out-of-vocabulary labels never read as
      "subsumed" (GQ050), matching the GQ0xx interpretation;
    - budget degradation: procedures return Unknown / None, never raise
@@ -29,11 +29,6 @@ let parse = Regex_parser.parse
 let is_true = function Decide.True -> true | _ -> false
 let is_false = function Decide.False -> true | _ -> false
 let is_unknown = function Decide.Unknown _ -> true | _ -> false
-
-let with_minimize flag f =
-  let old = !Planner.minimize in
-  Planner.minimize := flag;
-  Fun.protect ~finally:(fun () -> Planner.minimize := old) f
 
 (* ---------- Verdicts on known pairs ---------- *)
 
@@ -263,13 +258,6 @@ let test_planner_minimize () =
   let plan2 = Planner.prepare_explained inst (parse "x") in
   checkb "identity preserved" false plan2.Planner.minimized
 
-let test_planner_minimize_off () =
-  let inst = xy_instance 8 10 20 in
-  with_minimize false (fun () ->
-      let plan = Planner.prepare_explained inst (parse "(((x + y))* + (x)*)") in
-      checkb "no canon when off" true (plan.Planner.canon = None);
-      checkb "not minimized when off" false plan.Planner.minimized)
-
 (* ---------- Semantic cache ---------- *)
 
 let test_cache_hit_and_equivalence () =
@@ -468,18 +456,14 @@ let test_shape_cache_cold_reads () =
     (instantiated_equals_fresh_on (Snapshot.of_vector vg) (Snapshot.of_vector vg) (branches "2")
        (branches "_|_"));
   (* the state cap is part of the shape: under a cap of 1 state the
-     same query gives up, although its form under the default cap is
-     cached *)
-  let warm = Snapshot.of_property pw in
-  ignore (Planner.plan warm (split 1 2));
-  let cap = !Planner.canon_max_states in
-  Planner.canon_max_states := 1;
-  let gave_up =
-    Fun.protect
-      ~finally:(fun () -> Planner.canon_max_states := cap)
-      (fun () -> Planner.key (Planner.plan warm (split 1 2)) = None)
+     same automaton gives up, so its shape key must differ from the one
+     under the planner's cap of 256 *)
+  let nfa =
+    Option.get (Gqkg_analysis.Analyze.plan (Snapshot.of_property pw) (split 1 2)).nfa
   in
-  checkb "state cap in the shape" true gave_up;
+  checkb "cap 1 gives up" true (Decide.canonicalize_nfa ~max_states:1 nfa = None);
+  checkb "state cap in the shape" true
+    (snd (Decide.shape ~max_states:1 nfa) <> snd (Decide.shape ~max_states:256 nfa));
   (* over random queries, some renamings meet their original's shape *)
   Semcache.reset ();
   let pg = pw_graph 1 in
@@ -545,8 +529,8 @@ let prop_contains_answers =
       | Decide.False, None -> false (* label-pure alphabet: witness must exist *)
       | Decide.Unknown _, _ -> QCheck2.assume_fail ())
 
-let prop_minimized_plan_identical =
-  QCheck2.Test.make ~name:"minimize on/off: identical answers (batched path)" ~count:80
+let prop_minimized_plan_naive =
+  QCheck2.Test.make ~name:"minimized plan = naive oracle (batched path)" ~count:80
     QCheck2.Gen.(
       let* rseed = int_bound 1_000_000 in
       let* gseed = int_bound 1_000_000 in
@@ -557,14 +541,15 @@ let prop_minimized_plan_identical =
       let r = make_regex rseed in
       let inst = xy_instance gseed nodes edges in
       let sources = Array.init inst.Snapshot.num_nodes Fun.id in
-      let run () =
-        ( Rpq.eval_pairs inst ~max_length:4 r,
-          Rpq.reachable_many inst r ~sources,
-          Rpq.source_nodes inst r )
+      let naive = Naive.pairs inst r ~max_length:4 in
+      let reachable =
+        Rpq.reachable_many ~max_length:4 inst r ~sources
+        |> Array.mapi (fun a bs -> List.map (fun b -> (a, b)) bs)
+        |> Array.to_list |> List.concat
       in
-      let p1, m1, s1 = with_minimize true run in
-      let p2, m2, s2 = with_minimize false run in
-      p1 = p2 && m1 = m2 && s1 = s2)
+      Rpq.eval_pairs inst ~max_length:4 r = naive
+      && reachable = naive
+      && Rpq.source_nodes ~max_length:4 inst r = List.sort_uniq compare (List.map fst naive))
 
 let prop_semantic_cache_equivalent =
   let rec alt_swap r =
@@ -627,7 +612,6 @@ let () =
       ( "planner",
         [
           Alcotest.test_case "minimized substitution" `Quick test_planner_minimize;
-          Alcotest.test_case "minimize off" `Quick test_planner_minimize_off;
         ] );
       ( "cache",
         [
@@ -641,7 +625,7 @@ let () =
           [
             prop_canonical_equiv;
             prop_contains_answers;
-            prop_minimized_plan_identical;
+            prop_minimized_plan_naive;
             prop_shape_instantiation;
             prop_semantic_cache_equivalent;
           ] );

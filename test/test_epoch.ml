@@ -203,13 +203,6 @@ let prop_model_equiv =
 
 let test_readers_never_block () =
   Semcache.reset ();
-  let saved_cache = !Semcache.enabled and saved_analysis = !Gqkg_analysis.Analyze.enabled in
-  Semcache.enabled := true;
-  Gqkg_analysis.Analyze.enabled := true;
-  Fun.protect ~finally:(fun () ->
-      Semcache.enabled := saved_cache;
-      Gqkg_analysis.Analyze.enabled := saved_analysis)
-  @@ fun () ->
   let base_ops =
     [
       Mutation.Add_node { id = c "a"; label = c "person" };

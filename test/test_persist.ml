@@ -2,7 +2,8 @@
    round-trip every model-observable answer (save -> load -> the same
    name-level results for label-only queries), renumbering must be
    answer-invariant bit-for-bit, the CSR of a loaded snapshot must agree
-   with a naive scan of its endpoint columns, the partitioned adjacency
+   with a naive scan of its endpoint columns (and a degree gather through
+   it must not change across layouts), the partitioned adjacency
    must cover every edge exactly once, and corrupt files must raise
    [Snapshot_io.Corrupt] — never escape as a crash. *)
 
@@ -42,6 +43,19 @@ let with_temp_gqs f =
   let path = Filename.temp_file "gqkg_test" ".gqs" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
 
+(* The sum over edges of the target's out-degree, read through the CSR
+   neighbour column: invariant under any node renumbering. *)
+let degree_gather (s : Snapshot.t) =
+  let off = s.Snapshot.out_off and nbr = s.Snapshot.out_nbr in
+  let acc = ref 0 in
+  for v = 0 to s.Snapshot.num_nodes - 1 do
+    for i = off.(v) to off.(v + 1) - 1 do
+      let w = nbr.(i) in
+      acc := !acc + off.(w + 1) - off.(w)
+    done
+  done;
+  !acc
+
 (* ---------- QCheck: save -> load round trip ---------- *)
 
 let prop_roundtrip =
@@ -77,6 +91,7 @@ let prop_roundtrip_renumbered =
               checkb "stored permutation matches" true
                 (p.Renumber.old_of_new = perm.Renumber.old_of_new)
           | None -> checkb "identity permutation elided" true (Renumber.is_identity perm));
+          checki "degree gather" (degree_gather s) (degree_gather loaded);
           List.iter
             (fun r -> checkb "answers" true (answers s r = answers loaded r))
             probe_queries;

@@ -244,6 +244,36 @@ let test_budget_degradation () =
      String.length code = 5 && String.sub code 0 4 = "GQ03");
   ignore mgr
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_mutate_non_string_op () =
+  (* a non-string script line refuses the whole request with GQ062,
+     naming the element's index in the array as sent, and commits
+     nothing — neither the string ops around it nor an epoch *)
+  let mgr, srv = start_server Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let epoch0 = (Epochs.snapshot mgr).Snapshot.epoch in
+  let refused line index =
+    let r = rpc c line in
+    checkb "refused" false (obj_bool "ok" r);
+    checkb "GQ062" true (obj_str "code" r = "GQ062");
+    checkb ("names " ^ index) true (contains ~sub:index (obj_str "message" r))
+  in
+  refused {|{"op":"mutate","ops":["node nsa person", 42]}|} "ops[1]";
+  refused {|{"op":"mutate","ops":[null, "edge nse1 nsa missing rides"]}|} "ops[0]";
+  refused
+    {|{"op":"mutate","ops":["node nsb person", {"line":"node nsc person"}, "node nsd person"]}|}
+    "ops[1]";
+  checki "no epoch committed" epoch0 (Epochs.snapshot mgr).Snapshot.epoch;
+  let m = rpc c {|{"op":"mutate","ops":["node nsa person"]}|} in
+  checkb "all-string ops still commit" true (obj_bool "ok" m);
+  checkb "new epoch" true (obj_num "epoch" m > float_of_int epoch0)
+
 (* ---------- Wire-protocol fuzz ---------- *)
 
 (* Shared across QCheck samples: one server, one connection.  Each
@@ -343,6 +373,67 @@ let test_fuzz_env_drain () =
   Server.stop srv;
   checki "no pins after fuzz" 0 (Epochs.pins mgr);
   checki "one live epoch" 1 (List.length (Epochs.live_epochs mgr))
+
+(* ---------- Saturation ---------- *)
+
+(* Concurrent clients over loopback, each mixing queries, mutations and
+   pings one request at a time, without fault injection: every reply is
+   a successful answer, and the drain that follows leaves no pinned
+   epoch and exactly one live one. *)
+let test_saturation_drain () =
+  let pg = Gqkg_workload.Contact_network.scaled (Gqkg_util.Splitmix.create 1800) ~scale:2 in
+  let mgr = Epochs.create (Overlay.base_of_property pg) in
+  let config =
+    {
+      Server.default_config with
+      workers = 4;
+      queue_depth = 32;
+      per_client_depth = 8;
+      default_timeout_ms = Some 5_000;
+    }
+  in
+  let nodes0 = (Epochs.snapshot mgr).Snapshot.num_nodes in
+  let srv = Server.start ~port:0 ~config mgr in
+  let port = Server.port srv in
+  let n_clients = 4 and n_requests = 60 in
+  let queries = [| "rides"; "rides/route*"; "lives/lives^-"; "(contact)*"; "contact/contact" |] in
+  let failures = Atomic.make 0 and mutations = Atomic.make 0 in
+  let client_thread k =
+    let rng = Gqkg_util.Splitmix.create (1800 + k) in
+    let c = connect port in
+    for j = 1 to n_requests do
+      let roll = Gqkg_util.Splitmix.int rng 12 in
+      let line =
+        if roll = 0 then begin
+          Atomic.incr mutations;
+          Printf.sprintf {|{"op":"mutate","ops":["node bs%dn%d person"]}|} k j
+        end
+        else if roll = 1 then {|{"op":"ping"}|}
+        else
+          Printf.sprintf {|{"op":"query","q":"%s"}|}
+            queries.(Gqkg_util.Splitmix.int rng (Array.length queries))
+      in
+      match
+        send c line;
+        Jsonx.parse (recv_line c)
+      with
+      | Ok v when Jsonx.member "ok" v = Some (Jsonx.Bool true) -> ()
+      | Ok _ | Error _ -> Atomic.incr failures
+      | exception (Closed | Unix.Unix_error _) -> Atomic.incr failures
+    done;
+    close c
+  in
+  let threads = List.init n_clients (fun k -> Thread.create client_thread k) in
+  List.iter Thread.join threads;
+  let m = Server.metrics srv in
+  Server.stop srv;
+  checki "no failed reply" 0 (Atomic.get failures);
+  checkb "every request answered" true
+    (obj_num "responses" m >= float_of_int (n_clients * n_requests));
+  checki "every mutation committed" (nodes0 + Atomic.get mutations)
+    (Epochs.snapshot mgr).Snapshot.num_nodes;
+  checki "no pinned epochs after drain" 0 (Epochs.pins mgr);
+  checki "exactly one live epoch" 1 (List.length (Epochs.live_epochs mgr))
 
 (* ---------- Load shedding ---------- *)
 
@@ -507,6 +598,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_protocol_basics;
           Alcotest.test_case "budget degradation" `Quick test_budget_degradation;
+          Alcotest.test_case "mutate non-string op" `Quick test_mutate_non_string_op;
         ] );
       ( "wire fuzz",
         q [ prop_wire_fuzz ]
@@ -516,6 +608,10 @@ let () =
             Alcotest.test_case "idle close" `Quick test_idle_close;
             Alcotest.test_case "fuzz drain leak-free" `Quick test_fuzz_env_drain;
           ] );
-      ("overload", [ Alcotest.test_case "load shedding" `Quick test_load_shedding ]);
+      ( "overload",
+        [
+          Alcotest.test_case "load shedding" `Quick test_load_shedding;
+          Alcotest.test_case "saturation drain" `Quick test_saturation_drain;
+        ] );
       ("soak", [ Alcotest.test_case "fault-injected soak" `Quick test_soak ]);
     ]
