@@ -657,7 +657,7 @@ let explain_cmd =
         | Planner.Empty ->
             Printf.printf "on %s: 0 product states materialized, 0 answer pairs\n" path
         | Planner.Ready product ->
-            ignore (Product.levels product ~depth:8);
+            ignore (Product.reach product ~depth:8);
             let batches0 = Gqkg_core.Frontier.batches_total () in
             let td0 = Gqkg_core.Frontier.top_down_levels_total () in
             let bu0 = Gqkg_core.Frontier.bottom_up_levels_total () in

@@ -22,20 +22,8 @@ type table = {
    need ratios, not exact big integers; an exact int variant is exposed
    separately for small counts. *)
 let build product ~depth =
-  (* Materialize every state reachable within [depth] steps from any start. *)
-  let levels = Product.levels product ~depth in
-  let seen = Gqkg_util.Bitset.create () in
-  let ids = ref [] and count = ref 0 in
-  Array.iter
-    (List.iter (fun id ->
-         if not (Gqkg_util.Bitset.mem seen id) then begin
-           Gqkg_util.Bitset.add seen id;
-           ids := id :: !ids;
-           incr count
-         end))
-    levels;
-  let state_ids = Array.of_list (List.rev !ids) in
-  let n = !count in
+  let state_ids = Product.reach product ~depth in
+  let n = Array.length state_ids in
   (* Expand every table state up front so all successor ids — including
      those just beyond the materialized horizon — are interned before the
      dense index is sized; out-of-horizon successors keep index -1. *)

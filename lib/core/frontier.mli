@@ -50,7 +50,7 @@ val run_batch :
 (** RPQ reachability for arbitrarily many sources, sliced internally
     into {!word_bits}-wide batches: [result.(i)] is the sorted list of
     nodes at accepting product states reached from [sources.(i)] —
-    elementwise equal to per-source {!Rpq.reachable_from_product}. *)
+    elementwise equal to a per-source breadth-first search of the product. *)
 val reachable :
   ?direction:direction -> ?max_length:int -> t -> sources:int array -> int list array
 

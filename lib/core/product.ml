@@ -80,8 +80,6 @@ module Imap = struct
     done;
     if keys.(!i) = key then m.vals.(!i) else -1
 
-  (* First write wins (matching Hashtbl.add semantics for fresh keys;
-     concurrent phases only ever insert the same value for a key). *)
   let rec add m key v =
     let cap = Array.length m.keys in
     if 4 * (m.size + 1) > 3 * cap then begin
@@ -292,9 +290,6 @@ let close_at p w seeds =
         | '\002' -> false
         | _ ->
             let r = Regex.eval_test (p.inst.Snapshot.node_atom w) t in
-            (* Concurrent expanders may race here, but they write the
-               same (deterministic) byte, so a lost update only costs a
-               recomputation. *)
             Bytes.unsafe_set p.check_cache (base + idx) (if r then '\001' else '\002');
             r)
   end
@@ -403,17 +398,6 @@ let start_state p node =
         p.start_id.(node) <- id;
         Some id
 
-(* Result of considering one edge during expansion: either the memo
-   already knows the successor id, or a freshly closed target set that
-   [commit_moves] will intern (with the memo key to record, when the
-   step was label-pure). *)
-type computed_move =
-  | Hit of int * int (* edge, successor state id *)
-  | Fresh of int * int * int * int array (* edge, node, memo key, closed set *)
-  | Fresh_raw of int * int * int array (* edge, node, closed set *)
-
-let move_edge_id = function Hit (e, _) | Fresh (e, _, _, _) | Fresh_raw (e, _, _) -> e
-
 (* Direction codes packed into memo keys; self-loops merge both
    directions into one move, hence the third code. *)
 let c_fwd = 0
@@ -421,175 +405,13 @@ let c_fwd = 0
 let c_bwd = 1
 let c_both = 2
 
-(* Compute the moves of a state without writing any shared mutable
-   kernel structure (memos and seed caches are written only with
-   [cache_write], which the concurrent phase of [levels] turns off), so
-   frontier states can be expanded concurrently.  Returns the moves
-   sorted by edge id — the deterministic move order — plus the memo keys
-   of steps that provably yield no move. *)
-let compute_moves ?(cache_write = true) p id =
-  let v = Dyn.get p.state_node id in
-  let sid = Dyn.get p.state_set id in
-  let flags = Dyn.get p.set_flags sid in
-  let has_fwd = flags land f_fwd <> 0 and has_bwd = flags land f_bwd <> 0 in
-  if not (has_fwd || has_bwd) then []
-  else begin
-    let has_genf = flags land f_genf <> 0 and has_genb = flags land f_genb <> 0 in
-    let members = Dyn.get p.set_members sid in
-    let seed_cache = Dyn.get p.set_seed_cache sid in
-    let memo = Dyn.get p.set_memo sid in
-    let moves = ref [] in
-    let null_seed = Array.make p.words 0 in
-    (* Union of the label-pure targets of all members over label [l];
-       the result is shared (cached per set) — do not mutate. *)
-    let pure_seed d l ~fwd =
-      let idx = if fwd then l else d.num_labels + l in
-      match seed_cache.(idx) with
-      | Some ws -> ws
-      | None ->
-          let tbl = if fwd then d.pure_fwd else d.pure_bwd in
-          let ws = Array.make p.words 0 in
-          Array.iter
-            (fun q -> Array.iter (fun q' -> B.raw_add ws q') tbl.((q * d.num_labels) + l))
-            members;
-          if cache_write then seed_cache.(idx) <- Some ws;
-          ws
-    in
-    let add_generic seeds tbl edge_sat =
-      Array.iter
-        (fun q ->
-          Array.iter (fun (t, q') -> if Regex.eval_test edge_sat t then B.raw_add seeds q') tbl.(q))
-        members
-    in
-    (* Generic fallback for steps that depend on more than the edge
-       label: build the seed set per edge and close it. *)
-    let consider_generic e w ~fwd ~both =
-      let seeds = Array.make p.words 0 in
-      let add ~fwd =
-        if if fwd then has_fwd else has_bwd then begin
-          (match p.labels with
-          | Some d -> B.raw_union_into ~into:seeds (pure_seed d p.inst.Snapshot.elabel.(e) ~fwd)
-          | None -> ());
-          if if fwd then has_genf else has_genb then
-            add_generic seeds (if fwd then p.gen_fwd else p.gen_bwd) (p.inst.Snapshot.edge_atom e)
-        end
-      in
-      add ~fwd;
-      if both then add ~fwd:(not fwd);
-      if not (B.raw_is_empty seeds) then begin
-        close_at p w seeds;
-        moves := Fresh_raw (e, w, seeds) :: !moves
-      end
-    in
-    (* Label-pure step: the successor is a function of (set, label,
-       direction, destination) — consult / feed the per-set memo.  The
-       cached seed sets are checked first: an empty seed set means no
-       edge with this label moves anywhere, whatever the destination. *)
-    let consider_pure d e w ~code =
-      let l = p.inst.Snapshot.elabel.(e) in
-      let sf = if has_fwd && code <> c_bwd then pure_seed d l ~fwd:true else null_seed in
-      let sb = if has_bwd && code <> c_fwd then pure_seed d l ~fwd:false else null_seed in
-      let ef = B.raw_is_empty sf and eb = B.raw_is_empty sb in
-      if not (ef && eb) then begin
-        let key = (((w * d.num_labels) + l) * 3) + code in
-        let hit = Imap.find memo key in
-        if hit >= 0 then moves := Hit (e, hit) :: !moves
-        else begin
-            let seeds =
-              if eb then Array.copy sf
-              else if ef then Array.copy sb
-              else begin
-                let s = Array.copy sf in
-                B.raw_union_into ~into:s sb;
-                s
-              end
-            in
-            close_at p w seeds;
-            moves := Fresh (e, w, key, seeds) :: !moves
-        end
-      end
-    in
-    (* A self-loop appears in both adjacency lists; it is handled once,
-       in the out pass, with both directions merged into the single move
-       — hence out_edges must be scanned even when only backward moves
-       exist. *)
-    let g = p.inst in
-    let out_off = g.Snapshot.out_off and out_eid = g.Snapshot.out_eid in
-    let out_nbr = g.Snapshot.out_nbr in
-    let in_off = g.Snapshot.in_off and in_eid = g.Snapshot.in_eid in
-    let in_nbr = g.Snapshot.in_nbr in
-    (match p.labels with
-    | Some d ->
-        let pure_out = not has_genf and pure_in = not has_genb in
-        for i = out_off.(v) to out_off.(v + 1) - 1 do
-          let e = out_eid.(i) and w = out_nbr.(i) in
-          if w = v then
-            if pure_out && pure_in then consider_pure d e w ~code:c_both
-            else consider_generic e w ~fwd:true ~both:true
-          else if has_fwd || has_genf then
-            if pure_out then consider_pure d e w ~code:c_fwd
-            else consider_generic e w ~fwd:true ~both:false
-        done;
-        if has_bwd then
-          for i = in_off.(v) to in_off.(v + 1) - 1 do
-            let e = in_eid.(i) and u = in_nbr.(i) in
-            if u <> v then
-              if pure_in then consider_pure d e u ~code:c_bwd
-              else consider_generic e u ~fwd:false ~both:false
-          done
-    | None ->
-        for i = out_off.(v) to out_off.(v + 1) - 1 do
-          let e = out_eid.(i) and w = out_nbr.(i) in
-          consider_generic e w ~fwd:true ~both:(w = v)
-        done;
-        if has_bwd then
-          for i = in_off.(v) to in_off.(v + 1) - 1 do
-            let e = in_eid.(i) and u = in_nbr.(i) in
-            if u <> v then consider_generic e u ~fwd:false ~both:false
-          done);
-    (* Deterministic order: sort by edge id (unique per move). *)
-    List.sort (fun m1 m2 -> Int.compare (move_edge_id m1) (move_edge_id m2)) !moves
-  end
-
-(* Intern the computed moves, record memo outcomes, and append the moves
-   to the CSR buffer. *)
-let commit_moves p id moves =
-  let memo = Dyn.get p.set_memo (Dyn.get p.state_set id) in
-  let n = List.length moves in
-  let off = p.data_len in
-  if off + (2 * n) > Array.length p.succ_data then begin
-    let bigger = Array.make (max (2 * Array.length p.succ_data) (off + (2 * n))) 0 in
-    Array.blit p.succ_data 0 bigger 0 p.data_len;
-    p.succ_data <- bigger
-  end;
-  List.iter
-    (fun m ->
-      let e, succ =
-        match m with
-        | Hit (e, succ) -> (e, succ)
-        | Fresh (e, w, key, closed) ->
-            let succ = intern_state p w (intern_set p closed) in
-            if Imap.find memo key < 0 then Imap.add memo key succ;
-            (e, succ)
-        | Fresh_raw (e, w, closed) -> (e, intern_state p w (intern_set p closed))
-      in
-      p.succ_data.(p.data_len) <- e;
-      p.succ_data.(p.data_len + 1) <- succ;
-      p.data_len <- p.data_len + 2)
-    moves;
-  p.succ_off.(id) <- off;
-  p.succ_len.(id) <- n
-
-(* --- Sequential expansion fast path ------------------------------------
+(* --- Expansion ------------------------------------------------------------
 
    Resolve each edge and append the move straight into the CSR buffer —
    no intermediate move list, and memo entries become visible to later
    edges of the same expansion.  Helpers are top-level functions taking
    explicit arguments (not closures) to keep the per-expansion
-   allocation near zero.  Must stay semantically in line with
-   [compute_moves] + [commit_moves] (the two-phase pair used by the
-   concurrent [levels] expansion): both produce the same successors in
-   the same ascending-edge order. *)
+   allocation near zero. *)
 
 let emit p e succ =
   if p.data_len + 2 > Array.length p.succ_data then begin
@@ -945,71 +767,38 @@ let iter_successors p id f =
 let is_expanded p id = p.succ_off.(id) >= 0
 let moves_total p = p.data_len / 2
 
-(* Breadth-first materialization of the states reachable within [depth]
-   steps from every node's start state.  Returns the per-level state-id
-   sets (level.(i) = ids reachable by paths of length exactly i; a state
-   can appear in several levels).
-
-   With [domains > 1], each level's unexpanded frontier states are
-   expanded concurrently in two phases: phase A computes every state's
-   moves with [compute_moves ~cache_write:false] (shared structures are
-   only read), then phase B interns them sequentially in frontier order,
-   so ids and levels are identical to a sequential run. *)
-let levels ?domains p ~depth =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Gqkg_util.Parallel.default_domains ()
+(* Breadth-first materialization of the states reachable from any
+   node's start state within [depth] moves, in first-reached order.
+   Budget check site: once per BFS layer, before expanding it.  Stopping
+   early drops the deeper layers — a subset of the unbudgeted result, so
+   downstream counts and enumerations only shrink. *)
+let reach p ~depth =
+  let seen = B.create ~capacity:(num_states p) () in
+  let order = Dyn.create 0 in
+  let visit id =
+    if not (B.mem seen id) then begin
+      B.add seen id;
+      ignore (Dyn.push order id)
+    end
   in
-  let all_starts =
-    List.filter_map (start_state p) (List.init p.inst.Snapshot.num_nodes Fun.id)
-  in
-  let first = List.sort_uniq Int.compare all_starts in
-  let levels = Array.make (depth + 1) [] in
-  levels.(0) <- first;
-  let i = ref 1 in
-  let fixed = ref false in
-  (* Budget check site: once per level, before expanding the frontier.
-     Stopping early leaves the remaining levels empty — a subset of the
-     unbudgeted result, so downstream counts/enumerations only shrink. *)
+  for v = 0 to p.inst.Snapshot.num_nodes - 1 do
+    Option.iter visit (start_state p v)
+  done;
+  let layer = ref 0 and dist = ref 0 in
   while
-    (not !fixed) && !i <= depth
+    !dist < depth
+    && !layer < Dyn.length order
     &&
     (Gqkg_util.Budget.note_states p.budget (num_states p);
      not (Gqkg_util.Budget.check p.budget))
   do
-    let frontier = levels.(!i - 1) in
+    let next = Dyn.length order in
     if not (Gqkg_util.Budget.is_unlimited p.budget) then
-      Gqkg_util.Budget.charge_steps p.budget (List.length frontier);
-    (if domains > 1 then begin
-       let unexpanded = Array.of_list (List.filter (fun id -> p.succ_off.(id) < 0) frontier) in
-       if Array.length unexpanded >= 2 * domains then begin
-         let computed =
-           Gqkg_util.Parallel.map_slices ~domains (Array.length unexpanded) (fun first last ->
-               List.init (last - first) (fun k ->
-                   let id = unexpanded.(first + k) in
-                   (id, compute_moves ~cache_write:false p id)))
-         in
-         List.iter (List.iter (fun (id, moves) -> commit_moves p id moves)) computed
-       end
-     end);
-    let seen = B.create ~capacity:(num_states p) () in
-    List.iter
-      (fun id ->
-        ensure_expanded p id;
-        let off = p.succ_off.(id) and len = p.succ_len.(id) in
-        for m = 0 to len - 1 do
-          B.add seen p.succ_data.(off + (2 * m) + 1)
-        done)
-      frontier;
-    let level = Array.to_list (B.to_sorted_array seen) in
-    levels.(!i) <- level;
-    (* Once a level equals its own frontier the successor map has hit a
-       fixpoint and every later level is the same set — stop walking. *)
-    if List.equal Int.equal level frontier then begin
-      fixed := true;
-      for j = !i + 1 to depth do
-        levels.(j) <- level
-      done
-    end;
-    incr i
+      Gqkg_util.Budget.charge_steps p.budget (next - !layer);
+    for k = !layer to next - 1 do
+      iter_successors p (Dyn.get order k) (fun _ succ -> visit succ)
+    done;
+    layer := next;
+    incr dist
   done;
-  levels
+  Dyn.to_array order

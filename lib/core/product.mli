@@ -107,10 +107,9 @@ val move_edge : t -> int -> int -> int
 
 val move_succ : t -> int -> int -> int
 
-(** [levels p ~depth] materializes every state reachable from any node's
-    start state within [depth] moves; [result.(i)] lists (sorted) the ids
-    reachable by paths of length exactly [i]. [domains] (default
-    {!Gqkg_util.Parallel.default_domains}) expands each level's frontier
-    concurrently — move computation is pure, interning stays sequential
-    in frontier order, so the result is identical to a sequential run. *)
-val levels : ?domains:int -> t -> depth:int -> int list array
+(** [reach p ~depth] materializes every state reachable from any node's
+    start state within [depth] moves, by a breadth-first walk that
+    expands each state once, and returns their ids without duplicates,
+    in first-reached order.  A budget check site once per BFS layer: a
+    trip drops the deeper layers, leaving a subset of the full answer. *)
+val reach : t -> depth:int -> int array

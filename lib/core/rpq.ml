@@ -41,68 +41,6 @@ let matches_path inst regex path =
   done;
   !alive && Nfa.is_accepting nfa !current
 
-(* Product states reachable from [source], with the shortest number of
-   steps to each; bounded by [max_length] steps when given.  Budget
-   check site: every 128 dequeues (coarse — a dequeue expands at most
-   one state).  An early stop leaves [dist] holding a prefix of the BFS
-   order: a subset of the unbudgeted reachable set. *)
-let bfs_product product ~source ~max_length =
-  let dist = Hashtbl.create 64 in
-  match Product.start_state product source with
-  | None -> dist
-  | Some s0 ->
-      let budget = Product.budget product in
-      let pops = ref 0 in
-      let queue = Queue.create () in
-      Hashtbl.replace dist s0 0;
-      Queue.push s0 queue;
-      let stop = ref false in
-      while (not !stop) && not (Queue.is_empty queue) do
-        incr pops;
-        if !pops land 127 = 0 then begin
-          Gqkg_util.Budget.charge_steps budget 128;
-          Gqkg_util.Budget.note_states budget (Product.num_states product);
-          if Gqkg_util.Budget.check budget then stop := true
-        end;
-        if not !stop then begin
-          let id = Queue.pop queue in
-          let d = Hashtbl.find dist id in
-          let expand = match max_length with Some m -> d < m | None -> true in
-          if expand then
-            Product.iter_successors product id (fun _e succ ->
-                if not (Hashtbl.mem dist succ) then begin
-                  Hashtbl.replace dist succ (d + 1);
-                  Queue.push succ queue
-                end)
-        end
-      done;
-      dist
-
-(* Nodes b reachable from [source] by a path in [[r]], i.e. the standard
-   RPQ semantics.  [max_length] bounds path length (mandatory only for
-   queries where [[r]] is infinite and reachability is still complete
-   without a bound, since products are finite; the bound is for cost
-   control).  This is the per-source reference path — one hash-table BFS
-   per source — kept as the oracle the batched frontier engine is tested
-   and benchmarked against. *)
-let reachable_from_product ?max_length product ~source =
-  let dist = bfs_product product ~source ~max_length in
-  let seen = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun id _d ->
-      if Product.is_accepting product id then Hashtbl.replace seen (Product.node_of product id) ())
-    dist;
-  Hashtbl.fold (fun n () acc -> n :: acc) seen [] |> List.sort compare
-
-(* Single-source queries ride the batched engine as a batch of one: the
-   word-packed pass degenerates to a plain array BFS, still cheaper than
-   the hash-table walk. *)
-let reachable_from ?budget ?max_length inst regex ~source =
-  match Planner.prepare ?budget inst regex with
-  | Planner.Empty -> []
-  | Planner.Ready product ->
-      (Frontier.reachable ?max_length (Frontier.create product) ~sources:[| source |]).(0)
-
 (* Reachability from an explicit source set, batched [Frontier.word_bits]
    sources per pass; [result.(i)] lists the targets of [sources.(i)],
    sorted.  Statically-empty queries answer without building a product. *)
@@ -143,15 +81,21 @@ let live_seeds ?(limit = max_int) product =
 
 type direction = Forward | Backward
 
-(* The direction with fewer live seeds runs; ties go forward.  Forward
-   live seeds are counted in full, reversed ones only until they reach
-   the forward count — past it the forward product has won anyway, so
-   a selective start never pays a full scan of the reversed side.  One
-   forward seed runs forward without building the reversed product: the
-   reversed side could only tie, or be empty, and then the answer is
-   empty, which the one-seed forward run returns as well.  [None] when
-   the answer is empty without a search: statically empty, no live
-   seed, or the budget tripped in a scan. *)
+(* The direction rule, shared by [eval_pairs] and [seed_counts]: the
+   side with fewer live seeds runs, ties go forward, and one forward
+   seed always runs forward — the reversed side could only tie, or be
+   empty, and then the answer is empty, which the one-seed forward run
+   returns as well. *)
+let pick_direction ~forward ~backward =
+  if forward > 1 && backward < forward then Backward else Forward
+
+(* [pick_direction] over the plan's products.  Forward live seeds are
+   counted in full, reversed ones only until they reach the forward
+   count — past it the forward product has won anyway, so a selective
+   start never pays a full scan of the reversed side; one forward seed
+   never builds the reversed product.  [None] when the answer is empty
+   without a search: statically empty, no live seed, or the budget
+   tripped in a scan. *)
 let choose_direction q =
   match Option.map (fun p -> (p, live_seeds p)) (Planner.product q) with
   | None | Some (_, None) -> None
@@ -161,7 +105,9 @@ let choose_direction q =
       let nf = Array.length fwd_seeds in
       match Option.map (fun p -> (p, live_seeds ~limit:nf p)) (Planner.reversed q) with
       | Some (_, None) -> None
-      | Some (rev, Some rev_seeds) when Array.length rev_seeds < nf -> Some (Backward, rev, rev_seeds)
+      | Some (rev, Some rev_seeds)
+        when pick_direction ~forward:nf ~backward:(Array.length rev_seeds) = Backward ->
+          Some (Backward, rev, rev_seeds)
       | _ -> Some (Forward, fwd, fwd_seeds))
 
 (* All pairs (a, b) such that some path in [[r]] goes from a to b: one
@@ -223,8 +169,8 @@ let seed_counts ?budget inst regex =
           let backward_live = Option.bind rev count in
           let direction =
             match backward_live with
-            | Some b when b < forward_live && forward_live > 1 -> Backward
-            | _ -> Forward
+            | Some backward -> pick_direction ~forward:forward_live ~backward
+            | None -> Forward
           in
           Some
             {
@@ -254,25 +200,6 @@ let source_nodes ?budget ?max_length inst regex =
           done;
           !out)
 
-(* Length of the shortest path in [[r]] from a to b, if any: the distance
-   d_r(a, b) used by the regex-constrained centrality of Section 4.2. *)
-let shortest_in_product product ~source ~target ~max_length =
-  let dist = bfs_product product ~source ~max_length in
-  let best = ref None in
-  Hashtbl.iter
-    (fun id d ->
-      if Product.is_accepting product id && Product.node_of product id = target then
-        match !best with Some b when b <= d -> () | _ -> best := Some d)
-    dist;
-  !best
-
-(* Length of the shortest path in [[r]] from a to b, if any: the distance
-   d_r(a, b) used by the regex-constrained centrality of Section 4.2. *)
-let shortest_path_length ?budget ?max_length inst regex ~source ~target =
-  match Planner.prepare ?budget inst regex with
-  | Planner.Empty -> None
-  | Planner.Ready product -> shortest_in_product product ~source ~target ~max_length
-
 (* A concrete shortest matching path from a to b (a witness, in the
    G-CORE sense of paths as first-class results): BFS over the product
    with parent pointers, reconstructing the first accepting arrival. *)
@@ -300,7 +227,7 @@ let shortest_witness_in product ~source ~target ~max_length =
       if Product.is_accepting product s0 && Product.node_of product s0 = target then
         found := Some (Path.trivial source)
       else begin
-        (* Budget check site: every 128 dequeues, like [bfs_product]. *)
+        (* Budget check site: every 128 dequeues. *)
         let budget = Product.budget product in
         let pops = ref 0 in
         let stop = ref false in
@@ -333,3 +260,10 @@ let shortest_witness ?budget ?max_length inst regex ~source ~target =
   match Planner.prepare ?budget inst regex with
   | Planner.Empty -> None
   | Planner.Ready product -> shortest_witness_in product ~source ~target ~max_length
+
+(* Length of the shortest path in [[r]] from a to b, if any: the distance
+   d_r(a, b) used by the regex-constrained centrality of Section 4.2.  The
+   witness BFS discovers states in nondecreasing distance, so its first
+   accepting arrival at [target] is at the shortest distance. *)
+let shortest_path_length ?budget ?max_length inst regex ~source ~target =
+  Option.map Path.length (shortest_witness ?budget ?max_length inst regex ~source ~target)

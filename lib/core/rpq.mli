@@ -11,22 +11,12 @@
     expression? Used as the oracle by tests and by the FPRAS. *)
 val matches_path : Gqkg_graph.Snapshot.t -> Gqkg_automata.Regex.t -> Path.t -> bool
 
-(** Nodes b reachable from [source] by a path in [[r]]; [max_length]
-    bounds the search depth (reachability itself is complete without it,
-    products being finite). Sorted. Runs as a batch of one through the
-    {!Frontier} engine. *)
-val reachable_from :
-  ?budget:Gqkg_util.Budget.t ->
-  ?max_length:int ->
-  Gqkg_graph.Snapshot.t ->
-  Gqkg_automata.Regex.t ->
-  source:int ->
-  int list
-
-(** Reachability from an explicit source set, batched
-    {!Frontier.word_bits} sources per frontier pass: [result.(i)] lists
-    the targets of [sources.(i)], sorted — elementwise equal to
-    {!reachable_from}. Duplicate sources are allowed. *)
+(** Nodes reachable from each of an explicit set of sources by a path
+    in [[r]], batched {!Frontier.word_bits} sources per frontier pass:
+    [result.(i)] lists the targets of [sources.(i)], sorted.
+    [max_length] bounds the search depth (reachability itself is
+    complete without it, products being finite).  Duplicate sources are
+    allowed. *)
 val reachable_many :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->
@@ -34,11 +24,6 @@ val reachable_many :
   Gqkg_automata.Regex.t ->
   sources:int array ->
   int list array
-
-(** The per-source reference path over an already-built product: one
-    hash-table BFS per call. The oracle the batched engine is tested and
-    benchmarked against; hot multi-source paths use {!Frontier}. *)
-val reachable_from_product : ?max_length:int -> Product.t -> source:int -> int list
 
 (** All pairs (a, b) joined by a matching path, sorted.  Runs one
     batched {!Frontier} search from the live seeds ({!Product.live_seed})

@@ -10,7 +10,7 @@
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
    the hot fields are plain int arrays, so snapshots are shared freely
-   across OCaml 5 domains (Product.levels, betweenness_parallel). *)
+   across OCaml 5 domains (betweenness_parallel, bc_r). *)
 
 module B = Gqkg_util.Bitset
 

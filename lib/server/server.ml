@@ -248,9 +248,19 @@ let handle_query t req ~id =
                       ]
                     @ completeness_fields t budget o.Budget.completeness))))
 
+(* Count's table holds (length + 1) x states x 8 bytes, allocated before
+   the first budget check, so the budget cannot bound it: a length past
+   this is refused outright. *)
+let max_count_length = 1024
+
 let handle_count t req ~id =
+  let length = match int_field req "length" with Some v -> max 0 v | None -> 3 in
   match Option.bind (Jsonx.member "q" req) Jsonx.str with
   | None -> error_json ~id ~code:"GQ062" ~message:{|count needs a "q" string field|} ()
+  | Some _ when length > max_count_length ->
+      error_json ~id ~code:"GQ062"
+        ~message:(Printf.sprintf "count length %d exceeds %d" length max_count_length)
+        ()
   | Some qtext -> (
       match Regex_parser.parse qtext with
       | exception Regex_parser.Error { position; message } ->
@@ -258,9 +268,6 @@ let handle_count t req ~id =
             ~message:(Printf.sprintf "parse error at %d: %s" position message)
             ()
       | regex ->
-          let length =
-            match int_field req "length" with Some v -> max 0 v | None -> 3
-          in
           let budget = budget_of t req in
           with_active t budget (fun () ->
               Epochs.with_pinned t.mgr (fun snap ->

@@ -1,6 +1,5 @@
 (* Fork-join domain pool for the embarrassingly-parallel source loops
-   (per-source Brandes passes, per-source bc_r DAG replays, product
-   frontier expansion).  OCaml 5 domains are heavyweight — one system
+   (per-source Brandes passes, per-source bc_r DAG replays).  OCaml 5 domains are heavyweight — one system
    thread plus a minor heap each, and spawning costs hundreds of
    microseconds — so workers are spawned lazily ONCE and parked on a
    condition variable between joins.  A join that arrives after the

@@ -480,20 +480,61 @@ let prop_matches_path_iff_enumerated =
       let enumerated = Enumerate.paths inst r ~length:k in
       List.for_all (fun p -> Rpq.matches_path inst r p) enumerated)
 
-(* The concurrent frontier expansion of [Product.levels] must be
-   invisible: same levels, same state count, as a sequential walk over
-   two independently built products. *)
-let prop_levels_domain_independent =
-  QCheck2.Test.make ~name:"Product.levels domains=4 = domains=1" ~count:100 regex_and_graph_gen
+(* Length of the shortest matching path from [a] to [b] among [Naive]'s
+   paths, if any. *)
+let naive_shortest paths a b =
+  List.fold_left
+    (fun best p ->
+      if Path.start_node p <> a || Path.end_node p <> b then best
+      else
+        match best with
+        | Some d when d <= Path.length p -> best
+        | _ -> Some (Path.length p))
+    None paths
+
+let prop_shortest_matches_naive =
+  QCheck2.Test.make ~name:"shortest_path_length = naive minimum" ~count:150 regex_and_graph_gen
     (fun (g, rseed) ->
+      let inst = make_instance g in
       let r = make_regex rseed in
-      let k = 4 in
-      let p1 = Product.create (make_instance g) r in
-      let p4 = Product.create (make_instance g) r in
-      let l1 = Product.levels ~domains:1 p1 ~depth:k in
-      let l4 = Product.levels ~domains:4 p4 ~depth:k in
-      Product.num_states p1 = Product.num_states p4
-      && Array.for_all2 (List.equal Int.equal) l1 l4)
+      let k = 3 in
+      let paths = Naive.paths inst r ~max_length:k in
+      let nodes = List.init inst.Snapshot.num_nodes Fun.id in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              Rpq.shortest_path_length inst ~max_length:k r ~source:a ~target:b
+              = naive_shortest paths a b)
+            nodes)
+        nodes)
+
+(* The per-source reference for the batched engine: one hash-table BFS
+   over the product from [source]'s start state, bounded by
+   [max_length] steps when given; the nodes at its accepting states,
+   sorted. *)
+let reachable_from_product ?max_length product ~source =
+  let dist = Hashtbl.create 64 in
+  (match Product.start_state product source with
+  | None -> ()
+  | Some s0 ->
+      let queue = Queue.create () in
+      Hashtbl.replace dist s0 0;
+      Queue.push s0 queue;
+      while not (Queue.is_empty queue) do
+        let id = Queue.pop queue in
+        let d = Hashtbl.find dist id in
+        if match max_length with Some m -> d < m | None -> true then
+          Product.iter_successors product id (fun _e succ ->
+              if not (Hashtbl.mem dist succ) then begin
+                Hashtbl.replace dist succ (d + 1);
+                Queue.push succ queue
+              end)
+      done);
+  Hashtbl.fold
+    (fun id _d acc -> if Product.is_accepting product id then Product.node_of product id :: acc else acc)
+    dist []
+  |> List.sort_uniq compare
 
 (* The batched multi-source engine must answer exactly like the
    per-source hash-table BFS — for every direction policy, with the
@@ -510,7 +551,7 @@ let prop_frontier_matches_per_source =
         (fun max_length ->
           let product = Product.create (make_instance g) r in
           let expected =
-            Array.map (fun source -> Rpq.reachable_from_product ?max_length product ~source) sources
+            Array.map (fun source -> reachable_from_product ?max_length product ~source) sources
           in
           List.for_all
             (fun direction ->
@@ -534,7 +575,8 @@ let test_reachable_many_static_empty () =
   let live = Rpq.reachable_many inst ~max_length:4 (parse "rides") ~sources in
   checkb "live batch = per-source" true
     (Array.for_all2
-       (fun source answer -> Rpq.reachable_from inst ~max_length:4 (parse "rides") ~source = answer)
+       (fun source answer ->
+         (Rpq.reachable_many inst ~max_length:4 (parse "rides") ~sources:[| source |]).(0) = answer)
        sources live)
 
 
@@ -997,7 +1039,7 @@ let () =
             prop_enumerate_agrees;
             prop_samples_match;
             prop_matches_path_iff_enumerated;
-            prop_levels_domain_independent;
+            prop_shortest_matches_naive;
             prop_frontier_matches_per_source;
             prop_count_between_matches_naive;
             prop_derivative_equals_nfa;

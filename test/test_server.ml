@@ -274,6 +274,54 @@ let test_mutate_non_string_op () =
   checkb "all-string ops still commit" true (obj_bool "ok" m);
   checkb "new epoch" true (obj_num "epoch" m > float_of_int epoch0)
 
+(* ---------- count op ---------- *)
+
+let test_count_op () =
+  (* the served count equals Count.count on the same snapshot; a
+     starved budget degrades to a partial; a missing or unparsable q is
+     refused with its structured code *)
+  let mgr, srv = start_server Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let snap = Epochs.snapshot mgr in
+  let q = "(contact + rides + rides^-)*" in
+  let r = rpc c (Printf.sprintf {|{"op":"count","q":"%s","length":4}|} q) in
+  checkb "count ok" true (obj_bool "ok" r);
+  checkb "count complete" true (obj_bool "complete" r);
+  checkb "epoch echoed" true (obj_num "epoch" r = float_of_int snap.Snapshot.epoch);
+  checkb "length echoed" true (obj_num "length" r = 4.0);
+  let expected =
+    Gqkg_core.Count.count snap (Gqkg_automata.Regex_parser.parse q) ~length:4
+  in
+  checkb "count = Count.count" true (expected > 0.0 && obj_num "count" r = expected);
+  let p = rpc c {|{"op":"count","q":"(contact/contact^-)*","length":6,"max_steps":1}|} in
+  checkb "starved count is ok" true (obj_bool "ok" p);
+  checkb "starved count incomplete" false (obj_bool "complete" p);
+  let diag = match Jsonx.member "diagnostic" p with Some d -> d | None -> Alcotest.fail "no diagnostic" in
+  checkb "GQ03x" true
+    (let code = obj_str "code" diag in
+     String.length code = 5 && String.sub code 0 4 = "GQ03");
+  let missing = rpc c {|{"op":"count","length":2}|} in
+  checkb "missing q refused" false (obj_bool "ok" missing);
+  checkb "missing q GQ062" true (obj_str "code" missing = "GQ062");
+  let bad = rpc c {|{"op":"count","q":"rides/(","length":2}|} in
+  checkb "bad q refused" false (obj_bool "ok" bad);
+  checkb "bad q GQ042" true (obj_str "code" bad = "GQ042")
+
+let test_count_length_bound () =
+  (* a length far past the bound is refused before any allocation (the
+     table would be (length+1) x states x 8 bytes), and the connection
+     keeps serving *)
+  let _, srv = start_server Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let r = rpc c {|{"op":"count","q":"(contact + rides + rides^-)*","length":2000000}|} in
+  checkb "oversize length refused" false (obj_bool "ok" r);
+  checkb "GQ062" true (obj_str "code" r = "GQ062");
+  checkb "ping after" true (obj_bool "ok" (rpc c {|{"op":"ping"}|}))
+
 (* ---------- Wire-protocol fuzz ---------- *)
 
 (* Shared across QCheck samples: one server, one connection.  Each
@@ -599,6 +647,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_protocol_basics;
           Alcotest.test_case "budget degradation" `Quick test_budget_degradation;
           Alcotest.test_case "mutate non-string op" `Quick test_mutate_non_string_op;
+          Alcotest.test_case "count op" `Quick test_count_op;
+          Alcotest.test_case "count length bound" `Quick test_count_length_bound;
         ] );
       ( "wire fuzz",
         q [ prop_wire_fuzz ]
