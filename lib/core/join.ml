@@ -3,20 +3,20 @@
    The engine binds variables one at a time in a single global order; at
    each level it leapfrogs the sorted iterators of every atom containing
    that variable to their common values.  Atom relations become tries —
-   grouped sorted int columns of arity 1..3 — in three flavors:
+   grouped sorted int columns of arity 1..3 — in two flavors:
 
    - zero-copy views over a per-snapshot label-sorted adjacency index
      (edge-label atoms need no per-query materialization),
-   - sorted int arrays built from materialized relations (RPQ path
-     atoms, triple-store scans),
-   - unary sorted sets (node-label atoms, singleton constants).
+   - tries built from materialized relations (RPQ path atoms,
+     triple-store scans, node-label sets, singleton constants): the
+     rows are kept as columns plus a row-id permutation that stable
+     LSD radix passes sort, and the trie is built once, in the column
+     order the plan binds first.
 
    The variable order comes from Gqkg_analysis.Joinplan over per-atom
-   cardinality estimates; tries are laid out column-by-column in that
-   order (a pair atom picks its src- or dst-grouped orientation, the CSR
-   index serves either direction).  Budget checks happen at
-   variable-binding boundaries at coarse granularity, so an exhausted
-   budget yields a sound subset of the bindings. *)
+   cardinality estimates.  Budget checks happen at variable-binding
+   boundaries at coarse granularity, so an exhausted budget yields a
+   sound subset of the bindings. *)
 
 open Gqkg_graph
 module Budget = Gqkg_util.Budget
@@ -34,145 +34,127 @@ let lower_bound (a : int array) lo hi key =
   done;
   !lo
 
-let pair_compare (a1, b1) (a2, b2) =
-  if a1 <> a2 then compare (a1 : int) a2 else compare (b1 : int) b2
+(* [lower_bound] for a key at or just past [lo]: probe lo+1, lo+2,
+   lo+4, ... until the key is passed, then binary-search the last
+   doubling step.  Seeks cost O(log distance), not O(log group). *)
+let gallop (a : int array) lo hi key =
+  if lo >= hi || a.(lo) >= key then lo
+  else begin
+    (* Invariant: a.(!prev) < key. *)
+    let prev = ref lo and step = ref 1 in
+    while !prev + !step < hi && a.(!prev + !step) < key do
+      prev := !prev + !step;
+      step := !step * 2
+    done;
+    lower_bound a (!prev + 1) (min (!prev + !step) hi) key
+  end
 
-let row_compare (a1, b1, c1) (a2, b2, c2) =
-  if a1 <> a2 then compare (a1 : int) a2
-  else if b1 <> b2 then compare (b1 : int) b2
-  else compare (c1 : int) c2
-
-(* Stable counting sort of [perm] by [key] (values in [0, num_keys)). *)
-let counting_sort ~key ~num_keys perm =
-  let count = Array.make (num_keys + 1) 0 in
-  Array.iter (fun e -> count.(key e + 1) <- count.(key e + 1) + 1) perm;
-  for i = 1 to num_keys do
-    count.(i) <- count.(i) + count.(i - 1)
+(* Whether the row ids [rows] are already in lexicographic order of
+   the columns [keys] (path pairs and postings arrive sorted). *)
+let is_sorted (keys : int array array) (rows : int array) =
+  let k = Array.length keys and i = ref 1 and ok = ref true in
+  while !ok && !i < Array.length rows do
+    let a = rows.(!i - 1) and b = rows.(!i) and d = ref 0 in
+    while !d < k && keys.(!d).(a) = keys.(!d).(b) do
+      incr d
+    done;
+    ok := !d = k || keys.(!d).(a) < keys.(!d).(b);
+    incr i
   done;
-  let out = Array.make (Array.length perm) 0 in
-  Array.iter
-    (fun e ->
-      let k = key e in
-      out.(count.(k)) <- e;
-      count.(k) <- count.(k) + 1)
-    perm;
-  out
+  !ok
+
+(* Stable LSD radix sort of the row ids [rows], in place, by the
+   non-negative columns [keys] lexicographically ([keys.(0)] most
+   significant): 8-bit digits, the last column first, as many passes
+   per column as its maximum has bytes.  Buckets are 256 wide whatever
+   the id range, and no key is packed. *)
+let sort_rows (keys : int array array) (rows : int array) =
+  if not (is_sorted keys rows) then begin
+    let n = Array.length rows in
+    let count = Array.make 257 0 in
+    let src = ref rows and dst = ref (Array.make n 0) in
+    for j = Array.length keys - 1 downto 0 do
+      let col = keys.(j) in
+      let top = Array.fold_left (fun m r -> max m col.(r)) 0 rows in
+      let shift = ref 0 in
+      while !shift < Sys.int_size && top lsr !shift > 0 do
+        let sh = !shift and s = !src and d = !dst in
+        Array.fill count 0 257 0;
+        for i = 0 to n - 1 do
+          let b = ((col.(s.(i)) lsr sh) land 255) + 1 in
+          count.(b) <- count.(b) + 1
+        done;
+        for b = 1 to 256 do
+          count.(b) <- count.(b) + count.(b - 1)
+        done;
+        for i = 0 to n - 1 do
+          let r = s.(i) in
+          let b = (col.(r) lsr sh) land 255 in
+          d.(count.(b)) <- r;
+          count.(b) <- count.(b) + 1
+        done;
+        src := d;
+        dst := s;
+        shift := sh + 8
+      done
+    done;
+    if !src != rows then Array.blit !src 0 rows 0 n
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Tries: grouped sorted int columns, arity 1..3                      *)
 (* ------------------------------------------------------------------ *)
 
-type trie =
-  | T1 of int array (* sorted distinct values *)
-  | T2 of { k0 : int array; off : int array; v1 : int array }
-    (* distinct first-column keys; group [i] of sorted second-column
-       values is v1.[off.(i) .. off.(i+1)) *)
-  | T3 of {
-      k0 : int array;
-      off0 : int array; (* group of k0.(i) in k1: [off0.(i), off0.(i+1)) *)
-      k1 : int array; (* second column, distinct within its group *)
-      off1 : int array; (* group of k1.(j) in v2: [off1.(j), off1.(j+1)) *)
-      v2 : int array;
-    }
+(* [keys.(d)] holds the depth-d values, sorted and distinct within each
+   group; the children of [keys.(d).(j)] are the slice
+   [offs.(d).(j), offs.(d).(j + 1)) of [keys.(d + 1)]. *)
+type trie = { keys : int array array; offs : int array array }
 
-let t1_of_array a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || a.(i) <> a.(i - 1) then begin
-      a.(!m) <- a.(i);
-      incr m
-    end
-  done;
-  T1 (Array.sub a 0 !m)
+(* First column where row [i] of [rows] differs from row [i - 1]: 0 at
+   [i = lo], [Array.length cols] for a duplicate. *)
+let first_diff (cols : int array array) (rows : int array) lo i =
+  if i = lo then 0
+  else begin
+    let a = rows.(i) and b = rows.(i - 1) and k = Array.length cols in
+    let d = ref 0 in
+    while !d < k && cols.(!d).(a) = cols.(!d).(b) do
+      incr d
+    done;
+    !d
+  end
 
-(* [pairs] must be sorted lexicographically and deduplicated. *)
-let t2_of_sorted_pairs pairs =
-  let n = Array.length pairs in
-  let groups = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || fst pairs.(i) <> fst pairs.(i - 1) then incr groups
+(* Distinct prefixes per depth of the sorted rows [lo, hi): entry [d]
+   counts the distinct (cols.(0), .., cols.(d)) values. *)
+let prefix_counts cols rows lo hi =
+  let counts = Array.make (Array.length cols) 0 in
+  for i = lo to hi - 1 do
+    for d = first_diff cols rows lo i to Array.length cols - 1 do
+      counts.(d) <- counts.(d) + 1
+    done
   done;
-  let k0 = Array.make !groups 0 and off = Array.make (!groups + 1) 0 in
-  let v1 = Array.make n 0 in
-  let g = ref (-1) in
-  for i = 0 to n - 1 do
-    let a, b = pairs.(i) in
-    if i = 0 || a <> fst pairs.(i - 1) then begin
-      incr g;
-      k0.(!g) <- a;
-      off.(!g) <- i
-    end;
-    v1.(i) <- b
-  done;
-  off.(!groups) <- n;
-  T2 { k0; off; v1 }
+  counts
 
-let sort_dedup_pairs pairs =
-  let a = Array.of_list pairs in
-  Array.sort pair_compare a;
-  let n = Array.length a in
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || a.(i) <> a.(i - 1) then begin
-      a.(!m) <- a.(i);
-      incr m
-    end
+(* The trie of rows [lo, hi) of [rows], sorted by [cols]; adjacent
+   duplicates are dropped in the same pass. *)
+let build_trie (cols : int array array) rows lo hi =
+  let k = Array.length cols in
+  let counts = prefix_counts cols rows lo hi in
+  let keys = Array.map (fun c -> Array.make c 0) counts in
+  let offs = Array.init (k - 1) (fun d -> Array.make (counts.(d) + 1) 0) in
+  let fill = Array.make k 0 in
+  for i = lo to hi - 1 do
+    let r = rows.(i) in
+    for d = first_diff cols rows lo i to k - 1 do
+      let j = fill.(d) in
+      keys.(d).(j) <- cols.(d).(r);
+      if d < k - 1 then offs.(d).(j) <- fill.(d + 1);
+      fill.(d) <- j + 1
+    done
   done;
-  Array.sub a 0 !m
-
-(* [rows] must be sorted lexicographically and deduplicated. *)
-let t3_of_sorted_rows rows =
-  let n = Array.length rows in
-  let g01 = ref 0 and g0 = ref 0 in
-  for i = 0 to n - 1 do
-    let a, b, _ = rows.(i) in
-    if i = 0 then begin
-      incr g01;
-      incr g0
-    end
-    else begin
-      let a', b', _ = rows.(i - 1) in
-      if a <> a' then incr g0;
-      if a <> a' || b <> b' then incr g01
-    end
+  for d = 0 to k - 2 do
+    offs.(d).(counts.(d)) <- counts.(d + 1)
   done;
-  let k0 = Array.make !g0 0 and off0 = Array.make (!g0 + 1) 0 in
-  let k1 = Array.make !g01 0 and off1 = Array.make (!g01 + 1) 0 in
-  let v2 = Array.make n 0 in
-  let i0 = ref (-1) and i1 = ref (-1) in
-  for i = 0 to n - 1 do
-    let a, b, c = rows.(i) in
-    let new0 = i = 0 || (let a', _, _ = rows.(i - 1) in a <> a') in
-    let new1 = new0 || (let _, b', _ = rows.(i - 1) in b <> b') in
-    if new1 then begin
-      incr i1;
-      k1.(!i1) <- b;
-      off1.(!i1) <- i
-    end;
-    if new0 then begin
-      incr i0;
-      k0.(!i0) <- a;
-      off0.(!i0) <- !i1
-    end;
-    v2.(i) <- c
-  done;
-  off0.(!g0) <- !g01;
-  off1.(!g01) <- n;
-  T3 { k0; off0; k1; off1; v2 }
-
-let trie_pairs = function
-  | T2 { k0; off; v1 } ->
-      let out = ref [] in
-      for g = Array.length k0 - 1 downto 0 do
-        for i = off.(g + 1) - 1 downto off.(g) do
-          out := (k0.(g), v1.(i)) :: !out
-        done
-      done;
-      !out
-  | _ -> invalid_arg "Join.trie_pairs: not a binary trie"
+  { keys; offs }
 
 (* ------------------------------------------------------------------ *)
 (* Per-snapshot join index                                            *)
@@ -191,120 +173,52 @@ module Index = struct
     snap : Snapshot.t;
     out_tries : trie array; (* per edge-label id, grouped by src *)
     in_tries : trie array; (* grouped by dst *)
-    self_tries : trie array; (* T1 of self-loop nodes *)
     stats : label_stat array;
   }
 
-  (* Build one orientation: edges of label [l] as a T2 keyed by
-     [key0], grouped values from [key1], deduplicating parallel edges.
-     [order] lists edge ids sorted by (label, key0, key1). *)
-  let tries_of_order snap order ~key0 ~key1 =
-    let num_labels = snap.Snapshot.num_labels in
-    let m = Array.length order in
-    let elabel = snap.Snapshot.elabel in
-    let seg_start = Array.make (num_labels + 1) m in
-    for i = m - 1 downto 0 do
-      seg_start.(elabel.(order.(i))) <- i
-    done;
-    (* Empty labels inherit the next segment's start. *)
-    for l = num_labels - 1 downto 0 do
-      if seg_start.(l) > seg_start.(l + 1) then seg_start.(l) <- seg_start.(l + 1)
-    done;
-    Array.init num_labels (fun l ->
-        let lo = seg_start.(l) and hi = seg_start.(l + 1) in
-        (* Pass 1: distinct pairs and distinct keys in the segment. *)
-        let pairs = ref 0 and keys = ref 0 in
-        for i = lo to hi - 1 do
-          let e = order.(i) in
-          let fresh =
-            i = lo
-            ||
-            let e' = order.(i - 1) in
-            key0 e <> key0 e' || key1 e <> key1 e'
-          in
-          if fresh then begin
-            incr pairs;
-            if i = lo || key0 (order.(i - 1)) <> key0 e then incr keys
-          end
-        done;
-        let k0 = Array.make !keys 0 and off = Array.make (!keys + 1) 0 in
-        let v1 = Array.make !pairs 0 in
-        let gi = ref (-1) and pi = ref 0 in
-        for i = lo to hi - 1 do
-          let e = order.(i) in
-          let dup =
-            i > lo
-            &&
-            let e' = order.(i - 1) in
-            key0 e = key0 e' && key1 e = key1 e'
-          in
-          if not dup then begin
-            if i = lo || key0 (order.(i - 1)) <> key0 e then begin
-              incr gi;
-              k0.(!gi) <- key0 e;
-              off.(!gi) <- !pi
-            end;
-            v1.(!pi) <- key1 e;
-            incr pi
-          end
-        done;
-        off.(!keys) <- !pairs;
-        T2 { k0; off; v1 })
+  (* One orientation: every label's distinct (key0, key1) pairs as a
+     two-level trie, from one sort of all edges by (label, key0, key1). *)
+  let tries snap ~key0 ~key1 =
+    let num_labels = snap.Snapshot.num_labels and elabel = snap.Snapshot.elabel in
+    if num_labels = 0 then [||]
+    else begin
+      let rows = Array.init snap.Snapshot.num_edges Fun.id in
+      sort_rows [| elabel; key0; key1 |] rows;
+      let start = Array.make (num_labels + 1) 0 in
+      Array.iter (fun l -> start.(l + 1) <- start.(l + 1) + 1) elabel;
+      for l = 1 to num_labels do
+        start.(l) <- start.(l) + start.(l - 1)
+      done;
+      Array.init num_labels (fun l -> build_trie [| key0; key1 |] rows start.(l) start.(l + 1))
+    end
+
+  let self_loop_count t =
+    let k0 = t.keys.(0) and off = t.offs.(0) and v1 = t.keys.(1) in
+    let n = ref 0 in
+    Array.iteri
+      (fun g s ->
+        let i = lower_bound v1 off.(g) off.(g + 1) s in
+        if i < off.(g + 1) && v1.(i) = s then incr n)
+      k0;
+    !n
 
   let build snap =
-    let m = snap.Snapshot.num_edges and n = snap.Snapshot.num_nodes in
-    let num_labels = snap.Snapshot.num_labels in
     let esrc = snap.Snapshot.esrc and edst = snap.Snapshot.edst in
-    let elabel = snap.Snapshot.elabel in
-    let out_tries, in_tries =
-      if num_labels = 0 then ([||], [||])
-      else begin
-        let perm = Array.init m (fun e -> e) in
-        let nn = max 1 n in
-        let by_label p = counting_sort ~key:(fun e -> elabel.(e)) ~num_keys:num_labels p in
-        let by_src p = counting_sort ~key:(fun e -> esrc.(e)) ~num_keys:nn p in
-        let by_dst p = counting_sort ~key:(fun e -> edst.(e)) ~num_keys:nn p in
-        let out_order = by_label (by_src (by_dst perm)) in
-        let in_order = by_label (by_dst (by_src perm)) in
-        ( tries_of_order snap out_order ~key0:(fun e -> esrc.(e)) ~key1:(fun e -> edst.(e)),
-          tries_of_order snap in_order ~key0:(fun e -> edst.(e)) ~key1:(fun e -> esrc.(e)) )
-      end
-    in
-    let self_tries =
-      Array.init num_labels (fun l ->
-          match out_tries.(l) with
-          | T2 { k0; off; v1 } ->
-              let loops = ref [] in
-              for g = Array.length k0 - 1 downto 0 do
-                let s = k0.(g) in
-                let i = lower_bound v1 off.(g) off.(g + 1) s in
-                if i < off.(g + 1) && v1.(i) = s then loops := s :: !loops
-              done;
-              T1 (Array.of_list !loops)
-          | _ -> T1 [||])
-    in
+    let out_tries = tries snap ~key0:esrc ~key1:edst in
+    let in_tries = tries snap ~key0:edst ~key1:esrc in
     let stats =
-      Array.init num_labels (fun l ->
-          let pairs, distinct_src =
-            match out_tries.(l) with
-            | T2 { k0; v1; _ } -> (Array.length v1, Array.length k0)
-            | _ -> (0, 0)
-          in
-          let distinct_dst =
-            match in_tries.(l) with T2 { k0; _ } -> Array.length k0 | _ -> 0
-          in
-          let self_loops =
-            match self_tries.(l) with T1 a -> Array.length a | _ -> 0
-          in
+      Array.mapi
+        (fun l t ->
           {
             name = snap.Snapshot.label_names.(l);
-            pairs;
-            distinct_src;
-            distinct_dst;
-            self_loops;
+            pairs = Array.length t.keys.(1);
+            distinct_src = Array.length t.keys.(0);
+            distinct_dst = Array.length in_tries.(l).keys.(0);
+            self_loops = self_loop_count t;
           })
+        out_tries
     in
-    { snap; out_tries; in_tries; self_tries; stats }
+    { snap; out_tries; in_tries; stats }
 
   let index_id : t Type.Id.t = Type.Id.make ()
   let get snap = Snapshot.memo snap index_id build
@@ -363,12 +277,10 @@ let rel_arity = function Edges _ -> 2 | Pairs _ -> 2 | Set _ -> 1 | Rows3 _ -> 3
 (* A normalized atom: distinct variables only, with a relation source
    ready for stats and (after ordering) trie construction. *)
 type source =
-  | SSet of int array (* sorted distinct *)
-  | SPairs of (int * int) array * (int * int) array
-    (* forward-sorted (by col0) and backward-sorted (swapped, by col1)
-       copies; both deduplicated *)
   | SCsr of Index.t * int (* zero-copy: edge-label id in the index *)
-  | SRows of (int * int * int) array (* deduplicated, forward-sorted *)
+  | SRows of int array array * int array
+    (* one column per [pvars] entry, and the atom's row ids sorted by
+       those columns (duplicates still adjacent) *)
 
 type pre = {
   pname : string;
@@ -379,94 +291,93 @@ type pre = {
   psource : source;
 }
 
-(* Project rows with repeated variables down to their distinct columns,
-   keeping only rows consistent on the repeats.  [vids] are the atom's
-   variable ids per column (with repeats); rows are int arrays. *)
-let project_repeats vids rows =
-  let arity = Array.length vids in
-  let first = Array.map (fun v ->
-    let rec find i = if vids.(i) = v then i else find (i + 1) in
-    find 0) vids in
-  let keep = ref [] and cols = ref [] in
-  for i = arity - 1 downto 0 do
-    if first.(i) = i then cols := i :: !cols
+(* Columns of a materialized relation, one per atom column; a union of
+   edge labels concatenates each label's distinct pairs. *)
+let columns_of idx rel =
+  let id x = if x < 0 then invalid_arg "Join: negative id" else x in
+  match rel with
+  | Set a ->
+      Array.iter (fun x -> ignore (id x)) a;
+      [| a |]
+  | Pairs l ->
+      let n = List.length l in
+      let c0 = Array.make n 0 and c1 = Array.make n 0 in
+      List.iteri
+        (fun i (a, b) ->
+          c0.(i) <- id a;
+          c1.(i) <- id b)
+        l;
+      [| c0; c1 |]
+  | Rows3 l ->
+      let n = List.length l in
+      let cols = Array.init 3 (fun _ -> Array.make n 0) in
+      List.iteri
+        (fun i (a, b, c) ->
+          cols.(0).(i) <- id a;
+          cols.(1).(i) <- id b;
+          cols.(2).(i) <- id c)
+        l;
+      cols
+  | Edges labels ->
+      let tries = List.map (fun l -> (Lazy.force idx).Index.out_tries.(l)) labels in
+      let n = List.fold_left (fun n t -> n + Array.length t.keys.(1)) 0 tries in
+      let src = Array.make n 0 and dst = Array.make n 0 and at = ref 0 in
+      List.iter
+        (fun t ->
+          let off = t.offs.(0) and v1 = t.keys.(1) in
+          Array.iteri
+            (fun g s -> Array.fill src (!at + off.(g)) (off.(g + 1) - off.(g)) s)
+            t.keys.(0);
+          Array.blit v1 0 dst !at (Array.length v1);
+          at := !at + Array.length v1)
+        tries;
+      [| src; dst |]
+
+(* Materialize an atom over [vids] (one per column of [cols], repeats
+   allowed): rows inconsistent on a repeated variable are dropped, the
+   rest sorted by the distinct variables' columns.  Sizes and distinct
+   counts come from counting passes over sorted row ids. *)
+let materialize ~name ~kind vids cols =
+  let k = Array.length vids and n = Array.length cols.(0) in
+  let first =
+    Array.map
+      (fun v ->
+        let rec find j = if vids.(j) = v then j else find (j + 1) in
+        find 0)
+      vids
+  in
+  let rows = Array.init n Fun.id and m = ref 0 in
+  for r = 0 to n - 1 do
+    let ok = ref true in
+    for i = 0 to k - 1 do
+      if cols.(i).(r) <> cols.(first.(i)).(r) then ok := false
+    done;
+    if !ok then begin
+      rows.(!m) <- r;
+      incr m
+    end
   done;
-  let cols = Array.of_list !cols in
-  List.iter
-    (fun (row : int array) ->
-      let ok = ref true in
-      for i = 0 to arity - 1 do
-        if row.(i) <> row.(first.(i)) then ok := false
-      done;
-      if !ok then keep := Array.map (fun c -> row.(c)) cols :: !keep)
-    rows;
-  (Array.map (fun c -> vids.(c)) cols, !keep)
-
-let distinct_count_of_column rows i =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (r : int array) -> Hashtbl.replace tbl r.(i) ()) rows;
-  Hashtbl.length tbl
-
-(* Build a [pre] from distinct-variable generic rows. *)
-let pre_of_rows ~name ~kind vids rows =
-  match Array.length vids with
-  | 1 ->
-      let set =
-        match t1_of_array (Array.of_list (List.map (fun (r : int array) -> r.(0)) rows)) with
-        | T1 a -> a
-        | _ -> assert false
-      in
-      {
-        pname = name;
-        pkind = kind;
-        pvars = vids;
-        psize = Array.length set;
-        pdistinct = [| Array.length set |];
-        psource = SSet set;
-      }
-  | 2 ->
-      let fwd = sort_dedup_pairs (List.map (fun (r : int array) -> (r.(0), r.(1))) rows) in
-      let bwd = sort_dedup_pairs (List.map (fun (r : int array) -> (r.(1), r.(0))) rows) in
-      let group_count a =
-        let g = ref 0 in
-        Array.iteri (fun i (x, _) -> if i = 0 || x <> fst a.(i - 1) then incr g) a;
-        !g
-      in
-      {
-        pname = name;
-        pkind = kind;
-        pvars = vids;
-        psize = Array.length fwd;
-        pdistinct = [| group_count fwd; group_count bwd |];
-        psource = SPairs (fwd, bwd);
-      }
-  | 3 ->
-      let a = Array.of_list (List.map (fun (r : int array) -> (r.(0), r.(1), r.(2))) rows) in
-      Array.sort row_compare a;
-      let n = Array.length a in
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        if i = 0 || a.(i) <> a.(i - 1) then begin
-          a.(!m) <- a.(i);
-          incr m
-        end
-      done;
-      let a = Array.sub a 0 !m in
-      let rows' = List.map (fun (x, y, z) -> [| x; y; z |]) (Array.to_list a) in
-      {
-        pname = name;
-        pkind = kind;
-        pvars = vids;
-        psize = Array.length a;
-        pdistinct =
-          [|
-            distinct_count_of_column rows' 0;
-            distinct_count_of_column rows' 1;
-            distinct_count_of_column rows' 2;
-          |];
-        psource = SRows a;
-      }
-  | _ -> invalid_arg "Join: unsupported atom arity"
+  let rows = if !m = n then rows else Array.sub rows 0 !m in
+  let keep = List.filter (fun i -> first.(i) = i) (List.init k Fun.id) in
+  let cols = Array.of_list (List.map (fun i -> cols.(i)) keep) in
+  sort_rows cols rows;
+  let counts = prefix_counts cols rows 0 !m in
+  let distinct j =
+    if j = 0 then counts.(0)
+    else begin
+      let col = [| cols.(j) |] and by_col = Array.copy rows in
+      sort_rows col by_col;
+      (prefix_counts col by_col 0 !m).(0)
+    end
+  in
+  {
+    pname = name;
+    pkind = kind;
+    pvars = Array.of_list (List.map (fun i -> vids.(i)) keep);
+    psize = counts.(Array.length cols - 1);
+    pdistinct = Array.init (Array.length cols) distinct;
+    psource = SRows (cols, rows);
+  }
 
 let normalize ?snapshot spec ~var_id =
   let arity = rel_arity spec.rel in
@@ -475,151 +386,57 @@ let normalize ?snapshot spec ~var_id =
       (Printf.sprintf "Join: atom %s has %d variables for an arity-%d relation" spec.name
          (Array.length spec.avars) arity);
   let vids = Array.map var_id spec.avars in
-  let has_repeats =
-    let seen = Hashtbl.create 4 in
-    Array.exists
-      (fun v ->
-        if Hashtbl.mem seen v then true
-        else begin
-          Hashtbl.replace seen v ();
-          false
-        end)
-      vids
+  let idx =
+    lazy
+      (match snapshot with
+      | Some snap -> Index.get snap
+      | None -> invalid_arg "Join: Edges atom requires ~snapshot")
   in
+  let materialize kind = materialize ~name:spec.name ~kind vids (columns_of idx spec.rel) in
   match spec.rel with
-  | Edges labels -> begin
-      let idx =
-        match snapshot with
-        | Some snap -> Index.get snap
-        | None -> invalid_arg "Join: Edges atom requires ~snapshot"
-      in
-      match (labels, has_repeats) with
-      | [ l ], false ->
-          let stat = idx.Index.stats.(l) in
-          {
-            pname = spec.name;
-            pkind = "csr";
-            pvars = vids;
-            psize = stat.Index.pairs;
-            pdistinct = [| stat.Index.distinct_src; stat.Index.distinct_dst |];
-            psource = SCsr (idx, l);
-          }
-      | _, false ->
-          (* Union of several labels: materialize the merged pairs. *)
-          let pairs = List.concat_map (fun l -> trie_pairs idx.Index.out_tries.(l)) labels in
-          pre_of_rows ~name:spec.name ~kind:"csr-union" vids
-            (List.map (fun (s, d) -> [| s; d |]) pairs)
-      | _, true ->
-          (* (x, x): the self-loop node set. *)
-          let loops =
-            List.concat_map
-              (fun l ->
-                match idx.Index.self_tries.(l) with
-                | T1 a -> Array.to_list a
-                | _ -> [])
-              labels
-          in
-          pre_of_rows ~name:spec.name ~kind:"self-loops" [| vids.(0) |]
-            (List.map (fun v -> [| v |]) loops)
-    end
-  | Set a ->
-      pre_of_rows ~name:spec.name ~kind:(if Array.length a = 1 then "singleton" else "set")
-        vids
-        (Array.to_list (Array.map (fun v -> [| v |]) a))
-  | Pairs pairs ->
-      let rows = List.map (fun (a, b) -> [| a; b |]) pairs in
-      if has_repeats then
-        let vids', rows' = project_repeats vids rows in
-        pre_of_rows ~name:spec.name ~kind:"pairs" vids' rows'
-      else pre_of_rows ~name:spec.name ~kind:"pairs" vids rows
-  | Rows3 rows ->
-      let rows = List.map (fun (a, b, c) -> [| a; b; c |]) rows in
-      if has_repeats then
-        let vids', rows' = project_repeats vids rows in
-        pre_of_rows ~name:spec.name ~kind:"rows" vids' rows'
-      else pre_of_rows ~name:spec.name ~kind:"rows" vids rows
+  | Edges [ l ] when vids.(0) <> vids.(1) ->
+      let stat = (Lazy.force idx).Index.stats.(l) in
+      {
+        pname = spec.name;
+        pkind = "csr";
+        pvars = vids;
+        psize = stat.Index.pairs;
+        pdistinct = [| stat.Index.distinct_src; stat.Index.distinct_dst |];
+        psource = SCsr (Lazy.force idx, l);
+      }
+  | Edges _ -> materialize (if vids.(0) = vids.(1) then "self-loops" else "csr-union")
+  | Set a -> materialize (if Array.length a = 1 then "singleton" else "set")
+  | Pairs _ -> materialize "pairs"
+  | Rows3 _ -> materialize "rows"
 
-(* ------------------------------------------------------------------ *)
-(* Cursors and the leapfrog kernel                                    *)
-(* ------------------------------------------------------------------ *)
-
-type cursor = {
-  trie : trie;
-  ovars : int array; (* var ids in trie column order *)
-  lo : int array;
-  hi : int array;
-  pos : int array;
-}
-
-let col c d =
-  match (c.trie, d) with
-  | T1 a, 0 -> a
-  | T2 t, 0 -> t.k0
-  | T2 t, 1 -> t.v1
-  | T3 t, 0 -> t.k0
-  | T3 t, 1 -> t.k1
-  | T3 t, 2 -> t.v2
-  | _ -> assert false
-
-let start_root c =
-  c.lo.(0) <- 0;
-  c.hi.(0) <- Array.length (col c 0);
-  c.pos.(0) <- 0
-
-(* Set depth [d]'s range from the parent's position. *)
-let open_child c d =
-  (match (c.trie, d) with
-  | T2 t, 1 ->
-      let p = c.pos.(0) in
-      c.lo.(1) <- t.off.(p);
-      c.hi.(1) <- t.off.(p + 1)
-  | T3 t, 1 ->
-      let p = c.pos.(0) in
-      c.lo.(1) <- t.off0.(p);
-      c.hi.(1) <- t.off0.(p + 1)
-  | T3 t, 2 ->
-      let p = c.pos.(1) in
-      c.lo.(2) <- t.off1.(p);
-      c.hi.(2) <- t.off1.(p + 1)
-  | _ -> assert false);
-  c.pos.(d) <- c.lo.(d)
-
-let cursor_of_trie trie ovars =
-  let arity = Array.length ovars in
-  { trie; ovars; lo = Array.make arity 0; hi = Array.make arity 0; pos = Array.make arity 0 }
-
-(* Build the oriented trie of a normalized atom under the global order:
-   columns sorted by the variables' positions in [level_of]. *)
-let cursor_of_pre level_of p =
-  let order_vars vids =
-    let vs = Array.copy vids in
-    Array.sort (fun a b -> compare (level_of a) (level_of b)) vs;
-    vs
-  in
+(* The trie of a normalized atom under the global order, with its
+   variables in trie column order.  Materialized rows are sorted in the
+   atom's column order; a stable sort by the leading columns the plan
+   reorders (the ones before the longest suffix still in column order)
+   sorts them in the plan's order. *)
+let trie_of_pre level_of p =
   match p.psource with
-  | SSet a -> cursor_of_trie (T1 a) p.pvars
-  | SPairs (fwd, bwd) ->
-      if level_of p.pvars.(0) < level_of p.pvars.(1) then
-        cursor_of_trie (t2_of_sorted_pairs fwd) p.pvars
-      else cursor_of_trie (t2_of_sorted_pairs bwd) [| p.pvars.(1); p.pvars.(0) |]
   | SCsr (idx, l) ->
-      if level_of p.pvars.(0) < level_of p.pvars.(1) then
-        cursor_of_trie idx.Index.out_tries.(l) p.pvars
-      else cursor_of_trie idx.Index.in_tries.(l) [| p.pvars.(1); p.pvars.(0) |]
-  | SRows rows ->
-      let ovars = order_vars p.pvars in
-      let posn v =
-        let rec find i = if p.pvars.(i) = v then i else find (i + 1) in
-        find 0
+      if level_of p.pvars.(0) < level_of p.pvars.(1) then (idx.Index.out_tries.(l), p.pvars)
+      else (idx.Index.in_tries.(l), [| p.pvars.(1); p.pvars.(0) |])
+  | SRows (cols, rows) ->
+      let k = Array.length cols in
+      let perm = Array.init k Fun.id in
+      Array.sort (fun a b -> compare (level_of p.pvars.(a)) (level_of p.pvars.(b))) perm;
+      let m = ref (k - 1) in
+      while !m > 0 && perm.(!m - 1) < perm.(!m) do
+        decr m
+      done;
+      let rows =
+        if !m = 0 then rows
+        else begin
+          let rows = Array.copy rows in
+          sort_rows (Array.init !m (fun i -> cols.(perm.(i)))) rows;
+          rows
+        end
       in
-      let c0 = posn ovars.(0) and c1 = posn ovars.(1) and c2 = posn ovars.(2) in
-      let permuted =
-        Array.map (fun (a, b, c) ->
-          let r = [| a; b; c |] in
-          (r.(c0), r.(c1), r.(c2))) rows
-      in
-      Array.sort row_compare permuted;
-      cursor_of_trie (t3_of_sorted_rows permuted) ovars
+      let oriented = Array.map (fun c -> cols.(c)) perm in
+      (build_trie oriented rows 0 (Array.length rows), Array.map (fun c -> p.pvars.(c)) perm)
 
 exception Tripped
 
@@ -706,6 +523,20 @@ let plan ?snapshot specs =
 
 let budget_check_interval = 64
 
+(* One level of the leapfrog: the trie columns bound at this variable,
+   one slot per participant.  A root column spans all of [keys.(i)];
+   a deeper one is the slice [offs.(i)] gives for its parent's position,
+   which sits in slot [pslot.(i)] of level [plevel.(i)]. *)
+type level = {
+  keys : int array array;
+  offs : int array array;
+  plevel : int array; (* -1 at a trie root *)
+  pslot : int array;
+  pos : int array;
+  hi : int array;
+  ord : int array; (* slots by current key, ascending *)
+}
+
 let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
   match specs with
   | [] ->
@@ -725,16 +556,39 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       let order = choose ?order_hint c in
       let level_of = Array.make num_vars 0 in
       Array.iteri (fun lvl v -> level_of.(v) <- lvl) order;
-      let cursors = List.map (cursor_of_pre (fun v -> level_of.(v))) c.pres in
-      (* Participants per level: (cursor, depth) for every trie column
-         bound at that level. *)
-      let levels = Array.make num_vars [] in
+      (* Participants per level, as (key column, the offsets that open
+         it, (level, slot) of its parent column). *)
+      let parts = Array.make num_vars [] and count = Array.make num_vars 0 in
       List.iter
-        (fun cu ->
-          Array.iteri (fun d v -> levels.(level_of.(v)) <- (cu, d) :: levels.(level_of.(v))) cu.ovars)
-        cursors;
-      let levels = Array.map Array.of_list levels in
-      Array.iter (fun parts -> assert (Array.length parts > 0)) levels;
+        (fun p ->
+          let (trie : trie), ovars = trie_of_pre (fun v -> level_of.(v)) p in
+          let parent = ref (-1, 0) in
+          Array.iteri
+            (fun d v ->
+              let g = level_of.(v) in
+              let offs = if d = 0 then [||] else trie.offs.(d - 1) in
+              parts.(g) <- (trie.keys.(d), offs, !parent) :: parts.(g);
+              parent := (g, count.(g));
+              count.(g) <- count.(g) + 1)
+            ovars)
+        c.pres;
+      let levels =
+        Array.map
+          (fun ps ->
+            let ps = Array.of_list (List.rev ps) in
+            let k = Array.length ps in
+            assert (k > 0);
+            {
+              keys = Array.map (fun (c, _, _) -> c) ps;
+              offs = Array.map (fun (_, o, _) -> o) ps;
+              plevel = Array.map (fun (_, _, (g, _)) -> g) ps;
+              pslot = Array.map (fun (_, _, (_, s)) -> s) ps;
+              pos = Array.make k 0;
+              hi = Array.make k 0;
+              ord = Array.make k 0;
+            })
+          parts
+      in
       (* Projection / dedup setup. *)
       let proj = Array.of_list proj in
       let full_cover =
@@ -748,8 +602,9 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
          projection) cost one hash lookup and no allocation; only a
          genuinely new row is copied to become the table key. *)
       let probe = Array.make (Array.length proj) 0 in
+      let bound v = bnd.(v) in
       let emit () =
-        if full_cover then yield (Array.map (fun v -> bnd.(v)) proj)
+        if full_cover then yield (Array.map bound proj)
         else begin
           Array.iteri (fun i v -> probe.(i) <- bnd.(v)) proj;
           if not (Hashtbl.mem seen probe) then begin
@@ -781,47 +636,53 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       let rec level g =
         if g = num_vars then emit ()
         else begin
-          let parts = levels.(g) in
-          let k = Array.length parts in
-          Array.iter (fun (cu, d) -> if d = 0 then start_root cu else open_child cu d) parts;
-          let dead = ref false in
-          Array.iter (fun (cu, d) -> if cu.pos.(d) >= cu.hi.(d) then dead := true) parts;
-          if not !dead then begin
-            Array.sort
-              (fun (c1, d1) (c2, d2) ->
-                compare (col c1 d1).(c1.pos.(d1)) (col c2 d2).(c2.pos.(d2)))
-              parts;
-            let p = ref 0 in
-            let x' =
-              let cu, d = parts.(k - 1) in
-              ref (col cu d).(cu.pos.(d))
-            in
-            let live = ref true in
-            while !live do
-              let cu, d = parts.(!p) in
-              let x = (col cu d).(cu.pos.(d)) in
-              if x = !x' then begin
-                (* All k iterators agree on x: bind and descend. *)
-                bnd.(order.(g)) <- x;
-                tick ();
-                level (g + 1);
-                cu.pos.(d) <- cu.pos.(d) + 1;
-                if cu.pos.(d) >= cu.hi.(d) then live := false
-                else begin
-                  x' := (col cu d).(cu.pos.(d));
-                  p := (!p + 1) mod k
-                end
-              end
-              else begin
-                cu.pos.(d) <- lower_bound (col cu d) cu.pos.(d) cu.hi.(d) !x';
-                if cu.pos.(d) >= cu.hi.(d) then live := false
-                else begin
-                  x' := (col cu d).(cu.pos.(d));
-                  p := (!p + 1) mod k
-                end
-              end
-            done
-          end
+          let { keys; offs; plevel; pslot; pos; hi; ord } = levels.(g) in
+          let k = Array.length keys in
+          (* Open every participant and insertion-sort the slots by
+             their first key; stop at the first empty one. *)
+          let live = ref true and i = ref 0 in
+          while !live && !i < k do
+            let s = !i in
+            if plevel.(s) < 0 then begin
+              pos.(s) <- 0;
+              hi.(s) <- Array.length keys.(s)
+            end
+            else begin
+              let pp = levels.(plevel.(s)).pos.(pslot.(s)) in
+              pos.(s) <- offs.(s).(pp);
+              hi.(s) <- offs.(s).(pp + 1)
+            end;
+            if pos.(s) >= hi.(s) then live := false
+            else begin
+              let x = keys.(s).(pos.(s)) and j = ref s in
+              while !j > 0 && keys.(ord.(!j - 1)).(pos.(ord.(!j - 1))) > x do
+                ord.(!j) <- ord.(!j - 1);
+                decr j
+              done;
+              ord.(!j) <- s;
+              incr i
+            end
+          done;
+          let p = ref 0 in
+          let xmax = ref (if !live then keys.(ord.(k - 1)).(pos.(ord.(k - 1))) else 0) in
+          let v = order.(g) in
+          while !live do
+            let s = ord.(!p) in
+            let a = keys.(s) in
+            if a.(pos.(s)) = !xmax then begin
+              (* All k iterators agree: bind and descend. *)
+              bnd.(v) <- !xmax;
+              tick ();
+              level (g + 1);
+              pos.(s) <- pos.(s) + 1
+            end
+            else pos.(s) <- gallop a (pos.(s) + 1) hi.(s) !xmax;
+            if pos.(s) >= hi.(s) then live := false
+            else begin
+              xmax := a.(pos.(s));
+              p := if !p + 1 = k then 0 else !p + 1
+            end
+          done
         end
       in
       let run () =

@@ -11,11 +11,12 @@
 
     Atoms are specified over named variables with one of four relation
     sources; constants must be substituted away by the caller (or pinned
-    with a singleton {!Set} atom).  Trie iterators come in three flavors:
+    with a singleton {!Set} atom).  Trie iterators come in two flavors:
     zero-copy views over a per-snapshot label-sorted CSR index
-    ({!Edges}), sorted int arrays built from materialized relations
-    ({!Pairs}, {!Rows3}), and unary sorted sets / singletons ({!Set}).
-    The global variable order is chosen by
+    ({!Edges} on one label), and tries built from materialized relations
+    ({!Set}, {!Pairs}, {!Rows3}, label unions and self-loop atoms) by
+    stable LSD radix passes over their columns, in time linear in the
+    rows and with no per-row allocation.  The global variable order is chosen by
     {!Gqkg_analysis.Joinplan.choose_order} from per-atom cardinality
     estimates.
 
@@ -33,7 +34,7 @@ module Budget = Gqkg_util.Budget
 module Index : sig
   (** Label-sorted adjacency: for every edge-label id, the distinct
       (src, dst) pairs grouped by src (out orientation) and by dst (in
-      orientation), built once per snapshot by counting sorts and
+      orientation), built once per snapshot by radix sorts and
       memoized on it ({!Snapshot.val-memo}).  Empty when the snapshot
       interns no edge labels ([num_labels = 0]). *)
   type t
@@ -66,6 +67,12 @@ end
 
 (** {1 Atom specification} *)
 
+(** A relation over non-negative int ids: a negative id in a
+    materialized relation raises [Invalid_argument] from {!plan} and
+    {!solve}.  A materialized relation (every source except a
+    single-label {!Edges}) is sorted once for its statistics, and its
+    trie is built once, in the column order the chosen variable order
+    binds first; duplicate rows are dropped in that build. *)
 type rel =
   | Edges of int list
       (** Union of edge-label ids, served zero-copy from the {!Index}
@@ -106,7 +113,8 @@ val plan : ?snapshot:Snapshot.t -> atom_spec list -> plan
     dedup table is kept); proper projections are deduplicated.
 
     Raises [Invalid_argument] if a requested variable appears in no
-    atom, or an atom's arity disagrees with its relation.  Exceptions
+    atom, an atom's arity disagrees with its relation, or a
+    materialized relation holds a negative id.  Exceptions
     raised by [yield] (e.g. a LIMIT sentinel) propagate. *)
 val solve :
   ?budget:Budget.t ->

@@ -152,25 +152,30 @@ let compile_pattern ?budget ctx pat =
           if Triple_store.mem_ids store ~s ~p ~o then `Sat else `Unsat
       | cs, cp, co ->
           let fixed = function `Id id -> Some id | _ -> None in
-          let s = fixed cs and p = fixed cp and o = fixed co in
-          let vars =
-            List.filter_map (function `Var x -> Some x | _ -> None) [ cs; cp; co ]
+          let vars, cols =
+            List.split
+              (List.filter_map
+                 (function `Var x, col -> Some (x, col) | _ -> None)
+                 [ (cs, 0); (cp, 1); (co, 2) ])
           in
-          let rows = ref [] in
-          Triple_store.iter_matching_ids store ~s ~p ~o (fun si pi oi ->
-              let row =
-                List.filter_map
-                  (fun (c, i) -> match c with `Var _ -> Some i | _ -> None)
-                  [ (cs, si); (cp, pi); (co, oi) ]
-              in
-              rows := row :: !rows);
+          let pick col s p o = match col with 0 -> s | 1 -> p | _ -> o in
+          let scan f =
+            Triple_store.iter_matching_ids store ~s:(fixed cs) ~p:(fixed cp) ~o:(fixed co) f
+          in
           let rel =
-            match List.length vars with
-            | 1 -> Join.Set (Array.of_list (List.map List.hd !rows))
-            | 2 -> Join.Pairs (List.map (function [ a; b ] -> (a, b) | _ -> assert false) !rows)
+            match cols with
+            | [ a ] ->
+                let acc = ref [] in
+                scan (fun s p o -> acc := pick a s p o :: !acc);
+                Join.Set (Array.of_list !acc)
+            | [ a; b ] ->
+                let acc = ref [] in
+                scan (fun s p o -> acc := (pick a s p o, pick b s p o) :: !acc);
+                Join.Pairs !acc
             | _ ->
-                Join.Rows3
-                  (List.map (function [ a; b; c ] -> (a, b, c) | _ -> assert false) !rows)
+                let acc = ref [] in
+                scan (fun s p o -> acc := (s, p, o) :: !acc);
+                Join.Rows3 !acc
           in
           `Atom (Join.atom ~name:(pattern_name pat) (Array.of_list vars) rel)
     end
@@ -211,15 +216,17 @@ let compile_query ?budget ctx query =
   in
   go [] query.where
 
-let iter_solutions ?budget store query ~yield =
-  let ctx = make_context store in
-  match compile_query ?budget ctx query with
+(* Solve on term ids, yielding the values of [vars] once per distinct
+   tuple (each full solution once when [vars] covers every variable). *)
+let solve_ids ?budget store query ~vars ~yield =
+  match compile_query ?budget (make_context store) query with
   | None -> ()
-  | Some specs ->
-      let vars = query_vars query in
-      Join.solve ?budget specs ~vars ~yield:(fun row ->
-          let env = List.mapi (fun i x -> (x, Triple_store.term_of store row.(i))) vars in
-          yield env)
+  | Some specs -> Join.solve ?budget specs ~vars ~yield
+
+let iter_solutions ?budget store query ~yield =
+  let vars = query_vars query in
+  solve_ids ?budget store query ~vars ~yield:(fun row ->
+      yield (List.mapi (fun i x -> (x, Triple_store.term_of store row.(i))) vars))
 
 (* The join plan for a query (variable order + per-atom estimates). *)
 let explain store query =
@@ -229,35 +236,34 @@ let explain store query =
   | Some [] -> "no variable patterns: at most the empty solution"
   | Some specs -> (Join.plan specs).Join.rendered
 
-(* SELECT evaluation: the distinct projections of the solutions onto the
-   selected variables (unbound selected variables are an error). *)
-let select ?budget store query =
+let check_select query =
   List.iter
     (fun x ->
       if not (List.exists (fun pat -> List.mem x (pattern_vars pat)) query.where) then
         invalid_arg (Printf.sprintf "Bgp.select: variable ?%s not used in the pattern" x))
-    query.select;
-  let seen = Hashtbl.create 64 in
+    query.select
+
+(* SELECT evaluation: the distinct projections of the solutions onto the
+   selected variables (unbound selected variables are an error).  The
+   join deduplicates on id rows; terms are looked up once per distinct
+   row. *)
+let select ?budget store query =
+  check_select query;
   let out = ref [] in
-  iter_solutions ?budget store query ~yield:(fun env ->
-      let row = List.map (fun x -> List.assoc x env) query.select in
-      let key = List.map Term.to_string row in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        out := row :: !out
-      end);
-  List.sort (fun a b -> List.compare Term.compare a b) !out
+  solve_ids ?budget store query ~vars:query.select ~yield:(fun row ->
+      out := Array.fold_right (fun id acc -> Triple_store.term_of store id :: acc) row [] :: !out);
+  List.sort (List.compare Term.compare) !out
 
 (* COUNT of all solution mappings, without projection or dedup. *)
 let count_solutions ?budget store query =
   let n = ref 0 in
-  iter_solutions ?budget store query ~yield:(fun _ -> incr n);
+  solve_ids ?budget store query ~vars:(query_vars query) ~yield:(fun _ -> incr n);
   !n
 
 (* ASK. *)
 let ask ?budget store query =
   let exception Found in
-  match iter_solutions ?budget store query ~yield:(fun _ -> raise Found) with
+  match solve_ids ?budget store query ~vars:[] ~yield:(fun _ -> raise Found) with
   | () -> false
   | exception Found -> true
 
@@ -406,11 +412,7 @@ let iter_solutions_backtrack store query ~yield =
   solve patterns
 
 let select_backtrack store query =
-  List.iter
-    (fun x ->
-      if not (List.exists (fun pat -> List.mem x (pattern_vars pat)) query.where) then
-        invalid_arg (Printf.sprintf "Bgp.select: variable ?%s not used in the pattern" x))
-    query.select;
+  check_select query;
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   iter_solutions_backtrack store query ~yield:(fun env ->

@@ -148,7 +148,8 @@ let parse input =
   if not star then begin
     skip_ws st;
     while st.pos < String.length st.input && st.input.[st.pos] = '?' do
-      select := variable st :: !select;
+      let at = st.pos in
+      select := (variable st, at) :: !select;
       skip_ws st
     done;
     if !select = [] then fail st.pos "expected ?variables or *"
@@ -192,7 +193,15 @@ let parse input =
       List.concat_map Bgp.pattern_vars where
       |> List.fold_left (fun acc v -> if List.mem v acc then acc else v :: acc) []
       |> List.rev
-    else List.rev !select
+    else begin
+      let select = List.rev !select in
+      List.iter
+        (fun (x, at) ->
+          if not (List.exists (fun pat -> List.mem x (Bgp.pattern_vars pat)) where) then
+            fail at "variable ?%s not used in the pattern" x)
+        select;
+      List.map fst select
+    end
   in
   ({ Bgp.select; where }, limit)
 

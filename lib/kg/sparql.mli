@@ -7,7 +7,8 @@
 
 exception Error of { position : int; message : string }
 
-(** Parse into a BGP query and an optional LIMIT. Raises {!Error}. *)
+(** Parse into a BGP query and an optional LIMIT. Raises {!Error},
+    also for a selected variable that no pattern uses. *)
 val parse : string -> Bgp.query * int option
 
 (** Parse and evaluate (sorted distinct rows, LIMIT applied) through the

@@ -95,9 +95,15 @@ let with_label_suffix label r =
 let parse input =
   let st = { input; pos = 0 } in
   expect st "select";
-  let head = ref [ ident st ] in
+  (* Head variables with their positions, for the bound check below. *)
+  let head_ident () =
+    skip_ws st;
+    let at = st.pos in
+    (ident st, at)
+  in
+  let head = ref [ head_ident () ] in
   while try_consume st "," do
-    head := ident st :: !head
+    head := head_ident () :: !head
   done;
   expect st "where";
   let atoms = ref [] in
@@ -154,6 +160,12 @@ let parse input =
   in
   skip_ws st;
   if st.pos <> String.length st.input then fail st.pos "trailing input";
-  Crpq.query ?limit ~head:(List.rev !head) ~body:(List.rev !atoms) ()
+  let head = List.rev !head and body = List.rev !atoms in
+  List.iter
+    (fun (v, at) ->
+      if not (List.exists (fun a -> a.Crpq.src = v || a.Crpq.dst = v) body) then
+        fail at "head variable %s not bound by the body" v)
+    head;
+  Crpq.query ?limit ~head:(List.map fst head) ~body ()
 
 let parse_opt input = match parse input with q -> Some q | exception Error _ -> None

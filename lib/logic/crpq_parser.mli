@@ -13,7 +13,8 @@
 
 exception Error of { position : int; message : string }
 
-(** Raises {!Error} with a 0-based character position. *)
+(** Raises {!Error} with a 0-based character position, also for a head
+    variable that no body atom binds. *)
 val parse : string -> Crpq.t
 
 val parse_opt : string -> Crpq.t option

@@ -102,7 +102,16 @@ let test_empty_and_invalid () =
   checkb "unknown var" true
     (raises (fun () -> collect (tri_specs tri_edges) ~vars:[ "q" ]));
   checkb "arity mismatch" true
-    (raises (fun () -> collect [ Join.atom [| "x" |] (Join.Pairs [ (0, 1) ]) ] ~vars:[ "x" ]))
+    (raises (fun () -> collect [ Join.atom [| "x" |] (Join.Pairs [ (0, 1) ]) ] ~vars:[ "x" ]));
+  List.iter
+    (fun (what, spec) ->
+      checkb ("negative id in " ^ what) true (raises (fun () -> collect [ spec ] ~vars:[ "x" ])))
+    [
+      ("a set", Join.atom [| "x" |] (Join.Set [| 3; -5 |]));
+      ("a singleton", Join.atom [| "x" |] (Join.Set [| -1 |]));
+      ("pairs", Join.atom [| "x"; "y" |] (Join.Pairs [ (0, 1); (2, -2) ]));
+      ("rows", Join.atom [| "x"; "y"; "z" |] (Join.Rows3 [ (-4, 1, 2) ]));
+    ]
 
 let test_order_hint () =
   let base = collect (tri_specs tri_edges) ~vars:[ "x"; "y"; "z" ] in
@@ -239,6 +248,81 @@ let prop_crpq_budget_partial_subset =
       let partial = Crpq.answers ~budget:b ~max_length:3 inst q in
       List.for_all (fun row -> List.mem row full) partial)
 
+(* Random materialized atoms of arity 1-3 over variables a..d (repeats
+   allowed), with duplicate rows and empty relations.  Ids come either
+   from 0..7 (dense collisions) or from an 8-id pool drawn from
+   0..2^20, so the radix sort runs three passes per column. *)
+let atoms_gen =
+  let open QCheck2.Gen in
+  let* wide = bool in
+  let* pool = array_size (return 8) (int_bound (if wide then 1 lsl 20 else 7)) in
+  let atom =
+    let* arity = int_range 1 3 in
+    let* avars = array_size (return arity) (oneofl [ "a"; "b"; "c"; "d" ]) in
+    let id = map (Array.get pool) (int_bound 7) in
+    let* rows = list_size (int_range 0 10) (array_size (return arity) id) in
+    let* dups = int_bound 3 in
+    return (avars, List.filteri (fun i _ -> i < dups) rows @ rows)
+  in
+  let* atoms = list_size (int_range 1 3) atom in
+  let* seed = int_bound 1_000_000 in
+  return (atoms, seed)
+
+let spec_of_rows (avars, rows) =
+  Join.atom avars
+    (match Array.length avars with
+    | 1 -> Join.Set (Array.of_list (List.map (fun r -> r.(0)) rows))
+    | 2 -> Join.Pairs (List.map (fun r -> (r.(0), r.(1))) rows)
+    | _ -> Join.Rows3 (List.map (fun r -> (r.(0), r.(1), r.(2))) rows))
+
+(* Every assignment consistent with every atom, by nested loops over
+   the atoms' rows. *)
+let nested_loop_join atoms =
+  let extend env avars row =
+    let rec go env i =
+      if i = Array.length avars then Some env
+      else
+        match List.assoc_opt avars.(i) env with
+        | Some x when x <> row.(i) -> None
+        | Some _ -> go env (i + 1)
+        | None -> go ((avars.(i), row.(i)) :: env) (i + 1)
+    in
+    go env 0
+  in
+  List.fold_left
+    (fun envs (avars, rows) ->
+      List.concat_map (fun env -> List.filter_map (extend env avars) rows) envs)
+    [ [] ] atoms
+
+(* A shuffled copy of [l], drawn from [rng]. *)
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Splitmix.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_join_equals_nested_loop =
+  QCheck2.Test.make ~name:"Join.solve = nested-loop oracle (radix-built tries)" ~count:300
+    atoms_gen
+    (fun (atoms, seed) ->
+      let rng = Splitmix.create seed in
+      let all =
+        List.sort_uniq compare (List.concat_map (fun (avars, _) -> Array.to_list avars) atoms)
+      in
+      (* A random non-empty projection, in random order. *)
+      let vars = List.filteri (fun i _ -> i = 0 || Splitmix.bool rng) (shuffle rng all) in
+      let expected =
+        List.sort_uniq compare
+          (List.map (fun env -> List.map (fun v -> List.assoc v env) vars) (nested_loop_join atoms))
+      in
+      let specs = List.map spec_of_rows atoms in
+      let hint = Array.of_list (shuffle rng all) in
+      collect specs ~vars = expected && collect ~order_hint:hint specs ~vars = expected)
+
 (* BGP: random tiny stores, mixed triple and path patterns. *)
 
 let bgp_subjects = [| Term.iri "s0"; Term.iri "s1"; Term.iri "s2"; Term.iri "s3" |]
@@ -276,17 +360,18 @@ let bgp_gen =
   return (triples, where)
 
 let prop_bgp_wcoj_equals_backtrack =
-  QCheck2.Test.make ~name:"BGP: WCOJ = backtracking oracle" ~count:120 bgp_gen
-    (fun (triples, where) ->
+  QCheck2.Test.make ~name:"BGP: WCOJ = backtracking oracle" ~count:120
+    QCheck2.Gen.(pair bgp_gen (int_bound 1_000_000))
+    (fun ((triples, where), seed) ->
       let store = Triple_store.create () in
       Triple_store.add_all store triples;
+      (* A random non-empty subset of the variables, in random order:
+         proper subsets go through the join's id-row projection. *)
+      let rng = Splitmix.create seed in
       let select =
-        List.fold_left
-          (fun acc p ->
-            List.fold_left
-              (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
-              acc (Bgp.pattern_vars p))
-          [] where
+        List.filteri
+          (fun i _ -> i = 0 || Splitmix.bool rng)
+          (shuffle rng (List.sort_uniq compare (List.concat_map Bgp.pattern_vars where)))
       in
       let q = { Bgp.select; where } in
       Bgp.select store q = Bgp.select_backtrack store q)
@@ -388,7 +473,11 @@ let test_head_variable_unbound () =
     (match Crpq.answers inst q with exception _ -> true | _ -> false);
   let cq = Cq.query ~head:[ "ghost" ] ~body:[ Cq.edge_atom "e" "x" "y" ] in
   checkb "unbound CQ head raises" true
-    (match Cq.answers inst cq with exception _ -> true | _ -> false)
+    (match Cq.answers inst cq with exception _ -> true | _ -> false);
+  (* The parser rejects it up front, pointing at the head variable. *)
+  match Crpq_parser.parse "SELECT x, ghost WHERE (x)-[e]->(y)" with
+  | exception Crpq_parser.Error { position; _ } -> checki "error at the head variable" 10 position
+  | _ -> Alcotest.fail "expected Crpq_parser.Error"
 
 let test_parser_malformed () =
   let bad =
@@ -481,6 +570,7 @@ let () =
             prop_cq_wcoj_equals_backtrack;
             prop_crpq_wcoj_equals_backtrack;
             prop_bgp_wcoj_equals_backtrack;
+            prop_join_equals_nested_loop;
             prop_crpq_budget_partial_subset;
           ] );
       ( "budget",

@@ -303,6 +303,25 @@ let test_sparql_star_and_limit () =
   checki "one row" 1 (List.length rows);
   checki "two columns" 2 (List.length (List.hd rows))
 
+let test_sparql_projection_and_limit () =
+  (* Five publications over three years: the projection onto ?y holds
+     each year once, sorted by Term.compare; LIMIT cuts that sorted
+     list. *)
+  let years = [ 2021; 2019; 2020; 2019; 2021 ] in
+  let store =
+    store_with
+      (List.mapi
+         (fun i y -> t3 (iri (Printf.sprintf "urn:x/p%d" i)) (iri "urn:p/year") (Term.of_int y))
+         years)
+  in
+  let expected =
+    List.sort (List.compare Term.compare) (List.map (fun y -> [ Term.of_int y ]) [ 2019; 2020; 2021 ])
+  in
+  let rows = Sparql.run store "SELECT ?y WHERE { ?p <urn:p/year> ?y }" in
+  checkb "each year once, sorted" true (rows = expected);
+  let limited = Sparql.run store "SELECT ?y WHERE { ?p <urn:p/year> ?y } LIMIT 2" in
+  checkb "limit keeps the sorted prefix" true (limited = List.filteri (fun i _ -> i < 2) expected)
+
 let test_sparql_literals_and_integers () =
   let rows = Sparql.run (sparql_store ()) "SELECT ?x WHERE { ?x <urn:p/age> 30 }" in
   checkb "int literal matches" true (rows = [ [ iri "urn:x/alice" ] ]);
@@ -330,6 +349,7 @@ let test_sparql_comments_and_errors () =
       "SELECT ?x WHERE { ?x ?p }";
       "SELECT ?x WHERE { ?x ?p ?y } LIMIT";
       "SELECT ?x WHERE { ?x (bad[ ?y }";
+      "SELECT ?z WHERE { ?x ?p ?y }";
     ]
 
 (* ---------- RDFS inference ---------- *)
@@ -554,6 +574,7 @@ let () =
           Alcotest.test_case "a + join" `Quick test_sparql_a_and_join;
           Alcotest.test_case "property path" `Quick test_sparql_property_path;
           Alcotest.test_case "star + limit" `Quick test_sparql_star_and_limit;
+          Alcotest.test_case "projection + limit" `Quick test_sparql_projection_and_limit;
           Alcotest.test_case "literals" `Quick test_sparql_literals_and_integers;
           Alcotest.test_case "comments/errors" `Quick test_sparql_comments_and_errors;
         ] );

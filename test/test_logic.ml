@@ -436,6 +436,7 @@ let test_crpq_parser_errors () =
       "SELECT x WHERE (x)-[a]->(y) garbage";
       "SELECT x WHERE (x)-[a->(y)";
       "SELECT x WHERE (x)-[ ]->(y)";
+      "SELECT z WHERE (x)-[a]->(y)";
     ];
   checkb "parse_opt none" true (Crpq_parser.parse_opt "nope" = None)
 
