@@ -1,9 +1,11 @@
 (* Delta overlay over a frozen snapshot: the write path of the MVCC
-   epoch design.  Mutations accumulate in cheap delta structures (dead
-   flags over the base, appended new objects, property-override tables,
-   a live name index); reads answer base ∪ adds ∖ deletes; [commit]
-   re-freezes incrementally, physically sharing every column the delta
-   did not touch.
+   epoch design.  Mutations accumulate in delta-sized structures (sets
+   of dead base indices, appended new objects by id, property-override
+   tables); reads answer base ∪ adds ∖ deletes through the base's id
+   index; [commit] re-freezes incrementally, physically sharing every
+   column the delta did not touch and blitting the survivors of the
+   ones it did, then hands the id index, updated by the delta, to the
+   new base.
 
    Numbering invariant: base survivors keep base order, new objects
    append in insertion order — the same order [Journal.replay_ops]
@@ -16,6 +18,11 @@
    their label ids, which is what lets [elabel] be reused verbatim. *)
 
 module B = Gqkg_util.Bitset
+module Ids = Hashtbl.Make (Const)
+module Ints = Set.Make (Int)
+
+(* Writer-side id index: node and edge ids to base indices. *)
+type index = { node_ix : int Ids.t; edge_ix : int Ids.t }
 
 type base = {
   snap : Snapshot.t;
@@ -23,10 +30,12 @@ type base = {
   node_labels : Const.t array;
   node_props : Property_graph.properties array;
   edge_ids : Const.t array;
-  edge_labels : Const.t array;
   edge_props : Property_graph.properties array;
   edge_label_univ : Const.t array; (* interned universe in label-id order *)
   node_label_univ : Const.t array;
+  mutable index : index option;
+      (* built on the base's first write, moved to the next base by
+         [commit]; only the serialized writer touches it *)
 }
 
 let snapshot b = b.snap
@@ -57,7 +66,7 @@ let history b =
           id = b.edge_ids.(e);
           src = b.node_ids.(s.Snapshot.esrc.(e));
           dst = b.node_ids.(s.Snapshot.edst.(e));
-          label = b.edge_labels.(e);
+          label = b.edge_label_univ.(s.Snapshot.elabel.(e));
         }
       :: !ops
   done;
@@ -79,10 +88,10 @@ let base_of_property g =
     node_labels = Array.init n (Property_graph.node_label g);
     node_props = Array.init n (Property_graph.node_properties g);
     edge_ids = Array.init m (Property_graph.edge_id g);
-    edge_labels = Array.init m (Property_graph.edge_label g);
     edge_props = Array.init m (Property_graph.edge_properties g);
     edge_label_univ;
     node_label_univ;
+    index = None;
   }
 
 let base_of_snapshot (s : Snapshot.t) =
@@ -113,11 +122,26 @@ let base_of_snapshot (s : Snapshot.t) =
     node_labels;
     node_props = Array.make n [||];
     edge_ids = Array.init m (fun e -> Const.of_string (s.Snapshot.edge_name e));
-    edge_labels = Array.init m (fun e -> edge_label_univ.(s.Snapshot.elabel.(e)));
     edge_props = Array.make m [||];
     edge_label_univ;
     node_label_univ;
+    index = None;
   }
+
+(* The base's id index, built on its first write (a fork's first write
+   after [commit] moved it on rebuilds it). *)
+let index b =
+  match b.index with
+  | Some ix -> ix
+  | None ->
+      let table ids =
+        let tbl = Ids.create (Array.length ids + 16) in
+        Array.iteri (fun i id -> Ids.replace tbl id i) ids;
+        tbl
+      in
+      let ix = { node_ix = table b.node_ids; edge_ix = table b.edge_ids } in
+      b.index <- Some ix;
+      ix
 
 (* ---------------- The delta ------------------------------------------- *)
 
@@ -136,43 +160,33 @@ type new_edge = {
   mutable e_props : (Const.t * Const.t) list;
 }
 
-type node_handle = Bnode of int | Nnode of new_node
-type edge_handle = Bedge of int | Nedge of new_edge
+type node_handle = Bnode of int | Nnode of new_node | No_node
+type edge_handle = Bedge of int | Nedge of new_edge | No_edge
 
 type t = {
   base : base;
-  dead_node : bool array; (* over base node indices *)
-  dead_edge : bool array;
-  mutable n_dead_nodes : int;
-  mutable n_dead_edges : int;
+  mutable dead_nodes : Ints.t; (* base node indices *)
+  mutable dead_edges : Ints.t;
   mutable new_nodes : new_node list; (* reversed insertion order *)
   mutable new_edges : new_edge list; (* reversed *)
+  new_node_ids : new_node Ids.t; (* live new objects *)
+  new_edge_ids : new_edge Ids.t;
   bprops_n : (int, (Const.t * Const.t) list) Hashtbl.t; (* touched base nodes: full current assoc *)
   bprops_e : (int, (Const.t * Const.t) list) Hashtbl.t;
-  nodes_by_id : (Const.t, node_handle) Hashtbl.t; (* live objects only *)
-  edges_by_id : (Const.t, edge_handle) Hashtbl.t;
   mutable ops : int;
 }
 
 let create base =
-  let s = base.snap in
-  let n = s.Snapshot.num_nodes and m = s.Snapshot.num_edges in
-  let nodes_by_id = Hashtbl.create (n + 16) in
-  Array.iteri (fun v id -> Hashtbl.replace nodes_by_id id (Bnode v)) base.node_ids;
-  let edges_by_id = Hashtbl.create (m + 16) in
-  Array.iteri (fun e id -> Hashtbl.replace edges_by_id id (Bedge e)) base.edge_ids;
   {
     base;
-    dead_node = Array.make (max n 1) false;
-    dead_edge = Array.make (max m 1) false;
-    n_dead_nodes = 0;
-    n_dead_edges = 0;
+    dead_nodes = Ints.empty;
+    dead_edges = Ints.empty;
     new_nodes = [];
     new_edges = [];
+    new_node_ids = Ids.create 16;
+    new_edge_ids = Ids.create 16;
     bprops_n = Hashtbl.create 16;
     bprops_e = Hashtbl.create 16;
-    nodes_by_id;
-    edges_by_id;
     ops = 0;
   }
 
@@ -180,10 +194,30 @@ let base t = t.base
 let size t = t.ops
 
 let live_nodes t =
-  t.base.snap.Snapshot.num_nodes - t.n_dead_nodes + List.length t.new_nodes
+  t.base.snap.Snapshot.num_nodes - Ints.cardinal t.dead_nodes + List.length t.new_nodes
 
 let live_edges t =
-  t.base.snap.Snapshot.num_edges - t.n_dead_edges + List.length t.new_edges
+  t.base.snap.Snapshot.num_edges - Ints.cardinal t.dead_edges + List.length t.new_edges
+
+(* Delta first, then the base index minus the dead set. *)
+let find_node t id =
+  match Ids.find_opt t.new_node_ids id with
+  | Some r -> Nnode r
+  | None -> (
+      match Ids.find_opt (index t.base).node_ix id with
+      | Some i when not (Ints.mem i t.dead_nodes) -> Bnode i
+      | _ -> No_node)
+
+let find_edge t id =
+  match Ids.find_opt t.new_edge_ids id with
+  | Some r -> Nedge r
+  | None -> (
+      match Ids.find_opt (index t.base).edge_ix id with
+      | Some e when not (Ints.mem e t.dead_edges) -> Bedge e
+      | _ -> No_edge)
+
+let mem_node t id = match find_node t id with No_node -> false | _ -> true
+let mem_edge t id = match find_edge t id with No_edge -> false | _ -> true
 
 let fail ?file line fmt =
   Printf.ksprintf (fun message -> raise (Journal.Replay_error { file; line; message })) fmt
@@ -202,134 +236,116 @@ let base_props_assoc over props i =
   | None -> Array.to_list props.(i)
 
 let kill_base_edge t e =
-  t.dead_edge.(e) <- true;
-  t.n_dead_edges <- t.n_dead_edges + 1;
-  Hashtbl.remove t.bprops_e e;
-  Hashtbl.remove t.edges_by_id t.base.edge_ids.(e)
+  t.dead_edges <- Ints.add e t.dead_edges;
+  Hashtbl.remove t.bprops_e e
 
 let kill_new_edge t (r : new_edge) =
   t.new_edges <- List.filter (fun x -> x != r) t.new_edges;
-  Hashtbl.remove t.edges_by_id r.e_id
+  Ids.remove t.new_edge_ids r.e_id
 
 let apply ?file ?(line = 0) t op =
   let add_node id label =
-    if Hashtbl.mem t.nodes_by_id id then fail ?file line "node %s already exists" (Const.to_string id);
+    if mem_node t id then fail ?file line "node %s already exists" (Const.to_string id);
     let r = { n_id = id; n_label = label; n_props = []; n_final = -1 } in
     t.new_nodes <- r :: t.new_nodes;
-    Hashtbl.replace t.nodes_by_id id (Nnode r)
+    Ids.replace t.new_node_ids id r
   in
   let add_edge id src dst label =
-    if Hashtbl.mem t.edges_by_id id then fail ?file line "edge %s already exists" (Const.to_string id);
-    if not (Hashtbl.mem t.nodes_by_id src) then
+    if mem_edge t id then fail ?file line "edge %s already exists" (Const.to_string id);
+    if not (mem_node t src) then
       fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string src);
-    if not (Hashtbl.mem t.nodes_by_id dst) then
+    if not (mem_node t dst) then
       fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string dst);
     let r = { e_id = id; e_src = src; e_dst = dst; e_label = label; e_props = [] } in
     t.new_edges <- r :: t.new_edges;
-    Hashtbl.replace t.edges_by_id id (Nedge r)
+    Ids.replace t.new_edge_ids id r
   in
-  let node_of id =
-    match Hashtbl.find_opt t.nodes_by_id id with
-    | Some h -> h
-    | None -> fail ?file line "no node %s" (Const.to_string id)
+  let no_node id = fail ?file line "no node %s" (Const.to_string id) in
+  (* Rewrite the current props of a live object. *)
+  let update_node_props id f =
+    match find_node t id with
+    | Bnode i -> Hashtbl.replace t.bprops_n i (f (base_props_assoc t.bprops_n t.base.node_props i))
+    | Nnode r -> r.n_props <- f r.n_props
+    | No_node -> no_node id
   in
-  let edge_of id =
-    match Hashtbl.find_opt t.edges_by_id id with
-    | Some h -> h
-    | None -> fail ?file line "no edge %s" (Const.to_string id)
+  let update_edge_props id f =
+    match find_edge t id with
+    | Bedge e -> Hashtbl.replace t.bprops_e e (f (base_props_assoc t.bprops_e t.base.edge_props e))
+    | Nedge r -> r.e_props <- f r.e_props
+    | No_edge -> fail ?file line "no edge %s" (Const.to_string id)
   in
   (match op with
   | Mutation.Add_node { id; label } -> add_node id label
-  | Merge_node { id; label } -> if not (Hashtbl.mem t.nodes_by_id id) then add_node id label
+  | Merge_node { id; label } -> if not (mem_node t id) then add_node id label
   | Add_edge { id; src; dst; label } -> add_edge id src dst label
-  | Merge_edge { id; src; dst; label } ->
-      if not (Hashtbl.mem t.edges_by_id id) then add_edge id src dst label
-  | Set_node_prop { id; prop; value } -> (
-      match node_of id with
-      | Bnode i ->
-          Hashtbl.replace t.bprops_n i
-            (assoc_set (base_props_assoc t.bprops_n t.base.node_props i) prop value)
-      | Nnode r -> r.n_props <- assoc_set r.n_props prop value)
-  | Set_edge_prop { id; prop; value } -> (
-      match edge_of id with
-      | Bedge e ->
-          Hashtbl.replace t.bprops_e e
-            (assoc_set (base_props_assoc t.bprops_e t.base.edge_props e) prop value)
-      | Nedge r -> r.e_props <- assoc_set r.e_props prop value)
-  | Del_node_prop { id; prop } -> (
-      match node_of id with
-      | Bnode i ->
-          Hashtbl.replace t.bprops_n i
-            (assoc_del (base_props_assoc t.bprops_n t.base.node_props i) prop)
-      | Nnode r -> r.n_props <- assoc_del r.n_props prop)
-  | Del_edge_prop { id; prop } -> (
-      match edge_of id with
-      | Bedge e ->
-          Hashtbl.replace t.bprops_e e
-            (assoc_del (base_props_assoc t.bprops_e t.base.edge_props e) prop)
-      | Nedge r -> r.e_props <- assoc_del r.e_props prop)
+  | Merge_edge { id; src; dst; label } -> if not (mem_edge t id) then add_edge id src dst label
+  | Set_node_prop { id; prop; value } -> update_node_props id (fun a -> assoc_set a prop value)
+  | Set_edge_prop { id; prop; value } -> update_edge_props id (fun a -> assoc_set a prop value)
+  | Del_node_prop { id; prop } -> update_node_props id (fun a -> assoc_del a prop)
+  | Del_edge_prop { id; prop } -> update_edge_props id (fun a -> assoc_del a prop)
   | Del_node { id } -> (
-      let h = node_of id in
-      Hashtbl.remove t.nodes_by_id id;
       (* Cascade over incident live edges: base edges via the CSR
          adjacency of a base node, new edges by endpoint id (they are
          the only edges that can reference a new node). *)
       let s = t.base.snap in
-      (match h with
+      (match find_node t id with
       | Bnode i ->
-          t.dead_node.(i) <- true;
-          t.n_dead_nodes <- t.n_dead_nodes + 1;
+          t.dead_nodes <- Ints.add i t.dead_nodes;
           Hashtbl.remove t.bprops_n i;
-          Snapshot.iter_out s i (fun e _ -> if not t.dead_edge.(e) then kill_base_edge t e);
-          Snapshot.iter_in s i (fun e _ -> if not t.dead_edge.(e) then kill_base_edge t e)
-      | Nnode r -> t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes);
+          let kill e _ = if not (Ints.mem e t.dead_edges) then kill_base_edge t e in
+          Snapshot.iter_out s i kill;
+          Snapshot.iter_in s i kill
+      | Nnode r ->
+          t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes;
+          Ids.remove t.new_node_ids id
+      | No_node -> no_node id);
       let doomed =
         List.filter (fun r -> Const.equal r.e_src id || Const.equal r.e_dst id) t.new_edges
       in
       List.iter (kill_new_edge t) doomed)
   | Del_edge { id } -> (
-      match edge_of id with
+      match find_edge t id with
       | Bedge e -> kill_base_edge t e
-      | Nedge r -> kill_new_edge t r));
+      | Nedge r -> kill_new_edge t r
+      | No_edge -> fail ?file line "no edge %s" (Const.to_string id)));
   t.ops <- t.ops + 1
 
 (* ---------------- Reads through the overlay --------------------------- *)
 
-let mem_node t id = Hashtbl.mem t.nodes_by_id id
-let mem_edge t id = Hashtbl.mem t.edges_by_id id
-
 let node_label t id =
-  match Hashtbl.find_opt t.nodes_by_id id with
-  | Some (Bnode i) -> Some t.base.node_labels.(i)
-  | Some (Nnode r) -> Some r.n_label
-  | None -> None
+  match find_node t id with
+  | Bnode i -> Some t.base.node_labels.(i)
+  | Nnode r -> Some r.n_label
+  | No_node -> None
 
 let node_prop t id prop =
-  match Hashtbl.find_opt t.nodes_by_id id with
-  | Some (Bnode i) -> assoc_find (base_props_assoc t.bprops_n t.base.node_props i) prop
-  | Some (Nnode r) -> assoc_find r.n_props prop
-  | None -> None
+  match find_node t id with
+  | Bnode i -> assoc_find (base_props_assoc t.bprops_n t.base.node_props i) prop
+  | Nnode r -> assoc_find r.n_props prop
+  | No_node -> None
 
 let edge_prop t id prop =
-  match Hashtbl.find_opt t.edges_by_id id with
-  | Some (Bedge e) -> assoc_find (base_props_assoc t.bprops_e t.base.edge_props e) prop
-  | Some (Nedge r) -> assoc_find r.e_props prop
-  | None -> None
+  match find_edge t id with
+  | Bedge e -> assoc_find (base_props_assoc t.bprops_e t.base.edge_props e) prop
+  | Nedge r -> assoc_find r.e_props prop
+  | No_edge -> None
 
 let adjacency t id ~out =
-  match Hashtbl.find_opt t.nodes_by_id id with
-  | None -> None
-  | Some h ->
+  match find_node t id with
+  | No_node -> None
+  | h ->
       let b = t.base and s = t.base.snap in
       let from_base = ref [] in
       (match h with
-      | Nnode _ -> ()
       | Bnode i ->
           let visit e other =
-            if not t.dead_edge.(e) then
-              from_base := (b.edge_ids.(e), b.edge_labels.(e), b.node_ids.(other)) :: !from_base
+            if not (Ints.mem e t.dead_edges) then
+              from_base :=
+                (b.edge_ids.(e), b.edge_label_univ.(s.Snapshot.elabel.(e)), b.node_ids.(other))
+                :: !from_base
           in
-          if out then Snapshot.iter_out s i visit else Snapshot.iter_in s i visit);
+          if out then Snapshot.iter_out s i visit else Snapshot.iter_in s i visit
+      | Nnode _ | No_node -> ());
       let mine r = Const.equal (if out then r.e_src else r.e_dst) id in
       let from_new =
         List.rev t.new_edges
@@ -352,7 +368,7 @@ let reuse_ratio r =
 let all_columns =
   [
     "node_ids"; "node_labels"; "node_props"; "node_label_universe"; "node_label_bits";
-    "edge_ids"; "edge_labels"; "edge_props"; "edge_label_universe"; "esrc"; "edst"; "elabel";
+    "edge_ids"; "edge_props"; "edge_label_universe"; "esrc"; "edst"; "elabel";
     "out_off"; "out_adj"; "in_off"; "in_adj"; "stats";
   ]
 
@@ -380,6 +396,60 @@ let extend_universe univ fresh_labels =
   in
   (univ', tbl)
 
+(* Final index of surviving base index [v]: [v] minus the number of
+   [dead] indices (sorted) below it. *)
+let shift dead v =
+  let lo = ref 0 and hi = ref (Array.length dead) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if dead.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  v - !lo
+
+(* A rebuilt column, allocated once at its final size [len]: the runs of
+   survivors between the sorted [dead] indices of [col]'s first [n0]
+   cells, blitted, then [f] of each appended object. *)
+let compact col ~n0 ~dead ~len dummy fresh f =
+  let out = Array.make len dummy in
+  let k = ref 0 and from = ref 0 in
+  let run stop =
+    Array.blit col !from out !k (stop - !from);
+    k := !k + stop - !from
+  in
+  Array.iter
+    (fun d ->
+      run d;
+      from := d + 1)
+    dead;
+  run n0;
+  List.iter
+    (fun r ->
+      out.(!k) <- f r;
+      incr k)
+    fresh;
+  out
+
+(* Bring [tbl] (ids of a base's [n0] objects to their indices) up to
+   date with a commit: dead ids out, survivors past the first dead index
+   re-pointed to their compacted index, new ids in at their final
+   index. *)
+let update_ids tbl ids ~n0 ~dead fresh =
+  Array.iter (fun d -> Ids.remove tbl ids.(d)) dead;
+  let first = if Array.length dead > 0 then dead.(0) else n0 in
+  let k = ref first and next = ref 0 in
+  for v = first to n0 - 1 do
+    if !next < Array.length dead && dead.(!next) = v then incr next
+    else begin
+      Ids.replace tbl ids.(v) !k;
+      incr k
+    end
+  done;
+  List.iter
+    (fun id ->
+      Ids.replace tbl id !k;
+      incr k)
+    fresh
+
 let commit t =
   if t.ops = 0 then (t.base, { reused = all_columns; rebuilt = [] })
   else begin
@@ -387,82 +457,39 @@ let commit t =
     let s = b.snap in
     let n0 = s.Snapshot.num_nodes and m0 = s.Snapshot.num_edges in
     let new_nodes = List.rev t.new_nodes and new_edges = List.rev t.new_edges in
-    let nodes_deleted = t.n_dead_nodes > 0 in
-    let nodes_added = new_nodes <> [] in
-    let edges_deleted = t.n_dead_edges > 0 in
-    let edges_added = new_edges <> [] in
-    let node_struct = nodes_deleted || nodes_added in
-    let edge_struct = edges_deleted || edges_added in
-    let renumber = nodes_deleted in
+    let dn = Array.of_list (Ints.elements t.dead_nodes) in
+    let de = Array.of_list (Ints.elements t.dead_edges) in
+    let renumber = Array.length dn > 0 in
+    let node_struct = renumber || new_nodes <> [] in
+    let edge_struct = Array.length de > 0 || new_edges <> [] in
     let reused = ref [] and rebuilt = ref [] in
     let col name shared = if shared then reused := name :: !reused else rebuilt := name :: !rebuilt in
     (* Survivor renumbering: base node v keeps v, or compacts past the
        dead; new nodes append after the survivors. *)
-    let survivors_n = n0 - t.n_dead_nodes in
-    let remap =
-      if renumber then begin
-        let r = Array.make n0 (-1) in
-        let k = ref 0 in
-        for v = 0 to n0 - 1 do
-          if not t.dead_node.(v) then begin
-            r.(v) <- !k;
-            incr k
-          end
-        done;
-        r
-      end
-      else [||]
-    in
-    let final_of_base v = if renumber then remap.(v) else v in
+    let survivors_n = n0 - Array.length dn in
     let n1 = survivors_n + List.length new_nodes in
-    let node_ids, node_labels =
-      if not node_struct then begin
-        col "node_ids" true;
-        col "node_labels" true;
-        (b.node_ids, b.node_labels)
-      end
+    List.iteri (fun i r -> r.n_final <- survivors_n + i) new_nodes;
+    let node_column name c dummy f =
+      col name (not node_struct);
+      if node_struct then compact c ~n0 ~dead:dn ~len:n1 dummy new_nodes f else c
+    in
+    let node_ids = node_column "node_ids" b.node_ids Const.Bottom (fun r -> r.n_id) in
+    let node_labels = node_column "node_labels" b.node_labels Const.Bottom (fun r -> r.n_label) in
+    (* Props columns are shared unless rebuilt or overridden; an
+       override lands at its object's final index. *)
+    let props_column name ~rebuild props over ~n0 ~dead ~len fresh f =
+      let rebuild = rebuild || Hashtbl.length over > 0 in
+      col name (not rebuild);
+      if not rebuild then props
       else begin
-        col "node_ids" false;
-        col "node_labels" false;
-        let ids = Array.make (max n1 1) Const.Bottom in
-        let labs = Array.make (max n1 1) Const.Bottom in
-        for v = 0 to n0 - 1 do
-          if not t.dead_node.(v) then begin
-            let k = final_of_base v in
-            ids.(k) <- b.node_ids.(v);
-            labs.(k) <- b.node_labels.(v)
-          end
-        done;
-        List.iteri
-          (fun i r ->
-            let k = survivors_n + i in
-            r.n_final <- k;
-            ids.(k) <- r.n_id;
-            labs.(k) <- r.n_label)
-          new_nodes;
-        (Array.sub ids 0 n1, Array.sub labs 0 n1)
+        let props = compact props ~n0 ~dead ~len [||] fresh f in
+        Hashtbl.iter (fun i assoc -> props.(shift dead i) <- sorted_props assoc) over;
+        props
       end
     in
-    (* Assign finals even when node columns were reused (no adds, no
-       deletes means every base index is its own final; nothing to do). *)
     let node_props =
-      if (not node_struct) && Hashtbl.length t.bprops_n = 0 then begin
-        col "node_props" true;
-        b.node_props
-      end
-      else begin
-        col "node_props" false;
-        let props = Array.make (max n1 1) [||] in
-        for v = 0 to n0 - 1 do
-          if not t.dead_node.(v) then
-            props.(final_of_base v) <-
-              (match Hashtbl.find_opt t.bprops_n v with
-              | Some assoc -> sorted_props assoc
-              | None -> b.node_props.(v))
-        done;
-        List.iter (fun r -> props.(r.n_final) <- sorted_props r.n_props) new_nodes;
-        Array.sub props 0 n1
-      end
+      props_column "node_props" ~rebuild:node_struct b.node_props t.bprops_n ~n0 ~dead:dn ~len:n1
+        new_nodes (fun r -> sorted_props r.n_props)
     in
     let node_label_univ, ntbl =
       extend_universe b.node_label_univ (List.map (fun r -> r.n_label) new_nodes)
@@ -475,17 +502,12 @@ let commit t =
         let counts = Array.make num_node_labels 0 in
         Array.blit s.Snapshot.stats.Snapshot.node_label_counts 0 counts 0
           (Array.length s.Snapshot.stats.Snapshot.node_label_counts);
-        for v = 0 to n0 - 1 do
-          if t.dead_node.(v) then begin
-            let l = Hashtbl.find ntbl b.node_labels.(v) in
-            counts.(l) <- counts.(l) - 1
-          end
-        done;
-        List.iter
-          (fun r ->
-            let l = Hashtbl.find ntbl r.n_label in
-            counts.(l) <- counts.(l) + 1)
-          new_nodes;
+        let bump c d =
+          let l = Hashtbl.find ntbl c in
+          counts.(l) <- counts.(l) + d
+        in
+        Array.iter (fun v -> bump b.node_labels.(v) (-1)) dn;
+        List.iter (fun r -> bump r.n_label 1) new_nodes;
         counts
       end
     in
@@ -496,8 +518,13 @@ let commit t =
       end
       else begin
         col "node_label_bits" false;
-        let bits = Array.init num_node_labels (fun _ -> B.raw_create (max n1 1)) in
-        Array.iteri (fun v l -> B.raw_add bits.(Hashtbl.find ntbl l) v) node_labels;
+        let bits = Array.init num_node_labels (fun _ -> B.raw_create n1) in
+        let dead = t.dead_nodes in
+        Array.iteri
+          (fun l old ->
+            B.raw_iter old (fun v -> if not (Ints.mem v dead) then B.raw_add bits.(l) (shift dn v)))
+          s.Snapshot.node_label_bits;
+        List.iter (fun r -> B.raw_add bits.(Hashtbl.find ntbl r.n_label) r.n_final) new_nodes;
         bits
       end
     in
@@ -510,75 +537,34 @@ let commit t =
     in
     col "edge_label_universe" (edge_label_univ == b.edge_label_univ);
     let num_labels = Array.length edge_label_univ in
-    let m1 = m0 - t.n_dead_edges + List.length new_edges in
+    let survivors_e = m0 - Array.length de in
+    let m1 = survivors_e + List.length new_edges in
+    let ix = index b in
     let final_of_node_id id =
-      match Hashtbl.find t.nodes_by_id id with
-      | Bnode v -> final_of_base v
-      | Nnode r -> r.n_final
+      match Ids.find_opt t.new_node_ids id with
+      | Some r -> r.n_final
+      | None -> shift dn (Ids.find ix.node_ix id)
     in
-    let esrc, edst, elabel, edge_ids, edge_labels =
-      if not edge_cols_fresh then begin
-        List.iter (fun c -> col c true) [ "esrc"; "edst"; "elabel"; "edge_ids"; "edge_labels" ];
-        (s.Snapshot.esrc, s.Snapshot.edst, s.Snapshot.elabel, b.edge_ids, b.edge_labels)
-      end
-      else begin
-        List.iter (fun c -> col c false) [ "esrc"; "edst"; "elabel"; "edge_ids"; "edge_labels" ];
-        let esrc = Array.make (max m1 1) 0 and edst = Array.make (max m1 1) 0 in
-        let elabel = Array.make (max m1 1) 0 in
-        let ids = Array.make (max m1 1) Const.Bottom in
-        let labs = Array.make (max m1 1) Const.Bottom in
-        let k = ref 0 in
-        for e = 0 to m0 - 1 do
-          if not t.dead_edge.(e) then begin
-            esrc.(!k) <- final_of_base s.Snapshot.esrc.(e);
-            edst.(!k) <- final_of_base s.Snapshot.edst.(e);
-            elabel.(!k) <- s.Snapshot.elabel.(e);
-            ids.(!k) <- b.edge_ids.(e);
-            labs.(!k) <- b.edge_labels.(e);
-            incr k
-          end
+    let edge_column name c dummy f =
+      col name (not edge_cols_fresh);
+      if edge_cols_fresh then compact c ~n0:m0 ~dead:de ~len:m1 dummy new_edges f else c
+    in
+    (* Survivors' endpoints are remapped in place only when nodes died. *)
+    let endpoint name c f =
+      let a = edge_column name c 0 f in
+      if renumber then
+        for e = 0 to survivors_e - 1 do
+          a.(e) <- shift dn a.(e)
         done;
-        List.iter
-          (fun r ->
-            esrc.(!k) <- final_of_node_id r.e_src;
-            edst.(!k) <- final_of_node_id r.e_dst;
-            elabel.(!k) <- Hashtbl.find etbl r.e_label;
-            ids.(!k) <- r.e_id;
-            labs.(!k) <- r.e_label;
-            incr k)
-          new_edges;
-        ( Array.sub esrc 0 m1,
-          Array.sub edst 0 m1,
-          Array.sub elabel 0 m1,
-          Array.sub ids 0 m1,
-          Array.sub labs 0 m1 )
-      end
+      a
     in
+    let esrc = endpoint "esrc" s.Snapshot.esrc (fun r -> final_of_node_id r.e_src) in
+    let edst = endpoint "edst" s.Snapshot.edst (fun r -> final_of_node_id r.e_dst) in
+    let elabel = edge_column "elabel" s.Snapshot.elabel 0 (fun r -> Hashtbl.find etbl r.e_label) in
+    let edge_ids = edge_column "edge_ids" b.edge_ids Const.Bottom (fun r -> r.e_id) in
     let edge_props =
-      if (not edge_cols_fresh) && Hashtbl.length t.bprops_e = 0 then begin
-        col "edge_props" true;
-        b.edge_props
-      end
-      else begin
-        col "edge_props" false;
-        let props = Array.make (max m1 1) [||] in
-        let k = ref 0 in
-        for e = 0 to m0 - 1 do
-          if not t.dead_edge.(e) then begin
-            props.(!k) <-
-              (match Hashtbl.find_opt t.bprops_e e with
-              | Some assoc -> sorted_props assoc
-              | None -> b.edge_props.(e));
-            incr k
-          end
-        done;
-        List.iter
-          (fun r ->
-            props.(!k) <- sorted_props r.e_props;
-            incr k)
-          new_edges;
-        Array.sub props 0 m1
-      end
+      props_column "edge_props" ~rebuild:edge_cols_fresh b.edge_props t.bprops_e ~n0:m0 ~dead:de
+        ~len:m1 new_edges (fun r -> sorted_props r.e_props)
     in
     let edge_label_counts =
       if not edge_struct then s.Snapshot.stats.Snapshot.edge_label_counts
@@ -586,12 +572,11 @@ let commit t =
         let counts = Array.make num_labels 0 in
         Array.blit s.Snapshot.stats.Snapshot.edge_label_counts 0 counts 0
           (Array.length s.Snapshot.stats.Snapshot.edge_label_counts);
-        for e = 0 to m0 - 1 do
-          if t.dead_edge.(e) then begin
+        Array.iter
+          (fun e ->
             let l = s.Snapshot.elabel.(e) in
-            counts.(l) <- counts.(l) - 1
-          end
-        done;
+            counts.(l) <- counts.(l) - 1)
+          de;
         List.iter
           (fun r ->
             let l = Hashtbl.find etbl r.e_label in
@@ -605,7 +590,7 @@ let commit t =
        while sharing the packed adjacency; anything else re-packs. *)
     let out_off, out_eid, out_nbr, in_off, in_eid, in_nbr =
       if (not edge_struct) && not renumber then
-        if not nodes_added then begin
+        if new_nodes = [] then begin
           List.iter (fun c -> col c true) [ "out_off"; "out_adj"; "in_off"; "in_adj" ];
           ( s.Snapshot.out_off, s.Snapshot.out_eid, s.Snapshot.out_nbr,
             s.Snapshot.in_off, s.Snapshot.in_eid, s.Snapshot.in_nbr )
@@ -614,7 +599,9 @@ let commit t =
           List.iter (fun c -> col c false) [ "out_off"; "in_off" ];
           List.iter (fun c -> col c true) [ "out_adj"; "in_adj" ];
           let extend off =
-            Array.init (n1 + 1) (fun v -> if v <= n0 then off.(v) else off.(n0))
+            let a = Array.make (n1 + 1) off.(n0) in
+            Array.blit off 0 a 0 (n0 + 1);
+            a
           in
           ( extend s.Snapshot.out_off, s.Snapshot.out_eid, s.Snapshot.out_nbr,
             extend s.Snapshot.in_off, s.Snapshot.in_eid, s.Snapshot.in_nbr )
@@ -652,7 +639,7 @@ let commit t =
       | Atom.Feature _ -> false
     in
     let edge_atom e = function
-      | Atom.Label l -> Const.equal edge_labels.(e) l
+      | Atom.Label l -> Const.equal edge_label_univ.(elabel.(e)) l
       | Atom.Prop (p, c) -> (
           match Property_graph.lookup edge_props.(e) p with
           | Some w -> Const.equal c w
@@ -688,16 +675,21 @@ let commit t =
         memo = Snapshot.fresh_memo ();
       }
     in
+    (* Hand the id index over: the old base drops it (a later overlay on
+       it rebuilds its own), the new base gets it updated by the delta. *)
+    b.index <- None;
+    update_ids ix.node_ix b.node_ids ~n0 ~dead:dn (List.map (fun r -> r.n_id) new_nodes);
+    update_ids ix.edge_ix b.edge_ids ~n0:m0 ~dead:de (List.map (fun r -> r.e_id) new_edges);
     ( {
         snap = snap';
         node_ids;
         node_labels;
         node_props;
         edge_ids;
-        edge_labels;
         edge_props;
         edge_label_univ;
         node_label_univ;
+        index = Some ix;
       },
       { reused = List.rev !reused; rebuilt = List.rev !rebuilt } )
   end

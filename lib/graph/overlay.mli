@@ -8,6 +8,13 @@
     {!commit}. Readers never see the overlay — they query the immutable
     base (or any pinned older epoch, see {!Epochs}).
 
+    Ids resolve through the base's id index (node and edge ids to base
+    indices). The base owns it: it is built on the base's first write,
+    and {!commit} updates it by the delta and hands it to the new base.
+    Only the serialized writer may touch it — the daemon's writer lock
+    or the single-threaded CLI, i.e. whoever may call {!create},
+    {!apply}, the reads below and {!commit}; snapshot readers never do.
+
     Numbering invariant (what makes incremental ≡ from-scratch): base
     survivors keep their base order, new objects are appended in
     insertion order — exactly the order {!Journal.replay_ops} produces,
@@ -18,7 +25,8 @@
 
 type base
 (** A snapshot plus the identity columns (ids, labels, properties as
-    {!Const}s) a re-freeze needs. *)
+    {!Const}s) a re-freeze needs, and the writer-side id index (built
+    on the base's first write, not at load). *)
 
 val base_of_property : Property_graph.t -> base
 
@@ -38,7 +46,11 @@ val history : base -> Mutation.t list
 
 type t
 
-(** An empty overlay over [base]. *)
+(** An empty overlay over [base]. Allocates a few empty tables and
+    never iterates the base: the overlay's state is proportional to the
+    delta applied to it. The first op on a base without an index (a
+    fresh load, or a base a commit has superseded) builds the index in
+    O(nodes + edges). *)
 val create : base -> t
 
 val base : t -> base
@@ -82,6 +94,13 @@ val reuse_ratio : reuse -> float
     derived state), sharing every column the delta did not touch: a props-only delta keeps the whole
     topology (CSR, endpoints, ids, bitmaps, stats); an adds-only delta
     keeps node columns it only extends; node deletions renumber and
-    rebuild. An empty overlay returns the base itself (same epoch) with
-    every column reused. The overlay must not be used afterwards. *)
+    rebuild. A rebuilt column is allocated once at its final size and
+    filled by blits over the runs of survivors, so a commit costs
+    O(delta) plus the columns it rebuilds. The base's id index is then
+    updated by the delta and moved to the new base; the old base is
+    left without one. An overlay opened on that old base later (a fork)
+    rebuilds its own index, so forks stay correct and only the linear
+    chain of commits skips the rebuild. An empty overlay returns the
+    base itself (same epoch) with every column reused. The overlay must
+    not be used afterwards. *)
 val commit : t -> base * reuse

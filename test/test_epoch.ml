@@ -35,9 +35,10 @@ let edge_labels = [| "knows"; "likes" |]
 let prop_names = [| "age"; "name" |]
 
 (* Derive a sequence of ops that is valid by construction (a tiny model
-   of live ids drives the choices; Merge ops keep the rest total). *)
-let gen_ops rng n =
-  let nodes = ref [] and edges = ref [] and ops = ref [] in
+   of live ids drives the choices; Merge ops keep the rest total),
+   starting from the live ids of [init] (empty by default). *)
+let gen_ops ?(init = ([], [])) rng n =
+  let nodes = ref (fst init) and edges = ref (snd init) and ops = ref [] in
   let pick arr = arr.(Sm.int rng (Array.length arr)) in
   let pick_list l = List.nth l (Sm.int rng (List.length l)) in
   let push op = ops := op :: !ops in
@@ -198,6 +199,105 @@ let prop_model_equiv =
           in
           expect = got)
         queries)
+
+(* ---------- the id index: handed along the chain, rebuilt by forks ---------- *)
+
+(* Live ids of a replayed graph, as [gen_ops]'s model. *)
+let model_of g =
+  let name v = Const.to_string (Property_graph.node_id g v) in
+  ( List.init (Property_graph.num_nodes g) name,
+    List.init (Property_graph.num_edges g) (fun e ->
+        let s, d = Property_graph.endpoints g e in
+        (Const.to_string (Property_graph.edge_id g e), (name s, name d))) )
+
+(* Every overlay read over every pool id. *)
+let pool_reads ov =
+  let props get id = Array.map (fun p -> get ov id (c p)) prop_names in
+  ( Array.map
+      (fun id ->
+        let id = c id in
+        ( Overlay.mem_node ov id,
+          Overlay.node_label ov id,
+          props Overlay.node_prop id,
+          Overlay.out_edges ov id,
+          Overlay.in_edges ov id ))
+      node_pool,
+    Array.map
+      (fun id ->
+        let id = c id in
+        (Overlay.mem_edge ov id, props Overlay.edge_prop id))
+      edge_pool )
+
+(* A committed base equals the from-scratch replay of [ops]: the same
+   minimal history (ids, labels, endpoints, props and numbering) and the
+   same pairs. *)
+let same_as_replay base ops =
+  let g = Journal.replay_ops ops in
+  let snap = Overlay.snapshot base and scratch = Snapshot.of_property g in
+  Overlay.history base = Journal.ops_of_graph g
+  && List.for_all
+       (fun r ->
+         sortp (Rpq.eval_pairs snap ~max_length:6 r)
+         = sortp (Rpq.eval_pairs scratch ~max_length:6 r))
+       queries
+
+(* Along the epoch chain each commit hands its base's id index, updated
+   by the delta, to the next base: after every commit the overlay reads
+   over the chained base must equal those over a base built fresh from
+   the replayed prefix.  At one random commit point a second overlay is
+   opened on the base that commit supersedes; half of a random suffix is
+   applied before the commit takes the index away and half after, and
+   the fork, committed directly, must equal the replay of prefix and
+   suffix. *)
+let prop_index_handover =
+  QCheck2.Test.make ~name:"index handover: chained reads and forks = scratch replay" ~count:120
+    QCheck2.Gen.(pair scenario_gen (int_bound 1_000_000))
+    (fun ((seed, n_ops, commit_every), fork_seed) ->
+      let ops = gen_ops (Sm.create seed) n_ops in
+      let rng = Sm.create fork_seed in
+      let fork_at = Sm.int rng ((n_ops + commit_every - 1) / commit_every) in
+      let mgr = Epochs.create (Overlay.base_of_property (Journal.replay_ops [])) in
+      let ok = ref true and points = ref 0 in
+      (* ops of the current base and of the open overlay, newest first *)
+      let committed = ref [] and pending = ref [] in
+      let ov = ref (Overlay.create (Epochs.base mgr)) in
+      let commit_point () =
+        let prefix = List.rev !committed in
+        let fork =
+          if !points <> fork_at then None
+          else begin
+            let suffix =
+              gen_ops ~init:(model_of (Journal.replay_ops prefix)) rng (1 + Sm.int rng 12)
+            in
+            let half = List.length suffix / 2 in
+            let fo = Overlay.create (Epochs.base mgr) in
+            List.iteri (fun i op -> if i < half then Overlay.apply fo op) suffix;
+            Some (fo, suffix, half)
+          end
+        in
+        ignore (Epochs.commit mgr !ov);
+        incr points;
+        committed := !pending @ !committed;
+        pending := [];
+        (match fork with
+        | Some (fo, suffix, half) ->
+            List.iteri (fun i op -> if i >= half then Overlay.apply fo op) suffix;
+            ok := !ok && same_as_replay (fst (Overlay.commit fo)) (prefix @ suffix)
+        | None -> ());
+        let fresh = Overlay.base_of_property (Journal.replay_ops (List.rev !committed)) in
+        ok :=
+          !ok
+          && pool_reads (Overlay.create (Epochs.base mgr)) = pool_reads (Overlay.create fresh);
+        ov := Overlay.create (Epochs.base mgr)
+      in
+      List.iteri
+        (fun i op ->
+          Overlay.apply !ov op;
+          pending := op :: !pending;
+          if (i + 1) mod commit_every = 0 then commit_point ())
+        ops;
+      if Overlay.size !ov > 0 then commit_point ();
+      !ok && same_as_replay (Epochs.base mgr) ops)
 
 (* ---------- readers never block: pinned epoch across a commit ---------- *)
 
@@ -407,6 +507,51 @@ let test_concurrent_readers () =
   checki "every answer equals the naive one on its pinned snapshot" 0 (Atomic.get mismatches);
   checki "no pins left" 0 (Epochs.pins mgr)
 
+(* ---------- a write allocates in proportion to its delta ---------- *)
+
+(* On the benchmark's served graph (seed 1), a structural commit hands
+   the id index to the new base, so the next write, opening an overlay
+   on it and applying node/prop/edge ops, allocates nothing graph-sized:
+   a per-write index or dead-flag array costs at least one word per
+   object.  Counted in allocated words, so no timing is involved. *)
+let test_write_allocation () =
+  let g = Perfbench_workloads.Workloads.contact_graph 1 in
+  let objects = Property_graph.num_nodes g + Property_graph.num_edges g in
+  let mgr = Epochs.create (Overlay.base_of_property g) in
+  let write k =
+    let w = c (Printf.sprintf "w%d" k) in
+    [
+      Mutation.Add_node { id = w; label = c "person" };
+      Mutation.Set_node_prop { id = w; prop = c "age"; value = Const.int 30 };
+      Mutation.Add_edge
+        { id = c (Printf.sprintf "y%d" k); src = w; dst = c (Printf.sprintf "b%d" k); label = c "rides" };
+    ]
+  in
+  let ov = Overlay.create (Epochs.base mgr) in
+  List.iter (Overlay.apply ov)
+    (write 0
+    @ [
+        Mutation.Add_edge { id = c "x0"; src = c "w0"; dst = c "p7"; label = c "contact" };
+        Mutation.Del_node { id = c "p3" };
+      ]);
+  ignore (Epochs.commit mgr ov);
+  let words () =
+    (* [quick_stat]'s minor count lags until the next minor collection;
+       [Gc.minor_words] is exact. *)
+    let st = Gc.quick_stat () in
+    Gc.minor_words () +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let before = words () in
+  let ov = Overlay.create (Epochs.base mgr) in
+  List.iter (Overlay.apply ov) (write 1);
+  let allocated = words () -. before in
+  checki "the write applied" (Property_graph.num_nodes g + 1) (Overlay.live_nodes ov);
+  checkb
+    (Printf.sprintf "create + 3 ops allocated %.0f words, under (n + m) / 10 = %d" allocated
+       (objects / 10))
+    true
+    (allocated < float_of_int (objects / 10))
+
 (* ---------- batched frontier with many sources (multi-word batches) ---------- *)
 
 let test_frontier_many_sources () =
@@ -559,13 +704,14 @@ let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_epoch"
     [
-      ("equivalence", q [ prop_incremental_equiv; prop_frontier_equiv; prop_model_equiv ]);
+      ("equivalence", q [ prop_incremental_equiv; prop_frontier_equiv; prop_model_equiv; prop_index_handover ]);
       ( "mvcc",
         [
           Alcotest.test_case "readers never block" `Quick test_readers_never_block;
           Alcotest.test_case "postings per epoch" `Quick test_postings_per_epoch;
           Alcotest.test_case "edge postings per epoch" `Quick test_edge_postings_per_epoch;
           Alcotest.test_case "frontier many sources" `Quick test_frontier_many_sources;
+          Alcotest.test_case "write allocates O(delta)" `Quick test_write_allocation;
           Alcotest.test_case "retired snapshot collectable" `Quick
             test_retired_snapshot_collectable;
           Alcotest.test_case "concurrent readers across commits" `Quick test_concurrent_readers;
