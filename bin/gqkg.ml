@@ -1,18 +1,8 @@
-(* gqkg: command-line front end to the library.
-
-   Subcommands:
-     generate    write a synthetic graph to a file
-     query       evaluate a regular path query (endpoint pairs)
-     count       exact and approximate answer counting (Section 4.1)
-     sample      uniform generation of matching paths
-     enumerate   poly-delay enumeration of matching paths
-     centrality  betweenness / bc_r / pagerank rankings
-     contain     decide containment / equivalence of two path queries
-     save        freeze a graph to a binary snapshot (.gqs), optionally renumbered
-     mutate      apply a mutation script via the delta overlay, committing epochs
-     serve       multi-tenant query daemon: newline-delimited JSON over TCP
-     stats       structural statistics of a graph
-     wl          Weisfeiler-Lehman color refinement summary
+(* gqkg: command-line front end to the library ([gqkg --help] lists the
+   subcommands).  [query], [count] and [mutate] are argv adapters over
+   Gqkg_server.Request, the pipeline [gqkg serve] answers with; their
+   terminal renderers live here, and every JSON printed comes from
+   Gqkg_server.Jsonx.
 
    Exit-code contract (shared by lint and contain; the table lives in
    DESIGN.md section 5g and is asserted in CI): 0 = clean / holds /
@@ -27,6 +17,10 @@
 open Cmdliner
 open Gqkg_graph
 open Gqkg_core
+module Analyze = Gqkg_analysis.Analyze
+module Diagnostic = Gqkg_analysis.Diagnostic
+module Jsonx = Gqkg_server.Jsonx
+module Request = Gqkg_server.Request
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
@@ -41,9 +35,14 @@ let graph_arg =
   let doc = "Graph file in the gqkg property-graph format." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
 
+let length_arg = Arg.(value & opt int 3 & info [ "k"; "length" ] ~doc:"Path length.")
+
 let regex_arg position =
   let doc = "Regular path query, e.g. '?person/rides/?bus'." in
   Arg.(required & pos position (some string) None & info [] ~docv:"REGEX" ~doc)
+
+let print_json v = print_endline (Jsonx.to_string v)
+let prerr_diagnostic d = prerr_endline (Jsonx.to_string (Jsonx.of_diagnostic d))
 
 (* Structured user-input failure: one GQ04x JSON diagnostic on stderr
    and exit code 2 — never a raw OCaml backtrace.  Codes: GQ040
@@ -52,9 +51,7 @@ let regex_arg position =
    N-Triples parse error, GQ046 bad argument, GQ047 corrupt binary
    snapshot, GQ048 malformed or invalid mutation journal/script. *)
 let fail_user ~code ~subterm ~message =
-  prerr_endline
-    (Gqkg_analysis.Diagnostic.to_json
-       (Gqkg_analysis.Diagnostic.user_error ~code ~subterm ~message));
+  prerr_diagnostic (Diagnostic.user_error ~code ~subterm ~message);
   exit 2
 
 (* A path names a binary snapshot if it carries the .gqs suffix or
@@ -67,22 +64,16 @@ let names_snapshot path =
 let names_journal path =
   Filename.check_suffix path ".log" || Filename.check_suffix path ".journal"
 
-(* Journal/mutation-script errors surface as GQ048 with file:line
-   context — including the torn-final-line case of a crashed append. *)
-let fail_journal ~path = function
-  | Journal.Replay_error { file; line; message } ->
+(* Journal errors surface as GQ048 with file:line context — including
+   the torn-final-line case of a crashed append. *)
+let load_journal path =
+  match Journal.load path with
+  | g -> g
+  | exception Journal.Replay_error { file; line; message } ->
       fail_user ~code:"GQ048" ~subterm:path
         ~message:
-          (Graph_io.error_to_string
-             ~file:(Some (Option.value file ~default:path))
-             ~line ~message)
-  | Sys_error message -> fail_user ~code:"GQ041" ~subterm:path ~message
-  | e -> raise e
-
-let load_journal ?tolerate_partial path =
-  match Journal.load ?tolerate_partial path with
-  | g -> g
-  | exception e -> fail_journal ~path e
+          (Graph_io.error_to_string ~file:(Some (Option.value file ~default:path)) ~line ~message)
+  | exception Sys_error message -> fail_user ~code:"GQ041" ~subterm:path ~message
 
 let load_property path =
   if names_snapshot path then
@@ -109,6 +100,13 @@ let load_instance path =
   if names_snapshot path then load_snapshot path
   else Snapshot.of_property (load_property path)
 
+(* The writable form, for the commands that commit epochs. *)
+let load_base path =
+  try
+    if names_snapshot path then Overlay.base_of_snapshot (load_snapshot path)
+    else Overlay.base_of_property (load_property path)
+  with Invalid_argument message -> fail_user ~code:"GQ046" ~subterm:path ~message
+
 let load_store path =
   match Gqkg_kg.Ntriples.load path with
   | store -> store
@@ -116,12 +114,19 @@ let load_store path =
       fail_user ~code:"GQ045" ~subterm:path ~message:(Graph_io.error_to_string ~file ~line ~message)
   | exception Sys_error message -> fail_user ~code:"GQ041" ~subterm:path ~message
 
-let parse_regex text =
-  match Gqkg_automata.Regex_parser.parse text with
-  | r -> r
-  | exception Gqkg_automata.Regex_parser.Error { position; message } ->
-      fail_user ~code:"GQ042" ~subterm:text
-        ~message:(Printf.sprintf "parse error at position %d: %s" position message)
+(* The terminal face of a request error.  [script] names the mutation
+   script a [Script_error] points into. *)
+let fail_request ?(script = "") = function
+  | Request.Parse_error { text; _ } as e ->
+      fail_user ~code:"GQ042" ~subterm:text ~message:(Request.error_message e)
+  | Request.Bad_length _ as e ->
+      fail_user ~code:"GQ046" ~subterm:"--length" ~message:(Request.error_message e)
+  | Request.Script_error { line; message } ->
+      fail_user ~code:"GQ048" ~subterm:script
+        ~message:(Graph_io.error_to_string ~file:(Some script) ~line ~message)
+
+let parse_regex text = match Request.parse text with Ok r -> r | Error e -> fail_request e
+let validate posed = match Request.validate posed with Ok v -> v | Error e -> fail_request e
 
 (* --timeout-ms / --max-states: the resource governor's CLI face.  The
    budget itself is created inside each command right before evaluation
@@ -151,20 +156,27 @@ let budget_args =
              exhaustion a sound partial result is returned.")
   in
   Term.(
-    const (fun timeout_ms max_states max_steps -> (timeout_ms, max_states, max_steps))
+    const (fun timeout_ms max_states max_steps -> { Request.timeout_ms; max_states; max_steps })
     $ timeout_ms $ max_states $ max_steps)
-
-let make_budget (timeout_ms, max_states, max_steps) =
-  Gqkg_util.Budget.create ?timeout_ms ?max_states ?max_steps ()
 
 (* Exit code 3 with a GQ03x JSON diagnostic on stderr when the budget
    tripped and the printed answer is therefore a sound partial result. *)
-let report_budget budget =
-  match Gqkg_analysis.Diagnostic.of_budget budget with
+let report = function
   | None -> ()
   | Some d ->
-      prerr_endline (Gqkg_analysis.Diagnostic.to_json d);
+      prerr_diagnostic d;
       exit 3
+
+let report_budget budget = report (Diagnostic.of_budget budget)
+
+(* The terminal renderer of a request's answer: one tab-separated line
+   per pair, or the exact count. *)
+let print_pair inst a b =
+  Printf.printf "%s\t%s\n" (inst.Snapshot.node_name a) (inst.Snapshot.node_name b)
+
+let print_answer inst = function
+  | Request.Pairs pairs -> List.iter (fun (a, b) -> print_pair inst a b) pairs
+  | Request.Path_count { count; _ } -> Printf.printf "exact: %.0f\n" count
 
 (* Ctrl-C trips the active budget instead of killing the process
    mid-write: the kernel unwinds cooperatively at its next budget
@@ -180,6 +192,11 @@ let cancel_on_sigint budget f =
   | previous -> Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous) f
 
 (* ---- generate ---- *)
+
+let save_property output pg =
+  Graph_io.save_property_graph output pg;
+  Printf.printf "wrote %s: %d nodes, %d edges\n" output (Property_graph.num_nodes pg)
+    (Property_graph.num_edges pg)
 
 let generate_cmd =
   let run () kind seed scale output =
@@ -198,9 +215,7 @@ let generate_cmd =
           fail_user ~code:"GQ046" ~subterm:other
             ~message:"unknown graph kind (try contact, er, ba, figure2)"
     in
-    Graph_io.save_property_graph output pg;
-    Printf.printf "wrote %s: %d nodes, %d edges\n" output (Property_graph.num_nodes pg)
-      (Property_graph.num_edges pg)
+    save_property output pg
   in
   let kind =
     Arg.(value & opt string "contact" & info [ "kind" ] ~docv:"KIND" ~doc:"contact | er | ba | figure2")
@@ -213,6 +228,25 @@ let generate_cmd =
     Term.(const run $ verbose_flag $ kind $ seed $ scale $ output)
 
 (* ---- query ---- *)
+
+let node_of_name inst name =
+  let rec find v =
+    if v >= inst.Snapshot.num_nodes then
+      fail_user ~code:"GQ046" ~subterm:name ~message:"unknown node"
+    else if inst.Snapshot.node_name v = name then v
+    else find (v + 1)
+  in
+  find 0
+
+(* The semantic caches' hits and lookups in this process. *)
+let print_cache_counters () =
+  let s = Semcache.stats () in
+  Printf.printf
+    "semantic-cache: %d hits / %d lookups (plans: %d hits / %d lookups, shapes: %d hits / %d \
+     lookups)\n"
+    s.Semcache.result_hits (s.Semcache.result_hits + s.Semcache.result_misses) s.Semcache.plan_hits
+    (s.Semcache.plan_hits + s.Semcache.plan_misses) s.Semcache.shape_hits
+    (s.Semcache.shape_hits + s.Semcache.shape_misses)
 
 (* Resolve a --sources selector: comma-separated node names and/or
    [label:<name>] items (all nodes carrying that label, ascending).
@@ -241,70 +275,54 @@ let resolve_sources inst spec =
             end
           done;
           if !matched = 0 then Logs.warn (fun m -> m "label %S matches no node" label)
-      | _ ->
-          let rec find v =
-            if v >= inst.Snapshot.num_nodes then
-              fail_user ~code:"GQ046" ~subterm:item ~message:"unknown node"
-            else if inst.Snapshot.node_name v = item then add v
-            else find (v + 1)
-          in
-          find 0)
+      | _ -> add (node_of_name inst item))
     (List.filter (fun s -> s <> "") (String.split_on_char ',' spec));
   Array.of_list (List.rev !out)
 
 let query_cmd =
   let run () path regex max_length sources repeat limits =
     let inst = load_instance path in
-    let r = parse_regex regex in
-    let budget = make_budget limits in
-    cancel_on_sigint budget (fun () ->
     match sources with
     | None ->
-        (* Through the Governor, so repeated evaluations of the same
-           (or a semantically equivalent) query hit the semantic result
-           cache; --repeat N demonstrates and exercises it.  Budgeted
-           runs never consult the cache, so each repeat gets a fresh
-           budget and really evaluates. *)
-        let o = Governor.eval_pairs ~budget ?max_length inst r in
-        let pairs = o.Gqkg_util.Budget.value in
-        List.iter
-          (fun (a, b) ->
-            Printf.printf "%s\t%s\n" (inst.Snapshot.node_name a) (inst.Snapshot.node_name b))
-          pairs;
+        (* Through the request pipeline and the Governor, so repeated
+           evaluations of the same (or a semantically equivalent) query
+           hit the semantic result cache; --repeat N demonstrates and
+           exercises it.  Budgeted runs never consult the cache, so
+           each repeat gets a fresh budget and really evaluates. *)
+        let req = validate { Request.q = regex; kind = Request.Query { max_length } } in
+        let eval () =
+          let budget = Request.budget limits in
+          cancel_on_sigint budget (fun () -> Request.eval ~budget inst req)
+        in
+        let r = eval () in
+        print_answer inst r.Request.answer;
         for _ = 2 to repeat do
-          ignore (Governor.eval_pairs ~budget:(make_budget limits) ?max_length inst r)
+          ignore (eval ())
         done;
-        if repeat > 1 then begin
-          let s = Semcache.stats () in
-          Printf.printf
-            "semantic-cache: %d hits / %d lookups (plans: %d hits / %d lookups, shapes: %d hits \
-             / %d lookups)\n"
-            s.Semcache.result_hits
-            (s.Semcache.result_hits + s.Semcache.result_misses)
-            s.Semcache.plan_hits
-            (s.Semcache.plan_hits + s.Semcache.plan_misses)
-            s.Semcache.shape_hits
-            (s.Semcache.shape_hits + s.Semcache.shape_misses)
-        end;
-        Logs.info (fun m -> m "%d pairs" (List.length pairs))
+        if repeat > 1 then print_cache_counters ();
+        report r.Request.diagnostic
     | Some spec ->
+        let r = parse_regex regex in
         let sources = resolve_sources inst spec in
+        let budget = Request.budget limits in
         let batches0 = Gqkg_core.Frontier.batches_total () in
-        let results = Rpq.reachable_many ~budget inst ?max_length r ~sources in
+        let results =
+          cancel_on_sigint budget (fun () ->
+              Rpq.reachable_many ~budget inst ?max_length r ~sources)
+        in
         let total = ref 0 in
         Array.iteri
           (fun i targets ->
-            let a = inst.Snapshot.node_name sources.(i) in
             List.iter
               (fun b ->
                 incr total;
-                Printf.printf "%s\t%s\n" a (inst.Snapshot.node_name b))
+                print_pair inst sources.(i) b)
               targets)
           results;
         Logs.info (fun m ->
             m "%d pairs from %d sources (%d frontier batches)" !total (Array.length sources)
-              (Gqkg_core.Frontier.batches_total () - batches0)));
-    report_budget budget
+              (Gqkg_core.Frontier.batches_total () - batches0));
+        report_budget budget
   in
   let max_length =
     Arg.(value & opt (some int) None & info [ "max-length" ] ~doc:"Bound on path length.")
@@ -338,16 +356,10 @@ let query_cmd =
 let count_cmd =
   let run () path regex length epsilon from_node to_node =
     let inst = load_instance path in
-    let r = parse_regex regex in
-    let resolve name =
-      let rec find v =
-        if v >= inst.Snapshot.num_nodes then
-          fail_user ~code:"GQ046" ~subterm:name ~message:"unknown node"
-        else if inst.Snapshot.node_name v = name then v
-        else find (v + 1)
-      in
-      find 0
-    in
+    (* One validation, the length rule included, for every count path. *)
+    let req = validate { Request.q = regex; kind = Request.Count { length } } in
+    let r = req.Request.q in
+    let resolve = node_of_name inst in
     (match (from_node, to_node) with
     | Some a, Some b ->
         Printf.printf "exact (%s -> %s): %.0f\n" a b
@@ -357,13 +369,14 @@ let count_cmd =
         let table = Count.build product ~depth:length in
         Printf.printf "exact (from %s): %.0f\n" a (Count.count_from table ~source:(resolve a) ~length)
     | None, Some _ -> fail_user ~code:"GQ046" ~subterm:"--to" ~message:"--to requires --from"
-    | None, None -> Printf.printf "exact: %.0f\n" (Count.count inst r ~length));
+    | None, None ->
+        let budget = Request.budget Request.no_limits in
+        print_answer inst (Request.eval ~budget inst req).Request.answer);
     match epsilon with
     | Some epsilon ->
         Printf.printf "fpras(eps=%.2g): %.1f\n" epsilon (Approx_count.count inst r ~length ~epsilon)
     | None -> ()
   in
-  let length = Arg.(value & opt int 3 & info [ "k"; "length" ] ~doc:"Path length.") in
   let epsilon =
     Arg.(value & opt (some float) None & info [ "epsilon" ] ~doc:"Also run the FPRAS at this error.")
   in
@@ -371,7 +384,9 @@ let count_cmd =
   let to_node = Arg.(value & opt (some string) None & info [ "to" ] ~doc:"Restrict to an end node (needs --from).") in
   Cmd.v
     (Cmd.info "count" ~doc:"Count matching paths of a given length")
-    Term.(const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length $ epsilon $ from_node $ to_node)
+    Term.(
+      const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length_arg $ epsilon $ from_node
+      $ to_node)
 
 (* ---- sample ---- *)
 
@@ -387,12 +402,11 @@ let sample_cmd =
     let rng = Gqkg_util.Splitmix.create seed in
     List.iter (fun p -> print_endline (Path.to_string inst p)) (Uniform_gen.samples gen rng n)
   in
-  let length = Arg.(value & opt int 3 & info [ "k"; "length" ] ~doc:"Path length.") in
   let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of samples.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"PRNG seed.") in
   Cmd.v
     (Cmd.info "sample" ~doc:"Uniformly sample matching paths")
-    Term.(const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length $ n $ seed)
+    Term.(const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length_arg $ n $ seed)
 
 (* ---- enumerate ---- *)
 
@@ -413,11 +427,10 @@ let enumerate_cmd =
     loop limit;
     Logs.info (fun m -> m "emitted %d, max delay %d" (Enumerate.emitted e) (Enumerate.max_delay e))
   in
-  let length = Arg.(value & opt int 3 & info [ "k"; "length" ] ~doc:"Path length.") in
   let limit = Arg.(value & opt int 20 & info [ "limit" ] ~doc:"Stop after this many paths (-1: all).") in
   Cmd.v
     (Cmd.info "enumerate" ~doc:"Enumerate matching paths with bounded delay")
-    Term.(const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length $ limit)
+    Term.(const run $ verbose_flag $ graph_arg $ regex_arg 1 $ length_arg $ limit)
 
 (* ---- centrality ---- *)
 
@@ -455,19 +468,20 @@ let centrality_cmd =
 
 (* ---- match (CRPQ) ---- *)
 
+let parse_crpq query =
+  match Gqkg_logic.Crpq_parser.parse query with
+  | q -> q
+  | exception Gqkg_logic.Crpq_parser.Error { position; message } ->
+      fail_user ~code:"GQ043" ~subterm:query
+        ~message:(Printf.sprintf "parse error at position %d: %s" position message)
+
 let match_cmd =
   let run () path query max_length show_plan limits =
     let inst = load_instance path in
-    let q =
-      match Gqkg_logic.Crpq_parser.parse query with
-      | q -> q
-      | exception Gqkg_logic.Crpq_parser.Error { position; message } ->
-          fail_user ~code:"GQ043" ~subterm:query
-            ~message:(Printf.sprintf "parse error at position %d: %s" position message)
-    in
+    let q = parse_crpq query in
     if show_plan then print_string (Gqkg_logic.Crpq.explain ?max_length inst q)
     else begin
-      let budget = make_budget limits in
+      let budget = Request.budget limits in
       cancel_on_sigint budget (fun () ->
           List.iter
             (fun row ->
@@ -495,10 +509,7 @@ let match_cmd =
 
 let convert_cmd =
   let run () input output =
-    let ends_with suffix s =
-      let n = String.length s and m = String.length suffix in
-      n >= m && String.sub s (n - m) m = suffix
-    in
+    let ends_with suffix s = Filename.check_suffix s suffix in
     match (ends_with ".pg" input, ends_with ".nt" output, ends_with ".nt" input, ends_with ".pg" output) with
     | true, true, _, _ ->
         let pg = load_property input in
@@ -506,10 +517,7 @@ let convert_cmd =
         Printf.printf "wrote %s\n" output
     | _, _, true, true ->
         let store = load_store input in
-        let pg = Gqkg_kg.Pg_rdf.to_property_graph store in
-        Graph_io.save_property_graph output pg;
-        Printf.printf "wrote %s: %d nodes, %d edges\n" output (Property_graph.num_nodes pg)
-          (Property_graph.num_edges pg)
+        save_property output (Gqkg_kg.Pg_rdf.to_property_graph store)
     | _ ->
         fail_user ~code:"GQ046" ~subterm:(input ^ " -> " ^ output)
           ~message:"supported conversions: .pg -> .nt and .nt -> .pg"
@@ -570,13 +578,7 @@ let sparql_cmd =
    (chosen variable order + per-atom estimates) instead of the regex
    compilation pipeline. *)
 let explain_crpq query graph =
-  let q =
-    match Gqkg_logic.Crpq_parser.parse query with
-    | q -> q
-    | exception Gqkg_logic.Crpq_parser.Error { position; message } ->
-        fail_user ~code:"GQ043" ~subterm:query
-          ~message:(Printf.sprintf "parse error at position %d: %s" position message)
-  in
+  let q = parse_crpq query in
   match graph with
   | None ->
       fail_user ~code:"GQ046" ~subterm:query
@@ -593,7 +595,7 @@ let explain_cmd =
     if is_select then explain_crpq regex graph
     else begin
     let r = parse_regex regex in
-    let budget = make_budget limits in
+    let budget = Request.budget limits in
     Printf.printf "expression : %s\n" (Gqkg_automata.Regex.to_string ~top:true r);
     let simplified = Gqkg_automata.Regex.simplify r in
     if not (Gqkg_automata.Regex.equal simplified r) then
@@ -614,20 +616,17 @@ let explain_cmd =
         Printf.printf "\nsnapshot (epoch %d): %s" inst.Snapshot.epoch (Snapshot.describe inst);
         let plan = Planner.prepare_explained ~budget inst simplified in
         let report = plan.Planner.report in
-        (match report.Gqkg_analysis.Analyze.nfa with
+        (match report.Analyze.nfa with
         | None -> Printf.printf "\nanalysis: statically empty on %s\n" path
         | Some _ ->
             Printf.printf "\nanalysis: %d -> %d states after trimming; seed cost fwd %.0f / bwd %.0f\n"
-              report.Gqkg_analysis.Analyze.states_before
-              report.Gqkg_analysis.Analyze.states_after
-              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost);
-        List.iter
-          (fun d -> print_endline (Gqkg_analysis.Diagnostic.to_string d))
-          report.Gqkg_analysis.Analyze.diagnostics;
+              report.Analyze.states_before report.Analyze.states_after report.Analyze.fwd_cost
+              report.Analyze.bwd_cost);
+        List.iter (fun d -> print_endline (Diagnostic.to_string d)) report.Analyze.diagnostics;
         (match plan.Planner.canon with
         | Some c ->
             Printf.printf "canonical: %d -> %d states, hash %s (%s%s)\n"
-              report.Gqkg_analysis.Analyze.states_after c.Gqkg_analysis.Decide.states
+              report.Analyze.states_after c.Gqkg_analysis.Decide.states
               (Gqkg_analysis.Decide.hash_hex c.Gqkg_analysis.Decide.hash)
               (if plan.Planner.minimized then "evaluating minimized automaton"
                else "already minimal, kept as-is")
@@ -642,7 +641,7 @@ let explain_cmd =
               c.Rpq.forward_live
               (match c.Rpq.backward_live with Some b -> string_of_int b | None -> "-")
               (match c.Rpq.direction with Rpq.Forward -> "forward" | Rpq.Backward -> "backward")
-              report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost;
+              report.Analyze.fwd_cost report.Analyze.bwd_cost;
             let candidates = function
               | Some k -> Printf.sprintf "%d of %d nodes" k inst.Snapshot.num_nodes
               | None -> "(full scan)"
@@ -705,7 +704,7 @@ let lint_cmd =
     (* Lint is static — no product is built — so only the wall-clock
        budget bites, checked around the graph-sized phases (load, schema
        extraction).  A tripped budget marks the report partial. *)
-    let budget = make_budget limits in
+    let budget = Request.budget limits in
     let pg = load_property path in
     Gqkg_util.Budget.charge_steps budget (Property_graph.num_nodes pg + Property_graph.num_edges pg);
     ignore (Gqkg_util.Budget.check budget);
@@ -720,44 +719,44 @@ let lint_cmd =
             ~message:"unknown model (try property, labeled, vector, multigraph)"
     in
     ignore (Gqkg_util.Budget.check budget);
-    let report = Gqkg_analysis.Analyze.run ~schema r in
+    let report = Analyze.run ~schema r in
     (* The GQ05x redundancy pass (subsumed branches, dead disjuncts,
        absorbed closures) rides on the same budget: once it trips, the
        remaining containment checks answer Unknown and report nothing. *)
     let redundancy = Gqkg_analysis.Decide.lint ~schema ~budget r in
     let diagnostics =
-      report.Gqkg_analysis.Analyze.diagnostics @ redundancy
-      @ (match Gqkg_analysis.Diagnostic.of_budget budget with Some d -> [ d ] | None -> [])
+      report.Analyze.diagnostics @ redundancy
+      @ (match Diagnostic.of_budget budget with Some d -> [ d ] | None -> [])
     in
-    let verdict =
-      if Gqkg_analysis.Analyze.is_empty report then "empty" else "possibly-nonempty"
-    in
-    if json then begin
-      let diags = String.concat "," (List.map Gqkg_analysis.Diagnostic.to_json diagnostics) in
-      Printf.printf
-        "{\"verdict\":\"%s\",\"expression\":\"%s\",\"states_before\":%d,\"states_after\":%d,\
-         \"fwd_cost\":%g,\"bwd_cost\":%g,\"diagnostics\":[%s]}\n"
-        verdict
-        (Gqkg_analysis.Diagnostic.json_escape
-           (Gqkg_automata.Regex.to_string ~top:true report.Gqkg_analysis.Analyze.regex))
-        report.Gqkg_analysis.Analyze.states_before report.Gqkg_analysis.Analyze.states_after
-        report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost diags
-    end
+    let verdict = if Analyze.is_empty report then "empty" else "possibly-nonempty" in
+    if json then
+      print_json
+        (Jsonx.Obj
+           [
+             ("verdict", Jsonx.Str verdict);
+             ( "expression",
+               Jsonx.Str (Gqkg_automata.Regex.to_string ~top:true report.Analyze.regex) );
+             ("states_before", Jsonx.int report.Analyze.states_before);
+             ("states_after", Jsonx.int report.Analyze.states_after);
+             ("fwd_cost", Jsonx.Num report.Analyze.fwd_cost);
+             ("bwd_cost", Jsonx.Num report.Analyze.bwd_cost);
+             ("diagnostics", Jsonx.Arr (List.map Jsonx.of_diagnostic diagnostics));
+           ])
     else begin
       Printf.printf "verdict    : %s\n" verdict;
       Printf.printf "expression : %s\n"
-        (Gqkg_automata.Regex.to_string ~top:true report.Gqkg_analysis.Analyze.regex);
-      if not (Gqkg_analysis.Analyze.is_empty report) then begin
+        (Gqkg_automata.Regex.to_string ~top:true report.Analyze.regex);
+      if not (Analyze.is_empty report) then begin
         Printf.printf "automaton  : %d states (trimmed from %d)\n"
-          report.Gqkg_analysis.Analyze.states_after report.Gqkg_analysis.Analyze.states_before;
+          report.Analyze.states_after report.Analyze.states_before;
         Printf.printf "seed cost  : forward %.0f, backward %.0f\n"
-          report.Gqkg_analysis.Analyze.fwd_cost report.Gqkg_analysis.Analyze.bwd_cost
+          report.Analyze.fwd_cost report.Analyze.bwd_cost
       end;
-      List.iter (fun d -> print_endline (Gqkg_analysis.Diagnostic.to_string d)) diagnostics;
+      List.iter (fun d -> print_endline (Diagnostic.to_string d)) diagnostics;
       Logs.info (fun m -> m "schema:@.%s" (Gqkg_analysis.Schema.to_string schema))
     end;
     report_budget budget;
-    if Gqkg_analysis.Analyze.is_empty report then exit 1
+    if Analyze.is_empty report then exit 1
   in
   let model =
     Arg.(
@@ -782,7 +781,7 @@ let contain_cmd =
     let schema =
       Option.map (fun p -> Gqkg_analysis.Schema.of_snapshot (load_instance p)) graph
     in
-    let budget = make_budget limits in
+    let budget = Request.budget limits in
     let fwd, witness = D.contains_witness ?schema ~budget r1 r2 in
     let bwd = D.contains ?schema ~budget r2 r1 in
     let name = function D.True -> "holds" | D.False -> "refuted" | D.Unknown _ -> "unknown" in
@@ -797,26 +796,31 @@ let contain_cmd =
     let c1 = canon r1 and c2 = canon r2 in
     if json then begin
       let dir v =
-        Printf.sprintf "{\"verdict\":%S%s}" (name v)
-          (match reason v with
-          | Some why -> Printf.sprintf ",\"reason\":%S" why
-          | None -> "")
+        Jsonx.Obj
+          (("verdict", Jsonx.Str (name v))
+          :: (match reason v with Some why -> [ ("reason", Jsonx.Str why) ] | None -> []))
       in
       let canon_json = function
         | Some c ->
-            Printf.sprintf "{\"states\":%d,\"hash\":\"%s\"}" c.D.states (D.hash_hex c.D.hash)
-        | None -> "null"
+            Jsonx.Obj
+              [ ("states", Jsonx.int c.D.states); ("hash", Jsonx.Str (D.hash_hex c.D.hash)) ]
+        | None -> Jsonx.Null
       in
-      Printf.printf
-        "{\"r1\":\"%s\",\"r2\":\"%s\",\"r1_in_r2\":%s,\"r2_in_r1\":%s,\"equivalent\":%S,\
-         \"witness\":%s,\"canonical\":{\"r1\":%s,\"r2\":%s}}\n"
-        (Gqkg_analysis.Diagnostic.json_escape (Gqkg_automata.Regex.to_string ~top:true r1))
-        (Gqkg_analysis.Diagnostic.json_escape (Gqkg_automata.Regex.to_string ~top:true r2))
-        (dir fwd) (dir bwd) equivalent
-        (match witness with
-        | Some w -> Printf.sprintf "%S" (D.witness_to_string w)
-        | None -> "null")
-        (canon_json c1) (canon_json c2)
+      let regex r = Jsonx.Str (Gqkg_automata.Regex.to_string ~top:true r) in
+      print_json
+        (Jsonx.Obj
+           [
+             ("r1", regex r1);
+             ("r2", regex r2);
+             ("r1_in_r2", dir fwd);
+             ("r2_in_r1", dir bwd);
+             ("equivalent", Jsonx.Str equivalent);
+             ( "witness",
+               match witness with
+               | Some w -> Jsonx.Str (D.witness_to_string w)
+               | None -> Jsonx.Null );
+             ("canonical", Jsonx.Obj [ ("r1", canon_json c1); ("r2", canon_json c2) ]);
+           ])
     end
     else begin
       Printf.printf "r1         : %s\n" (Gqkg_automata.Regex.to_string ~top:true r1);
@@ -925,52 +929,12 @@ let save_cmd =
 
 let mutate_cmd =
   let run () input ops_file journal_out save_out query commit_every tolerate =
-    let base =
-      try
-        if names_snapshot input then Overlay.base_of_snapshot (load_snapshot input)
-        else Overlay.base_of_property (load_property input)
-      with Invalid_argument message -> fail_user ~code:"GQ046" ~subterm:input ~message
-    in
-    let mgr = Epochs.create base in
+    let mgr = Epochs.create (load_base input) in
     let epoch0 = (Epochs.snapshot mgr).Snapshot.epoch in
-    (* Parse the script keeping file line numbers, so parse and apply
-       errors alike point at the offending line (GQ048). *)
-    let ops =
-      let text =
-        match
-          let ic = open_in_bin ops_file in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with
-        | text -> text
-        | exception Sys_error message -> fail_user ~code:"GQ041" ~subterm:ops_file ~message
-      in
-      let lines = String.split_on_char '\n' text in
-      let total = List.length lines in
-      let ops = ref [] in
-      List.iteri
-        (fun i line ->
-          match Journal.op_of_line ~file:ops_file ~line:(i + 1) line with
-          | Some op -> ops := (i + 1, op) :: !ops
-          | None -> ()
-          | exception (Journal.Replay_error _ as e) ->
-              if not (tolerate && i = total - 1) then fail_journal ~path:ops_file e)
-        lines;
-      List.rev !ops
-    in
-    (* Mutations accumulate in a delta overlay; each commit re-freezes
-       incrementally and swings the current epoch. *)
-    let overlay = ref (Overlay.create (Epochs.base mgr)) in
-    let commits = ref 0 and reused = ref 0 and rebuilt = ref 0 in
-    let flush_commit () =
-      if Overlay.size !overlay > 0 then begin
-        let _, reuse = Epochs.commit mgr !overlay in
-        incr commits;
-        reused := !reused + List.length reuse.Overlay.reused;
-        rebuilt := !rebuilt + List.length reuse.Overlay.rebuilt;
-        overlay := Overlay.create (Epochs.base mgr)
-      end
+    let lines =
+      match In_channel.with_open_bin ops_file In_channel.input_all with
+      | text -> String.split_on_char '\n' text
+      | exception Sys_error message -> fail_user ~code:"GQ041" ~subterm:ops_file ~message
     in
     (* Ctrl-C must not kill the process mid-commit: the handler only
        raises a flag, the apply loop stops at the next op boundary, the
@@ -982,63 +946,51 @@ let mutate_cmd =
       try Some (Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> interrupted := true)))
       with Invalid_argument _ -> None
     in
-    let applied = ref 0 in
-    (try
-       List.iteri
-         (fun i (line, op) ->
-           if !interrupted then raise Exit;
-           (try Overlay.apply ~file:ops_file ~line !overlay op
-            with Journal.Replay_error _ as e -> fail_journal ~path:ops_file e);
-           incr applied;
-           match commit_every with
-           | Some n when n > 0 && (i + 1) mod n = 0 -> flush_commit ()
-           | _ -> ())
-         ops
-     with Exit -> ());
-    flush_commit ();
-    (match previous_sigint with
-    | Some h -> Sys.set_signal Sys.sigint h
-    | None -> ());
+    (* Parse and apply errors alike point at the script's line (GQ048). *)
+    let { Request.applied; ops; commits; reused; rebuilt } =
+      match
+        Request.mutate ~tolerate_partial:tolerate ?commit_every
+          ~interrupted:(fun () -> !interrupted)
+          mgr lines
+      with
+      | Ok m -> m
+      | Error e -> fail_request ~script:ops_file e
+    in
+    Option.iter (Sys.set_signal Sys.sigint) previous_sigint;
     let snap = Epochs.snapshot mgr in
     Printf.printf "applied %d ops in %d commit(s): %d nodes, %d edges (epoch %d -> %d)\n"
-      !applied !commits snap.Snapshot.num_nodes snap.Snapshot.num_edges epoch0
-      snap.Snapshot.epoch;
-    if !commits > 0 then
-      Printf.printf "columns: %d reused, %d rebuilt across commits (reuse ratio %.2f)\n" !reused
-        !rebuilt
-        (float_of_int !reused /. float_of_int (max 1 (!reused + !rebuilt)));
+      applied commits snap.Snapshot.num_nodes snap.Snapshot.num_edges epoch0 snap.Snapshot.epoch;
+    if commits > 0 then
+      Printf.printf "columns: %d reused, %d rebuilt across commits (reuse ratio %.2f)\n" reused
+        rebuilt
+        (float_of_int reused /. float_of_int (max 1 (reused + rebuilt)));
     (match journal_out with
     | Some path ->
-        let ops = Overlay.history (Epochs.base mgr) in
-        let oc = open_out path in
-        output_string oc (Journal.ops_to_string ops);
-        close_out oc;
+        let history = Overlay.history (Epochs.base mgr) in
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Journal.ops_to_string history));
         Printf.printf "journal: wrote %s (%d ops, replayable minimal history)\n" path
-          (List.length ops)
+          (List.length history)
     | None -> ());
     (match save_out with
     | Some path ->
         let report = Snapshot_io.save ~path snap in
         Printf.printf "snapshot: wrote %s (%d bytes)\n" path report.Snapshot_io.file_bytes
     | None -> ());
-    (match query with
-    | Some regex ->
-        let r = parse_regex regex in
-        let o = Governor.eval_pairs ~budget:(Gqkg_util.Budget.create ()) snap r in
-        List.iter
-          (fun (a, b) ->
-            Printf.printf "%s\t%s\n" (snap.Snapshot.node_name a) (snap.Snapshot.node_name b))
-          o.Gqkg_util.Budget.value
-    | None -> ());
+    Option.iter
+      (fun regex ->
+        let req = validate { Request.q = regex; kind = Request.Query { max_length = None } } in
+        let budget = Request.budget Request.no_limits in
+        print_answer snap (Request.eval ~budget snap req).Request.answer)
+      query;
     if !interrupted then begin
-      prerr_endline
-        (Gqkg_analysis.Diagnostic.to_json
-           (Gqkg_analysis.Diagnostic.make ~code:"GQ034"
-              ~severity:Gqkg_analysis.Diagnostic.Error ~subterm:ops_file
-              ~message:
-                (Printf.sprintf
-                   "interrupted: applied %d of %d ops; committed epochs and outputs are consistent"
-                   !applied (List.length ops))));
+      prerr_diagnostic
+        (Diagnostic.make ~code:"GQ034" ~severity:Diagnostic.Error
+           ~subterm:ops_file
+           ~message:
+             (Printf.sprintf
+                "interrupted: applied %d of %d ops; committed epochs and outputs are consistent"
+                applied ops));
       exit 3
     end
   in
@@ -1101,13 +1053,7 @@ let mutate_cmd =
 let serve_cmd =
   let run () path port max_clients workers queue_depth per_client default_timeout_ms
       default_max_states idle_timeout_ms fault_trip fault_drop =
-    let base =
-      try
-        if names_snapshot path then Overlay.base_of_snapshot (load_snapshot path)
-        else Overlay.base_of_property (load_property path)
-      with Invalid_argument message -> fail_user ~code:"GQ046" ~subterm:path ~message
-    in
-    let mgr = Epochs.create base in
+    let mgr = Epochs.create (load_base path) in
     let config =
       {
         Gqkg_server.Server.default_config with
@@ -1148,68 +1094,48 @@ let serve_cmd =
     done;
     prerr_endline "gqkg serve: draining...";
     Gqkg_server.Server.stop server;
-    print_endline (Gqkg_server.Jsonx.to_string (Gqkg_server.Server.metrics server))
+    print_json (Gqkg_server.Server.metrics server)
   in
+  let flag kind default name ~docv ~doc =
+    Arg.(value & opt kind default & info [ name ] ~docv ~doc)
+  in
+  let int_flag = flag Arg.int and some_int_flag = flag Arg.(some int) None in
   let port =
-    Arg.(
-      value & opt int 7687
-      & info [ "port" ] ~docv:"P" ~doc:"TCP port to listen on (0 picks an ephemeral port).")
+    int_flag 7687 "port" ~docv:"P" ~doc:"TCP port to listen on (0 picks an ephemeral port)."
   in
   let max_clients =
-    Arg.(
-      value & opt int 32
-      & info [ "max-clients" ] ~docv:"N"
-          ~doc:"Concurrent connections; beyond this, new connections get GQ061 and are closed.")
+    int_flag 32 "max-clients" ~docv:"N"
+      ~doc:"Concurrent connections; beyond this, new connections get GQ061 and are closed."
   in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Request-execution threads.")
-  in
+  let workers = int_flag 4 "workers" ~docv:"N" ~doc:"Request-execution threads." in
   let queue_depth =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:"Admission-queue capacity; beyond this, requests are shed with GQ060.")
+    int_flag 64 "queue-depth" ~docv:"N"
+      ~doc:"Admission-queue capacity; beyond this, requests are shed with GQ060."
   in
   let per_client =
-    Arg.(
-      value & opt int 8
-      & info [ "per-client-depth" ] ~docv:"N"
-          ~doc:"One client's share of the queue (fairness bound).")
+    int_flag 8 "per-client-depth" ~docv:"N" ~doc:"One client's share of the queue (fairness bound)."
   in
   let default_timeout_ms =
-    Arg.(
-      value & opt int 10_000
-      & info [ "default-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-request deadline when the request carries no timeout_ms field; exhaustion \
-             degrades to a sound partial answer.")
+    int_flag 10_000 "default-timeout-ms" ~docv:"MS"
+      ~doc:
+        "Per-request deadline when the request carries no timeout_ms field; exhaustion degrades \
+         to a sound partial answer."
   in
   let default_max_states =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "default-max-states" ] ~docv:"N"
-          ~doc:"Default per-request bound on interned product states.")
+    some_int_flag "default-max-states" ~docv:"N"
+      ~doc:"Default per-request bound on interned product states."
   in
   let idle_timeout_ms =
-    Arg.(
-      value & opt int 30_000
-      & info [ "idle-timeout-ms" ] ~docv:"MS"
-          ~doc:"Close connections silent for this long (GQ064 notice first).")
+    int_flag 30_000 "idle-timeout-ms" ~docv:"MS"
+      ~doc:"Close connections silent for this long (GQ064 notice first)."
   in
   let fault_trip =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-trip-after-checks" ] ~docv:"N"
-          ~doc:"Fault injector: arm every request budget to trip after N checks (soak testing).")
+    some_int_flag "fault-trip-after-checks" ~docv:"N"
+      ~doc:"Fault injector: arm every request budget to trip after N checks (soak testing)."
   in
   let fault_drop =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-drop-after" ] ~docv:"N"
-          ~doc:"Fault injector: hard-drop each connection after every N responses (soak testing).")
+    some_int_flag "fault-drop-after" ~docv:"N"
+      ~doc:"Fault injector: hard-drop each connection after every N responses (soak testing)."
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1241,16 +1167,7 @@ let stats_cmd =
     let members, density = Gqkg_analytics.Densest.charikar inst in
     Printf.printf "densest subgraph (charikar): %d nodes, density %.3f\n" (List.length members) density;
     Printf.printf "degeneracy (max k-core): %d\n" (Gqkg_analytics.Kcore.degeneracy inst);
-    let s = Semcache.stats () in
-    Printf.printf
-      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d \
-       lookups, shapes %d hits / %d lookups\n"
-      s.Semcache.plan_hits
-      (s.Semcache.plan_hits + s.Semcache.plan_misses)
-      s.Semcache.result_hits
-      (s.Semcache.result_hits + s.Semcache.result_misses)
-      s.Semcache.shape_hits
-      (s.Semcache.shape_hits + s.Semcache.shape_misses)
+    print_cache_counters ()
   in
   Cmd.v (Cmd.info "stats" ~doc:"Structural statistics") Term.(const run $ verbose_flag $ graph_arg)
 
@@ -1260,10 +1177,6 @@ let wl_cmd =
   let run () path =
     let pg = load_property path in
     let inst = Snapshot.of_property pg in
-    let coloring =
-      Gqkg_gnn.Wl.refine inst ~init:(fun v -> Hashtbl.hash (inst.Snapshot.node_name v = "" (* uniform *)))
-    in
-    ignore coloring;
     let labeled =
       Gqkg_gnn.Wl.refine inst ~init:(fun v ->
           Const.hash (Property_graph.node_label pg v))
@@ -1275,27 +1188,23 @@ let wl_cmd =
   in
   Cmd.v (Cmd.info "wl" ~doc:"Weisfeiler-Lehman refinement summary") Term.(const run $ verbose_flag $ graph_arg)
 
-let known_subcommands =
+let commands =
   [
-    "generate"; "query"; "match"; "count"; "sample"; "enumerate"; "centrality"; "contain";
-    "convert"; "materialize"; "mutate"; "serve"; "sparql"; "explain"; "lint"; "save"; "stats";
-    "wl";
+    generate_cmd; query_cmd; match_cmd; count_cmd; sample_cmd; enumerate_cmd; centrality_cmd;
+    convert_cmd; materialize_cmd; sparql_cmd; explain_cmd; lint_cmd; contain_cmd; save_cmd;
+    mutate_cmd; serve_cmd; stats_cmd; wl_cmd;
   ]
 
 let () =
   (* Friendlier failure than the parser's default on an unknown
      subcommand: name the offending token, print usage, exit 2.  Valid
      unambiguous prefixes (e.g. "enum") still go through. *)
+  let known_subcommands = List.map Cmd.name commands in
   (match Array.to_list Sys.argv with
   | _ :: first :: _
-    when String.length first > 0
+    when first <> ""
          && first.[0] <> '-'
-         && not
-              (List.exists
-                 (fun c ->
-                   String.length first <= String.length c
-                   && String.sub c 0 (String.length first) = first)
-                 known_subcommands) ->
+         && not (List.exists (String.starts_with ~prefix:first) known_subcommands) ->
       Printf.eprintf "gqkg: unknown subcommand %S\nusage: gqkg <%s> ...\n" first
         (String.concat "|" known_subcommands);
       exit 2
@@ -1306,27 +1215,5 @@ let () =
      input, unwritable output) surface as a structured GQ041 diagnostic
      instead of cmdliner's internal-error backtrace. *)
   exit
-    (try
-       Cmd.eval ~catch:false
-         (Cmd.group ~default info
-          [
-            generate_cmd;
-            query_cmd;
-            match_cmd;
-            count_cmd;
-            sample_cmd;
-            enumerate_cmd;
-            centrality_cmd;
-            convert_cmd;
-            materialize_cmd;
-            sparql_cmd;
-            explain_cmd;
-            lint_cmd;
-            contain_cmd;
-            save_cmd;
-            mutate_cmd;
-            serve_cmd;
-            stats_cmd;
-            wl_cmd;
-          ])
+    (try Cmd.eval ~catch:false (Cmd.group ~default info commands)
      with Sys_error message -> fail_user ~code:"GQ041" ~subterm:"" ~message)

@@ -2,7 +2,8 @@
    carries a stable code (documented in DESIGN.md §"Static analysis"), a
    severity, the concrete-syntax subterm it is anchored to, and a
    human-readable message.  The CLI renders them either as text or as
-   JSON; the engine itself only ever looks at the final verdict. *)
+   JSON (Gqkg_server.Jsonx.of_diagnostic); the engine itself only ever
+   looks at the final verdict. *)
 
 type severity = Error | Warning | Info
 
@@ -17,33 +18,9 @@ let to_string d =
   else
     Printf.sprintf "%s %s at `%s`: %s" (severity_to_string d.severity) d.code d.subterm d.message
 
-let pp ppf d = Fmt.string ppf (to_string d)
-
-(* Minimal JSON string escaping: quotes, backslashes and control bytes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json d =
-  Printf.sprintf "{\"code\":\"%s\",\"severity\":\"%s\",\"subterm\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.code)
-    (severity_to_string d.severity)
-    (json_escape d.subterm) (json_escape d.message)
-
 (* Errors first, then warnings, then infos; stable within a class. *)
 let rank = function Error -> 0 | Warning -> 1 | Info -> 2
 let sort ds = List.stable_sort (fun a b -> compare (rank a.severity) (rank b.severity)) ds
-let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 (* --- Resource-governor diagnostics (GQ03x) ---------------------------
 

@@ -12,29 +12,15 @@ val severity_to_string : severity -> string
 (** One-line human rendering: [severity CODE at `subterm`: message]. *)
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
-(** Minimal JSON string escaping (quotes, backslashes, control bytes);
-    shared by the CLI's JSON emitters. *)
-val json_escape : string -> string
-
-(** One JSON object with code/severity/subterm/message fields. *)
-val to_json : t -> string
-
 (** Errors first, then warnings, then infos (stable). *)
 val sort : t list -> t list
 
-val has_errors : t list -> bool
-
-(** Stable code for a budget-exhaustion reason: GQ030 timeout, GQ031
-    state limit, GQ032 step limit, GQ033 injected (fault harness),
-    GQ034 cancelled (signal or server drain). *)
-val budget_code : Gqkg_util.Budget.reason -> string
-
 (** The GQ03x warning describing why (and after how much consumption) an
     evaluation under this budget returned a partial result; [None] while
-    the budget has not tripped.  The CLI maps its presence to exit
-    code 3. *)
+    the budget has not tripped.  Codes: GQ030 timeout, GQ031 state
+    limit, GQ032 step limit, GQ033 injected (fault harness), GQ034
+    cancelled (signal or server drain).  The CLI maps its presence to
+    exit code 3. *)
 val of_budget : Gqkg_util.Budget.t -> t option
 
 (** A GQ04x user-input error (malformed file, unparsable query, bad

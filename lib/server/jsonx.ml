@@ -5,6 +5,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
 
 exception Fail of int * string
 
@@ -41,25 +42,6 @@ let parse text =
     end
     else fail (Printf.sprintf "bad literal (expected %s)" word)
   in
-  let utf8_encode buf cp =
-    (* Code point to UTF-8; surrogate pairs are handled by the caller. *)
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-    end
-  in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
     let v = ref 0 in
@@ -89,9 +71,7 @@ let parse text =
           advance ();
           (if !pos >= n then fail "unterminated escape";
            match text.[!pos] with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
+           | ('"' | '\\' | '/') as c -> Buffer.add_char buf c; advance ()
            | 'b' -> Buffer.add_char buf '\b'; advance ()
            | 'f' -> Buffer.add_char buf '\012'; advance ()
            | 'n' -> Buffer.add_char buf '\n'; advance ()
@@ -113,7 +93,9 @@ let parse text =
                  end
                  else cp
                in
-               utf8_encode buf cp
+               (* a lone surrogate has no UTF-8 form: U+FFFD stands in *)
+               Buffer.add_utf_8_uchar buf
+                 (if Uchar.is_valid cp then Uchar.of_int cp else Uchar.rep)
            | c -> fail (Printf.sprintf "bad escape \\%c" c));
           loop ()
       | c when Char.code c < 0x20 -> fail "raw control byte in string"
@@ -148,61 +130,37 @@ let parse text =
     | Some f -> Num f
     | None -> fail (Printf.sprintf "bad number %S" span)
   in
+  (* The comma-separated items of an array or object up to [close],
+     after its opening bracket. *)
+  let elements close item =
+    advance ();
+    skip_ws ();
+    if peek () = Some close then (advance (); [])
+    else
+      let rec loop acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        match peek () with
+        | Some ',' -> advance (); loop acc
+        | Some c when c = close -> advance (); List.rev acc
+        | _ -> fail (Printf.sprintf "expected , or %c" close)
+      in
+      loop []
+  in
   let rec value depth =
     if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | None -> fail "empty input"
     | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec members_loop () =
-            skip_ws ();
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value (depth + 1) in
-            members := (k, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or } in object"
-          in
-          members_loop ();
-          Obj (List.rev !members)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = value (depth + 1) in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ] in array"
-          in
-          items_loop ();
-          Arr (List.rev !items)
-        end
+        Obj
+          (elements '}' (fun () ->
+               skip_ws ();
+               let k = string_body () in
+               skip_ws ();
+               expect ':';
+               (k, value (depth + 1))))
+    | Some '[' -> Arr (elements ']' (fun () -> value (depth + 1)))
     | Some '"' -> Str (string_body ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -219,55 +177,99 @@ let parse text =
   | v -> Ok v
   | exception Fail (p, msg) -> Error (Printf.sprintf "at byte %d: %s" p msg)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
+let int i = Num (float_of_int i)
+
+(* Runs of bytes that need no escaping are copied in one blit. *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
+  Buffer.add_char buf '"'
+
+(* Integers below 1e15 print exactly; anything else prints in the
+   shortest of 15 or 17 significant digits that reads back to the same
+   double.  JSON has no non-finite numbers: those print [null], as
+   [JSON.stringify] does. *)
+let add_num buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.bprintf buf "%.0f" f
+  else
+    let short = Printf.sprintf "%.15g" f in
+    Buffer.add_string buf
+      (if float_of_string short = f then short else Printf.sprintf "%.17g" f)
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> add_num buf f
+  | Str s -> add_string buf s
+  | Raw text -> Buffer.add_string buf text
+  | Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          to_buffer buf item)
+        items;
+      Buffer.add_char buf ']'
+  | Obj members ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_string buf k;
+          Buffer.add_char buf ':';
+          to_buffer buf v)
+        members;
+      Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 128 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string buf (Printf.sprintf "%.0f" f)
-        else Buffer.add_string buf (Printf.sprintf "%g" f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        escape_into buf s;
-        Buffer.add_char buf '"'
-    | Arr items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            go item)
-          items;
-        Buffer.add_char buf ']'
-    | Obj members ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            escape_into buf k;
-            Buffer.add_string buf "\":";
-            go v)
-          members;
-        Buffer.add_char buf '}'
-  in
-  go v;
+  to_buffer buf v;
   Buffer.contents buf
+
+let pair_page ~limit name pairs =
+  let buf = Buffer.create 1024 in
+  Buffer.add_char buf '[';
+  let total =
+    List.fold_left
+      (fun n (a, b) ->
+        if n < limit then begin
+          if n > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '[';
+          add_string buf (name a);
+          Buffer.add_char buf ',';
+          add_string buf (name b);
+          Buffer.add_char buf ']'
+        end;
+        n + 1)
+      0 pairs
+  in
+  Buffer.add_char buf ']';
+  (total, Raw (Buffer.contents buf))
+
+let of_diagnostic (d : Gqkg_analysis.Diagnostic.t) =
+  Obj
+    [
+      ("code", Str d.code);
+      ("severity", Str (Gqkg_analysis.Diagnostic.severity_to_string d.severity));
+      ("subterm", Str d.subterm);
+      ("message", Str d.message);
+    ]
 
 let member k = function
   | Obj members -> List.assoc_opt k members

@@ -51,11 +51,6 @@ let observe_latency_ms t ms =
   t.lat_count <- t.lat_count + 1;
   Mutex.unlock t.lat_lock
 
-let requests t = Atomic.get t.requests
-let responses t = Atomic.get t.responses
-let shed t = Atomic.get t.shed
-let trips t = Atomic.get t.trips
-
 (* Percentile by nearest-rank over a sorted copy of the filled part of
    the ring; 0.0 when nothing has been observed yet. *)
 let percentiles t ps =

@@ -16,7 +16,9 @@ val incr_requests : t -> unit
 (** A request was admitted to the queue. *)
 
 val incr_responses : t -> unit
-(** A response line was written (success or structured error). *)
+(** A response line (success or structured error) is written to a live
+    connection; counted before the write, so a client that has read the
+    line finds it counted. *)
 
 val incr_shed : t -> unit
 (** A request was rejected with GQ060/GQ063 instead of queued. *)
@@ -38,11 +40,6 @@ val incr_injected_drops : t -> unit
 
 val observe_latency_ms : t -> float -> unit
 (** Record one request's service latency. *)
-
-val requests : t -> int
-val responses : t -> int
-val shed : t -> int
-val trips : t -> int
 
 (** {2 Snapshot} *)
 

@@ -2,12 +2,7 @@ module Budget = Gqkg_util.Budget
 module Mclock = Gqkg_util.Mclock
 module Epochs = Gqkg_graph.Epochs
 module Snapshot = Gqkg_graph.Snapshot
-module Overlay = Gqkg_graph.Overlay
-module Journal = Gqkg_graph.Journal
-module Governor = Gqkg_core.Governor
 module Semcache = Gqkg_core.Semcache
-module Diagnostic = Gqkg_analysis.Diagnostic
-module Regex_parser = Gqkg_automata.Regex_parser
 
 type config = {
   max_clients : int;
@@ -88,15 +83,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Wire helpers                                                        *)
 
-let json_of_diag (d : Diagnostic.t) =
-  Jsonx.Obj
-    [
-      ("code", Jsonx.Str d.code);
-      ("severity", Jsonx.Str (Diagnostic.severity_to_string d.severity));
-      ("subterm", Jsonx.Str d.subterm);
-      ("message", Jsonx.Str d.message);
-    ]
-
 let echo_id req =
   match Jsonx.member "id" req with Some v -> [ ("id", v) ] | None -> []
 
@@ -106,23 +92,32 @@ let error_json ?(extra = []) ?(id = []) ~code ~message () =
        ("message", Jsonx.Str message) ]
     @ id @ extra)
 
+(* One NDJSON frame: the reply and its newline rendered into one buffer. *)
+let frame json =
+  let buf = Buffer.create 256 in
+  Jsonx.to_buffer buf json;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 (* Whole-line writes under the connection's write lock so concurrent
    worker / reader responses never interleave mid-line.  A blocked
    write on a slow client fails via SO_SNDTIMEO instead of wedging the
    worker; any write error marks the connection dead (its reader thread
    notices and cleans up). *)
 let write_json t conn json =
-  let s = Jsonx.to_string json ^ "\n" in
+  let s = frame json in
   Mutex.lock conn.wlock;
   let ok =
     if Atomic.get conn.dead then false
     else
       try
-        let b = Bytes.unsafe_of_string s in
-        let len = Bytes.length b in
+        (* counted before the bytes leave, so a client that has read a
+           reply always finds it in [metrics] *)
+        Metrics.incr_responses t.metrics;
+        let len = String.length s in
         let off = ref 0 in
         while !off < len do
-          let n = Unix.write conn.fd b !off (len - !off) in
+          let n = Unix.write_substring conn.fd s !off (len - !off) in
           if n <= 0 then raise Exit;
           off := !off + n
         done;
@@ -147,29 +142,13 @@ let write_json t conn json =
     | _ -> ()
   end;
   Mutex.unlock conn.wlock;
-  if ok then Metrics.incr_responses t.metrics;
   ok
 
 (* ------------------------------------------------------------------ *)
-(* Request execution (worker side)                                     *)
+(* Request execution (worker side): frame -> Request, response -> wire *)
 
 let int_field req name =
   match Jsonx.member name req with None -> None | Some v -> Jsonx.int_opt v
-
-let budget_of t req =
-  let timeout_ms =
-    match int_field req "timeout_ms" with
-    | Some v -> Some v
-    | None -> t.config.default_timeout_ms
-  in
-  let max_states =
-    match int_field req "max_states" with
-    | Some v -> Some v
-    | None -> t.config.default_max_states
-  in
-  let max_steps = int_field req "max_steps" in
-  Budget.create ?timeout_ms ?max_states ?max_steps
-    ?trip_after_checks:t.config.fault_trip_after_checks ()
 
 (* Register the budget while the request runs so a graceful drain can
    cancel stragglers (they come back as sound Partial answers). *)
@@ -185,102 +164,64 @@ let with_active t budget f =
       Mutex.unlock t.act_lock)
     f
 
-let completeness_fields t budget (completeness : Budget.completeness) =
-  match completeness with
-  | Budget.Complete -> [ ("complete", Jsonx.Bool true) ]
-  | Budget.Partial _ ->
-      Metrics.incr_trips t.metrics;
-      let diag =
-        match Diagnostic.of_budget budget with
-        | Some d -> [ ("diagnostic", json_of_diag d) ]
-        | None -> []
-      in
-      ("complete", Jsonx.Bool false) :: diag
+let request_error ~id = function
+  | Request.Parse_error _ as e -> error_json ~id ~code:"GQ042" ~message:(Request.error_message e) ()
+  | Request.Bad_length _ as e -> error_json ~id ~code:"GQ062" ~message:(Request.error_message e) ()
+  | Request.Script_error { line; message } ->
+      error_json ~id ~code:"GQ048" ~message:(Printf.sprintf "ops[%d]: %s" (line - 1) message) ()
 
-let rec take_pairs n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | p :: rest -> p :: take_pairs (n - 1) rest
+(* The one wire renderer of a read response, in the protocol's field
+   order. *)
+let read_reply t ~id ~limit ~budget snap (r : Request.response) =
+  let op, fields =
+    match r.answer with
+    | Request.Pairs pairs ->
+        let total, page = Jsonx.pair_page ~limit snap.Snapshot.node_name pairs in
+        ( "query",
+          [ ("total", Jsonx.int total); ("truncated", Jsonx.Bool (total > limit)); ("pairs", page);
+            ("elapsed_ms", Jsonx.Num (Budget.elapsed_ms budget)) ] )
+    | Request.Path_count { length; count } ->
+        ("count", [ ("length", Jsonx.int length); ("count", Jsonx.Num count) ])
+  in
+  let completeness =
+    match r.diagnostic with
+    | None -> [ ("complete", Jsonx.Bool true) ]
+    | Some d ->
+        Metrics.incr_trips t.metrics;
+        [ ("complete", Jsonx.Bool false); ("diagnostic", Jsonx.of_diagnostic d) ]
+  in
+  Jsonx.Obj
+    ((("ok", Jsonx.Bool true) :: ("op", Jsonx.Str op) :: id)
+    @ (("epoch", Jsonx.int snap.Snapshot.epoch) :: fields)
+    @ completeness)
 
-let handle_query t req ~id =
+let handle_read t req ~id op =
   match Option.bind (Jsonx.member "q" req) Jsonx.str with
-  | None -> error_json ~id ~code:"GQ062" ~message:{|query needs a "q" string field|} ()
-  | Some qtext -> (
-      match Regex_parser.parse qtext with
-      | exception Regex_parser.Error { position; message } ->
-          error_json ~id ~code:"GQ042"
-            ~message:(Printf.sprintf "parse error at %d: %s" position message)
-            ()
-      | regex ->
-          let budget = budget_of t req in
-          let max_length = int_field req "max_length" in
-          let limit =
-            match int_field req "limit" with
-            | Some v -> min (max 0 v) t.config.answer_limit
-            | None -> t.config.answer_limit
+  | None -> error_json ~id ~code:"GQ062" ~message:(op ^ {| needs a "q" string field|}) ()
+  | Some q -> (
+      let kind =
+        if op = "query" then Request.Query { max_length = int_field req "max_length" }
+        else Request.Count { length = Option.value (int_field req "length") ~default:3 }
+      in
+      match Request.validate { Request.q; kind } with
+      | Error e -> request_error ~id e
+      | Ok checked ->
+          let limit = Option.value (int_field req "limit") ~default:max_int in
+          let limit = min t.config.answer_limit (max 0 limit) in
+          let budget =
+            Request.budget ?timeout_ms:t.config.default_timeout_ms
+              ?max_states:t.config.default_max_states
+              ?trip_after_checks:t.config.fault_trip_after_checks
+              {
+                Request.timeout_ms = int_field req "timeout_ms";
+                max_states = int_field req "max_states";
+                max_steps = int_field req "max_steps";
+              }
           in
           with_active t budget (fun () ->
               Epochs.with_pinned t.mgr (fun snap ->
-                  let o =
-                    Governor.eval_pairs ~use_cache:true ~budget ?max_length snap
-                      regex
-                  in
-                  let total = List.length o.Budget.value in
-                  let shown = take_pairs limit o.Budget.value in
-                  let pairs =
-                    Jsonx.Arr
-                      (List.map
-                         (fun (a, b) ->
-                           Jsonx.Arr
-                             [ Jsonx.Str (snap.Snapshot.node_name a);
-                               Jsonx.Str (snap.Snapshot.node_name b) ])
-                         shown)
-                  in
-                  Jsonx.Obj
-                    ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "query") ]
-                    @ id
-                    @ [
-                        ("epoch", Jsonx.Num (float_of_int snap.Snapshot.epoch));
-                        ("total", Jsonx.Num (float_of_int total));
-                        ("truncated", Jsonx.Bool (total > limit));
-                        ("pairs", pairs);
-                        ("elapsed_ms", Jsonx.Num (Budget.elapsed_ms budget));
-                      ]
-                    @ completeness_fields t budget o.Budget.completeness))))
-
-(* Count's table holds (length + 1) x states x 8 bytes, allocated before
-   the first budget check, so the budget cannot bound it: a length past
-   this is refused outright. *)
-let max_count_length = 1024
-
-let handle_count t req ~id =
-  let length = match int_field req "length" with Some v -> max 0 v | None -> 3 in
-  match Option.bind (Jsonx.member "q" req) Jsonx.str with
-  | None -> error_json ~id ~code:"GQ062" ~message:{|count needs a "q" string field|} ()
-  | Some _ when length > max_count_length ->
-      error_json ~id ~code:"GQ062"
-        ~message:(Printf.sprintf "count length %d exceeds %d" length max_count_length)
-        ()
-  | Some qtext -> (
-      match Regex_parser.parse qtext with
-      | exception Regex_parser.Error { position; message } ->
-          error_json ~id ~code:"GQ042"
-            ~message:(Printf.sprintf "parse error at %d: %s" position message)
-            ()
-      | regex ->
-          let budget = budget_of t req in
-          with_active t budget (fun () ->
-              Epochs.with_pinned t.mgr (fun snap ->
-                  let o = Governor.count ~budget snap regex ~length in
-                  Jsonx.Obj
-                    ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "count") ]
-                    @ id
-                    @ [
-                        ("epoch", Jsonx.Num (float_of_int snap.Snapshot.epoch));
-                        ("length", Jsonx.Num (float_of_int length));
-                        ("count", Jsonx.Num o.Budget.value);
-                      ]
-                    @ completeness_fields t budget o.Budget.completeness))))
+                  read_reply t ~id ~limit ~budget snap
+                    (Request.eval ~use_cache:true ~budget snap checked))))
 
 (* Mutations are atomic per request: either every op applies and one
    epoch is committed, or (on the first bad op) the whole overlay is
@@ -304,52 +245,27 @@ let handle_mutate t req ~id =
   in
   match ops with
   | Error message -> error_json ~id ~code:"GQ062" ~message ()
-  | Ok lines ->
+  | Ok lines -> (
       Mutex.lock t.writer_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.writer_lock)
-        (fun () ->
-          let overlay = Overlay.create (Epochs.base t.mgr) in
-          let result =
-            try
-              List.iteri
-                (fun i line ->
-                  match Journal.op_of_line ~line:(i + 1) line with
-                  | None -> ()
-                  | Some op -> Overlay.apply ~line:(i + 1) overlay op)
-                lines;
-              Ok (Overlay.size overlay)
-            with Journal.Replay_error { line; message; _ } ->
-              Error (Printf.sprintf "ops[%d]: %s" (line - 1) message)
+      Fun.protect ~finally:(fun () -> Mutex.unlock t.writer_lock) @@ fun () ->
+      match Request.mutate t.mgr lines with
+      | Error e -> request_error ~id e
+      | Ok m ->
+          let epoch = (Epochs.snapshot t.mgr).Snapshot.epoch in
+          let committed =
+            if m.Request.commits = 0 then []
+            else
+              [
+                ("columns_reused", Jsonx.int m.Request.reused);
+                ("columns_rebuilt", Jsonx.int m.Request.rebuilt);
+                ("live_epochs", Jsonx.int (List.length (Epochs.live_epochs t.mgr)));
+              ]
           in
-          match result with
-          | Error message -> error_json ~id ~code:"GQ048" ~message ()
-          | Ok 0 ->
-              let snap = Epochs.snapshot t.mgr in
-              Jsonx.Obj
-                ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "mutate") ]
-                @ id
-                @ [
-                    ("applied", Jsonx.Num 0.0);
-                    ("epoch", Jsonx.Num (float_of_int snap.Snapshot.epoch));
-                  ])
-          | Ok applied ->
-              let base, reuse = Epochs.commit t.mgr overlay in
-              let snap = Overlay.snapshot base in
-              Jsonx.Obj
-                ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "mutate") ]
-                @ id
-                @ [
-                    ("applied", Jsonx.Num (float_of_int applied));
-                    ("epoch", Jsonx.Num (float_of_int snap.Snapshot.epoch));
-                    ( "columns_reused",
-                      Jsonx.Num (float_of_int (List.length reuse.Overlay.reused)) );
-                    ( "columns_rebuilt",
-                      Jsonx.Num (float_of_int (List.length reuse.Overlay.rebuilt)) );
-                    ( "live_epochs",
-                      Jsonx.Num
-                        (float_of_int (List.length (Epochs.live_epochs t.mgr))) );
-                  ]))
+          Jsonx.Obj
+            ([ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "mutate") ]
+            @ id
+            @ [ ("applied", Jsonx.int m.Request.applied); ("epoch", Jsonx.int epoch) ]
+            @ committed))
 
 (* Anything unexpected becomes a structured GQ069 — a worker never
    crashes and a client never sees a backtrace. *)
@@ -358,8 +274,7 @@ let handle_job t (job : job) =
   let resp =
     try
       match Option.bind (Jsonx.member "op" job.req) Jsonx.str with
-      | Some "query" -> handle_query t job.req ~id
-      | Some "count" -> handle_count t job.req ~id
+      | Some ("query" | "count" as op) -> handle_read t job.req ~id op
       | Some "mutate" -> handle_mutate t job.req ~id
       | Some op ->
           error_json ~id ~code:"GQ062"
@@ -439,22 +354,19 @@ let handle_line t conn line =
             Atomic.incr conn.inflight;
             match Admission.submit t.queue ~client:conn.client job with
             | Admission.Accepted -> Metrics.incr_requests t.metrics
-            | Admission.Shed_full | Admission.Shed_client ->
+            | refused ->
                 Atomic.decr conn.inflight;
                 Metrics.incr_shed t.metrics;
                 ignore
                   (write_json t conn
-                     (error_json ~id ~code:"GQ060"
-                        ~message:"overloaded, request shed — retry later"
-                        ~extra:[ ("retry_after_ms", Jsonx.Num 100.0) ]
-                        ()))
-            | Admission.Draining ->
-                Atomic.decr conn.inflight;
-                Metrics.incr_shed t.metrics;
-                ignore
-                  (write_json t conn
-                     (error_json ~id ~code:"GQ063"
-                        ~message:"server is draining, no new requests" ()))))
+                     (if refused = Admission.Draining then
+                        error_json ~id ~code:"GQ063"
+                          ~message:"server is draining, no new requests" ()
+                      else
+                        error_json ~id ~code:"GQ060"
+                          ~message:"overloaded, request shed — retry later"
+                          ~extra:[ ("retry_after_ms", Jsonx.Num 100.0) ]
+                          ()))))
 
 let conn_loop t conn =
   let buf = Buffer.create 256 in
@@ -556,8 +468,8 @@ let conn_loop t conn =
 
 let refuse_and_close t fd ~code ~message =
   Metrics.incr_rejected_clients t.metrics;
-  let s = Jsonx.to_string (error_json ~code ~message ()) ^ "\n" in
-  (try ignore (Unix.write fd (Bytes.unsafe_of_string s) 0 (String.length s))
+  let s = frame (error_json ~code ~message ()) in
+  (try ignore (Unix.write_substring fd s 0 (String.length s))
    with _ -> ());
   try Unix.close fd with _ -> ()
 

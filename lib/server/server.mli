@@ -30,8 +30,10 @@
       connection drops for the soak suite.
 
     Request ops: [ping], [metrics] (answered inline, responsive even
-    under full queues), [query], [count], [mutate] (scheduled through
-    admission).  Responses echo the request's ["id"] member verbatim.
+    under full queues), and [query], [count], [mutate]: scheduled
+    through admission, adapted into a {!Request} and answered by the
+    pipeline [gqkg query], [count] and [mutate] share.  Responses echo
+    the request's ["id"] member verbatim.
 
     Wire error codes introduced here: GQ060 overloaded (shed), GQ061
     connection refused (max-clients), GQ062 malformed request, GQ063

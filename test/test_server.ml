@@ -26,6 +26,13 @@ let rec json_gen depth =
         return Jsonx.Null;
         map (fun b -> Jsonx.Bool b) bool;
         map (fun i -> Jsonx.Num (float_of_int i)) (int_range (-1_000_000) 1_000_000);
+        (* every finite double, by bit pattern, and integers past 2^53 *)
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            Jsonx.Num (if Float.is_finite f then f else 0.1))
+          int64;
+        map (fun i -> Jsonx.Num (Int64.to_float i)) int64;
         map (fun s -> Jsonx.Str s) (small_string ~gen:printable);
       ]
   in
@@ -69,12 +76,19 @@ let test_jsonx_syntax () =
   checkb "escapes" true (ok {|"a\n\t\"\\A"|} = Some (Jsonx.Str "a\n\t\"\\A"));
   checkb "surrogate pair" true
     (ok {|"😀"|} = Some (Jsonx.Str "\xf0\x9f\x98\x80"));
+  checkb "lone surrogate decodes to U+FFFD" true
+    (ok {|"\ud800"|} = Some (Jsonx.Str "\xef\xbf\xbd"));
   checkb "trailing garbage rejected" true (ok {|{"a":1} x|} = None);
   checkb "truncated rejected" true (ok {|{"a":|} = None);
   checkb "bare newline in string rejected" true (ok "\"a\nb\"" = None);
   checkb "deep nesting rejected" true
     (ok (String.concat "" (List.init 100 (fun _ -> "[")) ^ "1") = None);
-  checkb "integers print clean" true (Jsonx.to_string (Jsonx.Num 42.0) = "42")
+  checkb "integers print clean" true (Jsonx.to_string (Jsonx.Num 42.0) = "42");
+  checkb "2^61 round-trips" true
+    (ok (Jsonx.to_string (Jsonx.Num (ldexp 1.0 61))) = Some (Jsonx.Num (ldexp 1.0 61)));
+  checkb "non-finite prints null" true
+    (Jsonx.to_string (Jsonx.Arr [ Jsonx.Num infinity; Jsonx.Num neg_infinity; Jsonx.Num nan ])
+    = "[null,null,null]")
 
 (* ---------- Admission: bounded fair queue ---------- *)
 
@@ -307,7 +321,12 @@ let test_count_op () =
   checkb "missing q GQ062" true (obj_str "code" missing = "GQ062");
   let bad = rpc c {|{"op":"count","q":"rides/(","length":2}|} in
   checkb "bad q refused" false (obj_bool "ok" bad);
-  checkb "bad q GQ042" true (obj_str "code" bad = "GQ042")
+  checkb "bad q GQ042" true (obj_str "code" bad = "GQ042");
+  (* a count past the double range answers null, and [rpc]'s parse
+     proves the reply is still JSON *)
+  let big = rpc c {|{"op":"count","q":"(contact + rides + rides^-)*","length":1024}|} in
+  checkb "overflowing count ok" true (obj_bool "ok" big);
+  checkb "overflowing count is null" true (Jsonx.member "count" big = Some Jsonx.Null)
 
 let test_count_length_bound () =
   (* a length far past the bound is refused before any allocation (the
@@ -320,7 +339,160 @@ let test_count_length_bound () =
   let r = rpc c {|{"op":"count","q":"(contact + rides + rides^-)*","length":2000000}|} in
   checkb "oversize length refused" false (obj_bool "ok" r);
   checkb "GQ062" true (obj_str "code" r = "GQ062");
+  let neg = rpc c {|{"op":"count","q":"(contact + rides + rides^-)*","length":-5}|} in
+  checkb "negative length refused" false (obj_bool "ok" neg);
+  checkb "negative GQ062" true (obj_str "code" neg = "GQ062");
   checkb "ping after" true (obj_bool "ok" (rpc c {|{"op":"ping"}|}))
+
+(* ---------- CLI vs daemon ---------- *)
+
+(* Both surfaces run one request pipeline, so the same request sent to
+   the gqkg binary and to an in-process daemon over the same graph must
+   get the same pairs or count, the same completeness (exit 3 <->
+   complete:false) and the same GQ code.  A bad count length is the one
+   refusal the surfaces name differently by design: GQ046 (bad
+   argument) on the CLI, GQ062 (malformed request) on the wire. *)
+
+type outcome =
+  | Answer of string list * string option  (** sorted answer lines, GQ03x code if partial *)
+  | Refused of string
+
+let pp_outcome = function
+  | Answer (lines, code) ->
+      Printf.sprintf "answer [%s] %s" (String.concat "; " lines)
+        (Option.value code ~default:"complete")
+  | Refused code -> "refused " ^ code
+
+let diag_code text =
+  match Jsonx.parse (String.trim text) with
+  | Ok d -> Option.bind (Jsonx.member "code" d) Jsonx.str
+  | Error _ -> None
+
+let count_line = function
+  | Some c when Float.is_finite c -> Printf.sprintf "count %.17g" c
+  | _ -> "count out of range"
+
+let cli_outcome graph (verb, text, opts) =
+  let out = Filename.temp_file "gqkg" ".out" and err = Filename.temp_file "gqkg" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/gqkg.exe" ~stdout:out ~stderr:err
+         ((verb :: opts) @ [ "--"; graph; text ]))
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  Sys.remove out;
+  Sys.remove err;
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' stdout) in
+  let lines =
+    match lines with
+    | [ l ] when String.length l > 7 && String.sub l 0 7 = "exact: " ->
+        [ count_line (float_of_string_opt (String.sub l 7 (String.length l - 7))) ]
+    | _ -> List.sort compare lines
+  in
+  match (code, diag_code stderr) with
+  | 0, _ -> Answer (lines, None)
+  | 3, (Some _ as c) -> Answer (lines, c)
+  | 2, Some "GQ046" -> Refused "GQ062"
+  | 2, Some c -> Refused c
+  | _ -> Alcotest.fail (Printf.sprintf "gqkg %s exited %d: %s" verb code stderr)
+
+let wire_outcome c line =
+  let r = rpc c line in
+  if not (obj_bool "ok" r) then Refused (obj_str "code" r)
+  else
+    let lines =
+      match Jsonx.member "pairs" r with
+      | Some (Jsonx.Arr ps) ->
+          List.sort compare
+            (List.map
+               (function
+                 | Jsonx.Arr [ Jsonx.Str a; Jsonx.Str b ] -> a ^ "\t" ^ b
+                 | _ -> Alcotest.fail "malformed pair")
+               ps)
+      | _ -> [ count_line (Option.bind (Jsonx.member "count" r) Jsonx.num) ]
+    in
+    let code =
+      if obj_bool "complete" r then None
+      else
+        Option.bind (Jsonx.member "diagnostic" r) (fun d ->
+            Option.bind (Jsonx.member "code" d) Jsonx.str)
+    in
+    Answer (lines, code)
+
+(* A sample: a small random graph, one regex, and the requests drawn
+   for it — a possibly starved query first (a budgeted query may be
+   served from the daemon's result cache, so none may run after a
+   complete answer to an equivalent query is cached), then an
+   unbudgeted query, counts in and out of range, and unparsable text. *)
+let diff_gen =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* nodes = int_range 2 8 in
+    let* edges = int_range 1 16 in
+    let* starve = opt (pair bool (int_range 0 15)) in
+    let* max_length = opt (int_range 0 4) in
+    let* length = oneof [ int_range 0 6; oneofl [ -5; -1; 1025; 2_000_000 ] ] in
+    let* junk = oneofl [ "(x"; "x/("; "x +"; "["; ")"; "x^" ] in
+    return (seed, nodes, edges, starve, max_length, length, junk))
+
+let prop_cli_daemon_agree =
+  QCheck2.Test.make ~name:"CLI and daemon agree on answers, completeness and codes" ~count:50
+    diff_gen
+    (fun (seed, nodes, edges, starve, max_length, length, junk) ->
+      let rng = Gqkg_util.Splitmix.create seed in
+      let lg =
+        Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges ~node_labels:[ "a"; "b" ]
+          ~edge_labels:[ "x"; "y" ]
+      in
+      let graph = Filename.temp_file "gqkg" ".pg" in
+      Graph_io.save_property_graph graph (Property_graph.of_labeled lg);
+      let params =
+        {
+          Gqkg_workload.Gen_regex.default with
+          node_labels = [ "a"; "b" ];
+          edge_labels = [ "x"; "y" ];
+        }
+      in
+      let regex = Gqkg_workload.Gen_regex.generate ~params rng in
+      let q = Gqkg_automata.Regex.to_string ~top:true regex in
+      (* one request as argv and as a wire frame; [fields] are (CLI
+         flag, wire field, value) triples *)
+      let request op text fields =
+        ( (op, text, List.map (fun (flag, _, v) -> Printf.sprintf "--%s=%d" flag v) fields),
+          Jsonx.to_string
+            (Jsonx.Obj
+               (("op", Jsonx.Str op) :: ("q", Jsonx.Str text)
+               :: List.map (fun (_, field, v) -> (field, Jsonx.int v)) fields)) )
+      in
+      let bounded =
+        List.map (fun l -> ("max-length", "max_length", l)) (Option.to_list max_length)
+      in
+      let starved =
+        match starve with
+        | Some (true, k) -> [ ("max-steps", "max_steps", k) ]
+        | Some (false, k) -> [ ("max-states", "max_states", k) ]
+        | None -> []
+      in
+      let query text fields = request "query" text (bounded @ fields) in
+      let count text = request "count" text [ ("length", "length", length) ] in
+      let requests = [ query q starved; query q []; count q; query junk []; count junk ] in
+      let mgr = Epochs.create (Overlay.base_of_property (Graph_io.load_property_graph graph)) in
+      let srv = Server.start ~port:0 ~config:Server.default_config mgr in
+      let c = connect (Server.port srv) in
+      Fun.protect
+        ~finally:(fun () ->
+          close c;
+          Server.stop srv;
+          Sys.remove graph)
+        (fun () ->
+          List.for_all
+            (fun (cli, wire) ->
+              let a = cli_outcome graph cli and b = wire_outcome c wire in
+              a = b
+              || QCheck2.Test.fail_reportf "%s\nCLI:  %s\nwire: %s" wire (pp_outcome a)
+                   (pp_outcome b))
+            requests))
 
 (* ---------- Wire-protocol fuzz ---------- *)
 
@@ -649,7 +821,8 @@ let () =
           Alcotest.test_case "mutate non-string op" `Quick test_mutate_non_string_op;
           Alcotest.test_case "count op" `Quick test_count_op;
           Alcotest.test_case "count length bound" `Quick test_count_length_bound;
-        ] );
+        ]
+        @ q [ prop_cli_daemon_agree ] );
       ( "wire fuzz",
         q [ prop_wire_fuzz ]
         @ [
