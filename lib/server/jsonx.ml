@@ -5,7 +5,6 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string
 
 exception Fail of int * string
 
@@ -217,7 +216,6 @@ let rec to_buffer buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> add_num buf f
   | Str s -> add_string buf s
-  | Raw text -> Buffer.add_string buf text
   | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -228,39 +226,80 @@ let rec to_buffer buf = function
       Buffer.add_char buf ']'
   | Obj members ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_string buf k;
-          Buffer.add_char buf ':';
-          to_buffer buf v)
-        members;
+      add_members buf members;
       Buffer.add_char buf '}'
+
+and add_members buf members =
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_string buf k;
+      Buffer.add_char buf ':';
+      to_buffer buf v)
+    members
 
 let to_string v =
   let buf = Buffer.create 128 in
   to_buffer buf v;
   Buffer.contents buf
 
-let pair_page ~limit name pairs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '[';
-  let total =
-    List.fold_left
-      (fun n (a, b) ->
-        if n < limit then begin
-          if n > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '[';
-          add_string buf (name a);
-          Buffer.add_char buf ',';
-          add_string buf (name b);
-          Buffer.add_char buf ']'
-        end;
-        n + 1)
-      0 pairs
+(* Name [v]'s literal is [blob] from [off.(v)] to [off.(v + 1)]. *)
+type names = { blob : string; off : int array }
+
+let names_id : names Type.Id.t = Type.Id.make ()
+
+let names snap =
+  Gqkg_graph.Snapshot.memo snap names_id (fun { num_nodes = n; node_name; _ } ->
+      let buf = Buffer.create (16 * n + 1) in
+      let off = Array.make (n + 1) 0 in
+      for v = 0 to n - 1 do
+        add_string buf (node_name v);
+        off.(v + 1) <- Buffer.length buf
+      done;
+      { blob = Buffer.contents buf; off })
+
+(* Walk 1 sizes the page; the other members render into [buf], cut
+   inside ["pairs":[]]; walk 2 fills the cut in an exact-size copy. *)
+let page_frame { blob; off } ~head ~limit pairs ~tail =
+  let width v = off.(v + 1) - off.(v) in
+  let total = ref 0 and gap = ref (-1) in
+  List.iter
+    (fun (a, b) ->
+      if !total < limit then gap := !gap + width a + width b + 4;
+      incr total)
+    pairs;
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf '{';
+  add_members buf
+    (head @ [ ("total", int !total); ("truncated", Bool (!total > limit)); ("pairs", Arr []) ]);
+  let cut = Buffer.length buf - 1 in
+  if tail <> [] then Buffer.add_char buf ',';
+  add_members buf tail;
+  Buffer.add_string buf "}\n";
+  let dst = Bytes.create (Buffer.length buf + max 0 !gap) and pos = ref cut in
+  Buffer.blit buf 0 dst 0 cut;
+  let put c =
+    Bytes.set dst !pos c;
+    incr pos
   in
-  Buffer.add_char buf ']';
-  (total, Raw (Buffer.contents buf))
+  let name v =
+    Bytes.blit_string blob off.(v) dst !pos (width v);
+    pos := !pos + width v
+  in
+  let rec fill i = function
+    | (a, b) :: rest when i < limit ->
+        if i > 0 then put ',';
+        put '[';
+        name a;
+        put ',';
+        name b;
+        put ']';
+        fill (i + 1) rest
+    | _ -> ()
+  in
+  fill 0 pairs;
+  Buffer.blit buf cut dst !pos (Buffer.length buf - cut);
+  Bytes.unsafe_to_string dst
 
 let of_diagnostic (d : Gqkg_analysis.Diagnostic.t) =
   Obj

@@ -14,9 +14,6 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string
-      (** JSON text already rendered by this module, written verbatim;
-          {!parse} never returns it *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON value (leading/trailing whitespace allowed;
@@ -33,10 +30,22 @@ val int : int -> t
 val to_buffer : Buffer.t -> t -> unit
 (** {!to_string} into a caller's buffer. *)
 
-val pair_page : limit:int -> (int -> string) -> (int * int) list -> int * t
-(** [pair_page ~limit name pairs] is the list's length and the array of
-    its first [limit] pairs as [[name a, name b]] string pairs, rendered
-    in one walk of [pairs]. *)
+type names
+(** A snapshot's node names as JSON string literals, quotes included,
+    escaped once into one blob plus [n + 1] offsets. *)
+
+val names : Gqkg_graph.Snapshot.t -> names
+(** Built on first use and memoized on the snapshot: one per epoch. *)
+
+val page_frame :
+  names -> head:(string * t) list -> limit:int -> (int * int) list -> tail:(string * t) list ->
+  string
+(** [page_frame names ~head ~limit pairs ~tail] is byte for byte
+    [to_string (Obj (head @ [("total", int total); ("truncated", Bool (total > limit));
+    ("pairs", Arr page)] @ tail)) ^ "\n"], where [total] is the length of
+    [pairs] and [page] holds its first [limit] pairs [(a, b)] as
+    [Arr [Str (name a); Str (name b)]].  It is rendered into one string
+    of that exact size by blitting the literals of [names]. *)
 
 val of_diagnostic : Gqkg_analysis.Diagnostic.t -> t
 (** The one JSON form of a diagnostic: [code], [severity], [subterm],

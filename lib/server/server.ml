@@ -104,8 +104,7 @@ let frame json =
    write on a slow client fails via SO_SNDTIMEO instead of wedging the
    worker; any write error marks the connection dead (its reader thread
    notices and cleans up). *)
-let write_json t conn json =
-  let s = frame json in
+let write_frame t conn s =
   Mutex.lock conn.wlock;
   let ok =
     if Atomic.get conn.dead then false
@@ -144,6 +143,8 @@ let write_json t conn json =
   Mutex.unlock conn.wlock;
   ok
 
+let write_json t conn json = write_frame t conn (frame json)
+
 (* ------------------------------------------------------------------ *)
 (* Request execution (worker side): frame -> Request, response -> wire *)
 
@@ -173,16 +174,6 @@ let request_error ~id = function
 (* The one wire renderer of a read response, in the protocol's field
    order. *)
 let read_reply t ~id ~limit ~budget snap (r : Request.response) =
-  let op, fields =
-    match r.answer with
-    | Request.Pairs pairs ->
-        let total, page = Jsonx.pair_page ~limit snap.Snapshot.node_name pairs in
-        ( "query",
-          [ ("total", Jsonx.int total); ("truncated", Jsonx.Bool (total > limit)); ("pairs", page);
-            ("elapsed_ms", Jsonx.Num (Budget.elapsed_ms budget)) ] )
-    | Request.Path_count { length; count } ->
-        ("count", [ ("length", Jsonx.int length); ("count", Jsonx.Num count) ])
-  in
   let completeness =
     match r.diagnostic with
     | None -> [ ("complete", Jsonx.Bool true) ]
@@ -190,21 +181,28 @@ let read_reply t ~id ~limit ~budget snap (r : Request.response) =
         Metrics.incr_trips t.metrics;
         [ ("complete", Jsonx.Bool false); ("diagnostic", Jsonx.of_diagnostic d) ]
   in
-  Jsonx.Obj
-    ((("ok", Jsonx.Bool true) :: ("op", Jsonx.Str op) :: id)
-    @ (("epoch", Jsonx.int snap.Snapshot.epoch) :: fields)
-    @ completeness)
+  let head op =
+    (("ok", Jsonx.Bool true) :: ("op", Jsonx.Str op) :: id)
+    @ [ ("epoch", Jsonx.int snap.Snapshot.epoch) ]
+  in
+  match r.answer with
+  | Request.Pairs pairs ->
+      Jsonx.page_frame (Jsonx.names snap) ~head:(head "query") ~limit pairs
+        ~tail:(("elapsed_ms", Jsonx.Num (Budget.elapsed_ms budget)) :: completeness)
+  | Request.Path_count { length; count } ->
+      let fields = [ ("length", Jsonx.int length); ("count", Jsonx.Num count) ] in
+      frame (Jsonx.Obj (head "count" @ fields @ completeness))
 
 let handle_read t req ~id op =
   match Option.bind (Jsonx.member "q" req) Jsonx.str with
-  | None -> error_json ~id ~code:"GQ062" ~message:(op ^ {| needs a "q" string field|}) ()
+  | None -> frame (error_json ~id ~code:"GQ062" ~message:(op ^ {| needs a "q" string field|}) ())
   | Some q -> (
       let kind =
         if op = "query" then Request.Query { max_length = int_field req "max_length" }
         else Request.Count { length = Option.value (int_field req "length") ~default:3 }
       in
       match Request.validate { Request.q; kind } with
-      | Error e -> request_error ~id e
+      | Error e -> frame (request_error ~id e)
       | Ok checked ->
           let limit = Option.value (int_field req "limit") ~default:max_int in
           let limit = min t.config.answer_limit (max 0 limit) in
@@ -275,20 +273,14 @@ let handle_job t (job : job) =
     try
       match Option.bind (Jsonx.member "op" job.req) Jsonx.str with
       | Some ("query" | "count" as op) -> handle_read t job.req ~id op
-      | Some "mutate" -> handle_mutate t job.req ~id
+      | Some "mutate" -> frame (handle_mutate t job.req ~id)
       | Some op ->
-          error_json ~id ~code:"GQ062"
-            ~message:(Printf.sprintf "unknown op %S" op)
-            ()
-      | None ->
-          error_json ~id ~code:"GQ062" ~message:{|request needs an "op" field|}
-            ()
+          frame (error_json ~id ~code:"GQ062" ~message:(Printf.sprintf "unknown op %S" op) ())
+      | None -> frame (error_json ~id ~code:"GQ062" ~message:{|request needs an "op" field|} ())
     with exn ->
-      error_json ~id ~code:"GQ069"
-        ~message:("internal error: " ^ Printexc.to_string exn)
-        ()
+      frame (error_json ~id ~code:"GQ069" ~message:("internal error: " ^ Printexc.to_string exn) ())
   in
-  let delivered = write_json t job.conn resp in
+  let delivered = write_frame t job.conn resp in
   if delivered then
     Metrics.observe_latency_ms t.metrics
       (Mclock.ns_to_ms (Int64.sub (Mclock.now_ns ()) job.submitted_ns))
@@ -375,34 +367,34 @@ let conn_loop t conn =
   (* torn/oversized frames: skip to the next newline and recover, the
      wire-level mirror of the journal's GQ048 tolerate-partial rule *)
   let idle_ns = Int64.mul (Int64.of_int t.config.idle_timeout_ms) 1_000_000L in
-  let rec drain_lines () =
-    let data = Buffer.contents buf in
-    match String.index_opt data '\n' with
-    | Some i ->
-        let line = String.sub data 0 i in
-        Buffer.clear buf;
-        Buffer.add_substring buf data (i + 1) (String.length data - i - 1);
-        if !discarding then begin
-          discarding := false;
-          Metrics.incr_malformed t.metrics;
-          ignore
-            (write_json t conn
-               (error_json ~code:"GQ062"
-                  ~message:
-                    (Printf.sprintf "request line exceeds %d bytes, discarded"
-                       t.config.max_line_bytes)
-                  ()))
-        end
-        else handle_line t conn line;
-        drain_lines ()
-    | None ->
-        (* while discarding, drop every chunk as it arrives: an endless
-           line must cost O(chunk), not grow the buffer without bound *)
-        if !discarding then Buffer.clear buf
-        else if Buffer.length buf > t.config.max_line_bytes then begin
-          Buffer.clear buf;
-          discarding := true
-        end
+  (* bytes before [i] hold no newline, so each read scans only its own *)
+  let rec drain_lines i =
+    if i < Buffer.length buf && Buffer.nth buf i <> '\n' then drain_lines (i + 1)
+    else if i < Buffer.length buf then begin
+      let line = Buffer.sub buf 0 i in
+      let rest = Buffer.sub buf (i + 1) (Buffer.length buf - i - 1) in
+      Buffer.clear buf;
+      Buffer.add_string buf rest;
+      if !discarding then begin
+        discarding := false;
+        Metrics.incr_malformed t.metrics;
+        ignore
+          (write_json t conn
+             (error_json ~code:"GQ062"
+                ~message:
+                  (Printf.sprintf "request line exceeds %d bytes, discarded"
+                     t.config.max_line_bytes)
+                ()))
+      end
+      else handle_line t conn line;
+      drain_lines 0
+    end
+    else if !discarding || Buffer.length buf > t.config.max_line_bytes then begin
+      (* while discarding, drop every chunk as it arrives: an endless
+         line must cost O(chunk), not grow the buffer without bound *)
+      Buffer.clear buf;
+      discarding := true
+    end
   in
   let rec loop () =
     if Atomic.get conn.dead then ()
@@ -440,7 +432,7 @@ let conn_loop t conn =
           | n ->
               Atomic.set conn.last_activity (Mclock.now_ns ());
               Buffer.add_subbytes buf chunk 0 n;
-              drain_lines ();
+              drain_lines (Buffer.length buf - n);
               loop ())
     end
   in

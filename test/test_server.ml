@@ -90,6 +90,92 @@ let test_jsonx_syntax () =
     (Jsonx.to_string (Jsonx.Arr [ Jsonx.Num infinity; Jsonx.Num neg_infinity; Jsonx.Num nan ])
     = "[null,null,null]")
 
+(* ---------- Pages: blitted from the name table, byte for byte ---------- *)
+
+(* Node ids that need escaping (quote, backslash, control bytes,
+   multi-byte UTF-8) and numeric-looking ids whose name is not their
+   text (007 is the int 7). *)
+let node_id_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl [ "007"; "0"; "-12"; "1.50" ];
+        map (String.concat "")
+          (list_size (int_range 1 4)
+             (oneofl
+                [ "a"; "Z"; "7"; "\""; "\\"; "\t"; "\n"; "\001"; "\031"; "\127";
+                  "\xc3\xa9"; "\xe2\x82\xac"; " " ]));
+      ])
+
+let page_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 12) node_id_gen >>= fun ids ->
+    let n = List.length ids in
+    list_size (int_range 0 30) (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun pairs ->
+    quad (int_range 0 (List.length pairs + 1))
+      (opt (json_gen 2))
+      (map (fun i -> float_of_int i /. 8.) (int_bound 10_000))
+      (opt (small_string ~gen:(char_range '\000' '\255')))
+    >|= fun (limit, id, elapsed, partial) -> (ids, pairs, limit, id, elapsed, partial))
+
+let print_page (ids, pairs, limit, id, elapsed, partial) =
+  Printf.sprintf "ids=[%s] pairs=[%s] limit=%d id=%s elapsed=%g partial=%s"
+    (String.concat "; " (List.map (Printf.sprintf "%S") ids))
+    (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) pairs))
+    limit
+    (Option.fold ~none:"-" ~some:Jsonx.to_string id)
+    elapsed
+    (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") partial)
+
+(* Distinct ids become the nodes of a snapshot, in order, and a page
+   names them by that snapshot's [node_name]. *)
+let snapshot_of_ids ids =
+  let ids = List.sort_uniq Const.compare (List.map Const.of_string ids) in
+  Snapshot.of_property
+    (Journal.replay_ops (List.map (fun id -> Journal.Add_node { id; label = Const.str "v" }) ids))
+
+let prop_page_bytes =
+  QCheck2.Test.make ~name:"a page frame is byte-identical to its Jsonx tree" ~count:300
+    ~print:print_page page_gen (fun (ids, pairs, limit, id, elapsed, partial) ->
+      let snap = snapshot_of_ids ids in
+      (* equal ids (007 and 7) merge, so there may be fewer nodes than ids *)
+      let n = snap.Snapshot.num_nodes in
+      let pairs = List.map (fun (a, b) -> (a mod n, b mod n)) pairs in
+      let name v = Jsonx.Str (snap.Snapshot.node_name v) in
+      let id = Option.fold ~none:[] ~some:(fun v -> [ ("id", v) ]) id in
+      let head =
+        [ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "query") ]
+        @ id
+        @ [ ("epoch", Jsonx.int snap.Snapshot.epoch) ]
+      in
+      let completeness =
+        match partial with
+        | None -> [ ("complete", Jsonx.Bool true) ]
+        | Some subterm ->
+            let d =
+              Gqkg_analysis.Diagnostic.make ~code:"GQ032" ~severity:Warning ~subterm
+                ~message:"step limit reached"
+            in
+            [ ("complete", Jsonx.Bool false); ("diagnostic", Jsonx.of_diagnostic d) ]
+      in
+      let tail = ("elapsed_ms", Jsonx.Num elapsed) :: completeness in
+      let total = List.length pairs in
+      let shown = List.filteri (fun i _ -> i < limit) pairs in
+      let reference =
+        Jsonx.to_string
+          (Jsonx.Obj
+             (head
+             @ [
+                 ("total", Jsonx.int total);
+                 ("truncated", Jsonx.Bool (total > limit));
+                 ("pairs", Jsonx.Arr (List.map (fun (a, b) -> Jsonx.Arr [ name a; name b ]) shown));
+               ]
+             @ tail))
+        ^ "\n"
+      in
+      let frame = Jsonx.page_frame (Jsonx.names snap) ~head ~limit pairs ~tail in
+      frame = reference || QCheck2.Test.fail_reportf "frame:     %S\nreference: %S" frame reference)
+
 (* ---------- Admission: bounded fair queue ---------- *)
 
 let test_admission_caps () =
@@ -241,6 +327,54 @@ let test_protocol_basics () =
         && Jsonx.member "id" b = Some (Jsonx.Num 2.0)
     | _ -> false);
   ignore mgr
+
+(* A commit that deletes a low-index node shifts every later node id:
+   the new epoch's first page must name its pairs by that epoch's
+   snapshot, never by a name table of the epoch before. *)
+let test_page_per_epoch () =
+  let mgr, srv = start_server Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let page () = rpc c {|{"op":"query","q":"rides","limit":100000}|} in
+  let r0 = page () (* builds the first epoch's name table *) in
+  let snap0 = Epochs.snapshot mgr in
+  let odd = "q\"u\\o\t\xc3\xa9" in
+  let mutate =
+    Jsonx.Obj
+      [
+        ("op", Jsonx.Str "mutate");
+        ( "ops",
+          Jsonx.Arr
+            [
+              Jsonx.Str ("delnode " ^ snap0.Snapshot.node_name 0);
+              Jsonx.Str ("node " ^ odd ^ " person");
+              Jsonx.Str ("edge fresh1 " ^ odd ^ " b0 rides");
+            ] );
+      ]
+  in
+  checkb "mutate ok" true (obj_bool "ok" (rpc c (Jsonx.to_string mutate)));
+  let r1 = page () in
+  let snap1 = Epochs.snapshot mgr in
+  checkb "next epoch" true (obj_num "epoch" r1 = obj_num "epoch" r0 +. 1.0);
+  checkb "whole answer on the page" false (obj_bool "truncated" r1);
+  let served =
+    match Option.bind (Jsonx.member "pairs" r1) Jsonx.arr with
+    | Some items ->
+        List.map
+          (function
+            | Jsonx.Arr [ Jsonx.Str a; Jsonx.Str b ] -> (a, b)
+            | _ -> Alcotest.fail "a pair is not two strings")
+          items
+    | None -> Alcotest.fail "no pairs"
+  in
+  let expected =
+    Gqkg_core.Rpq.eval_pairs snap1 (Gqkg_automata.Regex_parser.parse "rides")
+    |> List.map (fun (a, b) -> (snap1.Snapshot.node_name a, snap1.Snapshot.node_name b))
+  in
+  checkb "page names pairs by the new epoch" true
+    (List.sort compare served = List.sort compare expected);
+  checkb "escaped id served" true (List.mem (odd, "b0") served)
 
 let test_budget_degradation () =
   (* a starved per-request budget degrades to a sound partial answer
@@ -572,6 +706,30 @@ let test_oversized_line () =
     true
     (delta < 262_144)
 
+let test_long_line () =
+  (* a line just under the cap, sent in 4 KiB writes: each read scans
+     only its own bytes and the line is cut out once, so reading it
+     allocates O(line), not O(line^2) *)
+  let _, srv = Lazy.force fuzz_env in
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let wrap = {|{"op":"ping","pad":""}|} in
+  let pad = String.make (1_000_000 - String.length wrap) 'x' in
+  let line = Printf.sprintf {|{"op":"ping","pad":"%s"}|} pad ^ "\n" in
+  let before = Gc.allocated_bytes () in
+  let off = ref 0 in
+  while !off < String.length line do
+    let n = Unix.write_substring c.fd line !off (min 4096 (String.length line - !off)) in
+    off := !off + n
+  done;
+  let r = Jsonx.parse (recv_line c) in
+  let allocated = Gc.allocated_bytes () -. before in
+  checkb "long line answers pong" true
+    (match r with Ok v -> obj_str "op" v = "pong" | Error _ -> false);
+  checkb
+    (Printf.sprintf "reading a 1 MB line allocated %.1f MB" (allocated /. 1e6))
+    true (allocated < 16e6)
+
 let test_idle_close () =
   (* a silent connection with nothing in flight is reaped: GQ064 notice,
      then EOF *)
@@ -821,6 +979,7 @@ let () =
           Alcotest.test_case "mutate non-string op" `Quick test_mutate_non_string_op;
           Alcotest.test_case "count op" `Quick test_count_op;
           Alcotest.test_case "count length bound" `Quick test_count_length_bound;
+          Alcotest.test_case "page per epoch" `Quick test_page_per_epoch;
         ]
         @ q [ prop_cli_daemon_agree ] );
       ( "wire fuzz",
@@ -828,6 +987,7 @@ let () =
         @ [
             Alcotest.test_case "torn request" `Quick test_torn_request;
             Alcotest.test_case "oversized line bounded" `Quick test_oversized_line;
+            Alcotest.test_case "long line linear" `Quick test_long_line;
             Alcotest.test_case "idle close" `Quick test_idle_close;
             Alcotest.test_case "fuzz drain leak-free" `Quick test_fuzz_env_drain;
           ] );
@@ -837,4 +997,7 @@ let () =
           Alcotest.test_case "saturation drain" `Quick test_saturation_drain;
         ] );
       ("soak", [ Alcotest.test_case "fault-injected soak" `Quick test_soak ]);
+      (* last: its snapshots advance the process-wide epoch counter,
+         whose values [basics] checks *)
+      ("pages", q [ prop_page_bytes ]);
     ]
