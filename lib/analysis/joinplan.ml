@@ -1,6 +1,7 @@
 (* Variable-order selection for the worst-case-optimal join engine: the
-   pure planning half of lib/core/join.  Greedy smallest-estimate-first,
-   staying connected to the chosen prefix when possible. *)
+   pure planning half of lib/core/join.  Variables pinned by a singleton
+   atom first, then greedy smallest-estimate-first, staying connected to
+   the chosen prefix when possible. *)
 
 type atom_stat = {
   vars : int array;
@@ -54,6 +55,16 @@ let choose_order ~num_vars atoms =
       atoms
   in
   let num_mentioned = Array.fold_left (fun n m -> if m then n + 1 else n) 0 mentioned in
+  (* A variable a singleton atom pins to one value (a constant) is bound
+     before any other, so every atom over it opens on that value. *)
+  List.iter
+    (fun a ->
+      if Array.length a.vars = 1 && a.size <= 1.0 && not chosen.(a.vars.(0)) then begin
+        chosen.(a.vars.(0)) <- true;
+        order := a.vars.(0) :: !order;
+        incr picked
+      end)
+    atoms;
   while !picked < num_mentioned do
     let best = ref (-1) and best_score = ref infinity and best_adj = ref false in
     for v = num_vars - 1 downto 0 do

@@ -7,13 +7,16 @@
     and per-column distinct counts, derived from freeze-time Snapshot
     label stats or from materialized relations), pick the order.
 
-    The heuristic is greedy smallest-estimate-first, preferring
-    variables connected to the prefix already chosen: at each step the
-    candidate's score is the cheapest way any atom can enumerate it —
-    its distinct count when the atom is untouched, or its expected
-    fan-out (size / product of bound-column distincts) once sibling
-    columns are bound.  Ties break toward lower variable ids so plans
-    are deterministic. *)
+    A variable that a singleton atom (one column, at most one tuple)
+    pins to one value is bound first, in atom order: a constant
+    substituted away as a singleton opens every atom over it on that
+    value.  After those, the heuristic is greedy
+    smallest-estimate-first, preferring variables connected to the
+    prefix already chosen: at each step the candidate's score is the
+    cheapest way any atom can enumerate it — its distinct count when
+    the atom is untouched, or its expected fan-out (size / product of
+    bound-column distincts) once sibling columns are bound.  Ties break
+    toward lower variable ids so plans are deterministic. *)
 
 type atom_stat = {
   vars : int array;  (** distinct variable ids, one per column *)

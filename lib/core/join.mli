@@ -29,6 +29,18 @@
 open Gqkg_graph
 module Budget = Gqkg_util.Budget
 
+(** {1 Sorted-array primitives} *)
+
+(** First index in [lo, hi) of the ascending [a] whose value is at least
+    [key] ([hi] when there is none). *)
+val lower_bound : int array -> int -> int -> int -> int
+
+(** [sort_rows keys rows] sorts the row ids [rows] in place, stably, by
+    the non-negative columns [keys] lexicographically ([keys.(0)] most
+    significant), with LSD radix passes; input already in order is
+    detected in one pass and left alone. *)
+val sort_rows : int array array -> int array -> unit
+
 (** {1 Per-snapshot join index} *)
 
 module Index : sig

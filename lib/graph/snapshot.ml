@@ -5,7 +5,8 @@
    node-label membership bitmaps and degree/label statistics — so the
    Section 4 engines touch plain int arrays instead of per-model
    closures.  The per-model freezers are the [of_*] constructors below
-   plus [Rdf_graph.to_snapshot] in gqkg_kg.
+   plus the triple store's frozen view in gqkg_kg ([Triple_store.view],
+   which [Rdf_graph.of_store] returns).
 
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
@@ -262,7 +263,8 @@ let intern ~n ~get =
 
 (* Label satisfaction by Const equality against the interned universe —
    the rule shared by the labeled, property and vector models (RDF
-   substitutes its IRI/local-name rule in Rdf_graph.to_snapshot). *)
+   substitutes its IRI/local-name rule in the triple store's frozen
+   view). *)
 let const_label_sat universe id = function
   | Atom.Label c -> Const.equal universe.(id) c
   | Atom.Prop _ | Atom.Feature _ -> false

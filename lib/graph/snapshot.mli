@@ -4,7 +4,8 @@
     graph: flat int arrays for edge endpoints, offset-packed adjacency in
     both directions, interned edge-label ids, per-node-label membership
     bitmaps, and precomputed statistics. Every model (labeled, property,
-    vector-labeled, and RDF via [Gqkg_kg.Rdf_graph.to_snapshot]) freezes
+    vector-labeled, and RDF via the triple store's frozen view,
+    [Gqkg_kg.Rdf_graph.of_store]) freezes
     to this one physical layout once; the entire Section 4 machinery runs
     against it.
 

@@ -1,13 +1,15 @@
 (** Basic graph pattern matching — the conjunctive core of SPARQL — with
     SPARQL-1.1-style property-path patterns (Section 4's declarative
     face of pattern extraction over RDF).  Evaluation goes through the
-    worst-case-optimal multiway join engine ({!Gqkg_core.Join}) over
-    interned term ids: triple patterns are scanned once into sorted
-    relations over their variable columns, path patterns are
-    materialized once each by the RPQ product engine, and the
-    conjunction is solved variable-by-variable under a planned order.
-    The previous greedy backtracking join remains as the reference
-    oracle {!iter_solutions_backtrack}. *)
+    worst-case-optimal multiway join engine ({!Gqkg_core.Join}) on the
+    store's frozen view ({!Triple_store.view}), over its ids: a pattern
+    with a constant predicate is a zero-copy view of that exact IRI's
+    edge label in the view's {!Gqkg_core.Join.Index}; a constant
+    subject or object is a singleton atom on a variable named after it,
+    which the planner binds first; only a variable predicate
+    materializes rows; path patterns are materialized once per distinct
+    expression on the same snapshot.  Reference oracles live in the
+    tests. *)
 
 type component = Const of Term.t | Var of string
 
@@ -51,13 +53,3 @@ val ask : ?budget:Gqkg_util.Budget.t -> Triple_store.t -> query -> bool
 
 (** The join plan: chosen variable order and per-atom estimates. *)
 val explain : Triple_store.t -> query -> string
-
-(** {1 Reference oracle}
-
-    The pre-WCOJ greedy backtracking join (cheapest pattern first under
-    the current bindings, int-slot environments over term ids), kept as
-    the equivalence oracle for tests and the bench A/B. *)
-
-val iter_solutions_backtrack : Triple_store.t -> query -> yield:(binding -> unit) -> unit
-val select_backtrack : Triple_store.t -> query -> Term.t list list
-val count_solutions_backtrack : Triple_store.t -> query -> int

@@ -12,7 +12,7 @@
    Each pass scans the store and adds the entailed triples; set semantics
    in the store makes the fixpoint detection a plain "no new triple". *)
 
-let rdf_type = Term.Iri "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+let rdf_type = Term.rdf_type
 let rdfs_sub_class_of = Term.Iri "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 let rdfs_sub_property_of = Term.Iri "http://www.w3.org/2000/01/rdf-schema#subPropertyOf"
 let rdfs_domain = Term.Iri "http://www.w3.org/2000/01/rdf-schema#domain"

@@ -21,6 +21,8 @@ let bnode s = Bnode s
 let xsd_integer = "http://www.w3.org/2001/XMLSchema#integer"
 let xsd_decimal = "http://www.w3.org/2001/XMLSchema#decimal"
 
+let rdf_type = Iri "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
 let of_int n = Literal { value = string_of_int n; datatype = Some xsd_integer; lang = None }
 
 let equal a b =

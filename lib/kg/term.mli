@@ -16,6 +16,9 @@ val bnode : string -> t
 val xsd_integer : string
 val xsd_decimal : string
 
+(** rdf:type, the predicate whose objects are a resource's classes. *)
+val rdf_type : t
+
 (** xsd:integer literal. *)
 val of_int : int -> t
 

@@ -1,11 +1,15 @@
-(* An indexed RDF triple store: the storage layer of the knowledge-graph
-   model.  Terms are interned to dense ids; three hash indexes (SPO, POS,
-   OSP) make every triple-pattern shape answerable by direct lookup —
-   the textbook design of RDF stores, scaled to our in-memory needs.
+(* The RDF triple store: the storage layer of the knowledge-graph model.
 
-   The store is mutable (knowledge graphs grow — Section 2.1 stresses the
-   flexibility of adding nodes/edges); query layers take a snapshot view
-   through the read API only. *)
+   Writes go to a builder — interned terms, append-only s/p/o id
+   columns and one open-addressing hash set over the id triple — so an
+   insert costs three interner lookups and one probe.  Reads go to the
+   store's frozen view: the triples as one columnar Snapshot (the
+   Section 3 reading of an RDF graph as a labeled graph), built on the
+   first read after a write and dropped by the next insert.  The store
+   is its only owner; query layers (Bgp, Rdf_graph, Rdfs) share it. *)
+
+open Gqkg_graph
+module Join = Gqkg_core.Join
 
 type triple = { s : Term.t; p : Term.t; o : Term.t }
 
@@ -18,27 +22,44 @@ module Term_table = Hashtbl.Make (struct
   let hash = Term.hash
 end)
 
-type t = {
+type view = {
+  store : t;
+  snap : Snapshot.t;
+  nodes : int;
+  terms : Term.t array;
+  label_of : int array;
+  label_pred : int array;
+  first_edge : int array;
+  view_id : int array;
+  store_id : int array;
+}
+
+and t = {
   ids : int Term_table.t;
-  mutable terms : Term.t array;
+  mutable by_id : Term.t array;
   mutable term_count : int;
-  (* Index maps: first component -> second -> third list (dedup via set
-     semantics enforced on insert through [mem]). *)
-  spo : (int, (int, int list ref) Hashtbl.t) Hashtbl.t;
-  pos : (int, (int, int list ref) Hashtbl.t) Hashtbl.t;
-  osp : (int, (int, int list ref) Hashtbl.t) Hashtbl.t;
+  (* Row r is the triple (subj.(r), pred.(r), obj.(r)), r < size. *)
+  mutable subj : int array;
+  mutable pred : int array;
+  mutable obj : int array;
   mutable size : int;
+  (* Dedup set: a power-of-two table of row + 1 (0 = empty), linear
+     probing, at most half full. *)
+  mutable slots : int array;
+  mutable frozen : view option;
 }
 
 let create () =
   {
     ids = Term_table.create 256;
-    terms = Array.make 256 (Term.Iri "");
+    by_id = Array.make 256 (Term.Iri "");
     term_count = 0;
-    spo = Hashtbl.create 256;
-    pos = Hashtbl.create 256;
-    osp = Hashtbl.create 256;
+    subj = Array.make 64 0;
+    pred = Array.make 64 0;
+    obj = Array.make 64 0;
     size = 0;
+    slots = Array.make 128 0;
+    frozen = None;
   }
 
 let size t = t.size
@@ -49,102 +70,287 @@ let intern t term =
   | Some id -> id
   | None ->
       let id = t.term_count in
-      if id = Array.length t.terms then begin
+      if id = Array.length t.by_id then begin
         let bigger = Array.make (2 * id) (Term.Iri "") in
-        Array.blit t.terms 0 bigger 0 id;
-        t.terms <- bigger
+        Array.blit t.by_id 0 bigger 0 id;
+        t.by_id <- bigger
       end;
-      t.terms.(id) <- term;
+      t.by_id.(id) <- term;
       Term_table.add t.ids term id;
       t.term_count <- id + 1;
       id
 
 let term_of t id =
   if id < 0 || id >= t.term_count then invalid_arg "Triple_store.term_of: unknown id";
-  t.terms.(id)
+  t.by_id.(id)
 
 let id_of t term = Term_table.find_opt t.ids term
 
-let index_add index a b c =
-  let second =
-    match Hashtbl.find_opt index a with
-    | Some m -> m
-    | None ->
-        let m = Hashtbl.create 4 in
-        Hashtbl.add index a m;
-        m
-  in
-  match Hashtbl.find_opt second b with
-  | Some thirds -> thirds := c :: !thirds
-  | None -> Hashtbl.add second b (ref [ c ])
+(* The slot holding row (s, p, o), or the empty slot where it goes. *)
+let probe t s p o =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let h = ((((s * 0x2545F491) lxor p) * 0x2545F491) lxor o) * 0x2545F491 in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while
+    let r = slots.(!i) - 1 in
+    r >= 0 && not (t.subj.(r) = s && t.pred.(r) = p && t.obj.(r) = o)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
 
-let index_mem index a b c =
-  match Hashtbl.find_opt index a with
-  | None -> false
-  | Some second -> (
-      match Hashtbl.find_opt second b with None -> false | Some thirds -> List.mem c !thirds)
-
-let mem_ids t ~s ~p ~o = index_mem t.spo s p o
+let mem_ids t ~s ~p ~o = t.slots.(probe t s p o) > 0
 
 let mem t { s; p; o } =
   match (id_of t s, id_of t p, id_of t o) with
   | Some s, Some p, Some o -> mem_ids t ~s ~p ~o
   | _ -> false
 
-(* Set semantics: re-adding an existing triple is a no-op. Returns whether
-   the triple was new. *)
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+(* Set semantics: re-adding an existing triple is a no-op and keeps the
+   frozen view. Returns whether the triple was new. *)
 let add t { s; p; o } =
-  let si = intern t s and pi = intern t p and oi = intern t o in
-  if mem_ids t ~s:si ~p:pi ~o:oi then false
+  let s = intern t s and p = intern t p and o = intern t o in
+  let i = probe t s p o in
+  if t.slots.(i) > 0 then false
   else begin
-    index_add t.spo si pi oi;
-    index_add t.pos pi oi si;
-    index_add t.osp oi si pi;
-    t.size <- t.size + 1;
+    let r = t.size in
+    if r = Array.length t.subj then begin
+      t.subj <- grow t.subj;
+      t.pred <- grow t.pred;
+      t.obj <- grow t.obj
+    end;
+    t.subj.(r) <- s;
+    t.pred.(r) <- p;
+    t.obj.(r) <- o;
+    t.slots.(i) <- r + 1;
+    t.size <- r + 1;
+    if 2 * t.size > Array.length t.slots then begin
+      t.slots <- Array.make (2 * Array.length t.slots) 0;
+      for r = 0 to t.size - 1 do
+        t.slots.(probe t t.subj.(r) t.pred.(r) t.obj.(r)) <- r + 1
+      done
+    end;
+    t.frozen <- None;
     true
   end
 
 let add_all t triples = List.iter (fun tr -> ignore (add t tr)) triples
 
-(* Iterate all triples as id triples (s, p, o). *)
 let iter_ids t f =
-  Hashtbl.iter
-    (fun s second -> Hashtbl.iter (fun p thirds -> List.iter (fun o -> f s p o) !thirds) second)
-    t.spo
+  for r = 0 to t.size - 1 do
+    f t.subj.(r) t.pred.(r) t.obj.(r)
+  done
 
-let iter t f = iter_ids t (fun s p o -> f { s = t.terms.(s); p = t.terms.(p); o = t.terms.(o) })
+let iter t f = iter_ids t (fun s p o -> f { s = t.by_id.(s); p = t.by_id.(p); o = t.by_id.(o) })
 
 let to_list t =
   let acc = ref [] in
   iter t (fun tr -> acc := tr :: !acc);
-  !acc
+  List.rev !acc
 
-(* Pattern matching: [None] components are wildcards.  The index is
-   chosen by the bound components; every shape is a lookup, never a scan
-   of unrelated triples (full scan only for the all-wildcard pattern). *)
+(* ------------------------------------------------------------------ *)
+(* The frozen view                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* ℓ names an IRI when it equals the full IRI or its local name. *)
+let names_iri label = function
+  | Term.Iri iri as term -> String.equal label iri || String.equal label (Term.local_name term)
+  | Term.Literal _ | Term.Bnode _ -> false
+
+let iri_label_sat universe id = function
+  | Atom.Label l -> names_iri (Const.to_string l) universe.(id)
+  | Atom.Prop _ | Atom.Feature _ -> false
+
+(* Edges of label [l] leaving node [v]: a binary search in the label's
+   (source, target)-sorted range. *)
+let iter_out_label ~esrc ~first_edge v l f =
+  let hi = first_edge.(l + 1) in
+  let e = ref (Join.lower_bound esrc first_edge.(l) hi v) in
+  while !e < hi && esrc.(!e) = v do
+    f !e;
+    incr e
+  done
+
+(* Number the entries of [ids] equal to [mark] in index order, from
+   [from]; returns the next free id. *)
+let number ids ~mark ~from =
+  let next = ref from in
+  Array.iteri
+    (fun i k ->
+      if k = mark then begin
+        ids.(i) <- !next;
+        incr next
+      end)
+    ids;
+  !next
+
+(* The inverse of a numbering onto [0, n). *)
+let inverse ids n =
+  let inv = Array.make n 0 in
+  Array.iteri (fun i k -> if k >= 0 then inv.(k) <- i) ids;
+  inv
+
+let freeze t =
+  let m = t.size in
+  (* View ids: subject/object terms (marked -2), then predicate-only
+     terms (-3), each in store-id order. *)
+  let view_id = Array.make t.term_count (-1) in
+  for r = 0 to m - 1 do
+    view_id.(t.subj.(r)) <- -2;
+    view_id.(t.obj.(r)) <- -2
+  done;
+  for r = 0 to m - 1 do
+    if view_id.(t.pred.(r)) = -1 then view_id.(t.pred.(r)) <- -3
+  done;
+  let nodes = number view_id ~mark:(-2) ~from:0 in
+  let nv = number view_id ~mark:(-3) ~from:nodes in
+  let store_id = inverse view_id nv in
+  let terms = Array.map (fun id -> t.by_id.(id)) store_id in
+  (* Edge labels: the distinct predicates, in view-id order. *)
+  let label_of = Array.make nv (-1) in
+  for r = 0 to m - 1 do
+    label_of.(view_id.(t.pred.(r))) <- -2
+  done;
+  let num_labels = number label_of ~mark:(-2) ~from:0 in
+  let label_pred = inverse label_of num_labels in
+  (* Edges grouped by label, then by (source, target). *)
+  let src = Array.init m (fun r -> view_id.(t.subj.(r))) in
+  let dst = Array.init m (fun r -> view_id.(t.obj.(r))) in
+  let lab = Array.init m (fun r -> label_of.(view_id.(t.pred.(r)))) in
+  let rows = Array.init m Fun.id in
+  Join.sort_rows [| lab; src; dst |] rows;
+  let esrc = Array.map (fun r -> src.(r)) rows and edst = Array.map (fun r -> dst.(r)) rows in
+  let elabel = Array.map (fun r -> lab.(r)) rows in
+  let first_edge = Array.make (num_labels + 1) 0 in
+  Array.iter (fun l -> first_edge.(l + 1) <- first_edge.(l + 1) + 1) elabel;
+  for l = 1 to num_labels do
+    first_edge.(l) <- first_edge.(l) + first_edge.(l - 1)
+  done;
+  (* Node labels: the rdf:type objects, numbered in view-id order. *)
+  let type_label =
+    match id_of t Term.rdf_type with
+    | Some id when view_id.(id) >= 0 -> label_of.(view_id.(id))
+    | _ -> -1
+  in
+  let type_edges f =
+    if type_label >= 0 then
+      for e = first_edge.(type_label) to first_edge.(type_label + 1) - 1 do
+        f esrc.(e) edst.(e)
+      done
+  in
+  let type_id = Array.make nodes (-1) in
+  type_edges (fun _ o -> type_id.(o) <- -2);
+  let num_types = number type_id ~mark:(-2) ~from:0 in
+  let type_universe = Array.map (fun v -> terms.(v)) (inverse type_id num_types) in
+  let node_labels = Array.make nodes [] in
+  type_edges (fun s o -> node_labels.(s) <- type_id.(o) :: node_labels.(s));
+  let predicates = Array.map (fun v -> terms.(v)) label_pred in
+  (* Node tests: whether node [v] has an [l]-edge to a target [ok]
+     accepts. *)
+  let exists_out v l ok =
+    let found = ref false in
+    iter_out_label ~esrc ~first_edge v l (fun e -> if ok terms.(edst.(e)) then found := true);
+    !found
+  in
+  let node_atom v = function
+    | Atom.Label l -> type_label >= 0 && exists_out v type_label (names_iri (Const.to_string l))
+    | Atom.Prop (p, value) ->
+        let p = Const.to_string p and value = Const.to_string value in
+        let literal = function
+          | Term.Literal { value = lit; _ } -> String.equal lit value
+          | Term.Iri _ | Term.Bnode _ -> false
+        in
+        let found = ref false in
+        Array.iteri
+          (fun l pred -> if (not !found) && names_iri p pred then found := exists_out v l literal)
+          predicates;
+        !found
+    | Atom.Feature _ -> false
+  in
+  let snap =
+    Snapshot.make ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
+      ~label_names:(Array.map Term.local_name predicates)
+      ~label_sat:(iri_label_sat predicates) ~num_node_labels:num_types
+      ~node_labels
+      ~node_label_names:(Array.map Term.local_name type_universe)
+      ~node_label_sat:(iri_label_sat type_universe) ~node_atom
+      ~edge_atom:(fun e a -> iri_label_sat predicates elabel.(e) a)
+      ~node_name:(fun v -> Term.to_string terms.(v))
+      ~edge_name:(fun e -> Term.local_name predicates.(elabel.(e)))
+  in
+  { store = t; snap; nodes; terms; label_of; label_pred; first_edge; view_id; store_id }
+
+let view t =
+  match t.frozen with
+  | Some v -> v
+  | None ->
+      let v = freeze t in
+      t.frozen <- Some v;
+      v
+
+(* A store id interned after the freeze occurs in no triple of it. *)
+let view_of_id v id = if id >= 0 && id < Array.length v.view_id then v.view_id.(id) else -1
+
+let view_of_term v term = match id_of v.store term with Some id -> view_of_id v id | None -> -1
+
+let iter_edges v ~src ~label ~dst f =
+  let g = v.snap in
+  let esrc = g.Snapshot.esrc and edst = g.Snapshot.edst and elabel = g.Snapshot.elabel in
+  if label >= 0 && src >= 0 then
+    iter_out_label ~esrc ~first_edge:v.first_edge src label (fun e ->
+        if dst < 0 || edst.(e) = dst then f e)
+  else if label >= 0 && dst < 0 then
+    for e = v.first_edge.(label) to v.first_edge.(label + 1) - 1 do
+      f e
+    done
+  else if src >= 0 then
+    for k = g.Snapshot.out_off.(src) to g.Snapshot.out_off.(src + 1) - 1 do
+      let e = g.Snapshot.out_eid.(k) in
+      if dst < 0 || edst.(e) = dst then f e
+    done
+  else if dst >= 0 then
+    for k = g.Snapshot.in_off.(dst) to g.Snapshot.in_off.(dst + 1) - 1 do
+      let e = g.Snapshot.in_eid.(k) in
+      if label < 0 || elabel.(e) = label then f e
+    done
+  else
+    for e = 0 to g.Snapshot.num_edges - 1 do
+      f e
+    done
+
+(* Pattern matching over store ids: bound components become a node or
+   label of the frozen view, and a term that is neither matches
+   nothing. *)
 let iter_matching_ids t ~s ~p ~o f =
-  let second_all index a g =
-    match Hashtbl.find_opt index a with
-    | None -> ()
-    | Some second -> Hashtbl.iter (fun b thirds -> List.iter (fun c -> g b c) !thirds) second
-  in
-  let thirds_of index a b g =
-    match Hashtbl.find_opt index a with
-    | None -> ()
-    | Some second -> (
-        match Hashtbl.find_opt second b with None -> () | Some thirds -> List.iter g !thirds)
-  in
   match (s, p, o) with
-  | Some s, Some p, Some o -> if mem_ids t ~s ~p ~o then f s p o
-  | Some s, Some p, None -> thirds_of t.spo s p (fun o -> f s p o)
-  | Some s, None, Some o -> thirds_of t.osp o s (fun p -> f s p o)
-  | None, Some p, Some o -> thirds_of t.pos p o (fun s -> f s p o)
-  | Some s, None, None -> second_all t.spo s (fun p o -> f s p o)
-  | None, Some p, None -> second_all t.pos p (fun o s -> f s p o)
-  | None, None, Some o -> second_all t.osp o (fun s p -> f s p o)
   | None, None, None -> iter_ids t f
+  | Some s, Some p, Some o -> if mem_ids t ~s ~p ~o then f s p o
+  | _ ->
+      let v = view t in
+      let node = function
+        | None -> Some (-1)
+        | Some id ->
+            let n = view_of_id v id in
+            if n >= 0 && n < v.nodes then Some n else None
+      in
+      let label = function
+        | None -> Some (-1)
+        | Some id ->
+            let n = view_of_id v id in
+            if n >= 0 && v.label_of.(n) >= 0 then Some v.label_of.(n) else None
+      in
+      (match (node s, label p, node o) with
+      | Some src, Some label, Some dst ->
+          let g = v.snap and sid = v.store_id in
+          iter_edges v ~src ~label ~dst (fun e ->
+              f sid.(g.Snapshot.esrc.(e))
+                sid.(v.label_pred.(g.Snapshot.elabel.(e)))
+                sid.(g.Snapshot.edst.(e)))
+      | _ -> ())
 
-(* Count without materializing. *)
 let count_matching_ids t ~s ~p ~o =
   let n = ref 0 in
   iter_matching_ids t ~s ~p ~o (fun _ _ _ -> incr n);
@@ -153,12 +359,12 @@ let count_matching_ids t ~s ~p ~o =
 let iter_matching t ~s ~p ~o f =
   let resolve = function
     | None -> Some None
-    | Some term -> ( match id_of t term with Some id -> Some (Some id) | None -> None)
+    | Some term -> Option.map Option.some (id_of t term)
   in
   match (resolve s, resolve p, resolve o) with
   | Some s, Some p, Some o ->
       iter_matching_ids t ~s ~p ~o (fun s p o ->
-          f { s = t.terms.(s); p = t.terms.(p); o = t.terms.(o) })
+          f { s = t.by_id.(s); p = t.by_id.(p); o = t.by_id.(o) })
   | _ -> () (* a constant term absent from the store matches nothing *)
 
 let matching t ~s ~p ~o =
@@ -174,6 +380,3 @@ let copy t =
   let fresh = create () in
   merge ~into:fresh t;
   fresh
-
-(* Distinct predicate ids in use. *)
-let predicate_ids t = Hashtbl.fold (fun p _ acc -> p :: acc) t.pos [] |> List.sort compare

@@ -20,6 +20,7 @@ module Term = Gqkg_kg.Term
 module Triple_store = Gqkg_kg.Triple_store
 module Gen_graph = Gqkg_workload.Gen_graph
 module Gen_regex = Gqkg_workload.Gen_regex
+module Regex = Gqkg_automata.Regex
 module Regex_parser = Gqkg_automata.Regex_parser
 
 let checkb = Alcotest.(check bool)
@@ -359,6 +360,76 @@ let bgp_gen =
   let* where = list_size (int_range 1 3) (oneof [ triple_pat; triple_pat; path_pat ]) in
   return (triples, where)
 
+(* The greedy backtracking join over store ids, the pre-WCOJ evaluator:
+   cheapest pattern first under the current bindings, each pattern read
+   through the store's pattern API (triples) or its endpoint pairs on
+   the store's frozen view (paths). *)
+let select_backtrack store (q : Bgp.query) =
+  let view = Triple_store.view store in
+  let env = Hashtbl.create 8 in
+  let id = function
+    | Bgp.Const t -> (
+        match Triple_store.id_of store t with Some i -> `Id i | None -> `Missing)
+    | Bgp.Var x -> ( match Hashtbl.find_opt env x with Some i -> `Id i | None -> `Open)
+  in
+  let bound c = match id c with `Id i -> Some (Some i) | `Open -> Some None | `Missing -> None in
+  let path_pairs path =
+    let sid = view.Triple_store.store_id in
+    List.map (fun (a, b) -> (sid.(a), sid.(b))) (Join.path_pairs view.Triple_store.snap path)
+  in
+  (* Every match of one pattern under [env], as (component, id) lists. *)
+  let matches = function
+    | Bgp.Triple { ps; pp; po } -> (
+        match (bound ps, bound pp, bound po) with
+        | Some s, Some p, Some o ->
+            let acc = ref [] in
+            Triple_store.iter_matching_ids store ~s ~p ~o (fun a b c ->
+                acc := [ (ps, a); (pp, b); (po, c) ] :: !acc);
+            !acc
+        | _ -> [])
+    | Bgp.Path { src; path; dst } -> (
+        match (bound src, bound dst) with
+        | Some s, Some d ->
+            List.filter_map
+              (fun (a, b) ->
+                let fits bound v = Option.fold ~none:true ~some:(( = ) v) bound in
+                if fits s a && fits d b then Some [ (src, a); (dst, b) ] else None)
+              (path_pairs path)
+        | _ -> [])
+  in
+  let rows = ref [] in
+  let rec solve = function
+    | [] ->
+        rows :=
+          List.map (fun x -> Triple_store.term_of store (Hashtbl.find env x)) q.Bgp.select :: !rows
+    | remaining ->
+        let cost p = List.length (matches p) in
+        let best =
+          List.fold_left (fun b p -> if cost p < cost b then p else b) (List.hd remaining) remaining
+        in
+        let rest = List.filter (fun p -> p != best) remaining in
+        List.iter
+          (fun binds ->
+            let added = ref [] in
+            let ok =
+              List.for_all
+                (fun (c, i) ->
+                  match (c, id c) with
+                  | _, `Id j -> i = j
+                  | Bgp.Var x, `Open ->
+                      Hashtbl.replace env x i;
+                      added := x :: !added;
+                      true
+                  | _ -> false)
+                binds
+            in
+            if ok then solve rest;
+            List.iter (Hashtbl.remove env) !added)
+          (matches best)
+  in
+  solve q.Bgp.where;
+  List.sort_uniq (List.compare Term.compare) !rows
+
 let prop_bgp_wcoj_equals_backtrack =
   QCheck2.Test.make ~name:"BGP: WCOJ = backtracking oracle" ~count:120
     QCheck2.Gen.(pair bgp_gen (int_bound 1_000_000))
@@ -374,7 +445,142 @@ let prop_bgp_wcoj_equals_backtrack =
           (shuffle rng (List.sort_uniq compare (List.concat_map Bgp.pattern_vars where)))
       in
       let q = { Bgp.select; where } in
-      Bgp.select store q = Bgp.select_backtrack store q)
+      Bgp.select store q = select_backtrack store q)
+
+(* BGP against a nested-loop evaluator over the inserted triple list,
+   which reads no store.  The pool gives two IRIs the local name
+   "knows", uses s1 both as a predicate and as a subject or object,
+   keeps q predicate-only, and offers a constant in no triple. *)
+let naive_nodes = [| Term.iri "urn:x/s0"; Term.iri "urn:x/s1"; Term.iri "urn:x/s2"; Term.literal "v" |]
+
+let naive_preds =
+  [| Term.iri "urn:a/knows"; Term.iri "urn:b/knows"; Term.iri "urn:x/s1"; Term.iri "urn:p/q" |]
+
+(* An edge satisfies label l when its predicate is l or has local name l. *)
+let names l = function
+  | Term.Iri i as t -> String.equal i l || String.equal (Term.local_name t) l
+  | Term.Literal _ | Term.Bnode _ -> false
+
+(* Endpoint pairs of a path expression; zero-length paths sit at the
+   subject/object terms. *)
+let rec naive_path (triples : Triple_store.triple list) r =
+  let uniq = List.sort_uniq compare in
+  let edges test =
+    List.filter_map
+      (fun (t : Triple_store.triple) ->
+        let atom = function Atom.Label c -> names (Const.to_string c) t.p | _ -> false in
+        if Regex.eval_test atom test then Some (t.s, t.o) else None)
+      triples
+  in
+  let compose r1 r2 =
+    let after y = List.filter_map (fun (y', z) -> if y = y' then Some z else None) r2 in
+    uniq (List.concat_map (fun (x, y) -> List.map (fun z -> (x, z)) (after y)) r1)
+  in
+  match r with
+  | Regex.Fwd test -> uniq (edges test)
+  | Regex.Bwd test -> uniq (List.map (fun (a, b) -> (b, a)) (edges test))
+  | Regex.Alt (a, b) -> uniq (naive_path triples a @ naive_path triples b)
+  | Regex.Seq (a, b) -> compose (naive_path triples a) (naive_path triples b)
+  | Regex.Star a ->
+      let step = naive_path triples a in
+      let rec fix acc =
+        let next = uniq (acc @ compose acc step) in
+        if List.length next = List.length acc then acc else fix next
+      in
+      let ends (t : Triple_store.triple) = [ (t.s, t.s); (t.o, t.o) ] in
+      fix (uniq (List.concat_map ends triples))
+  | Regex.Node_test _ -> invalid_arg "naive_path: node tests are not generated"
+
+let naive_select triples (q : Bgp.query) =
+  let triples = List.sort_uniq compare triples in
+  let unify env c value =
+    match c with
+    | Bgp.Const t -> if t = value then Some env else None
+    | Bgp.Var x -> (
+        match List.assoc_opt x env with
+        | Some v -> if v = value then Some env else None
+        | None -> Some ((x, value) :: env))
+  in
+  let step env = function
+    | Bgp.Triple { ps; pp; po } ->
+        List.filter_map
+          (fun (t : Triple_store.triple) ->
+            Option.bind (unify env ps t.s) (fun env ->
+                Option.bind (unify env pp t.p) (fun env -> unify env po t.o)))
+          triples
+    | Bgp.Path { src; path; dst } ->
+        List.filter_map
+          (fun (a, b) -> Option.bind (unify env src a) (fun env -> unify env dst b))
+          (naive_path triples path)
+  in
+  let envs =
+    List.fold_left (fun envs pat -> List.concat_map (fun env -> step env pat) envs) [ [] ] q.where
+  in
+  List.sort_uniq (List.compare Term.compare)
+    (List.map (fun env -> List.map (fun x -> List.assoc x env) q.select) envs)
+
+let naive_gen =
+  let open QCheck2.Gen in
+  let triple =
+    map3
+      (fun s p o -> Triple_store.triple naive_nodes.(s) naive_preds.(p) naive_nodes.(o))
+      (int_bound 2) (int_bound 3) (int_bound 3)
+  in
+  let var = map Bgp.v (oneofl [ "x"; "y"; "z" ]) in
+  let const pool = map Bgp.c (oneofl (Term.iri "urn:x/absent" :: Array.to_list pool)) in
+  let node = oneof [ var; var; const (Array.append naive_nodes naive_preds) ] in
+  let triple_pat = map3 Bgp.pattern node (oneof [ var; const naive_preds ]) node in
+  let path_pat =
+    map3
+      (fun s re o -> Bgp.path_pattern s (Regex_parser.parse re) o)
+      node
+      (oneofl [ "knows"; "knows/knows^-"; "(knows+q)*"; "s1"; "q*" ])
+      node
+  in
+  let* triples = list_size (int_range 0 14) triple in
+  let* where = list_size (int_range 1 3) (oneof [ triple_pat; triple_pat; path_pat ]) in
+  return (triples, where)
+
+let prop_bgp_equals_naive =
+  QCheck2.Test.make ~name:"BGP: WCOJ = nested loops over the inserted triples" ~count:300
+    QCheck2.Gen.(pair naive_gen (int_bound 1_000_000))
+    (fun ((triples, where), seed) ->
+      let store = Triple_store.create () in
+      (* Every triple twice: re-adds must not change an answer. *)
+      Triple_store.add_all store (triples @ triples);
+      let rng = Splitmix.create seed in
+      let select =
+        List.filteri
+          (fun i _ -> i = 0 || Splitmix.bool rng)
+          (shuffle rng (List.sort_uniq compare (List.concat_map Bgp.pattern_vars where)))
+      in
+      let q = { Bgp.select; where } in
+      Bgp.select store q = naive_select triples q)
+
+(* Zero-length paths: the reflexive pairs of a starred path are exactly the
+   subject/object terms, and a predicate-only constant is no node.  On
+   the default contact graph (seed 42) in its RDF encoding there are
+   417 such terms. *)
+let test_bgp_zero_length_paths () =
+  let pg = Gqkg_workload.Contact_network.scaled (Splitmix.create 42) ~scale:1 in
+  let store = Gqkg_kg.Pg_rdf.of_property_graph pg in
+  let terms =
+    List.sort_uniq Term.compare
+      (List.concat_map (fun (t : Triple_store.triple) -> [ t.s; t.o ]) (Triple_store.to_list store))
+  in
+  let star = Regex_parser.parse "rides*" in
+  let pairs =
+    Bgp.select store
+      { Bgp.select = [ "x"; "y" ]; where = [ Bgp.path_pattern (Bgp.v "x") star (Bgp.v "y") ] }
+  in
+  let reflexive = List.filter_map (function [ a; b ] when a = b -> Some a | _ -> None) pairs in
+  checkb "reflexive pairs = subject/object terms" true (reflexive = terms);
+  checki "417 subject/object terms" 417 (List.length terms);
+  let rides = Gqkg_kg.Pg_rdf.rel_iri (Const.str "rides") in
+  checki "a predicate-only constant answers nothing" 0
+    (List.length
+       (Bgp.select store
+          { Bgp.select = [ "y" ]; where = [ Bgp.path_pattern (Bgp.c rides) star (Bgp.v "y") ] }))
 
 (* ---------- budget fault-injection sweeps ---------- *)
 
@@ -563,6 +769,7 @@ let () =
           Alcotest.test_case "plan covers variables" `Quick test_plan_covers_vars;
           Alcotest.test_case "index label stats" `Quick test_index_label_stats;
           Alcotest.test_case "four domains = sequential" `Quick test_domain_parallel_joins;
+          Alcotest.test_case "BGP zero-length paths" `Quick test_bgp_zero_length_paths;
         ] );
       ( "equivalence",
         q
@@ -570,6 +777,7 @@ let () =
             prop_cq_wcoj_equals_backtrack;
             prop_crpq_wcoj_equals_backtrack;
             prop_bgp_wcoj_equals_backtrack;
+            prop_bgp_equals_naive;
             prop_join_equals_nested_loop;
             prop_crpq_budget_partial_subset;
           ] );

@@ -195,6 +195,24 @@ let test_bgp_ask_and_count () =
     (Bgp.count_solutions s
        { Bgp.select = []; where = [ Bgp.pattern (Bgp.v "x") (Bgp.iri "knows") (Bgp.v "y") ] })
 
+(* Constants become singleton atoms on variables named after them, and
+   the planner binds them before any other variable. *)
+let test_bgp_constants_bind_first () =
+  let s = family_store () in
+  let q =
+    {
+      Bgp.select = [ "p" ];
+      where =
+        [
+          Bgp.pattern (Bgp.c (iri "alice")) (Bgp.v "p") (Bgp.v "y");
+          Bgp.pattern (Bgp.v "y") (Bgp.iri "knows") (Bgp.c (iri "carol"));
+        ];
+    }
+  in
+  checkb "pinned constants first" true
+    (String.starts_with ~prefix:"variable order: <carol> -> " (Bgp.explain s q));
+  checkb "answers" true (Bgp.select s q = [ [ iri "knows" ] ])
+
 let test_bgp_unused_select_rejected () =
   let s = family_store () in
   (match
@@ -527,6 +545,100 @@ let prop_store_indexes_agree =
           has by_s && has by_p && has by_o)
         all)
 
+(* Reads answer from the inserted set, whatever the storage: a small
+   pool where urn:x/s1 is both a predicate and a subject/object, re-adds
+   of duplicates, reads interleaved with adds, and a term interned into
+   no triple. *)
+let store_pool =
+  [| iri "urn:a/knows"; iri "urn:b/knows"; iri "urn:x/s0"; iri "urn:x/s1"; Term.literal "v"; iri "urn:x/ghost" |]
+
+let prop_store_reads_equal_inserted_set =
+  let open QCheck2.Gen in
+  let op = pair (triple (int_range 2 3) (int_bound 3) (int_range 1 4)) bool in
+  QCheck2.Test.make ~name:"store reads = filter of the inserted set" ~count:150
+    (list_size (int_range 0 40) op) (fun ops ->
+      let s = Triple_store.create () in
+      ignore (Triple_store.intern s store_pool.(5));
+      let inserted = ref [] in
+      let id i = Triple_store.intern s store_pool.(i) in
+      (* Every shape over the pool ids [a], [b], [c]. *)
+      let check (a, b, c) =
+        let set = List.sort_uniq compare !inserted in
+        Triple_store.size s = List.length set
+        && List.for_all
+             (fun mask ->
+               let bind bit x = if mask land bit <> 0 then Some (id x) else None in
+               let sb = bind 1 a and pb = bind 2 b and ob = bind 4 c in
+               let fits q v = Option.fold ~none:true ~some:(( = ) v) q in
+               let expected = List.filter (fun (x, y, z) -> fits sb x && fits pb y && fits ob z) set in
+               let got = ref [] in
+               Triple_store.iter_matching_ids s ~s:sb ~p:pb ~o:ob (fun x y z ->
+                   got := (x, y, z) :: !got);
+               List.sort compare !got = expected
+               && Triple_store.count_matching_ids s ~s:sb ~p:pb ~o:ob = List.length expected)
+             [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+        && Triple_store.mem s (t3 store_pool.(a) store_pool.(b) store_pool.(c))
+           = List.mem (id a, id b, id c) set
+      in
+      List.for_all
+        (fun ((a, b, c), read) ->
+          ignore (Triple_store.add s (t3 store_pool.(a) store_pool.(b) store_pool.(c)));
+          inserted := (id a, id b, id c) :: !inserted;
+          (not read) || check (a, b, c))
+        ops
+      && List.for_all check
+           (List.concat_map
+              (fun a -> List.concat_map (fun b -> List.map (fun c -> (a, b, c)) [ 0; 3; 4; 5 ]) [ 0; 3; 5 ])
+              [ 2; 3; 5 ]))
+
+(* ---------- the frozen view: one per version ---------- *)
+
+let test_view_shared_until_add () =
+  let s =
+    store_with
+      [
+        t3 (iri "urn:x/a") (iri "urn:p/knows") (iri "urn:x/b");
+        t3 (iri "urn:x/b") (iri "urn:p/knows") (iri "urn:x/c");
+        t3 (iri "urn:x/c") (iri "urn:p/likes") (iri "urn:x/a");
+      ]
+  in
+  let snap () = Rdf_graph.to_snapshot (Rdf_graph.of_store s) in
+  let first = snap () in
+  checkb "same snapshot twice" true (snap () == first);
+  let reach () = Sparql.run s "SELECT ?y WHERE { <urn:x/a> (knows*) ?y }" in
+  checki "path answers" 3 (List.length (reach ()));
+  checki "second path query" 1
+    (List.length (Sparql.run s "SELECT ?x WHERE { ?x (knows/knows/likes) ?x }"));
+  checkb "no graph built per query" true (snap () == first);
+  checkb "a re-add keeps the view" false
+    (Triple_store.add s (t3 (iri "urn:x/a") (iri "urn:p/knows") (iri "urn:x/b")));
+  checkb "still the same snapshot" true (snap () == first);
+  let from_knows () = Sparql.run s "SELECT ?y WHERE { <urn:p/knows> (inverse/knows*) ?y }" in
+  checki "a predicate-only term is no path endpoint" 0 (List.length (from_knows ()));
+  (* A new predicate whose subject so far was only a predicate. *)
+  ignore (Triple_store.add s (t3 (iri "urn:p/knows") (iri "urn:p/inverse") (iri "urn:x/a")));
+  let second = snap () in
+  checkb "an add freezes anew" true (second != first);
+  checki "the predicate became a node" 4 (Rdf_graph.num_nodes (Rdf_graph.of_store s));
+  checkb "answers see the add" true
+    (Sparql.run s "SELECT ?p ?o WHERE { <urn:p/knows> ?p ?o }"
+    = [ [ iri "urn:p/inverse"; iri "urn:x/a" ] ]);
+  checki "paths see the add" 3 (List.length (from_knows ()));
+  checkb "and keep it" true (snap () == second)
+
+let test_view_sees_rdfs_inference () =
+  let s =
+    store_with
+      [
+        t3 (iri "urn:t/student") Rdfs.rdfs_sub_class_of (iri "urn:t/person");
+        t3 (iri "urn:x/ana") Rdfs.rdf_type (iri "urn:t/student");
+      ]
+  in
+  let persons () = Sparql.run s "SELECT ?x WHERE { ?x a <urn:t/person> }" in
+  checki "nothing before inference" 0 (List.length (persons ()));
+  checkb "inferred" true (Rdfs.materialize s > 0);
+  checkb "SPARQL sees the inferred type" true (persons () = [ [ iri "urn:x/ana" ] ])
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_kg"
@@ -559,6 +671,7 @@ let () =
           Alcotest.test_case "repeated variable" `Quick test_bgp_repeated_variable;
           Alcotest.test_case "predicate variable" `Quick test_bgp_predicate_variable;
           Alcotest.test_case "ask/count" `Quick test_bgp_ask_and_count;
+          Alcotest.test_case "constants bind first" `Quick test_bgp_constants_bind_first;
           Alcotest.test_case "unused select" `Quick test_bgp_unused_select_rejected;
         ] );
       ( "property-paths",
@@ -595,6 +708,9 @@ let () =
           Alcotest.test_case "rpq over rdf" `Quick test_rdf_graph_rpq;
           Alcotest.test_case "atoms" `Quick test_rdf_graph_atoms;
           Alcotest.test_case "label postings" `Quick test_rdf_label_postings;
+          Alcotest.test_case "one view until an add" `Quick test_view_shared_until_add;
+          Alcotest.test_case "view sees rdfs inference" `Quick test_view_sees_rdfs_inference;
         ] );
-      ("properties", q [ prop_ntriples_roundtrip; prop_store_indexes_agree ]);
+      ( "properties",
+        q [ prop_ntriples_roundtrip; prop_store_indexes_agree; prop_store_reads_equal_inserted_set ] );
     ]

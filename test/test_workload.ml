@@ -229,6 +229,54 @@ let test_gen_regex_parses_back () =
     roundtrip_once "adversarial" r adversarial_params
   done
 
+(* The Figure 1 series as the benchmark computes it (one SPARQL query
+   per keyword, rows grouped by ?y) against a plain count over the
+   triple list: a check that does not go through Bgp on both sides. *)
+let test_bibliometrics_sparql_series_plain_count () =
+  let module K = Gqkg_kg in
+  let module W = Perfbench_workloads.Workloads in
+  let store = W.biblio 1 in
+  let triples = K.Triple_store.to_list store in
+  let with_pred p =
+    List.filter_map
+      (fun (t : K.Triple_store.triple) -> if K.Term.equal t.p p then Some (t.s, t.o) else None)
+      triples
+  in
+  let publications =
+    List.filter_map
+      (fun (s, o) -> if K.Term.equal o Bibliometrics.publication_class then Some s else None)
+      (with_pred K.Rdfs.rdf_type)
+  in
+  let years = with_pred Bibliometrics.year_pred in
+  let plain keyword =
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun (pub, kw) ->
+        if K.Term.equal kw (Bibliometrics.keyword_iri keyword) && List.mem pub publications then
+          List.iter
+            (fun (p, y) ->
+              if K.Term.equal p pub then
+                Hashtbl.replace counts y (1 + Option.value (Hashtbl.find_opt counts y) ~default:0))
+            years)
+      (with_pred Bibliometrics.keyword_pred);
+    List.sort compare (Hashtbl.fold (fun y n acc -> (K.Term.to_string y, n) :: acc) counts [])
+  in
+  let served keyword =
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (function
+        | [ _; y ] -> Hashtbl.replace counts y (1 + Option.value (Hashtbl.find_opt counts y) ~default:0)
+        | _ -> Alcotest.fail "two columns expected")
+      (K.Sparql.run store (W.sparql_query keyword));
+    List.sort compare (Hashtbl.fold (fun y n acc -> (K.Term.to_string y, n) :: acc) counts [])
+  in
+  List.iter
+    (fun keyword ->
+      let expected = plain keyword in
+      checkb (keyword ^ " has publications") true (expected <> []);
+      checkb keyword true (served keyword = expected))
+    Bibliometrics.keywords
+
 let () =
   Alcotest.run "gqkg_workload"
     [
@@ -258,6 +306,8 @@ let () =
           Alcotest.test_case "small keywords" `Quick test_bibliometrics_small_keywords;
           Alcotest.test_case "share falls" `Quick test_bibliometrics_share_falls;
           Alcotest.test_case "bgp = direct scan" `Quick test_bibliometrics_counts_via_bgp_match_direct;
+          Alcotest.test_case "sparql series = plain count" `Quick
+            test_bibliometrics_sparql_series_plain_count;
         ] );
       ("gen-regex", [ Alcotest.test_case "parses back" `Quick test_gen_regex_parses_back ]);
     ]
