@@ -1,6 +1,6 @@
 (* Centrality measures of Section 4.2: betweenness centrality bc(x)
    [Freeman 1977] computed with Brandes' algorithm, plus the PageRank,
-   HITS, degree and closeness measures the section cites as typical
+   degree and closeness measures the section cites as typical
    analytics.  The regex-constrained bc_r lives in {!Regex_centrality}. *)
 
 open Gqkg_graph
@@ -155,60 +155,28 @@ let pagerank ?(damping = 0.85) ?(tolerance = 1e-10) ?(max_iterations = 200) inst
     rank
   end
 
-(* HITS hubs and authorities [Kleinberg 1999], power iteration with L2
-   normalization. *)
-let hits ?(iterations = 50) inst =
-  let n = inst.Snapshot.num_nodes in
-  let hubs = Array.make n 1.0 and auth = Array.make n 1.0 in
-  let normalize a =
-    let norm = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a) in
-    if norm > 0.0 then Array.iteri (fun i x -> a.(i) <- x /. norm) a
-  in
-  let out_off = inst.Snapshot.out_off and out_nbr = inst.Snapshot.out_nbr in
-  let in_off = inst.Snapshot.in_off and in_nbr = inst.Snapshot.in_nbr in
-  for _ = 1 to iterations do
-    for v = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for i = in_off.(v) to in_off.(v + 1) - 1 do
-        acc := !acc +. hubs.(in_nbr.(i))
-      done;
-      auth.(v) <- !acc
-    done;
-    normalize auth;
-    for v = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for i = out_off.(v) to out_off.(v + 1) - 1 do
-        acc := !acc +. auth.(out_nbr.(i))
-      done;
-      hubs.(v) <- !acc
-    done;
-    normalize hubs
-  done;
-  (hubs, auth)
-
 let degree ?(directed = true) inst =
   Array.init inst.Snapshot.num_nodes (fun v ->
       let out = Snapshot.out_degree inst v in
       if directed then out else out + Snapshot.in_degree inst v)
 
 (* Closeness centrality: (reachable count - 1)² / (n-1) / total distance,
-   the Wasserman–Faust generalization that handles disconnected graphs. *)
+   the Wasserman–Faust generalization that handles disconnected graphs.
+   Per-source reach counts and distance sums fold off the distance
+   stream; integer sums make the scores independent of stream order. *)
 let closeness ?(directed = false) inst =
   let n = inst.Snapshot.num_nodes in
+  let reachable = Array.make n 0 and total = Array.make n 0 in
+  Shortest_paths.iter_distances ~directed inst (fun ~source ~target:_ ~dist ->
+      if dist > 0 then begin
+        reachable.(source) <- reachable.(source) + 1;
+        total.(source) <- total.(source) + dist
+      end);
   Array.init n (fun v ->
-      let dist = Traversal.bfs_distances ~directed inst ~source:v in
-      let reachable = ref 0 and total = ref 0 in
-      Array.iter
-        (fun d ->
-          if d > 0 then begin
-            incr reachable;
-            total := !total + d
-          end)
-        dist;
-      if !total = 0 || n <= 1 then 0.0
+      if total.(v) = 0 || n <= 1 then 0.0
       else begin
-        let r = float_of_int !reachable in
-        r *. r /. (float_of_int (n - 1) *. float_of_int !total)
+        let r = float_of_int reachable.(v) in
+        r *. r /. (float_of_int (n - 1) *. float_of_int total.(v))
       end)
 
 (* Rank nodes by score, descending, ties by index. *)
@@ -220,69 +188,6 @@ let ranking scores =
       if c <> 0 then c else Int.compare a b)
     order;
   order
-
-(* Eigenvector centrality: the dominant eigenvector of the (undirected)
-   adjacency operator, by power iteration with L2 normalization. *)
-let eigenvector ?(iterations = 100) ?(tolerance = 1e-10) inst =
-  let n = inst.Snapshot.num_nodes in
-  if n = 0 then [||]
-  else begin
-    let x = Array.make n (1.0 /. sqrt (float_of_int n)) in
-    let esrc = inst.Snapshot.esrc and edst = inst.Snapshot.edst in
-    let next = Array.make n 0.0 in
-    let i = ref 0 and converged = ref false in
-    while (not !converged) && !i < iterations do
-      Array.fill next 0 n 0.0;
-      for e = 0 to inst.Snapshot.num_edges - 1 do
-        let s = esrc.(e) and d = edst.(e) in
-        next.(d) <- next.(d) +. x.(s);
-        next.(s) <- next.(s) +. x.(d)
-      done;
-      let norm = sqrt (Array.fold_left (fun acc y -> acc +. (y *. y)) 0.0 next) in
-      if norm = 0.0 then converged := true
-      else begin
-        let change = ref 0.0 in
-        for v = 0 to n - 1 do
-          let y = next.(v) /. norm in
-          change := !change +. Float.abs (y -. x.(v));
-          x.(v) <- y
-        done;
-        if !change < tolerance then converged := true
-      end;
-      incr i
-    done;
-    x
-  end
-
-(* Katz centrality: x = alpha * A^T x + beta, by fixed-point iteration.
-   Converges when alpha is below 1 / (spectral radius); the default is
-   conservative for our sparse workloads. *)
-let katz ?(alpha = 0.05) ?(beta = 1.0) ?(iterations = 200) ?(tolerance = 1e-10) inst =
-  let n = inst.Snapshot.num_nodes in
-  if n = 0 then [||]
-  else begin
-    let x = Array.make n beta in
-    let in_off = inst.Snapshot.in_off and in_nbr = inst.Snapshot.in_nbr in
-    let next = Array.make n 0.0 in
-    let i = ref 0 and converged = ref false in
-    while (not !converged) && !i < iterations do
-      Array.fill next 0 n beta;
-      for v = 0 to n - 1 do
-        (* Katz credits a node for its in-neighbors' scores. *)
-        for i = in_off.(v) to in_off.(v + 1) - 1 do
-          next.(v) <- next.(v) +. (alpha *. x.(in_nbr.(i)))
-        done
-      done;
-      let change = ref 0.0 in
-      for v = 0 to n - 1 do
-        change := !change +. Float.abs (next.(v) -. x.(v));
-        x.(v) <- next.(v)
-      done;
-      if !change < tolerance then converged := true;
-      incr i
-    done;
-    x
-  end
 
 (* Multicore Brandes: per-source passes are independent, so sources are
    sliced across the {!Gqkg_util.Parallel} domain pool and the per-slice

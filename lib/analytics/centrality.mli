@@ -1,6 +1,6 @@
 (** Centrality measures (Section 4.2): Brandes betweenness, PageRank,
-    HITS, degree, closeness, eigenvector and Katz. The regex-constrained
-    bc_r lives in {!Regex_centrality}. *)
+    degree and closeness. The regex-constrained bc_r lives in
+    {!Regex_centrality}. *)
 
 open Gqkg_graph
 
@@ -16,24 +16,15 @@ val betweenness_naive : ?directed:bool -> Snapshot.t -> float array
     redistributed uniformly. Sums to 1. *)
 val pagerank : ?damping:float -> ?tolerance:float -> ?max_iterations:int -> Snapshot.t -> float array
 
-(** Kleinberg's (hubs, authorities), L2-normalized. *)
-val hits : ?iterations:int -> Snapshot.t -> float array * float array
-
 (** Out-degree, or total degree with [directed:false]. *)
 val degree : ?directed:bool -> Snapshot.t -> int array
 
-(** Wasserman–Faust closeness (handles disconnected graphs). *)
+(** Wasserman–Faust closeness (handles disconnected graphs), from
+    {!Shortest_paths.iter_distances}. *)
 val closeness : ?directed:bool -> Snapshot.t -> float array
 
 (** Node indexes sorted by score descending, ties by index. *)
 val ranking : float array -> int array
-
-(** Dominant eigenvector of the undirected adjacency operator. *)
-val eigenvector : ?iterations:int -> ?tolerance:float -> Snapshot.t -> float array
-
-(** Katz centrality x = α·Aᵀx + β; converges for α below the inverse
-    spectral radius. *)
-val katz : ?alpha:float -> ?beta:float -> ?iterations:int -> ?tolerance:float -> Snapshot.t -> float array
 
 (** {!betweenness} with sources sliced across OCaml 5 domains
     ([domains] 0 = auto). The instance must tolerate concurrent reads

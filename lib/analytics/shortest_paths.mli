@@ -9,9 +9,19 @@ val single_source : ?directed:bool -> Snapshot.t -> source:int -> int array
     [infinity] = unreachable. Raises on negative weights. *)
 val dijkstra : ?directed:bool -> Snapshot.t -> source:int -> weight:(int -> float) -> float array
 
-(** All-pairs BFS distances.  A tripped [budget] leaves unreached
-    cells at -1; written distances are exact. *)
-val all_pairs : ?budget:Gqkg_util.Budget.t -> ?directed:bool -> Snapshot.t -> int array array
+(** [iter_distances inst f] calls [f ~source ~target ~dist] once per
+    pair with [target] reachable from [source] (the pair [(v, v)] at
+    distance 0 included), with its BFS distance — the distances of
+    {!single_source} for every source, streamed off the batched product
+    frontier without an n x n matrix.  [directed] defaults to true.  A
+    tripped [budget] leaves some pairs unreported; every reported
+    distance is exact. *)
+val iter_distances :
+  ?budget:Gqkg_util.Budget.t ->
+  ?directed:bool ->
+  Snapshot.t ->
+  (source:int -> target:int -> dist:int -> unit) ->
+  unit
 
 (** Exact diameter over reachable pairs; [None] on the empty graph.
     Under a tripped [budget] the value is a lower bound. *)

@@ -52,159 +52,6 @@ let bfs ?(directed = true) inst ~source =
 
 let bfs_distances ?directed inst ~source = fst (bfs ?directed inst ~source)
 
-(* Batched multi-source BFS, MS-BFS style: up to [Bitset.bits_per_word]
-   sources per pass share one visited/frontier word per node, so a node's
-   adjacency is scanned once per level for the whole batch.  Levels may
-   also expand bottom-up (Beamer): scan the nodes some slot has not
-   reached yet and pull through the snapshot's in-CSR (both CSRs when
-   [directed] is false), with an early exit once a node has gathered
-   every batch bit; the top-down/bottom-up switch compares the frontier's
-   summed degree against an average-degree estimate of the pull scan,
-   with the threshold relaxed on graphs whose freeze-time median degree
-   is high (denser graphs profit from pulling earlier).  Distances are
-   bit-identical to per-source {!bfs_distances}; [direction] forces one
-   expansion mode for tests. *)
-let bfs_distances_many ?(budget = Gqkg_util.Budget.unlimited) ?(direction = `Auto)
-    ?(directed = true) inst ~sources =
-  let n = inst.Snapshot.num_nodes in
-  let out_off = inst.Snapshot.out_off and out_nbr = inst.Snapshot.out_nbr in
-  let in_off = inst.Snapshot.in_off and in_nbr = inst.Snapshot.in_nbr in
-  let word_bits = Gqkg_util.Bitset.bits_per_word in
-  let k_total = Array.length sources in
-  let results = Array.make k_total [||] in
-  let base = ref 0 in
-  while !base < k_total do
-    let k = min word_bits (k_total - !base) in
-    let full = if k = word_bits then -1 else (1 lsl k) - 1 in
-    let dists = Array.init k (fun _ -> Array.make n (-1)) in
-    let visited = Array.make n 0 in
-    let cur_word = ref (Array.make n 0) and next_word = ref (Array.make n 0) in
-    let cur = ref (Array.make (max 1 n) 0) and next = ref (Array.make (max 1 n) 0) in
-    let cur_n = ref 0 and next_n = ref 0 in
-    let covered = ref 0 in
-    for s = 0 to k - 1 do
-      let v = sources.(!base + s) in
-      let bit = 1 lsl s in
-      if visited.(v) land bit = 0 then begin
-        if !cur_word.(v) = 0 then begin
-          !cur.(!cur_n) <- v;
-          incr cur_n
-        end;
-        visited.(v) <- visited.(v) lor bit;
-        if visited.(v) = full then incr covered;
-        !cur_word.(v) <- !cur_word.(v) lor bit
-      end;
-      dists.(s).(v) <- 0
-    done;
-    let d = ref 0 in
-    (* Budget check site: once per level per batch.  Stopping early
-       leaves the unreached distances at -1; the distances already
-       written are exact, so consumers only lose coverage. *)
-    while
-      !cur_n > 0
-      &&
-      (Gqkg_util.Budget.charge_steps budget !cur_n;
-       not (Gqkg_util.Budget.check budget))
-    do
-      incr d;
-      let td_cost = ref 0 in
-      for i = 0 to !cur_n - 1 do
-        let v = !cur.(i) in
-        td_cost :=
-          !td_cost
-          + (out_off.(v + 1) - out_off.(v))
-          + if directed then 0 else in_off.(v + 1) - in_off.(v)
-      done;
-      let bottom_up =
-        match direction with
-        | `Top_down -> false
-        | `Bottom_up -> true
-        | `Auto ->
-            let m = inst.Snapshot.num_edges in
-            let avg = max 1 ((if directed then m else 2 * m) / max 1 n) in
-            let bu_cost = (n - !covered) * avg in
-            let alpha = if inst.Snapshot.stats.Snapshot.degree_p50 >= 8 then 2 else 4 in
-            !td_cost > alpha * bu_cost
-      in
-      next_n := 0;
-      let discover u fresh =
-        let now = visited.(u) lor fresh in
-        visited.(u) <- now;
-        if now = full then incr covered;
-        !next_word.(u) <- !next_word.(u) lor fresh;
-        Gqkg_util.Bitset.word_iter fresh (fun s -> dists.(s).(u) <- !d)
-      in
-      if bottom_up then begin
-        let cw = !cur_word in
-        for u = 0 to n - 1 do
-          let vis = visited.(u) in
-          if vis land full <> full then begin
-            let gain = ref 0 in
-            (* Pull through the edges that point *at* u in the traversal:
-               in-edges always, out-edges too when direction is ignored. *)
-            let i = ref in_off.(u) in
-            let fin = in_off.(u + 1) in
-            while !i < fin && (!gain lor vis) land full <> full do
-              gain := !gain lor cw.(in_nbr.(!i));
-              incr i
-            done;
-            if not directed then begin
-              let j = ref out_off.(u) in
-              let fin = out_off.(u + 1) in
-              while !j < fin && (!gain lor vis) land full <> full do
-                gain := !gain lor cw.(out_nbr.(!j));
-                incr j
-              done
-            end;
-            let fresh = !gain land lnot vis land full in
-            if fresh <> 0 then begin
-              !next.(!next_n) <- u;
-              incr next_n;
-              discover u fresh
-            end
-          end
-        done
-      end
-      else
-        for i = 0 to !cur_n - 1 do
-          let v = !cur.(i) in
-          let w = !cur_word.(v) in
-          let push u =
-            let fresh = w land lnot visited.(u) land full in
-            if fresh <> 0 then begin
-              if !next_word.(u) = 0 then begin
-                !next.(!next_n) <- u;
-                incr next_n
-              end;
-              discover u fresh
-            end
-          in
-          for j = out_off.(v) to out_off.(v + 1) - 1 do
-            push out_nbr.(j)
-          done;
-          if not directed then
-            for j = in_off.(v) to in_off.(v + 1) - 1 do
-              push in_nbr.(j)
-            done
-        done;
-      for i = 0 to !cur_n - 1 do
-        !cur_word.(!cur.(i)) <- 0
-      done;
-      let t = !cur in
-      cur := !next;
-      next := t;
-      cur_n := !next_n;
-      let tw = !cur_word in
-      cur_word := !next_word;
-      next_word := tw
-    done;
-    for s = 0 to k - 1 do
-      results.(!base + s) <- dists.(s)
-    done;
-    base := !base + k
-  done;
-  results
-
 (* The [i]-th neighbor of [v] in the directed (out) or symmetric
    (out-then-in) neighborhood, or -1 past the end — lets the iterative
    DFS walk adjacency without materializing neighbor arrays. *)

@@ -13,24 +13,10 @@ val all_neighbors : Snapshot.t -> int -> int array
     [directed] (default true) selects whether edge direction matters. *)
 val bfs : ?directed:bool -> Snapshot.t -> source:int -> int array * int list
 
+(** The distances of {!bfs}.  Distances from every source stream off
+    the batched product frontier instead:
+    {!Shortest_paths.iter_distances}. *)
 val bfs_distances : ?directed:bool -> Snapshot.t -> source:int -> int array
-
-(** Batched multi-source BFS (MS-BFS): up to
-    {!Gqkg_util.Bitset.bits_per_word} sources per pass share one
-    visited/frontier word per node, and levels expand top-down or
-    bottom-up (Beamer) over the snapshot's CSRs.  [result.(i)] is
-    bit-identical to [bfs_distances ~directed ~source:sources.(i)];
-    [direction] forces one expansion mode for tests (default [`Auto]
-    picks per level by a degree-stat cost heuristic).  A tripped
-    [budget] stops between levels: unreached cells stay -1, written
-    distances are exact. *)
-val bfs_distances_many :
-  ?budget:Gqkg_util.Budget.t ->
-  ?direction:[ `Auto | `Bottom_up | `Top_down ] ->
-  ?directed:bool ->
-  Snapshot.t ->
-  sources:int array ->
-  int array array
 
 (** Reverse finishing order of a full DFS (last finished first). *)
 val dfs_finish_order : ?directed:bool -> Snapshot.t -> int list

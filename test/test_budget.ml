@@ -290,20 +290,14 @@ let test_fault_injection () =
   List.iter
     (fun inst ->
       let reference =
-        Gqkg_analytics.Traversal.bfs_distances_many inst
-          ~sources:(Array.init inst.Snapshot.num_nodes Fun.id)
+        Array.init inst.Snapshot.num_nodes (fun source ->
+            Gqkg_analytics.Traversal.bfs_distances inst ~source)
       in
-      sweep "Traversal.bfs_distances_many" (fun b ->
-          let d =
-            Gqkg_analytics.Traversal.bfs_distances_many ~budget:b inst
-              ~sources:(Array.init inst.Snapshot.num_nodes Fun.id)
-          in
-          (* Written distances must be exact; unreached cells stay -1. *)
+      sweep "Shortest_paths.iter_distances" (fun b ->
+          (* Every reported distance must be exact; a trip only drops pairs. *)
           let ok = ref true in
-          Array.iteri
-            (fun i row ->
-              Array.iteri (fun v x -> if x <> -1 && x <> reference.(i).(v) then ok := false) row)
-            d;
+          Gqkg_analytics.Shortest_paths.iter_distances ~budget:b inst (fun ~source ~target ~dist ->
+              if dist <> reference.(source).(target) then ok := false);
           !ok);
       let full_diameter = Gqkg_analytics.Shortest_paths.diameter inst in
       sweep "Shortest_paths.diameter" (fun b ->
