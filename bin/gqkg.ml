@@ -200,6 +200,9 @@ let save_property output pg =
 
 let generate_cmd =
   let run () kind seed scale output =
+    if scale < 1 then
+      fail_user ~code:"GQ046" ~subterm:"--scale"
+        ~message:(Printf.sprintf "scale %d is below 1" scale);
     let rng = Gqkg_util.Splitmix.create seed in
     let pg =
       match kind with
@@ -355,6 +358,11 @@ let query_cmd =
 
 let count_cmd =
   let run () path regex length epsilon from_node to_node =
+    (match epsilon with
+    | Some e when not (e > 0.0 && e < 1.0) ->
+        fail_user ~code:"GQ046" ~subterm:"--epsilon"
+          ~message:(Printf.sprintf "epsilon %g is outside (0,1)" e)
+    | _ -> ());
     let inst = load_instance path in
     (* One validation, the length rule included, for every count path. *)
     let req = validate { Request.q = regex; kind = Request.Count { length } } in
@@ -393,7 +401,8 @@ let count_cmd =
 let sample_cmd =
   let run () path regex length n seed =
     let inst = load_instance path in
-    let r = parse_regex regex in
+    (* Count's validation: the sampler builds the same length table. *)
+    let r = (validate { Request.q = regex; kind = Request.Count { length } }).Request.q in
     let gen = Uniform_gen.create inst r ~length in
     if Uniform_gen.total_count gen = 0.0 then begin
       Printf.eprintf "no matching paths of length %d\n" length;
@@ -413,7 +422,8 @@ let sample_cmd =
 let enumerate_cmd =
   let run () path regex length limit =
     let inst = load_instance path in
-    let r = parse_regex regex in
+    (* Count's validation: the enumerator builds the same length table. *)
+    let r = (validate { Request.q = regex; kind = Request.Count { length } }).Request.q in
     let e = Enumerate.create inst r ~length in
     let rec loop remaining =
       if remaining <> 0 then begin

@@ -1,6 +1,7 @@
 (** Worst-case-optimal multiway join over Snapshot CSR: a
-    Leapfrog-Triejoin engine shared by every conjunctive consumer (CQ,
-    CRPQ, SPARQL BGP).
+    Leapfrog-Triejoin engine shared by every conjunctive consumer (CRPQ,
+    of which a conjunctive query over labels is a special case, and
+    SPARQL BGP).
 
     Instead of joining relation-by-relation (whose intermediate results
     can be quadratically larger than the output — O(n²) on triangles), the

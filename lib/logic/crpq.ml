@@ -7,8 +7,10 @@
 
    where every rᵢ is a full Section 4 regular expression with tests.
    Evaluation goes through the worst-case-optimal multiway join engine
-   ({!Gqkg_core.Join}): single-edge-label atoms are zero-copy views over
-   the label-sorted CSR index (no materialization), every other atom's
+   ({!Gqkg_core.Join}): a node-label atom (x, ?c, x) is the label's
+   postings set and a single-edge-label atom a zero-copy view over the
+   label-sorted CSR index (no materialization), so a conjunctive query
+   over labels never runs the product engine; every other atom's
    endpoint relation is computed once by the batched Frontier-backed
    product engine ({!Gqkg_core.Join.path_pairs}) and shared across
    identical regexes, and the conjunction is solved variable-by-variable
@@ -73,6 +75,15 @@ let csr_label inst ?max_length regex =
 let atom_display a =
   Printf.sprintf "(%s)-[%s]->(%s)" a.src (Regex.to_string ~top:true a.regex) a.dst
 
+(* A node-label atom (x, ?c, x) is the unary relation of the label's
+   postings.  Under a negative [max_length] it stays a product run, so
+   what such a bound admits is decided in one place. *)
+let node_label ?max_length a =
+  match (a.regex, max_length) with
+  | _, Some k when k < 0 -> None
+  | Regex.Node_test (Regex.Atom (Atom.Label c)), _ when a.src = a.dst -> Some c
+  | _ -> None
+
 (* One spec per atom; identical regexes share one materialization
    through [cache] (keyed by the printed form). *)
 let join_specs ?budget ?max_length inst body =
@@ -80,12 +91,15 @@ let join_specs ?budget ?max_length inst body =
   let cache = Hashtbl.create 8 in
   List.map
     (fun a ->
-      match csr_label inst ?max_length a.regex with
-      | Some (c, flipped) ->
+      match (node_label ?max_length a, csr_label inst ?max_length a.regex) with
+      | Some c, _ ->
+          Join.atom ~name:(atom_display a) [| a.src |]
+            (Join.Set (Join.Index.nodes_with_const_label idx c))
+      | None, Some (c, flipped) ->
           let vars = if flipped then [| a.dst; a.src |] else [| a.src; a.dst |] in
           Join.atom ~name:(atom_display a) vars
             (Join.Edges (Join.Index.edge_label_ids idx c))
-      | None ->
+      | None, None ->
           let key = Regex.to_string ~top:true a.regex in
           let pairs =
             match Hashtbl.find_opt cache key with

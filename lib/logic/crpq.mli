@@ -3,12 +3,15 @@
     backbone of modern graph query languages [Angles et al. 2017].
 
     Evaluation goes through the worst-case-optimal multiway join engine
-    ({!Gqkg_core.Join}): single-edge-label atoms are zero-copy CSR trie
-    views, other atoms' endpoint relations are materialized once by the
-    batched Frontier-backed product engine and shared across identical
-    regexes, and the conjunction is solved variable-by-variable under a
-    planned global order.  The previous greedy backtracking join remains
-    as the reference oracle {!answers_backtrack}. *)
+    ({!Gqkg_core.Join}).  A conjunctive query is the CRPQ whose atoms are
+    labels and node tests: a node-label atom (x, ?c, x) compiles to the
+    label's postings set (when [max_length] is absent or non-negative)
+    and a single-edge-label atom to a zero-copy CSR trie view.  Other
+    atoms' endpoint relations are materialized once by the batched
+    Frontier-backed product engine and shared across identical regexes.
+    The conjunction is solved variable-by-variable under a planned
+    global order.  The previous greedy backtracking join remains as the
+    reference oracle {!answers_backtrack}. *)
 
 open Gqkg_graph
 open Gqkg_automata

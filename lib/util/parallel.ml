@@ -164,33 +164,6 @@ let map_slices ?domains ?(grain = 1) n f =
              | None -> assert false)
       end
 
-(* Parallel for over [0, n): each index handled exactly once, no result.
-   Per-index closures must be independent. *)
-let iter ?domains ?grain n f =
-  ignore
-    (map_slices ?domains ?grain n (fun first last ->
-         for i = first to last - 1 do
-           f i
-         done))
-
-(* Map-reduce over per-slice accumulators: [init ()] makes a private
-   accumulator per slice, [body acc i] folds index [i] into it, [merge]
-   combines the per-slice accumulators left to right (slice order, so
-   the reduction order is deterministic). *)
-let map_reduce ?domains ?grain n ~init ~body ~merge =
-  let partials =
-    map_slices ?domains ?grain n (fun first last ->
-        let acc = init () in
-        let acc = ref acc in
-        for i = first to last - 1 do
-          acc := body !acc i
-        done;
-        !acc)
-  in
-  match partials with
-  | [] -> init ()
-  | first :: rest -> List.fold_left merge first rest
-
 (* Sum float arrays produced per slice into the first one — the common
    merge for per-source centrality accumulators. *)
 let sum_float_arrays ~into partial =

@@ -27,19 +27,5 @@ val slices : domains:int -> n:int -> (int * int) list
     re-raised in the caller, earliest slice first. *)
 val map_slices : ?domains:int -> ?grain:int -> int -> (int -> int -> 'a) -> 'a list
 
-(** Parallel for over [0, n); per-index work must be independent. *)
-val iter : ?domains:int -> ?grain:int -> int -> (int -> unit) -> unit
-
-(** Per-slice accumulators folded with [body], merged left-to-right in
-    slice order with [merge]. *)
-val map_reduce :
-  ?domains:int ->
-  ?grain:int ->
-  int ->
-  init:(unit -> 'a) ->
-  body:('a -> int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  'a
-
 (** Element-wise sum of [partial] into [into]; returns [into]. *)
 val sum_float_arrays : into:float array -> float array -> float array

@@ -12,7 +12,6 @@ open Gqkg_graph
 module Join = Gqkg_core.Join
 module Budget = Gqkg_util.Budget
 module Splitmix = Gqkg_util.Splitmix
-module Cq = Gqkg_logic.Cq
 module Crpq = Gqkg_logic.Crpq
 module Crpq_parser = Gqkg_logic.Crpq_parser
 module Bgp = Gqkg_kg.Bgp
@@ -169,38 +168,75 @@ let make_inst (seed, nodes, edges) =
     (Gen_graph.random_labeled (Splitmix.create seed) ~nodes ~edges
        ~node_labels:[ "a"; "b" ] ~edge_labels:[ "x"; "y" ])
 
-let cq_body_vars body =
-  List.fold_left
-    (fun acc a ->
-      let vs = match a with Cq.Node (_, v) -> [ v ] | Cq.Edge (_, v, w) -> [ v; w ] in
-      List.fold_left (fun acc v -> if List.mem v acc then acc else acc @ [ v ]) acc vs)
-    [] body
-
+(* A CQ is a CRPQ over label atoms.  Bodies mix node-label atoms
+   (v, ?a, v), which compile to postings sets; node tests with src <> dst,
+   which stay materialized; single-label edge atoms (self-loops
+   included), forward and inverse; under every kind of [max_length]:
+   absent, negative (node atoms stay product runs), 0 (no edge step)
+   and 2. *)
 let cq_gen =
   let open QCheck2.Gen in
   let var = oneofl [ "x"; "y"; "z" ] in
+  let node_test = map Regex.node_label (oneofl [ "a"; "b"; "c" ]) in
+  let edge =
+    let* l = oneofl [ "x"; "y" ] in
+    let* inverse = bool in
+    return (if inverse then Regex.Bwd (Regex.Atom (Atom.Label (Const.str l))) else Regex.label l)
+  in
   let atom =
     oneof
       [
-        map2 (fun l v -> Cq.node_atom l v) (oneofl [ "a"; "b" ]) var;
-        map3 (fun l v w -> Cq.edge_atom l v w) (oneofl [ "x"; "y" ]) var var;
+        map2 (fun r v -> Crpq.atom ~src:v ~regex:r ~dst:v) node_test var;
+        map3 (fun r v w -> Crpq.atom ~src:v ~regex:r ~dst:w) node_test var var;
+        map3 (fun r v w -> Crpq.atom ~src:v ~regex:r ~dst:w) edge var var;
       ]
   in
   let* body = list_size (int_range 1 4) atom in
   let* full_head = bool in
+  let* max_length = oneofl [ None; Some (-1); Some 0; Some 2 ] in
   let* g = graph_gen in
-  return (g, body, full_head)
+  return (g, body, full_head, max_length)
 
 let prop_cq_wcoj_equals_backtrack =
-  QCheck2.Test.make ~name:"CQ: WCOJ = backtracking oracle" ~count:150 cq_gen
-    (fun (g, body, full_head) ->
+  QCheck2.Test.make ~name:"CQ: WCOJ = backtracking oracle" ~count:300 cq_gen
+    (fun (g, body, full_head, max_length) ->
       let inst = make_inst g in
-      let vars = cq_body_vars body in
+      let vars =
+        List.fold_left
+          (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
+          []
+          (List.concat_map (fun (a : Crpq.atom) -> [ a.src; a.dst ]) body)
+      in
       (* Proper projections exercise the dedup table; full heads the
          no-dedup fast path. *)
       let head = if full_head then vars else [ List.hd vars ] in
-      let q = Cq.query ~head ~body in
-      Cq.answers inst q = Cq.answers_backtrack inst q)
+      let q = Crpq.query ~head ~body () in
+      let wcoj = Crpq.answers ?max_length inst q in
+      wcoj = Crpq.answers_backtrack ?max_length inst q
+      && (inst.Snapshot.num_nodes > 8 || wcoj = Crpq.answers_naive ?max_length inst q))
+
+(* The compile behind the property above: only (v, ?a, v) under an
+   absent or non-negative [max_length] reads the label's postings.  The
+   answers cannot show the negative case, because the product run also
+   admits zero-length paths under a negative bound. *)
+let test_node_atom_compile () =
+  let inst = make_inst (17, 40, 80) in
+  (* The bracketed iterator kind ending each "N endpoint pairs [kind]"
+     line of the plan. *)
+  let kinds ?max_length text =
+    String.split_on_char '\n' (Crpq.explain ?max_length inst (Crpq_parser.parse text))
+    |> List.filter_map (fun line ->
+           match String.rindex_opt line '[' with
+           | Some i when line.[0] = ' ' && String.ends_with ~suffix:"]" line ->
+               Some (String.sub line i (String.length line - i))
+           | _ -> None)
+  in
+  let node_edge = "SELECT x, y WHERE (x:a), (x)-[x]->(y)" in
+  checkb "node atom is a set" true (kinds node_edge = [ "[set]"; "[csr]" ]);
+  checkb "length 0 keeps the set" true (kinds ~max_length:0 node_edge = [ "[set]"; "[pairs]" ]);
+  checkb "negative length materializes" true
+    (kinds ~max_length:(-1) node_edge = [ "[pairs]"; "[pairs]" ]);
+  checkb "src <> dst materializes" true (kinds "SELECT x, y WHERE (x)-[?a]->(y)" = [ "[pairs]" ])
 
 let crpq_case_gen =
   QCheck2.Gen.(
@@ -606,12 +642,9 @@ let sweep_inst () = make_inst (0xfeed, 7, 14)
 
 let test_budget_sweep_cq () =
   let inst = sweep_inst () in
-  let q =
-    Cq.query ~head:[ "x"; "z" ]
-      ~body:[ Cq.edge_atom "x" "x" "y"; Cq.edge_atom "y" "y" "z"; Cq.edge_atom "x" "z" "x" ]
-  in
-  let full = Cq.answers inst q in
-  fault_sweep ~name:"Cq.answers" (fun b -> subset (Cq.answers ~budget:b inst q) full)
+  let q = Crpq_parser.parse "SELECT x, z WHERE (x)-[x]->(y), (y)-[y]->(z), (z)-[x]->(x), (x:a)" in
+  let full = Crpq.answers inst q in
+  fault_sweep ~name:"Crpq.answers (CQ)" (fun b -> subset (Crpq.answers ~budget:b inst q) full)
 
 let test_budget_sweep_crpq () =
   let inst = sweep_inst () in
@@ -677,9 +710,13 @@ let test_head_variable_unbound () =
   in
   checkb "unbound head raises" true
     (match Crpq.answers inst q with exception _ -> true | _ -> false);
-  let cq = Cq.query ~head:[ "ghost" ] ~body:[ Cq.edge_atom "e" "x" "y" ] in
+  let cq =
+    Crpq.query ~head:[ "ghost" ]
+      ~body:[ Crpq.atom ~src:"x" ~regex:(Regex.node_label "a") ~dst:"x" ]
+      ()
+  in
   checkb "unbound CQ head raises" true
-    (match Cq.answers inst cq with exception _ -> true | _ -> false);
+    (match Crpq.answers inst cq with exception _ -> true | _ -> false);
   (* The parser rejects it up front, pointing at the head variable. *)
   match Crpq_parser.parse "SELECT x, ghost WHERE (x)-[e]->(y)" with
   | exception Crpq_parser.Error { position; _ } -> checki "error at the head variable" 10 position
@@ -710,10 +747,11 @@ let test_parser_malformed () =
 
 (* ---------- domain parallelism ---------- *)
 
-(* Four domains run the same CQ and CRPQ joins on one fresh snapshot,
-   racing to build its join index and label postings, and every answer
-   must equal the sequential one on a twin snapshot.  The CRPQ atoms are
-   single labels (forward and inverse), which the join serves from the
+(* Four domains run the same CQ-shaped and CRPQ joins on one fresh
+   snapshot, racing to build its join index and label postings, and
+   every answer must equal the sequential one on a twin snapshot.  The
+   atoms are node labels, which the join reads as postings sets, and
+   single edge labels (forward and inverse), which it serves from the
    index; other regex atoms evaluate through plan-cached products,
    which are not domain-safe. *)
 let test_domain_parallel_joins () =
@@ -723,19 +761,12 @@ let test_domain_parallel_joins () =
          ~node_labels:[ "a"; "b"; "c" ] ~edge_labels:[ "x"; "y"; "z" ])
   in
   let cqs =
-    [
-      Cq.query ~head:[ "x"; "y"; "z" ]
-        ~body:
-          [
-            Cq.node_atom "a" "x";
-            Cq.edge_atom "x" "x" "y";
-            Cq.edge_atom "y" "y" "z";
-            Cq.node_atom "b" "z";
-          ];
-      Cq.query ~head:[ "x" ]
-        ~body:[ Cq.edge_atom "x" "x" "y"; Cq.edge_atom "y" "y" "z"; Cq.edge_atom "z" "z" "x" ];
-      Cq.query ~head:[ "y" ] ~body:[ Cq.node_atom "c" "y"; Cq.edge_atom "z" "y" "y" ];
-    ]
+    List.map Crpq_parser.parse
+      [
+        "SELECT x, y, z WHERE (x:a), (x)-[x]->(y), (y)-[y]->(z), (z:b)";
+        "SELECT x WHERE (x)-[x]->(y), (y)-[y]->(z), (z)-[z]->(x)";
+        "SELECT y WHERE (y:c), (y)-[z]->(y)";
+      ]
   in
   let crpqs =
     List.map Crpq_parser.parse
@@ -744,7 +775,7 @@ let test_domain_parallel_joins () =
         "SELECT x, z WHERE (x)-[y]->(y), (y)-[x^-]->(z)";
       ]
   in
-  let run snap = (List.map (Cq.answers snap) cqs, List.map (Crpq.answers snap) crpqs) in
+  let run snap = (List.map (Crpq.answers snap) cqs, List.map (Crpq.answers snap) crpqs) in
   let expected = run (inst ()) in
   checkb "non-trivial answers" true
     (List.exists (( <> ) []) (fst expected) && List.exists (( <> ) []) (snd expected));
@@ -769,6 +800,7 @@ let () =
           Alcotest.test_case "plan covers variables" `Quick test_plan_covers_vars;
           Alcotest.test_case "index label stats" `Quick test_index_label_stats;
           Alcotest.test_case "four domains = sequential" `Quick test_domain_parallel_joins;
+          Alcotest.test_case "CQ node atom reads postings" `Quick test_node_atom_compile;
           Alcotest.test_case "BGP zero-length paths" `Quick test_bgp_zero_length_paths;
         ] );
       ( "equivalence",

@@ -289,33 +289,31 @@ let test_c2_wl_invariance () =
 
 (* ---------- Conjunctive queries ---------- *)
 
+(* A CQ is the CRPQ whose atoms are edge labels and bare node-label
+   clauses; the node clauses compile to label postings sets. *)
+
 let test_cq_shared_bus () =
   let inst = fig2 () in
   (* The φ(x) pattern as a CQ. *)
   let q =
-    Cq.query ~head:[ "x" ]
-      ~body:
-        [
-          Cq.node_atom "person" "x";
-          Cq.edge_atom "rides" "x" "y";
-          Cq.node_atom "bus" "y";
-          Cq.edge_atom "rides" "z" "y";
-          Cq.node_atom "infected" "z";
-        ]
+    Crpq_parser.parse
+      "SELECT x WHERE (x:person), (x)-[rides]->(y), (y:bus), (z)-[rides]->(y), (z:infected)"
   in
-  checkb "finds n1" true (Cq.answer_nodes inst q = [ node inst "n1" ])
+  checkb "finds n1" true (Crpq.answer_nodes inst q = [ node inst "n1" ])
 
 let test_cq_binary_head () =
   let inst = fig2 () in
-  let q =
-    Cq.query ~head:[ "x"; "y" ] ~body:[ Cq.edge_atom "rides" "x" "y"; Cq.node_atom "bus" "y" ]
-  in
-  checki "two rider pairs" 2 (List.length (Cq.answers inst q))
+  let q = Crpq_parser.parse "SELECT x, y WHERE (x)-[rides]->(y), (y:bus)" in
+  checki "two rider pairs" 2 (List.length (Crpq.answers inst q))
 
 let test_cq_unbound_head_rejected () =
   let inst = fig2 () in
-  let q = Cq.query ~head:[ "w" ] ~body:[ Cq.node_atom "person" "x" ] in
-  (match Cq.answers inst q with
+  let q =
+    Crpq.query ~head:[ "w" ]
+      ~body:[ Crpq.atom ~src:"x" ~regex:(Regex.node_label "person") ~dst:"x" ]
+      ()
+  in
+  (match Crpq.answers inst q with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "should reject unbound head")
 
@@ -327,8 +325,8 @@ let test_cq_self_loop_pattern () =
   ignore (Labeled_graph.Builder.add_edge b (Const.str "e0") ~src:n0 ~dst:n1 ~label:(Const.str "a"));
   ignore (Labeled_graph.Builder.add_edge b (Const.str "e1") ~src:n1 ~dst:n1 ~label:(Const.str "a"));
   let inst = Snapshot.of_labeled (Labeled_graph.Builder.freeze b) in
-  let q = Cq.query ~head:[ "x" ] ~body:[ Cq.edge_atom "a" "x" "x" ] in
-  checkb "only the loop" true (Cq.answer_nodes inst q = [ n1 ])
+  let q = Crpq_parser.parse "SELECT x WHERE (x)-[a]->(x)" in
+  checkb "only the loop" true (Crpq.answer_nodes inst q = [ n1 ])
 
 let test_cq_agrees_with_fo () =
   (* CQs are the ∃∧ fragment: evaluation must agree with FO. *)
@@ -339,18 +337,14 @@ let test_cq_agrees_with_fo () =
         ~node_labels:[ "person"; "bus" ] ~edge_labels:[ "rides"; "contact" ]
     in
     let inst = Snapshot.of_labeled lg in
-    let q =
-      Cq.query ~head:[ "x" ]
-        ~body:[ Cq.node_atom "person" "x"; Cq.edge_atom "rides" "x" "y"; Cq.node_atom "bus" "y" ]
-    in
+    let q = Crpq_parser.parse "SELECT x WHERE (x:person), (x)-[rides]->(y), (y:bus)" in
     let f =
       Fo.And
         ( Fo.node_pred "person" "x",
           Fo.Exists ("y", Fo.And (Fo.edge_pred "rides" "x" "y", Fo.node_pred "bus" "y")) )
     in
-    checkb "cq = fo" true (Cq.answer_nodes inst q = Fo.eval_bounded inst f ~free:"x")
+    checkb "cq = fo" true (Crpq.answer_nodes inst q = Fo.eval_bounded inst f ~free:"x")
   done
-
 
 (* ---------- CRPQs ---------- *)
 

@@ -628,6 +628,37 @@ let prop_cli_daemon_agree =
                    (pp_outcome b))
             requests))
 
+(* The argument checks outside that pipeline: a path length for sample
+   or enumerate outside count's 0..1024, an FPRAS epsilon outside (0,1)
+   and a generator scale below 1 are each a GQ046 with exit 2 and
+   nothing on stdout, never an uncaught exception. *)
+let test_cli_bad_arguments () =
+  let graph = Filename.temp_file "gqkg" ".pg" and err = Filename.temp_file "gqkg" ".err" in
+  let out = Filename.temp_file "gqkg" ".out" in
+  Graph_io.save_property_graph graph (Figure2.property ());
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ graph; err; out ])
+    (fun () ->
+      List.iter
+        (fun argv ->
+          let name = String.concat " " argv in
+          let code =
+            Sys.command (Filename.quote_command "../bin/gqkg.exe" ~stdout:out ~stderr:err argv)
+          in
+          let read f = In_channel.with_open_bin f In_channel.input_all in
+          checki name 2 code;
+          checkb (name ^ ": GQ046") true (diag_code (read err) = Some "GQ046");
+          checkb (name ^ ": no output") true (read out = ""))
+        [
+          [ "count"; graph; "rides"; "--length=1"; "--epsilon=2" ];
+          [ "count"; graph; "rides"; "--length=1"; "--epsilon=0" ];
+          [ "sample"; graph; "rides"; "--length=-2" ];
+          [ "sample"; graph; "rides"; "--length=1025" ];
+          [ "enumerate"; graph; "rides"; "--length=-1" ];
+          [ "generate"; "--scale=-1"; out ];
+          [ "generate"; "--scale=0"; out ];
+        ])
+
 (* ---------- Wire-protocol fuzz ---------- *)
 
 (* Shared across QCheck samples: one server, one connection.  Each
@@ -980,6 +1011,7 @@ let () =
           Alcotest.test_case "count op" `Quick test_count_op;
           Alcotest.test_case "count length bound" `Quick test_count_length_bound;
           Alcotest.test_case "page per epoch" `Quick test_page_per_epoch;
+          Alcotest.test_case "CLI bad arguments" `Quick test_cli_bad_arguments;
         ]
         @ q [ prop_cli_daemon_agree ] );
       ( "wire fuzz",

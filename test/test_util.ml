@@ -1,5 +1,5 @@
-(* Tests for gqkg_util: PRNG, statistics, union-find, heap, interner,
-   alias sampling, dynamic arrays and table rendering. *)
+(* Tests for gqkg_util: PRNG, statistics, union-find, heap, alias
+   sampling, parallel slicing, dynamic arrays and table rendering. *)
 
 open Gqkg_util
 
@@ -182,19 +182,6 @@ let test_heap_empty () =
   checkb "empty" true (Heap.is_empty heap);
   checkb "pop none" true (Heap.pop heap = None);
   checkb "peek none" true (Heap.peek heap = None)
-
-(* ---------- Interner ---------- *)
-
-let test_interner_roundtrip () =
-  let t = Interner.create () in
-  let a = Interner.intern t "alpha" in
-  let b = Interner.intern t "beta" in
-  checki "idempotent" a (Interner.intern t "alpha");
-  checkb "distinct" true (a <> b);
-  check Alcotest.string "inverse" "alpha" (Interner.to_string t a);
-  checki "length" 2 (Interner.length t);
-  checkb "find" true (Interner.find_opt t "beta" = Some b);
-  checkb "find missing" true (Interner.find_opt t "gamma" = None)
 
 (* ---------- Alias sampling ---------- *)
 
@@ -429,23 +416,6 @@ let test_parallel_map_slices_domain_independent () =
     (fun d -> checki (Printf.sprintf "domains=%d" d) expected (total d))
     [ 2; 3; 4; 8 ]
 
-let test_parallel_iter_touches_each_once () =
-  let n = 257 in
-  let hits = Array.make n 0 in
-  (* Distinct indices, so concurrent writes never collide. *)
-  Parallel.iter ~domains:4 n (fun i -> hits.(i) <- hits.(i) + 1);
-  Array.iteri (fun i c -> checki (Printf.sprintf "index %d" i) 1 c) hits
-
-let test_parallel_map_reduce_sum () =
-  let sum domains =
-    Parallel.map_reduce ~domains 1000
-      ~init:(fun () -> 0)
-      ~body:(fun acc i -> acc + i)
-      ~merge:( + )
-  in
-  checki "triangular number" (1000 * 999 / 2) (sum 1);
-  checki "same at 4 domains" (sum 1) (sum 4)
-
 let test_parallel_sum_float_arrays () =
   let into = [| 1.0; 2.0; 3.0 |] in
   let result = Parallel.sum_float_arrays ~into [| 0.5; 0.0; -3.0 |] in
@@ -483,8 +453,6 @@ let () =
           Alcotest.test_case "slices cover" `Quick test_parallel_slices_cover;
           Alcotest.test_case "map_slices domain-independent" `Quick
             test_parallel_map_slices_domain_independent;
-          Alcotest.test_case "iter each index once" `Quick test_parallel_iter_touches_each_once;
-          Alcotest.test_case "map_reduce sum" `Quick test_parallel_map_reduce_sum;
           Alcotest.test_case "sum_float_arrays" `Quick test_parallel_sum_float_arrays;
         ] );
       ( "stats",
@@ -506,7 +474,6 @@ let () =
           Alcotest.test_case "sorts" `Quick test_heap_sorts;
           Alcotest.test_case "empty" `Quick test_heap_empty;
         ] );
-      ("interner", [ Alcotest.test_case "roundtrip" `Quick test_interner_roundtrip ]);
       ( "alias",
         [
           Alcotest.test_case "distribution" `Quick test_alias_distribution;
