@@ -121,6 +121,8 @@ let fail_request ?(script = "") = function
       fail_user ~code:"GQ042" ~subterm:text ~message:(Request.error_message e)
   | Request.Bad_length _ as e ->
       fail_user ~code:"GQ046" ~subterm:"--length" ~message:(Request.error_message e)
+  | Request.Negative_bound _ as e ->
+      fail_user ~code:"GQ046" ~subterm:"--max-length" ~message:(Request.error_message e)
   | Request.Script_error { line; message } ->
       fail_user ~code:"GQ048" ~subterm:script
         ~message:(Graph_io.error_to_string ~file:(Some script) ~line ~message)
@@ -487,6 +489,7 @@ let parse_crpq query =
 
 let match_cmd =
   let run () path query max_length show_plan limits =
+    Result.iter_error fail_request (Request.check (Request.Query { max_length }));
     let inst = load_instance path in
     let q = parse_crpq query in
     if show_plan then print_string (Gqkg_logic.Crpq.explain ?max_length inst q)

@@ -157,6 +157,8 @@ let run_batch ?(direction = `Auto) ?max_length ?level t ~sources =
   let p = t.product in
   let k = Array.length sources in
   if k > word_bits then invalid_arg "Frontier.run_batch: more sources than word bits";
+  if Option.fold ~none:false ~some:(fun m -> m < 0) max_length then
+    invalid_arg "Frontier.run_batch: negative max_length";
   if k > 0 then begin
     Atomic.incr batches_counter;
     let full = if k = word_bits then -1 else (1 lsl k) - 1 in

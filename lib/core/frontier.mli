@@ -38,7 +38,8 @@ val product : t -> Product.t
     [states.(i)] at this level.  Omitting [level] skips the per-level
     materialization entirely — the pass then only warms the product and
     fills the visited words.  [max_length] bounds the depth (levels
-    [0..max_length] are emitted, as in per-source BFS). *)
+    [0..max_length] are emitted, as in per-source BFS); a negative one
+    raises [Invalid_argument]. *)
 val run_batch :
   ?direction:direction ->
   ?max_length:int ->

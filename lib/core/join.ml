@@ -692,9 +692,3 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       in
       (try run () with Tripped -> ());
       flush_pending ()
-
-(* ------------------------------------------------------------------ *)
-(* Shared path-atom materialization                                   *)
-(* ------------------------------------------------------------------ *)
-
-let path_pairs ?budget ?max_length snap regex = Rpq.eval_pairs ?budget ?max_length snap regex

@@ -1,7 +1,7 @@
 (** Worst-case-optimal multiway join over Snapshot CSR: a
     Leapfrog-Triejoin engine shared by every conjunctive consumer (CRPQ,
     of which a conjunctive query over labels is a special case, and
-    SPARQL BGP).
+    SPARQL BGP), whose atoms {!Conjunctive} compiles.
 
     Instead of joining relation-by-relation (whose intermediate results
     can be quadratically larger than the output — O(n²) on triangles), the
@@ -12,7 +12,8 @@
 
     Atoms are specified over named variables with one of four relation
     sources; constants must be substituted away by the caller (or pinned
-    with a singleton {!Set} atom).  Trie iterators come in two flavors:
+    with a singleton {!Set} atom).  Path atoms arrive materialized: the
+    engine evaluates no regex itself.  Trie iterators come in two flavors:
     zero-copy views over a per-snapshot label-sorted CSR index
     ({!Edges} on one label), and tries built from materialized relations
     ({!Set}, {!Pairs}, {!Rows3}, label unions and self-loop atoms) by
@@ -137,15 +138,3 @@ val solve :
   vars:string list ->
   yield:(int array -> unit) ->
   unit
-
-(** {1 Shared path-atom materialization}
-
-    The one place CRPQ and BGP path atoms are materialized: endpoint
-    pairs of the regex, computed by the batched {!Frontier}-backed
-    product engine, sorted and deduplicated. *)
-val path_pairs :
-  ?budget:Budget.t ->
-  ?max_length:int ->
-  Snapshot.t ->
-  Gqkg_automata.Regex.t ->
-  (int * int) list

@@ -21,6 +21,7 @@ end)
    accumulator so far) keeps the overall result a subset of the
    unbudgeted denotation. *)
 let eval ?(budget = Gqkg_util.Budget.unlimited) inst regex ~max_length =
+  if max_length < 0 then invalid_arg "Naive: negative max_length";
   let all_nodes () =
     let acc = ref Path_set.empty in
     for n = 0 to inst.Snapshot.num_nodes - 1 do

@@ -5,7 +5,8 @@
     baseline of the enumeration experiment.
 
     A tripped [budget] shrinks the result (every operator is monotone,
-    so a subterm answering the empty set only removes paths). *)
+    so a subterm answering the empty set only removes paths).  A
+    negative bound raises [Invalid_argument]. *)
 
 (** All paths in [[r]] of length ≤ the bound, sorted by {!Path.compare}. *)
 val paths :

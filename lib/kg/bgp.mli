@@ -1,14 +1,14 @@
 (** Basic graph pattern matching — the conjunctive core of SPARQL — with
     SPARQL-1.1-style property-path patterns (Section 4's declarative
-    face of pattern extraction over RDF).  Evaluation goes through the
-    worst-case-optimal multiway join engine ({!Gqkg_core.Join}) on the
-    store's frozen view ({!Triple_store.view}), over its ids: a pattern
-    with a constant predicate is a zero-copy view of that exact IRI's
-    edge label in the view's {!Gqkg_core.Join.Index}; a constant
-    subject or object is a singleton atom on a variable named after it,
-    which the planner binds first; only a variable predicate
-    materializes rows; path patterns are materialized once per distinct
-    expression on the same snapshot.  Reference oracles live in the
+    face of pattern extraction over RDF).  Over the store's frozen view
+    ({!Triple_store.view}) a BGP is a CRPQ with pinned constants, so
+    this module is term mapping over the one conjunctive compiler
+    ({!Gqkg_core.Conjunctive}): a constant subject or object is a pinned
+    node, which the planner binds first; a constant predicate is that
+    exact IRI's edge label, a zero-copy view; a path pattern is a regex
+    atom, whose endpoint pairs a repeated or equivalent path on the same
+    snapshot reads from the Governor's result cache.  Only a variable
+    predicate materializes rows here.  Reference oracles live in the
     tests. *)
 
 type component = Const of Term.t | Var of string
@@ -31,19 +31,12 @@ val c : Term.t -> component
 val iri : string -> component
 
 type query = { select : string list; where : pattern list }
-type binding = (string * Term.t) list
-
 val pattern_vars : pattern -> string list
 
-(** Call [yield] once per solution mapping (not deduplicated; the join
-    engine enumerates each full assignment exactly once).  A tripped
-    [budget] stops both path-atom materialization and the join: the
-    yielded mappings are a sound subset of the complete answer. *)
-val iter_solutions :
-  ?budget:Gqkg_util.Budget.t -> Triple_store.t -> query -> yield:(binding -> unit) -> unit
-
 (** Distinct projections onto the selected variables, sorted. Raises if
-    a selected variable is unused. *)
+    a selected variable is unused.  A tripped [budget] stops both
+    path-atom materialization and the join: the rows are a sound
+    subset of the complete answer. *)
 val select : ?budget:Gqkg_util.Budget.t -> Triple_store.t -> query -> Term.t list list
 
 (** Number of solution mappings (no projection or dedup). *)

@@ -13,7 +13,9 @@
    Terms: [<iri>], [?var], ["literal"] (with optional [^^<dt>] / [@lang]),
    integers (xsd:integer literals), and [a] for rdf:type.  A parenthesized
    predicate position holds a path expression in the {!Regex_parser}
-   syntax over predicate local names, evaluated with the RPQ engine.
+   syntax over predicate local names.  A parsed query is a {!Bgp} query,
+   so it compiles like a CRPQ ({!Gqkg_core.Conjunctive}): a path's
+   endpoint pairs come through the Governor's per-snapshot result cache.
    Prefix declarations are not supported (write full IRIs) — this is a
    teaching/experiment surface, not a W3C implementation. *)
 

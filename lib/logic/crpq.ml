@@ -6,23 +6,21 @@
      Q(x̄) :- (x₁, r₁, y₁), ..., (x_m, r_m, y_m)
 
    where every rᵢ is a full Section 4 regular expression with tests.
-   Evaluation goes through the worst-case-optimal multiway join engine
-   ({!Gqkg_core.Join}): a node-label atom (x, ?c, x) is the label's
-   postings set and a single-edge-label atom a zero-copy view over the
-   label-sorted CSR index (no materialization), so a conjunctive query
-   over labels never runs the product engine; every other atom's
-   endpoint relation is computed once by the batched Frontier-backed
-   product engine ({!Gqkg_core.Join.path_pairs}) and shared across
-   identical regexes, and the conjunction is solved variable-by-variable
-   under a planned global order.
+   The atoms go through the one conjunctive compiler
+   ({!Gqkg_core.Conjunctive}, shared with SPARQL BGPs): postings sets for
+   node-label atoms, zero-copy CSR views for single edge labels, and
+   endpoint pairs through the Governor's result cache for every other
+   regex; the worst-case-optimal join ({!Gqkg_core.Join}) then solves the
+   conjunction variable-by-variable under a planned global order.
 
    [max_length] bounds path length per atom (needed only to tame costs on
    star-heavy patterns; answers are complete regardless because the
-   product is finite). *)
+   product is finite); a negative one raises [Invalid_argument]. *)
 
 open Gqkg_graph
 open Gqkg_automata
 module Join = Gqkg_core.Join
+module Conjunctive = Gqkg_core.Conjunctive
 
 type atom = { src : string; regex : Regex.t; dst : string }
 
@@ -56,66 +54,15 @@ let to_string q =
           q.body))
     (match q.limit with Some l -> Printf.sprintf " LIMIT %d" l | None -> "")
 
-(* ------------------------------------------------------------------ *)
-(* WCOJ path: compile atoms to join specs                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A single-edge-label atom needs no materialization: its relation IS
-   the label's CSR adjacency.  [Bwd] flips the endpoint roles (a
-   backward step from x lands on the edge's source). *)
-let csr_label inst ?max_length regex =
-  if inst.Snapshot.num_labels = 0 then None
-  else if (match max_length with Some k -> k < 1 | None -> false) then None
-  else
-    match regex with
-    | Regex.Fwd (Regex.Atom (Atom.Label c)) -> Some (c, false)
-    | Regex.Bwd (Regex.Atom (Atom.Label c)) -> Some (c, true)
-    | _ -> None
-
-let atom_display a =
-  Printf.sprintf "(%s)-[%s]->(%s)" a.src (Regex.to_string ~top:true a.regex) a.dst
-
-(* A node-label atom (x, ?c, x) is the unary relation of the label's
-   postings.  Under a negative [max_length] it stays a product run, so
-   what such a bound admits is decided in one place. *)
-let node_label ?max_length a =
-  match (a.regex, max_length) with
-  | _, Some k when k < 0 -> None
-  | Regex.Node_test (Regex.Atom (Atom.Label c)), _ when a.src = a.dst -> Some c
-  | _ -> None
-
-(* One spec per atom; identical regexes share one materialization
-   through [cache] (keyed by the printed form). *)
-let join_specs ?budget ?max_length inst body =
-  let idx = Join.Index.get inst in
-  let cache = Hashtbl.create 8 in
-  List.map
-    (fun a ->
-      match (node_label ?max_length a, csr_label inst ?max_length a.regex) with
-      | Some c, _ ->
-          Join.atom ~name:(atom_display a) [| a.src |]
-            (Join.Set (Join.Index.nodes_with_const_label idx c))
-      | None, Some (c, flipped) ->
-          let vars = if flipped then [| a.dst; a.src |] else [| a.src; a.dst |] in
-          Join.atom ~name:(atom_display a) vars
-            (Join.Edges (Join.Index.edge_label_ids idx c))
-      | None, None ->
-          let key = Regex.to_string ~top:true a.regex in
-          let pairs =
-            match Hashtbl.find_opt cache key with
-            | Some pairs -> pairs
-            | None ->
-                let pairs = Join.path_pairs ?budget ?max_length inst a.regex in
-                Hashtbl.add cache key pairs;
-                pairs
-          in
-          Join.atom ~name:(atom_display a) [| a.src; a.dst |] (Join.Pairs pairs))
-    body
+(* WCOJ path: the atoms through the one conjunctive compiler. *)
+let specs ?budget ?max_length inst body =
+  let endpoints a = { Conjunctive.src = Var a.src; mid = Regex a.regex; dst = Var a.dst } in
+  fst (Conjunctive.compile ?budget ?max_length inst (List.map endpoints body))
 
 (* Evaluate, calling [yield] once per distinct head tuple. *)
 let iter_answers ?budget ?max_length inst q ~yield =
   validate_head q;
-  let specs = join_specs ?budget ?max_length inst q.body in
+  let specs = specs ?budget ?max_length inst q.body in
   let count = ref 0 in
   let exception Enough in
   try
@@ -147,7 +94,7 @@ type atom_relation = {
 }
 
 let materialize_atom ?max_length inst regex =
-  let pairs = Join.path_pairs ?max_length inst regex in
+  let pairs = Gqkg_core.Rpq.eval_pairs ?max_length inst regex in
   let forward = Hashtbl.create 64 and backward = Hashtbl.create 64 in
   let pair_set = Hashtbl.create 256 in
   let push tbl k v = Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[]) in
@@ -341,15 +288,4 @@ let solutions_with_witnesses ?max_length inst q =
 (* Plan explanation: per-atom relation sizes/kinds and the chosen
    global variable order with its estimates. *)
 let explain ?max_length inst q =
-  let specs = join_specs ?max_length inst q.body in
-  let plan = Join.plan ~snapshot:inst specs in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (to_string q);
-  Buffer.add_string buf "\npath atoms (csr = zero-copy adjacency view):\n";
-  List.iter
-    (fun (name, kind, rows) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %d endpoint pairs [%s]\n" name rows kind))
-    plan.Join.atom_summary;
-  Buffer.add_string buf (plan.Join.rendered);
-  Buffer.contents buf
+  Conjunctive.explain ~header:(to_string q) inst (specs ?max_length inst q.body)

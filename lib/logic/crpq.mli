@@ -2,16 +2,16 @@
     (x, r, y) where r is a full Section 4 regular expression — the
     backbone of modern graph query languages [Angles et al. 2017].
 
-    Evaluation goes through the worst-case-optimal multiway join engine
-    ({!Gqkg_core.Join}).  A conjunctive query is the CRPQ whose atoms are
-    labels and node tests: a node-label atom (x, ?c, x) compiles to the
-    label's postings set (when [max_length] is absent or non-negative)
-    and a single-edge-label atom to a zero-copy CSR trie view.  Other
-    atoms' endpoint relations are materialized once by the batched
-    Frontier-backed product engine and shared across identical regexes.
-    The conjunction is solved variable-by-variable under a planned
-    global order.  The previous greedy backtracking join remains as the
-    reference oracle {!answers_backtrack}. *)
+    A CRPQ is a parser plus term mapping over the one conjunctive
+    compiler ({!Gqkg_core.Conjunctive}), which it shares with SPARQL
+    BGPs: a node-label atom (x, ?c, x) is the label's postings set, a
+    single edge label a zero-copy CSR view, and every other atom's
+    endpoint pairs come through {!Gqkg_core.Governor.eval_pairs}, so a
+    path atom repeated on one snapshot is a semantic result-cache hit.
+    The worst-case-optimal join ({!Gqkg_core.Join}) solves the
+    conjunction.  The greedy backtracking join remains as the reference
+    oracle {!answers_backtrack}; the oracles never read the cache.  The
+    join path raises [Invalid_argument] on a negative [max_length]. *)
 
 open Gqkg_graph
 open Gqkg_automata

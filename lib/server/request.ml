@@ -23,6 +23,7 @@ let max_count_length = 1024
 type error =
   | Parse_error of { text : string; position : int; message : string }
   | Bad_length of int
+  | Negative_bound of int
   | Script_error of { line : int; message : string }
 
 let error_message = function
@@ -30,6 +31,7 @@ let error_message = function
       Printf.sprintf "parse error at position %d: %s" position message
   | Bad_length length ->
       Printf.sprintf "count length %d is outside 0..%d" length max_count_length
+  | Negative_bound m -> Printf.sprintf "max_length %d is negative" m
   | Script_error { message; _ } -> message
 
 let parse text =
@@ -38,10 +40,13 @@ let parse text =
   | exception Regex_parser.Error { position; message } ->
       Error (Parse_error { text; position; message })
 
-let validate { q; kind } =
-  match kind with
+let check = function
   | Count { length } when length < 0 || length > max_count_length -> Error (Bad_length length)
-  | Query _ | Count _ -> Result.map (fun q -> { q; kind }) (parse q)
+  | Query { max_length = Some m } when m < 0 -> Error (Negative_bound m)
+  | Query _ | Count _ -> Ok ()
+
+let validate { q; kind } =
+  Result.bind (check kind) (fun () -> Result.map (fun q -> { q; kind }) (parse q))
 
 type answer = Pairs of (int * int) list | Path_count of { length : int; count : float }
 

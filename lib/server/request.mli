@@ -34,6 +34,7 @@ val max_count_length : int
 type error =
   | Parse_error of { text : string; position : int; message : string }  (** GQ042 *)
   | Bad_length of int  (** GQ046 on the CLI, GQ062 on the wire *)
+  | Negative_bound of int  (** a [max_length] below 0: GQ046 on the CLI, GQ062 on the wire *)
   | Script_error of { line : int; message : string }
       (** GQ048: a script line (numbered from 1) that does not parse or apply *)
 
@@ -42,8 +43,12 @@ val error_message : error -> string
 
 val parse : string -> (Gqkg_automata.Regex.t, error) result
 
+val check : kind -> (unit, error) result
+(** The length rule: a count length in [0..max_count_length], a
+    non-negative [max_length] ([gqkg match] applies it too). *)
+
 val validate : string t -> (Gqkg_automata.Regex.t t, error) result
-(** The length rule first, then the parse. *)
+(** {!check} first, then the parse. *)
 
 type answer = Pairs of (int * int) list | Path_count of { length : int; count : float }
 

@@ -167,7 +167,8 @@ let with_active t budget f =
 
 let request_error ~id = function
   | Request.Parse_error _ as e -> error_json ~id ~code:"GQ042" ~message:(Request.error_message e) ()
-  | Request.Bad_length _ as e -> error_json ~id ~code:"GQ062" ~message:(Request.error_message e) ()
+  | (Request.Bad_length _ | Request.Negative_bound _) as e ->
+      error_json ~id ~code:"GQ062" ~message:(Request.error_message e) ()
   | Request.Script_error { line; message } ->
       error_json ~id ~code:"GQ048" ~message:(Printf.sprintf "ops[%d]: %s" (line - 1) message) ()
 

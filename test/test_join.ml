@@ -172,8 +172,7 @@ let make_inst (seed, nodes, edges) =
    (v, ?a, v), which compile to postings sets; node tests with src <> dst,
    which stay materialized; single-label edge atoms (self-loops
    included), forward and inverse; under every kind of [max_length]:
-   absent, negative (node atoms stay product runs), 0 (no edge step)
-   and 2. *)
+   absent, negative (rejected), 0 (no edge step) and 2. *)
 let cq_gen =
   let open QCheck2.Gen in
   let var = oneofl [ "x"; "y"; "z" ] in
@@ -211,18 +210,20 @@ let prop_cq_wcoj_equals_backtrack =
          no-dedup fast path. *)
       let head = if full_head then vars else [ List.hd vars ] in
       let q = Crpq.query ~head ~body () in
-      let wcoj = Crpq.answers ?max_length inst q in
-      wcoj = Crpq.answers_backtrack ?max_length inst q
-      && (inst.Snapshot.num_nodes > 8 || wcoj = Crpq.answers_naive ?max_length inst q))
+      match Crpq.answers ?max_length inst q with
+      | exception Invalid_argument _ -> max_length = Some (-1)
+      | wcoj ->
+          max_length <> Some (-1)
+          && wcoj = Crpq.answers_backtrack ?max_length inst q
+          && (inst.Snapshot.num_nodes > 8 || wcoj = Crpq.answers_naive ?max_length inst q))
 
-(* The compile behind the property above: only (v, ?a, v) under an
-   absent or non-negative [max_length] reads the label's postings.  The
-   answers cannot show the negative case, because the product run also
-   admits zero-length paths under a negative bound. *)
+(* The compile behind the property above: (v, ?a, v) reads the label's
+   postings, and a negative [max_length] is rejected before any atom
+   compiles. *)
 let test_node_atom_compile () =
   let inst = make_inst (17, 40, 80) in
-  (* The bracketed iterator kind ending each "N endpoint pairs [kind]"
-     line of the plan. *)
+  (* The bracketed iterator kind ending each "N nodes [kind]" or
+     "N endpoint pairs [kind]" line of the plan. *)
   let kinds ?max_length text =
     String.split_on_char '\n' (Crpq.explain ?max_length inst (Crpq_parser.parse text))
     |> List.filter_map (fun line ->
@@ -234,8 +235,10 @@ let test_node_atom_compile () =
   let node_edge = "SELECT x, y WHERE (x:a), (x)-[x]->(y)" in
   checkb "node atom is a set" true (kinds node_edge = [ "[set]"; "[csr]" ]);
   checkb "length 0 keeps the set" true (kinds ~max_length:0 node_edge = [ "[set]"; "[pairs]" ]);
-  checkb "negative length materializes" true
-    (kinds ~max_length:(-1) node_edge = [ "[pairs]"; "[pairs]" ]);
+  checkb "negative length is rejected" true
+    (match kinds ~max_length:(-1) node_edge with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   checkb "src <> dst materializes" true (kinds "SELECT x, y WHERE (x)-[?a]->(y)" = [ "[pairs]" ])
 
 let crpq_case_gen =
@@ -409,9 +412,11 @@ let select_backtrack store (q : Bgp.query) =
     | Bgp.Var x -> ( match Hashtbl.find_opt env x with Some i -> `Id i | None -> `Open)
   in
   let bound c = match id c with `Id i -> Some (Some i) | `Open -> Some None | `Missing -> None in
-  let path_pairs path =
+  let endpoint_pairs path =
     let sid = view.Triple_store.store_id in
-    List.map (fun (a, b) -> (sid.(a), sid.(b))) (Join.path_pairs view.Triple_store.snap path)
+    List.map
+      (fun (a, b) -> (sid.(a), sid.(b)))
+      (Gqkg_core.Rpq.eval_pairs view.Triple_store.snap path)
   in
   (* Every match of one pattern under [env], as (component, id) lists. *)
   let matches = function
@@ -430,7 +435,7 @@ let select_backtrack store (q : Bgp.query) =
               (fun (a, b) ->
                 let fits bound v = Option.fold ~none:true ~some:(( = ) v) bound in
                 if fits s a && fits d b then Some [ (src, a); (dst, b) ] else None)
-              (path_pairs path)
+              (endpoint_pairs path)
         | _ -> [])
   in
   let rows = ref [] in
@@ -618,6 +623,104 @@ let test_bgp_zero_length_paths () =
        (Bgp.select store
           { Bgp.select = [ "y" ]; where = [ Bgp.path_pattern (Bgp.c rides) star (Bgp.v "y") ] }))
 
+(* ---------- path atoms through the Governor's result cache ---------- *)
+
+let result_hits () = (Gqkg_core.Semcache.stats ()).Gqkg_core.Semcache.result_hits
+
+(* A path atom repeated on one snapshot, even written differently, is a
+   result-cache hit for CRPQ and SPARQL alike; a limited budget leaves
+   no entry behind. *)
+let test_path_atoms_cached () =
+  let inst = make_inst (0xcafe, 7, 14) in
+  let answers text = Crpq.answers inst (Crpq_parser.parse text) in
+  let first = answers "SELECT x, y WHERE (x)-[x/(y + x)]->(y)" in
+  let before = result_hits () in
+  checkb "repeated CRPQ path atom hits" true
+    (answers "SELECT x, y WHERE (x)-[x/(y + x)]->(y)" = first && result_hits () > before);
+  let before = result_hits () in
+  let flipped = List.sort compare (List.map List.rev first) in
+  checkb "equivalent CRPQ path atom hits" true
+    (answers "SELECT y, x WHERE (x)-[x/(x + y)]->(y)" = flipped && result_hits () > before);
+  let store = Triple_store.create () in
+  let t s p o = Triple_store.triple bgp_subjects.(s) bgp_preds.(p) bgp_subjects.(o) in
+  Triple_store.add_all store [ t 0 0 1; t 1 1 2; t 2 0 3; t 3 1 0; t 1 0 3 ];
+  let sparql path = Gqkg_kg.Sparql.run store ("SELECT ?x ?y WHERE { ?x (" ^ path ^ ") ?y }") in
+  let first = sparql "p/(q + p)" in
+  let before = result_hits () in
+  checkb "repeated SPARQL property path hits" true
+    (first <> [] && sparql "p/(p + q)" = first && result_hits () > before);
+  let fresh = make_inst (0xbeef, 7, 14) and r = Regex_parser.parse "(x + y)/(x + y)" in
+  let q = Crpq.query ~head:[ "x"; "y" ] ~body:[ Crpq.atom ~src:"x" ~regex:r ~dst:"y" ] () in
+  ignore (Crpq.answers ~budget:(Budget.create ~trip_after_checks:2 ()) fresh q);
+  let key = Option.get (Gqkg_core.Planner.semantic_key fresh r) in
+  checkb "limited budget stores nothing" true
+    (Gqkg_core.Semcache.find_pairs fresh ~key = None)
+
+(* ---------- Section 3: queries transfer from a property graph to RDF ---------- *)
+
+(* Random edge-label atoms (forward or inverse, self-loops included) and
+   one label-only path atom of length >= 1, so every endpoint is a node
+   of the property graph in both models. *)
+let transfer_gen =
+  let open QCheck2.Gen in
+  let var = oneofl [ "x"; "y"; "z" ] in
+  let edge =
+    let* l = oneofl [ "x"; "y" ] in
+    let* inverse = bool in
+    let* src = var in
+    let* dst = var in
+    return (l, inverse, src, dst)
+  in
+  let* edges = list_size (int_range 0 3) edge in
+  let* path = oneofl [ "x/y"; "x^-/y"; "x/(x + y)*"; "(x + y^-)/y*"; "y/y^-" ] in
+  let* src = var in
+  let* dst = var in
+  let* full_head = bool in
+  let* g = graph_gen in
+  return (g, edges, (path, src, dst), full_head)
+
+let prop_crpq_transfers_to_bgp =
+  QCheck2.Test.make ~name:"Section 3: CRPQ on a property graph = BGP on its RDF encoding"
+    ~count:300 transfer_gen
+    (fun ((seed, nodes, edges), labels, (path, psrc, pdst), full_head) ->
+      let pg =
+        Property_graph.of_labeled
+          (Gen_graph.random_labeled (Splitmix.create seed) ~nodes ~edges ~node_labels:[ "a"; "b" ]
+             ~edge_labels:[ "x"; "y" ])
+      in
+      let regex = Regex_parser.parse path in
+      let crpq_atoms, bgp_patterns =
+        List.split
+          (List.map
+             (fun (l, inverse, src, dst) ->
+               let src, dst = if inverse then (dst, src) else (src, dst) in
+               ( Crpq.atom ~src ~regex:(Regex.label l) ~dst,
+                 Bgp.pattern (Bgp.v src) (Bgp.c (Gqkg_kg.Pg_rdf.rel_iri (Const.str l))) (Bgp.v dst)
+               ))
+             labels)
+      in
+      let body = crpq_atoms @ [ Crpq.atom ~src:psrc ~regex ~dst:pdst ] in
+      let vars =
+        List.fold_left
+          (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
+          []
+          (List.concat_map (fun (a : Crpq.atom) -> [ a.src; a.dst ]) body)
+      in
+      let head = if full_head then vars else [ List.hd vars ] in
+      let node_iri v = Term.to_string (Gqkg_kg.Pg_rdf.node_iri (Property_graph.node_id pg v)) in
+      let crpq =
+        Crpq.answers (Snapshot.of_property pg) (Crpq.query ~head ~body ())
+        |> List.map (List.map node_iri)
+        |> List.sort compare
+      in
+      let where = bgp_patterns @ [ Bgp.path_pattern (Bgp.v psrc) regex (Bgp.v pdst) ] in
+      let bgp =
+        Bgp.select (Gqkg_kg.Pg_rdf.of_property_graph pg) { Bgp.select = head; where }
+        |> List.map (List.map Term.to_string)
+        |> List.sort compare
+      in
+      crpq = bgp)
+
 (* ---------- budget fault-injection sweeps ---------- *)
 
 (* Probe with an untrippable budget to count check sites, then replay
@@ -802,6 +905,7 @@ let () =
           Alcotest.test_case "four domains = sequential" `Quick test_domain_parallel_joins;
           Alcotest.test_case "CQ node atom reads postings" `Quick test_node_atom_compile;
           Alcotest.test_case "BGP zero-length paths" `Quick test_bgp_zero_length_paths;
+          Alcotest.test_case "path atoms hit the result cache" `Quick test_path_atoms_cached;
         ] );
       ( "equivalence",
         q
@@ -812,6 +916,7 @@ let () =
             prop_bgp_equals_naive;
             prop_join_equals_nested_loop;
             prop_crpq_budget_partial_subset;
+            prop_crpq_transfers_to_bgp;
           ] );
       ( "budget",
         [

@@ -210,7 +210,9 @@ let test_bgp_constants_bind_first () =
     }
   in
   checkb "pinned constants first" true
-    (String.starts_with ~prefix:"variable order: <carol> -> " (Bgp.explain s q));
+    (List.exists
+       (String.starts_with ~prefix:"variable order: <carol> -> ")
+       (String.split_on_char '\n' (Bgp.explain s q)));
   checkb "answers" true (Bgp.select s q = [ [ iri "knows" ] ])
 
 let test_bgp_unused_select_rejected () =

@@ -476,6 +476,10 @@ let test_count_length_bound () =
   let neg = rpc c {|{"op":"count","q":"(contact + rides + rides^-)*","length":-5}|} in
   checkb "negative length refused" false (obj_bool "ok" neg);
   checkb "negative GQ062" true (obj_str "code" neg = "GQ062");
+  (* a negative path bound would still admit zero-length paths *)
+  let unbounded = rpc c {|{"op":"query","q":"?person","max_length":-1}|} in
+  checkb "negative max_length refused" false (obj_bool "ok" unbounded);
+  checkb "negative max_length GQ062" true (obj_str "code" unbounded = "GQ062");
   checkb "ping after" true (obj_bool "ok" (rpc c {|{"op":"ping"}|}))
 
 (* ---------- CLI vs daemon ---------- *)
@@ -631,7 +635,8 @@ let prop_cli_daemon_agree =
 (* The argument checks outside that pipeline: a path length for sample
    or enumerate outside count's 0..1024, an FPRAS epsilon outside (0,1)
    and a generator scale below 1 are each a GQ046 with exit 2 and
-   nothing on stdout, never an uncaught exception. *)
+   nothing on stdout, never an uncaught exception; so is a negative
+   [--max-length] for query and for match. *)
 let test_cli_bad_arguments () =
   let graph = Filename.temp_file "gqkg" ".pg" and err = Filename.temp_file "gqkg" ".err" in
   let out = Filename.temp_file "gqkg" ".out" in
@@ -657,6 +662,8 @@ let test_cli_bad_arguments () =
           [ "enumerate"; graph; "rides"; "--length=-1" ];
           [ "generate"; "--scale=-1"; out ];
           [ "generate"; "--scale=0"; out ];
+          [ "query"; graph; "?person"; "--max-length=-1" ];
+          [ "match"; graph; "SELECT x WHERE (x:person)"; "--max-length=-1" ];
         ])
 
 (* ---------- Wire-protocol fuzz ---------- *)
