@@ -14,14 +14,18 @@
     smallest-estimate-first, preferring variables connected to the
     prefix already chosen: at each step the candidate's score is the
     cheapest way any atom can enumerate it — its distinct count when
-    the atom is untouched, or its expected fan-out (size / product of
-    bound-column distincts) once sibling columns are bound.  Ties break
-    toward lower variable ids so plans are deterministic. *)
+    the atom is untouched, the size-biased fan-out of the bound
+    sibling's column for a binary atom (it sees skew), or size /
+    product of bound-column distincts for a wider one.  The greedy runs
+    from every possible first variable; the run with the least work
+    (sum over levels of estimated prefix bindings times the level's
+    score) wins.  Ties break toward lower variable ids. *)
 
 type atom_stat = {
   vars : int array;  (** distinct variable ids, one per column *)
   size : float;  (** (estimated) number of tuples *)
   distinct : float array;  (** per column: distinct values of [vars.(i)] *)
+  fanout : float array;  (** per column: sum over its values of (tuples with it)^2 / size *)
   label : string;  (** display name for {!describe} *)
 }
 
@@ -30,7 +34,7 @@ type atom_stat = {
     Raises [Invalid_argument] on out-of-range ids. *)
 val choose_order : num_vars:int -> atom_stat list -> int array
 
-(** Render the chosen order and the per-atom estimates — the plan text
-    behind [gqkg explain] for conjunctive queries. *)
+(** Render the chosen order and the per-atom estimates (size, distinct
+    counts, fan-outs) — the plan text behind [gqkg explain]. *)
 val describe :
   var_name:(int -> string) -> atom_stat list -> order:int array -> string

@@ -107,8 +107,30 @@ let sort_rows (keys : int array array) (rows : int array) =
 
 (* [keys.(d)] holds the depth-d values, sorted and distinct within each
    group; the children of [keys.(d).(j)] are the slice
-   [offs.(d).(j), offs.(d).(j + 1)) of [keys.(d + 1)]. *)
-type trie = { keys : int array array; offs : int array array }
+   [offs.(d).(j), offs.(d).(j + 1)) of [keys.(d + 1)].  A dense root
+   has a [rank] array: [rank.(v)] is the first root position whose key
+   is >= v, so a seek on the root is one read; a sparse root has
+   [rank = [||]]. *)
+type trie = { keys : int array array; offs : int array array; rank : int array }
+
+(* A root is dense when its key range [0, max key] is at most this many
+   times its distinct key count: its rank array then costs at most this
+   many ints per root key. *)
+let dense_factor = 4
+
+let rank_of (root : int array) =
+  let n = Array.length root in
+  if n = 0 || root.(n - 1) + 1 > dense_factor * n then [||]
+  else begin
+    let j = ref 0 in
+    Array.init
+      (root.(n - 1) + 1)
+      (fun v ->
+        while root.(!j) < v do
+          incr j
+        done;
+        !j)
+  end
 
 (* First column where row [i] of [rows] differs from row [i - 1]: 0 at
    [i = lo], [Array.length cols] for a duplicate. *)
@@ -154,7 +176,7 @@ let build_trie (cols : int array array) rows lo hi =
   for d = 0 to k - 2 do
     offs.(d).(counts.(d)) <- counts.(d + 1)
   done;
-  { keys; offs }
+  { keys; offs; rank = rank_of keys.(0) }
 
 (* ------------------------------------------------------------------ *)
 (* Per-snapshot join index                                            *)
@@ -167,6 +189,8 @@ module Index = struct
     distinct_src : int;
     distinct_dst : int;
     self_loops : int;
+    src_fanout : float;
+    dst_fanout : float;
   }
 
   type t = {
@@ -202,6 +226,15 @@ module Index = struct
       k0;
     !n
 
+  (* Size-biased fan-out of a two-level trie's root: sum over its groups
+     of group^2 / pairs. *)
+  let fanout t =
+    let off = t.offs.(0) and sq = ref 0.0 in
+    for g = 1 to Array.length off - 1 do
+      sq := !sq +. (float_of_int (off.(g) - off.(g - 1)) ** 2.0)
+    done;
+    !sq /. float_of_int (max 1 (Array.length t.keys.(1)))
+
   let build snap =
     let esrc = snap.Snapshot.esrc and edst = snap.Snapshot.edst in
     let out_tries = tries snap ~key0:esrc ~key1:edst in
@@ -215,6 +248,8 @@ module Index = struct
             distinct_src = Array.length t.keys.(0);
             distinct_dst = Array.length in_tries.(l).keys.(0);
             self_loops = self_loop_count t;
+            src_fanout = fanout t;
+            dst_fanout = fanout in_tries.(l);
           })
         out_tries
     in
@@ -239,15 +274,17 @@ module Index = struct
   let describe idx =
     let buf = Buffer.create 256 in
     Buffer.add_string buf
-      "per-edge-label join statistics (distinct pairs / srcs / dsts / self-loops):\n";
+      "per-edge-label join statistics (distinct pairs / srcs / dsts / self-loops / fan-outs):\n";
     if Array.length idx.stats = 0 then
       Buffer.add_string buf "  (no interned edge labels)\n"
     else
       Array.iter
         (fun s ->
           Buffer.add_string buf
-            (Printf.sprintf "  %-16s %8d pairs  %8d srcs  %8d dsts  %6d self-loops\n"
-               s.name s.pairs s.distinct_src s.distinct_dst s.self_loops))
+            (Printf.sprintf
+               "  %-16s %8d pairs  %8d srcs  %8d dsts  %6d self-loops  %8.1f out  %8.1f in\n"
+               s.name s.pairs s.distinct_src s.distinct_dst s.self_loops s.src_fanout
+               s.dst_fanout))
         idx.stats;
     Buffer.contents buf
 end
@@ -288,6 +325,7 @@ type pre = {
   pvars : int array; (* distinct var ids, canonical column order *)
   psize : int;
   pdistinct : int array;
+  pfanout : float array; (* per column: size-biased fan-out *)
   psource : source;
 }
 
@@ -333,10 +371,34 @@ let columns_of idx rel =
         tries;
       [| src; dst |]
 
+(* Over the row ids [rows], ordered so that equal values of column [j]
+   and duplicate rows are adjacent: the distinct rows, the distinct
+   values of column [j], and its size-biased fan-out (sum over its
+   groups of distinct rows of group^2 / distinct rows). *)
+let column_stats cols rows j =
+  let total = ref 0 and distinct = ref 0 and group = ref 0 and sq = ref 0.0 in
+  let close () = sq := !sq +. (float_of_int !group ** 2.0) in
+  Array.iteri
+    (fun i r ->
+      if first_diff cols rows 0 i < Array.length cols then begin
+        if i = 0 || cols.(j).(r) <> cols.(j).(rows.(i - 1)) then begin
+          close ();
+          group := 0;
+          incr distinct
+        end;
+        incr group;
+        incr total
+      end)
+    rows;
+  close ();
+  (!total, !distinct, !sq /. float_of_int (max 1 !total))
+
 (* Materialize an atom over [vids] (one per column of [cols], repeats
    allowed): rows inconsistent on a repeated variable are dropped, the
-   rest sorted by the distinct variables' columns.  Sizes and distinct
-   counts come from counting passes over sorted row ids. *)
+   rest sorted by the distinct variables' columns.  Sizes, distinct
+   counts and fan-outs come from counting passes over sorted row ids:
+   the canonical sort for the first column, one single-column stable
+   sort for each later one. *)
 let materialize ~name ~kind vids cols =
   let k = Array.length vids and n = Array.length cols.(0) in
   let first =
@@ -361,21 +423,22 @@ let materialize ~name ~kind vids cols =
   let keep = List.filter (fun i -> first.(i) = i) (List.init k Fun.id) in
   let cols = Array.of_list (List.map (fun i -> cols.(i)) keep) in
   sort_rows cols rows;
-  let counts = prefix_counts cols rows 0 !m in
-  let distinct j =
-    if j = 0 then counts.(0)
-    else begin
-      let col = [| cols.(j) |] and by_col = Array.copy rows in
-      sort_rows col by_col;
-      (prefix_counts col by_col 0 !m).(0)
-    end
+  let stats =
+    Array.init (Array.length cols) (fun j ->
+        if j = 0 then column_stats cols rows 0
+        else begin
+          let by_col = Array.copy rows in
+          sort_rows [| cols.(j) |] by_col;
+          column_stats cols by_col j
+        end)
   in
   {
     pname = name;
     pkind = kind;
     pvars = Array.of_list (List.map (fun i -> vids.(i)) keep);
-    psize = counts.(Array.length cols - 1);
-    pdistinct = Array.init (Array.length cols) distinct;
+    psize = (let n, _, _ = stats.(0) in n);
+    pdistinct = Array.map (fun (_, d, _) -> d) stats;
+    pfanout = Array.map (fun (_, _, f) -> f) stats;
     psource = SRows (cols, rows);
   }
 
@@ -402,6 +465,7 @@ let normalize ?snapshot spec ~var_id =
         pvars = vids;
         psize = stat.Index.pairs;
         pdistinct = [| stat.Index.distinct_src; stat.Index.distinct_dst |];
+        pfanout = [| stat.Index.src_fanout; stat.Index.dst_fanout |];
         psource = SCsr (Lazy.force idx, l);
       }
   | Edges _ -> materialize (if vids.(0) = vids.(1) then "self-loops" else "csr-union")
@@ -473,6 +537,7 @@ let stats_of_pres pres =
         Gqkg_analysis.Joinplan.vars = p.pvars;
         size = float_of_int p.psize;
         distinct = Array.map float_of_int p.pdistinct;
+        fanout = p.pfanout;
         label = Printf.sprintf "%s [%s]" p.pname p.pkind;
       })
     pres
@@ -523,13 +588,67 @@ let plan ?snapshot specs =
 
 let budget_check_interval = 64
 
+(* An open-addressed set of int rows of one width: the rows sit
+   contiguously in [data] (row [r] at [r * width], room for half as
+   many rows as there are slots), [slots] holds row ids (-1 when empty)
+   at a load factor below 1/2, probed linearly from an integer mix
+   hash.  A probe allocates nothing. *)
+type rowset = {
+  width : int;
+  mutable data : int array;
+  mutable slots : int array;
+  mutable rows : int;
+}
+
+(* The slot holding the row equal to [a.(off .. off + width - 1)], or
+   the empty slot where it belongs. *)
+let row_slot t (a : int array) off =
+  let mask = Array.length t.slots - 1 and w = t.width and h = ref t.width in
+  for i = off to off + w - 1 do
+    h := (!h lxor a.(i)) * 0x2545F4914F6CDD1D
+  done;
+  let i = ref ((!h lxor (!h lsr 29)) land mask) and found = ref false in
+  while not !found do
+    let r = t.slots.(!i) in
+    if r < 0 then found := true
+    else begin
+      let j = ref 0 in
+      while !j < w && t.data.((r * w) + !j) = a.(off + !j) do
+        incr j
+      done;
+      if !j = w then found := true else i := (!i + 1) land mask
+    end
+  done;
+  !i
+
+(* Adds [row]; false when it was already present. *)
+let rowset_add t row =
+  let i = row_slot t row 0 and w = t.width in
+  if t.slots.(i) >= 0 then false
+  else begin
+    Array.blit row 0 t.data (t.rows * w) w;
+    t.slots.(i) <- t.rows;
+    t.rows <- t.rows + 1;
+    if 2 * t.rows = Array.length t.slots then begin
+      t.data <- Array.append t.data t.data (* double the room *);
+      t.slots <- Array.make (2 * Array.length t.slots) (-1);
+      for r = 0 to t.rows - 1 do
+        t.slots.(row_slot t t.data (r * w)) <- r
+      done
+    end;
+    true
+  end
+
 (* One level of the leapfrog: the trie columns bound at this variable,
    one slot per participant.  A root column spans all of [keys.(i)];
    a deeper one is the slice [offs.(i)] gives for its parent's position,
-   which sits in slot [pslot.(i)] of level [plevel.(i)]. *)
+   which sits in slot [pslot.(i)] of level [plevel.(i)].  A dense root
+   seeks through its rank array [rank.(i)]; every other column gallops
+   ([rank.(i) = [||]]). *)
 type level = {
   keys : int array array;
   offs : int array array;
+  rank : int array array;
   plevel : int array; (* -1 at a trie root *)
   pslot : int array;
   pos : int array;
@@ -557,7 +676,7 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       let level_of = Array.make num_vars 0 in
       Array.iteri (fun lvl v -> level_of.(v) <- lvl) order;
       (* Participants per level, as (key column, the offsets that open
-         it, (level, slot) of its parent column). *)
+         it, its rank array, (level, slot) of its parent column). *)
       let parts = Array.make num_vars [] and count = Array.make num_vars 0 in
       List.iter
         (fun p ->
@@ -567,7 +686,8 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
             (fun d v ->
               let g = level_of.(v) in
               let offs = if d = 0 then [||] else trie.offs.(d - 1) in
-              parts.(g) <- (trie.keys.(d), offs, !parent) :: parts.(g);
+              let rank = if d = 0 then trie.rank else [||] in
+              parts.(g) <- (trie.keys.(d), offs, rank, !parent) :: parts.(g);
               parent := (g, count.(g));
               count.(g) <- count.(g) + 1)
             ovars)
@@ -579,10 +699,11 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
             let k = Array.length ps in
             assert (k > 0);
             {
-              keys = Array.map (fun (c, _, _) -> c) ps;
-              offs = Array.map (fun (_, o, _) -> o) ps;
-              plevel = Array.map (fun (_, _, (g, _)) -> g) ps;
-              pslot = Array.map (fun (_, _, (_, s)) -> s) ps;
+              keys = Array.map (fun (c, _, _, _) -> c) ps;
+              offs = Array.map (fun (_, o, _, _) -> o) ps;
+              rank = Array.map (fun (_, _, r, _) -> r) ps;
+              plevel = Array.map (fun (_, _, _, (g, _)) -> g) ps;
+              pslot = Array.map (fun (_, _, _, (_, s)) -> s) ps;
               pos = Array.make k 0;
               hi = Array.make k 0;
               ord = Array.make k 0;
@@ -596,22 +717,19 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
         Array.iter (fun v -> covered.(v) <- true) proj;
         Array.length proj = num_vars && Array.for_all (fun b -> b) covered
       in
-      let seen = Hashtbl.create 64 in
+      let w = Array.length proj in
+      let seen = { width = w; data = Array.make (8 * w) 0; slots = Array.make 16 (-1); rows = 0 } in
       let bnd = Array.make num_vars (-1) in
       (* Reusable probe row: duplicates (the common case under a
-         projection) cost one hash lookup and no allocation; only a
-         genuinely new row is copied to become the table key. *)
+         projection) cost one set probe and no allocation; only a new
+         row is copied for [yield]. *)
       let probe = Array.make (Array.length proj) 0 in
       let bound v = bnd.(v) in
       let emit () =
         if full_cover then yield (Array.map bound proj)
         else begin
           Array.iteri (fun i v -> probe.(i) <- bnd.(v)) proj;
-          if not (Hashtbl.mem seen probe) then begin
-            let row = Array.copy probe in
-            Hashtbl.replace seen row ();
-            yield row
-          end
+          if rowset_add seen probe then yield (Array.copy probe)
         end
       in
       (* Budget plumbing: one step per variable binding, polled coarsely. *)
@@ -636,7 +754,7 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       let rec level g =
         if g = num_vars then emit ()
         else begin
-          let { keys; offs; plevel; pslot; pos; hi; ord } = levels.(g) in
+          let { keys; offs; rank; plevel; pslot; pos; hi; ord } = levels.(g) in
           let k = Array.length keys in
           (* Open every participant and insertion-sort the slots by
              their first key; stop at the first empty one. *)
@@ -676,7 +794,14 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
               level (g + 1);
               pos.(s) <- pos.(s) + 1
             end
-            else pos.(s) <- gallop a (pos.(s) + 1) hi.(s) !xmax;
+            else begin
+              (* a.(pos.(s)) < !xmax, so the target lies past pos.(s). *)
+              let r = rank.(s) in
+              pos.(s) <-
+                (if Array.length r = 0 then gallop a (pos.(s) + 1) hi.(s) !xmax
+                 else if !xmax < Array.length r then r.(!xmax)
+                 else hi.(s))
+            end;
             if pos.(s) >= hi.(s) then live := false
             else begin
               xmax := a.(pos.(s));

@@ -18,9 +18,11 @@
     ({!Edges} on one label), and tries built from materialized relations
     ({!Set}, {!Pairs}, {!Rows3}, label unions and self-loop atoms) by
     stable LSD radix passes over their columns, in time linear in the
-    rows and with no per-row allocation.  The global variable order is chosen by
+    rows and with no per-row allocation.  A dense trie root (keys below
+    4x its distinct count) has a rank array, so a seek on it is one
+    read; child slices and sparse roots gallop.  The variable order is chosen by
     {!Gqkg_analysis.Joinplan.choose_order} from per-atom cardinality
-    estimates.
+    and size-biased fan-out estimates.
 
     Budget governance: [solve ?budget] charges one step per variable
     binding and polls {!Gqkg_util.Budget.check} at coarse granularity; a
@@ -64,18 +66,21 @@ module Index : sig
   val nodes_with_const_label : t -> Const.t -> int array
 
   (** Per edge label: distinct (src, dst) pairs, distinct sources,
-      distinct destinations, self-loop count. *)
+      distinct destinations, self-loop count, and the size-biased
+      fan-outs: sum of out-degree^2 (resp. in-degree^2) / pairs. *)
   type label_stat = {
     name : string;
     pairs : int;
     distinct_src : int;
     distinct_dst : int;
     self_loops : int;
+    src_fanout : float;
+    dst_fanout : float;
   }
 
   val label_stats : t -> label_stat array
 
-  (** The per-label cardinality table [gqkg stats] prints. *)
+  (** The per-label cardinality and fan-out table [gqkg stats] prints. *)
   val describe : t -> string
 end
 
@@ -124,7 +129,8 @@ val plan : ?snapshot:Snapshot.t -> atom_spec list -> plan
 (** Enumerate all satisfying assignments, yielding the values of [vars]
     (in the given order) once per distinct tuple.  When [vars] covers
     every variable each full assignment is yielded exactly once (no
-    dedup table is kept); proper projections are deduplicated.
+    dedup table is kept); proper projections are deduplicated through
+    a flat open-addressed row set that allocates nothing per duplicate.
 
     Raises [Invalid_argument] if a requested variable appears in no
     atom, an atom's arity disagrees with its relation, or a

@@ -151,8 +151,41 @@ let test_index_label_stats () =
   checki "distinct pairs" 3 e.Join.Index.pairs;
   checki "distinct src" 3 e.Join.Index.distinct_src;
   checki "self loops" 1 e.Join.Index.self_loops;
+  (* Out-lists {1} {2} {2}; in-lists {0} {1, 2}: (1 + 1 + 1) / 3 and
+     (1 + 4) / 3. *)
+  checkb "out fan-out" true (e.Join.Index.src_fanout = 1.0);
+  checkb "in fan-out" true (Float.abs (e.Join.Index.dst_fanout -. (5.0 /. 3.0)) < 1e-9);
   checkb "describe nonempty" true
     (String.length (Join.Index.describe (Join.Index.get snap)) > 0)
+
+(* On a preferential-attachment graph each new node points at [attach]
+   older ones: out-lists are short and in-lists skewed.  The triangle
+   must bind from the out-lists (x -> y -> z), and on the reversed
+   graph from the in-lists (z -> y -> x).  The atoms are listed so
+   that the variable ids (y, z, x) follow neither order. *)
+let test_plan_follows_skew () =
+  let forward =
+    Snapshot.of_labeled (Gen_graph.barabasi_albert (Splitmix.create 5) ~nodes:2000 ~attach:2)
+  in
+  let reversed =
+    let b = Labeled_graph.Builder.create () in
+    for v = 0 to forward.Snapshot.num_nodes - 1 do
+      ignore (Labeled_graph.Builder.add_node b (Const.str (string_of_int v)) ~label:(Const.str "n"))
+    done;
+    for e = 0 to forward.Snapshot.num_edges - 1 do
+      ignore
+        (Labeled_graph.Builder.fresh_edge b ~src:forward.Snapshot.edst.(e)
+           ~dst:forward.Snapshot.esrc.(e) ~label:(Const.str "edge"))
+    done;
+    Snapshot.of_labeled (Labeled_graph.Builder.freeze b)
+  in
+  let order snap =
+    let ids = Join.Index.edge_label_ids (Join.Index.get snap) (Const.str "edge") in
+    let e u v = Join.atom [| u; v |] (Join.Edges ids) in
+    (Join.plan ~snapshot:snap [ e "y" "z"; e "x" "z"; e "x" "y" ]).Join.order
+  in
+  checkb "forward: x -> y -> z" true (order forward = [| "x"; "y"; "z" |]);
+  checkb "reversed: z -> y -> x" true (order reversed = [| "z"; "y"; "x" |])
 
 (* ---------- QCheck: engine = oracle ---------- *)
 
@@ -362,6 +395,96 @@ let prop_join_equals_nested_loop =
       let specs = List.map spec_of_rows atoms in
       let hint = Array.of_list (shuffle rng all) in
       collect specs ~vars = expected && collect ~order_hint:hint specs ~vars = expected)
+
+(* A projection that grows the row set far past its first size: 12k
+   distinct (a, b, c) rows, each repeated by the three d's of its c,
+   projected at widths 0 (boolean) to 3. *)
+let test_rowset_growth () =
+  let abc = List.init 12_000 (fun i -> [| i; i * 7 mod 12_007; i mod 100 |]) in
+  let cd = List.concat (List.init 100 (fun c -> List.init 3 (fun d -> [| c; d |]))) in
+  let atoms = [ ([| "a"; "b"; "c" |], abc); ([| "c"; "d" |], cd) ] in
+  let envs = nested_loop_join atoms in
+  List.iter
+    (fun vars ->
+      let row env = List.map (fun v -> List.assoc v env) vars in
+      let expected = List.sort_uniq compare (List.map row envs) in
+      let what = Printf.sprintf "width %d" (List.length vars) in
+      checkb (what ^ " has > 10k rows") true (vars = [] || List.length expected > 10_000);
+      checkb what true (collect (List.map spec_of_rows atoms) ~vars = expected))
+    [ []; [ "a" ]; [ "b"; "c" ]; [ "c"; "b"; "a" ] ]
+
+(* Preferential-attachment graphs of 20-150 nodes: label p points from
+   each new node at older ones (skewed in-degree), label q the other way
+   (skewed out-degree), so trie roots come out dense and sparse.
+   Parallel edges are allowed. *)
+let skewed_graph rng ~nodes ~two_labels =
+  let b = Labeled_graph.Builder.create () in
+  for v = 0 to nodes - 1 do
+    ignore (Labeled_graph.Builder.add_node b (Const.str (string_of_int v)) ~label:(Const.str "n"))
+  done;
+  let ends = ref [ 0 ] in
+  for v = 1 to nodes - 1 do
+    let pool = Array.of_list !ends in
+    for _ = 0 to Splitmix.int rng 3 do
+      let t = pool.(Splitmix.int rng (Array.length pool)) in
+      let q = two_labels && Splitmix.bool rng in
+      let src, dst = if q then (t, v) else (v, t) in
+      ignore
+        (Labeled_graph.Builder.fresh_edge b ~src ~dst ~label:(Const.str (if q then "q" else "p")));
+      ends := v :: t :: !ends
+    done
+  done;
+  Snapshot.of_labeled (Labeled_graph.Builder.freeze b)
+
+(* Triangle, path, star and cocited shapes over single-label atoms, each
+   atom forward or inverse; the head is every variable or the first and
+   last. *)
+let prop_skewed_wcoj_equals_backtrack =
+  QCheck2.Test.make ~name:"CQ on skewed graphs: WCOJ = backtracking oracle, any order" ~count:300
+    QCheck2.Gen.(
+      tup4 (int_bound 1_000_000) (int_range 20 150) bool
+        (oneofl
+           [
+             [ ("x", "y"); ("y", "z"); ("x", "z") ];
+             [ ("x", "y"); ("y", "z") ];
+             [ ("x", "y"); ("x", "z"); ("x", "w") ];
+             [ ("x", "z"); ("y", "z") ];
+           ]))
+    (fun (seed, nodes, two_labels, shape) ->
+      let rng = Splitmix.create seed in
+      let snap = skewed_graph rng ~nodes ~two_labels in
+      let idx = Join.Index.get snap in
+      let atoms =
+        List.map
+          (fun (u, v) ->
+            (u, v, (if two_labels && Splitmix.bool rng then "q" else "p"), Splitmix.bool rng))
+          shape
+      in
+      let body =
+        List.map
+          (fun (u, v, l, inverse) ->
+            let regex =
+              if inverse then Regex.Bwd (Regex.Atom (Atom.Label (Const.str l))) else Regex.label l
+            in
+            Crpq.atom ~src:u ~regex ~dst:v)
+          atoms
+      in
+      let specs =
+        List.map
+          (fun (u, v, l, inverse) ->
+            let ids = Join.Index.edge_label_ids idx (Const.str l) in
+            Join.atom (if inverse then [| v; u |] else [| u; v |]) (Join.Edges ids))
+          atoms
+      in
+      let vars = List.sort_uniq compare (List.concat_map (fun (u, v) -> [ u; v ]) shape) in
+      let head =
+        if Splitmix.bool rng then vars else [ List.hd vars; List.nth vars (List.length vars - 1) ]
+      in
+      let q = Crpq.query ~head ~body () in
+      let wcoj = Crpq.answers snap q in
+      let hint = Array.of_list (shuffle rng vars) in
+      wcoj = Crpq.answers_backtrack snap q
+      && collect ~snapshot:snap ~order_hint:hint specs ~vars:head = wcoj)
 
 (* BGP: random tiny stores, mixed triple and path patterns. *)
 
@@ -902,6 +1025,8 @@ let () =
           Alcotest.test_case "order hint" `Quick test_order_hint;
           Alcotest.test_case "plan covers variables" `Quick test_plan_covers_vars;
           Alcotest.test_case "index label stats" `Quick test_index_label_stats;
+          Alcotest.test_case "the plan follows the skew" `Quick test_plan_follows_skew;
+          Alcotest.test_case "row set growth" `Quick test_rowset_growth;
           Alcotest.test_case "four domains = sequential" `Quick test_domain_parallel_joins;
           Alcotest.test_case "CQ node atom reads postings" `Quick test_node_atom_compile;
           Alcotest.test_case "BGP zero-length paths" `Quick test_bgp_zero_length_paths;
@@ -915,6 +1040,7 @@ let () =
             prop_bgp_wcoj_equals_backtrack;
             prop_bgp_equals_naive;
             prop_join_equals_nested_loop;
+            prop_skewed_wcoj_equals_backtrack;
             prop_crpq_budget_partial_subset;
             prop_crpq_transfers_to_bgp;
           ] );
