@@ -32,7 +32,7 @@ let verbose_flag =
   Term.(const setup_logs $ Arg.(value & flag & info [ "v"; "verbose" ] ~doc))
 
 let graph_arg =
-  let doc = "Graph file in the gqkg property-graph format." in
+  let doc = "Graph file: property-graph text (.pg), a $(b,gqkg save) snapshot (.gqs) or a journal." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
 
 let length_arg = Arg.(value & opt int 3 & info [ "k"; "length" ] ~doc:"Path length.")
@@ -100,11 +100,10 @@ let load_instance path =
   if names_snapshot path then load_snapshot path
   else Snapshot.of_property (load_property path)
 
-(* The writable form, for the commands that commit epochs. *)
+(* The writable form, for the commands that commit epochs: the same
+   one freeze, plus the writer's id index on first write. *)
 let load_base path =
-  try
-    if names_snapshot path then Overlay.base_of_snapshot (load_snapshot path)
-    else Overlay.base_of_property (load_property path)
+  try Overlay.base_of_snapshot (load_instance path)
   with Invalid_argument message -> fail_user ~code:"GQ046" ~subterm:path ~message
 
 let load_store path =
@@ -274,7 +273,7 @@ let resolve_sources inst spec =
           let atom = Gqkg_graph.Atom.label label in
           let matched = ref 0 in
           for v = 0 to inst.Snapshot.num_nodes - 1 do
-            if inst.Snapshot.node_atom v atom then begin
+            if Snapshot.node_atom inst v atom then begin
               incr matched;
               add v
             end

@@ -79,7 +79,7 @@ let () =
   in
   (* Label-aware initial colors: structure AND vocabulary count. *)
   let labels = [ "person"; "infected"; "bus"; "address"; "company" ] in
-  let init_of g v = Hashtbl.hash (List.map (fun l -> g.Snapshot.node_atom v (Atom.label l)) labels) in
+  let init_of g v = Hashtbl.hash (List.map (fun l -> Snapshot.node_atom g v (Atom.label l)) labels) in
   let similarity a b =
     Gqkg_gnn.Wl_kernel.similarity ~init1:(init_of a) ~init2:(init_of b) a b
   in

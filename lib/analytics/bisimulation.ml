@@ -8,7 +8,8 @@
 
    Computed by naive partition refinement (Kanellakis-Smolka style):
    refine each block by the signature {(edge label, successor block)}
-   until stable. *)
+   until stable, walking the graph's snapshot CSR with interned label
+   ids. *)
 
 open Gqkg_graph
 
@@ -20,7 +21,8 @@ type t = {
 }
 
 let compute lg =
-  let n = Labeled_graph.num_nodes lg in
+  let s = Snapshot.of_labeled lg in
+  let n = s.Snapshot.num_nodes in
   let normalize keys =
     let palette = Hashtbl.create 16 in
     let out =
@@ -44,9 +46,7 @@ let compute lg =
     let signatures =
       Array.init n (fun v ->
           let succ = ref [] in
-          Array.iter
-            (fun (e, w) -> succ := (Labeled_graph.edge_label lg e, !block.(w)) :: !succ)
-            (Labeled_graph.out_edges lg v);
+          Snapshot.iter_out s v (fun e w -> succ := (s.Snapshot.elabel.(e), !block.(w)) :: !succ);
           (!block.(v), List.sort_uniq compare !succ))
     in
     let next, next_count = normalize signatures in
@@ -73,17 +73,14 @@ let compute lg =
   in
   let seen = Hashtbl.create 64 in
   for v = 0 to n - 1 do
-    Array.iter
-      (fun (e, w) ->
-        let key = (block.(v), Labeled_graph.edge_label lg e, block.(w)) in
+    Snapshot.iter_out s v (fun e w ->
+        let key = (block.(v), s.Snapshot.elabel.(e), block.(w)) in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.add seen key ();
-          let _, label, _ = key in
           ignore
             (Labeled_graph.Builder.fresh_edge b ~src:block_node.(block.(v)) ~dst:block_node.(block.(w))
-               ~label)
+               ~label:(Labeled_graph.edge_label lg e))
         end)
-      (Labeled_graph.out_edges lg v)
   done;
   { block_of = block; num_blocks; members; quotient = Labeled_graph.Builder.freeze b }
 

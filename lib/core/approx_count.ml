@@ -51,7 +51,7 @@ let config_state t c = c mod Nfa.num_states t.nfa
 
 (* Single-state closure at a node: all NFA states reachable from [q] via
    ε and node-checks the node satisfies. *)
-let state_closure t ~node q = Nfa.closure t.nfa ~node_sat:(t.inst.Snapshot.node_atom node) [| q |]
+let state_closure t ~node q = Nfa.closure t.nfa ~node_sat:(Snapshot.node_atom t.inst node) [| q |]
 
 (* Transitions of a single configuration: consume one edge (either
    direction) and close at the destination. Returns (edge, dest-config)
@@ -61,7 +61,7 @@ let config_transitions t c =
   let fwd, bwd = Nfa.edge_moves t.nfa [| q |] in
   let out = Hashtbl.create 8 in
   let step moves e w =
-    let edge_sat = t.inst.Snapshot.edge_atom e in
+    let edge_sat = Snapshot.edge_atom t.inst e in
     List.iter
       (fun (test, q') ->
         if Regex.eval_test edge_sat test then
@@ -83,7 +83,7 @@ let simulate t path =
     let e = Path.edge path i in
     let v = Path.node path i and w = Path.node path (i + 1) in
     let s, d = (Snapshot.endpoints t.inst) e in
-    let edge_sat = t.inst.Snapshot.edge_atom e in
+    let edge_sat = Snapshot.edge_atom t.inst e in
     let fwd, bwd = Nfa.edge_moves t.nfa !current in
     let targets = Hashtbl.create 8 in
     let add moves =
@@ -94,7 +94,7 @@ let simulate t path =
     if s = v && d = w then add fwd;
     if s = w && d = v then add bwd;
     let raw = Hashtbl.fold (fun q () acc -> q :: acc) targets [] |> List.sort compare in
-    current := Nfa.closure t.nfa ~node_sat:(t.inst.Snapshot.node_atom w) (Array.of_list raw)
+    current := Nfa.closure t.nfa ~node_sat:(Snapshot.node_atom t.inst w) (Array.of_list raw)
   done;
   !current
 
@@ -103,7 +103,7 @@ let simulate t path =
 let step_reaches t ~q ~e ~v ~w ~q' =
   let fwd, bwd = Nfa.edge_moves t.nfa [| q |] in
   let s, d = (Snapshot.endpoints t.inst) e in
-  let edge_sat = t.inst.Snapshot.edge_atom e in
+  let edge_sat = Snapshot.edge_atom t.inst e in
   let check moves =
     List.exists
       (fun (test, q'') ->

@@ -36,14 +36,14 @@ let eval ?(budget = Gqkg_util.Budget.unlimited) inst regex ~max_length =
     | Regex.Node_test t ->
         let acc = ref Path_set.empty in
         for n = 0 to inst.Snapshot.num_nodes - 1 do
-          if Regex.eval_test (inst.Snapshot.node_atom n) t then
+          if Regex.eval_test (Snapshot.node_atom inst n) t then
             acc := Path_set.add (Path.trivial n) !acc
         done;
         !acc
     | Regex.Fwd t ->
         let acc = ref Path_set.empty in
         for e = 0 to inst.Snapshot.num_edges - 1 do
-          if Regex.eval_test (inst.Snapshot.edge_atom e) t then begin
+          if Regex.eval_test (Snapshot.edge_atom inst e) t then begin
             let s, d = (Snapshot.endpoints inst) e in
             acc := Path_set.add (Path.make ~nodes:[| s; d |] ~edges:[| e |]) !acc
           end
@@ -52,7 +52,7 @@ let eval ?(budget = Gqkg_util.Budget.unlimited) inst regex ~max_length =
     | Regex.Bwd t ->
         let acc = ref Path_set.empty in
         for e = 0 to inst.Snapshot.num_edges - 1 do
-          if Regex.eval_test (inst.Snapshot.edge_atom e) t then begin
+          if Regex.eval_test (Snapshot.edge_atom inst e) t then begin
             let s, d = (Snapshot.endpoints inst) e in
             acc := Path_set.add (Path.make ~nodes:[| d; s |] ~edges:[| e |]) !acc
           end

@@ -281,7 +281,7 @@ let budget p = p.budget
 (* Close [seeds] in place at node [w], caching node-check outcomes. *)
 let close_at p w seeds =
   if Bytes.length p.check_cache = 0 then
-    Nfa.close_raw p.nfa ~node_sat:(p.inst.Snapshot.node_atom w) seeds
+    Nfa.close_raw p.nfa ~node_sat:(Snapshot.node_atom p.inst w) seeds
   else begin
     let base = w * Nfa.num_checks p.nfa in
     Nfa.close_raw_idx p.nfa seeds ~check_sat:(fun idx t ->
@@ -289,7 +289,7 @@ let close_at p w seeds =
         | '\001' -> true
         | '\002' -> false
         | _ ->
-            let r = Regex.eval_test (p.inst.Snapshot.node_atom w) t in
+            let r = Regex.eval_test (Snapshot.node_atom p.inst w) t in
             Bytes.unsafe_set p.check_cache (base + idx) (if r then '\001' else '\002');
             r)
   end
@@ -369,7 +369,7 @@ let start_set_of p node =
       | Some memo -> (
           (* Answer the start checks only, then close once per distinct
              answer vector (a stored -2 is a memoized empty closure). *)
-          let sat = p.inst.Snapshot.node_atom node in
+          let sat = Snapshot.node_atom p.inst node in
           let sg = ref 0 in
           Array.iteri
             (fun i idx -> if Regex.eval_test sat p.check_tests.(idx) then sg := !sg lor (1 lsl i))
@@ -457,7 +457,7 @@ let has_move p sid v =
         | None -> false)
        || (if fwd then has_genf else has_genb)
           &&
-          let sat = g.Snapshot.edge_atom e in
+          let sat = Snapshot.edge_atom g e in
           let tbl = if fwd then p.gen_fwd else p.gen_bwd in
           Array.exists (fun q -> Array.exists (fun (t, _) -> Regex.eval_test sat t) tbl.(q)) members)
   in
@@ -575,7 +575,7 @@ let node_sig_of p w =
   let s = p.node_sig.(w) in
   if s >= 0 then s
   else begin
-    let sat = p.inst.Snapshot.node_atom w in
+    let sat = Snapshot.node_atom p.inst w in
     let s = ref 0 in
     Array.iteri (fun idx t -> if Regex.eval_test sat t then s := !s lor (1 lsl idx)) p.check_tests;
     p.node_sig.(w) <- !s;
@@ -655,7 +655,7 @@ let step_generic p seed_cache members ~has_fwd ~has_bwd ~has_genf ~has_genb e w 
           (fun q ->
             Array.iter
               (fun (t, q') ->
-                if Regex.eval_test (p.inst.Snapshot.edge_atom e) t then B.raw_add seeds q')
+                if Regex.eval_test (Snapshot.edge_atom p.inst e) t then B.raw_add seeds q')
               (if fwd then p.gen_fwd else p.gen_bwd).(q))
           members
     end

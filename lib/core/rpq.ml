@@ -15,14 +15,14 @@ open Gqkg_automata
 let matches_path inst regex path =
   let nfa = Nfa.of_regex regex in
   let k = Path.length path in
-  let current = ref (Nfa.closure nfa ~node_sat:(inst.Snapshot.node_atom (Path.node path 0)) [| Nfa.start nfa |]) in
+  let current = ref (Nfa.closure nfa ~node_sat:(Snapshot.node_atom inst (Path.node path 0)) [| Nfa.start nfa |]) in
   let alive = ref true in
   for i = 0 to k - 1 do
     if !alive then begin
       let e = Path.edge path i in
       let v = Path.node path i and w = Path.node path (i + 1) in
       let s, d = (Snapshot.endpoints inst) e in
-      let edge_sat = inst.Snapshot.edge_atom e in
+      let edge_sat = Snapshot.edge_atom inst e in
       let fwd_moves, bwd_moves = Nfa.edge_moves nfa !current in
       let targets = ref [] in
       let add tests =
@@ -35,7 +35,7 @@ let matches_path inst regex path =
       if s = w && d = v then add bwd_moves;
       let arr = Array.of_list !targets in
       Array.sort Int.compare arr;
-      let closed = Nfa.closure nfa ~node_sat:(inst.Snapshot.node_atom w) arr in
+      let closed = Nfa.closure nfa ~node_sat:(Snapshot.node_atom inst w) arr in
       if Array.length closed = 0 then alive := false else current := closed
     end
   done;

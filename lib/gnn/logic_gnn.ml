@@ -75,7 +75,7 @@ let compile formula =
     Array.iteri
       (fun i f ->
         match f with
-        | Gml.Atom a -> if inst.Snapshot.node_atom v a then x.(i) <- 1.0
+        | Gml.Atom a -> if Snapshot.node_atom inst v a then x.(i) <- 1.0
         | Gml.True -> x.(i) <- 1.0
         | Gml.Not _ | Gml.And _ | Gml.Or _ | Gml.Diamond _ -> ())
       subs;

@@ -114,8 +114,6 @@ let property_graph_of_string text =
     decls;
   Property_graph.Builder.freeze b
 
-let labeled_graph_of_string text = Property_graph.to_labeled (property_graph_of_string text)
-
 let render_props buf props =
   Array.iter
     (fun (p, v) -> Buffer.add_string buf (Printf.sprintf " %s=%s" (Const.to_string p) (Const.to_string v)))

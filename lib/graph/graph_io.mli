@@ -19,8 +19,6 @@ val error_to_string : file:string option -> line:int -> message:string -> string
     merge them) and edges referencing undeclared endpoints. *)
 val property_graph_of_string : string -> Property_graph.t
 
-val labeled_graph_of_string : string -> Labeled_graph.t
-
 (** Deterministic rendering in declaration (index) order; a fixed point
     of parse ∘ render. *)
 val property_graph_to_string : Property_graph.t -> string

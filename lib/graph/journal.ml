@@ -4,15 +4,15 @@
    edges).
 
    The op vocabulary and line format live in {!Mutation}; this module
-   owns replay (ops -> property graph), the durable store, and the
-   file-context error discipline: every error raised while reading a
-   journal from disk carries the path, so callers can surface
-   "file:line: message" diagnostics without re-deriving context.
+   owns replay (ops -> property graph), the minimal history of a frozen
+   state, and the file-context error discipline: every error raised
+   while reading a journal from disk carries the path, so callers can
+   surface "file:line: message" diagnostics without re-deriving
+   context.
 
-   Replaying a journal rebuilds the graph; writing is append-only, so a
-   crash can lose at most a partial trailing line, which
-   [~tolerate_partial:true] skips.  [checkpoint] rewrites the journal as
-   the minimal history of the current state. *)
+   Replaying a journal rebuilds the graph; a journal is written
+   append-only, so a crash can lose at most a partial trailing line,
+   which [~tolerate_partial:true] skips. *)
 
 type op = Mutation.t =
   | Add_node of { id : Const.t; label : Const.t }
@@ -174,98 +174,33 @@ let ops_of_string ?file ?(tolerate_partial = false) text =
 
 let ops_to_string ops = String.concat "" (List.map (fun op -> op_to_line op ^ "\n") ops)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_ops ?(tolerate_partial = false) path =
-  ops_of_string ~file:path ~tolerate_partial (read_file path)
+  ops_of_string ~file:path ~tolerate_partial (In_channel.with_open_bin path In_channel.input_all)
 
 let load ?tolerate_partial path =
   let ops = load_ops ?tolerate_partial path in
   replay_ops ~file:path ops
 
-(* The minimal history recreating a graph: its current state as adds. *)
-let ops_of_graph g =
-  let ops = ref [] in
-  for n = Property_graph.num_nodes g - 1 downto 0 do
-    let id = Property_graph.node_id g n in
-    Array.iter
-      (fun (prop, value) -> ops := Set_node_prop { id; prop; value } :: !ops)
-      (Property_graph.node_properties g n)
-  done;
-  for e = Property_graph.num_edges g - 1 downto 0 do
-    let id = Property_graph.edge_id g e in
-    Array.iter
-      (fun (prop, value) -> ops := Set_edge_prop { id; prop; value } :: !ops)
-      (Property_graph.edge_properties g e)
-  done;
-  for e = Property_graph.num_edges g - 1 downto 0 do
-    let s, d = Property_graph.endpoints g e in
-    ops :=
-      Add_edge
-        {
-          id = Property_graph.edge_id g e;
-          src = Property_graph.node_id g s;
-          dst = Property_graph.node_id g d;
-          label = Property_graph.edge_label g e;
-        }
-      :: !ops
-  done;
-  for n = Property_graph.num_nodes g - 1 downto 0 do
-    ops := Add_node { id = Property_graph.node_id g n; label = Property_graph.node_label g n } :: !ops
-  done;
-  !ops
+(* The minimal history recreating a snapshot's state as adds: node adds,
+   edge adds, edge props, node props.  Ids, labels and property
+   constants are read back from the snapshot's names and columns. *)
+let ops_of_snapshot (s : Snapshot.t) =
+  let node_id v = Const.of_string (s.node_name v) and edge_id e = Const.of_string (s.edge_name e) in
+  let label names l = if l < 0 then Const.Bottom else Const.of_string names.(l) in
+  let each count f = List.concat_map f (List.init count Fun.id) in
+  (* an object's properties in descending key order *)
+  let props rows o f = List.rev_map f (Array.to_list (Snapshot.row s.attrs.dict rows o)) in
+  each s.num_nodes (fun v ->
+      [ Add_node { id = node_id v; label = label s.node_label_names (Snapshot.node_label s v) } ])
+  @ each s.num_edges (fun e ->
+        let l = if s.num_labels > 0 then s.elabel.(e) else -1 in
+        let src = node_id s.esrc.(e) and dst = node_id s.edst.(e) in
+        [ Add_edge { id = edge_id e; src; dst; label = label s.label_names l } ])
+  @ each s.num_edges (fun e ->
+        let id = edge_id e in
+        props s.attrs.edge_props e (fun (prop, value) -> Set_edge_prop { id; prop; value }))
+  @ each s.num_nodes (fun v ->
+        let id = node_id v in
+        props s.attrs.node_props v (fun (prop, value) -> Set_node_prop { id; prop; value }))
 
-(* ---------------- The durable store ----------------------------------- *)
-
-(* An open journal-backed store: appends go straight to disk; the
-   materialized graph is rebuilt lazily after mutations. *)
-type store = {
-  path : string;
-  mutable channel : out_channel;
-  mutable ops : op list; (* reversed *)
-  mutable cache : Property_graph.t option;
-}
-
-let open_store ?(tolerate_partial = false) path =
-  let ops = if Sys.file_exists path then load_ops ~tolerate_partial path else [] in
-  (* Validate by replaying before accepting the store. *)
-  ignore (replay_ops ~file:path ops);
-  let channel = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  { path; channel; ops = List.rev ops; cache = None }
-
-let append store op =
-  (* Validate against the current state before making it durable. *)
-  let draft = draft_create () in
-  List.iteri (fun i op -> apply ~file:store.path ~line:(i + 1) draft op) (List.rev store.ops);
-  apply ~file:store.path ~line:(List.length store.ops + 1) draft op;
-  output_string store.channel (op_to_line op ^ "\n");
-  flush store.channel;
-  store.ops <- op :: store.ops;
-  store.cache <- None
-
-let graph store =
-  match store.cache with
-  | Some g -> g
-  | None ->
-      let g = replay_ops ~file:store.path (List.rev store.ops) in
-      store.cache <- Some g;
-      g
-
-let num_ops store = List.length store.ops
-
-(* Rewrite the journal as the minimal history of the current state. *)
-let checkpoint store =
-  let g = graph store in
-  let ops = ops_of_graph g in
-  close_out store.channel;
-  let oc = open_out store.path in
-  output_string oc (ops_to_string ops);
-  close_out oc;
-  store.channel <- open_out_gen [ Open_append ] 0o644 store.path;
-  store.ops <- List.rev ops
-
-let close_store store = close_out store.channel
+let ops_of_graph g = ops_of_snapshot (Snapshot.of_property g)

@@ -1,6 +1,8 @@
-(** Append-only journal (write-ahead log) for property graphs: the
-    storage lifecycle of Section 2.1 — durable, growing and shrinking by
-    explicit operations, rebuildable by replay.
+(** Text journals of property-graph mutations: the storage lifecycle
+    of Section 2.1 — a graph grows and shrinks by explicit operations
+    and is rebuilt by replay. A journal is written whole ([gqkg mutate
+    --journal]) as the minimal history of a state; the lossless
+    checkpoint of a state is its [.gqs] snapshot ({!Snapshot_io}).
 
     The op type is {!Mutation.t} re-exported (same constructors), so the
     journal, the delta overlay and the CLI mutation scripts share one
@@ -20,7 +22,7 @@ type op = Mutation.t =
   | Del_edge of { id : Const.t }
 
 (** [file] is the journal path when the error was raised while reading
-    or validating against a file-backed store, [None] for in-memory
+    or validating a journal file, [None] for in-memory
     text — the CLI renders ["file:line: message"] GQ048 diagnostics
     from it. *)
 exception Replay_error of { file : string option; line : int; message : string }
@@ -50,29 +52,10 @@ val load_ops : ?tolerate_partial:bool -> string -> op list
     journal file. *)
 val load : ?tolerate_partial:bool -> string -> Property_graph.t
 
-(** The minimal history recreating the graph's current state. *)
+(** The minimal history recreating a snapshot's state (node adds, edge
+    adds, edge props, node props; ids and labels read back from its
+    names) — what [gqkg mutate --journal] persists. *)
+val ops_of_snapshot : Snapshot.t -> op list
+
+(** [ops_of_snapshot] of the graph's freeze. *)
 val ops_of_graph : Property_graph.t -> op list
-
-(** {2 The durable store} *)
-
-type store
-
-(** Open (or create) a journal file, validating it by replay. Raises
-    {!Replay_error} with file context on malformed or torn input
-    ([tolerate_partial] skips a torn final line). *)
-val open_store : ?tolerate_partial:bool -> string -> store
-
-(** Validate the operation against the current state, append it durably
-    (flushed), and invalidate the cached graph. Raises {!Replay_error}
-    on invalid operations — nothing is written in that case. *)
-val append : store -> op -> unit
-
-(** The materialized current state (cached between mutations). *)
-val graph : store -> Property_graph.t
-
-val num_ops : store -> int
-
-(** Rewrite the journal as the minimal history of the current state. *)
-val checkpoint : store -> unit
-
-val close_store : store -> unit

@@ -2,33 +2,7 @@
    node and every edge carries one label from Const ("heterogeneous
    graphs").  Figure 2(a) is an instance. *)
 
-type t = {
-  base : Multigraph.t;
-  node_labels : Const.t array;
-  edge_labels : Const.t array;
-  (* label -> ascending member ids, built on first use so that
-     [nodes_with_label] / [edges_with_label] answer in O(|answer|)
-     instead of scanning every node/edge. *)
-  node_index : (Const.t, int list) Hashtbl.t Lazy.t;
-  edge_index : (Const.t, int list) Hashtbl.t Lazy.t;
-}
-
-let index_of_labels labels =
-  let tbl = Hashtbl.create 16 in
-  for i = Array.length labels - 1 downto 0 do
-    let l = labels.(i) in
-    Hashtbl.replace tbl l (i :: Option.value (Hashtbl.find_opt tbl l) ~default:[])
-  done;
-  tbl
-
-let v ~base ~node_labels ~edge_labels =
-  {
-    base;
-    node_labels;
-    edge_labels;
-    node_index = lazy (index_of_labels node_labels);
-    edge_index = lazy (index_of_labels edge_labels);
-  }
+type t = { base : Multigraph.t; node_labels : Const.t array; edge_labels : Const.t array }
 
 let base g = g.base
 let num_nodes g = Multigraph.num_nodes g.base
@@ -38,16 +12,14 @@ let edge_label g e = g.edge_labels.(e)
 let node_id g n = Multigraph.node_id g.base n
 let edge_id g e = Multigraph.edge_id g.base e
 let endpoints g e = Multigraph.endpoints g.base e
-let out_edges g n = Multigraph.out_edges g.base n
-let in_edges g n = Multigraph.in_edges g.base n
-let find_node g id = Multigraph.find_node g.base id
-let node_of_exn g id = Multigraph.node_of_exn g.base id
 
-let nodes_with_label g l =
-  Option.value (Hashtbl.find_opt (Lazy.force g.node_index) l) ~default:[]
+(* Members of a label, by a scan: query-time label indexes live in the
+   graph's Snapshot. *)
+let with_label labels l =
+  List.filter (fun i -> Const.equal labels.(i) l) (List.init (Array.length labels) Fun.id)
 
-let edges_with_label g l =
-  Option.value (Hashtbl.find_opt (Lazy.force g.edge_index) l) ~default:[]
+let nodes_with_label g l = with_label g.node_labels l
+let edges_with_label g l = with_label g.edge_labels l
 
 (* Distinct labels in use, each with its multiplicity. *)
 let label_histogram labels =
@@ -82,13 +54,11 @@ module Builder = struct
   let create () =
     { base = Multigraph.Builder.create (); node_labels = Hashtbl.create 64; edge_labels = Hashtbl.create 64 }
 
-  (* Re-adding a node keeps its first label unless [relabel] is used. *)
+  (* Re-adding a node keeps its first label. *)
   let add_node b id ~label =
     let n = Multigraph.Builder.add_node b.base id in
     if not (Hashtbl.mem b.node_labels n) then Hashtbl.replace b.node_labels n label;
     n
-
-  let relabel_node b n ~label = Hashtbl.replace b.node_labels n label
 
   let add_edge b id ~src ~dst ~label =
     let e = Multigraph.Builder.add_edge b.base id ~src ~dst in
@@ -107,9 +77,11 @@ module Builder = struct
     let fetch tbl i =
       match Hashtbl.find_opt tbl i with Some l -> l | None -> Const.bottom
     in
-    (v ~base
-       ~node_labels:(Array.init (Multigraph.num_nodes base) (fetch b.node_labels))
-       ~edge_labels:(Array.init (Multigraph.num_edges base) (fetch b.edge_labels))
+    ({
+       base;
+       node_labels = Array.init (Multigraph.num_nodes base) (fetch b.node_labels);
+       edge_labels = Array.init (Multigraph.num_edges base) (fetch b.edge_labels);
+     }
       : graph)
 end
 
@@ -131,6 +103,6 @@ let make ~base ~node_labels ~edge_labels =
     invalid_arg "Labeled_graph.make: node label count";
   if Array.length edge_labels <> Multigraph.num_edges base then
     invalid_arg "Labeled_graph.make: edge label count";
-  v ~base ~node_labels ~edge_labels
+  { base; node_labels; edge_labels }
 
 (* The uniform query-engine view is {!Snapshot.of_labeled}. *)

@@ -18,12 +18,8 @@ val edge_label : t -> int -> Const.t
 val node_id : t -> int -> Const.t
 val edge_id : t -> int -> Const.t
 val endpoints : t -> int -> int * int
-val out_edges : t -> int -> (int * int) array
-val in_edges : t -> int -> (int * int) array
-val find_node : t -> Const.t -> int option
-val node_of_exn : t -> Const.t -> int
 
-(** Node indexes carrying the label, ascending. *)
+(** Node indexes carrying the label, ascending (a scan). *)
 val nodes_with_label : t -> Const.t -> int list
 
 val edges_with_label : t -> Const.t -> int list
@@ -47,7 +43,6 @@ module Builder : sig
   (** Add (or find) a node; a re-added identifier keeps its first label. *)
   val add_node : t -> Const.t -> label:Const.t -> int
 
-  val relabel_node : t -> int -> label:Const.t -> unit
   val add_edge : t -> Const.t -> src:int -> dst:int -> label:Const.t -> int
   val fresh_edge : t -> src:int -> dst:int -> label:Const.t -> int
   val find_node : t -> Const.t -> int option

@@ -3,19 +3,11 @@
    integer indexes; the Const identifiers are kept for display and for the
    "universal interpretation" of RDF-style merging.
 
-   The type is immutable once frozen from a {!Builder}; adjacency is
-   precomputed in both directions because regular expressions traverse
-   edges forwards (ℓ) and backwards (ℓ⁻). *)
+   The type is immutable once frozen from a {!Builder} and holds only ids
+   and the endpoint columns: traversal and id lookup run on the model's
+   {!Snapshot}, so a frozen model carries no second adjacency. *)
 
-type t = {
-  node_ids : Const.t array;
-  edge_ids : Const.t array;
-  rho : (int * int) array;
-  out_adj : (int * int) array array; (* node -> [(edge, head)] for edges leaving it *)
-  in_adj : (int * int) array array; (* node -> [(edge, tail)] for edges entering it *)
-  node_index : (Const.t, int) Hashtbl.t;
-  edge_index : (Const.t, int) Hashtbl.t;
-}
+type t = { node_ids : Const.t array; edge_ids : Const.t array; esrc : int array; edst : int array }
 
 let num_nodes g = Array.length g.node_ids
 let num_edges g = Array.length g.edge_ids
@@ -30,36 +22,8 @@ let edge_id g e =
 
 let endpoints g e =
   if e < 0 || e >= num_edges g then invalid_arg "Multigraph.endpoints: out of range";
-  g.rho.(e)
+  (g.esrc.(e), g.edst.(e))
 
-let src g e = fst (endpoints g e)
-let dst g e = snd (endpoints g e)
-let out_edges g n = g.out_adj.(n)
-let in_edges g n = g.in_adj.(n)
-let out_degree g n = Array.length g.out_adj.(n)
-let in_degree g n = Array.length g.in_adj.(n)
-let find_node g id = Hashtbl.find_opt g.node_index id
-let find_edge g id = Hashtbl.find_opt g.edge_index id
-
-let node_of_exn g id =
-  match find_node g id with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Multigraph: unknown node %s" (Const.to_string id))
-
-let iter_nodes g f =
-  for n = 0 to num_nodes g - 1 do
-    f n
-  done
-
-let iter_edges g f =
-  for e = 0 to num_edges g - 1 do
-    f e
-  done
-
-(* Neighbors reachable ignoring direction; used by undirected analytics. *)
-let undirected_neighbors g n =
-  let out = g.out_adj.(n) and into = g.in_adj.(n) in
-  Array.append (Array.map snd out) (Array.map snd into)
 
 module Builder = struct
   type graph = t
@@ -98,13 +62,6 @@ module Builder = struct
         Hashtbl.add b.node_index id n;
         n
 
-  let fresh_node b =
-    let rec loop i =
-      let id = Const.Str (Printf.sprintf "n%d" i) in
-      if Hashtbl.mem b.node_index id then loop (i + 1) else add_node b id
-    in
-    loop b.node_count
-
   let add_edge b id ~src ~dst =
     if src < 0 || src >= b.node_count || dst < 0 || dst >= b.node_count then
       invalid_arg "Multigraph.Builder.add_edge: endpoint out of range";
@@ -126,35 +83,12 @@ module Builder = struct
   let find_node b id = Hashtbl.find_opt b.node_index id
 
   let freeze b =
-    let node_ids = Array.of_list (List.rev b.nodes) in
     let edges = Array.of_list (List.rev b.edges) in
-    let edge_ids = Array.map (fun (id, _, _) -> id) edges in
-    let rho = Array.map (fun (_, s, d) -> (s, d)) edges in
-    let n = Array.length node_ids in
-    let out_count = Array.make n 0 and in_count = Array.make n 0 in
-    Array.iter
-      (fun (s, d) ->
-        out_count.(s) <- out_count.(s) + 1;
-        in_count.(d) <- in_count.(d) + 1)
-      rho;
-    let out_adj = Array.init n (fun v -> Array.make out_count.(v) (0, 0)) in
-    let in_adj = Array.init n (fun v -> Array.make in_count.(v) (0, 0)) in
-    let out_fill = Array.make n 0 and in_fill = Array.make n 0 in
-    Array.iteri
-      (fun e (s, d) ->
-        out_adj.(s).(out_fill.(s)) <- (e, d);
-        out_fill.(s) <- out_fill.(s) + 1;
-        in_adj.(d).(in_fill.(d)) <- (e, s);
-        in_fill.(d) <- in_fill.(d) + 1)
-      rho;
     {
-      node_ids;
-      edge_ids;
-      rho;
-      out_adj;
-      in_adj;
-      node_index = Hashtbl.copy b.node_index;
-      edge_index = Hashtbl.copy b.edge_index;
+      node_ids = Array.of_list (List.rev b.nodes);
+      edge_ids = Array.map (fun (id, _, _) -> id) edges;
+      esrc = Array.map (fun (_, s, _) -> s) edges;
+      edst = Array.map (fun (_, _, d) -> d) edges;
     }
 end
 

@@ -2,7 +2,9 @@
 
     Nodes and edges carry dense integer indexes ([0 .. num-1]); their Const
     identifiers are preserved for display and identifier-based merging.
-    Values are immutable once frozen from a {!Builder}. *)
+    Values are immutable once frozen from a {!Builder}. A frozen
+    multigraph keeps only ids and endpoints: adjacency and id lookup
+    belong to its {!Snapshot}. *)
 
 type t
 
@@ -18,28 +20,6 @@ val edge_id : t -> int -> Const.t
 (** [endpoints g e] is ρ(e) = (source, target). *)
 val endpoints : t -> int -> int * int
 
-val src : t -> int -> int
-val dst : t -> int -> int
-
-(** Outgoing [(edge, head)] pairs of a node. Do not mutate. *)
-val out_edges : t -> int -> (int * int) array
-
-(** Incoming [(edge, tail)] pairs of a node. Do not mutate. *)
-val in_edges : t -> int -> (int * int) array
-
-val out_degree : t -> int -> int
-val in_degree : t -> int -> int
-val find_node : t -> Const.t -> int option
-val find_edge : t -> Const.t -> int option
-
-(** Like {!find_node} but raising [Invalid_argument] on unknown ids. *)
-val node_of_exn : t -> Const.t -> int
-
-val iter_nodes : t -> (int -> unit) -> unit
-val iter_edges : t -> (int -> unit) -> unit
-
-(** All neighbors ignoring edge direction (with multiplicity). *)
-val undirected_neighbors : t -> int -> int array
 
 module Builder : sig
   type graph = t
@@ -51,9 +31,6 @@ module Builder : sig
 
   (** Add (or find) a node by identifier; idempotent. *)
   val add_node : t -> Const.t -> int
-
-  (** Add a node with a generated unused identifier. *)
-  val fresh_node : t -> int
 
   (** Add an edge with a fresh identifier. Raises on duplicates. *)
   val add_edge : t -> Const.t -> src:int -> dst:int -> int

@@ -104,9 +104,3 @@ let of_line ~line text =
   | [ "delnode"; id ] -> Some (Del_node { id = Const.of_string id })
   | [ "deledge"; id ] -> Some (Del_edge { id = Const.of_string id })
   | keyword :: _ -> fail line "unknown or malformed operation %S" keyword
-
-(* Classification used by overlay/commit bookkeeping: does the op (when
-   accepted) touch graph topology, or only the property store? *)
-let is_structural = function
-  | Add_node _ | Merge_node _ | Add_edge _ | Merge_edge _ | Del_node _ | Del_edge _ -> true
-  | Set_node_prop _ | Set_edge_prop _ | Del_node_prop _ | Del_edge_prop _ -> false

@@ -31,7 +31,3 @@ val to_line : t -> string
 
 (** [None] on blank lines; raises {!Op_error} on malformed input. *)
 val of_line : line:int -> string -> t option
-
-(** [true] iff the op (when accepted) changes graph topology — node or
-    edge membership — rather than only the property store. *)
-val is_structural : t -> bool

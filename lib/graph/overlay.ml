@@ -18,115 +18,55 @@
    their label ids, which is what lets [elabel] be reused verbatim. *)
 
 module B = Gqkg_util.Bitset
-module Ids = Hashtbl.Make (Const)
+module Ids = Hashtbl.Make (String)
 module Ints = Set.Make (Int)
 
-(* Writer-side id index: node and edge ids to base indices. *)
-type index = { node_ix : int Ids.t; edge_ix : int Ids.t }
+(* Objects are identified by name: a mutation's Const id is looked up
+   by its rendering, which is what a snapshot's names store. *)
+let key = Const.to_string
+
+(* Writer-side id index: node and edge names to base indices, and back
+   (the names in index order, which a commit compacts by blits). *)
+type index = {
+  node_ix : int Ids.t;
+  edge_ix : int Ids.t;
+  node_names : string array;
+  edge_names : string array;
+}
 
 type base = {
   snap : Snapshot.t;
-  node_ids : Const.t array;
-  node_labels : Const.t array;
-  node_props : Property_graph.properties array;
-  edge_ids : Const.t array;
-  edge_props : Property_graph.properties array;
-  edge_label_univ : Const.t array; (* interned universe in label-id order *)
-  node_label_univ : Const.t array;
   mutable index : index option;
       (* built on the base's first write, moved to the next base by
          [commit]; only the serialized writer touches it *)
 }
 
 let snapshot b = b.snap
+let history b = Journal.ops_of_snapshot b.snap
 
-(* Minimal replayable history of a committed base (mirrors
-   [Journal.ops_of_graph]: node adds, edge adds, edge props, node
-   props) — what [gqkg mutate --journal] writes so the file reloads to
-   exactly this state. *)
-let history b =
-  let s = b.snap in
-  let ops = ref [] in
-  for v = s.Snapshot.num_nodes - 1 downto 0 do
-    Array.iter
-      (fun (prop, value) ->
-        ops := Mutation.Set_node_prop { id = b.node_ids.(v); prop; value } :: !ops)
-      b.node_props.(v)
-  done;
-  for e = s.Snapshot.num_edges - 1 downto 0 do
-    Array.iter
-      (fun (prop, value) ->
-        ops := Mutation.Set_edge_prop { id = b.edge_ids.(e); prop; value } :: !ops)
-      b.edge_props.(e)
-  done;
-  for e = s.Snapshot.num_edges - 1 downto 0 do
-    ops :=
-      Mutation.Add_edge
-        {
-          id = b.edge_ids.(e);
-          src = b.node_ids.(s.Snapshot.esrc.(e));
-          dst = b.node_ids.(s.Snapshot.edst.(e));
-          label = b.edge_label_univ.(s.Snapshot.elabel.(e));
-        }
-      :: !ops
-  done;
-  for v = s.Snapshot.num_nodes - 1 downto 0 do
-    ops := Mutation.Add_node { id = b.node_ids.(v); label = b.node_labels.(v) } :: !ops
-  done;
-  !ops
-
-let base_of_property g =
-  let snap = Snapshot.of_property g in
-  let n = Property_graph.num_nodes g and m = Property_graph.num_edges g in
-  (* Re-interning with the same first-occurrence rule reproduces exactly
-     the universes [Snapshot.of_property] interned. *)
-  let _, edge_label_univ = Snapshot.intern ~n:m ~get:(Property_graph.edge_label g) in
-  let _, node_label_univ = Snapshot.intern ~n ~get:(Property_graph.node_label g) in
-  {
-    snap;
-    node_ids = Array.init n (Property_graph.node_id g);
-    node_labels = Array.init n (Property_graph.node_label g);
-    node_props = Array.init n (Property_graph.node_properties g);
-    edge_ids = Array.init m (Property_graph.edge_id g);
-    edge_props = Array.init m (Property_graph.edge_properties g);
-    edge_label_univ;
-    node_label_univ;
-    index = None;
-  }
-
+(* The overlay's write semantics are property-model: one label per
+   node, an edge-label index, atoms answered by the columns. *)
 let base_of_snapshot (s : Snapshot.t) =
-  let n = s.Snapshot.num_nodes and m = s.Snapshot.num_edges in
-  let node_label_univ = Array.map Const.of_string s.Snapshot.node_label_names in
-  let edge_label_univ = Array.map Const.of_string s.Snapshot.label_names in
-  (* Recover the one-label-per-node column from the membership bitmaps;
-     refuse snapshots with non-exclusive membership (RDF multi-types)
-     — the overlay's write semantics are property-model. *)
-  let node_labels = Array.make n Const.Bottom in
-  let seen = Array.make (max n 1) false in
-  Array.iteri
-    (fun l bits ->
+  let n = s.Snapshot.num_nodes in
+  (match s.Snapshot.atoms with
+  | Custom _ -> invalid_arg "Overlay.base_of_snapshot: atoms are not the snapshot's columns"
+  | Columns -> ());
+  let seen = Bytes.make (max n 1) '\000' in
+  Array.iter
+    (fun bits ->
       B.raw_iter bits (fun v ->
-          if seen.(v) then
+          if Bytes.get seen v <> '\000' then
             invalid_arg "Overlay.base_of_snapshot: node labels are not exclusive";
-          seen.(v) <- true;
-          node_labels.(v) <- node_label_univ.(l)))
+          Bytes.set seen v '\001'))
     s.Snapshot.node_label_bits;
   for v = 0 to n - 1 do
-    if not seen.(v) then invalid_arg "Overlay.base_of_snapshot: unlabeled node"
+    if Bytes.get seen v = '\000' then invalid_arg "Overlay.base_of_snapshot: unlabeled node"
   done;
-  if s.Snapshot.num_labels = 0 && m > 0 then
+  if s.Snapshot.num_labels = 0 && s.Snapshot.num_edges > 0 then
     invalid_arg "Overlay.base_of_snapshot: snapshot has no edge-label index";
-  {
-    snap = s;
-    node_ids = Array.init n (fun v -> Const.of_string (s.Snapshot.node_name v));
-    node_labels;
-    node_props = Array.make n [||];
-    edge_ids = Array.init m (fun e -> Const.of_string (s.Snapshot.edge_name e));
-    edge_props = Array.make m [||];
-    edge_label_univ;
-    node_label_univ;
-    index = None;
-  }
+  { snap = s; index = None }
+
+let base_of_property g = base_of_snapshot (Snapshot.of_property g)
 
 (* The base's id index, built on its first write (a fork's first write
    after [commit] moved it on rebuilds it). *)
@@ -134,12 +74,15 @@ let index b =
   match b.index with
   | Some ix -> ix
   | None ->
-      let table ids =
-        let tbl = Ids.create (Array.length ids + 16) in
-        Array.iteri (fun i id -> Ids.replace tbl id i) ids;
+      let table names =
+        let tbl = Ids.create (Array.length names + 16) in
+        Array.iteri (fun i name -> Ids.replace tbl name i) names;
         tbl
       in
-      let ix = { node_ix = table b.node_ids; edge_ix = table b.edge_ids } in
+      let s = b.snap in
+      let node_names = Array.init s.Snapshot.num_nodes s.Snapshot.node_name in
+      let edge_names = Array.init s.Snapshot.num_edges s.Snapshot.edge_name in
+      let ix = { node_ix = table node_names; edge_ix = table edge_names; node_names; edge_names } in
       b.index <- Some ix;
       ix
 
@@ -201,18 +144,20 @@ let live_edges t =
 
 (* Delta first, then the base index minus the dead set. *)
 let find_node t id =
-  match Ids.find_opt t.new_node_ids id with
+  let k = key id in
+  match Ids.find_opt t.new_node_ids k with
   | Some r -> Nnode r
   | None -> (
-      match Ids.find_opt (index t.base).node_ix id with
+      match Ids.find_opt (index t.base).node_ix k with
       | Some i when not (Ints.mem i t.dead_nodes) -> Bnode i
       | _ -> No_node)
 
 let find_edge t id =
-  match Ids.find_opt t.new_edge_ids id with
+  let k = key id in
+  match Ids.find_opt t.new_edge_ids k with
   | Some r -> Nedge r
   | None -> (
-      match Ids.find_opt (index t.base).edge_ix id with
+      match Ids.find_opt (index t.base).edge_ix k with
       | Some e when not (Ints.mem e t.dead_edges) -> Bedge e
       | _ -> No_edge)
 
@@ -229,11 +174,11 @@ let assoc_del assoc prop = List.filter (fun (p, _) -> not (Const.equal p prop)) 
 let assoc_find assoc prop = List.find_map (fun (p, v) -> if Const.equal p prop then Some v else None) assoc
 
 (* Current props of a live base object as an assoc (override table first,
-   base column otherwise). *)
-let base_props_assoc over props i =
+   the snapshot's property row otherwise). *)
+let base_props_assoc t over rows i =
   match Hashtbl.find_opt over i with
   | Some assoc -> assoc
-  | None -> Array.to_list props.(i)
+  | None -> Array.to_list (Snapshot.row t.base.snap.Snapshot.attrs.dict rows i)
 
 let kill_base_edge t e =
   t.dead_edges <- Ints.add e t.dead_edges;
@@ -241,14 +186,15 @@ let kill_base_edge t e =
 
 let kill_new_edge t (r : new_edge) =
   t.new_edges <- List.filter (fun x -> x != r) t.new_edges;
-  Ids.remove t.new_edge_ids r.e_id
+  Ids.remove t.new_edge_ids (key r.e_id)
 
 let apply ?file ?(line = 0) t op =
+  let attrs = t.base.snap.Snapshot.attrs in
   let add_node id label =
     if mem_node t id then fail ?file line "node %s already exists" (Const.to_string id);
     let r = { n_id = id; n_label = label; n_props = []; n_final = -1 } in
     t.new_nodes <- r :: t.new_nodes;
-    Ids.replace t.new_node_ids id r
+    Ids.replace t.new_node_ids (key id) r
   in
   let add_edge id src dst label =
     if mem_edge t id then fail ?file line "edge %s already exists" (Const.to_string id);
@@ -258,19 +204,19 @@ let apply ?file ?(line = 0) t op =
       fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string dst);
     let r = { e_id = id; e_src = src; e_dst = dst; e_label = label; e_props = [] } in
     t.new_edges <- r :: t.new_edges;
-    Ids.replace t.new_edge_ids id r
+    Ids.replace t.new_edge_ids (key id) r
   in
   let no_node id = fail ?file line "no node %s" (Const.to_string id) in
   (* Rewrite the current props of a live object. *)
   let update_node_props id f =
     match find_node t id with
-    | Bnode i -> Hashtbl.replace t.bprops_n i (f (base_props_assoc t.bprops_n t.base.node_props i))
+    | Bnode i -> Hashtbl.replace t.bprops_n i (f (base_props_assoc t t.bprops_n attrs.node_props i))
     | Nnode r -> r.n_props <- f r.n_props
     | No_node -> no_node id
   in
   let update_edge_props id f =
     match find_edge t id with
-    | Bedge e -> Hashtbl.replace t.bprops_e e (f (base_props_assoc t.bprops_e t.base.edge_props e))
+    | Bedge e -> Hashtbl.replace t.bprops_e e (f (base_props_assoc t t.bprops_e attrs.edge_props e))
     | Nedge r -> r.e_props <- f r.e_props
     | No_edge -> fail ?file line "no edge %s" (Const.to_string id)
   in
@@ -297,7 +243,7 @@ let apply ?file ?(line = 0) t op =
           Snapshot.iter_in s i kill
       | Nnode r ->
           t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes;
-          Ids.remove t.new_node_ids id
+          Ids.remove t.new_node_ids (key id)
       | No_node -> no_node id);
       let doomed =
         List.filter (fun r -> Const.equal r.e_src id || Const.equal r.e_dst id) t.new_edges
@@ -313,20 +259,23 @@ let apply ?file ?(line = 0) t op =
 (* ---------------- Reads through the overlay --------------------------- *)
 
 let node_label t id =
+  let s = t.base.snap in
   match find_node t id with
-  | Bnode i -> Some t.base.node_labels.(i)
+  | Bnode i -> Some (Const.of_string s.Snapshot.node_label_names.(Snapshot.node_label s i))
   | Nnode r -> Some r.n_label
   | No_node -> None
 
 let node_prop t id prop =
   match find_node t id with
-  | Bnode i -> assoc_find (base_props_assoc t.bprops_n t.base.node_props i) prop
+  | Bnode i ->
+      assoc_find (base_props_assoc t t.bprops_n t.base.snap.Snapshot.attrs.node_props i) prop
   | Nnode r -> assoc_find r.n_props prop
   | No_node -> None
 
 let edge_prop t id prop =
   match find_edge t id with
-  | Bedge e -> assoc_find (base_props_assoc t.bprops_e t.base.edge_props e) prop
+  | Bedge e ->
+      assoc_find (base_props_assoc t t.bprops_e t.base.snap.Snapshot.attrs.edge_props e) prop
   | Nedge r -> assoc_find r.e_props prop
   | No_edge -> None
 
@@ -334,14 +283,16 @@ let adjacency t id ~out =
   match find_node t id with
   | No_node -> None
   | h ->
-      let b = t.base and s = t.base.snap in
+      let s = t.base.snap in
       let from_base = ref [] in
       (match h with
       | Bnode i ->
           let visit e other =
             if not (Ints.mem e t.dead_edges) then
               from_base :=
-                (b.edge_ids.(e), b.edge_label_univ.(s.Snapshot.elabel.(e)), b.node_ids.(other))
+                ( Const.of_string (s.Snapshot.edge_name e),
+                  Const.of_string s.Snapshot.label_names.(s.Snapshot.elabel.(e)),
+                  Const.of_string (s.Snapshot.node_name other) )
                 :: !from_base
           in
           if out then Snapshot.iter_out s i visit else Snapshot.iter_in s i visit
@@ -367,20 +318,16 @@ let reuse_ratio r =
 
 let all_columns =
   [
-    "node_ids"; "node_labels"; "node_props"; "node_label_universe"; "node_label_bits";
+    "node_ids"; "node_props"; "node_label_universe"; "node_label_bits";
     "edge_ids"; "edge_props"; "edge_label_universe"; "esrc"; "edst"; "elabel";
     "out_off"; "out_adj"; "in_off"; "in_adj"; "stats";
   ]
 
-let sorted_props assoc =
-  let a = Array.of_list assoc in
-  Array.sort (fun (p, _) (q, _) -> Const.compare p q) a;
-  a
-
-(* Universe extension: the base id table plus fresh ids for labels the
-   delta introduced, append-only so surviving interned columns stay
-   valid. *)
-let extend_universe univ fresh_labels =
+(* Universe extension: the base universe (label names read back as
+   constants) plus fresh ids for labels the delta introduced,
+   append-only so surviving interned columns stay valid. *)
+let extend_universe names fresh_labels =
+  let univ = Array.map Const.of_string names in
   let tbl = Hashtbl.create (Array.length univ * 2 + 16) in
   Array.iteri (fun i c -> Hashtbl.replace tbl c i) univ;
   let extras = ref [] in
@@ -391,10 +338,7 @@ let extend_universe univ fresh_labels =
         extras := c :: !extras
       end)
     fresh_labels;
-  let univ' =
-    if !extras = [] then univ else Array.append univ (Array.of_list (List.rev !extras))
-  in
-  (univ', tbl)
+  (Array.append univ (Array.of_list (List.rev !extras)), !extras <> [], tbl)
 
 (* Final index of surviving base index [v]: [v] minus the number of
    [dead] indices (sorted) below it. *)
@@ -429,24 +373,102 @@ let compact col ~n0 ~dead ~len dummy fresh f =
     fresh;
   out
 
-(* Bring [tbl] (ids of a base's [n0] objects to their indices) up to
-   date with a commit: dead ids out, survivors past the first dead index
-   re-pointed to their compacted index, new ids in at their final
-   index. *)
-let update_ids tbl ids ~n0 ~dead fresh =
-  Array.iter (fun d -> Ids.remove tbl ids.(d)) dead;
+(* The property dictionary extended by the delta's constants: the new
+   sorted dictionary and, when it grew, the old-id -> new-id map. *)
+let extend_dict dict consts =
+  let missing = List.filter (fun c -> Snapshot.find_const dict c < 0) consts in
+  match List.sort_uniq Const.compare missing with
+  | [] -> (dict, None)
+  | missing ->
+      let dict' = Array.of_list (List.merge Const.compare (Array.to_list dict) missing) in
+      (dict', Some (Array.map (Snapshot.find_const dict') dict))
+
+(* The property and feature columns of a commit: a side's rows are
+   re-mapped when the dictionary grew, re-gathered when its numbering
+   changed or a base object's props were overridden, and shared
+   otherwise.  The overlay
+   writes no features; appended objects have none. *)
+let commit_attrs t ~node_struct ~edge_struct ~dn ~de new_nodes new_edges =
+  let a = t.base.snap.Snapshot.attrs in
+  let n0 = t.base.snap.Snapshot.num_nodes and m0 = t.base.snap.Snapshot.num_edges in
+  let new_node_props = List.map (fun r -> r.n_props) new_nodes in
+  let new_edge_props = List.map (fun r -> r.e_props) new_edges in
+  let assocs =
+    List.of_seq (Seq.append (Hashtbl.to_seq_values t.bprops_n) (Hashtbl.to_seq_values t.bprops_e))
+    @ new_node_props @ new_edge_props
+  in
+  let dict, remap =
+    extend_dict a.dict (List.concat_map (List.concat_map (fun (p, c) -> [ p; c ])) assocs)
+  in
+  let ids assoc =
+    let pairs = Array.of_list assoc in
+    Array.sort (fun (p, _) (q, _) -> Const.compare p q) pairs;
+    Array.map (fun (p, c) -> Snapshot.(entry (find_const dict p) (find_const dict c))) pairs
+  in
+  (* Survivors in runs between the dead and the overridden, then the
+     appended objects. *)
+  let side (r : Snapshot.rows) ~rebuild ~n0 ~dead over fresh =
+    let r =
+      match remap with
+      | Some m when Array.length r.kv > 0 ->
+          let remap e = Snapshot.(entry m.(entry_key e) m.(entry_value e)) in
+          { r with kv = Array.map remap r.kv }
+      | _ -> r
+    in
+    let untouched = Array.length r.off = 0 && List.for_all (( = ) []) fresh in
+    if Hashtbl.length over = 0 && ((not rebuild) || untouched) then r
+    else begin
+      let cuts =
+        List.sort compare
+          (List.map (fun d -> (d, None)) (Array.to_list dead)
+          @ List.of_seq (Seq.map (fun (i, assoc) -> (i, Some (ids assoc))) (Hashtbl.to_seq over)))
+      in
+      let segs = ref [] and from = ref 0 in
+      List.iter
+        (fun (i, row) ->
+          if i > !from then segs := Snapshot.Base (!from, i) :: !segs;
+          Option.iter (fun ids -> segs := Snapshot.Row ids :: !segs) row;
+          from := i + 1)
+        (cuts @ [ (n0, None) ]);
+      Snapshot.gather_rows r
+        (List.rev_append !segs (List.map (fun assoc -> Snapshot.Row (ids assoc)) fresh))
+    end
+  in
+  let node_rows r over fresh = side r ~rebuild:node_struct ~n0 ~dead:dn over fresh in
+  let edge_rows r over fresh = side r ~rebuild:edge_struct ~n0:m0 ~dead:de over fresh in
+  let none = Hashtbl.create 1 in
+  let attrs =
+    {
+      a with
+      Snapshot.dict;
+      node_props = node_rows a.node_props t.bprops_n new_node_props;
+      edge_props = edge_rows a.edge_props t.bprops_e new_edge_props;
+      node_features = node_rows a.node_features none (List.map (fun _ -> []) new_nodes);
+      edge_features = edge_rows a.edge_features none (List.map (fun _ -> []) new_edges);
+    }
+  in
+  ( attrs,
+    a.node_props == attrs.node_props && a.node_features == attrs.node_features,
+    a.edge_props == attrs.edge_props && a.edge_features == attrs.edge_features )
+
+(* Bring [tbl] (names of a base's [n0] objects to their indices) up to
+   date with a commit: dead names out, survivors past the first dead
+   index re-pointed to their compacted index, new names in at their
+   final index. *)
+let update_ids tbl names ~n0 ~dead fresh =
+  Array.iter (fun d -> Ids.remove tbl names.(d)) dead;
   let first = if Array.length dead > 0 then dead.(0) else n0 in
   let k = ref first and next = ref 0 in
   for v = first to n0 - 1 do
     if !next < Array.length dead && dead.(!next) = v then incr next
     else begin
-      Ids.replace tbl ids.(v) !k;
+      Ids.replace tbl names.(v) !k;
       incr k
     end
   done;
   List.iter
     (fun id ->
-      Ids.replace tbl id !k;
+      Ids.replace tbl (key id) !k;
       incr k)
     fresh
 
@@ -469,55 +491,36 @@ let commit t =
     let survivors_n = n0 - Array.length dn in
     let n1 = survivors_n + List.length new_nodes in
     List.iteri (fun i r -> r.n_final <- survivors_n + i) new_nodes;
-    let node_column name c dummy f =
-      col name (not node_struct);
-      if node_struct then compact c ~n0 ~dead:dn ~len:n1 dummy new_nodes f else c
+    let survivors_e = m0 - Array.length de in
+    let m1 = survivors_e + List.length new_edges in
+    (* Names are shared until their side's membership changes. *)
+    let ix = index b in
+    let names name ~changed ~dead ~len fresh id old =
+      col name (not changed);
+      if changed then compact old ~n0:(Array.length old) ~dead ~len "" fresh (fun r -> key (id r))
+      else old
     in
-    let node_ids = node_column "node_ids" b.node_ids Const.Bottom (fun r -> r.n_id) in
-    let node_labels = node_column "node_labels" b.node_labels Const.Bottom (fun r -> r.n_label) in
-    (* Props columns are shared unless rebuilt or overridden; an
-       override lands at its object's final index. *)
-    let props_column name ~rebuild props over ~n0 ~dead ~len fresh f =
-      let rebuild = rebuild || Hashtbl.length over > 0 in
-      col name (not rebuild);
-      if not rebuild then props
-      else begin
-        let props = compact props ~n0 ~dead ~len [||] fresh f in
-        Hashtbl.iter (fun i assoc -> props.(shift dead i) <- sorted_props assoc) over;
-        props
-      end
+    let node_names =
+      names "node_ids" ~changed:node_struct ~dead:dn ~len:n1 new_nodes (fun r -> r.n_id)
+        ix.node_names
     in
-    let node_props =
-      props_column "node_props" ~rebuild:node_struct b.node_props t.bprops_n ~n0 ~dead:dn ~len:n1
-        new_nodes (fun r -> sorted_props r.n_props)
+    let edge_names =
+      names "edge_ids" ~changed:edge_struct ~dead:de ~len:m1 new_edges (fun r -> r.e_id)
+        ix.edge_names
     in
-    let node_label_univ, ntbl =
-      extend_universe b.node_label_univ (List.map (fun r -> r.n_label) new_nodes)
+    let attrs, node_attrs_shared, edge_attrs_shared =
+      commit_attrs t ~node_struct ~edge_struct ~dn ~de new_nodes new_edges
     in
-    col "node_label_universe" (node_label_univ == b.node_label_univ);
+    col "node_props" node_attrs_shared;
+    let node_label_univ, node_univ_grew, ntbl =
+      extend_universe s.Snapshot.node_label_names (List.map (fun r -> r.n_label) new_nodes)
+    in
+    col "node_label_universe" (not node_univ_grew);
     let num_node_labels = Array.length node_label_univ in
-    let node_label_counts =
-      if not node_struct then s.Snapshot.stats.Snapshot.node_label_counts
-      else begin
-        let counts = Array.make num_node_labels 0 in
-        Array.blit s.Snapshot.stats.Snapshot.node_label_counts 0 counts 0
-          (Array.length s.Snapshot.stats.Snapshot.node_label_counts);
-        let bump c d =
-          let l = Hashtbl.find ntbl c in
-          counts.(l) <- counts.(l) + d
-        in
-        Array.iter (fun v -> bump b.node_labels.(v) (-1)) dn;
-        List.iter (fun r -> bump r.n_label 1) new_nodes;
-        counts
-      end
-    in
+    col "node_label_bits" (not node_struct);
     let node_label_bits =
-      if not node_struct then begin
-        col "node_label_bits" true;
-        s.Snapshot.node_label_bits
-      end
+      if not node_struct then s.Snapshot.node_label_bits
       else begin
-        col "node_label_bits" false;
         let bits = Array.init num_node_labels (fun _ -> B.raw_create n1) in
         let dead = t.dead_nodes in
         Array.iteri
@@ -528,22 +531,23 @@ let commit t =
         bits
       end
     in
+    let node_label_counts =
+      if not node_struct then s.Snapshot.stats.Snapshot.node_label_counts
+      else Array.map B.raw_cardinal node_label_bits
+    in
     (* Edge columns: any membership change or node renumbering forces a
        rebuild (endpoint indices shift); otherwise everything is shared
        and label ids stay valid because universes only append. *)
     let edge_cols_fresh = edge_struct || renumber in
-    let edge_label_univ, etbl =
-      extend_universe b.edge_label_univ (List.map (fun r -> r.e_label) new_edges)
+    let edge_label_univ, edge_univ_grew, etbl =
+      extend_universe s.Snapshot.label_names (List.map (fun r -> r.e_label) new_edges)
     in
-    col "edge_label_universe" (edge_label_univ == b.edge_label_univ);
+    col "edge_label_universe" (not edge_univ_grew);
     let num_labels = Array.length edge_label_univ in
-    let survivors_e = m0 - Array.length de in
-    let m1 = survivors_e + List.length new_edges in
-    let ix = index b in
     let final_of_node_id id =
-      match Ids.find_opt t.new_node_ids id with
+      match Ids.find_opt t.new_node_ids (key id) with
       | Some r -> r.n_final
-      | None -> shift dn (Ids.find ix.node_ix id)
+      | None -> shift dn (Ids.find ix.node_ix (key id))
     in
     let edge_column name c dummy f =
       col name (not edge_cols_fresh);
@@ -561,90 +565,52 @@ let commit t =
     let esrc = endpoint "esrc" s.Snapshot.esrc (fun r -> final_of_node_id r.e_src) in
     let edst = endpoint "edst" s.Snapshot.edst (fun r -> final_of_node_id r.e_dst) in
     let elabel = edge_column "elabel" s.Snapshot.elabel 0 (fun r -> Hashtbl.find etbl r.e_label) in
-    let edge_ids = edge_column "edge_ids" b.edge_ids Const.Bottom (fun r -> r.e_id) in
-    let edge_props =
-      props_column "edge_props" ~rebuild:edge_cols_fresh b.edge_props t.bprops_e ~n0:m0 ~dead:de
-        ~len:m1 new_edges (fun r -> sorted_props r.e_props)
-    in
+    col "edge_props" edge_attrs_shared;
     let edge_label_counts =
-      if not edge_struct then s.Snapshot.stats.Snapshot.edge_label_counts
+      let old = s.Snapshot.stats.Snapshot.edge_label_counts in
+      if not edge_struct then old
       else begin
-        let counts = Array.make num_labels 0 in
-        Array.blit s.Snapshot.stats.Snapshot.edge_label_counts 0 counts 0
-          (Array.length s.Snapshot.stats.Snapshot.edge_label_counts);
-        Array.iter
-          (fun e ->
-            let l = s.Snapshot.elabel.(e) in
-            counts.(l) <- counts.(l) - 1)
-          de;
-        List.iter
-          (fun r ->
-            let l = Hashtbl.find etbl r.e_label in
-            counts.(l) <- counts.(l) + 1)
-          new_edges;
+        let counts = Array.append old (Array.make (num_labels - Array.length old) 0) in
+        let bump d l = counts.(l) <- counts.(l) + d in
+        Array.iter (fun e -> bump (-1) s.Snapshot.elabel.(e)) de;
+        List.iter (fun r -> bump 1 (Hashtbl.find etbl r.e_label)) new_edges;
         counts
       end
     in
     (* CSR: untouched edges with stable numbering reuse everything; node
        appends only extend the offset arrays (new nodes have degree 0)
        while sharing the packed adjacency; anything else re-packs. *)
+    let csr_stable = (not edge_struct) && not renumber in
+    List.iter (fun c -> col c (csr_stable && new_nodes = [])) [ "out_off"; "in_off" ];
+    List.iter (fun c -> col c csr_stable) [ "out_adj"; "in_adj" ];
     let out_off, out_eid, out_nbr, in_off, in_eid, in_nbr =
-      if (not edge_struct) && not renumber then
-        if new_nodes = [] then begin
-          List.iter (fun c -> col c true) [ "out_off"; "out_adj"; "in_off"; "in_adj" ];
-          ( s.Snapshot.out_off, s.Snapshot.out_eid, s.Snapshot.out_nbr,
-            s.Snapshot.in_off, s.Snapshot.in_eid, s.Snapshot.in_nbr )
-        end
-        else begin
-          List.iter (fun c -> col c false) [ "out_off"; "in_off" ];
-          List.iter (fun c -> col c true) [ "out_adj"; "in_adj" ];
-          let extend off =
-            let a = Array.make (n1 + 1) off.(n0) in
-            Array.blit off 0 a 0 (n0 + 1);
-            a
-          in
-          ( extend s.Snapshot.out_off, s.Snapshot.out_eid, s.Snapshot.out_nbr,
-            extend s.Snapshot.in_off, s.Snapshot.in_eid, s.Snapshot.in_nbr )
-        end
+      if not csr_stable then Snapshot.pack_csr n1 esrc edst
       else begin
-        List.iter (fun c -> col c false) [ "out_off"; "out_adj"; "in_off"; "in_adj" ];
-        Snapshot.pack_csr n1 esrc edst
+        let extend off =
+          if new_nodes = [] then off
+          else Array.append off (Array.make (n1 - n0) off.(n0))
+        in
+        ( extend s.Snapshot.out_off, s.Snapshot.out_eid, s.Snapshot.out_nbr,
+          extend s.Snapshot.in_off, s.Snapshot.in_eid, s.Snapshot.in_nbr )
       end
     in
+    let stats_shared = (not node_struct) && not edge_struct in
+    col "stats" stats_shared;
     let stats =
-      if (not node_struct) && not edge_struct then begin
-        col "stats" true;
-        s.Snapshot.stats
-      end
-      else begin
-        col "stats" false;
+      if stats_shared then s.Snapshot.stats
+      else
         Snapshot.stats_of_columns ~num_nodes:n1 ~out_off ~in_off ~edge_label_counts
           ~node_label_counts
-      end
     in
-    let label_sat =
-      if edge_label_univ == b.edge_label_univ then s.Snapshot.label_sat
-      else Snapshot.const_label_sat edge_label_univ
+    let universe grew univ names sat =
+      if grew then (Array.map Const.to_string univ, Snapshot.const_label_sat univ) else (names, sat)
     in
-    let node_label_sat =
-      if node_label_univ == b.node_label_univ then s.Snapshot.node_label_sat
-      else Snapshot.const_label_sat node_label_univ
+    let label_names, label_sat =
+      universe edge_univ_grew edge_label_univ s.Snapshot.label_names s.Snapshot.label_sat
     in
-    let node_atom v = function
-      | Atom.Label l -> Const.equal node_labels.(v) l
-      | Atom.Prop (p, c) -> (
-          match Property_graph.lookup node_props.(v) p with
-          | Some w -> Const.equal c w
-          | None -> false)
-      | Atom.Feature _ -> false
-    in
-    let edge_atom e = function
-      | Atom.Label l -> Const.equal edge_label_univ.(elabel.(e)) l
-      | Atom.Prop (p, c) -> (
-          match Property_graph.lookup edge_props.(e) p with
-          | Some w -> Const.equal c w
-          | None -> false)
-      | Atom.Feature _ -> false
+    let node_label_names, node_label_sat =
+      universe node_univ_grew node_label_univ s.Snapshot.node_label_names
+        s.Snapshot.node_label_sat
     in
     let snap' =
       {
@@ -660,16 +626,16 @@ let commit t =
         in_nbr;
         num_labels;
         elabel;
-        label_names = Array.map Const.to_string edge_label_univ;
+        label_names;
         label_sat;
         num_node_labels;
-        node_label_names = Array.map Const.to_string node_label_univ;
+        node_label_names;
         node_label_sat;
         node_label_bits;
-        node_atom;
-        edge_atom;
-        node_name = (fun v -> Const.to_string node_ids.(v));
-        edge_name = (fun e -> Const.to_string edge_ids.(e));
+        attrs;
+        atoms = Columns;
+        node_name = (if node_struct then Array.get node_names else s.Snapshot.node_name);
+        edge_name = (if edge_struct then Array.get edge_names else s.Snapshot.edge_name);
         stats;
         epoch = Snapshot.fresh_epoch ();
         memo = Snapshot.fresh_memo ();
@@ -678,18 +644,8 @@ let commit t =
     (* Hand the id index over: the old base drops it (a later overlay on
        it rebuilds its own), the new base gets it updated by the delta. *)
     b.index <- None;
-    update_ids ix.node_ix b.node_ids ~n0 ~dead:dn (List.map (fun r -> r.n_id) new_nodes);
-    update_ids ix.edge_ix b.edge_ids ~n0:m0 ~dead:de (List.map (fun r -> r.e_id) new_edges);
-    ( {
-        snap = snap';
-        node_ids;
-        node_labels;
-        node_props;
-        edge_ids;
-        edge_props;
-        edge_label_univ;
-        node_label_univ;
-        index = Some ix;
-      },
+    update_ids ix.node_ix ix.node_names ~n0 ~dead:dn (List.map (fun r -> r.n_id) new_nodes);
+    update_ids ix.edge_ix ix.edge_names ~n0:m0 ~dead:de (List.map (fun r -> r.e_id) new_edges);
+    ( { snap = snap'; index = Some { ix with node_names; edge_names } },
       { reused = List.rev !reused; rebuilt = List.rev !rebuilt } )
   end

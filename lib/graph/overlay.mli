@@ -8,9 +8,10 @@
     {!commit}. Readers never see the overlay — they query the immutable
     base (or any pinned older epoch, see {!Epochs}).
 
-    Ids resolve through the base's id index (node and edge ids to base
-    indices). The base owns it: it is built on the base's first write,
-    and {!commit} updates it by the delta and hands it to the new base.
+    Ids resolve through the base's id index (node and edge names to base
+    indices; a mutation's id matches by its rendering). The base owns
+    it: it is built on the base's first write, and {!commit} updates it
+    by the delta and hands it to the new base.
     Only the serialized writer may touch it — the daemon's writer lock
     or the single-threaded CLI, i.e. whoever may call {!create},
     {!apply}, the reads below and {!commit}; snapshot readers never do.
@@ -20,28 +21,28 @@
     insertion order — exactly the order {!Journal.replay_ops} produces,
     so a committed snapshot and a scratch rebuild of the same history
     number nodes and edges identically. Only the interned label
-    universes may differ (a commit keeps stale entries at count 0 where
-    a scratch freeze forgets them); query answers are unaffected. *)
+    universes and the property dictionary may differ (a commit keeps
+    stale entries where a scratch freeze forgets them); query answers
+    are unaffected. *)
 
 type base
-(** A snapshot plus the identity columns (ids, labels, properties as
-    {!Const}s) a re-freeze needs, and the writer-side id index (built
-    on the base's first write, not at load). *)
+(** A snapshot — the one store of ids (its names), labels and
+    properties — plus the writer-side id index from names to indices,
+    built on the base's first write, not at load. *)
 
+(** [base_of_snapshot (Snapshot.of_property g)]. *)
 val base_of_property : Property_graph.t -> base
 
-(** From a bare snapshot (e.g. loaded from [.gqs]): ids come from the
-    name closures, properties are empty (closures do not persist —
-    matching reload semantics). Raises [Invalid_argument] when node
-    labels are not exclusive (one per node), i.e. the snapshot did not
-    come from a property/labeled/vector freeze. *)
+(** Wraps a snapshot (a [.pg] freeze, a [.gqs] load, a commit) without
+    copying anything. Raises [Invalid_argument] when node labels are not
+    exclusive (one per node) or atoms are [Custom], i.e. the snapshot
+    did not come from a property/labeled/vector freeze. *)
 val base_of_snapshot : Snapshot.t -> base
 
 val snapshot : base -> Snapshot.t
 
-(** Minimal {!Mutation} history recreating the base's state by replay
-    (same shape as {!Journal.ops_of_graph}) — what [gqkg mutate
-    --journal] persists. *)
+(** {!Journal.ops_of_snapshot} of the base: the minimal history [gqkg
+    mutate --journal] persists. *)
 val history : base -> Mutation.t list
 
 type t

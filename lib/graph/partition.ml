@@ -41,13 +41,6 @@ let iter_block p ~block f =
     f e s.Snapshot.esrc.(e) s.Snapshot.edst.(e)
   done
 
-let fold_blocks p ~init ~f =
-  let acc = ref init in
-  for b = 0 to p.num_blocks - 1 do
-    acc := f !acc b
-  done;
-  !acc
-
 let describe p =
   let sizes = Array.init p.num_blocks (fun b -> edges_in_block p b) in
   let sorted = Array.copy sizes in

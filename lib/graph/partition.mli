@@ -39,10 +39,6 @@ val edges_in_block : t -> int -> int
     block, ascending edge id. *)
 val iter_block : t -> block:int -> (int -> int -> int -> unit) -> unit
 
-(** Every edge appears in exactly one block; [fold_blocks] visits the
-    blocks ascending. *)
-val fold_blocks : t -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 (** Summary for [gqkg stats]: block geometry, edge mass distribution
     over blocks (min/median/max edges per block), and the imbalance
     ratio max/mean — the number a sharding layer would watch. *)

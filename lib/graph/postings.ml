@@ -29,7 +29,7 @@ let scan tripped n sat =
 
 (* A node-label atom is the union of the label bitmaps it accepts (a
    node may carry several labels).  Without a label index the snapshot
-   answers label tests through [node_atom] alone. *)
+   answers label tests through [Snapshot.node_atom] alone. *)
 let build_nodes tripped (snap : Snapshot.t) atom =
   match atom with
   | Atom.Label _ when snap.num_node_labels > 0 ->
@@ -38,10 +38,10 @@ let build_nodes tripped (snap : Snapshot.t) atom =
         if snap.node_label_sat l atom then B.raw_iter snap.node_label_bits.(l) (B.raw_add acc)
       done;
       Some (B.raw_to_array acc)
-  | _ -> scan tripped snap.num_nodes (fun v -> snap.node_atom v atom)
+  | _ -> scan tripped snap.num_nodes (fun v -> Snapshot.node_atom snap v atom)
 
 let build_edges tripped (snap : Snapshot.t) atom =
-  scan tripped snap.num_edges (fun e -> snap.edge_atom e atom)
+  scan tripped snap.num_edges (fun e -> Snapshot.edge_atom snap e atom)
 
 let lookup id ~cap build tripped snap atom =
   let table = table snap id in

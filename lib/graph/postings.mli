@@ -8,7 +8,7 @@
     readers on several domains share it and it is collected with its
     epoch.  A node-label atom is the union of the label bitmaps that
     accept it ({!Snapshot.t.node_label_bits}); every other atom is one
-    {!Snapshot.t.node_atom} (or {!Snapshot.t.edge_atom}) scan.
+    {!Snapshot.node_atom} (or {!Snapshot.edge_atom}) scan.
 
     The memo is bounded by the graph.  A node holds one value per
     property (one label, one feature value), so the non-empty postings
@@ -19,7 +19,7 @@
     still answered [[||]], by a fresh scan each time. *)
 
 (** [nodes snap atom] is the ascending array of the nodes [v] with
-    [snap.node_atom v atom].  The array is shared; callers must not
+    [Snapshot.node_atom snap v atom].  The array is shared; callers must not
     mutate it. *)
 val nodes : Snapshot.t -> Atom.t -> int array
 
@@ -29,7 +29,7 @@ val nodes : Snapshot.t -> Atom.t -> int array
 val nodes_within : Gqkg_util.Budget.t -> Snapshot.t -> Atom.t -> int array option
 
 (** [edges snap atom] is the ascending array of the edges [e] with
-    [snap.edge_atom e atom].  Shared like {!nodes}. *)
+    [Snapshot.edge_atom snap e atom].  Shared like {!nodes}. *)
 val edges : Snapshot.t -> Atom.t -> int array
 
 (** Empty postings currently kept on [snap]: (node side, edge side). *)

@@ -8,7 +8,6 @@ type properties = (Const.t * Const.t) array
 
 type t = { labeled : Labeled_graph.t; node_props : properties array; edge_props : properties array }
 
-let labeled g = g.labeled
 let base g = Labeled_graph.base g.labeled
 let num_nodes g = Labeled_graph.num_nodes g.labeled
 let num_edges g = Labeled_graph.num_edges g.labeled
@@ -17,10 +16,6 @@ let edge_label g e = Labeled_graph.edge_label g.labeled e
 let node_id g n = Labeled_graph.node_id g.labeled n
 let edge_id g e = Labeled_graph.edge_id g.labeled e
 let endpoints g e = Labeled_graph.endpoints g.labeled e
-let out_edges g n = Labeled_graph.out_edges g.labeled n
-let in_edges g n = Labeled_graph.in_edges g.labeled n
-let find_node g id = Labeled_graph.find_node g.labeled id
-let node_of_exn g id = Labeled_graph.node_of_exn g.labeled id
 
 let lookup props p =
   let n = Array.length props in

@@ -7,9 +7,6 @@ type properties = (Const.t * Const.t) array
 
 type t
 
-(** Projection to the labeled model (forget σ). *)
-val labeled : t -> Labeled_graph.t
-
 val base : t -> Multigraph.t
 val num_nodes : t -> int
 val num_edges : t -> int
@@ -18,10 +15,6 @@ val edge_label : t -> int -> Const.t
 val node_id : t -> int -> Const.t
 val edge_id : t -> int -> Const.t
 val endpoints : t -> int -> int * int
-val out_edges : t -> int -> (int * int) array
-val in_edges : t -> int -> (int * int) array
-val find_node : t -> Const.t -> int option
-val node_of_exn : t -> Const.t -> int
 
 (** Linear scan of a sorted property array. *)
 val lookup : properties -> Const.t -> Const.t option

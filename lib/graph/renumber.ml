@@ -139,6 +139,9 @@ let is_identity p =
   id p.old_of_new && id p.edge_old_of_new
 
 let apply (s : Snapshot.t) p =
+  (match s.atoms with
+  | Custom _ -> invalid_arg "Renumber.apply: snapshot has Custom atoms"
+  | Columns -> ());
   let n = s.num_nodes and m = s.num_edges in
   let esrc = Array.make m 0 and edst = Array.make m 0 in
   let elabel = Array.make m 0 in
@@ -156,12 +159,23 @@ let apply (s : Snapshot.t) p =
         node_labels.(v') <- l :: node_labels.(v'))
   done;
   let old_node = p.old_of_new and old_edge = p.edge_old_of_new in
-  Snapshot.make ~num_nodes:n ~esrc ~edst ~num_labels:s.num_labels ~elabel
+  let a = s.attrs in
+  let gather r old =
+    Snapshot.gather_rows r (List.map (fun v -> Snapshot.Base (v, v + 1)) (Array.to_list old))
+  in
+  let attrs =
+    {
+      a with
+      Snapshot.node_props = gather a.node_props old_node;
+      edge_props = gather a.edge_props old_edge;
+      node_features = gather a.node_features old_node;
+      edge_features = gather a.edge_features old_edge;
+    }
+  in
+  Snapshot.make ~atoms:Columns ~attrs ~num_nodes:n ~esrc ~edst ~num_labels:s.num_labels ~elabel
     ~label_names:s.label_names ~label_sat:s.label_sat
     ~num_node_labels:s.num_node_labels ~node_labels
     ~node_label_names:s.node_label_names ~node_label_sat:s.node_label_sat
-    ~node_atom:(fun v a -> s.node_atom old_node.(v) a)
-    ~edge_atom:(fun e a -> s.edge_atom old_edge.(e) a)
     ~node_name:(fun v -> s.node_name old_node.(v))
     ~edge_name:(fun e -> s.edge_name old_edge.(e))
 

@@ -5,8 +5,9 @@
     node ids map to memory. Renumbering permutes the *internal* ids so
     that hot nodes (high degree, or BFS-close neighbourhoods) land on
     adjacent offsets, while every user-facing surface — names, atoms,
-    Graph_io text, diagnostics, [explain] — is preserved by composing
-    the snapshot's oracle closures with the permutation.
+    Graph_io text, diagnostics, [explain] — is preserved: property and
+    feature rows move with their objects, and names are composed with
+    the permutation.
 
     Edges are renumbered too: the new edge order sorts by
     (new source, new destination, old edge id), which makes every
@@ -45,8 +46,11 @@ val plan : order -> Snapshot.t -> permutation
 val is_identity : permutation -> bool
 
 (** Rebuild the snapshot under the permutation. Adjacency, label
-    bitmaps and stats are recomputed over the new ids; name and atom
-    closures are wrapped so user-facing output is unchanged. *)
+    bitmaps and stats are recomputed over the new ids, property and
+    feature rows permuted, and names wrapped so user-facing output is
+    unchanged. Raises [Invalid_argument] on a snapshot with [Custom]
+    atoms (the triple store's view), whose closures know only its own
+    numbering. *)
 val apply : Snapshot.t -> permutation -> Snapshot.t
 
 (** [renumber order s] = plan + apply, returning the permutation used. *)

@@ -1,12 +1,13 @@
-(* The frozen columnar view shared by all four Section 3 data models.
+(* The frozen columnar store shared by all four Section 3 data models.
 
    Freezing compiles a model to one physical layout — flat endpoint
    columns, CSR adjacency in both directions, interned edge labels,
-   node-label membership bitmaps and degree/label statistics — so the
-   Section 4 engines touch plain int arrays instead of per-model
-   closures.  The per-model freezers are the [of_*] constructors below
-   plus the triple store's frozen view in gqkg_kg ([Triple_store.view],
-   which [Rdf_graph.of_store] returns).
+   node-label membership bitmaps, interned property and feature rows and
+   degree/label statistics — so the Section 4 engines touch plain arrays
+   instead of per-model closures, and the model itself can be dropped.
+   The per-model freezers are the [of_*] constructors below plus the
+   triple store's frozen view in gqkg_kg ([Triple_store.view], which
+   [Rdf_graph.of_store] returns).
 
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
@@ -33,6 +34,20 @@ type stats = {
    every reader of that snapshot, collected with it. *)
 type binding = Binding : 'a Type.Id.t * 'a -> binding
 type memo = binding list Atomic.t
+type rows = { off : int array; kv : int array }
+
+type attrs = {
+  dict : Const.t array;
+  node_props : rows;
+  edge_props : rows;
+  dimension : int;
+  node_features : rows;
+  edge_features : rows;
+}
+
+type atoms =
+  | Columns
+  | Custom of { node : int -> Atom.t -> bool; edge : int -> Atom.t -> bool }
 
 type t = {
   num_nodes : int;
@@ -53,8 +68,8 @@ type t = {
   node_label_names : string array;
   node_label_sat : int -> Atom.t -> bool;
   node_label_bits : int array array;
-  node_atom : int -> Atom.t -> bool;
-  edge_atom : int -> Atom.t -> bool;
+  attrs : attrs;
+  atoms : atoms;
   node_name : int -> string;
   edge_name : int -> string;
   stats : stats;
@@ -192,8 +207,23 @@ let stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_
     node_label_counts;
   }
 
-let make ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat ~num_node_labels
-    ~node_labels ~node_label_names ~node_label_sat ~node_atom ~edge_atom ~node_name ~edge_name =
+let no_rows = { off = [||]; kv = [||] }
+let entry k v = (k lsl 31) lor v
+let entry_key e = e lsr 31
+let entry_value e = e land 0x7fffffff
+
+let no_attrs =
+  {
+    dict = [||];
+    node_props = no_rows;
+    edge_props = no_rows;
+    dimension = 0;
+    node_features = no_rows;
+    edge_features = no_rows;
+  }
+
+let make ~atoms ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat
+    ~num_node_labels ~node_labels ~node_label_names ~node_label_sat ~node_name ~edge_name =
   let num_edges = Array.length esrc in
   if Array.length edst <> num_edges || Array.length elabel <> num_edges then
     invalid_arg "Snapshot.make: esrc/edst/elabel lengths differ";
@@ -234,8 +264,8 @@ let make ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat ~num
     node_label_names;
     node_label_sat;
     node_label_bits;
-    node_atom;
-    edge_atom;
+    attrs;
+    atoms;
     node_name;
     edge_name;
     stats = stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_counts;
@@ -259,7 +289,7 @@ let intern ~n ~get =
   in
   (table, Array.of_list (List.rev !distinct))
 
-(* ---- The Section 3 models --------------------------------------------- *)
+(* ---- Atomic tests ------------------------------------------------------ *)
 
 (* Label satisfaction by Const equality against the interned universe —
    the rule shared by the labeled, property and vector models (RDF
@@ -269,68 +299,204 @@ let const_label_sat universe id = function
   | Atom.Label c -> Const.equal universe.(id) c
   | Atom.Prop _ | Atom.Feature _ -> false
 
-let endpoint_columns num_edges endpoints =
-  let esrc = Array.make (max num_edges 1) 0 and edst = Array.make (max num_edges 1) 0 in
-  for e = 0 to num_edges - 1 do
-    let s, d = endpoints e in
-    esrc.(e) <- s;
-    edst.(e) <- d
+(* The value of [key] in object [o]'s row. *)
+let row_find dict r o key =
+  if Array.length r.off = 0 then None
+  else begin
+    let rec go i stop =
+      if i = stop then None
+      else if Const.equal dict.(entry_key r.kv.(i)) key then Some dict.(entry_value r.kv.(i))
+      else go (i + 1) stop
+    in
+    go r.off.(o) r.off.(o + 1)
+  end
+
+let prop_holds a r o p v =
+  match row_find a.dict r o p with Some w -> Const.equal v w | None -> false
+
+(* An absent feature is ⊥. *)
+let feature_holds a r o i v =
+  i >= 1 && i <= a.dimension
+  && Const.equal v (Option.value (row_find a.dict r o (Const.Int i)) ~default:Const.Bottom)
+
+let node_atom s v atom =
+  match (s.atoms, atom) with
+  | Custom c, _ -> c.node v atom
+  | Columns, Atom.Label _ ->
+      let rec go l =
+        l < s.num_node_labels
+        && ((B.raw_mem s.node_label_bits.(l) v && s.node_label_sat l atom) || go (l + 1))
+      in
+      go 0
+  | Columns, Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.node_props v p c
+  | Columns, Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.node_features v i c
+
+let edge_atom s e atom =
+  match (s.atoms, atom) with
+  | Custom c, _ -> c.edge e atom
+  | Columns, Atom.Label _ -> s.num_labels > 0 && s.label_sat s.elabel.(e) atom
+  | Columns, Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.edge_props e p c
+  | Columns, Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.edge_features e i c
+
+(* ---- Property and feature columns -------------------------------------- *)
+
+let find_const dict c =
+  let lo = ref 0 and hi = ref (Array.length dict) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Const.compare dict.(mid) c < 0 then lo := mid + 1 else hi := mid
   done;
-  (Array.sub esrc 0 num_edges, Array.sub edst 0 num_edges)
+  if !lo < Array.length dict && Const.equal dict.(!lo) c then !lo else -1
+
+let row dict r o =
+  if Array.length r.off = 0 then [||]
+  else
+    Array.init (r.off.(o + 1) - r.off.(o)) (fun i ->
+        let e = r.kv.(r.off.(o) + i) in
+        (dict.(entry_key e), dict.(entry_value e)))
+
+module Consts = Hashtbl.Make (Const)
+
+(* One pass interns every constant by first occurrence while the rows
+   are filled; ranking the distinct constants then sorts the
+   dictionary, and the rows are renumbered in place. *)
+let intern_attrs ~dimension ~node_props ~edge_props ~node_features ~edge_features =
+  let ids = Consts.create 64 in
+  let intern c =
+    match Consts.find_opt ids c with
+    | Some i -> i
+    | None ->
+        let i = Consts.length ids in
+        Consts.add ids c i;
+        i
+  in
+  let rows objs =
+    let n = Array.length objs in
+    if Array.for_all (fun r -> Array.length r = 0) objs then no_rows
+    else begin
+      let off = Array.make (n + 1) 0 in
+      Array.iteri (fun o r -> off.(o + 1) <- off.(o) + Array.length r) objs;
+      let kv = Array.make off.(n) 0 in
+      Array.iteri
+        (fun o r -> Array.iteri (fun i (p, v) -> kv.(off.(o) + i) <- entry (intern p) (intern v)) r)
+        objs;
+      { off; kv }
+    end
+  in
+  let node_props = rows node_props and edge_props = rows edge_props in
+  let node_features = rows node_features and edge_features = rows edge_features in
+  let sorted = Array.of_seq (Consts.to_seq ids) in
+  Array.sort (fun (a, _) (b, _) -> Const.compare a b) sorted;
+  let rank = Array.make (Array.length sorted) 0 in
+  Array.iteri (fun r (_, i) -> rank.(i) <- r) sorted;
+  let rerank e = entry rank.(entry_key e) rank.(entry_value e) in
+  List.iter
+    (fun r -> Array.iteri (fun i e -> r.kv.(i) <- rerank e) r.kv)
+    [ node_props; edge_props; node_features; edge_features ];
+  { dict = Array.map fst sorted; node_props; edge_props; dimension; node_features; edge_features }
+
+type segment = Base of int * int | Row of int array
+
+let gather_rows r segments =
+  let empty = Array.length r.off = 0 in
+  let start v = if empty then 0 else r.off.(v) in
+  let count, total =
+    List.fold_left
+      (fun (n, p) -> function
+        | Base (a, b) -> (n + b - a, p + start b - start a)
+        | Row kv -> (n + 1, p + Array.length kv))
+      (0, 0) segments
+  in
+  if total = 0 then no_rows
+  else begin
+    let off = Array.make (count + 1) total and kv = Array.make total 0 in
+    let fill (k, o) = function
+      | Base (a, b) ->
+          let s0 = start a and len = start b - start a in
+          if empty then Array.fill off k (b - a) o
+          else if o = s0 then Array.blit r.off a off k (b - a)
+          else
+            for v = a to b - 1 do
+              off.(k + v - a) <- o + r.off.(v) - s0
+            done;
+          Array.blit r.kv s0 kv o len;
+          (k + b - a, o + len)
+      | Row row ->
+          off.(k) <- o;
+          Array.blit row 0 kv o (Array.length row);
+          (k + 1, o + Array.length row)
+    in
+    ignore (List.fold_left fill (0, 0) segments);
+    { off; kv }
+  end
+
+let node_label s v =
+  let rec go l =
+    if l = s.num_node_labels then -1 else if B.raw_mem s.node_label_bits.(l) v then l else go (l + 1)
+  in
+  go 0
+
+(* ---- The Section 3 models --------------------------------------------- *)
 
 (* Shared freeze for the three Const-labeled models: one label per node,
-   one per edge, Const-equality label tests. *)
-let of_const_labeled ~num_nodes ~num_edges ~endpoints ~node_label ~edge_label ~node_atom
-    ~edge_atom ~node_name ~edge_name =
-  let esrc, edst = endpoint_columns num_edges endpoints in
+   one per edge, Const-equality label tests, ids copied out as names so
+   nothing here keeps the model alive. *)
+let of_const_labeled ~attrs ~num_nodes ~num_edges ~endpoints ~node_label ~edge_label ~node_id
+    ~edge_id =
+  let esrc = Array.init num_edges (fun e -> fst (endpoints e)) in
+  let edst = Array.init num_edges (fun e -> snd (endpoints e)) in
   let elabel, edge_universe = intern ~n:num_edges ~get:edge_label in
   let nlabel, node_universe = intern ~n:num_nodes ~get:node_label in
-  make ~num_nodes ~esrc ~edst ~num_labels:(Array.length edge_universe) ~elabel
-    ~label_names:(Array.map Const.to_string edge_universe)
+  let node_names = Array.init num_nodes (fun v -> Const.to_string (node_id v)) in
+  let edge_names = Array.init num_edges (fun e -> Const.to_string (edge_id e)) in
+  make ~atoms:Columns ~attrs ~num_nodes ~esrc ~edst ~num_labels:(Array.length edge_universe)
+    ~elabel ~label_names:(Array.map Const.to_string edge_universe)
     ~label_sat:(const_label_sat edge_universe)
     ~num_node_labels:(Array.length node_universe)
     ~node_labels:(Array.map (fun l -> [ l ]) nlabel)
     ~node_label_names:(Array.map Const.to_string node_universe)
     ~node_label_sat:(const_label_sat node_universe)
-    ~node_atom ~edge_atom ~node_name ~edge_name
+    ~node_name:(Array.get node_names) ~edge_name:(Array.get edge_names)
 
 let of_labeled g =
-  of_const_labeled ~num_nodes:(Labeled_graph.num_nodes g) ~num_edges:(Labeled_graph.num_edges g)
-    ~endpoints:(Labeled_graph.endpoints g) ~node_label:(Labeled_graph.node_label g)
-    ~edge_label:(Labeled_graph.edge_label g)
-    ~node_atom:(Labeled_graph.node_satisfies_atom g)
-    ~edge_atom:(Labeled_graph.edge_satisfies_atom g)
-    ~node_name:(fun n -> Const.to_string (Labeled_graph.node_id g n))
-    ~edge_name:(fun e -> Const.to_string (Labeled_graph.edge_id g e))
+  of_const_labeled ~attrs:no_attrs ~num_nodes:(Labeled_graph.num_nodes g)
+    ~num_edges:(Labeled_graph.num_edges g) ~endpoints:(Labeled_graph.endpoints g)
+    ~node_label:(Labeled_graph.node_label g) ~edge_label:(Labeled_graph.edge_label g)
+    ~node_id:(Labeled_graph.node_id g) ~edge_id:(Labeled_graph.edge_id g)
 
-(* λ(e) comes from the underlying labeled graph, so Label atoms are
-   label-determined even though Prop atoms are not. *)
 let of_property g =
-  of_const_labeled ~num_nodes:(Property_graph.num_nodes g)
-    ~num_edges:(Property_graph.num_edges g) ~endpoints:(Property_graph.endpoints g)
+  let n = Property_graph.num_nodes g and m = Property_graph.num_edges g in
+  let attrs =
+    intern_attrs ~dimension:0
+      ~node_props:(Array.init n (Property_graph.node_properties g))
+      ~edge_props:(Array.init m (Property_graph.edge_properties g))
+      ~node_features:[||] ~edge_features:[||]
+  in
+  of_const_labeled ~attrs ~num_nodes:n ~num_edges:m ~endpoints:(Property_graph.endpoints g)
     ~node_label:(Property_graph.node_label g) ~edge_label:(Property_graph.edge_label g)
-    ~node_atom:(Property_graph.node_satisfies_atom g)
-    ~edge_atom:(Property_graph.edge_satisfies_atom g)
-    ~node_name:(fun n -> Const.to_string (Property_graph.node_id g n))
-    ~edge_name:(fun e -> Const.to_string (Property_graph.edge_id g e))
+    ~node_id:(Property_graph.node_id g) ~edge_id:(Property_graph.edge_id g)
 
 (* The label survives flattening as feature 1 (index 0), so Label atoms
    are determined by that feature alone. *)
 let of_vector g =
-  of_const_labeled ~num_nodes:(Vector_graph.num_nodes g) ~num_edges:(Vector_graph.num_edges g)
-    ~endpoints:(Vector_graph.endpoints g)
-    ~node_label:(fun n -> (Vector_graph.node_vector g n).(0))
+  let features vector =
+    let present (i, c) = if Const.equal c Const.Bottom then None else Some (Const.Int (i + 1), c) in
+    Array.of_seq (Seq.filter_map present (Array.to_seqi vector))
+  in
+  let n = Vector_graph.num_nodes g and m = Vector_graph.num_edges g in
+  let attrs =
+    intern_attrs ~dimension:(Vector_graph.dimension g) ~node_props:[||] ~edge_props:[||]
+      ~node_features:(Array.init n (fun v -> features (Vector_graph.node_vector g v)))
+      ~edge_features:(Array.init m (fun e -> features (Vector_graph.edge_vector g e)))
+  in
+  of_const_labeled ~attrs ~num_nodes:n ~num_edges:m ~endpoints:(Vector_graph.endpoints g)
+    ~node_label:(fun v -> (Vector_graph.node_vector g v).(0))
     ~edge_label:(fun e -> (Vector_graph.edge_vector g e).(0))
-    ~node_atom:(Vector_graph.node_satisfies_atom g)
-    ~edge_atom:(Vector_graph.edge_satisfies_atom g)
-    ~node_name:(fun n -> Const.to_string (Vector_graph.node_id g n))
-    ~edge_name:(fun e -> Const.to_string (Vector_graph.edge_id g e))
+    ~node_id:(Vector_graph.node_id g) ~edge_id:(Vector_graph.edge_id g)
 
 (* ---- Accessors --------------------------------------------------------- *)
 
 let endpoints s e = (s.esrc.(e), s.edst.(e))
-let src s e = s.esrc.(e)
-let dst s e = s.edst.(e)
 let out_degree s v = s.out_off.(v + 1) - s.out_off.(v)
 let in_degree s v = s.in_off.(v + 1) - s.in_off.(v)
 
@@ -352,12 +518,10 @@ let in_pairs s v =
   let off = s.in_off.(v) in
   Array.init (in_degree s v) (fun i -> (s.in_eid.(off + i), s.in_nbr.(off + i)))
 
-let nodes_with_label s l = B.raw_to_array s.node_label_bits.(l)
-
 (* Side-by-side disjoint union (nodes and edges of [b] shifted past
    [a]'s), used by the WL isomorphism test and kernel: joint color
    refinement needs one graph whose palette spans both sides.  Labels
-   are dropped — refinement only reads structure; atoms and names
+   and properties are dropped — refinement only reads structure; names
    delegate to the matching side. *)
 let disjoint_union a b =
   let n1 = a.num_nodes and m1 = a.num_edges in
@@ -365,13 +529,11 @@ let disjoint_union a b =
   let shift off arr1 arr2 =
     Array.init m (fun e -> if e < m1 then arr1.(e) else arr2.(e - m1) + off)
   in
-  make ~num_nodes:n ~esrc:(shift n1 a.esrc b.esrc) ~edst:(shift n1 a.edst b.edst) ~num_labels:0
-    ~elabel:(Array.make m 0) ~label_names:[||]
+  make ~atoms:Columns ~attrs:no_attrs ~num_nodes:n ~esrc:(shift n1 a.esrc b.esrc)
+    ~edst:(shift n1 a.edst b.edst) ~num_labels:0 ~elabel:(Array.make m 0) ~label_names:[||]
     ~label_sat:(fun _ _ -> false)
     ~num_node_labels:0 ~node_labels:(Array.make n []) ~node_label_names:[||]
     ~node_label_sat:(fun _ _ -> false)
-    ~node_atom:(fun v at -> if v < n1 then a.node_atom v at else b.node_atom (v - n1) at)
-    ~edge_atom:(fun e at -> if e < m1 then a.edge_atom e at else b.edge_atom (e - m1) at)
     ~node_name:(fun v -> if v < n1 then a.node_name v else b.node_name (v - n1))
     ~edge_name:(fun e -> if e < m1 then a.edge_name e else b.edge_name (e - m1))
 

@@ -1,21 +1,20 @@
-(** The frozen, columnar query-engine view over all Section 3 data models.
+(** The frozen, columnar store of a graph in any Section 3 data model.
 
     A snapshot is a fully materialized compressed-sparse-row image of a
     graph: flat int arrays for edge endpoints, offset-packed adjacency in
     both directions, interned edge-label ids, per-node-label membership
-    bitmaps, and precomputed statistics. Every model (labeled, property,
-    vector-labeled, and RDF via the triple store's frozen view,
-    [Gqkg_kg.Rdf_graph.of_store]) freezes
-    to this one physical layout once; the entire Section 4 machinery runs
-    against it.
+    bitmaps, interned property and feature rows, and precomputed
+    statistics. Every model (labeled, property, vector-labeled, and RDF
+    via the triple store's frozen view, [Gqkg_kg.Rdf_graph.of_store])
+    freezes to this one physical layout once; the entire Section 4
+    machinery runs against it, and a frozen model may be dropped.
 
-    All array fields are plain immutable int arrays — a snapshot can be
+    All array fields are plain immutable arrays — a snapshot can be
     shared across OCaml 5 domains without synchronization; the one
     mutable part, the {!memo} of derived state, is updated by
-    compare-and-set. Hot paths
-    (the product kernel, Brandes) index the arrays directly; the closure
-    fields ([node_atom], [edge_atom], names) serve the cold oracle
-    paths only. *)
+    compare-and-set. Hot paths (the product kernel, Brandes) index the
+    arrays directly; {!node_atom}/{!edge_atom} and the name closures
+    serve the cold oracle paths only. *)
 
 (** Degree and label statistics, computed at freeze time. *)
 type stats = {
@@ -36,6 +35,34 @@ type stats = {
     {!Type.Id.t}. *)
 type memo
 
+(** One interned (key, value) row per object: the row of object [o] is
+    entries [off.(o) .. off.(o+1) - 1] of [kv], each an {!entry} of two
+    ids into the {!attrs} dictionary, keys strictly ascending.
+    [off = [||]] means every row is empty. *)
+type rows = { off : int array; kv : int array }
+
+(** The property and feature columns of a snapshot. *)
+type attrs = {
+  dict : Const.t array;
+      (** distinct constants ascending by {!Const.compare} (so key-id
+          order is key order): every key and value of the four row sets,
+          plus any a commit left stale *)
+  node_props : rows;  (** σ on nodes: (property, value) rows *)
+  edge_props : rows;
+  dimension : int;  (** feature width d; 0 outside vector graphs *)
+  node_features : rows;
+      (** λ on nodes of a vector graph: key [Const.Int i] for feature i,
+          ⊥ entries omitted *)
+  edge_features : rows;
+}
+
+(** Who answers atomic tests: the snapshot's own label, property and
+    feature columns, or — for the triple store's IRI/literal rule only —
+    closures of that model. *)
+type atoms =
+  | Columns
+  | Custom of { node : int -> Atom.t -> bool; edge : int -> Atom.t -> bool }
+
 type t = {
   num_nodes : int;
   num_edges : int;
@@ -55,8 +82,8 @@ type t = {
   (* Interned edge labels: elabel.(e) is the dense label id of edge e,
      satisfying the label_sat contract
        edge_atom e (Label c) = label_sat elabel.(e) (Label c).
-     num_labels = 0 means the model provides no label index (label tests
-     then go through edge_atom). *)
+     num_labels = 0 means the model provides no label index (only
+     Custom atoms can then accept an edge Label). *)
   num_labels : int;
   elabel : int array;
   label_names : string array;
@@ -71,9 +98,9 @@ type t = {
   node_label_names : string array;
   node_label_sat : int -> Atom.t -> bool;
   node_label_bits : int array array;
-  (* Cold oracle paths: full atomic tests and display names. *)
-  node_atom : int -> Atom.t -> bool;
-  edge_atom : int -> Atom.t -> bool;
+  attrs : attrs;
+  atoms : atoms;
+  (* Display names (node and edge ids). *)
   node_name : int -> string;
   edge_name : int -> string;
   stats : stats;
@@ -92,6 +119,8 @@ type t = {
     in [0, num_labels) when [num_labels > 0]. [node_labels.(v)] lists
     the node-label ids of node [v] (empty, one, or several). *)
 val make :
+  atoms:atoms ->
+  attrs:attrs ->
   num_nodes:int ->
   esrc:int array ->
   edst:int array ->
@@ -103,15 +132,9 @@ val make :
   node_labels:int list array ->
   node_label_names:string array ->
   node_label_sat:(int -> Atom.t -> bool) ->
-  node_atom:(int -> Atom.t -> bool) ->
-  edge_atom:(int -> Atom.t -> bool) ->
   node_name:(int -> string) ->
   edge_name:(int -> string) ->
   t
-
-(** Intern the values of [get] over [0 .. n-1] into dense first-occurrence
-    ids; returns the id table and the distinct values in id order. *)
-val intern : n:int -> get:(int -> 'a) -> int array * 'a array
 
 (** CSR adjacency from endpoint columns (counting sort):
     [(out_off, out_eid, out_nbr, in_off, in_eid, in_nbr)], each node's
@@ -146,10 +169,52 @@ val memo : t -> 'a Type.Id.t -> (t -> 'a) -> 'a
 
 (** Label satisfaction by [Const] equality against an interned universe
     — the rule shared by the labeled, property and vector models, and
-    the rule a snapshot reloaded from disk falls back to (closures do
-    not persist; see {!Snapshot_io}). [Prop] and [Feature] atoms are
+    by a snapshot reloaded from disk. [Prop] and [Feature] atoms are
     never satisfied. *)
 val const_label_sat : Const.t array -> int -> Atom.t -> bool
+
+(** {1 Atomic tests}
+
+    The one place columns become atom answers. Under [Columns]: a
+    [Label] holds on a node in a label bitmap whose label
+    [node_label_sat] accepts, and on an edge whose label [label_sat]
+    accepts; a [Prop (p, v)] holds when the object's property row maps
+    [p] to [v]; a [Feature (i, v)] holds when [1 <= i <= dimension] and
+    feature [i] is [v] (⊥ when the row has no entry). A [Prop] never
+    answers from feature rows, nor a [Feature] from property rows. *)
+
+val node_atom : t -> int -> Atom.t -> bool
+val edge_atom : t -> int -> Atom.t -> bool
+
+(** {1 Property and feature columns} *)
+
+val no_rows : rows
+
+(** A row entry packs a key id and a value id (each below 2{^31}). *)
+val entry : int -> int -> int
+
+val entry_key : int -> int
+val entry_value : int -> int
+
+(** No properties, no features. *)
+val no_attrs : attrs
+
+(** Index of a constant in a sorted dictionary, or [-1]. *)
+val find_const : Const.t array -> Const.t -> int
+
+(** The [(key, value)] constants of one row, ascending by key. *)
+val row : Const.t array -> rows -> int -> (Const.t * Const.t) array
+
+(** A run [Base (a, b)] of rows [a .. b-1] of a row set, or one
+    object's [Row] of entries. *)
+type segment = Base of int * int | Row of int array
+
+(** The rows of the objects the segments list in order — renumbering
+    and a commit's re-freeze; a run is one blit. *)
+val gather_rows : rows -> segment list -> rows
+
+(** The first node-label id whose bitmap holds the node, or [-1]. *)
+val node_label : t -> int -> int
 
 (** {1 Freezing the Section 3 models} *)
 
@@ -163,8 +228,6 @@ val of_vector : Vector_graph.t -> t
     arrays directly instead. *)
 
 val endpoints : t -> int -> int * int
-val src : t -> int -> int
-val dst : t -> int -> int
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
@@ -181,13 +244,10 @@ val out_pairs : t -> int -> (int * int) array
 
 val in_pairs : t -> int -> (int * int) array
 
-(** Nodes carrying node-label id [l], in ascending order. *)
-val nodes_with_label : t -> int -> int array
-
 (** Side-by-side disjoint union (second graph's nodes and edges shifted
-    past the first's), label-free: the joint-refinement substrate of the
-    WL isomorphism test and subtree kernel. Atoms and names delegate to
-    the matching side. *)
+    past the first's), label- and property-free: the joint-refinement
+    substrate of the WL isomorphism test and subtree kernel. Names
+    delegate to the matching side. *)
 val disjoint_union : t -> t -> t
 
 (** Human-readable snapshot summary: node/edge counts, the label

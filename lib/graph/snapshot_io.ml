@@ -29,7 +29,7 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "GQKGSNAP"
-let version = 1
+let version = 2
 let header_bytes = 64
 let table_entry_bytes = 24
 
@@ -50,15 +50,26 @@ let sec_label_name_blob = 9
 let sec_nlabel_name_off = 10
 let sec_nlabel_name_blob = 11
 let sec_nlabel_bits = 12
-let sec_stats = 13
-let sec_elabel_counts = 14
-let sec_nlabel_counts = 15
+(* 13-15 carried the freeze-time stats in version 1; they are derived
+   from the columns and recomputed at load since version 2 *)
 let sec_node_name_off = 16
 let sec_node_name_blob = 17
 let sec_edge_name_off = 18
 let sec_edge_name_blob = 19
 let sec_perm_node = 20
 let sec_perm_edge = 21
+
+(* version 2: the property and feature columns *)
+let sec_dict_off = 22
+let sec_dict_blob = 23
+let sec_dimension = 24
+
+(* rows group g (node props, edge props, node features, edge features)
+   is sections off/kv = 25 + 2g, 26 + 2g *)
+let sec_rows g = 25 + (2 * g)
+
+let blob_sections =
+  [ sec_label_name_blob; sec_nlabel_name_blob; sec_node_name_blob; sec_edge_name_blob; sec_dict_blob ]
 
 type report = {
   file_bytes : int;
@@ -103,6 +114,29 @@ let build_string_table n get =
   off.(n) <- Buffer.length buf;
   (off, Buffer.contents buf)
 
+(* A constant as a tagged string: lossless where [Const.to_string] is
+   not (a numeric-looking string, a float's last bits). *)
+let encode_const = function
+  | Const.Str s -> "s" ^ s
+  | Const.Int i -> "i" ^ string_of_int i
+  | Const.Real x -> Printf.sprintf "r%h" x
+  | Const.Date { year; month; day } -> Printf.sprintf "d%d %d %d" year month day
+  | Const.Bottom -> "b"
+
+let decode_const s =
+  let body () = String.sub s 1 (String.length s - 1) in
+  let bad () = corrupt "malformed constant %S in the property dictionary" s in
+  match if s = "" then ' ' else s.[0] with
+  | 's' -> Const.Str (body ())
+  | 'i' -> ( match int_of_string_opt (body ()) with Some i -> Const.Int i | None -> bad ())
+  | 'r' -> ( match float_of_string_opt (body ()) with Some x -> Const.Real x | None -> bad ())
+  | 'd' -> (
+      match Scanf.sscanf (body ()) "%d %d %d%!" (fun year month day -> Const.date ~year ~month ~day) with
+      | c -> c
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _) -> bad ())
+  | 'b' when String.length s = 1 -> Const.Bottom
+  | _ -> bad ()
+
 (* ---- save -------------------------------------------------------------- *)
 
 (* Canonical equality against the exact string the loader will
@@ -130,13 +164,6 @@ let flat_bits (s : Snapshot.t) =
       Array.blit row 0 flat (l * w) w)
     s.node_label_bits;
   flat
-
-let stats_fixed (st : Snapshot.stats) =
-  [|
-    st.out_degree_p50; st.out_degree_p99; st.out_degree_max;
-    st.in_degree_p50; st.in_degree_p99; st.in_degree_max;
-    st.degree_p50; st.degree_p99; st.degree_max;
-  |]
 
 let write_ints ch buf width a =
   let n = Array.length a in
@@ -194,9 +221,6 @@ let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
   add sec_nlabel_name_off (ints nlabel_off);
   add sec_nlabel_name_blob (blob nlabel_blob);
   add sec_nlabel_bits { id = 0; width = 8; payload = Ints (flat_bits s) };
-  add sec_stats (ints (stats_fixed s.stats));
-  add sec_elabel_counts (ints s.stats.edge_label_counts);
-  add sec_nlabel_counts (ints s.stats.node_label_counts);
   if keep_names then begin
     let noff, nblob = build_string_table n (fun v -> s.node_name v) in
     add sec_node_name_off (ints noff);
@@ -210,6 +234,20 @@ let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
       add sec_perm_node (ints p.Renumber.old_of_new);
       add sec_perm_edge (ints p.Renumber.edge_old_of_new)
   | None -> ());
+  let a = s.attrs in
+  if Array.length a.dict > 0 then begin
+    let off, text = build_string_table (Array.length a.dict) (fun i -> encode_const a.dict.(i)) in
+    add sec_dict_off (ints off);
+    add sec_dict_blob (blob text)
+  end;
+  if a.dimension > 0 then add sec_dimension (ints [| a.dimension |]);
+  List.iteri
+    (fun g (r : Snapshot.rows) ->
+      if Array.length r.off > 0 then begin
+        add (sec_rows g) (ints r.off);
+        add (sec_rows g + 1) (ints r.kv)
+      end)
+    [ a.node_props; a.edge_props; a.node_features; a.edge_features ];
   let secs = List.rev !secs in
   let flags =
     (if perm <> None then flag_perm else 0)
@@ -334,7 +372,8 @@ let read_header g size =
     if byte g i <> Char.code magic.[i] then corrupt "bad magic: not a gqkg snapshot"
   done;
   let v = read_u32 g 8 in
-  if v <> version then corrupt "unsupported snapshot version %d (expected %d)" v version;
+  if v <> 1 && v <> version then
+    corrupt "unsupported snapshot version %d (expected 1 or %d)" v version;
   let flags = read_u32 g 12 in
   let n = read_i63 g 16 and m = read_i63 g 24 in
   if n < 0 || m < 0 then corrupt "negative node/edge count";
@@ -367,7 +406,7 @@ let read_header g size =
           corrupt "section %d length %d not a multiple of width %d" r.r_id r.r_len r.r_width;
         r)
   in
-  (flags, n, m, num_labels, num_node_labels, checksum, secs)
+  (v, flags, n, m, num_labels, num_node_labels, checksum, secs)
 
 let decode_ints g r =
   let count = r.r_len / r.r_width in
@@ -426,13 +465,67 @@ let check_csr what ~off ~eid ~endpoint ~n ~m =
     done
   done
 
+(* The property and feature columns: absent sections (every version-1
+   file) are empty rows.  The dictionary must be strictly ascending and
+   every row's keys too — the invariants the atoms and a commit's
+   dictionary search rely on. *)
+let decode_attrs decoded ~n ~m =
+  let find id = Hashtbl.find_opt decoded id in
+  let dict =
+    match (find sec_dict_off, find sec_dict_blob) with
+    | Some (Ints off), Some (Blob blob) ->
+        string_table ~off ~blob ~count:(max 0 (Array.length off - 1)) ~what:"property dictionary"
+        |> Array.map decode_const
+    | None, None -> [||]
+    | _ -> corrupt "property dictionary: offsets and blob must come together"
+  in
+  for i = 1 to Array.length dict - 1 do
+    if Const.compare dict.(i - 1) dict.(i) >= 0 then
+      corrupt "property dictionary not strictly ascending at %d" i
+  done;
+  let dimension =
+    match find sec_dimension with
+    | Some (Ints [| d |]) when d >= 0 -> d
+    | None -> 0
+    | _ -> corrupt "malformed feature dimension"
+  in
+  let rows g count : Snapshot.rows =
+    match (find (sec_rows g), find (sec_rows g + 1)) with
+    | None, None -> Snapshot.no_rows
+    | Some (Ints off), Some (Ints kv) ->
+        let what = Printf.sprintf "rows %d" g in
+        check_offsets what off count (Array.length kv);
+        let bound = Array.length dict in
+        for o = 0 to count - 1 do
+          for i = off.(o) to off.(o + 1) - 1 do
+            let k = Snapshot.entry_key kv.(i) and v = Snapshot.entry_value kv.(i) in
+            if kv.(i) < 0 || k >= bound || v >= bound then
+              corrupt "%s: id out of range at entry %d" what i;
+            if i > off.(o) && Snapshot.entry_key kv.(i - 1) >= k then
+              corrupt "%s: keys not ascending in row %d" what o
+          done
+        done;
+        { off; kv }
+    | _ -> corrupt "rows %d: incomplete sections" g
+  in
+  {
+    Snapshot.dict;
+    node_props = rows 0 n;
+    edge_props = rows 1 m;
+    dimension;
+    node_features = rows 2 n;
+    edge_features = rows 3 m;
+  }
+
 let load_with_perm path =
   let g, size = map_view path in
-  let flags, n, m, num_labels, num_node_labels, stored_checksum, secs = read_header g size in
+  let file_version, flags, n, m, num_labels, num_node_labels, stored_checksum, secs =
+    read_header g size
+  in
   (* decode every listed section once, folding the checksum in table
      order — the same order save wrote and folded them *)
   let h = ref C.empty in
-  h := C.add_int !h version;
+  h := C.add_int !h file_version;
   h := C.add_int !h flags;
   h := C.add_int !h n;
   h := C.add_int !h m;
@@ -444,9 +537,7 @@ let load_with_perm path =
       h := C.add_int !h r.r_id;
       h := C.add_int !h r.r_width;
       match r.r_id with
-      | id
-        when id = sec_label_name_blob || id = sec_nlabel_name_blob || id = sec_node_name_blob
-             || id = sec_edge_name_blob ->
+      | id when List.mem id blob_sections ->
           let b = decode_blob g r in
           h := C.add_string !h b;
           Hashtbl.replace decoded r.r_id (Blob b)
@@ -518,12 +609,13 @@ let load_with_perm path =
     corrupt "node label bitmaps: %d words, expected %d" (Array.length flat)
       (num_node_labels * words);
   let node_label_bits = Array.init num_node_labels (fun l -> Array.sub flat (l * words) words) in
-  let sf = get_ints sec_stats "stats" in
-  if Array.length sf <> 9 then corrupt "stats: %d fields, expected 9" (Array.length sf);
-  let edge_label_counts = get_ints sec_elabel_counts "edge label counts" in
-  let node_label_counts = get_ints sec_nlabel_counts "node label counts" in
-  if Array.length edge_label_counts <> num_labels then corrupt "edge label counts length";
-  if Array.length node_label_counts <> num_node_labels then corrupt "node label counts length";
+  let edge_label_counts = Array.make num_labels 0 in
+  if num_labels > 0 then
+    Array.iter (fun l -> edge_label_counts.(l) <- edge_label_counts.(l) + 1) elabel;
+  let stats =
+    Snapshot.stats_of_columns ~num_nodes:n ~out_off ~in_off ~edge_label_counts
+      ~node_label_counts:(Array.map B.raw_cardinal node_label_bits)
+  in
   let perm =
     if flags land flag_perm <> 0 then begin
       let old_node = get_ints sec_perm_node "node permutation" in
@@ -566,33 +658,16 @@ let load_with_perm path =
       ((fun v -> nn.(v)), fun e -> en.(e))
     end
   in
-  (* Closures are rebuilt from the interned tables: Label atoms answer
-     by Const equality over the persisted names; Prop/Feature atoms do
-     not persist and test false (see the .mli lossiness contract). *)
-  let label_universe = Array.map Const.of_string label_names in
-  let node_label_universe = Array.map Const.of_string node_label_names in
+  (* Label atoms answer by Const equality over the persisted names;
+     properties and features answer from the decoded rows. *)
   let label_sat =
-    if num_labels > 0 then Snapshot.const_label_sat label_universe
+    if num_labels > 0 then Snapshot.const_label_sat (Array.map Const.of_string label_names)
     else fun _ _ -> false
   in
-  let node_label_sat = Snapshot.const_label_sat node_label_universe in
-  let node_atom v a =
-    match a with
-    | Atom.Label _ ->
-        let hit = ref false in
-        let l = ref 0 in
-        while (not !hit) && !l < num_node_labels do
-          if B.raw_mem node_label_bits.(!l) v && node_label_sat !l a then hit := true;
-          incr l
-        done;
-        !hit
-    | Atom.Prop _ | Atom.Feature _ -> false
+  let node_label_sat =
+    Snapshot.const_label_sat (Array.map Const.of_string node_label_names)
   in
-  let edge_atom e a =
-    match a with
-    | Atom.Label _ -> num_labels > 0 && label_sat elabel.(e) a
-    | Atom.Prop _ | Atom.Feature _ -> false
-  in
+  let attrs = decode_attrs decoded ~n ~m in
   let snapshot : Snapshot.t =
     {
       num_nodes = n;
@@ -613,24 +688,11 @@ let load_with_perm path =
       node_label_names;
       node_label_sat;
       node_label_bits;
-      node_atom;
-      edge_atom;
+      attrs;
+      atoms = Columns;
       node_name;
       edge_name;
-      stats =
-        {
-          out_degree_p50 = sf.(0);
-          out_degree_p99 = sf.(1);
-          out_degree_max = sf.(2);
-          in_degree_p50 = sf.(3);
-          in_degree_p99 = sf.(4);
-          in_degree_max = sf.(5);
-          degree_p50 = sf.(6);
-          degree_p99 = sf.(7);
-          degree_max = sf.(8);
-          edge_label_counts;
-          node_label_counts;
-        };
+      stats;
       epoch = Snapshot.fresh_epoch ();
       memo = Snapshot.fresh_memo ();
     }
@@ -653,9 +715,9 @@ type info = {
 
 let read_info path =
   let g, size = map_view path in
-  let flags, n, m, num_labels, num_node_labels, _, secs = read_header g size in
+  let i_version, flags, n, m, num_labels, num_node_labels, _, secs = read_header g size in
   {
-    i_version = version;
+    i_version;
     i_nodes = n;
     i_edges = m;
     i_labels = num_labels;

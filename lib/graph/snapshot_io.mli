@@ -19,29 +19,35 @@
     column, both CSR directions as offset+edge-id pairs (the neighbour
     columns are a gather [nbr.(i) = edst.(eid.(i))] recomputed at load
     — 8 bytes/edge cheaper on disk), interned label-name string tables,
-    node-label membership bitmaps, freeze-time stats, optional node and
-    edge name tables, and the optional renumbering permutation.
+    node-label membership bitmaps, optional node and edge name tables,
+    the optional renumbering permutation and (version 2) the property
+    and feature columns: the constant dictionary as a string table of
+    tagged encodings, the feature dimension, and per-side row sets
+    (offsets, packed key/value entries), each written only when
+    non-empty.
+    Degree and label statistics are derived, recomputed at load.
 
     Integer sections pick their element width per section (4 bytes when
     every value fits, 8 otherwise), so bytes-per-edge tracks the graph's
     actual id range rather than the worst case.
 
     Loading reads the file in one buffered pass and materializes each
-    section with a bounds-checked fixed-width decode — no parsing, no
-    hashing, no CSR rebuild; it is O(file size) with small constants
+    section with a bounds-checked fixed-width decode — no parsing of
+    the graph, no CSR rebuild; it is O(file size) with small constants
     where parse + freeze is O(text) with string-machinery constants.
 
-    {2 What does not persist}
+    {2 Round trip}
 
-    Closures cannot be serialized, so a loaded snapshot answers [Label]
-    atoms only (via the interned tables and
-    {!Snapshot.const_label_sat} over names re-parsed with
-    [Const.of_string]); [Prop] and [Feature] atoms test false. The RDF
-    model's full-IRI label rule degrades to local-name equality — the
-    local names in the interned tables still round-trip. Name closures
-    are persisted as string tables unless they are the synthetic
-    ["n<id>"]/["e<id>"] generator names, which are detected (or forced
-    with [`Drop]) and re-synthesized at load through the permutation. *)
+    A loaded snapshot answers every [Label], [Prop] and [Feature] atom
+    as the saved one did: constants in the dictionary are tagged and
+    lossless. Version-1 files (no property sections) still load, with
+    no properties or features. Two things stay lossy: label names
+    re-parse with [Const.of_string], and the triple store's [Custom]
+    atoms do not persist — a reloaded RDF view answers labels by
+    local-name equality and property atoms false. Names are persisted
+    as string tables unless they are the synthetic ["n<id>"]/["e<id>"]
+    generator names, which are detected (or forced with [`Drop]) and
+    re-synthesized at load through the permutation. *)
 
 (** Structured load failure: every malformed input — short file, bad
     magic, unsupported version, out-of-bounds section, inconsistent
@@ -78,7 +84,8 @@ val save :
   Snapshot.t ->
   report
 
-(** Load a snapshot; raises {!Corrupt} on any malformed input. *)
+(** Load a snapshot of version 1 or {!version}; raises {!Corrupt} on
+    any malformed input. *)
 val load : string -> Snapshot.t
 
 (** Like {!load}, also returning the stored permutation (None when the

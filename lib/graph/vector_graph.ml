@@ -14,16 +14,12 @@ type t = {
   edge_features : Const.t array array;
 }
 
-let base g = g.base
 let dimension g = g.dimension
 let num_nodes g = Multigraph.num_nodes g.base
 let num_edges g = Multigraph.num_edges g.base
 let node_id g n = Multigraph.node_id g.base n
 let edge_id g e = Multigraph.edge_id g.base e
 let endpoints g e = Multigraph.endpoints g.base e
-let out_edges g n = Multigraph.out_edges g.base n
-let in_edges g n = Multigraph.in_edges g.base n
-let find_node g id = Multigraph.find_node g.base id
 
 let node_vector g n = g.node_features.(n)
 let edge_vector g e = g.edge_features.(e)
@@ -36,10 +32,6 @@ let check_index g i =
 let node_feature g n i =
   check_index g i;
   g.node_features.(n).(i - 1)
-
-let edge_feature g e i =
-  check_index g i;
-  g.edge_features.(e).(i - 1)
 
 let node_satisfies_atom g n = function
   | Atom.Feature (i, v) -> i >= 1 && i <= g.dimension && Const.equal g.node_features.(n).(i - 1) v
@@ -54,17 +46,6 @@ let edge_satisfies_atom g e = function
   | Atom.Feature (i, v) -> i >= 1 && i <= g.dimension && Const.equal g.edge_features.(e).(i - 1) v
   | Atom.Label l -> g.dimension >= 1 && Const.equal g.edge_features.(e).(0) l
   | Atom.Prop _ -> false
-
-let make ~base ~dimension ~node_features ~edge_features =
-  if dimension < 1 then invalid_arg "Vector_graph.make: dimension must be >= 1";
-  if Array.length node_features <> Multigraph.num_nodes base then
-    invalid_arg "Vector_graph.make: node feature count";
-  if Array.length edge_features <> Multigraph.num_edges base then
-    invalid_arg "Vector_graph.make: edge feature count";
-  let check v = if Array.length v <> dimension then invalid_arg "Vector_graph.make: bad vector width" in
-  Array.iter check node_features;
-  Array.iter check edge_features;
-  { base; dimension; node_features; edge_features }
 
 (* Flatten a property graph to a vector-labeled graph: feature 1 is the
    label; the remaining features are the property values under a fixed

@@ -5,16 +5,12 @@
 
 type t
 
-val base : t -> Multigraph.t
 val dimension : t -> int
 val num_nodes : t -> int
 val num_edges : t -> int
 val node_id : t -> int -> Const.t
 val edge_id : t -> int -> Const.t
 val endpoints : t -> int -> int * int
-val out_edges : t -> int -> (int * int) array
-val in_edges : t -> int -> (int * int) array
-val find_node : t -> Const.t -> int option
 
 (** λ(n): the full feature vector. Do not mutate. *)
 val node_vector : t -> int -> Const.t array
@@ -24,21 +20,11 @@ val edge_vector : t -> int -> Const.t array
 (** λ(n)_i, 1-based; raises on out-of-range indexes. *)
 val node_feature : t -> int -> int -> Const.t
 
-val edge_feature : t -> int -> int -> Const.t
-
 (** Atomic-test oracle: [Feature] atoms, plus [Label] delegated to
     feature 1 (where {!of_property} puts the label). *)
 val node_satisfies_atom : t -> int -> Atom.t -> bool
 
 val edge_satisfies_atom : t -> int -> Atom.t -> bool
-
-(** Assemble from a multigraph and feature vectors of width [dimension]. *)
-val make :
-  base:Multigraph.t ->
-  dimension:int ->
-  node_features:Const.t array array ->
-  edge_features:Const.t array array ->
-  t
 
 (** The flattening schema: feature 1 is the label, the rest property
     names in a fixed order. *)

@@ -271,13 +271,14 @@ let freeze t =
     | Atom.Feature _ -> false
   in
   let snap =
-    Snapshot.make ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
+    Snapshot.make
+      ~atoms:(Custom { node = node_atom; edge = (fun e a -> iri_label_sat predicates elabel.(e) a) })
+      ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
       ~label_names:(Array.map Term.local_name predicates)
       ~label_sat:(iri_label_sat predicates) ~num_node_labels:num_types
       ~node_labels
       ~node_label_names:(Array.map Term.local_name type_universe)
-      ~node_label_sat:(iri_label_sat type_universe) ~node_atom
-      ~edge_atom:(fun e a -> iri_label_sat predicates elabel.(e) a)
+      ~node_label_sat:(iri_label_sat type_universe)
       ~node_name:(fun v -> Term.to_string terms.(v))
       ~edge_name:(fun e -> Term.local_name predicates.(elabel.(e)))
   in

@@ -71,7 +71,7 @@ let adjacency inst =
   table
 
 let rec holds db adj env = function
-  | Node_pred (l, x) -> (Fo.db_instance db).Snapshot.node_atom (List.assoc x env) (Atom.Label l)
+  | Node_pred (l, x) -> Snapshot.node_atom (Fo.db_instance db) (List.assoc x env) (Atom.Label l)
   | Edge_pred (l, x, y) -> Fo.edge_holds db l (List.assoc x env) (List.assoc y env)
   | Adjacent (x, y) -> Hashtbl.mem adj (List.assoc x env, List.assoc y env)
   | Eq (x, y) -> List.assoc x env = List.assoc y env

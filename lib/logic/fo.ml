@@ -90,7 +90,7 @@ let ensure_label db label =
   if not (Hashtbl.mem db.pairs_with_label label) then begin
     let pairs = ref [] in
     for e = db.inst.Snapshot.num_edges - 1 downto 0 do
-      if db.inst.Snapshot.edge_atom e (Atom.Label label) then begin
+      if Snapshot.edge_atom db.inst e (Atom.Label label) then begin
         let s, d = (Snapshot.endpoints db.inst) e in
         if not (Hashtbl.mem db.has_edge (label, s, d)) then begin
           Hashtbl.replace db.has_edge (label, s, d) ();
@@ -114,7 +114,7 @@ let pairs_with_label db label =
 (* ---------------- Naive Tarskian evaluation --------------------------- *)
 
 let rec holds db env = function
-  | Node_pred (l, x) -> db.inst.Snapshot.node_atom (List.assoc x env) (Atom.Label l)
+  | Node_pred (l, x) -> Snapshot.node_atom db.inst (List.assoc x env) (Atom.Label l)
   | Edge_pred (l, x, y) -> edge_holds db l (List.assoc x env) (List.assoc y env)
   | Eq (x, y) -> List.assoc x env = List.assoc y env
   | Neg f -> not (holds db env f)
@@ -266,7 +266,7 @@ let rec eval_rel inst db = function
   | Node_pred (l, x) ->
       let out = rel_create [ x ] in
       for v = 0 to inst.Snapshot.num_nodes - 1 do
-        if inst.Snapshot.node_atom v (Atom.Label l) then rel_add out [ v ]
+        if Snapshot.node_atom inst v (Atom.Label l) then rel_add out [ v ]
       done;
       out
   | Edge_pred (l, x, y) ->

@@ -79,7 +79,7 @@ let eval inst formula =
     (fun f ->
       let row =
         match f with
-        | Atom a -> Array.init n (fun v -> inst.Snapshot.node_atom v a)
+        | Atom a -> Array.init n (fun v -> Snapshot.node_atom inst v a)
         | True -> Array.make n true
         | Not g ->
             let gr = Hashtbl.find cache g in

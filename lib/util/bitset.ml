@@ -80,9 +80,17 @@ let raw_iter ws f =
     done
   done
 
+(* Kernighan's count: one step per set bit. *)
 let raw_cardinal ws =
   let c = ref 0 in
-  raw_iter ws (fun _ -> incr c);
+  Array.iter
+    (fun w ->
+      let w = ref w in
+      while !w <> 0 do
+        w := !w land (!w - 1);
+        incr c
+      done)
+    ws;
   !c
 
 (* Members in ascending order (bits are iterated low to high). *)

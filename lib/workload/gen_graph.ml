@@ -165,13 +165,12 @@ let stream_freeze ~nodes ~esrc ~edst ~elabel ~edge_label_names =
   let node_universe = [| default_label |] in
   let label_sat = Snapshot.const_label_sat label_universe in
   let node_label_sat = Snapshot.const_label_sat node_universe in
-  Snapshot.make ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
+  Snapshot.make ~atoms:Columns ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels
+    ~elabel
     ~label_names:(Array.map Const.to_string label_universe)
     ~label_sat ~num_node_labels:1 ~node_labels:(Array.make nodes [ 0 ])
     ~node_label_names:[| Const.to_string default_label |]
     ~node_label_sat
-    ~node_atom:(fun _ a -> node_label_sat 0 a)
-    ~edge_atom:(fun e a -> num_labels > 0 && label_sat elabel.(e) a)
     ~node_name:(fun v -> "n" ^ string_of_int v)
     ~edge_name:(fun e -> "e" ^ string_of_int e)
 

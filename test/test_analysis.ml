@@ -337,7 +337,7 @@ let make_property_regex rseed =
 (* The oracle the analyzer had before postings: count by scanning. *)
 let scan_count (inst : Snapshot.t) ~edge a =
   let n = if edge then inst.num_edges else inst.num_nodes in
-  let sat i = if edge then inst.edge_atom i a else inst.node_atom i a in
+  let sat i = if edge then Snapshot.edge_atom inst i a else Snapshot.node_atom inst i a in
   List.length (List.filter sat (List.init n Fun.id))
 
 let prop_plan_matches_scan_oracle =

@@ -588,14 +588,14 @@ let steps_of_path inst p =
       let v = Path.node p i and w = Path.node p (i + 1) in
       let s, d = (Snapshot.endpoints inst) e in
       {
-        Derivative.edge_sat = inst.Snapshot.edge_atom e;
+        Derivative.edge_sat = Snapshot.edge_atom inst e;
         forward_ok = s = v && d = w;
         backward_ok = s = w && d = v;
-        dst_sat = inst.Snapshot.node_atom w;
+        dst_sat = Snapshot.node_atom inst w;
       })
 
 let derivative_matches inst r p =
-  Derivative.matches ~start_sat:(inst.Snapshot.node_atom (Path.start_node p)) (steps_of_path inst p) r
+  Derivative.matches ~start_sat:(Snapshot.node_atom inst (Path.start_node p)) (steps_of_path inst p) r
 
 let test_derivative_on_worked_examples () =
   let inst = fig2 () in
@@ -896,7 +896,7 @@ let prop_postings_equal_scan =
       List.for_all
         (fun a ->
           let all = List.init inst.Snapshot.num_nodes Fun.id in
-          let scan = List.filter (fun v -> inst.Snapshot.node_atom v a) all in
+          let scan = List.filter (fun v -> Snapshot.node_atom inst v a) all in
           let postings () = Array.to_list (Postings.nodes inst a) in
           (* the second call answers from the memo *)
           postings () = scan && postings () = scan)
@@ -924,7 +924,7 @@ let prop_edge_postings_equal_scan =
       List.for_all
         (fun a ->
           let all = List.init inst.Snapshot.num_edges Fun.id in
-          let scan = List.filter (fun e -> inst.Snapshot.edge_atom e a) all in
+          let scan = List.filter (fun e -> Snapshot.edge_atom inst e a) all in
           let postings () = Array.to_list (Postings.edges inst a) in
           postings () = scan && postings () = scan)
         atoms)

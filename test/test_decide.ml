@@ -160,22 +160,14 @@ let snapshot_of_witness (w : Decide.witness) =
   in
   let esrc = Array.init k (fun i -> if fst steps.(i) then i else i + 1) in
   let edst = Array.init k (fun i -> if fst steps.(i) then i + 1 else i) in
-  Snapshot.make ~num_nodes:(k + 1) ~esrc ~edst ~num_labels:(Array.length edge_universe)
-    ~elabel:(Array.map (index edge_universe) elabels)
+  Snapshot.make ~atoms:Columns ~attrs:Snapshot.no_attrs ~num_nodes:(k + 1) ~esrc ~edst
+    ~num_labels:(Array.length edge_universe) ~elabel:(Array.map (index edge_universe) elabels)
     ~label_names:(Array.map Const.to_string edge_universe)
     ~label_sat:(Snapshot.const_label_sat edge_universe)
     ~num_node_labels:(Array.length node_universe)
     ~node_labels:(Array.map (List.map (index node_universe)) nodes)
     ~node_label_names:(Array.map Const.to_string node_universe)
     ~node_label_sat:(Snapshot.const_label_sat node_universe)
-    ~node_atom:(fun v a ->
-      match a with
-      | Atom.Label c -> List.exists (Const.equal c) nodes.(v)
-      | Atom.Prop _ | Atom.Feature _ -> false)
-    ~edge_atom:(fun e a ->
-      match a with
-      | Atom.Label c -> Const.equal c elabels.(e)
-      | Atom.Prop _ | Atom.Feature _ -> false)
     ~node_name:string_of_int ~edge_name:string_of_int
 
 let witness_refutes r1 r2 (w : Decide.witness) =

@@ -306,7 +306,7 @@ let test_gnn_wl_invariance () =
     let outputs = Logic_gnn.classify compiled inst in
     let coloring =
       Wl.refine inst ~init:(fun v ->
-          Hashtbl.hash (inst.Snapshot.node_atom v (Atom.label "a"), inst.Snapshot.node_atom v (Atom.label "b")))
+          Hashtbl.hash (Snapshot.node_atom inst v (Atom.label "a"), Snapshot.node_atom inst v (Atom.label "b")))
     in
     for u = 0 to inst.Snapshot.num_nodes - 1 do
       for v = u + 1 to inst.Snapshot.num_nodes - 1 do
@@ -366,7 +366,7 @@ let prop_wl_refines_formula_classes =
              ~nodes ~edges ~node_labels:[ "a"; "b" ] ~edge_labels:[ "e" ])
       in
       let coloring =
-        Wl.refine inst ~init:(fun v -> if inst.Snapshot.node_atom v (Atom.label "a") then 0 else 1)
+        Wl.refine inst ~init:(fun v -> if Snapshot.node_atom inst v (Atom.label "a") then 0 else 1)
       in
       let truth = Gml.eval inst formula in
       let ok = ref true in

@@ -66,19 +66,39 @@ let small_multigraph () =
         (* self loop *)
       ]
 
+(* Index of the object with identifier [id] among [count] objects. *)
+let index_of ~count id_of id =
+  let rec go i =
+    if i = count then Alcotest.fail ("no object " ^ Const.to_string id)
+    else if Const.equal (id_of i) id then i
+    else go (i + 1)
+  in
+  go 0
+
+let multigraph_node g name = index_of ~count:(Multigraph.num_nodes g) (Multigraph.node_id g) (Const.str name)
+
+(* Degrees counted off the endpoint columns. *)
+let degree g v ~out =
+  List.length
+    (List.filter
+       (fun e ->
+         let src, dst = Multigraph.endpoints g e in
+         (if out then src else dst) = v)
+       (List.init (Multigraph.num_edges g) Fun.id))
+
 let test_multigraph_shape () =
   let g = small_multigraph () in
   checki "nodes" 3 (Multigraph.num_nodes g);
   checki "edges" 4 (Multigraph.num_edges g);
-  let a = Multigraph.node_of_exn g (Const.str "a") in
-  checki "out degree with parallel" 2 (Multigraph.out_degree g a);
-  let c = Multigraph.node_of_exn g (Const.str "c") in
-  checki "self loop out" 1 (Multigraph.out_degree g c);
-  checki "self loop in" 2 (Multigraph.in_degree g c)
+  let a = multigraph_node g "a" in
+  checki "out degree with parallel" 2 (degree g a ~out:true);
+  let c = multigraph_node g "c" in
+  checki "self loop out" 1 (degree g c ~out:true);
+  checki "self loop in" 2 (degree g c ~out:false)
 
 let test_multigraph_endpoints () =
   let g = small_multigraph () in
-  let e2 = Option.get (Multigraph.find_edge g (Const.str "e2")) in
+  let e2 = index_of ~count:(Multigraph.num_edges g) (Multigraph.edge_id g) (Const.str "e2") in
   let s, d = Multigraph.endpoints g e2 in
   checks "src" "b" (Const.to_string (Multigraph.node_id g s));
   checks "dst" "c" (Const.to_string (Multigraph.node_id g d))
@@ -97,17 +117,25 @@ let test_multigraph_duplicate_edge_rejected () =
   Alcotest.check_raises "duplicate edge" (Invalid_argument "Multigraph.Builder.add_edge: duplicate edge e")
     (fun () -> ignore (Multigraph.Builder.add_edge b (Const.str "e") ~src:n ~dst:n))
 
+(* The snapshot's CSR rows agree with the multigraph's endpoints: every
+   out-slot is an edge leaving its node and appears among its target's
+   in-slots. *)
 let test_multigraph_adjacency_consistency () =
   let g = small_multigraph () in
-  (* Every out-edge entry appears in the target's in-edges. *)
-  Multigraph.iter_nodes g (fun v ->
-      Array.iter
-        (fun (e, w) ->
-          let s, d = Multigraph.endpoints g e in
-          checki "src" v s;
-          checki "dst" w d;
-          checkb "in in_adj" true (Array.exists (fun (e', u) -> e' = e && u = v) (Multigraph.in_edges g w)))
-        (Multigraph.out_edges g v))
+  let s =
+    Snapshot.of_labeled
+      (Labeled_graph.make ~base:g
+         ~node_labels:(Array.make (Multigraph.num_nodes g) (Const.str "n"))
+         ~edge_labels:(Array.make (Multigraph.num_edges g) (Const.str "e")))
+  in
+  for v = 0 to Multigraph.num_nodes g - 1 do
+    Snapshot.iter_out s v (fun e w ->
+        let src, dst = Multigraph.endpoints g e in
+        checki "src" v src;
+        checki "dst" w dst;
+        checkb "in in_adj" true (Array.exists (fun (e', u) -> e' = e && u = v) (Snapshot.in_pairs s w)))
+  done;
+  checki "every edge filed" (Multigraph.num_edges g) s.Snapshot.out_off.(Multigraph.num_nodes g)
 
 (* ---------- Labeled graph ---------- *)
 
@@ -117,7 +145,7 @@ let test_labeled_figure2 () =
   let g = figure2_labeled () in
   checki "5 nodes" 5 (Labeled_graph.num_nodes g);
   checki "6 edges" 6 (Labeled_graph.num_edges g);
-  let n1 = Labeled_graph.node_of_exn g (Const.str "n1") in
+  let n1 = index_of ~count:(Labeled_graph.num_nodes g) (Labeled_graph.node_id g) (Const.str "n1") in
   checks "n1 label" "person" (Const.to_string (Labeled_graph.node_label g n1));
   checki "persons" 1 (List.length (Labeled_graph.nodes_with_label g (Const.str "person")));
   checki "rides edges" 2 (List.length (Labeled_graph.edges_with_label g (Const.str "rides")))
@@ -130,7 +158,7 @@ let test_labeled_histogram () =
 
 let test_labeled_atom_eval () =
   let g = figure2_labeled () in
-  let n1 = Labeled_graph.node_of_exn g (Const.str "n1") in
+  let n1 = index_of ~count:(Labeled_graph.num_nodes g) (Labeled_graph.node_id g) (Const.str "n1") in
   checkb "person atom" true (Labeled_graph.node_satisfies_atom g n1 (Atom.label "person"));
   checkb "not bus" false (Labeled_graph.node_satisfies_atom g n1 (Atom.label "bus"));
   (* labeled graphs know nothing about properties *)
@@ -141,7 +169,7 @@ let test_labeled_atom_eval () =
 
 let test_property_figure2 () =
   let g = Figure2.property () in
-  let n1 = Property_graph.node_of_exn g (Const.str "n1") in
+  let n1 = index_of ~count:(Property_graph.num_nodes g) (Property_graph.node_id g) (Const.str "n1") in
   checkb "name Julia" true
     (match Property_graph.node_property g n1 (Const.str "name") with
     | Some v -> Const.equal v (Const.str "Julia")
@@ -159,13 +187,13 @@ let test_property_edge_props () =
   let date = Const.date ~year:2021 ~month:3 ~day:4 in
   let found = ref 0 in
   for e = 0 to Property_graph.num_edges g - 1 do
-    if inst.Snapshot.edge_atom e (Atom.prop "date" date) then incr found
+    if Snapshot.edge_atom inst e (Atom.prop "date" date) then incr found
   done;
   checki "one contact on 3/4" 1 !found
 
 let test_property_atom_semantics () =
   let g = Figure2.property () in
-  let n1 = Property_graph.node_of_exn g (Const.str "n1") in
+  let n1 = index_of ~count:(Property_graph.num_nodes g) (Property_graph.node_id g) (Const.str "n1") in
   checkb "label" true (Property_graph.node_satisfies_atom g n1 (Atom.label "person"));
   checkb "prop hit" true
     (Property_graph.node_satisfies_atom g n1 (Atom.prop "age" (Const.int 42)));
@@ -197,7 +225,7 @@ let test_vector_figure2 () =
   let vg, schema = Figure2.vector () in
   (* dimension = 1 (label) + |{age, date, name, zip}| = 5 *)
   checki "dimension" 5 (Vector_graph.dimension vg);
-  let n1 = Option.get (Vector_graph.find_node vg (Const.str "n1")) in
+  let n1 = index_of ~count:(Vector_graph.num_nodes vg) (Vector_graph.node_id vg) (Const.str "n1") in
   checkb "feature 1 is label" true (Const.equal (Vector_graph.node_feature vg n1 1) (Const.str "person"));
   let age_index = Option.get (Vector_graph.schema_feature_index schema (Const.str "age")) in
   checkb "age feature" true (Const.equal (Vector_graph.node_feature vg n1 age_index) (Const.int 42));
@@ -207,7 +235,7 @@ let test_vector_figure2 () =
 
 let test_vector_atom_semantics () =
   let vg, _schema = Figure2.vector () in
-  let n1 = Option.get (Vector_graph.find_node vg (Const.str "n1")) in
+  let n1 = index_of ~count:(Vector_graph.num_nodes vg) (Vector_graph.node_id vg) (Const.str "n1") in
   checkb "feature test" true
     (Vector_graph.node_satisfies_atom vg n1 (Atom.feature 1 (Const.str "person")));
   checkb "label test delegates to f1" true
@@ -421,47 +449,6 @@ let test_journal_ops_of_graph_roundtrip () =
     "identical state"
     (Graph_io.property_graph_to_string pg)
     (Graph_io.property_graph_to_string g')
-
-let test_journal_store_lifecycle () =
-  let path = Filename.temp_file "gqkg_journal" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      let store = Journal.open_store path in
-      List.iter (Journal.append store) j_ops;
-      checki "five ops" 5 (Journal.num_ops store);
-      checki "two nodes" 2 (Property_graph.num_nodes (Journal.graph store));
-      Journal.close_store store;
-      (* Reopen: state survives. *)
-      let store = Journal.open_store path in
-      checki "persisted" 2 (Property_graph.num_nodes (Journal.graph store));
-      (* Mutate, checkpoint: the journal shrinks to the minimal history. *)
-      Journal.append store (Journal.Del_edge { id = Const.str "e" });
-      checki "six ops" 6 (Journal.num_ops store);
-      Journal.checkpoint store;
-      checkb "checkpoint compacts" true (Journal.num_ops store < 6);
-      checki "state preserved" 2 (Property_graph.num_nodes (Journal.graph store));
-      checki "edge still deleted" 0 (Property_graph.num_edges (Journal.graph store));
-      Journal.close_store store)
-
-let test_journal_append_validates () =
-  let path = Filename.temp_file "gqkg_journal" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      let store = Journal.open_store path in
-      Journal.append store (Journal.Add_node { id = Const.str "a"; label = Const.str "l" });
-      (match Journal.append store (Journal.Add_node { id = Const.str "a"; label = Const.str "l" }) with
-      | exception Journal.Replay_error _ -> ()
-      | _ -> Alcotest.fail "duplicate add accepted");
-      (* The rejected op was not written. *)
-      checki "one op" 1 (Journal.num_ops store);
-      Journal.close_store store;
-      let store = Journal.open_store path in
-      checki "clean on disk" 1 (Journal.num_ops store);
-      Journal.close_store store)
 
 let test_journal_torn_write_recovery () =
   let text = "node a person\nnode b bus\nnprop a ag" (* torn mid-property *) in
@@ -701,8 +688,6 @@ let () =
           Alcotest.test_case "delete edge" `Quick test_journal_delete_edge;
           Alcotest.test_case "invalid sequences" `Quick test_journal_invalid_sequences;
           Alcotest.test_case "ops_of_graph" `Quick test_journal_ops_of_graph_roundtrip;
-          Alcotest.test_case "store lifecycle" `Quick test_journal_store_lifecycle;
-          Alcotest.test_case "append validates" `Quick test_journal_append_validates;
           Alcotest.test_case "torn write" `Quick test_journal_torn_write_recovery;
           Alcotest.test_case "merge/del-prop roundtrip" `Quick test_journal_merge_prop_roundtrip;
           Alcotest.test_case "error file context" `Quick test_journal_error_file_context;

@@ -166,7 +166,7 @@ let test_transport_centrality_scenario () =
   let r = parse Gqkg_workload.Contact_network.query_bus_transport in
   let bcr = Gqkg_analytics.Regex_centrality.exact inst r in
   let order = Gqkg_analytics.Centrality.ranking bcr in
-  let is_bus v = inst.Snapshot.node_atom v (Atom.label "bus") in
+  let is_bus v = Snapshot.node_atom inst v (Atom.label "bus") in
   (* All strictly-positive scores belong to buses. *)
   Array.iteri
     (fun v score -> if score > 0.0 then checkb (Printf.sprintf "node %d is a bus" v) true (is_bus v))

@@ -478,11 +478,11 @@ let test_rdf_graph_atoms () =
   let g = rdf_instance () in
   let inst = Rdf_graph.to_snapshot g in
   let julia = Option.get (Rdf_graph.find_node g (iri "urn:x/julia")) in
-  checkb "type by local name" true (inst.Snapshot.node_atom julia (Atom.label "person"));
-  checkb "type by full iri" true (inst.Snapshot.node_atom julia (Atom.label "urn:t/person"));
+  checkb "type by local name" true (Snapshot.node_atom inst julia (Atom.label "person"));
+  checkb "type by full iri" true (Snapshot.node_atom inst julia (Atom.label "urn:t/person"));
   checkb "property test" true
-    (inst.Snapshot.node_atom julia (Atom.prop "name" (Const.str "Julia")));
-  checkb "wrong value" false (inst.Snapshot.node_atom julia (Atom.prop "name" (Const.str "John")))
+    (Snapshot.node_atom inst julia (Atom.prop "name" (Const.str "Julia")));
+  checkb "wrong value" false (Snapshot.node_atom inst julia (Atom.prop "name" (Const.str "John")))
 
 (* Node-label postings union the type bitmaps a label test accepts (by
    local name or full IRI), so they equal a node_atom scan — also for a
@@ -502,7 +502,7 @@ let test_rdf_label_postings () =
     (fun l ->
       let a = Atom.label l in
       let all = List.init inst.Snapshot.num_nodes Fun.id in
-      let scan = List.filter (fun v -> inst.Snapshot.node_atom v a) all in
+      let scan = List.filter (fun v -> Snapshot.node_atom inst v a) all in
       checkb l true (Array.to_list (Postings.nodes inst a) = scan))
     [ "person"; "urn:t/person"; "infected"; "bus"; "ghost" ]
 

@@ -1,6 +1,8 @@
 (* Tests for the persistence + layout pipeline: binary snapshots must
    round-trip every model-observable answer (save -> load -> the same
-   name-level results for label-only queries), renumbering must be
+   name-level answers for label, property and feature atoms, also after
+   an overlay commit and under every node order; version-1 files still
+   load, label-only), renumbering must be
    answer-invariant bit-for-bit, the CSR of a loaded snapshot must agree
    with a naive scan of its endpoint columns (and a degree gather through
    it must not change across layouts), the partitioned adjacency
@@ -27,8 +29,8 @@ let make_snapshot (seed, nodes, edges) =
     (Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges ~node_labels:[ "a"; "b"; "c" ]
        ~edge_labels:[ "x"; "y"; "z" ])
 
-(* Only [Label] atoms survive persistence, so the probe queries stay
-   label-only: edge labels, node-label tests, closures, converses. *)
+(* Label probes for label-only graphs: edge labels, node-label tests,
+   closures, converses. *)
 let probe_queries =
   List.map parse [ "x"; "x/y"; "(x + y)*"; "?a/x/?b"; "x^-/(y + z)"; "?c/(x + y + z)*/?a" ]
 
@@ -96,6 +98,71 @@ let prop_roundtrip_renumbered =
             (fun r -> checkb "answers" true (answers s r = answers loaded r))
             probe_queries;
           true))
+
+(* Save [s] under [order] and reload it. *)
+let reload order (s : Snapshot.t) =
+  let renumbered, perm = Renumber.renumber order s in
+  with_temp_gqs (fun path ->
+      ignore (Snapshot_io.save ~perm ~path renumbered);
+      Snapshot_io.load path)
+
+(* A committed epoch over the graph's freeze: a props-only delta (new
+   values grow the property dictionary, a delete shrinks a row) or an
+   adds-only one; it must equal the from-scratch replay of the graph's
+   history plus the delta before it is persisted. *)
+let committed delta g =
+  let c = Const.str in
+  let ops =
+    match delta with
+    | `Props ->
+        [
+          Mutation.Set_node_prop { id = c "v0"; prop = c "age"; value = Const.int 7 };
+          Mutation.Set_node_prop { id = c "v0"; prop = c "zip"; value = c "z9" };
+          Mutation.Del_node_prop { id = c "v0"; prop = c "name" };
+        ]
+        @
+        if Property_graph.num_edges g > 0 then
+          [ Mutation.Set_edge_prop { id = c "e0"; prop = c "w"; value = Const.int 1 } ]
+        else []
+    | `Adds ->
+        [
+          Mutation.Add_node { id = c "v99"; label = c "b" };
+          Mutation.Set_node_prop { id = c "v99"; prop = c "age"; value = Const.int 2 };
+          Mutation.Add_edge { id = c "e99"; src = c "v99"; dst = c "v0"; label = c "x" };
+          Mutation.Set_edge_prop { id = c "e99"; prop = c "w"; value = Const.int 1 };
+        ]
+  in
+  let overlay = Overlay.create (Overlay.base_of_property g) in
+  List.iter (Overlay.apply overlay) ops;
+  let s = Overlay.snapshot (fst (Overlay.commit overlay)) in
+  let replayed = Journal.replay_ops (Journal.ops_of_graph g @ ops) in
+  checkb "commit = replay" true
+    (Attr_graphs.atom_table s = Attr_graphs.atom_table (Snapshot.of_property replayed));
+  s
+
+let attr_queries =
+  List.map parse
+    [ "?(a & age=1)/x"; "(x & w=1)/y^-"; "?(age=2)/(y & w=0)*/?b"; "?(f2=1)/(f5=2)"; "(f1=x & f5=1)*" ]
+
+let prop_attr_roundtrip =
+  QCheck2.Test.make ~name:"round trip: property and feature atoms" ~count:150
+    QCheck2.Gen.(
+      triple Attr_graphs.gen
+        (oneofl [ Renumber.Identity; Renumber.Degree; Renumber.Bfs ])
+        (oneofl [ `Property; `Vector; `Props_commit; `Adds_commit ]))
+    (fun (params, order, kind) ->
+      let g = Attr_graphs.property_graph params in
+      let s =
+        match kind with
+        | `Property -> Snapshot.of_property g
+        | `Vector -> Snapshot.of_vector (Attr_graphs.vector_graph g)
+        | `Props_commit -> committed `Props g
+        | `Adds_commit -> committed `Adds g
+      in
+      let loaded = reload order s in
+      checkb "atoms" true (Attr_graphs.atom_table s = Attr_graphs.atom_table loaded);
+      List.iter (fun r -> checkb "answers" true (answers s r = answers loaded r)) attr_queries;
+      true)
 
 (* ---------- QCheck: renumbering is answer-invariant (no I/O) ---------- *)
 
@@ -186,23 +253,39 @@ let test_synthetic_names () =
                  ("n" ^ string_of_int perm.Renumber.old_of_new.(v)))
           done))
 
-(* ---------- persistence lossiness contract ---------- *)
+(* ---------- the round-trip contract ---------- *)
 
-let test_lossiness_contract () =
+(* Figure 2 answers every query alike after a reload, property atoms
+   included. *)
+let test_figure2_roundtrip () =
   let s = Snapshot.of_property (Figure2.property ()) in
   with_temp_gqs (fun path ->
       ignore (Snapshot_io.save ~path s);
       let loaded = Snapshot_io.load path in
-      (* Label atoms answer identically... *)
       List.iter
-        (fun r -> checkb "label query" true (answers s r = answers loaded r))
-        (List.map parse [ "rides"; "?person/rides/?bus"; "(rides + lives)*" ]);
-      (* ...property atoms degrade to false (documented lossiness). *)
-      let with_prop = parse "?person/(contact & date=3/4/21)/?infected" in
-      checki "property query answers on the original" 1
-        (List.length (Rpq.eval_pairs s with_prop));
-      checki "property atoms test false after reload" 0
-        (List.length (Rpq.eval_pairs loaded with_prop)))
+        (fun r -> checkb "query" true (answers s r = answers loaded r))
+        (List.map parse
+           [
+             "rides"; "?person/rides/?bus"; "(rides + lives)*"; "?(person & age=42)/rides";
+             "?(name=TransInc)/owns"; "(rides & date=3/3/21)/rides^-";
+           ]);
+      checkb "atoms" true (Attr_graphs.atom_table s = Attr_graphs.atom_table loaded);
+      checki "property query answers after reload" 1
+        (List.length (Rpq.eval_pairs loaded (parse "?person/(contact & date=3/4/21)/?infected"))))
+
+(* The lossiness contract of version 1, the format written before
+   properties persisted: a version-1 file still loads, keeps Label atoms
+   only (the same label answers as Figure 2), and its property atoms
+   test false. *)
+let test_version1_fixture () =
+  let path = Filename.concat "../examples/gqs" "figure2-v1.gqs" in
+  checki "version" 1 (Snapshot_io.read_info path).Snapshot_io.i_version;
+  let loaded = Snapshot_io.load path and s = Snapshot.of_property (Figure2.property ()) in
+  List.iter
+    (fun r -> checkb "label query" true (answers s r = answers loaded r))
+    (List.map parse [ "rides"; "?person/rides/?bus"; "(rides + lives)*"; "contact^-/lives" ]);
+  checki "no properties" 0
+    (List.length (Rpq.eval_pairs loaded (parse "?person/(contact & date=3/4/21)/?infected")))
 
 (* ---------- corrupt inputs ---------- *)
 
@@ -281,13 +364,14 @@ let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_persist"
     [
-      ("roundtrip", q [ prop_roundtrip; prop_roundtrip_renumbered ]);
+      ("roundtrip", q [ prop_roundtrip; prop_roundtrip_renumbered; prop_attr_roundtrip ]);
       ("renumber", q [ prop_renumber_invariant; prop_loaded_csr ]);
       ("partition", q [ prop_partition_cover ]);
       ( "contract",
         [
           Alcotest.test_case "synthetic-name elision" `Quick test_synthetic_names;
-          Alcotest.test_case "lossiness: Label only" `Quick test_lossiness_contract;
+          Alcotest.test_case "round trip: every Figure 2 atom" `Quick test_figure2_roundtrip;
+          Alcotest.test_case "lossiness: Label only" `Quick test_version1_fixture;
           Alcotest.test_case "read_info" `Quick test_read_info;
         ] );
       ( "corrupt",

@@ -1,8 +1,10 @@
 (* Tests for the columnar Snapshot: the CSR image must agree with a
    naive scan of the endpoint columns on arbitrary graphs, label
-   interning must satisfy the label_sat contract, and the four Section 3
-   models of the Figure 2 example must freeze to interchangeable
-   snapshots (same shape, same query answers). *)
+   interning must satisfy the label_sat contract, the snapshot's atoms
+   (read from its label, property and feature columns) must equal each
+   model's own atom oracle, and the four Section 3 models of the Figure 2
+   example must freeze to interchangeable snapshots (same shape, same
+   query answers). *)
 
 open Gqkg_graph
 open Gqkg_core
@@ -61,7 +63,7 @@ let prop_label_sat_contract =
         let id = s.Snapshot.elabel.(e) in
         checkb "id in range" true (0 <= id && id < s.Snapshot.num_labels);
         List.iter
-          (fun at -> checkb "edge_atom = label_sat" (s.Snapshot.edge_atom e at) (s.Snapshot.label_sat id at))
+          (fun at -> checkb "edge_atom = label_sat" (Snapshot.edge_atom s e at) (s.Snapshot.label_sat id at))
           atoms
       done;
       (* Node-label bitmaps answer exactly like the node oracle. *)
@@ -81,7 +83,7 @@ let prop_label_sat_contract =
               done;
               !holds
             in
-            checkb "node bitmap = node oracle" (s.Snapshot.node_atom v at) via_bits)
+            checkb "node bitmap = node oracle" (Snapshot.node_atom s v at) via_bits)
           node_atoms
       done;
       true)
@@ -146,11 +148,39 @@ let test_models_same_answers () =
   checki "query (3) on property" 1 (List.length (on "property"));
   checkb "query (3) survives the RDF roundtrip" true (on "property" = on "rdf roundtrip")
 
+(* ---------- QCheck: column atoms = model oracles ---------- *)
+
+let agrees ~name count snap_atom model_atom atoms =
+  for i = 0 to count - 1 do
+    List.iter
+      (fun a -> checkb (name ^ " " ^ Atom.to_string a) (model_atom i a) (snap_atom i a))
+      atoms
+  done
+
+let prop_atoms_match_models =
+  QCheck2.Test.make ~name:"snapshot atoms = model atom oracles" ~count:200 Attr_graphs.gen
+    (fun params ->
+      let pg = Attr_graphs.property_graph params in
+      let vg = Attr_graphs.vector_graph pg and lg = Property_graph.to_labeled pg in
+      let check name s n m node_oracle edge_oracle =
+        agrees ~name n (Snapshot.node_atom s) node_oracle Attr_graphs.node_atoms;
+        agrees ~name m (Snapshot.edge_atom s) edge_oracle Attr_graphs.edge_atoms
+      in
+      let n = Property_graph.num_nodes pg and m = Property_graph.num_edges pg in
+      check "property" (Snapshot.of_property pg) n m (Property_graph.node_satisfies_atom pg)
+        (Property_graph.edge_satisfies_atom pg);
+      check "vector" (Snapshot.of_vector vg) n m (Vector_graph.node_satisfies_atom vg)
+        (Vector_graph.edge_satisfies_atom vg);
+      check "labeled" (Snapshot.of_labeled lg) n m (Labeled_graph.node_satisfies_atom lg)
+        (Labeled_graph.edge_satisfies_atom lg);
+      true)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_snapshot"
     [
       ("csr", q [ prop_csr_agrees; prop_label_sat_contract; prop_label_counts ]);
+      ("atoms", q [ prop_atoms_match_models ]);
       ( "figure2",
         [
           Alcotest.test_case "four models, one shape" `Quick test_models_same_shape;
