@@ -56,13 +56,11 @@ let () =
      closure of an infected person? *)
   let step = Gqkg_automata.Regex_parser.parse "contact + contact^- + lives/lives^-" in
   let formula =
-    Fo_tc.And
-      ( Fo_tc.Fo (Fo.node_pred "person" "x"),
-        Fo_tc.Exists
-          ("y", Fo_tc.And (Fo_tc.Fo (Fo.node_pred "infected" "y"), Fo_tc.tc step ~src:"x" ~dst:"y"))
-      )
+    Fo.And
+      ( Fo.node_pred "person" "x",
+        Fo.Exists ("y", Fo.And (Fo.node_pred "infected" "y", Fo.tc step ~src:"x" ~dst:"y")) )
   in
-  let closure = Fo_tc.eval inst formula ~free:"x" in
+  let closure = Fo.eval_bounded inst formula ~free:"x" in
   Printf.printf "\nFO+TC: %d healthy people are in the social closure of an infected one\n"
     (List.length closure);
 

@@ -31,8 +31,8 @@ let dijkstra ?(directed = true) inst ~source ~weight =
               Heap.add heap ~key:candidate w
             end
           in
-          Array.iter (fun (e, w) -> relax e w) ((Snapshot.out_pairs inst) v);
-          if not directed then Array.iter (fun (e, w) -> relax e w) ((Snapshot.in_pairs inst) v)
+          Snapshot.iter_out inst v relax;
+          if not directed then Snapshot.iter_in inst v relax
         end
   done;
   dist

@@ -70,8 +70,8 @@ let config_transitions t c =
             (state_closure t ~node:w q'))
       moves
   in
-  if fwd <> [] then Array.iter (fun (e, w) -> step fwd e w) ((Snapshot.out_pairs t.inst) v);
-  if bwd <> [] then Array.iter (fun (e, u) -> step bwd e u) ((Snapshot.in_pairs t.inst) v);
+  if fwd <> [] then Snapshot.iter_out t.inst v (step fwd);
+  if bwd <> [] then Snapshot.iter_in t.inst v (step bwd);
   Hashtbl.fold (fun key () acc -> key :: acc) out [] |> List.sort compare
 
 (* Subset simulation of a concrete path: the closed set of NFA states

@@ -62,8 +62,8 @@ let embeddings t inst ~features =
         Array.init n (fun v ->
             (* Sum of neighbor embeddings (undirected, with multiplicity). *)
             let agg = Array.make (Array.length prev.(v)) 0.0 in
-            Array.iter (fun (_e, w) -> Vec.vec_add_in_place ~into:agg prev.(w)) ((Snapshot.out_pairs inst) v);
-            Array.iter (fun (_e, u) -> Vec.vec_add_in_place ~into:agg prev.(u)) ((Snapshot.in_pairs inst) v);
+            Snapshot.iter_out inst v (fun _e w -> Vec.vec_add_in_place ~into:agg prev.(w));
+            Snapshot.iter_in inst v (fun _e u -> Vec.vec_add_in_place ~into:agg prev.(u));
             let own = Vec.vec_mat prev.(v) combine in
             let nbr = Vec.vec_mat agg aggregate in
             Array.mapi (fun i x -> Vec.truncated_relu (x +. nbr.(i) +. bias.(i))) own)

@@ -41,8 +41,8 @@ let refine ?(max_rounds = max_int) inst ~init =
     let signatures =
       Array.init n (fun v ->
           let neigh = ref [] in
-          Array.iter (fun (_e, w) -> neigh := !current.(w) :: !neigh) ((Snapshot.out_pairs inst) v);
-          Array.iter (fun (_e, u) -> neigh := !current.(u) :: !neigh) ((Snapshot.in_pairs inst) v);
+          Snapshot.iter_out inst v (fun _e w -> neigh := !current.(w) :: !neigh);
+          Snapshot.iter_in inst v (fun _e u -> neigh := !current.(u) :: !neigh);
           (!current.(v), List.sort compare !neigh))
     in
     let next, next_count = normalize signatures in

@@ -510,14 +510,6 @@ let iter_in s v f =
     f s.in_eid.(i) s.in_nbr.(i)
   done
 
-let out_pairs s v =
-  let off = s.out_off.(v) in
-  Array.init (out_degree s v) (fun i -> (s.out_eid.(off + i), s.out_nbr.(off + i)))
-
-let in_pairs s v =
-  let off = s.in_off.(v) in
-  Array.init (in_degree s v) (fun i -> (s.in_eid.(off + i), s.in_nbr.(off + i)))
-
 (* Side-by-side disjoint union (nodes and edges of [b] shifted past
    [a]'s), used by the WL isomorphism test and kernel: joint color
    refinement needs one graph whose palette spans both sides.  Labels

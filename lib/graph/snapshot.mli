@@ -237,13 +237,6 @@ val iter_out : t -> int -> (int -> int -> unit) -> unit
 
 val iter_in : t -> int -> (int -> int -> unit) -> unit
 
-(** Materialized [(edge, neighbor)] views of one node's adjacency, in
-    ascending edge order — compatibility helpers for cold call sites;
-    each call allocates a fresh array. *)
-val out_pairs : t -> int -> (int * int) array
-
-val in_pairs : t -> int -> (int * int) array
-
 (** Side-by-side disjoint union (second graph's nodes and edges shifted
     past the first's), label- and property-free: the joint-refinement
     substrate of the WL isomorphism test and subtree kernel. Names

@@ -94,8 +94,8 @@ let eval inst formula =
             let gr = Hashtbl.find cache g in
             Array.init n (fun v ->
                 let count = ref 0 in
-                Array.iter (fun (_e, w) -> if gr.(w) then incr count) ((Snapshot.out_pairs inst) v);
-                Array.iter (fun (_e, u) -> if gr.(u) then incr count) ((Snapshot.in_pairs inst) v);
+                Snapshot.iter_out inst v (fun _e w -> if gr.(w) then incr count);
+                Snapshot.iter_in inst v (fun _e u -> if gr.(u) then incr count);
                 !count >= k)
       in
       Hashtbl.replace cache f row)

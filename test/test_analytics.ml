@@ -8,6 +8,12 @@ open Gqkg_analytics
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+
+(* One node's adjacency as (edge, neighbor) pairs, in walk order. *)
+let adjacency_list iter s v =
+  let pairs = ref [] in
+  iter s v (fun e w -> pairs := (e, w) :: !pairs);
+  List.rev !pairs
 let checkf = Alcotest.(check (float 1e-9))
 
 let parse = Regex_parser.parse
@@ -493,8 +499,8 @@ let test_kcore_definition_property () =
     List.iter
       (fun v ->
         let inside = ref 0 in
-        Array.iter (fun (e, w) -> let s, d = (Snapshot.endpoints inst) e in if s <> d && in_core.(w) then incr inside) ((Snapshot.out_pairs inst) v);
-        Array.iter (fun (e, u) -> let s, d = (Snapshot.endpoints inst) e in if s <> d && in_core.(u) then incr inside) ((Snapshot.in_pairs inst) v);
+        List.iter (fun (e, w) -> let s, d = (Snapshot.endpoints inst) e in if s <> d && in_core.(w) then incr inside) (adjacency_list Snapshot.iter_out inst v);
+        List.iter (fun (e, u) -> let s, d = (Snapshot.endpoints inst) e in if s <> d && in_core.(u) then incr inside) (adjacency_list Snapshot.iter_in inst v);
         checkb "internal degree >= k" true (!inside >= k))
       members
   done

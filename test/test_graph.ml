@@ -5,6 +5,12 @@ open Gqkg_graph
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+
+(* One node's adjacency as (edge, neighbor) pairs, in walk order. *)
+let adjacency_list iter s v =
+  let pairs = ref [] in
+  iter s v (fun e w -> pairs := (e, w) :: !pairs);
+  List.rev !pairs
 let checks = Alcotest.(check string)
 
 (* ---------- Const ---------- *)
@@ -133,7 +139,7 @@ let test_multigraph_adjacency_consistency () =
         let src, dst = Multigraph.endpoints g e in
         checki "src" v src;
         checki "dst" w dst;
-        checkb "in in_adj" true (Array.exists (fun (e', u) -> e' = e && u = v) (Snapshot.in_pairs s w)))
+        checkb "in in_adj" true (List.mem (e, v) (adjacency_list Snapshot.iter_in s w)))
   done;
   checki "every edge filed" (Multigraph.num_edges g) s.Snapshot.out_off.(Multigraph.num_nodes g)
 
@@ -296,8 +302,8 @@ let test_instance_consistency () =
   checki "edges" (Property_graph.num_edges pg) inst.Snapshot.num_edges;
   for e = 0 to inst.Snapshot.num_edges - 1 do
     let s, d = (Snapshot.endpoints inst) e in
-    checkb "out contains" true (Array.exists (fun (e', w) -> e' = e && w = d) ((Snapshot.out_pairs inst) s));
-    checkb "in contains" true (Array.exists (fun (e', u) -> e' = e && u = s) ((Snapshot.in_pairs inst) d))
+    checkb "out contains" true (List.mem (e, d) (adjacency_list Snapshot.iter_out inst s));
+    checkb "in contains" true (List.mem (e, s) (adjacency_list Snapshot.iter_in inst d))
   done
 
 (* ---------- Graph I/O ---------- *)

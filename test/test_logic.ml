@@ -1,6 +1,7 @@
 (* Tests for gqkg_logic: FO evaluation (naive vs bounded-variable, the
-   φ/ψ example of Section 4.3), the regex→FO translations, graded modal
-   logic, and conjunctive queries. *)
+   φ/ψ example of Section 4.3) with counting, adjacency and transitive
+   closure, the regex→FO translations, graded modal logic and the
+   Section 4.3 chain GML = FO = AC-GNN, and conjunctive queries. *)
 
 open Gqkg_graph
 open Gqkg_automata
@@ -194,44 +195,49 @@ let test_gml_subformulas_order () =
   checkb "root last" true (index f = 3)
 
 
-(* ---------- C2 counting logic ---------- *)
+(* ---------- C2: the two-variable counting fragment of FO ---------- *)
+
+(* Both evaluators' answers, checked equal. *)
+let fo_answers inst f =
+  let bounded = Fo.eval_bounded inst f ~free:"x" in
+  checkb ("naive = bounded: " ^ Fo.to_string f) true (Fo.eval_naive inst f ~free:"x" = bounded);
+  bounded
 
 let test_c2_basic () =
   let inst = fig2 () in
   (* Nodes with at least two person-or-infected neighbors: the bus and
      the address (cf. the GML diamond test). *)
-  let person_or_infected y = C2.Or (C2.node_pred "person" y, C2.node_pred "infected" y) in
-  let f = C2.exists ~at_least:2 "y" (C2.And (C2.Adjacent ("x", "y"), person_or_infected "y")) in
-  checkb "c2 formula" true (C2.is_c2 f);
-  checkb "bus and address" true (C2.eval inst f ~free:"x" = [ node inst "n3"; node inst "n4" ]);
+  let person_or_infected y = Fo.Or (Fo.node_pred "person" y, Fo.node_pred "infected" y) in
+  let at_least k = Fo.Count_exists (k, "y", Fo.And (Fo.Adjacent ("x", "y"), person_or_infected "y")) in
+  checkb "c2 formula" true (Fo.width (at_least 2) <= 2);
+  checkb "bus and address" true (fo_answers inst (at_least 2) = [ node inst "n3"; node inst "n4" ]);
   (* Threshold 3: nobody. *)
-  let f3 = C2.exists ~at_least:3 "y" (C2.And (C2.Adjacent ("x", "y"), person_or_infected "y")) in
-  checkb "empty at 3" true (C2.eval inst f3 ~free:"x" = [])
+  checkb "empty at 3" true (fo_answers inst (at_least 3) = [])
 
 let test_c2_width_discipline () =
   let wide =
-    C2.exists "y" (C2.And (C2.Adjacent ("x", "y"), C2.exists "z" (C2.Adjacent ("y", "z"))))
+    Fo.Exists ("y", Fo.And (Fo.Adjacent ("x", "y"), Fo.Exists ("z", Fo.Adjacent ("y", "z"))))
   in
-  checkb "three variables rejected" true
-    (match C2.eval (fig2 ()) wide ~free:"x" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
+  (* No evaluator refuses three variables; C2 is the fragment of width 2. *)
+  checkb "three variables rejected" true (Fo.width wide > 2);
   (* The same query written with variable reuse is C2. *)
   let reused =
-    C2.exists "y" (C2.And (C2.Adjacent ("x", "y"), C2.exists "x" (C2.Adjacent ("y", "x"))))
+    Fo.Exists ("y", Fo.And (Fo.Adjacent ("x", "y"), Fo.Exists ("x", Fo.Adjacent ("y", "x"))))
   in
-  checkb "reuse accepted" true (C2.is_c2 reused);
-  checkb "evaluates" true (List.length (C2.eval (fig2 ()) reused ~free:"x") > 0)
+  checkb "reuse accepted" true (Fo.width reused <= 2);
+  let inst = fig2 () in
+  checkb "evaluates" true (List.length (fo_answers inst reused) > 0);
+  checkb "same query" true (fo_answers inst wide = fo_answers inst reused)
 
 (* A truly simple random graph: at most one edge per unordered pair (so
    GML's multiset neighbor counting and C2's node counting coincide). *)
-let simple_random_instance rng ~nodes ~p =
+let simple_random_instance ?(label = fun _ -> "node") rng ~nodes ~p =
   let b = Labeled_graph.Builder.create () in
   for i = 0 to nodes - 1 do
     ignore
       (Labeled_graph.Builder.add_node b
          (Const.str (Printf.sprintf "n%d" i))
-         ~label:(Const.str "node"))
+         ~label:(Const.str (label i)))
   done;
   for u = 0 to nodes - 1 do
     for v = u + 1 to nodes - 1 do
@@ -242,14 +248,15 @@ let simple_random_instance rng ~nodes ~p =
   Snapshot.of_labeled (Labeled_graph.Builder.freeze b)
 
 let test_c2_gml_embedding () =
-  (* On simple graphs the GML->C2 translation is exact. *)
+  (* On simple graphs the GML->FO translation is exact, and lands in C2. *)
   let rng = Gqkg_util.Splitmix.create 47 in
   for _ = 1 to 10 do
     let inst = simple_random_instance rng ~nodes:8 ~p:0.25 in
     List.iter
       (fun gml ->
-        let c2 = C2.of_gml gml in
-        checkb (Gml.to_string gml) true (C2.eval inst c2 ~free:"x" = Gml.models inst gml))
+        let f = Fo.of_gml gml in
+        checkb "in C2" true (Fo.width f <= 2);
+        checkb (Gml.to_string gml) true (fo_answers inst f = Gml.models inst gml))
       [
         Gml.label "node";
         Gml.diamond (Gml.label "node");
@@ -259,15 +266,30 @@ let test_c2_gml_embedding () =
       ]
   done
 
+(* Nodes with the same stable WL color get the same answer. *)
+let wl_respected coloring answers =
+  let n = Array.length coloring.Gqkg_gnn.Wl.colors in
+  let sat = Array.make n false in
+  List.iter (fun v -> sat.(v) <- true) answers;
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if coloring.Gqkg_gnn.Wl.colors.(u) = coloring.Gqkg_gnn.Wl.colors.(v) && sat.(u) <> sat.(v)
+      then ok := false
+    done
+  done;
+  !ok
+
 let test_c2_wl_invariance () =
   (* Nodes with the same stable WL color satisfy the same C2 formulas -
      the Cai-Furer-Immerman direction we can check empirically. *)
   let rng = Gqkg_util.Splitmix.create 53 in
   let formulas =
     [
-      C2.exists ~at_least:2 "y" (C2.Adjacent ("x", "y"));
-      C2.exists "y" (C2.And (C2.Adjacent ("x", "y"), C2.exists ~at_least:3 "x" (C2.Adjacent ("y", "x"))));
-      C2.Neg (C2.exists "y" (C2.Adjacent ("x", "y")));
+      Fo.Count_exists (2, "y", Fo.Adjacent ("x", "y"));
+      Fo.Exists
+        ("y", Fo.And (Fo.Adjacent ("x", "y"), Fo.Count_exists (3, "x", Fo.Adjacent ("y", "x"))));
+      Fo.Neg (Fo.Exists ("y", Fo.Adjacent ("x", "y")));
     ]
   in
   for _ = 1 to 10 do
@@ -275,15 +297,7 @@ let test_c2_wl_invariance () =
     let inst = Snapshot.of_labeled lg in
     let coloring = Gqkg_gnn.Wl.refine_unlabeled inst in
     List.iter
-      (fun f ->
-        let sat = Array.make inst.Snapshot.num_nodes false in
-        List.iter (fun v -> sat.(v) <- true) (C2.eval inst f ~free:"x");
-        for u = 0 to inst.Snapshot.num_nodes - 1 do
-          for v = u + 1 to inst.Snapshot.num_nodes - 1 do
-            if coloring.Gqkg_gnn.Wl.colors.(u) = coloring.Gqkg_gnn.Wl.colors.(v) then
-              checkb "same color, same C2 truth" true (sat.(u) = sat.(v))
-          done
-        done)
+      (fun f -> checkb "same color, same C2 truth" true (wl_respected coloring (fo_answers inst f)))
       formulas
   done
 
@@ -482,39 +496,74 @@ let test_fo_tc_reachability () =
      or household links, in either direction *)
   let step = Regex_parser.parse "contact + contact^- + lives/lives^-" in
   let f =
-    Fo_tc.And
-      ( Fo_tc.Fo (Fo.node_pred "person" "x"),
-        Fo_tc.Exists
-          ( "y",
-            Fo_tc.And (Fo_tc.Fo (Fo.node_pred "infected" "y"), Fo_tc.tc step ~src:"x" ~dst:"y") ) )
+    Fo.And
+      ( Fo.node_pred "person" "x",
+        Fo.Exists ("y", Fo.And (Fo.node_pred "infected" "y", Fo.tc step ~src:"x" ~dst:"y")) )
   in
-  checkb "julia reaches john" true (Fo_tc.eval inst f ~free:"x" = [ node inst "n1" ])
+  checkb "julia reaches john" true (fo_answers inst f = [ node inst "n1" ])
+
+(* A random multigraph whose node i alone carries label "v<i>", so a
+   unary query can name the target of a TC pair. *)
+let named_random_instance rng ~nodes ~edges =
+  let b = Labeled_graph.Builder.create () in
+  for i = 0 to nodes - 1 do
+    let name = Printf.sprintf "v%d" i in
+    ignore (Labeled_graph.Builder.add_node b (Const.str name) ~label:(Const.str name))
+  done;
+  for _ = 1 to edges do
+    let src = Gqkg_util.Splitmix.int rng nodes and dst = Gqkg_util.Splitmix.int rng nodes in
+    let label = if Gqkg_util.Splitmix.bool rng then "e" else "f" in
+    ignore (Labeled_graph.Builder.fresh_edge b ~src ~dst ~label:(Const.str label))
+  done;
+  Snapshot.of_labeled (Labeled_graph.Builder.freeze b)
+
+(* The closure of a step relation by fixpoint iteration: R := R ∪ R∘S
+   until nothing is added, plus the diagonal when reflexive. *)
+let closure_oracle inst step ~reflexive =
+  let base = Gqkg_core.Naive.pairs inst step ~max_length:(Option.get (Regex.max_path_length step)) in
+  let rec fix rel =
+    let extend (a, b) = List.filter_map (fun (b', c) -> if b = b' then Some (a, c) else None) base in
+    let next = List.sort_uniq compare (rel @ List.concat_map extend rel) in
+    if List.length next = List.length rel then rel else fix next
+  in
+  let diagonal = if reflexive then List.init inst.Snapshot.num_nodes (fun v -> (v, v)) else [] in
+  List.sort_uniq compare (fix base @ diagonal)
 
 let test_fo_tc_matches_star_regex () =
-  (* TC(step)(x, y) coincides with the RPQ step/step* evaluation. *)
+  (* TC(step)(x, y) is exactly the closure of the step's pairs: for every
+     target b, the nodes x with TC(x, b) are the oracle's sources of b. *)
   let rng = Gqkg_util.Splitmix.create 43 in
   for _ = 1 to 10 do
-    let lg =
-      Gqkg_workload.Gen_graph.random_labeled rng ~nodes:7 ~edges:12 ~node_labels:[ "a" ]
-        ~edge_labels:[ "e"; "f" ]
-    in
-    let inst = Snapshot.of_labeled lg in
-    let step = Regex_parser.parse "e" in
-    let f = Fo_tc.Exists ("y", Fo_tc.tc step ~src:"x" ~dst:"y") in
-    let via_tc = Fo_tc.eval inst f ~free:"x" in
-    let via_rpq = Gqkg_core.Rpq.source_nodes inst (Regex_parser.parse "e/e*") in
-    checkb "tc = star" true (via_tc = via_rpq)
+    let inst = named_random_instance rng ~nodes:7 ~edges:12 in
+    List.iter
+      (fun (step, reflexive) ->
+        let pairs = closure_oracle inst step ~reflexive in
+        for b = 0 to inst.Snapshot.num_nodes - 1 do
+          let f =
+            Fo.Exists
+              ( "y",
+                Fo.And (Fo.node_pred (Printf.sprintf "v%d" b) "y", Fo.tc ~reflexive step ~src:"x" ~dst:"y") )
+          in
+          let expected = List.filter_map (fun (a, b') -> if b' = b then Some a else None) pairs in
+          checkb "tc = star" true (fo_answers inst f = expected)
+        done)
+      [
+        (Regex_parser.parse "e", false);
+        (Regex_parser.parse "e", true);
+        (Regex_parser.parse "e/f^-", false);
+        (Regex_parser.parse "e/f^-", true);
+      ]
   done
 
 let test_fo_tc_reflexive () =
   let inst = fig2 () in
   let step = Regex_parser.parse "contact" in
-  let plain = Fo_tc.eval inst (Fo_tc.Exists ("y", Fo_tc.And (Fo_tc.tc step ~src:"x" ~dst:"y", Fo_tc.Fo (Fo.node_pred "person" "y")))) ~free:"x" in
-  let refl = Fo_tc.eval inst (Fo_tc.Exists ("y", Fo_tc.And (Fo_tc.tc ~reflexive:true step ~src:"x" ~dst:"y", Fo_tc.Fo (Fo.node_pred "person" "y")))) ~free:"x" in
+  let reaches_person reflexive =
+    Fo.Exists ("y", Fo.And (Fo.tc ~reflexive step ~src:"x" ~dst:"y", Fo.node_pred "person" "y"))
+  in
   (* reflexive closure adds x itself when x is a person *)
-  checkb "nobody contacts a person" true (plain = []);
-  checkb "reflexive includes the person" true (refl = [ node inst "n1" ])
-
+  checkb "nobody contacts a person" true (fo_answers inst (reaches_person false) = []);
+  checkb "reflexive includes the person" true (fo_answers inst (reaches_person true) = [ node inst "n1" ])
 
 let test_crpq_witnesses () =
   let inst = fig2 () in
@@ -560,12 +609,16 @@ let make_inst (seed, nodes, edges) =
        (Gqkg_util.Splitmix.create seed)
        ~nodes ~edges ~node_labels:[ "a"; "b" ] ~edge_labels:[ "x"; "y" ])
 
-(* Random small FO formulas with variables drawn from {x, y}. *)
+(* Random small FO formulas with variables drawn from {x, y}: adjacency,
+   TC atoms over three steps (plain and reflexive), and counting
+   quantifiers whose threshold may exceed the node count or quantify a
+   variable the body does not use. *)
 let fo_gen =
   let open QCheck2.Gen in
   let var = oneofl [ "x"; "y" ] in
   let label = oneofl [ "a"; "b" ] in
   let edge = oneofl [ "x"; "y" ] in
+  let step = oneofl (List.map Regex_parser.parse [ "x"; "y"; "x/y^-" ]) in
   fix
     (fun self depth ->
       if depth = 0 then
@@ -573,7 +626,9 @@ let fo_gen =
           [
             map2 (fun l v -> Fo.Node_pred (Const.str l, v)) label var;
             map3 (fun l v w -> Fo.Edge_pred (Const.str l, v, w)) edge var var;
+            map2 (fun v w -> Fo.Adjacent (v, w)) var var;
             map2 (fun v w -> Fo.Eq (v, w)) var var;
+            map3 (fun (s, reflexive) v w -> Fo.tc ~reflexive s ~src:v ~dst:w) (pair step bool) var var;
           ]
       else
         oneof
@@ -582,6 +637,7 @@ let fo_gen =
             map2 (fun f g -> Fo.And (f, g)) (self (depth - 1)) (self (depth - 1));
             map2 (fun f g -> Fo.Or (f, g)) (self (depth - 1)) (self (depth - 1));
             map2 (fun v f -> Fo.Exists (v, f)) var (self (depth - 1));
+            map3 (fun k v f -> Fo.Count_exists (k, v, f)) (int_range 1 3) var (self (depth - 1));
             map2 (fun v f -> Fo.Forall (v, f)) var (self (depth - 1));
           ])
     3
@@ -623,6 +679,32 @@ let prop_gml_not_involutive =
     (fun (g, f) ->
       let inst = make_inst g in
       Gml.models inst f = Gml.models inst (Gml.Not (Gml.Not f)))
+
+(* Section 4.3's chain on one formula: graded modal logic, its C2 image
+   under both FO evaluators, and the compiled AC-GNN agree on simple
+   graphs, and the answer is a union of stable WL color classes. *)
+let prop_section_4_3_chain =
+  QCheck2.Test.make ~name:"Section 4.3 chain: GML = FO = AC-GNN" ~count:200
+    QCheck2.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* nodes = int_range 1 7 in
+      let* labels = array_size (return nodes) (oneofl [ "a"; "b" ]) in
+      let* p = float_range 0.1 0.7 in
+      let* f = gml_gen in
+      return (seed, labels, p, f))
+    (fun (seed, labels, p, f) ->
+      let inst =
+        simple_random_instance ~label:(Array.get labels) (Gqkg_util.Splitmix.create seed)
+          ~nodes:(Array.length labels) ~p
+      in
+      let gml = Gml.models inst f and fo = Fo.of_gml f in
+      let coloring =
+        Gqkg_gnn.Wl.refine inst ~init:(fun v -> Bool.to_int (Snapshot.node_atom inst v (Atom.label "a")))
+      in
+      gml = Fo.eval_bounded inst fo ~free:"x"
+      && gml = Fo.eval_naive inst fo ~free:"x"
+      && gml = Gqkg_gnn.Logic_gnn.classified_nodes (Gqkg_gnn.Logic_gnn.compile f) inst
+      && wl_respected coloring gml)
 
 let crpq_gen =
   let open QCheck2.Gen in
@@ -730,5 +812,8 @@ let () =
           Alcotest.test_case "self loop" `Quick test_cq_self_loop_pattern;
           Alcotest.test_case "agrees with FO" `Quick test_cq_agrees_with_fo;
         ] );
-      ("properties", q [ prop_naive_equals_bounded; prop_gml_not_involutive; prop_crpq_greedy_equals_naive ]);
+      ( "properties",
+        q
+          [ prop_naive_equals_bounded; prop_gml_not_involutive; prop_section_4_3_chain;
+            prop_crpq_greedy_equals_naive ] );
     ]

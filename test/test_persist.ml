@@ -184,6 +184,12 @@ let prop_renumber_invariant =
 
 (* ---------- QCheck: loaded CSR vs naive edge scan ---------- *)
 
+(* One node's adjacency as (edge, neighbor) pairs, in walk order. *)
+let adjacency_list iter s v =
+  let pairs = ref [] in
+  iter s v (fun e w -> pairs := (e, w) :: !pairs);
+  List.rev !pairs
+
 let scan_adjacency (s : Snapshot.t) v ~out =
   let pairs = ref [] in
   for e = s.Snapshot.num_edges - 1 downto 0 do
@@ -203,9 +209,9 @@ let prop_loaded_csr =
           let loaded = Snapshot_io.load path in
           for v = 0 to loaded.Snapshot.num_nodes - 1 do
             checkb "out row" true
-              (Array.to_list (Snapshot.out_pairs loaded v) = scan_adjacency loaded v ~out:true);
+              (adjacency_list Snapshot.iter_out loaded v = scan_adjacency loaded v ~out:true);
             checkb "in row" true
-              (Array.to_list (Snapshot.in_pairs loaded v) = scan_adjacency loaded v ~out:false)
+              (adjacency_list Snapshot.iter_in loaded v = scan_adjacency loaded v ~out:false)
           done;
           true))
 

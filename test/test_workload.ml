@@ -8,6 +8,12 @@ open Gqkg_workload
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* One node's adjacency as (edge, neighbor) pairs, in walk order. *)
+let adjacency_list iter s v =
+  let pairs = ref [] in
+  iter s v (fun e w -> pairs := (e, w) :: !pairs);
+  List.rev !pairs
+
 let rng seed = Gqkg_util.Splitmix.create seed
 
 (* ---------- Structured generators ---------- *)
@@ -100,13 +106,13 @@ let test_contact_network_structure () =
   List.iter
     (fun p ->
       let rides = ref 0 and lives = ref 0 in
-      Array.iter
+      List.iter
         (fun (e, _) ->
           match Const.to_string (Property_graph.edge_label pg e) with
           | "rides" -> incr rides
           | "lives" -> incr lives
           | _ -> ())
-        (Gqkg_graph.Snapshot.out_pairs inst p);
+        (adjacency_list Gqkg_graph.Snapshot.iter_out inst p);
       checki "rides" 2 !rides;
       checki "lives" 1 !lives)
     (Labeled_graph.nodes_with_label lg (Const.str "person"))
