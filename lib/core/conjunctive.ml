@@ -1,6 +1,6 @@
 (* The one conjunctive compiler: CRPQ and BGP atoms to Join specs.  Each
    atom keeps one of three shapes: a postings set, a zero-copy edge view,
-   or endpoint pairs read through the Governor, so path atoms share the
+   or a path relation read through the Governor, so path atoms share the
    snapshot's semantic result cache with served reads. *)
 
 open Gqkg_graph
@@ -26,12 +26,12 @@ let compile ?(budget = Budget.unlimited) ?max_length inst atoms =
         if not (List.mem_assoc name !pins) then pins := (name, id) :: !pins;
         name
   in
-  (* Identical regexes in one query share one materialization. *)
-  let pairs r key =
+  (* Identical regexes in one query share one relation. *)
+  let relation r key =
     match Hashtbl.find_opt paths key with
     | Some p -> p
     | None ->
-        let p = (Governor.eval_pairs ~budget ?max_length inst r).Budget.value in
+        let p = (Governor.eval_relation ~budget ?max_length inst r).Budget.value in
         Hashtbl.add paths key p;
         p
   in
@@ -50,7 +50,7 @@ let compile ?(budget = Budget.unlimited) ?max_length inst atoms =
             atom text [| s; d |] (Join.Edges (Join.Index.edge_label_ids (idx ()) c))
         | Regex.Bwd (Regex.Atom (Atom.Label c)) when step && inst.Snapshot.num_labels > 0 ->
             atom text [| d; s |] (Join.Edges (Join.Index.edge_label_ids (idx ()) c))
-        | _ -> atom text [| s; d |] (Join.Pairs (pairs r text)))
+        | _ -> atom text [| s; d |] (Join.Relation (relation r text)))
   in
   let specs = List.map spec atoms in
   let pins = List.rev !pins in

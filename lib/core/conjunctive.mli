@@ -8,8 +8,8 @@
     - A single forward or backward edge label (unless [max_length] is
       0), and an exact edge-label middle, are zero-copy {!Join.Edges}
       views.
-    - Every other regex is its endpoint pairs, materialized once per
-      distinct regex through {!Governor.eval_pairs} under the query's
+    - Every other regex is a {!Join.Relation}, prepared once per
+      distinct regex through {!Governor.eval_relation} under the query's
       budget.  With the default unlimited budget, a path atom repeated on
       one snapshot, or an equivalent one, is a {!Semcache} result hit; a
       limited budget neither reads nor stores cache entries. *)

@@ -7,9 +7,9 @@ module Budget = Gqkg_util.Budget
 
 let outcome budget value = { Budget.value; completeness = Budget.completeness budget }
 
-(* eval_pairs consults the snapshot's semantic result cache: keyed by
-   the query's canonical-automaton key (+ max_length), so syntactically
-   different but equivalent queries share one entry.
+(* eval_pairs and eval_relation consult the snapshot's semantic result
+   cache: keyed by the query's canonical-automaton key (+ max_length),
+   so syntactically different but equivalent queries share one entry.
    Only Complete results are stored, and by default only unlimited
    budgets look up — a Partial answer must never be served as if it
    were the whole truth, and a budgeted run must actually consume its
@@ -17,7 +17,7 @@ let outcome budget value = { Budget.value; completeness = Budget.completeness bu
    opts a budgeted caller in: serving a cached Complete result under a
    budget is sound (it IS the whole truth) and is how the server keeps
    hot queries cheap while every request still carries a deadline. *)
-let eval_pairs ?(use_cache = false) ~budget ?max_length inst regex =
+let cached ~find ~store ~prepare ~use_cache ~budget ?max_length inst regex =
   (* One plan serves both the key and, on a miss, the evaluation. *)
   let q = Planner.plan ~budget inst regex in
   let key =
@@ -29,16 +29,23 @@ let eval_pairs ?(use_cache = false) ~budget ?max_length inst regex =
     else None
   in
   match key with
-  | None -> outcome budget (Rpq.eval_planned ?max_length q)
+  | None -> outcome budget (prepare (Rpq.eval_planned ?max_length q))
   | Some key -> (
-      match Semcache.find_pairs inst ~key with
+      match find inst ~key with
       | Some v -> { Budget.value = v; completeness = Budget.Complete }
       | None ->
-          let v = Rpq.eval_planned ?max_length q in
-          (match Budget.completeness budget with
-          | Budget.Complete -> Semcache.store_pairs inst ~key v
-          | Budget.Partial _ -> ());
+          let pairs = Rpq.eval_planned ?max_length q in
+          let v = prepare pairs in
+          if Budget.completeness budget = Budget.Complete then store inst ~key pairs v;
           outcome budget v)
+
+let eval_pairs ?(use_cache = false) =
+  let store inst ~key pairs _ = Semcache.store_pairs inst ~key pairs in
+  cached ~find:Semcache.find_pairs ~store ~prepare:Fun.id ~use_cache
+
+let eval_relation =
+  let find, store = (Semcache.find_relation, Semcache.store_relation) in
+  cached ~find ~store ~prepare:Join.relation_of_pairs ~use_cache:false
 
 let reachable_many ~budget ?max_length inst regex ~sources =
   outcome budget (Rpq.reachable_many ~budget ?max_length inst regex ~sources)

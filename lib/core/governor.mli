@@ -32,6 +32,12 @@ val eval_pairs :
   Regex.t ->
   (int * int) list Budget.outcome
 
+(** {!eval_pairs} as a {!Join.relation}, under the same key and budget
+    rule (no [use_cache]): unlimited, every call on a snapshot returns
+    the one relation its cache entry holds; limited, one per call. *)
+val eval_relation :
+  budget:Budget.t -> ?max_length:int -> Snapshot.t -> Regex.t -> Join.relation Budget.outcome
+
 (** Per-source reachability ([result.(i)] lists the targets of
     [sources.(i)], sorted); [Partial] rows are subsets. *)
 val reachable_many :

@@ -5,13 +5,14 @@
    that variable to their common values.  Atom relations become tries —
    grouped sorted int columns of arity 1..3 — in two flavors:
 
-   - zero-copy views over a per-snapshot label-sorted adjacency index
-     (edge-label atoms need no per-query materialization),
-   - tries built from materialized relations (RPQ path atoms,
-     triple-store scans, node-label sets, singleton constants): the
-     rows are kept as columns plus a row-id permutation that stable
-     LSD radix passes sort, and the trie is built once, in the column
-     order the plan binds first.
+   - binary relation sources read zero-copy from one of their two tries
+     (a label's relation in the per-snapshot index, a path atom's
+     relation prepared once and cached with its result),
+   - tries built from materialized relations (triple-store scans,
+     node-label sets, singleton constants, label unions, self-loop
+     atoms): the rows are kept as columns plus a row-id permutation that
+     stable LSD radix passes sort, and the trie is built once, in the
+     column order the plan binds first.
 
    The variable order comes from Gqkg_analysis.Joinplan over per-atom
    cardinality estimates.  Budget checks happen at variable-binding
@@ -179,8 +180,48 @@ let build_trie (cols : int array array) rows lo hi =
   { keys; offs; rank = rank_of keys.(0) }
 
 (* ------------------------------------------------------------------ *)
-(* Per-snapshot join index                                            *)
+(* Binary relations and the per-snapshot join index                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Both tries of a relation's distinct pairs, and each root's size-biased fan-out. *)
+type relation = { by_src : trie; by_dst : trie; src_fanout : float; dst_fanout : float }
+
+(* Size-biased fan-out of a two-level trie's root: sum over its groups
+   of group^2 / pairs. *)
+let fanout t =
+  let off = t.offs.(0) and sq = ref 0.0 in
+  for g = 1 to Array.length off - 1 do
+    sq := !sq +. (float_of_int (off.(g) - off.(g - 1)) ** 2.0)
+  done;
+  !sq /. float_of_int (max 1 (Array.length t.keys.(1)))
+
+(* The relation of rows [lo, hi) of [rows], sorted by (src, dst); the
+   dst trie takes one stable sort of a copy by dst. *)
+let relation_of_sorted src dst rows lo hi =
+  let by_dst = Array.sub rows lo (hi - lo) in
+  sort_rows [| dst |] by_dst;
+  let by_src = build_trie [| src; dst |] rows lo hi in
+  let by_dst = build_trie [| dst; src |] by_dst 0 (hi - lo) in
+  { by_src; by_dst; src_fanout = fanout by_src; dst_fanout = fanout by_dst }
+
+let check_ids a =
+  Array.iter (fun x -> if x < 0 then invalid_arg "Join: negative id") a;
+  a
+
+let relation_of_pairs l =
+  let src = check_ids (Array.of_list (List.map fst l)) in
+  let dst = check_ids (Array.of_list (List.map snd l)) in
+  let rows = Array.init (Array.length src) Fun.id in
+  sort_rows [| src; dst |] rows;
+  relation_of_sorted src dst rows 0 (Array.length rows)
+
+(* Nodes with a self-loop, ascending. *)
+let loop_nodes { by_src = { keys; offs; _ }; _ } =
+  let loop g s =
+    let i = lower_bound keys.(1) offs.(0).(g) offs.(0).(g + 1) s in
+    i < offs.(0).(g + 1) && keys.(1).(i) = s
+  in
+  Array.of_list (List.filteri loop (Array.to_list keys.(0)))
 
 module Index = struct
   type label_stat = {
@@ -193,67 +234,24 @@ module Index = struct
     dst_fanout : float;
   }
 
-  type t = {
-    snap : Snapshot.t;
-    out_tries : trie array; (* per edge-label id, grouped by src *)
-    in_tries : trie array; (* grouped by dst *)
-    stats : label_stat array;
-  }
+  type t = { snap : Snapshot.t; rels : relation array (* per edge-label id *) }
 
-  (* One orientation: every label's distinct (key0, key1) pairs as a
-     two-level trie, from one sort of all edges by (label, key0, key1). *)
-  let tries snap ~key0 ~key1 =
+  (* One sort of all edges by (label, src, dst); each label's slice is its relation. *)
+  let build snap =
     let num_labels = snap.Snapshot.num_labels and elabel = snap.Snapshot.elabel in
-    if num_labels = 0 then [||]
+    let esrc = snap.Snapshot.esrc and edst = snap.Snapshot.edst in
+    if num_labels = 0 then { snap; rels = [||] }
     else begin
       let rows = Array.init snap.Snapshot.num_edges Fun.id in
-      sort_rows [| elabel; key0; key1 |] rows;
+      sort_rows [| elabel; esrc; edst |] rows;
       let start = Array.make (num_labels + 1) 0 in
       Array.iter (fun l -> start.(l + 1) <- start.(l + 1) + 1) elabel;
       for l = 1 to num_labels do
         start.(l) <- start.(l) + start.(l - 1)
       done;
-      Array.init num_labels (fun l -> build_trie [| key0; key1 |] rows start.(l) start.(l + 1))
+      let rel l = relation_of_sorted esrc edst rows start.(l) start.(l + 1) in
+      { snap; rels = Array.init num_labels rel }
     end
-
-  let self_loop_count t =
-    let k0 = t.keys.(0) and off = t.offs.(0) and v1 = t.keys.(1) in
-    let n = ref 0 in
-    Array.iteri
-      (fun g s ->
-        let i = lower_bound v1 off.(g) off.(g + 1) s in
-        if i < off.(g + 1) && v1.(i) = s then incr n)
-      k0;
-    !n
-
-  (* Size-biased fan-out of a two-level trie's root: sum over its groups
-     of group^2 / pairs. *)
-  let fanout t =
-    let off = t.offs.(0) and sq = ref 0.0 in
-    for g = 1 to Array.length off - 1 do
-      sq := !sq +. (float_of_int (off.(g) - off.(g - 1)) ** 2.0)
-    done;
-    !sq /. float_of_int (max 1 (Array.length t.keys.(1)))
-
-  let build snap =
-    let esrc = snap.Snapshot.esrc and edst = snap.Snapshot.edst in
-    let out_tries = tries snap ~key0:esrc ~key1:edst in
-    let in_tries = tries snap ~key0:edst ~key1:esrc in
-    let stats =
-      Array.mapi
-        (fun l t ->
-          {
-            name = snap.Snapshot.label_names.(l);
-            pairs = Array.length t.keys.(1);
-            distinct_src = Array.length t.keys.(0);
-            distinct_dst = Array.length in_tries.(l).keys.(0);
-            self_loops = self_loop_count t;
-            src_fanout = fanout t;
-            dst_fanout = fanout in_tries.(l);
-          })
-        out_tries
-    in
-    { snap; out_tries; in_tries; stats }
 
   let index_id : t Type.Id.t = Type.Id.make ()
   let get snap = Snapshot.memo snap index_id build
@@ -269,13 +267,25 @@ module Index = struct
 
   let nodes_with_const_label idx c = Postings.nodes idx.snap (Atom.Label c)
 
-  let label_stats idx = Array.copy idx.stats
+  let label_stats idx =
+    Array.mapi
+      (fun l r ->
+        {
+          name = idx.snap.Snapshot.label_names.(l);
+          pairs = Array.length r.by_src.keys.(1);
+          distinct_src = Array.length r.by_src.keys.(0);
+          distinct_dst = Array.length r.by_dst.keys.(0);
+          self_loops = Array.length (loop_nodes r);
+          src_fanout = r.src_fanout;
+          dst_fanout = r.dst_fanout;
+        })
+      idx.rels
 
   let describe idx =
     let buf = Buffer.create 256 in
     Buffer.add_string buf
       "per-edge-label join statistics (distinct pairs / srcs / dsts / self-loops / fan-outs):\n";
-    if Array.length idx.stats = 0 then
+    if Array.length idx.rels = 0 then
       Buffer.add_string buf "  (no interned edge labels)\n"
     else
       Array.iter
@@ -285,7 +295,7 @@ module Index = struct
                "  %-16s %8d pairs  %8d srcs  %8d dsts  %6d self-loops  %8.1f out  %8.1f in\n"
                s.name s.pairs s.distinct_src s.distinct_dst s.self_loops s.src_fanout
                s.dst_fanout))
-        idx.stats;
+        (label_stats idx);
     Buffer.contents buf
 end
 
@@ -296,6 +306,7 @@ end
 type rel =
   | Edges of int list
   | Pairs of (int * int) list
+  | Relation of relation
   | Set of int array
   | Rows3 of (int * int * int) list
 
@@ -309,12 +320,12 @@ let atom ?name avars rel =
   in
   { avars; rel; name }
 
-let rel_arity = function Edges _ -> 2 | Pairs _ -> 2 | Set _ -> 1 | Rows3 _ -> 3
+let rel_arity = function Edges _ | Pairs _ | Relation _ -> 2 | Set _ -> 1 | Rows3 _ -> 3
 
 (* A normalized atom: distinct variables only, with a relation source
    ready for stats and (after ordering) trie construction. *)
 type source =
-  | SCsr of Index.t * int (* zero-copy: edge-label id in the index *)
+  | SRel of relation (* zero-copy: (src, dst) read from either trie *)
   | SRows of int array array * int array
     (* one column per [pvars] entry, and the atom's row ids sorted by
        those columns (duplicates still adjacent) *)
@@ -328,48 +339,6 @@ type pre = {
   pfanout : float array; (* per column: size-biased fan-out *)
   psource : source;
 }
-
-(* Columns of a materialized relation, one per atom column; a union of
-   edge labels concatenates each label's distinct pairs. *)
-let columns_of idx rel =
-  let id x = if x < 0 then invalid_arg "Join: negative id" else x in
-  match rel with
-  | Set a ->
-      Array.iter (fun x -> ignore (id x)) a;
-      [| a |]
-  | Pairs l ->
-      let n = List.length l in
-      let c0 = Array.make n 0 and c1 = Array.make n 0 in
-      List.iteri
-        (fun i (a, b) ->
-          c0.(i) <- id a;
-          c1.(i) <- id b)
-        l;
-      [| c0; c1 |]
-  | Rows3 l ->
-      let n = List.length l in
-      let cols = Array.init 3 (fun _ -> Array.make n 0) in
-      List.iteri
-        (fun i (a, b, c) ->
-          cols.(0).(i) <- id a;
-          cols.(1).(i) <- id b;
-          cols.(2).(i) <- id c)
-        l;
-      cols
-  | Edges labels ->
-      let tries = List.map (fun l -> (Lazy.force idx).Index.out_tries.(l)) labels in
-      let n = List.fold_left (fun n t -> n + Array.length t.keys.(1)) 0 tries in
-      let src = Array.make n 0 and dst = Array.make n 0 and at = ref 0 in
-      List.iter
-        (fun t ->
-          let off = t.offs.(0) and v1 = t.keys.(1) in
-          Array.iteri
-            (fun g s -> Array.fill src (!at + off.(g)) (off.(g + 1) - off.(g)) s)
-            t.keys.(0);
-          Array.blit v1 0 dst !at (Array.length v1);
-          at := !at + Array.length v1)
-        tries;
-      [| src; dst |]
 
 (* Over the row ids [rows], ordered so that equal values of column [j]
    and duplicate rows are adjacent: the distinct rows, the distinct
@@ -442,6 +411,20 @@ let materialize ~name ~kind vids cols =
     psource = SRows (cols, rows);
   }
 
+(* The (src, dst) columns of a union of relations, each relation's
+   distinct pairs in turn. *)
+let pair_columns rels =
+  let n = List.fold_left (fun n r -> n + Array.length r.by_src.keys.(1)) 0 rels in
+  let src = Array.make n 0 and dst = Array.make n 0 and at = ref 0 in
+  List.iter
+    (fun { by_src = t; _ } ->
+      let off = t.offs.(0) and v1 = t.keys.(1) in
+      Array.iteri (fun g s -> Array.fill src (!at + off.(g)) (off.(g + 1) - off.(g)) s) t.keys.(0);
+      Array.blit v1 0 dst !at (Array.length v1);
+      at := !at + Array.length v1)
+    rels;
+  [| src; dst |]
+
 let normalize ?snapshot spec ~var_id =
   let arity = rel_arity spec.rel in
   if Array.length spec.avars <> arity then
@@ -449,29 +432,38 @@ let normalize ?snapshot spec ~var_id =
       (Printf.sprintf "Join: atom %s has %d variables for an arity-%d relation" spec.name
          (Array.length spec.avars) arity);
   let vids = Array.map var_id spec.avars in
-  let idx =
-    lazy
-      (match snapshot with
-      | Some snap -> Index.get snap
-      | None -> invalid_arg "Join: Edges atom requires ~snapshot")
+  let label l =
+    match snapshot with
+    | Some snap -> (Index.get snap).Index.rels.(l)
+    | None -> invalid_arg "Join: Edges atom requires ~snapshot"
   in
-  let materialize kind = materialize ~name:spec.name ~kind vids (columns_of idx spec.rel) in
-  match spec.rel with
-  | Edges [ l ] when vids.(0) <> vids.(1) ->
-      let stat = (Lazy.force idx).Index.stats.(l) in
+  let materialize kind vids cols = materialize ~name:spec.name ~kind vids cols in
+  (* Over distinct variables a binary source reads its tries; over (x, x), its self-loops. *)
+  let binary kind r =
+    if vids.(0) = vids.(1) then materialize kind [| vids.(0) |] [| loop_nodes r |]
+    else
       {
         pname = spec.name;
-        pkind = "csr";
+        pkind = kind;
         pvars = vids;
-        psize = stat.Index.pairs;
-        pdistinct = [| stat.Index.distinct_src; stat.Index.distinct_dst |];
-        pfanout = [| stat.Index.src_fanout; stat.Index.dst_fanout |];
-        psource = SCsr (Lazy.force idx, l);
+        psize = Array.length r.by_src.keys.(1);
+        pdistinct = [| Array.length r.by_src.keys.(0); Array.length r.by_dst.keys.(0) |];
+        pfanout = [| r.src_fanout; r.dst_fanout |];
+        psource = SRel r;
       }
-  | Edges _ -> materialize (if vids.(0) = vids.(1) then "self-loops" else "csr-union")
-  | Set a -> materialize (if Array.length a = 1 then "singleton" else "set")
-  | Pairs _ -> materialize "pairs"
-  | Rows3 _ -> materialize "rows"
+  in
+  match spec.rel with
+  | Edges [ l ] when vids.(0) <> vids.(1) -> binary "csr" (label l)
+  | Edges ls ->
+      let kind = if vids.(0) = vids.(1) then "self-loops" else "csr-union" in
+      materialize kind vids (pair_columns (List.map label ls))
+  | Pairs l -> binary "pairs" (relation_of_pairs l)
+  | Relation r -> binary "pairs" r
+  | Set a -> materialize (if Array.length a = 1 then "singleton" else "set") vids [| check_ids a |]
+  | Rows3 l ->
+      let col f = check_ids (Array.of_list (List.map f l)) in
+      materialize "rows" vids
+        [| col (fun (a, _, _) -> a); col (fun (_, b, _) -> b); col (fun (_, _, c) -> c) |]
 
 (* The trie of a normalized atom under the global order, with its
    variables in trie column order.  Materialized rows are sorted in the
@@ -480,9 +472,9 @@ let normalize ?snapshot spec ~var_id =
    sorts them in the plan's order. *)
 let trie_of_pre level_of p =
   match p.psource with
-  | SCsr (idx, l) ->
-      if level_of p.pvars.(0) < level_of p.pvars.(1) then (idx.Index.out_tries.(l), p.pvars)
-      else (idx.Index.in_tries.(l), [| p.pvars.(1); p.pvars.(0) |])
+  | SRel r ->
+      if level_of p.pvars.(0) < level_of p.pvars.(1) then (r.by_src, p.pvars)
+      else (r.by_dst, [| p.pvars.(1); p.pvars.(0) |])
   | SRows (cols, rows) ->
       let k = Array.length cols in
       let perm = Array.init k Fun.id in
@@ -728,7 +720,10 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
       let emit () =
         if full_cover then yield (Array.map bound proj)
         else begin
-          Array.iteri (fun i v -> probe.(i) <- bnd.(v)) proj;
+          (* Not [Array.iteri]: its closure would be allocated per call. *)
+          for i = 0 to Array.length proj - 1 do
+            probe.(i) <- bnd.(proj.(i))
+          done;
           if rowset_add seen probe then yield (Array.copy probe)
         end
       in

@@ -10,15 +10,15 @@
     common values, achieving the AGM worst-case-optimal bound (O(n^1.5)
     on the triangle query).
 
-    Atoms are specified over named variables with one of four relation
+    Atoms are specified over named variables with one of five relation
     sources; constants must be substituted away by the caller (or pinned
     with a singleton {!Set} atom).  Path atoms arrive materialized: the
     engine evaluates no regex itself.  Trie iterators come in two flavors:
-    zero-copy views over a per-snapshot label-sorted CSR index
-    ({!Edges} on one label), and tries built from materialized relations
-    ({!Set}, {!Pairs}, {!Rows3}, label unions and self-loop atoms) by
-    stable LSD radix passes over their columns, in time linear in the
-    rows and with no per-row allocation.  A dense trie root (keys below
+    zero-copy reads of a binary {!relation} (a label's in the {!Index},
+    a path atom's prepared one), and tries built per query from the
+    atoms that materialize ({!Set}, {!Rows3}, label unions and self-loop
+    atoms) by stable LSD radix passes over their columns, in time linear
+    in the rows and with no per-row allocation.  A dense trie root (keys below
     4x its distinct count) has a rank array, so a seek on it is one
     read; child slices and sparse roots gallop.  The variable order is chosen by
     {!Gqkg_analysis.Joinplan.choose_order} from per-atom cardinality
@@ -45,14 +45,21 @@ val lower_bound : int array -> int -> int -> int -> int
     detected in one pass and left alone. *)
 val sort_rows : int array array -> int array -> unit
 
-(** {1 Per-snapshot join index} *)
+(** {1 Binary relations and the per-snapshot join index} *)
+
+(** A binary relation's distinct (src, dst) pairs as two immutable tries,
+    by src and by dst, with the planner's statistics. *)
+type relation
+
+(** Any order, duplicates allowed; sorted input costs one check and one
+    radix sort by dst.  Raises [Invalid_argument] on a negative id. *)
+val relation_of_pairs : (int * int) list -> relation
 
 module Index : sig
-  (** Label-sorted adjacency: for every edge-label id, the distinct
-      (src, dst) pairs grouped by src (out orientation) and by dst (in
-      orientation), built once per snapshot by radix sorts and
-      memoized on it ({!Snapshot.val-memo}).  Empty when the snapshot
-      interns no edge labels ([num_labels = 0]). *)
+  (** One {!relation} per edge-label id, built once per snapshot by one
+      radix sort of its edges by (label, src, dst) and memoized on it
+      ({!Snapshot.val-memo}).  Empty when the snapshot interns no edge
+      labels ([num_labels = 0]). *)
   type t
 
   val get : Snapshot.t -> t
@@ -88,15 +95,16 @@ end
 
 (** A relation over non-negative int ids: a negative id in a
     materialized relation raises [Invalid_argument] from {!plan} and
-    {!solve}.  A materialized relation (every source except a
-    single-label {!Edges}) is sorted once for its statistics, and its
-    trie is built once, in the column order the chosen variable order
-    binds first; duplicate rows are dropped in that build. *)
+    {!solve}.  A binary source ({!Edges} on one label, {!Pairs}, {!Relation})
+    is read from its tries; over (x, x) it is its self-loop node set.  Any
+    other atom is sorted once for its statistics, and its trie built once,
+    in the column order the variable order binds first, dropping duplicate rows. *)
 type rel =
   | Edges of int list
-      (** Union of edge-label ids, served zero-copy from the {!Index}
-          when the list is a singleton.  Arity 2: (src, dst). *)
-  | Pairs of (int * int) list  (** Materialized binary relation. *)
+      (** Union of edge-label ids; one label is its {!Index} relation.
+          Arity 2: (src, dst). *)
+  | Pairs of (int * int) list  (** Converted by {!relation_of_pairs} per query. *)
+  | Relation of relation  (** A prepared binary relation: a cached path atom. *)
   | Set of int array  (** Unary relation (need not be sorted). *)
   | Rows3 of (int * int * int) list  (** Ternary relation. *)
 

@@ -43,10 +43,18 @@ val find_product : Snapshot.t -> key:string -> Product.t option
 val store_product : Snapshot.t -> key:string -> Product.t -> unit
 
 (** Result cache: full sorted pair sets of [eval_pairs] (the caller
-    folds any [max_length] into the key). *)
+    folds any [max_length] into the key), each with a slot for its
+    {!Join.relation}, built on its first join use, never by a read. *)
 val find_pairs : Snapshot.t -> key:string -> (int * int) list option
 
 val store_pairs : Snapshot.t -> key:string -> (int * int) list -> unit
+
+(** The entry's relation, built on the first call and published by
+    compare-and-set, so every call from any domain returns the same one;
+    counts a result hit or miss as {!find_pairs} does. *)
+val find_relation : Snapshot.t -> key:string -> Join.relation option
+
+val store_relation : Snapshot.t -> key:string -> (int * int) list -> Join.relation -> unit
 
 (** Shape cache: a canonical form ([None]: canonicalization gave up)
     together with the lifted atoms of the query that produced it, in

@@ -9,7 +9,7 @@
    The atoms go through the one conjunctive compiler
    ({!Gqkg_core.Conjunctive}, shared with SPARQL BGPs): postings sets for
    node-label atoms, zero-copy CSR views for single edge labels, and
-   endpoint pairs through the Governor's result cache for every other
+   relations through the Governor's result cache for every other
    regex; the worst-case-optimal join ({!Gqkg_core.Join}) then solves the
    conjunction variable-by-variable under a planned global order.
 

@@ -6,7 +6,7 @@
     compiler ({!Gqkg_core.Conjunctive}), which it shares with SPARQL
     BGPs: a node-label atom (x, ?c, x) is the label's postings set, a
     single edge label a zero-copy CSR view, and every other atom's
-    endpoint pairs come through {!Gqkg_core.Governor.eval_pairs}, so a
+    relation comes through {!Gqkg_core.Governor.eval_relation}, so a
     path atom repeated on one snapshot is a semantic result-cache hit.
     The worst-case-optimal join ({!Gqkg_core.Join}) solves the
     conjunction.  The greedy backtracking join remains as the reference

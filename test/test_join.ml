@@ -779,6 +779,57 @@ let test_path_atoms_cached () =
   checkb "limited budget stores nothing" true
     (Gqkg_core.Semcache.find_pairs fresh ~key = None)
 
+(* One or two path atoms on a random three-label graph, compiled once
+   per round and solved src-first and dst-first: the first round stores
+   each atom's relation with its result cache entry, the second reads
+   it, and both equal the oracle, which evaluates its own pairs.  A
+   limited budget leaves no entry; an unlimited one returns one relation
+   per entry, whether the entry was stored with it or by [eval_pairs]
+   (then the first call builds and publishes it). *)
+let prop_path_relation_cached =
+  let paths = [ "a/b"; "a*"; "(a+b^-)/c" ] in
+  QCheck2.Test.make ~name:"CRPQ path atoms: cached relation = backtracking oracle" ~count:200
+    QCheck2.Gen.(
+      tup4
+        (triple (int_bound 1_000_000) (int_range 1 12) (int_range 0 30))
+        (oneofl paths) (opt (oneofl paths)) (int_bound 8))
+    (fun ((seed, nodes, edges), first, second, trip) ->
+      let graph () =
+        Snapshot.of_labeled
+          (Gen_graph.random_labeled (Splitmix.create seed) ~nodes ~edges ~node_labels:[ "n" ]
+             ~edge_labels:[ "a"; "b"; "c" ])
+      in
+      let inst = graph () and r = Regex_parser.parse first in
+      let atom src text dst = Crpq.atom ~src ~regex:(Regex_parser.parse text) ~dst in
+      let body =
+        atom "x" first "y" :: Option.to_list (Option.map (fun t -> atom "y" t "z") second)
+      in
+      let vars = if second = None then [ "x"; "y" ] else [ "x"; "y"; "z" ] in
+      let oracle = Crpq.answers_backtrack inst (Crpq.query ~head:vars ~body ()) in
+      let relation ?(budget = Budget.unlimited) snap =
+        (Gqkg_core.Governor.eval_relation ~budget snap r).Budget.value
+      in
+      ignore (relation ~budget:(Budget.create ~trip_after_checks:trip ()) inst);
+      let key = Gqkg_core.Planner.semantic_key inst r in
+      let stored = Option.bind key (fun key -> Gqkg_core.Semcache.find_pairs inst ~key) in
+      let round () =
+        let specs, _ =
+          Gqkg_core.Conjunctive.compile inst
+            (List.map
+               (fun (a : Crpq.atom) ->
+                 { Gqkg_core.Conjunctive.src = Var a.src; mid = Regex a.regex; dst = Var a.dst })
+               body)
+        in
+        List.for_all
+          (fun hint ->
+            collect ~snapshot:inst ~order_hint:(Array.of_list hint) specs ~vars = oracle)
+          [ vars; List.rev vars ]
+      in
+      let twin = graph () in
+      ignore (Gqkg_core.Governor.eval_pairs ~budget:Budget.unlimited twin r);
+      let same snap = key = None || relation snap == relation snap in
+      stored = None && round () && round () && same inst && same twin)
+
 (* ---------- Section 3: queries transfer from a property graph to RDF ---------- *)
 
 (* Random edge-label atoms (forward or inverse, self-loops included) and
@@ -976,10 +1027,12 @@ let test_parser_malformed () =
 (* Four domains run the same CQ-shaped and CRPQ joins on one fresh
    snapshot, racing to build its join index and label postings, and
    every answer must equal the sequential one on a twin snapshot.  The
-   atoms are node labels, which the join reads as postings sets, and
-   single edge labels (forward and inverse), which it serves from the
-   index; other regex atoms evaluate through plan-cached products,
-   which are not domain-safe. *)
+   atoms are node labels, which the join reads as postings sets, single
+   edge labels (forward and inverse), which it serves from the index,
+   and one path atom.  Its pairs are evaluated before the domains start,
+   because evaluation runs on plan-cached products, which are not
+   domain-safe; its join relation is not, so the domains race to build
+   and publish it in the result cache entry. *)
 let test_domain_parallel_joins () =
   let inst () =
     Snapshot.of_labeled
@@ -999,13 +1052,17 @@ let test_domain_parallel_joins () =
       [
         "SELECT x, y, z WHERE (x)-[x]->(y), (y)-[y]->(z), (z)-[z]->(x)";
         "SELECT x, z WHERE (x)-[y]->(y), (y)-[x^-]->(z)";
+        "SELECT x, z WHERE (x)-[x/y]->(z), (z)-[z]->(x)";
       ]
   in
   let run snap = (List.map (Crpq.answers snap) cqs, List.map (Crpq.answers snap) crpqs) in
   let expected = run (inst ()) in
   checkb "non-trivial answers" true
     (List.exists (( <> ) []) (fst expected) && List.exists (( <> ) []) (snd expected));
+  checkb "non-trivial path atom answers" true (List.nth (snd expected) 2 <> []);
   let shared = inst () in
+  ignore
+    (Gqkg_core.Governor.eval_pairs ~budget:Budget.unlimited shared (Regex_parser.parse "x/y"));
   let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> run shared)) in
   List.iter (fun d -> checkb "domain answers = sequential" true (Domain.join d = expected)) domains
 
@@ -1043,6 +1100,7 @@ let () =
             prop_skewed_wcoj_equals_backtrack;
             prop_crpq_budget_partial_subset;
             prop_crpq_transfers_to_bgp;
+            prop_path_relation_cached;
           ] );
       ( "budget",
         [

@@ -108,7 +108,10 @@ let minimize () =
 
 (* A 100-op property delta against a 2000-node, 6000-edge base: the
    overlay commit against [Snapshot.of_property] over the replayed
-   post-delta graph. *)
+   post-delta graph.  Each repetition commits the same delta through a
+   fresh epoch manager and overlay, and each leg starts after a full
+   major collection, so neither is charged a GC slice the other's
+   allocation left due. *)
 let commit () =
   let nodes = 2_000 and delta_ops = 100 in
   let edges = 3 * nodes in
@@ -118,23 +121,33 @@ let commit () =
       (Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges
          ~node_labels:[ "person"; "place" ] ~edge_labels:[ "knows"; "likes" ])
   in
-  let mgr = Epochs.create (Overlay.base_of_property pg) in
-  let ov = Overlay.create (Epochs.base mgr) in
   let w = Const.str "w" in
-  for i = 1 to delta_ops do
-    if i mod 4 = 0 then
-      let id = Property_graph.edge_id pg (Splitmix.int rng edges) in
-      Overlay.apply ov (Mutation.Set_edge_prop { id; prop = w; value = Const.int i })
-    else
-      let id = Property_graph.node_id pg (Splitmix.int rng nodes) in
-      Overlay.apply ov (Mutation.Set_node_prop { id; prop = w; value = Const.int i })
+  let delta =
+    List.init delta_ops (fun i ->
+        let i = i + 1 in
+        if i mod 4 = 0 then
+          let id = Property_graph.edge_id pg (Splitmix.int rng edges) in
+          Mutation.Set_edge_prop { id; prop = w; value = Const.int i }
+        else
+          let id = Property_graph.node_id pg (Splitmix.int rng nodes) in
+          Mutation.Set_node_prop { id; prop = w; value = Const.int i })
+  in
+  let t_commit = ref infinity and t_full = ref infinity in
+  for _ = 1 to 5 do
+    let mgr = Epochs.create (Overlay.base_of_property pg) in
+    let ov = Overlay.create (Epochs.base mgr) in
+    List.iter (Overlay.apply ov) delta;
+    Gc.full_major ();
+    let (base', _), t = wall (fun () -> Epochs.commit mgr ov) in
+    t_commit := Float.min !t_commit t;
+    let replayed = Journal.replay_ops (Overlay.history base') in
+    Gc.full_major ();
+    let _, t = wall (fun () -> Snapshot.of_property replayed) in
+    t_full := Float.min !t_full t
   done;
-  let (base', _), t_commit = wall (fun () -> Epochs.commit mgr ov) in
-  let replayed = Journal.replay_ops (Overlay.history base') in
-  let _, t_full = wall (fun () -> Snapshot.of_property replayed) in
-  gate "commit" (t_commit < t_full)
+  gate "commit" (!t_commit < !t_full)
     (Printf.sprintf "incremental %.2f ms vs full freeze %.2f ms (bar: incremental faster)"
-       (ms t_commit) (ms t_full))
+       (ms !t_commit) (ms !t_full))
 
 let () =
   let governor_ok = governor () in
