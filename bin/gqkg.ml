@@ -176,7 +176,7 @@ let print_pair inst a b =
   Printf.printf "%s\t%s\n" (inst.Snapshot.node_name a) (inst.Snapshot.node_name b)
 
 let print_answer inst = function
-  | Request.Pairs pairs -> List.iter (fun (a, b) -> print_pair inst a b) pairs
+  | Request.Pairs { src; dst; _ } -> Array.iteri (fun i a -> print_pair inst a dst.(i)) src
   | Request.Path_count { count; _ } -> Printf.printf "exact: %.0f\n" count
 
 (* Ctrl-C trips the active budget instead of killing the process

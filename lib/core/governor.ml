@@ -7,17 +7,17 @@ module Budget = Gqkg_util.Budget
 
 let outcome budget value = { Budget.value; completeness = Budget.completeness budget }
 
-(* eval_pairs and eval_relation consult the snapshot's semantic result
-   cache: keyed by the query's canonical-automaton key (+ max_length),
-   so syntactically different but equivalent queries share one entry.
-   Only Complete results are stored, and by default only unlimited
-   budgets look up — a Partial answer must never be served as if it
-   were the whole truth, and a budgeted run must actually consume its
-   budget (the fault-injection suites rely on that).  [use_cache]
-   opts a budgeted caller in: serving a cached Complete result under a
-   budget is sound (it IS the whole truth) and is how the server keeps
-   hot queries cheap while every request still carries a deadline. *)
-let cached ~find ~store ~prepare ~use_cache ~budget ?max_length inst regex =
+(* eval_answer consults the snapshot's semantic result cache: keyed by
+   the query's canonical-automaton key (+ max_length), so syntactically
+   different but equivalent queries share one entry.  Only Complete
+   results are stored, and by default only unlimited budgets look up —
+   a Partial answer must never be served as if it were the whole truth,
+   and a budgeted run must actually consume its budget (the
+   fault-injection suites rely on that).  [use_cache] opts a budgeted
+   caller in: serving a cached Complete result under a budget is sound
+   (it IS the whole truth) and is how the server keeps hot queries
+   cheap while every request still carries a deadline. *)
+let eval_answer ?(use_cache = false) ~budget ?max_length inst regex =
   (* One plan serves both the key and, on a miss, the evaluation. *)
   let q = Planner.plan ~budget inst regex in
   let key =
@@ -28,24 +28,21 @@ let cached ~find ~store ~prepare ~use_cache ~budget ?max_length inst regex =
         (Planner.key q)
     else None
   in
-  match key with
-  | None -> outcome budget (prepare (Rpq.eval_planned ?max_length q))
-  | Some key -> (
-      match find inst ~key with
-      | Some v -> { Budget.value = v; completeness = Budget.Complete }
-      | None ->
-          let pairs = Rpq.eval_planned ?max_length q in
-          let v = prepare pairs in
-          if Budget.completeness budget = Budget.Complete then store inst ~key pairs v;
-          outcome budget v)
+  match Option.map (fun key -> (key, Semcache.find_answer inst ~key)) key with
+  | Some (_, Some a) -> { Budget.value = a; completeness = Budget.Complete }
+  | None -> outcome budget (Rpq.eval_planned ?max_length q)
+  | Some (key, None) ->
+      let a = Rpq.eval_planned ?max_length q in
+      if Budget.completeness budget = Budget.Complete then Semcache.store_answer inst ~key a;
+      outcome budget a
 
-let eval_pairs ?(use_cache = false) =
-  let store inst ~key pairs _ = Semcache.store_pairs inst ~key pairs in
-  cached ~find:Semcache.find_pairs ~store ~prepare:Fun.id ~use_cache
+let eval_pairs ?use_cache ~budget ?max_length inst regex =
+  let o = eval_answer ?use_cache ~budget ?max_length inst regex in
+  { o with Budget.value = Answer.to_pairs o.Budget.value }
 
-let eval_relation =
-  let find, store = (Semcache.find_relation, Semcache.store_relation) in
-  cached ~find ~store ~prepare:Join.relation_of_pairs ~use_cache:false
+let eval_relation ~budget ?max_length inst regex =
+  let o = eval_answer ~budget ?max_length inst regex in
+  { o with Budget.value = Join.relation_of_answer o.Budget.value }
 
 let reachable_many ~budget ?max_length inst regex ~sources =
   outcome budget (Rpq.reachable_many ~budget ?max_length inst regex ~sources)

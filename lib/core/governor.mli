@@ -18,12 +18,22 @@ open Gqkg_graph
 open Gqkg_automata
 module Budget = Gqkg_util.Budget
 
-(** All pairs (a, b) joined by a matching path, sorted; a [Partial]
-    result is a subset of the pairs.  [use_cache] (default false) lets
-    a budgeted evaluation consult the semantic result cache too: a
-    cached entry is always a Complete answer, so serving it under any
-    budget is sound — the server's hot path.  Unbudgeted evaluations
-    always consult the cache regardless. *)
+(** All pairs (a, b) joined by a matching path, as the sorted columns
+    of an {!Answer.t}; a [Partial] answer is a subset of the pairs.
+    [use_cache] (default false) lets a budgeted evaluation consult the
+    semantic result cache ({!Semcache.find_answer}) too: a cached entry
+    is always a Complete answer, so serving it under any budget is
+    sound — the server's hot path.  Unbudgeted evaluations always
+    consult the cache regardless.  A hit returns the entry itself. *)
+val eval_answer :
+  ?use_cache:bool ->
+  budget:Budget.t ->
+  ?max_length:int ->
+  Snapshot.t ->
+  Regex.t ->
+  Answer.t Budget.outcome
+
+(** {!eval_answer} as a sorted pair list. *)
 val eval_pairs :
   ?use_cache:bool ->
   budget:Budget.t ->
@@ -32,9 +42,9 @@ val eval_pairs :
   Regex.t ->
   (int * int) list Budget.outcome
 
-(** {!eval_pairs} as a {!Join.relation}, under the same key and budget
-    rule (no [use_cache]): unlimited, every call on a snapshot returns
-    the one relation its cache entry holds; limited, one per call. *)
+(** {!Join.relation_of_answer} of {!eval_answer} (no [use_cache]):
+    unlimited, every call on a snapshot returns the one relation its
+    cache entry holds; limited, one per call. *)
 val eval_relation :
   budget:Budget.t -> ?max_length:int -> Snapshot.t -> Regex.t -> Join.relation Budget.outcome
 

@@ -215,6 +215,14 @@ let relation_of_pairs l =
   sort_rows [| src; dst |] rows;
   relation_of_sorted src dst rows 0 (Array.length rows)
 
+let relation_id : relation Type.Id.t = Type.Id.make ()
+
+(* An answer's columns are in (src, dst) order already: no sort for the src trie. *)
+let relation_of_answer (a : Answer.t) =
+  Answer.memo a relation_id (fun () ->
+      let n = Answer.length a in
+      relation_of_sorted a.src a.dst (Array.init n Fun.id) 0 n)
+
 (* Nodes with a self-loop, ascending. *)
 let loop_nodes { by_src = { keys; offs; _ }; _ } =
   let loop g s =

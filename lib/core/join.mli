@@ -55,6 +55,11 @@ type relation
     radix sort by dst.  Raises [Invalid_argument] on a negative id. *)
 val relation_of_pairs : (int * int) list -> relation
 
+(** An answer's relation: its sorted columns fill the src trie in one
+    pass, the dst trie takes one radix sort.  Memoized on the answer, so
+    every call from any domain returns the same one. *)
+val relation_of_answer : Answer.t -> relation
+
 module Index : sig
   (** One {!relation} per edge-label id, built once per snapshot by one
       radix sort of its edges by (label, src, dst) and memoized on it

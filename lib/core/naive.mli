@@ -21,10 +21,19 @@ val count :
   ?budget:Gqkg_util.Budget.t -> Gqkg_graph.Snapshot.t -> Gqkg_automata.Regex.t -> length:int -> int
 
 (** Distinct (start, end) pairs of matching paths up to the bound,
-    sorted. *)
+    sorted, read off {!triples}. *)
 val pairs :
   ?budget:Gqkg_util.Budget.t ->
   Gqkg_graph.Snapshot.t ->
   Gqkg_automata.Regex.t ->
   max_length:int ->
   (int * int) list
+
+(** The pair oracle: the (start, end, length) of each of {!paths},
+    sorted and distinct, computed in polynomial time. *)
+val triples :
+  ?budget:Gqkg_util.Budget.t ->
+  Gqkg_graph.Snapshot.t ->
+  Gqkg_automata.Regex.t ->
+  max_length:int ->
+  (int * int * int) list

@@ -113,33 +113,35 @@ let choose_direction q =
 (* All pairs (a, b) such that some path in [[r]] goes from a to b: one
    batched frontier run from the live seeds of the chosen direction.
    Backward runs reach sources from targets; their pairs are bucketed
-   per source, so the output is identical either way (ascending
-   lexicographic) without a sort. *)
+   per source.  Either way the buckets ascend, so the columns are sized
+   by one count and filled in order, with no sort. *)
 let eval_planned ?max_length q =
   match choose_direction q with
-  | None -> []
-  | Some (dir, product, seeds) -> (
+  | None -> Answer.of_columns [||] [||]
+  | Some (dir, product, seeds) ->
       let per_seed = Frontier.reachable ?max_length (Frontier.create product) ~sources:seeds in
-      let out = ref [] in
-      match dir with
-      | Forward ->
-          for i = Array.length seeds - 1 downto 0 do
-            List.iter (fun b -> out := (seeds.(i), b) :: !out) (List.rev per_seed.(i))
-          done;
-          !out
-      | Backward ->
-          let n = (Product.instance product).Snapshot.num_nodes in
-          let targets = Array.make n [] in
-          for i = Array.length seeds - 1 downto 0 do
-            List.iter (fun a -> targets.(a) <- seeds.(i) :: targets.(a)) per_seed.(i)
-          done;
-          for a = n - 1 downto 0 do
-            List.iter (fun b -> out := (a, b) :: !out) (List.rev targets.(a))
-          done;
-          !out)
+      let src_of, buckets =
+        match dir with
+        | Forward -> (Array.get seeds, per_seed)
+        | Backward ->
+            let targets = Array.make (Product.instance product).Snapshot.num_nodes [] in
+            for i = Array.length seeds - 1 downto 0 do
+              List.iter (fun a -> targets.(a) <- seeds.(i) :: targets.(a)) per_seed.(i)
+            done;
+            (Fun.id, targets)
+      in
+      let total = Array.fold_left (fun n l -> n + List.length l) 0 buckets in
+      let src = Array.make total 0 and dst = Array.make total 0 and k = ref 0 in
+      let fill i b =
+        src.(!k) <- src_of i;
+        dst.(!k) <- b;
+        incr k
+      in
+      Array.iteri (fun i -> List.iter (fill i)) buckets;
+      Answer.of_columns src dst
 
 let eval_pairs ?budget ?max_length inst regex =
-  eval_planned ?max_length (Planner.plan ?budget inst regex)
+  Answer.to_pairs (eval_planned ?max_length (Planner.plan ?budget inst regex))
 
 type seed_counts = {
   forward_live : int;

@@ -42,8 +42,8 @@ val eval_pairs :
   (int * int) list
 
 (** {!eval_pairs} over an already planned query (the budget is the
-    plan's). *)
-val eval_planned : ?max_length:int -> Planner.query -> (int * int) list
+    plan's), as the columns of an {!Answer.t}. *)
+val eval_planned : ?max_length:int -> Planner.query -> Answer.t
 
 type direction = Forward | Backward
 

@@ -26,11 +26,8 @@ let shape_cap = 64
    compare-and-set, so a concurrent reader always scans a complete list. *)
 type 'a cache = (string * 'a) list Atomic.t
 
-(* A result entry: the pairs, and the relation built from them on first join use. *)
-type result = { pairs : (int * int) list; relation : Join.relation option Atomic.t }
-
 let plans : Product.t cache Type.Id.t = Type.Id.make ()
-let results : result cache Type.Id.t = Type.Id.make ()
+let results : Answer.t cache Type.Id.t = Type.Id.make ()
 let shapes : shape cache Type.Id.t = Type.Id.make ()
 let cache s id = Snapshot.memo s id (fun _ -> Atomic.make [])
 
@@ -84,18 +81,9 @@ let store id cap s key v =
 
 let find_product s ~key = find plans plan_hits plan_misses s key
 let store_product s ~key p = store plans plan_cap s key p
-let find_pairs s ~key = Option.map (fun e -> e.pairs) (find results result_hits result_misses s key)
-
-let find_relation s ~key =
-  Option.map
-    (fun e ->
-      if Option.is_none (Atomic.get e.relation) then
-        ignore (Atomic.compare_and_set e.relation None (Some (Join.relation_of_pairs e.pairs)));
-      Option.get (Atomic.get e.relation))
-    (find results result_hits result_misses s key)
-
-let store_entry s ~key pairs r = store results result_cap s key { pairs; relation = Atomic.make r }
-let store_pairs s ~key pairs = store_entry s ~key pairs None
-let store_relation s ~key pairs r = store_entry s ~key pairs (Some r)
+let find_answer s ~key = find results result_hits result_misses s key
+let store_answer s ~key a = store results result_cap s key a
+let find_pairs s ~key = Option.map Answer.to_pairs (find_answer s ~key)
+let store_pairs s ~key pairs = store_answer s ~key (Answer.of_pairs pairs)
 let find_shape s ~key = find shapes shape_hits shape_misses s key
 let store_shape s ~key v = store shapes shape_cap s key v

@@ -42,19 +42,18 @@ val find_product : Snapshot.t -> key:string -> Product.t option
 
 val store_product : Snapshot.t -> key:string -> Product.t -> unit
 
-(** Result cache: full sorted pair sets of [eval_pairs] (the caller
-    folds any [max_length] into the key), each with a slot for its
-    {!Join.relation}, built on its first join use, never by a read. *)
+(** Result cache: full answers of {!Governor.eval_answer} (the caller
+    folds any [max_length] into the key).  An entry is one {!Answer.t},
+    whose memo holds what is derived from it on first use — a path
+    atom's {!Join.relation}, the wire page — so that goes with it. *)
+val find_answer : Snapshot.t -> key:string -> Answer.t option
+
+val store_answer : Snapshot.t -> key:string -> Answer.t -> unit
+
+(** {!find_answer} and {!store_answer} over pair lists, sorted. *)
 val find_pairs : Snapshot.t -> key:string -> (int * int) list option
 
 val store_pairs : Snapshot.t -> key:string -> (int * int) list -> unit
-
-(** The entry's relation, built on the first call and published by
-    compare-and-set, so every call from any domain returns the same one;
-    counts a result hit or miss as {!find_pairs} does. *)
-val find_relation : Snapshot.t -> key:string -> Join.relation option
-
-val store_relation : Snapshot.t -> key:string -> (int * int) list -> Join.relation -> unit
 
 (** Shape cache: a canonical form ([None]: canonicalization gave up)
     together with the lifted atoms of the query that produced it, in

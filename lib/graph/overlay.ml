@@ -638,7 +638,7 @@ let commit t =
         edge_name = (if edge_struct then Array.get edge_names else s.Snapshot.edge_name);
         stats;
         epoch = Snapshot.fresh_epoch ();
-        memo = Snapshot.fresh_memo ();
+        memo = Gqkg_util.Memo.create ();
       }
     in
     (* Hand the id index over: the old base drops it (a later overlay on

@@ -30,10 +30,6 @@ type stats = {
   node_label_counts : int array;
 }
 
-(* Derived state hangs off the snapshot it was computed from: shared by
-   every reader of that snapshot, collected with it. *)
-type binding = Binding : 'a Type.Id.t * 'a -> binding
-type memo = binding list Atomic.t
 type rows = { off : int array; kv : int array }
 
 type attrs = {
@@ -74,7 +70,7 @@ type t = {
   edge_name : int -> string;
   stats : stats;
   epoch : int;
-  memo : memo;
+  memo : Gqkg_util.Memo.t;
 }
 
 (* Process-wide epoch counter: every snapshot constructed in this
@@ -82,31 +78,7 @@ type t = {
    record) gets a distinct stamp. *)
 let epoch_counter = Atomic.make 0
 let fresh_epoch () = Atomic.fetch_and_add epoch_counter 1
-let fresh_memo () : memo = Atomic.make []
-
-let rec find_binding : type a. a Type.Id.t -> binding list -> a option =
- fun id -> function
-  | [] -> None
-  | Binding (id', v) :: rest -> (
-      match Type.Id.provably_equal id id' with
-      | Some Type.Equal -> Some v
-      | None -> find_binding id rest)
-
-(* [build] runs outside any lock: two racing readers may both build,
-   and the first insert wins, so every caller sees one value. *)
-let memo s id build =
-  match find_binding id (Atomic.get s.memo) with
-  | Some v -> v
-  | None ->
-      let v = build s in
-      let rec insert () =
-        let seen = Atomic.get s.memo in
-        match find_binding id seen with
-        | Some v -> v
-        | None ->
-            if Atomic.compare_and_set s.memo seen (Binding (id, v) :: seen) then v else insert ()
-      in
-      insert ()
+let memo s id build = Gqkg_util.Memo.get s.memo id (fun () -> build s)
 
 (* Percentile of a degree distribution given as a counting histogram
    over 0 .. max_degree (nearest-rank on the n node observations). *)
@@ -270,7 +242,7 @@ let make ~atoms ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~
     edge_name;
     stats = stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_counts;
     epoch = fresh_epoch ();
-    memo = fresh_memo ();
+    memo = Gqkg_util.Memo.create ();
   }
 
 let intern ~n ~get =

@@ -31,10 +31,6 @@ type stats = {
   node_label_counts : int array;  (** node-label id → member count *)
 }
 
-(** The per-snapshot memo of derived state: at most one value per
-    {!Type.Id.t}. *)
-type memo
-
 (** One interned (key, value) row per object: the row of object [o] is
     entries [off.(o) .. off.(o+1) - 1] of [kv], each an {!entry} of two
     ids into the {!attrs} dictionary, keys strictly ascending.
@@ -107,7 +103,7 @@ type t = {
   epoch : int;
       (** Process-unique freeze stamp: every constructed snapshot gets a
           fresh value (reported by [gqkg explain], [stats] and serve). *)
-  memo : memo;
+  memo : Gqkg_util.Memo.t;
       (** Derived state computed from this snapshot (schema, join index,
           semantic caches), see {!val-memo}; minted fresh with the epoch,
           so two snapshots never share it. *)
@@ -154,16 +150,13 @@ val stats_of_columns :
   node_label_counts:int array ->
   stats
 
-(** Next value of the process-wide epoch counter, and an empty memo —
-    for code that builds the record directly instead of through {!make}
-    (the overlay commit, snapshot loading). Mint both for every record. *)
+(** Next value of the process-wide epoch counter — for code that builds
+    the record directly instead of through {!make} (the overlay commit,
+    snapshot loading). Mint it, and a {!Gqkg_util.Memo.create}, for
+    every record. *)
 val fresh_epoch : unit -> int
 
-val fresh_memo : unit -> memo
-
-(** [memo s id build] is the value memoized on [s] under [id], computed
-    by [build s] on first use. [build] runs outside any lock; when two
-    callers race, the first value inserted wins and both get it. The
+(** [memo s id build] is {!Gqkg_util.Memo.get} on the memo of [s]: the
     value lives exactly as long as [s]. *)
 val memo : t -> 'a Type.Id.t -> (t -> 'a) -> 'a
 

@@ -694,7 +694,7 @@ let load_with_perm path =
       edge_name;
       stats;
       epoch = Snapshot.fresh_epoch ();
-      memo = Snapshot.fresh_memo ();
+      memo = Gqkg_util.Memo.create ();
     }
   in
   (snapshot, perm)

@@ -258,48 +258,62 @@ let names snap =
       done;
       { blob = Buffer.contents buf; off })
 
-(* Walk 1 sizes the page; the other members render into [buf], cut
-   inside ["pairs":[]]; walk 2 fills the cut in an exact-size copy. *)
-let page_frame { blob; off } ~head ~limit pairs ~tail =
-  let width v = off.(v + 1) - off.(v) in
-  let total = ref 0 and gap = ref (-1) in
-  List.iter
-    (fun (a, b) ->
-      if !total < limit then gap := !gap + width a + width b + 4;
-      incr total)
-    pairs;
+(* Pairs [(src.(i), dst.(i))], [i < shown], as the inside of the
+   ["pairs"] array, by blitting name literals. *)
+let body { blob; off } src dst shown =
+  let buf = Buffer.create (shown * 32) in
+  let name v = Buffer.add_substring buf blob off.(v) (off.(v + 1) - off.(v)) in
+  for i = 0 to shown - 1 do
+    Buffer.add_string buf (if i = 0 then "[" else ",[");
+    name src.(i);
+    Buffer.add_char buf ',';
+    name dst.(i);
+    Buffer.add_char buf ']'
+  done;
+  Buffer.contents buf
+
+(* The other members render into [buf], cut inside ["pairs":[]]; the
+   body fills the cut in an exact-size copy. *)
+let frame ~head ~total ~limit ~tail body =
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
   add_members buf
-    (head @ [ ("total", int !total); ("truncated", Bool (!total > limit)); ("pairs", Arr []) ]);
+    (head @ [ ("total", int total); ("truncated", Bool (total > limit)); ("pairs", Arr []) ]);
   let cut = Buffer.length buf - 1 in
   if tail <> [] then Buffer.add_char buf ',';
   add_members buf tail;
   Buffer.add_string buf "}\n";
-  let dst = Bytes.create (Buffer.length buf + max 0 !gap) and pos = ref cut in
+  let n = String.length body in
+  let dst = Bytes.create (Buffer.length buf + n) in
   Buffer.blit buf 0 dst 0 cut;
-  let put c =
-    Bytes.set dst !pos c;
-    incr pos
-  in
-  let name v =
-    Bytes.blit_string blob off.(v) dst !pos (width v);
-    pos := !pos + width v
-  in
-  let rec fill i = function
-    | (a, b) :: rest when i < limit ->
-        if i > 0 then put ',';
-        put '[';
-        name a;
-        put ',';
-        name b;
-        put ']';
-        fill (i + 1) rest
-    | _ -> ()
-  in
-  fill 0 pairs;
-  Buffer.blit buf cut dst !pos (Buffer.length buf - cut);
+  Bytes.blit_string body 0 dst cut n;
+  Buffer.blit buf cut dst (cut + n) (Buffer.length buf - cut);
   Bytes.unsafe_to_string dst
+
+let page_frame names ~head ~limit pairs ~tail =
+  let shown = List.filteri (fun i _ -> i < limit) pairs in
+  let column f = Array.of_list (List.map f shown) in
+  frame ~head ~total:(List.length pairs) ~limit ~tail
+    (body names (column fst) (column snd) (List.length shown))
+
+(* An answer's last rendered body, with the names (compared physically)
+   and shown count it was rendered for. *)
+type page = { names : names; shown : int; body : string }
+
+let page_id : page option Atomic.t Type.Id.t = Type.Id.make ()
+
+let answer_body names (a : Gqkg_core.Answer.t) ~shown =
+  let slot = Gqkg_core.Answer.memo a page_id (fun () -> Atomic.make None) in
+  match Atomic.get slot with
+  | Some p when p.names == names && p.shown = shown -> p.body
+  | seen ->
+      let body = body names a.src a.dst shown in
+      ignore (Atomic.compare_and_set slot seen (Some { names; shown; body }));
+      body
+
+let answer_frame names ~head ~limit a ~tail =
+  let total = Gqkg_core.Answer.length a in
+  frame ~head ~total ~limit ~tail (answer_body names a ~shown:(max 0 (min total limit)))
 
 let of_diagnostic (d : Gqkg_analysis.Diagnostic.t) =
   Obj

@@ -47,6 +47,19 @@ val page_frame :
     [Arr [Str (name a); Str (name b)]].  It is rendered into one string
     of that exact size by blitting the literals of [names]. *)
 
+val answer_frame :
+  names -> head:(string * t) list -> limit:int -> Gqkg_core.Answer.t -> tail:(string * t) list ->
+  string
+(** {!page_frame} of the answer's pairs, byte for byte, with its body
+    from {!answer_body}: a cached answer renders it once per shown
+    count, and each frame after that copies it between the members. *)
+
+val answer_body : names -> Gqkg_core.Answer.t -> shown:int -> string
+(** The inside of the ["pairs"] array for the answer's first [shown]
+    pairs.  The answer's memo holds the last one rendered: a call with
+    the same [names] and [shown] returns it (physically); another call
+    renders a new one and replaces it by compare-and-set. *)
+
 val of_diagnostic : Gqkg_analysis.Diagnostic.t -> t
 (** The one JSON form of a diagnostic: [code], [severity], [subterm],
     [message]. *)

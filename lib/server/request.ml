@@ -48,7 +48,7 @@ let check = function
 let validate { q; kind } =
   Result.bind (check kind) (fun () -> Result.map (fun q -> { q; kind }) (parse q))
 
-type answer = Pairs of (int * int) list | Path_count of { length : int; count : float }
+type answer = Pairs of Gqkg_core.Answer.t | Path_count of { length : int; count : float }
 
 type response = {
   answer : answer;
@@ -60,7 +60,7 @@ let eval ?use_cache ~budget snap { q; kind } =
   let answer, completeness =
     match kind with
     | Query { max_length } ->
-        let o = Governor.eval_pairs ?use_cache ~budget ?max_length snap q in
+        let o = Governor.eval_answer ?use_cache ~budget ?max_length snap q in
         (Pairs o.Budget.value, o.Budget.completeness)
     | Count { length } ->
         let o = Governor.count ~budget snap q ~length in

@@ -50,7 +50,7 @@ val check : kind -> (unit, error) result
 val validate : string t -> (Gqkg_automata.Regex.t t, error) result
 (** {!check} first, then the parse. *)
 
-type answer = Pairs of (int * int) list | Path_count of { length : int; count : float }
+type answer = Pairs of Gqkg_core.Answer.t | Path_count of { length : int; count : float }
 
 type response = {
   answer : answer;
@@ -61,7 +61,7 @@ type response = {
 
 val eval :
   ?use_cache:bool -> budget:Budget.t -> Snapshot.t -> Gqkg_automata.Regex.t t -> response
-(** [use_cache] is {!Gqkg_core.Governor.eval_pairs}'s. *)
+(** [use_cache] is {!Gqkg_core.Governor.eval_answer}'s. *)
 
 type mutated = {
   applied : int;

@@ -187,8 +187,8 @@ let read_reply t ~id ~limit ~budget snap (r : Request.response) =
     @ [ ("epoch", Jsonx.int snap.Snapshot.epoch) ]
   in
   match r.answer with
-  | Request.Pairs pairs ->
-      Jsonx.page_frame (Jsonx.names snap) ~head:(head "query") ~limit pairs
+  | Request.Pairs answer ->
+      Jsonx.answer_frame (Jsonx.names snap) ~head:(head "query") ~limit answer
         ~tail:(("elapsed_ms", Jsonx.Num (Budget.elapsed_ms budget)) :: completeness)
   | Request.Path_count { length; count } ->
       let fields = [ ("length", Jsonx.int length); ("count", Jsonx.Num count) ] in

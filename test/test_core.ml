@@ -440,6 +440,25 @@ let prop_pairs_agree =
       (* The engine bounds exploration at k steps, like the oracle. *)
       List.sort compare engine = naive)
 
+(* The pair oracle is the path-set semantics read off at endpoints and
+   lengths: its triples are exactly the (start, end, length) of
+   [Naive.paths], at every bound from 0 to 3. *)
+let prop_triples_agree =
+  QCheck2.Test.make ~name:"pair oracle = naive paths' endpoints" ~count:150
+    QCheck2.Gen.(pair regex_and_graph_gen (int_bound 3))
+    (fun ((g, rseed), k) ->
+      let inst = make_instance g and r = make_regex rseed in
+      let of_paths =
+        List.sort_uniq compare
+          (List.map
+             (fun p -> (Path.start_node p, Path.end_node p, Path.length p))
+             (Naive.paths inst r ~max_length:k))
+      in
+      let of_triples = Naive.triples inst r ~max_length:k in
+      of_triples = of_paths
+      || QCheck2.Test.fail_reportf "%s, k=%d: %d triples, %d from paths" (Regex.to_string r) k
+           (List.length of_triples) (List.length of_paths))
+
 let prop_count_agrees =
   QCheck2.Test.make ~name:"Count = naive count" ~count:150 regex_and_graph_gen (fun (g, rseed) ->
       let inst = make_instance g in
@@ -1035,6 +1054,7 @@ let () =
         q
           [
             prop_pairs_agree;
+            prop_triples_agree;
             prop_count_agrees;
             prop_enumerate_agrees;
             prop_samples_match;

@@ -176,6 +176,122 @@ let prop_page_bytes =
       let frame = Jsonx.page_frame (Jsonx.names snap) ~head ~limit pairs ~tail in
       frame = reference || QCheck2.Test.fail_reportf "frame:     %S\nreference: %S" frame reference)
 
+(* [page_frame]'s contract, from the Jsonx tree. *)
+let page_reference (snap : Snapshot.t) ~head ~limit pairs ~tail =
+  let name v = Jsonx.Str (snap.Snapshot.node_name v) in
+  let total = List.length pairs in
+  let shown = List.filteri (fun i _ -> i < limit) pairs in
+  Jsonx.to_string
+    (Jsonx.Obj
+       (head
+       @ [
+           ("total", Jsonx.int total);
+           ("truncated", Jsonx.Bool (total > limit));
+           ("pairs", Jsonx.Arr (List.map (fun (a, b) -> Jsonx.Arr [ name a; name b ]) shown));
+         ]
+       @ tail))
+  ^ "\n"
+
+(* Random answers, served as the daemon serves them: the pairs become
+   [e] edges, and the Governor answers [e] under a budget that may trip.
+   A Complete answer is the cache entry itself.  Its second frame
+   copies the cached body (the same string), and another shown count
+   replaces that body; every frame is byte-identical to the Jsonx
+   reference.  A Partial answer's frame is as exact, and no entry is
+   left for it. *)
+let prop_answer_pages =
+  QCheck2.Test.make ~name:"a cached answer's page frames are byte-identical to their Jsonx trees"
+    ~count:300 ~print:print_page page_gen (fun (ids, pairs, limit, id, elapsed, partial) ->
+      let consts = List.sort_uniq Const.compare (List.map Const.of_string ids) in
+      let node i = Const.to_string (List.nth consts (i mod List.length consts)) in
+      let snap =
+        Snapshot.of_property
+          (Journal.replay_ops
+             (List.map (fun id -> Journal.Add_node { id; label = Const.str "v" }) consts
+             @ List.mapi
+                 (fun i (a, b) ->
+                   Journal.Add_edge
+                     {
+                       id = Const.str (Printf.sprintf "edge %d" i);
+                       src = Const.of_string (node a);
+                       dst = Const.of_string (node b);
+                       label = Const.str "e";
+                     })
+                 pairs))
+      in
+      let r = Gqkg_automata.Regex_parser.parse "e" in
+      let budget =
+        match partial with
+        | Some s -> Gqkg_util.Budget.create ~trip_after_checks:(String.length s) ()
+        | None -> Gqkg_util.Budget.create ()
+      in
+      let o = Gqkg_core.Governor.eval_answer ~use_cache:true ~budget snap r in
+      let a = o.Gqkg_util.Budget.value in
+      let head =
+        [ ("ok", Jsonx.Bool true) ]
+        @ Option.fold ~none:[] ~some:(fun v -> [ ("id", v) ]) id
+        @ [ ("epoch", Jsonx.int snap.Snapshot.epoch) ]
+      in
+      let tail = [ ("elapsed_ms", Jsonx.Num elapsed) ] in
+      let names = Jsonx.names snap and total = Gqkg_core.Answer.length a in
+      let exact limit =
+        let frame = Jsonx.answer_frame names ~head ~limit a ~tail in
+        let reference = page_reference snap ~head ~limit (Gqkg_core.Answer.to_pairs a) ~tail in
+        frame = reference
+        || QCheck2.Test.fail_reportf "frame:     %S\nreference: %S" frame reference
+      in
+      let body shown = Jsonx.answer_body names a ~shown in
+      let shown = min total limit in
+      let other = (shown + 1) mod (total + 1) in
+      let cached =
+        Option.bind (Gqkg_core.Planner.semantic_key snap r) (fun key ->
+            Semcache.find_answer snap ~key)
+      in
+      match (o.Gqkg_util.Budget.completeness, cached) with
+      | Gqkg_util.Budget.Complete, Some entry ->
+          entry == a && exact limit && exact limit
+          && body shown == body shown
+          && (total = 0 || (exact other && body other == body other))
+      (* no [e] edge: statically empty, answered without a key *)
+      | Gqkg_util.Budget.Complete, None -> pairs = [] && exact limit
+      | Gqkg_util.Budget.Partial _, None -> exact limit
+      | Gqkg_util.Budget.Partial _, Some _ ->
+          QCheck2.Test.fail_report "a Partial answer was cached")
+
+(* Four domains serve frames of one fresh cached answer at once, and
+   build its join relation.  Every frame is exact, and afterwards the
+   answer holds one page and one relation: every later call returns
+   the same ones. *)
+let test_answer_state_race () =
+  let snap =
+    Snapshot.of_labeled
+      (Gqkg_workload.Gen_graph.random_labeled (Gqkg_util.Splitmix.create 5) ~nodes:300
+         ~edges:900 ~node_labels:[ "a" ] ~edge_labels:[ "x"; "y" ])
+  in
+  let r = Gqkg_automata.Regex_parser.parse "x/y" in
+  let budget = Gqkg_util.Budget.unlimited in
+  let a = (Gqkg_core.Governor.eval_answer ~budget snap r).Gqkg_util.Budget.value in
+  let total = Gqkg_core.Answer.length a in
+  checkb "a cached answer of many pairs" true
+    (total > 100
+    && (Gqkg_core.Governor.eval_answer ~budget snap r).Gqkg_util.Budget.value == a);
+  let names = Jsonx.names snap and head = [ ("ok", Jsonx.Bool true) ] and limit = total / 2 in
+  let tail = [ ("complete", Jsonx.Bool true) ] in
+  let reference = page_reference snap ~head ~limit (Gqkg_core.Answer.to_pairs a) ~tail in
+  let serve () =
+    let frames = List.init 20 (fun _ -> Jsonx.answer_frame names ~head ~limit a ~tail) in
+    (frames, Gqkg_core.Join.relation_of_answer a)
+  in
+  let served = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn serve)) in
+  let relation = Gqkg_core.Join.relation_of_answer a in
+  List.iter
+    (fun (frames, rel) ->
+      checkb "frames = reference" true (List.for_all (String.equal reference) frames);
+      checkb "one relation" true (rel == relation))
+    served;
+  checkb "one page" true
+    (Jsonx.answer_body names a ~shown:limit == Jsonx.answer_body names a ~shown:limit)
+
 (* ---------- Admission: bounded fair queue ---------- *)
 
 let test_admission_caps () =
@@ -1038,5 +1154,8 @@ let () =
       ("soak", [ Alcotest.test_case "fault-injected soak" `Quick test_soak ]);
       (* last: its snapshots advance the process-wide epoch counter,
          whose values [basics] checks *)
-      ("pages", q [ prop_page_bytes ]);
+      ( "pages",
+        q [ prop_page_bytes; prop_answer_pages ]
+        @ [ Alcotest.test_case "four domains share an answer's page and relation" `Quick
+              test_answer_state_race ] );
     ]
