@@ -42,8 +42,7 @@ let () =
 
   (* A taste of graph querying over the same KG: co-keyword structure via
      the RPQ engine (publication -> keyword -> publication). *)
-  let rdf = Gqkg_kg.Rdf_graph.of_store store in
-  let inst = Gqkg_kg.Rdf_graph.to_snapshot rdf in
+  let inst = (Gqkg_kg.Triple_store.view store).snap in
   let r = Gqkg_automata.Regex_parser.parse "?Publication/keyword/keyword^-/?Publication" in
   let count = Gqkg_core.Count.count inst r ~length:2 in
   Printf.printf "\nordered publication pairs sharing a keyword (incl. self): %.0f\n" count

@@ -48,9 +48,6 @@ let history b = Journal.ops_of_snapshot b.snap
    node, an edge-label index, atoms answered by the columns. *)
 let base_of_snapshot (s : Snapshot.t) =
   let n = s.Snapshot.num_nodes in
-  (match s.Snapshot.atoms with
-  | Custom _ -> invalid_arg "Overlay.base_of_snapshot: atoms are not the snapshot's columns"
-  | Columns -> ());
   let seen = Bytes.make (max n 1) '\000' in
   Array.iter
     (fun bits ->
@@ -633,7 +630,6 @@ let commit t =
         node_label_sat;
         node_label_bits;
         attrs;
-        atoms = Columns;
         node_name = (if node_struct then Array.get node_names else s.Snapshot.node_name);
         edge_name = (if edge_struct then Array.get edge_names else s.Snapshot.edge_name);
         stats;

@@ -35,8 +35,8 @@ val base_of_property : Property_graph.t -> base
 
 (** Wraps a snapshot (a [.pg] freeze, a [.gqs] load, a commit) without
     copying anything. Raises [Invalid_argument] when node labels are not
-    exclusive (one per node) or atoms are [Custom], i.e. the snapshot
-    did not come from a property/labeled/vector freeze. *)
+    exclusive (exactly one per node) or edges have no label index, as
+    in a triple store's view with untyped or multiply typed terms. *)
 val base_of_snapshot : Snapshot.t -> base
 
 val snapshot : base -> Snapshot.t

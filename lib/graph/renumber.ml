@@ -139,9 +139,6 @@ let is_identity p =
   id p.old_of_new && id p.edge_old_of_new
 
 let apply (s : Snapshot.t) p =
-  (match s.atoms with
-  | Custom _ -> invalid_arg "Renumber.apply: snapshot has Custom atoms"
-  | Columns -> ());
   let n = s.num_nodes and m = s.num_edges in
   let esrc = Array.make m 0 and edst = Array.make m 0 in
   let elabel = Array.make m 0 in
@@ -172,7 +169,7 @@ let apply (s : Snapshot.t) p =
       edge_features = gather a.edge_features old_edge;
     }
   in
-  Snapshot.make ~atoms:Columns ~attrs ~num_nodes:n ~esrc ~edst ~num_labels:s.num_labels ~elabel
+  Snapshot.make ~attrs ~num_nodes:n ~esrc ~edst ~num_labels:s.num_labels ~elabel
     ~label_names:s.label_names ~label_sat:s.label_sat
     ~num_node_labels:s.num_node_labels ~node_labels
     ~node_label_names:s.node_label_names ~node_label_sat:s.node_label_sat

@@ -48,9 +48,8 @@ val is_identity : permutation -> bool
 (** Rebuild the snapshot under the permutation. Adjacency, label
     bitmaps and stats are recomputed over the new ids, property and
     feature rows permuted, and names wrapped so user-facing output is
-    unchanged. Raises [Invalid_argument] on a snapshot with [Custom]
-    atoms (the triple store's view), whose closures know only its own
-    numbering. *)
+    unchanged. Every snapshot qualifies, the triple store's view
+    included: its atoms answer from the permuted columns. *)
 val apply : Snapshot.t -> permutation -> Snapshot.t
 
 (** [renumber order s] = plan + apply, returning the permutation used. *)

@@ -6,8 +6,8 @@
    degree/label statistics — so the Section 4 engines touch plain arrays
    instead of per-model closures, and the model itself can be dropped.
    The per-model freezers are the [of_*] constructors below plus the
-   triple store's frozen view in gqkg_kg ([Triple_store.view], which
-   [Rdf_graph.of_store] returns).
+   triple store's frozen view in gqkg_kg ([Triple_store.view]), whose
+   literal-object triples are property rows like any other.
 
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
@@ -41,10 +41,6 @@ type attrs = {
   edge_features : rows;
 }
 
-type atoms =
-  | Columns
-  | Custom of { node : int -> Atom.t -> bool; edge : int -> Atom.t -> bool }
-
 type t = {
   num_nodes : int;
   num_edges : int;
@@ -65,7 +61,6 @@ type t = {
   node_label_sat : int -> Atom.t -> bool;
   node_label_bits : int array array;
   attrs : attrs;
-  atoms : atoms;
   node_name : int -> string;
   edge_name : int -> string;
   stats : stats;
@@ -194,7 +189,7 @@ let no_attrs =
     edge_features = no_rows;
   }
 
-let make ~atoms ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat
+let make ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat
     ~num_node_labels ~node_labels ~node_label_names ~node_label_sat ~node_name ~edge_name =
   let num_edges = Array.length esrc in
   if Array.length edst <> num_edges || Array.length elabel <> num_edges then
@@ -237,7 +232,6 @@ let make ~atoms ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~
     node_label_sat;
     node_label_bits;
     attrs;
-    atoms;
     node_name;
     edge_name;
     stats = stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_counts;
@@ -265,8 +259,8 @@ let intern ~n ~get =
 
 (* Label satisfaction by Const equality against the interned universe —
    the rule shared by the labeled, property and vector models (RDF
-   substitutes its IRI/local-name rule in the triple store's frozen
-   view). *)
+   substitutes its IRI/local-name rule for labels in the triple store's
+   frozen view). *)
 let const_label_sat universe id = function
   | Atom.Label c -> Const.equal universe.(id) c
   | Atom.Prop _ | Atom.Feature _ -> false
@@ -283,8 +277,23 @@ let row_find dict r o key =
     go r.off.(o) r.off.(o + 1)
   end
 
+(* Some entry of object [o]'s row maps [p] to [v]. A key may carry
+   several values (RDF), its entries adjacent: after the first key
+   match only that key id is scanned on. *)
+let rec key_maps_to dict kv k v i stop =
+  i < stop
+  && entry_key kv.(i) = k
+  && (Const.equal v dict.(entry_value kv.(i)) || key_maps_to dict kv k v (i + 1) stop)
+
+let rec row_maps_to dict kv p v i stop =
+  i < stop
+  &&
+  let k = entry_key kv.(i) in
+  if Const.equal dict.(k) p then key_maps_to dict kv k v i stop
+  else row_maps_to dict kv p v (i + 1) stop
+
 let prop_holds a r o p v =
-  match row_find a.dict r o p with Some w -> Const.equal v w | None -> false
+  Array.length r.off > 0 && row_maps_to a.dict r.kv p v r.off.(o) r.off.(o + 1)
 
 (* An absent feature is ⊥. *)
 let feature_holds a r o i v =
@@ -292,23 +301,21 @@ let feature_holds a r o i v =
   && Const.equal v (Option.value (row_find a.dict r o (Const.Int i)) ~default:Const.Bottom)
 
 let node_atom s v atom =
-  match (s.atoms, atom) with
-  | Custom c, _ -> c.node v atom
-  | Columns, Atom.Label _ ->
+  match atom with
+  | Atom.Label _ ->
       let rec go l =
         l < s.num_node_labels
         && ((B.raw_mem s.node_label_bits.(l) v && s.node_label_sat l atom) || go (l + 1))
       in
       go 0
-  | Columns, Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.node_props v p c
-  | Columns, Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.node_features v i c
+  | Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.node_props v p c
+  | Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.node_features v i c
 
 let edge_atom s e atom =
-  match (s.atoms, atom) with
-  | Custom c, _ -> c.edge e atom
-  | Columns, Atom.Label _ -> s.num_labels > 0 && s.label_sat s.elabel.(e) atom
-  | Columns, Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.edge_props e p c
-  | Columns, Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.edge_features e i c
+  match atom with
+  | Atom.Label _ -> s.num_labels > 0 && s.label_sat s.elabel.(e) atom
+  | Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.edge_props e p c
+  | Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.edge_features e i c
 
 (* ---- Property and feature columns -------------------------------------- *)
 
@@ -421,7 +428,7 @@ let of_const_labeled ~attrs ~num_nodes ~num_edges ~endpoints ~node_label ~edge_l
   let nlabel, node_universe = intern ~n:num_nodes ~get:node_label in
   let node_names = Array.init num_nodes (fun v -> Const.to_string (node_id v)) in
   let edge_names = Array.init num_edges (fun e -> Const.to_string (edge_id e)) in
-  make ~atoms:Columns ~attrs ~num_nodes ~esrc ~edst ~num_labels:(Array.length edge_universe)
+  make ~attrs ~num_nodes ~esrc ~edst ~num_labels:(Array.length edge_universe)
     ~elabel ~label_names:(Array.map Const.to_string edge_universe)
     ~label_sat:(const_label_sat edge_universe)
     ~num_node_labels:(Array.length node_universe)
@@ -493,7 +500,7 @@ let disjoint_union a b =
   let shift off arr1 arr2 =
     Array.init m (fun e -> if e < m1 then arr1.(e) else arr2.(e - m1) + off)
   in
-  make ~atoms:Columns ~attrs:no_attrs ~num_nodes:n ~esrc:(shift n1 a.esrc b.esrc)
+  make ~attrs:no_attrs ~num_nodes:n ~esrc:(shift n1 a.esrc b.esrc)
     ~edst:(shift n1 a.edst b.edst) ~num_labels:0 ~elabel:(Array.make m 0) ~label_names:[||]
     ~label_sat:(fun _ _ -> false)
     ~num_node_labels:0 ~node_labels:(Array.make n []) ~node_label_names:[||]

@@ -5,9 +5,11 @@
     both directions, interned edge-label ids, per-node-label membership
     bitmaps, interned property and feature rows, and precomputed
     statistics. Every model (labeled, property, vector-labeled, and RDF
-    via the triple store's frozen view, [Gqkg_kg.Rdf_graph.of_store])
+    via the triple store's frozen view, [Gqkg_kg.Triple_store.view])
     freezes to this one physical layout once; the entire Section 4
-    machinery runs against it, and a frozen model may be dropped.
+    machinery runs against it, and a frozen model may be dropped. Every
+    atom answers from these columns: RDF's literal-object triples are
+    property rows.
 
     All array fields are plain immutable arrays — a snapshot can be
     shared across OCaml 5 domains without synchronization; the one
@@ -33,7 +35,9 @@ type stats = {
 
 (** One interned (key, value) row per object: the row of object [o] is
     entries [off.(o) .. off.(o+1) - 1] of [kv], each an {!entry} of two
-    ids into the {!attrs} dictionary, keys strictly ascending.
+    ids into the {!attrs} dictionary, packed entries strictly ascending.
+    A property key may carry several values (an RDF predicate with
+    several literals), its entries adjacent; feature keys are unique.
     [off = [||]] means every row is empty. *)
 type rows = { off : int array; kv : int array }
 
@@ -51,13 +55,6 @@ type attrs = {
           ⊥ entries omitted *)
   edge_features : rows;
 }
-
-(** Who answers atomic tests: the snapshot's own label, property and
-    feature columns, or — for the triple store's IRI/literal rule only —
-    closures of that model. *)
-type atoms =
-  | Columns
-  | Custom of { node : int -> Atom.t -> bool; edge : int -> Atom.t -> bool }
 
 type t = {
   num_nodes : int;
@@ -78,8 +75,8 @@ type t = {
   (* Interned edge labels: elabel.(e) is the dense label id of edge e,
      satisfying the label_sat contract
        edge_atom e (Label c) = label_sat elabel.(e) (Label c).
-     num_labels = 0 means the model provides no label index (only
-     Custom atoms can then accept an edge Label). *)
+     num_labels = 0 means the model provides no label index (no edge
+     Label atom then holds). *)
   num_labels : int;
   elabel : int array;
   label_names : string array;
@@ -95,7 +92,6 @@ type t = {
   node_label_sat : int -> Atom.t -> bool;
   node_label_bits : int array array;
   attrs : attrs;
-  atoms : atoms;
   (* Display names (node and edge ids). *)
   node_name : int -> string;
   edge_name : int -> string;
@@ -115,7 +111,6 @@ type t = {
     in [0, num_labels) when [num_labels > 0]. [node_labels.(v)] lists
     the node-label ids of node [v] (empty, one, or several). *)
 val make :
-  atoms:atoms ->
   attrs:attrs ->
   num_nodes:int ->
   esrc:int array ->
@@ -168,13 +163,14 @@ val const_label_sat : Const.t array -> int -> Atom.t -> bool
 
 (** {1 Atomic tests}
 
-    The one place columns become atom answers. Under [Columns]: a
+    The one place columns become atom answers, for every model: a
     [Label] holds on a node in a label bitmap whose label
     [node_label_sat] accepts, and on an edge whose label [label_sat]
-    accepts; a [Prop (p, v)] holds when the object's property row maps
-    [p] to [v]; a [Feature (i, v)] holds when [1 <= i <= dimension] and
-    feature [i] is [v] (⊥ when the row has no entry). A [Prop] never
-    answers from feature rows, nor a [Feature] from property rows. *)
+    accepts; a [Prop (p, v)] holds when some entry of the object's
+    property row maps [p] to a constant {!Const.equal} to [v]; a
+    [Feature (i, v)] holds when [1 <= i <= dimension] and feature [i]
+    is [v] (⊥ when the row has no entry). A [Prop] never answers from
+    feature rows, nor a [Feature] from property rows. *)
 
 val node_atom : t -> int -> Atom.t -> bool
 val edge_atom : t -> int -> Atom.t -> bool
@@ -192,10 +188,22 @@ val entry_value : int -> int
 (** No properties, no features. *)
 val no_attrs : attrs
 
+(** Intern per-object [(key, value)] rows into one sorted dictionary
+    (an empty array, or all rows empty, gives {!no_rows}). Each row
+    must already be in the column order: ascending by
+    [(Const.compare key, Const.compare value)], no entry repeated. *)
+val intern_attrs :
+  dimension:int ->
+  node_props:(Const.t * Const.t) array array ->
+  edge_props:(Const.t * Const.t) array array ->
+  node_features:(Const.t * Const.t) array array ->
+  edge_features:(Const.t * Const.t) array array ->
+  attrs
+
 (** Index of a constant in a sorted dictionary, or [-1]. *)
 val find_const : Const.t array -> Const.t -> int
 
-(** The [(key, value)] constants of one row, ascending by key. *)
+(** The [(key, value)] constants of one row, in entry order. *)
 val row : Const.t array -> rows -> int -> (Const.t * Const.t) array
 
 (** A run [Base (a, b)] of rows [a .. b-1] of a row set, or one

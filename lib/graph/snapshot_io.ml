@@ -466,9 +466,10 @@ let check_csr what ~off ~eid ~endpoint ~n ~m =
   done
 
 (* The property and feature columns: absent sections (every version-1
-   file) are empty rows.  The dictionary must be strictly ascending and
-   every row's keys too — the invariants the atoms and a commit's
-   dictionary search rely on. *)
+   file) are empty rows.  The dictionary must be strictly ascending, and
+   so must every property row's packed entries (a key may repeat with
+   ascending values) and every feature row's keys — the invariants the
+   atoms and a commit's dictionary search rely on. *)
 let decode_attrs decoded ~n ~m =
   let find id = Hashtbl.find_opt decoded id in
   let dict =
@@ -494,6 +495,7 @@ let decode_attrs decoded ~n ~m =
     | None, None -> Snapshot.no_rows
     | Some (Ints off), Some (Ints kv) ->
         let what = Printf.sprintf "rows %d" g in
+        let order = if g < 2 then Fun.id else Snapshot.entry_key in
         check_offsets what off count (Array.length kv);
         let bound = Array.length dict in
         for o = 0 to count - 1 do
@@ -501,8 +503,8 @@ let decode_attrs decoded ~n ~m =
             let k = Snapshot.entry_key kv.(i) and v = Snapshot.entry_value kv.(i) in
             if kv.(i) < 0 || k >= bound || v >= bound then
               corrupt "%s: id out of range at entry %d" what i;
-            if i > off.(o) && Snapshot.entry_key kv.(i - 1) >= k then
-              corrupt "%s: keys not ascending in row %d" what o
+            if i > off.(o) && order kv.(i - 1) >= order kv.(i) then
+              corrupt "%s: entries not ascending in row %d" what o
           done
         done;
         { off; kv }
@@ -689,7 +691,6 @@ let load_with_perm path =
       node_label_sat;
       node_label_bits;
       attrs;
-      atoms = Columns;
       node_name;
       edge_name;
       stats;

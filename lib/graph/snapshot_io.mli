@@ -38,13 +38,13 @@
 
     {2 Round trip}
 
-    A loaded snapshot answers every [Label], [Prop] and [Feature] atom
-    as the saved one did: constants in the dictionary are tagged and
-    lossless. Version-1 files (no property sections) still load, with
-    no properties or features. Two things stay lossy: label names
-    re-parse with [Const.of_string], and the triple store's [Custom]
-    atoms do not persist — a reloaded RDF view answers labels by
-    local-name equality and property atoms false. Names are persisted
+    A loaded snapshot answers every [Prop] and [Feature] atom as the
+    saved one did, a triple store's view included: constants in the
+    dictionary are tagged and lossless. Version-1 files (no property
+    sections) still load, with no properties or features. Labels stay
+    lossy: label names re-parse with [Const.of_string] and match by
+    equality, so a reloaded RDF view matches labels by local name only,
+    not by full IRI. Names are persisted
     as string tables unless they are the synthetic ["n<id>"]/["e<id>"]
     generator names, which are detected (or forced with [`Drop]) and
     re-synthesized at load through the permutation. *)

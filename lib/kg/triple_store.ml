@@ -6,7 +6,7 @@
    store's frozen view: the triples as one columnar Snapshot (the
    Section 3 reading of an RDF graph as a labeled graph), built on the
    first read after a write and dropped by the next insert.  The store
-   is its only owner; query layers (Bgp, Rdf_graph, Rdfs) share it. *)
+   is its only owner; query layers (Bgp, Sparql, Rdfs) share it. *)
 
 open Gqkg_graph
 module Join = Gqkg_core.Join
@@ -248,32 +248,38 @@ let freeze t =
   let node_labels = Array.make nodes [] in
   type_edges (fun s o -> node_labels.(s) <- type_id.(o) :: node_labels.(s));
   let predicates = Array.map (fun v -> terms.(v)) label_pred in
-  (* Node tests: whether node [v] has an [l]-edge to a target [ok]
-     accepts. *)
-  let exists_out v l ok =
-    let found = ref false in
-    iter_out_label ~esrc ~first_edge v l (fun e -> if ok terms.(edst.(e)) then found := true);
-    !found
+  (* Node properties: a triple (v, p, "lit") is the entry (p, lit),
+     keyed by p's full IRI and, when it differs, by its local name,
+     each read with Const.of_string as .pg files and regexes read
+     constants. Rows are sorted by (key, value) and deduplicated. *)
+  let props = Array.make nodes [] in
+  Array.iteri
+    (fun l pred ->
+      match pred with
+      | Term.Iri iri ->
+          let local = Term.local_name pred in
+          let keys =
+            Const.of_string iri :: (if String.equal local iri then [] else [ Const.of_string local ])
+          in
+          for e = first_edge.(l) to first_edge.(l + 1) - 1 do
+            match terms.(edst.(e)) with
+            | Term.Literal { value; _ } ->
+                let value = Const.of_string value and v = esrc.(e) in
+                List.iter (fun k -> props.(v) <- (k, value) :: props.(v)) keys
+            | Term.Iri _ | Term.Bnode _ -> ()
+          done
+      | Term.Literal _ | Term.Bnode _ -> ())
+    predicates;
+  let by_entry (k, v) (k', v') =
+    match Const.compare k k' with 0 -> Const.compare v v' | c -> c
   in
-  let node_atom v = function
-    | Atom.Label l -> type_label >= 0 && exists_out v type_label (names_iri (Const.to_string l))
-    | Atom.Prop (p, value) ->
-        let p = Const.to_string p and value = Const.to_string value in
-        let literal = function
-          | Term.Literal { value = lit; _ } -> String.equal lit value
-          | Term.Iri _ | Term.Bnode _ -> false
-        in
-        let found = ref false in
-        Array.iteri
-          (fun l pred -> if (not !found) && names_iri p pred then found := exists_out v l literal)
-          predicates;
-        !found
-    | Atom.Feature _ -> false
+  let attrs =
+    Snapshot.intern_attrs ~dimension:0
+      ~node_props:(Array.map (fun r -> Array.of_list (List.sort_uniq by_entry r)) props)
+      ~edge_props:[||] ~node_features:[||] ~edge_features:[||]
   in
   let snap =
-    Snapshot.make
-      ~atoms:(Custom { node = node_atom; edge = (fun e a -> iri_label_sat predicates elabel.(e) a) })
-      ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
+    Snapshot.make ~attrs ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
       ~label_names:(Array.map Term.local_name predicates)
       ~label_sat:(iri_label_sat predicates) ~num_node_labels:num_types
       ~node_labels

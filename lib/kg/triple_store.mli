@@ -71,9 +71,18 @@ val copy : t -> t
     of the snapshot, and edge ids are grouped by label, then sorted by
     (source, target). RDF reading of atoms: an edge satisfies label ℓ
     when its predicate is ℓ or has local name ℓ; a node satisfies ℓ
-    when one of its rdf:type objects does; (p = v) holds when a triple
-    (node, p, "v") with a literal object exists. *)
+    when one of its rdf:type objects does (the objects are node-label
+    bitmaps); (p = v) holds on a node with a triple (node, q, "lit")
+    whose object is a literal, where [p] equals [Const.of_string] of
+    q's full IRI or of its local name and [v] equals
+    [Const.of_string "lit"] — the property-graph rule over the property
+    rows these triples freeze to. No edge has properties. *)
 
+(** RDF graphs as labeled graphs (Section 3): each triple (s, p, o) is
+    an edge from s to o labeled p, with edges unnamed (identified by
+    their triple). The view is memoized on the store and dropped by the
+    next insert, so every Section 4 algorithm runs unchanged over RDF
+    on the shared columnar {!Gqkg_graph.Snapshot.t}. *)
 type view = private {
   store : t;  (** the store this view was frozen from *)
   snap : Gqkg_graph.Snapshot.t;

@@ -165,7 +165,7 @@ let stream_freeze ~nodes ~esrc ~edst ~elabel ~edge_label_names =
   let node_universe = [| default_label |] in
   let label_sat = Snapshot.const_label_sat label_universe in
   let node_label_sat = Snapshot.const_label_sat node_universe in
-  Snapshot.make ~atoms:Columns ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels
+  Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels
     ~elabel
     ~label_names:(Array.map Const.to_string label_universe)
     ~label_sat ~num_node_labels:1 ~node_labels:(Array.make nodes [ 0 ])

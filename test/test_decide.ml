@@ -160,7 +160,7 @@ let snapshot_of_witness (w : Decide.witness) =
   in
   let esrc = Array.init k (fun i -> if fst steps.(i) then i else i + 1) in
   let edst = Array.init k (fun i -> if fst steps.(i) then i + 1 else i) in
-  Snapshot.make ~atoms:Columns ~attrs:Snapshot.no_attrs ~num_nodes:(k + 1) ~esrc ~edst
+  Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:(k + 1) ~esrc ~edst
     ~num_labels:(Array.length edge_universe) ~elabel:(Array.map (index edge_universe) elabels)
     ~label_names:(Array.map Const.to_string edge_universe)
     ~label_sat:(Snapshot.const_label_sat edge_universe)

@@ -172,8 +172,8 @@ let prop_model_equiv =
       let g = Journal.replay_ops ops in
       let lab = Snapshot.of_labeled (Property_graph.to_labeled g) in
       let vec = Snapshot.of_vector (fst (Vector_graph.of_property g)) in
-      let rg = Gqkg_kg.Rdf_graph.of_store (Gqkg_kg.Pg_rdf.of_property_graph g) in
-      let rsnap = Gqkg_kg.Rdf_graph.to_snapshot rg in
+      let rg = Gqkg_kg.Triple_store.view (Gqkg_kg.Pg_rdf.of_property_graph g) in
+      let rsnap = rg.snap in
       let iris = Hashtbl.create 16 in
       for v = 0 to Property_graph.num_nodes g - 1 do
         Hashtbl.replace iris (node_iri_string g v) ()
@@ -192,8 +192,8 @@ let prop_model_equiv =
           let got =
             Rpq.eval_pairs rsnap ~max_length:6 r
             |> List.filter_map (fun (a, b) ->
-                   let sa = Gqkg_kg.Term.to_string (Gqkg_kg.Rdf_graph.node_term rg a) in
-                   let sb = Gqkg_kg.Term.to_string (Gqkg_kg.Rdf_graph.node_term rg b) in
+                   let sa = Gqkg_kg.Term.to_string rg.terms.(a) in
+                   let sb = Gqkg_kg.Term.to_string rg.terms.(b) in
                    if Hashtbl.mem iris sa && Hashtbl.mem iris sb then Some (sa, sb) else None)
             |> sortp
           in

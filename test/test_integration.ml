@@ -41,8 +41,8 @@ let test_paper_queries_over_rdf_mapping () =
      property graph (modulo IRI naming). *)
   let pg = Figure2.property () in
   let store = Pg_rdf.of_property_graph pg in
-  let rdf = Rdf_graph.of_store store in
-  let rdf_inst = Rdf_graph.to_snapshot rdf in
+  let rdf = Triple_store.view store in
+  let rdf_inst = rdf.snap in
   let pg_inst = Snapshot.of_property pg in
   List.iter
     (fun q ->
@@ -51,7 +51,7 @@ let test_paper_queries_over_rdf_mapping () =
       let on_rdf =
         Rpq.eval_pairs rdf_inst r
         |> List.map (fun (a, b) ->
-               (Term.local_name (Rdf_graph.node_term rdf a), Term.local_name (Rdf_graph.node_term rdf b)))
+               (Term.local_name rdf.terms.(a), Term.local_name rdf.terms.(b)))
         |> List.sort compare
       in
       checkb (q ^ ": rdf agrees") true (on_pg = on_rdf))
@@ -61,7 +61,7 @@ let test_contact_network_pg_vs_rdf () =
   let rng = Gqkg_util.Splitmix.create 71 in
   let pg = Gqkg_workload.Contact_network.generate rng in
   let store = Pg_rdf.of_property_graph pg in
-  let rdf_inst = Rdf_graph.to_snapshot (Rdf_graph.of_store store) in
+  let rdf_inst = (Triple_store.view store).snap in
   let pg_inst = Snapshot.of_property pg in
   let r = parse Gqkg_workload.Contact_network.query_shared_bus in
   checki "same number of answer pairs"
@@ -80,10 +80,10 @@ let test_rdfs_inference_enables_rpq () =
   add (Triple_store.triple (iri "urn:x/ana") (iri "urn:p/knows") (iri "urn:x/ben"));
   let query = parse "?person/knows/?person" in
   (* Before inference, ana is only a student: no match. *)
-  let before = Rpq.eval_pairs (Rdf_graph.to_snapshot (Rdf_graph.of_store s)) query in
+  let before = Rpq.eval_pairs (Triple_store.view s).snap query in
   checki "no pairs before" 0 (List.length before);
   ignore (Rdfs.materialize s);
-  let after = Rpq.eval_pairs (Rdf_graph.to_snapshot (Rdf_graph.of_store s)) query in
+  let after = Rpq.eval_pairs (Triple_store.view s).snap query in
   checki "one pair after" 1 (List.length after)
 
 (* ---------- Count / enumerate / sample / approx agree at scale ---------- *)
@@ -145,8 +145,7 @@ let test_ntriples_roundtrip_preserves_answers () =
 
 let test_bibliometrics_rpq_counts () =
   let store = Gqkg_workload.Bibliometrics.generate ~volume_scale:0.1 (Gqkg_util.Splitmix.create 83) in
-  let rdf = Rdf_graph.of_store store in
-  let inst = Rdf_graph.to_snapshot rdf in
+  let inst = (Triple_store.view store).snap in
   (* Pairs (publication, keyword-node) via the keyword predicate. *)
   let pairs = Rpq.eval_pairs inst (parse "?Publication/keyword") in
   let direct =

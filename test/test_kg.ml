@@ -455,29 +455,29 @@ let rdf_instance () =
         t3 (iri "urn:x/julia") (iri "urn:p/name") (Term.literal "Julia");
       ]
   in
-  Rdf_graph.of_store s
+  Triple_store.view s
 
 let test_rdf_graph_structure () =
   let g = rdf_instance () in
   (* nodes: julia, john, bus7, the three type IRIs, and the literal *)
-  checki "seven nodes" 7 (Rdf_graph.num_nodes g);
-  checki "six edges" 6 (Rdf_graph.num_edges g)
+  checki "seven nodes" 7 g.nodes;
+  checki "six edges" 6 g.snap.num_edges
 
 let test_rdf_graph_rpq () =
   let g = rdf_instance () in
-  let inst = Rdf_graph.to_snapshot g in
+  let inst = g.snap in
   (* The paper's bus query, straight over RDF. *)
   let r = Regex_parser.parse "?person/rides/?bus/rides^-/?infected" in
   let pairs = Gqkg_core.Rpq.eval_pairs inst r in
   checki "one pair" 1 (List.length pairs);
   let a, b = List.hd pairs in
   checkb "julia to john" true
-    (Rdf_graph.node_term g a = iri "urn:x/julia" && Rdf_graph.node_term g b = iri "urn:x/john")
+    (g.terms.(a) = iri "urn:x/julia" && g.terms.(b) = iri "urn:x/john")
 
 let test_rdf_graph_atoms () =
   let g = rdf_instance () in
-  let inst = Rdf_graph.to_snapshot g in
-  let julia = Option.get (Rdf_graph.find_node g (iri "urn:x/julia")) in
+  let inst = g.snap in
+  let julia = Triple_store.view_of_term g (iri "urn:x/julia") in
   checkb "type by local name" true (Snapshot.node_atom inst julia (Atom.label "person"));
   checkb "type by full iri" true (Snapshot.node_atom inst julia (Atom.label "urn:t/person"));
   checkb "property test" true
@@ -497,7 +497,7 @@ let test_rdf_label_postings () =
         t3 (iri "urn:x/julia") (iri "urn:p/rides") (iri "urn:x/bus7");
       ]
   in
-  let inst = Rdf_graph.to_snapshot (Rdf_graph.of_store s) in
+  let inst = (Triple_store.view s).snap in
   List.iter
     (fun l ->
       let a = Atom.label l in
@@ -593,6 +593,215 @@ let prop_store_reads_equal_inserted_set =
               (fun a -> List.concat_map (fun b -> List.map (fun c -> (a, b, c)) [ 0; 3; 4; 5 ]) [ 0; 3; 5 ])
               [ 2; 3; 5 ]))
 
+(* ---------- the RDF view's atoms are columns ---------- *)
+
+(* The reference rule for the view's node atoms, a scan of the node's
+   triples with the property-graph value rule: a node satisfies label ℓ
+   when one of its rdf:type objects is named ℓ, and (p = v) when a
+   triple (node, q, "lit") has q named p and v = Const.of_string "lit".
+   An IRI is named by its full text or its local name. Keys compare as
+   rendered text, the columns compare constants: the two agree on names
+   that render back to themselves, which every name generated below
+   does. *)
+let names_iri name = function
+  | Term.Iri text as term -> String.equal name text || String.equal name (Term.local_name term)
+  | Term.Literal _ | Term.Bnode _ -> false
+
+let oracle_node_atom own = function
+  | Atom.Label l ->
+      List.exists
+        (fun (tr : Triple_store.triple) ->
+          Term.equal tr.p Rdfs.rdf_type && names_iri (Const.to_string l) tr.o)
+        own
+  | Atom.Prop (p, v) ->
+      List.exists
+        (fun (tr : Triple_store.triple) ->
+          names_iri (Const.to_string p) tr.p
+          &&
+          match tr.o with
+          | Term.Literal { value; _ } -> Const.equal v (Const.of_string value)
+          | Term.Iri _ | Term.Bnode _ -> false)
+        own
+  | Atom.Feature _ -> false
+
+(* term_gen triples mixed with a pool that makes literal triples
+   collide: one subject with several literals under one predicate, two
+   predicates sharing a local name (urn:p/age, urn:q#age), an IRI with
+   no separator (age), a numeric local name (urn:p/2), and literals
+   that parse alike ("30", "030", typed 30) or not ("30.0"). *)
+let pooled_triple_gen =
+  let open QCheck2.Gen in
+  let subject = oneofl [ iri "urn:x/a"; iri "urn:x/b"; Term.bnode "c" ] in
+  let predicate =
+    oneofl [ iri "urn:p/age"; iri "urn:q#age"; iri "age"; iri "urn:p/2"; Rdfs.rdf_type ]
+  in
+  let obj =
+    oneof
+      [
+        map Term.literal (oneofl [ "30"; "030"; "30.0"; "31"; "x"; "3/4/21"; "" ]);
+        return (Term.of_int 30);
+        oneofl [ iri "urn:t/person"; iri "person"; iri "urn:x/a" ];
+      ]
+  in
+  triple subject predicate obj
+
+let rdf_store_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 30) (oneof [ triple term_gen term_gen term_gen; pooled_triple_gen ]))
+
+(* Every label any IRI of the store names, every key any IRI names
+   with every value any literal parses to, and constants that differ
+   from a literal only in their type. *)
+let rdf_probes triples =
+  let terms = List.concat_map (fun (tr : Triple_store.triple) -> [ tr.s; tr.p; tr.o ]) triples in
+  let names =
+    "ghost"
+    :: List.concat_map
+         (function
+           | Term.Iri text as term -> [ text; Term.local_name term ]
+           | Term.Literal _ | Term.Bnode _ -> [])
+         terms
+    |> List.sort_uniq compare
+  in
+  let values =
+    [ Const.int 30; Const.real 30.; Const.str "30" ]
+    @ List.filter_map
+        (function Term.Literal { value; _ } -> Some (Const.of_string value) | _ -> None)
+        terms
+    |> List.sort_uniq Const.compare
+  in
+  List.map Atom.label names
+  @ List.concat_map
+      (fun name -> List.map (fun v -> Atom.Prop (Const.of_string name, v)) values)
+      names
+
+let prop_rdf_atoms_oracle =
+  QCheck2.Test.make ~name:"rdf view node atoms = triple-scan oracle" ~count:200 rdf_store_gen
+    (fun ts ->
+      let triples = List.map (fun (s, p, o) -> t3 s p o) ts in
+      let view = Triple_store.view (store_with triples) in
+      let probes = rdf_probes triples in
+      List.for_all
+        (fun v ->
+          let term = view.terms.(v) in
+          let own = List.filter (fun (tr : Triple_store.triple) -> Term.equal tr.s term) triples in
+          List.for_all
+            (fun a ->
+              Snapshot.node_atom view.snap v a = oracle_node_atom own a
+              || QCheck2.Test.fail_reportf "%s on %s" (Atom.to_string a) (Term.to_string term))
+            probes)
+        (List.init view.nodes Fun.id))
+
+(* Three values where comparing the atom's rendered value
+   (Const.to_string) with the literal's text would part from the
+   property graph; the view answers as the property graph does. *)
+let test_rdf_prop_value_rule () =
+  let age = iri "urn:p/age" in
+  let view =
+    Triple_store.view
+      (store_with
+         [ t3 (iri "urn:x/a") age (Term.literal "030"); t3 (iri "urn:x/b") age (Term.literal "30") ])
+  in
+  let b = Property_graph.Builder.create () in
+  List.iter
+    (fun (id, lit) ->
+      let n = Property_graph.Builder.add_node b (Const.str id) ~label:(Const.str "t") in
+      Property_graph.Builder.set_node_property b n ~prop:(Const.str "age") ~value:(Const.of_string lit))
+    [ ("a", "030"); ("b", "30") ];
+  let pg = Snapshot.of_property (Property_graph.Builder.freeze b) in
+  List.iter
+    (fun (what, id, lit, v, expect) ->
+      let atom = Atom.Prop (Const.str "age", v) in
+      let node = Triple_store.view_of_term view (iri ("urn:x/" ^ id)) in
+      checkb (what ^ ": rdf view") expect (Snapshot.node_atom view.snap node atom);
+      checkb (what ^ ": property graph") expect
+        (Snapshot.node_atom pg (if id = "a" then 0 else 1) atom);
+      checkb (what ^ ": the string rule said the opposite") (not expect)
+        (String.equal lit (Const.to_string v)))
+    [
+      ("\"030\" = 30", "a", "030", Const.int 30, true);
+      ("\"30\" <> 30.", "b", "30", Const.real 30., false);
+      ("\"30\" <> the string 30", "b", "30", Const.str "30", false);
+    ]
+
+(* Section 3: a property graph and its RDF encoding answer every node
+   label and property atom alike, node by node. *)
+let prop_section3_node_atoms =
+  QCheck2.Test.make ~name:"Section 3: node atoms on a property graph = on its RDF view" ~count:200
+    Attr_graphs.gen (fun params ->
+      let g = Attr_graphs.property_graph params in
+      let pg = Snapshot.of_property g in
+      let view = Triple_store.view (Pg_rdf.of_property_graph g) in
+      let atoms =
+        List.filter
+          (function Atom.Label _ | Atom.Prop _ -> true | Atom.Feature _ -> false)
+          Attr_graphs.node_atoms
+      in
+      List.for_all
+        (fun v ->
+          let r = Triple_store.view_of_term view (Pg_rdf.node_iri (Const.str (pg.node_name v))) in
+          List.for_all (fun a -> Snapshot.node_atom pg v a = Snapshot.node_atom view.snap r a) atoms)
+        (List.init pg.num_nodes Fun.id))
+
+(* A saved view is an ordinary .gqs: every Prop atom answers after a
+   reload, by full IRI and by local name, a multi-valued key included. *)
+let test_rdf_view_save_load () =
+  let julia = iri "urn:x/julia" and john = iri "urn:x/john" in
+  let lit = Term.literal in
+  let view =
+    Triple_store.view
+      (store_with
+         [
+           t3 julia Rdfs.rdf_type (iri "urn:t/person");
+           t3 julia (iri "urn:p/age") (lit "30");
+           t3 julia (iri "urn:p/age") (lit "31");
+           t3 julia (iri "urn:q#age") (lit "40");
+           t3 julia (iri "name") (lit "Julia");
+           t3 john (iri "urn:p/2") (Term.of_int 7);
+           t3 julia (iri "urn:p/rides") (iri "urn:x/bus7");
+         ])
+  in
+  let path = Filename.temp_file "gqkg_rdf" ".gqs" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        ignore (Snapshot_io.save ~path view.snap);
+        Snapshot_io.load path)
+  in
+  let keys = List.map Const.of_string [ "urn:p/age"; "urn:q#age"; "age"; "name"; "urn:p/2"; "2" ] in
+  let values = [ Const.int 30; Const.int 31; Const.int 40; Const.str "Julia"; Const.int 7 ] in
+  let atoms = List.concat_map (fun k -> List.map (fun v -> Atom.Prop (k, v)) values) keys in
+  let by_name = Hashtbl.create 8 in
+  for v = 0 to loaded.num_nodes - 1 do
+    Hashtbl.replace by_name (loaded.node_name v) v
+  done;
+  checki "nodes" view.nodes loaded.num_nodes;
+  for v = 0 to view.nodes - 1 do
+    let name = view.snap.node_name v in
+    let w = Hashtbl.find by_name name in
+    List.iter
+      (fun a ->
+        checkb (name ^ " " ^ Atom.to_string a) (Snapshot.node_atom view.snap v a)
+          (Snapshot.node_atom loaded w a))
+      atoms
+  done;
+  let julia = Hashtbl.find by_name (Term.to_string julia) in
+  checkb "both ages" true
+    (List.for_all
+       (fun v -> Snapshot.node_atom loaded julia (Atom.prop "age" (Const.int v)))
+       [ 30; 31; 40 ])
+
+(* Renumbering rebuilds the view from its columns, so it keeps every
+   answer by name. *)
+let prop_rdf_view_renumber =
+  QCheck2.Test.make ~name:"renumbered rdf view keeps its atoms by name" ~count:100
+    QCheck2.Gen.(pair Attr_graphs.gen (oneofl [ Renumber.Degree; Renumber.Bfs ]))
+    (fun (params, order) ->
+      let view = Triple_store.view (Pg_rdf.of_property_graph (Attr_graphs.property_graph params)) in
+      let renumbered = Renumber.apply view.snap (Renumber.plan order view.snap) in
+      Attr_graphs.atom_table view.snap = Attr_graphs.atom_table renumbered)
+
 (* ---------- the frozen view: one per version ---------- *)
 
 let test_view_shared_until_add () =
@@ -604,7 +813,7 @@ let test_view_shared_until_add () =
         t3 (iri "urn:x/c") (iri "urn:p/likes") (iri "urn:x/a");
       ]
   in
-  let snap () = Rdf_graph.to_snapshot (Rdf_graph.of_store s) in
+  let snap () = (Triple_store.view s).snap in
   let first = snap () in
   checkb "same snapshot twice" true (snap () == first);
   let reach () = Sparql.run s "SELECT ?y WHERE { <urn:x/a> (knows*) ?y }" in
@@ -621,7 +830,7 @@ let test_view_shared_until_add () =
   ignore (Triple_store.add s (t3 (iri "urn:p/knows") (iri "urn:p/inverse") (iri "urn:x/a")));
   let second = snap () in
   checkb "an add freezes anew" true (second != first);
-  checki "the predicate became a node" 4 (Rdf_graph.num_nodes (Rdf_graph.of_store s));
+  checki "the predicate became a node" 4 (Triple_store.view s).nodes;
   checkb "answers see the add" true
     (Sparql.run s "SELECT ?p ?o WHERE { <urn:p/knows> ?p ?o }"
     = [ [ iri "urn:p/inverse"; iri "urn:x/a" ] ]);
@@ -709,10 +918,13 @@ let () =
           Alcotest.test_case "structure" `Quick test_rdf_graph_structure;
           Alcotest.test_case "rpq over rdf" `Quick test_rdf_graph_rpq;
           Alcotest.test_case "atoms" `Quick test_rdf_graph_atoms;
+          Alcotest.test_case "prop value rule" `Quick test_rdf_prop_value_rule;
+          Alcotest.test_case "save -> load answers every Prop" `Quick test_rdf_view_save_load;
           Alcotest.test_case "label postings" `Quick test_rdf_label_postings;
           Alcotest.test_case "one view until an add" `Quick test_view_shared_until_add;
           Alcotest.test_case "view sees rdfs inference" `Quick test_view_sees_rdfs_inference;
-        ] );
+        ]
+        @ q [ prop_rdf_atoms_oracle; prop_section3_node_atoms; prop_rdf_view_renumber ] );
       ( "properties",
         q [ prop_ntriples_roundtrip; prop_store_indexes_agree; prop_store_reads_equal_inserted_set ] );
     ]

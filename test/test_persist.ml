@@ -319,6 +319,32 @@ let test_corrupt_fixtures () =
   checkb "sniff accepts truncated-but-magic" true
     (Snapshot_io.is_snapshot_file (corrupt_fixture "truncated.gqs"))
 
+(* Rows [save] writes as given but the loader's order check refuses:
+   a property row may repeat a key with ascending values, never an
+   entry, nor go down; a feature row may not repeat a key. *)
+let test_unordered_rows () =
+  let one_node attrs =
+    Snapshot.make ~attrs ~num_nodes:1 ~esrc:[||] ~edst:[||] ~num_labels:0 ~elabel:[||]
+      ~label_names:[||] ~label_sat:(fun _ _ -> false) ~num_node_labels:0 ~node_labels:[| [] |]
+      ~node_label_names:[||] ~node_label_sat:(fun _ _ -> false) ~node_name:(fun _ -> "v")
+      ~edge_name:string_of_int
+  in
+  (* ascending: "age" < 30 < 31 (strings before ints) *)
+  let dict = [| Const.str "age"; Const.int 30; Const.int 31 |] in
+  let row entries = { Snapshot.off = [| 0; List.length entries |]; kv = Array.of_list entries } in
+  let props entries = { Snapshot.no_attrs with dict; node_props = row entries } in
+  let features entries = { Snapshot.no_attrs with dict; dimension = 31; node_features = row entries } in
+  let e = Snapshot.entry in
+  with_temp_gqs (fun path ->
+      let loads attrs =
+        ignore (Snapshot_io.save ~path (one_node attrs));
+        match Snapshot_io.load path with _ -> true | exception Snapshot_io.Corrupt _ -> false
+      in
+      checkb "one key, two values" true (loads (props [ e 0 1; e 0 2 ]));
+      checkb "a repeated (key, value) entry" false (loads (props [ e 0 1; e 0 1 ]));
+      checkb "descending entries" false (loads (props [ e 0 2; e 0 1 ]));
+      checkb "a repeated feature key" false (loads (features [ e 2 0; e 2 1 ])))
+
 (* Every single-byte corruption of a valid file must raise [Corrupt] —
    no Invalid_argument, no out-of-bounds, no silent wrong graph.  The
    checksum is over decoded values, so any payload flip is caught; any
@@ -382,5 +408,8 @@ let () =
         ] );
       ( "corrupt",
         q [ prop_byte_flips ]
-        @ [ Alcotest.test_case "committed fixtures" `Quick test_corrupt_fixtures ] );
+        @ [
+            Alcotest.test_case "committed fixtures" `Quick test_corrupt_fixtures;
+            Alcotest.test_case "unordered rows" `Quick test_unordered_rows;
+          ] );
     ]
