@@ -345,11 +345,10 @@ let of_snapshot ~count (inst : Snapshot.t) =
     if inst.Snapshot.num_labels = 0 then None
     else begin
       let counts = inst.Snapshot.stats.Snapshot.edge_label_counts in
-      let label_sat = inst.Snapshot.label_sat in
       let out = ref [] in
       for id = inst.Snapshot.num_labels - 1 downto 0 do
         if counts.(id) > 0 then
-          out := ((fun t -> Regex.eval_test (label_sat id) t), counts.(id)) :: !out
+          out := ((fun t -> Regex.eval_test (Snapshot.label_holds inst id) t), counts.(id)) :: !out
       done;
       Some !out
     end

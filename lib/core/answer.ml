@@ -5,6 +5,3 @@ let length a = Array.length a.src
 let memo a id build = Gqkg_util.Memo.get a.memo id build
 let to_pairs a = List.init (length a) (fun i -> (a.src.(i), a.dst.(i)))
 
-let of_pairs l =
-  let a = Array.of_list (List.sort_uniq compare l) in
-  of_columns (Array.map fst a) (Array.map snd a)

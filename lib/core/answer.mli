@@ -11,9 +11,6 @@ type t = private { src : int array; dst : int array; memo : Gqkg_util.Memo.t }
     pairs ascend strictly, and hands both arrays over. *)
 val of_columns : int array -> int array -> t
 
-(** Any order, duplicates allowed. *)
-val of_pairs : (int * int) list -> t
-
 val to_pairs : t -> (int * int) list
 val length : t -> int
 

@@ -186,9 +186,3 @@ let emitted t = t.emitted
 (* Convenience: all answers of length exactly k. *)
 let paths ?budget ?sources inst regex ~length =
   to_list (create ?budget ?sources inst regex ~length)
-
-(* All answers of length at most k, by increasing length. *)
-let paths_up_to ?budget ?sources inst regex ~max_length =
-  List.concat_map
-    (fun k -> paths ?budget ?sources inst regex ~length:k)
-    (List.init (max_length + 1) Fun.id)

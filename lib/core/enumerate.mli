@@ -43,12 +43,3 @@ val paths :
   Gqkg_automata.Regex.t ->
   length:int ->
   Path.t list
-
-(** All answers of length ≤ the bound, by increasing length. *)
-val paths_up_to :
-  ?budget:Gqkg_util.Budget.t ->
-  ?sources:int list ->
-  Gqkg_graph.Snapshot.t ->
-  Gqkg_automata.Regex.t ->
-  max_length:int ->
-  Path.t list

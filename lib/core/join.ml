@@ -269,7 +269,7 @@ module Index = struct
   let edge_label_ids idx c =
     let ids = ref [] in
     for l = idx.snap.Snapshot.num_labels - 1 downto 0 do
-      if idx.snap.Snapshot.label_sat l (Atom.Label c) then ids := l :: !ids
+      if Snapshot.label_holds idx.snap l (Atom.Label c) then ids := l :: !ids
     done;
     !ids
 

@@ -69,8 +69,8 @@ module Index : sig
 
   val get : Snapshot.t -> t
 
-  (** Edge-label ids whose [label_sat] accepts the constant, computed
-      per call (O(labels)). *)
+  (** Edge-label ids the constant names ({!Snapshot.label_holds}),
+      computed per call (O(labels)). *)
   val edge_label_ids : t -> Const.t -> int list
 
   (** Nodes whose node labels satisfy the constant, ascending: the

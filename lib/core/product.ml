@@ -206,7 +206,6 @@ let build_dispatch nfa (inst : Snapshot.t) =
     (None, all (Nfa.fwd_moves nfa), all (Nfa.bwd_moves nfa))
   end
   else begin
-    let label_sat = inst.Snapshot.label_sat in
     let ns = Nfa.num_states nfa in
     let tabulate moves_of =
       let pure_tbl = Array.make (max 1 (ns * num_labels)) [||] in
@@ -220,7 +219,8 @@ let build_dispatch nfa (inst : Snapshot.t) =
           for l = 0 to num_labels - 1 do
             pure_tbl.((q * num_labels) + l) <-
               List.filter_map
-                (fun (t, q') -> if Regex.eval_test (label_sat l) t then Some q' else None)
+                (fun (t, q') ->
+                  if Regex.eval_test (Snapshot.label_holds inst l) t then Some q' else None)
                 pure
               |> Array.of_list
           done

@@ -84,6 +84,5 @@ let store_product s ~key p = store plans plan_cap s key p
 let find_answer s ~key = find results result_hits result_misses s key
 let store_answer s ~key a = store results result_cap s key a
 let find_pairs s ~key = Option.map Answer.to_pairs (find_answer s ~key)
-let store_pairs s ~key pairs = store_answer s ~key (Answer.of_pairs pairs)
 let find_shape s ~key = find shapes shape_hits shape_misses s key
 let store_shape s ~key v = store shapes shape_cap s key v

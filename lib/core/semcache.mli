@@ -50,10 +50,8 @@ val find_answer : Snapshot.t -> key:string -> Answer.t option
 
 val store_answer : Snapshot.t -> key:string -> Answer.t -> unit
 
-(** {!find_answer} and {!store_answer} over pair lists, sorted. *)
+(** {!find_answer} as a sorted pair list. *)
 val find_pairs : Snapshot.t -> key:string -> (int * int) list option
-
-val store_pairs : Snapshot.t -> key:string -> (int * int) list -> unit
 
 (** Shape cache: a canonical form ([None]: canonicalization gave up)
     together with the lifted atoms of the query that produced it, in

@@ -14,8 +14,9 @@
    as int pairs).  Interned label universes are append-only across
    commits: deleting the last edge with label ℓ keeps ℓ's id at count 0
    where a scratch freeze would forget it — query answers are
-   unaffected ([label_sat] is Const equality per id) and survivors keep
-   their label ids, which is what lets [elabel] be reused verbatim. *)
+   unaffected (a label id answers by its own keys) and survivors keep
+   their label ids and keys, which is what lets [elabel] be reused
+   verbatim. *)
 
 module B = Gqkg_util.Bitset
 module Ids = Hashtbl.Make (String)
@@ -320,22 +321,33 @@ let all_columns =
     "out_off"; "out_adj"; "in_off"; "in_adj"; "stats";
   ]
 
-(* Universe extension: the base universe (label names read back as
-   constants) plus fresh ids for labels the delta introduced,
-   append-only so surviving interned columns stay valid. *)
-let extend_universe names fresh_labels =
-  let univ = Array.map Const.of_string names in
-  let tbl = Hashtbl.create (Array.length univ * 2 + 16) in
-  Array.iteri (fun i c -> Hashtbl.replace tbl c i) univ;
-  let extras = ref [] in
+(* Universe extension: the base labels, found by name (each name read
+   back as a constant), plus fresh ids for labels the delta introduced,
+   each named by its own constant.  Append-only, so surviving interned
+   columns stay valid; with nothing appended the base name and key
+   tables are returned as they are. *)
+let extend_universe names keys fresh_labels =
+  let n = Array.length names in
+  let tbl = Hashtbl.create ((n * 2) + 16) in
+  Array.iteri (fun i name -> Hashtbl.replace tbl (Const.of_string name) i) names;
+  (* Ids are counted from [n], not taken from the table's size: two
+     base names may read back as one constant. *)
+  let next = ref n and extras = ref [] in
   List.iter
     (fun c ->
       if not (Hashtbl.mem tbl c) then begin
-        Hashtbl.replace tbl c (Hashtbl.length tbl);
+        Hashtbl.replace tbl c !next;
+        incr next;
         extras := c :: !extras
       end)
     fresh_labels;
-  (Array.append univ (Array.of_list (List.rev !extras)), !extras <> [], tbl)
+  if !extras = [] then (names, keys, tbl)
+  else begin
+    let extras = Array.of_list (List.rev !extras) in
+    ( Array.append names (Array.map Const.to_string extras),
+      Array.append keys (Array.map (fun c -> [| c |]) extras),
+      tbl )
+  end
 
 (* Final index of surviving base index [v]: [v] minus the number of
    [dead] indices (sorted) below it. *)
@@ -509,11 +521,12 @@ let commit t =
       commit_attrs t ~node_struct ~edge_struct ~dn ~de new_nodes new_edges
     in
     col "node_props" node_attrs_shared;
-    let node_label_univ, node_univ_grew, ntbl =
-      extend_universe s.Snapshot.node_label_names (List.map (fun r -> r.n_label) new_nodes)
+    let node_label_names, node_label_keys, ntbl =
+      extend_universe s.Snapshot.node_label_names s.Snapshot.node_label_keys
+        (List.map (fun r -> r.n_label) new_nodes)
     in
-    col "node_label_universe" (not node_univ_grew);
-    let num_node_labels = Array.length node_label_univ in
+    col "node_label_universe" (node_label_keys == s.Snapshot.node_label_keys);
+    let num_node_labels = Array.length node_label_names in
     col "node_label_bits" (not node_struct);
     let node_label_bits =
       if not node_struct then s.Snapshot.node_label_bits
@@ -536,11 +549,12 @@ let commit t =
        rebuild (endpoint indices shift); otherwise everything is shared
        and label ids stay valid because universes only append. *)
     let edge_cols_fresh = edge_struct || renumber in
-    let edge_label_univ, edge_univ_grew, etbl =
-      extend_universe s.Snapshot.label_names (List.map (fun r -> r.e_label) new_edges)
+    let label_names, label_keys, etbl =
+      extend_universe s.Snapshot.label_names s.Snapshot.label_keys
+        (List.map (fun r -> r.e_label) new_edges)
     in
-    col "edge_label_universe" (not edge_univ_grew);
-    let num_labels = Array.length edge_label_univ in
+    col "edge_label_universe" (label_keys == s.Snapshot.label_keys);
+    let num_labels = Array.length label_names in
     let final_of_node_id id =
       match Ids.find_opt t.new_node_ids (key id) with
       | Some r -> r.n_final
@@ -599,16 +613,6 @@ let commit t =
         Snapshot.stats_of_columns ~num_nodes:n1 ~out_off ~in_off ~edge_label_counts
           ~node_label_counts
     in
-    let universe grew univ names sat =
-      if grew then (Array.map Const.to_string univ, Snapshot.const_label_sat univ) else (names, sat)
-    in
-    let label_names, label_sat =
-      universe edge_univ_grew edge_label_univ s.Snapshot.label_names s.Snapshot.label_sat
-    in
-    let node_label_names, node_label_sat =
-      universe node_univ_grew node_label_univ s.Snapshot.node_label_names
-        s.Snapshot.node_label_sat
-    in
     let snap' =
       {
         Snapshot.num_nodes = n1;
@@ -624,10 +628,10 @@ let commit t =
         num_labels;
         elabel;
         label_names;
-        label_sat;
+        label_keys;
         num_node_labels;
         node_label_names;
-        node_label_sat;
+        node_label_keys;
         node_label_bits;
         attrs;
         node_name = (if node_struct then Array.get node_names else s.Snapshot.node_name);

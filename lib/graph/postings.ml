@@ -35,7 +35,8 @@ let build_nodes tripped (snap : Snapshot.t) atom =
   | Atom.Label _ when snap.num_node_labels > 0 ->
       let acc = B.raw_create (max snap.num_nodes 1) in
       for l = 0 to snap.num_node_labels - 1 do
-        if snap.node_label_sat l atom then B.raw_iter snap.node_label_bits.(l) (B.raw_add acc)
+        if Snapshot.node_label_holds snap l atom then
+          B.raw_iter snap.node_label_bits.(l) (B.raw_add acc)
       done;
       Some (B.raw_to_array acc)
   | _ -> scan tripped snap.num_nodes (fun v -> Snapshot.node_atom snap v atom)

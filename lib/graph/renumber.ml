@@ -170,9 +170,9 @@ let apply (s : Snapshot.t) p =
     }
   in
   Snapshot.make ~attrs ~num_nodes:n ~esrc ~edst ~num_labels:s.num_labels ~elabel
-    ~label_names:s.label_names ~label_sat:s.label_sat
+    ~label_names:s.label_names ~label_keys:s.label_keys
     ~num_node_labels:s.num_node_labels ~node_labels
-    ~node_label_names:s.node_label_names ~node_label_sat:s.node_label_sat
+    ~node_label_names:s.node_label_names ~node_label_keys:s.node_label_keys
     ~node_name:(fun v -> s.node_name old_node.(v))
     ~edge_name:(fun e -> s.edge_name old_edge.(e))
 

@@ -55,10 +55,10 @@ type t = {
   num_labels : int;
   elabel : int array;
   label_names : string array;
-  label_sat : int -> Atom.t -> bool;
+  label_keys : Const.t array array;
   num_node_labels : int;
   node_label_names : string array;
-  node_label_sat : int -> Atom.t -> bool;
+  node_label_keys : Const.t array array;
   node_label_bits : int array array;
   attrs : attrs;
   node_name : int -> string;
@@ -189,13 +189,15 @@ let no_attrs =
     edge_features = no_rows;
   }
 
-let make ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat
-    ~num_node_labels ~node_labels ~node_label_names ~node_label_sat ~node_name ~edge_name =
+let make ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_keys
+    ~num_node_labels ~node_labels ~node_label_names ~node_label_keys ~node_name ~edge_name =
   let num_edges = Array.length esrc in
   if Array.length edst <> num_edges || Array.length elabel <> num_edges then
     invalid_arg "Snapshot.make: esrc/edst/elabel lengths differ";
   if Array.length node_labels <> num_nodes then
     invalid_arg "Snapshot.make: node_labels length";
+  if Array.length label_keys <> num_labels || Array.length node_label_keys <> num_node_labels then
+    invalid_arg "Snapshot.make: one key array per label";
   let out_off, out_eid, out_nbr, in_off, in_eid, in_nbr = pack_csr num_nodes esrc edst in
   let node_label_bits =
     Array.init num_node_labels (fun _ -> B.raw_create (max num_nodes 1))
@@ -226,10 +228,10 @@ let make ~attrs ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_s
     num_labels;
     elabel;
     label_names;
-    label_sat;
+    label_keys;
     num_node_labels;
     node_label_names;
-    node_label_sat;
+    node_label_keys;
     node_label_bits;
     attrs;
     node_name;
@@ -257,13 +259,17 @@ let intern ~n ~get =
 
 (* ---- Atomic tests ------------------------------------------------------ *)
 
-(* Label satisfaction by Const equality against the interned universe —
-   the rule shared by the labeled, property and vector models (RDF
-   substitutes its IRI/local-name rule for labels in the triple store's
-   frozen view). *)
-let const_label_sat universe id = function
-  | Atom.Label c -> Const.equal universe.(id) c
+(* The one label rule, for every model: [Label c] holds on label id [l]
+   when [c] equals one of the constants that name [l].  Generic edge
+   tests call it per edge, so it allocates nothing. *)
+let rec names c k i = i < Array.length k && (Const.equal c k.(i) || names c k (i + 1))
+
+let keys_hold keys l = function
+  | Atom.Label c -> names c keys.(l) 0
   | Atom.Prop _ | Atom.Feature _ -> false
+
+let label_holds s l atom = keys_hold s.label_keys l atom
+let node_label_holds s l atom = keys_hold s.node_label_keys l atom
 
 (* The value of [key] in object [o]'s row. *)
 let row_find dict r o key =
@@ -305,7 +311,7 @@ let node_atom s v atom =
   | Atom.Label _ ->
       let rec go l =
         l < s.num_node_labels
-        && ((B.raw_mem s.node_label_bits.(l) v && s.node_label_sat l atom) || go (l + 1))
+        && ((B.raw_mem s.node_label_bits.(l) v && node_label_holds s l atom) || go (l + 1))
       in
       go 0
   | Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.node_props v p c
@@ -313,7 +319,7 @@ let node_atom s v atom =
 
 let edge_atom s e atom =
   match atom with
-  | Atom.Label _ -> s.num_labels > 0 && s.label_sat s.elabel.(e) atom
+  | Atom.Label _ -> s.num_labels > 0 && label_holds s s.elabel.(e) atom
   | Atom.Prop (p, c) -> prop_holds s.attrs s.attrs.edge_props e p c
   | Atom.Feature (i, c) -> feature_holds s.attrs s.attrs.edge_features e i c
 
@@ -418,8 +424,8 @@ let node_label s v =
 (* ---- The Section 3 models --------------------------------------------- *)
 
 (* Shared freeze for the three Const-labeled models: one label per node,
-   one per edge, Const-equality label tests, ids copied out as names so
-   nothing here keeps the model alive. *)
+   one per edge, each named by its own constant, ids copied out as names
+   so nothing here keeps the model alive. *)
 let of_const_labeled ~attrs ~num_nodes ~num_edges ~endpoints ~node_label ~edge_label ~node_id
     ~edge_id =
   let esrc = Array.init num_edges (fun e -> fst (endpoints e)) in
@@ -430,11 +436,11 @@ let of_const_labeled ~attrs ~num_nodes ~num_edges ~endpoints ~node_label ~edge_l
   let edge_names = Array.init num_edges (fun e -> Const.to_string (edge_id e)) in
   make ~attrs ~num_nodes ~esrc ~edst ~num_labels:(Array.length edge_universe)
     ~elabel ~label_names:(Array.map Const.to_string edge_universe)
-    ~label_sat:(const_label_sat edge_universe)
+    ~label_keys:(Array.map (fun c -> [| c |]) edge_universe)
     ~num_node_labels:(Array.length node_universe)
     ~node_labels:(Array.map (fun l -> [ l ]) nlabel)
     ~node_label_names:(Array.map Const.to_string node_universe)
-    ~node_label_sat:(const_label_sat node_universe)
+    ~node_label_keys:(Array.map (fun c -> [| c |]) node_universe)
     ~node_name:(Array.get node_names) ~edge_name:(Array.get edge_names)
 
 let of_labeled g =
@@ -502,9 +508,8 @@ let disjoint_union a b =
   in
   make ~attrs:no_attrs ~num_nodes:n ~esrc:(shift n1 a.esrc b.esrc)
     ~edst:(shift n1 a.edst b.edst) ~num_labels:0 ~elabel:(Array.make m 0) ~label_names:[||]
-    ~label_sat:(fun _ _ -> false)
-    ~num_node_labels:0 ~node_labels:(Array.make n []) ~node_label_names:[||]
-    ~node_label_sat:(fun _ _ -> false)
+    ~label_keys:[||] ~num_node_labels:0 ~node_labels:(Array.make n []) ~node_label_names:[||]
+    ~node_label_keys:[||]
     ~node_name:(fun v -> if v < n1 then a.node_name v else b.node_name (v - n1))
     ~edge_name:(fun e -> if e < m1 then a.edge_name e else b.edge_name (e - m1))
 

@@ -8,8 +8,9 @@
     via the triple store's frozen view, [Gqkg_kg.Triple_store.view])
     freezes to this one physical layout once; the entire Section 4
     machinery runs against it, and a frozen model may be dropped. Every
-    atom answers from these columns: RDF's literal-object triples are
-    property rows.
+    atom answers from these columns: each label id carries the constants
+    that name it (an RDF type or predicate is named by its full IRI and
+    its local name), and RDF's literal-object triples are property rows.
 
     All array fields are plain immutable arrays — a snapshot can be
     shared across OCaml 5 domains without synchronization; the one
@@ -73,23 +74,24 @@ type t = {
   in_eid : int array;
   in_nbr : int array;
   (* Interned edge labels: elabel.(e) is the dense label id of edge e,
-     satisfying the label_sat contract
-       edge_atom e (Label c) = label_sat elabel.(e) (Label c).
+     label_names.(l) its display name and label_keys.(l) the constants
+     that name it:
+       edge_atom e (Label c) = ∃ k ∈ label_keys.(elabel.(e)). Const.equal c k.
      num_labels = 0 means the model provides no label index (no edge
      Label atom then holds). *)
   num_labels : int;
   elabel : int array;
   label_names : string array;
-  label_sat : int -> Atom.t -> bool;
+  label_keys : Const.t array array;
   (* Interned node labels as membership bitmaps: node_label_bits.(l) is
      a raw Bitset over nodes (see Gqkg_util.Bitset raw layer). A node
      may belong to several label bitmaps (RDF types); in the other
-     models membership is exclusive. Contract:
+     models membership is exclusive. Same rule as edges:
        node_atom v (Label c) = ∃ l. raw_mem node_label_bits.(l) v
-                                    ∧ node_label_sat l (Label c). *)
+                                    ∧ ∃ k ∈ node_label_keys.(l). Const.equal c k. *)
   num_node_labels : int;
   node_label_names : string array;
-  node_label_sat : int -> Atom.t -> bool;
+  node_label_keys : Const.t array array;
   node_label_bits : int array array;
   attrs : attrs;
   (* Display names (node and edge ids). *)
@@ -118,11 +120,11 @@ val make :
   num_labels:int ->
   elabel:int array ->
   label_names:string array ->
-  label_sat:(int -> Atom.t -> bool) ->
+  label_keys:Const.t array array ->
   num_node_labels:int ->
   node_labels:int list array ->
   node_label_names:string array ->
-  node_label_sat:(int -> Atom.t -> bool) ->
+  node_label_keys:Const.t array array ->
   node_name:(int -> string) ->
   edge_name:(int -> string) ->
   t
@@ -155,18 +157,12 @@ val fresh_epoch : unit -> int
     value lives exactly as long as [s]. *)
 val memo : t -> 'a Type.Id.t -> (t -> 'a) -> 'a
 
-(** Label satisfaction by [Const] equality against an interned universe
-    — the rule shared by the labeled, property and vector models, and
-    by a snapshot reloaded from disk. [Prop] and [Feature] atoms are
-    never satisfied. *)
-val const_label_sat : Const.t array -> int -> Atom.t -> bool
-
 (** {1 Atomic tests}
 
     The one place columns become atom answers, for every model: a
-    [Label] holds on a node in a label bitmap whose label
-    [node_label_sat] accepts, and on an edge whose label [label_sat]
-    accepts; a [Prop (p, v)] holds when some entry of the object's
+    [Label c] holds on label id [l] when [c] is {!Const.equal} to one
+    of [l]'s keys, so on a node in a bitmap of such a label and on an
+    edge of such a label; a [Prop (p, v)] holds when some entry of the object's
     property row maps [p] to a constant {!Const.equal} to [v]; a
     [Feature (i, v)] holds when [1 <= i <= dimension] and feature [i]
     is [v] (⊥ when the row has no entry). A [Prop] never answers from
@@ -174,6 +170,13 @@ val const_label_sat : Const.t array -> int -> Atom.t -> bool
 
 val node_atom : t -> int -> Atom.t -> bool
 val edge_atom : t -> int -> Atom.t -> bool
+
+(** [label_holds s l a]: edge-label id [l] satisfies [a] by the label
+    rule ([Prop] and [Feature] atoms never do); [node_label_holds] the
+    same on node-label id [l]. *)
+val label_holds : t -> int -> Atom.t -> bool
+
+val node_label_holds : t -> int -> Atom.t -> bool
 
 (** {1 Property and feature columns} *)
 

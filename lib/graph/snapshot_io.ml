@@ -68,8 +68,15 @@ let sec_dimension = 24
    is sections off/kv = 25 + 2g, 26 + 2g *)
 let sec_rows g = 25 + (2 * g)
 
+(* The label keys of side g (edge labels, node labels), written only
+   when some label's keys are not its name read back as a constant:
+   sections 33 + 3g (per-label offsets into the key list), 34 + 3g and
+   35 + 3g (the keys as a string table of tagged encodings). *)
+let sec_keys g = 33 + (3 * g)
+
 let blob_sections =
   [ sec_label_name_blob; sec_nlabel_name_blob; sec_node_name_blob; sec_edge_name_blob; sec_dict_blob ]
+  @ [ sec_keys 0 + 2; sec_keys 1 + 2 ]
 
 type report = {
   file_bytes : int;
@@ -123,9 +130,9 @@ let encode_const = function
   | Const.Date { year; month; day } -> Printf.sprintf "d%d %d %d" year month day
   | Const.Bottom -> "b"
 
-let decode_const s =
+let decode_const ~what s =
   let body () = String.sub s 1 (String.length s - 1) in
-  let bad () = corrupt "malformed constant %S in the property dictionary" s in
+  let bad () = corrupt "malformed constant %S in the %s" s what in
   match if s = "" then ' ' else s.[0] with
   | 's' -> Const.Str (body ())
   | 'i' -> ( match int_of_string_opt (body ()) with Some i -> Const.Int i | None -> bad ())
@@ -137,7 +144,18 @@ let decode_const s =
   | 'b' when String.length s = 1 -> Const.Bottom
   | _ -> bad ()
 
+let const_table consts = build_string_table (Array.length consts) (fun i -> encode_const consts.(i))
+
 (* ---- save -------------------------------------------------------------- *)
+
+(* The header's counts, then each section's id, width and decoded
+   payload in table order. *)
+let fold_sec add_string h sec =
+  let h = C.add_int (C.add_int h sec.id) sec.width in
+  match sec.payload with Ints a -> C.add_int_array h a | Blob b -> add_string h b
+
+let checksum add_string header secs =
+  C.finish (List.fold_left (fold_sec add_string) (List.fold_left C.add_int C.empty header) secs)
 
 (* Canonical equality against the exact string the loader will
    re-synthesize — "n007" must NOT count as synthetic for old id 7. *)
@@ -154,6 +172,9 @@ let names_synthetic (s : Snapshot.t) ~old_node ~old_edge =
      incr e
    done);
   !ok
+
+(* The keys the loader assumes when a side has no key sections. *)
+let keys_of_names names = Array.map (fun name -> [| Const.of_string name |]) names
 
 let flat_bits (s : Snapshot.t) =
   let w = B.words_for (max s.num_nodes 1) in
@@ -236,7 +257,7 @@ let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
   | None -> ());
   let a = s.attrs in
   if Array.length a.dict > 0 then begin
-    let off, text = build_string_table (Array.length a.dict) (fun i -> encode_const a.dict.(i)) in
+    let off, text = const_table a.dict in
     add sec_dict_off (ints off);
     add sec_dict_blob (blob text)
   end;
@@ -248,28 +269,24 @@ let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
         add (sec_rows g + 1) (ints r.kv)
       end)
     [ a.node_props; a.edge_props; a.node_features; a.edge_features ];
+  List.iteri
+    (fun g (names, keys) ->
+      if keys <> keys_of_names names then begin
+        let first = Array.make (Array.length keys + 1) 0 in
+        Array.iteri (fun l k -> first.(l + 1) <- first.(l) + Array.length k) keys;
+        let off, text = const_table (Array.concat (Array.to_list keys)) in
+        add (sec_keys g) (ints first);
+        add (sec_keys g + 1) (ints off);
+        add (sec_keys g + 2) (blob text)
+      end)
+    [ (s.label_names, s.label_keys); (s.node_label_names, s.node_label_keys) ];
   let secs = List.rev !secs in
   let flags =
     (if perm <> None then flag_perm else 0)
     lor if keep_names then 0 else flag_synthetic_names
   in
   let checksum =
-    let h = ref C.empty in
-    h := C.add_int !h version;
-    h := C.add_int !h flags;
-    h := C.add_int !h n;
-    h := C.add_int !h m;
-    h := C.add_int !h s.num_labels;
-    h := C.add_int !h s.num_node_labels;
-    List.iter
-      (fun sec ->
-        h := C.add_int !h sec.id;
-        h := C.add_int !h sec.width;
-        match sec.payload with
-        | Ints a -> h := C.add_int_array !h a
-        | Blob b -> h := C.add_string !h b)
-      secs;
-    C.finish !h
+    checksum C.add_string [ version; flags; n; m; s.num_labels; s.num_node_labels ] secs
   in
   let count = List.length secs in
   let ch = open_out_bin path in
@@ -438,14 +455,18 @@ let string_table ~off ~blob ~count ~what =
   done;
   Array.init count (fun i -> String.sub blob off.(i) (off.(i + 1) - off.(i)))
 
+let table_consts ~what ~off ~blob =
+  string_table ~off ~blob ~count:(max 0 (Array.length off - 1)) ~what
+  |> Array.map (decode_const ~what)
+
 let check_offsets what off n m =
   if Array.length off <> n + 1 then
     corrupt "%s: %d entries, expected %d" what (Array.length off) (n + 1);
   if n >= 0 && Array.length off > 0 then begin
     if off.(0) <> 0 then corrupt "%s does not start at 0" what;
-    if off.(n) <> m then corrupt "%s: total %d, expected %d edges" what off.(n) m;
+    if off.(n) <> m then corrupt "%s: total %d, expected %d" what off.(n) m;
     for v = 0 to n - 1 do
-      if off.(v + 1) < off.(v) then corrupt "%s not monotone at node %d" what v
+      if off.(v + 1) < off.(v) then corrupt "%s not monotone at %d" what v
     done
   end
 
@@ -474,9 +495,7 @@ let decode_attrs decoded ~n ~m =
   let find id = Hashtbl.find_opt decoded id in
   let dict =
     match (find sec_dict_off, find sec_dict_blob) with
-    | Some (Ints off), Some (Blob blob) ->
-        string_table ~off ~blob ~count:(max 0 (Array.length off - 1)) ~what:"property dictionary"
-        |> Array.map decode_const
+    | Some (Ints off), Some (Blob blob) -> table_consts ~what:"property dictionary" ~off ~blob
     | None, None -> [||]
     | _ -> corrupt "property dictionary: offsets and blob must come together"
   in
@@ -519,38 +538,48 @@ let decode_attrs decoded ~n ~m =
     edge_features = rows 3 m;
   }
 
+(* One side's label keys: absent sections (every file whose keys are
+   its names) mean each label is named by its name read back as a
+   constant. *)
+let decode_keys decoded g names =
+  let find id = Hashtbl.find_opt decoded id in
+  let what = if g = 0 then "edge label keys" else "node label keys" in
+  match (find (sec_keys g), find (sec_keys g + 1), find (sec_keys g + 2)) with
+  | None, None, None -> keys_of_names names
+  | Some (Ints first), Some (Ints off), Some (Blob blob) ->
+      let flat = table_consts ~what ~off ~blob and count = Array.length names in
+      check_offsets what first count (Array.length flat);
+      Array.init count (fun l -> Array.sub flat first.(l) (first.(l + 1) - first.(l)))
+  | _ -> corrupt "%s: incomplete sections" what
+
 let load_with_perm path =
   let g, size = map_view path in
   let file_version, flags, n, m, num_labels, num_node_labels, stored_checksum, secs =
     read_header g size
   in
   (* decode every listed section once, folding the checksum in table
-     order — the same order save wrote and folded them *)
-  let h = ref C.empty in
-  h := C.add_int !h file_version;
-  h := C.add_int !h flags;
-  h := C.add_int !h n;
-  h := C.add_int !h m;
-  h := C.add_int !h num_labels;
-  h := C.add_int !h num_node_labels;
+     order — the order save wrote and folded them.  A file whose strings
+     were folded before the fold covered their every bit checks against
+     the lossy fold. *)
+  let header = [ file_version; flags; n; m; num_labels; num_node_labels ] in
+  let h = ref (List.fold_left C.add_int C.empty header) in
+  let secs =
+    List.map
+      (fun r ->
+        let payload =
+          if List.mem r.r_id blob_sections then Blob (decode_blob g r) else Ints (decode_ints g r)
+        in
+        let sec = { id = r.r_id; width = r.r_width; payload } in
+        h := fold_sec C.add_string !h sec;
+        sec)
+      secs
+  in
+  let computed = C.finish !h in
+  if computed <> stored_checksum && checksum C.add_string_lossy header secs <> stored_checksum
+  then
+    corrupt "checksum mismatch: file is corrupt (stored %d, computed %d)" stored_checksum computed;
   let decoded = Hashtbl.create 32 in
-  List.iter
-    (fun r ->
-      h := C.add_int !h r.r_id;
-      h := C.add_int !h r.r_width;
-      match r.r_id with
-      | id when List.mem id blob_sections ->
-          let b = decode_blob g r in
-          h := C.add_string !h b;
-          Hashtbl.replace decoded r.r_id (Blob b)
-      | _ ->
-          let a = decode_ints g r in
-          h := C.add_int_array !h a;
-          Hashtbl.replace decoded r.r_id (Ints a))
-    secs;
-  if C.finish !h <> stored_checksum then
-    corrupt "checksum mismatch: file is corrupt (stored %d, computed %d)" stored_checksum
-      (C.finish !h);
+  List.iter (fun sec -> Hashtbl.replace decoded sec.id sec.payload) secs;
   let get_ints id what =
     match Hashtbl.find_opt decoded id with
     | Some (Ints a) -> a
@@ -660,15 +689,8 @@ let load_with_perm path =
       ((fun v -> nn.(v)), fun e -> en.(e))
     end
   in
-  (* Label atoms answer by Const equality over the persisted names;
-     properties and features answer from the decoded rows. *)
-  let label_sat =
-    if num_labels > 0 then Snapshot.const_label_sat (Array.map Const.of_string label_names)
-    else fun _ _ -> false
-  in
-  let node_label_sat =
-    Snapshot.const_label_sat (Array.map Const.of_string node_label_names)
-  in
+  let label_keys = decode_keys decoded 0 label_names in
+  let node_label_keys = decode_keys decoded 1 node_label_names in
   let attrs = decode_attrs decoded ~n ~m in
   let snapshot : Snapshot.t =
     {
@@ -685,10 +707,10 @@ let load_with_perm path =
       num_labels;
       elabel;
       label_names;
-      label_sat;
+      label_keys;
       num_node_labels;
       node_label_names;
-      node_label_sat;
+      node_label_keys;
       node_label_bits;
       attrs;
       node_name;

@@ -24,7 +24,10 @@
     and feature columns: the constant dictionary as a string table of
     tagged encodings, the feature dimension, and per-side row sets
     (offsets, packed key/value entries), each written only when
-    non-empty.
+    non-empty, and per-side label keys (per-label offsets into a list
+    of tagged constants), written only when some label's keys are not
+    its name read back with [Const.of_string] — the keys a loader
+    assumes without them.
     Degree and label statistics are derived, recomputed at load.
 
     Integer sections pick their element width per section (4 bytes when
@@ -38,13 +41,11 @@
 
     {2 Round trip}
 
-    A loaded snapshot answers every [Prop] and [Feature] atom as the
-    saved one did, a triple store's view included: constants in the
-    dictionary are tagged and lossless. Version-1 files (no property
-    sections) still load, with no properties or features. Labels stay
-    lossy: label names re-parse with [Const.of_string] and match by
-    equality, so a reloaded RDF view matches labels by local name only,
-    not by full IRI. Names are persisted
+    A loaded snapshot answers every [Label], [Prop] and [Feature] atom
+    as the saved one did, a triple store's view included: constants in
+    the dictionary and the label keys are tagged and lossless.
+    Version-1 files (no property sections) still load, with no
+    properties or features. Names are persisted
     as string tables unless they are the synthetic ["n<id>"]/["e<id>"]
     generator names, which are detected (or forced with [`Drop]) and
     re-synthesized at load through the permutation. *)

@@ -19,7 +19,6 @@ let literal ?datatype ?lang value =
 let bnode s = Bnode s
 
 let xsd_integer = "http://www.w3.org/2001/XMLSchema#integer"
-let xsd_decimal = "http://www.w3.org/2001/XMLSchema#decimal"
 
 let rdf_type = Iri "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -41,9 +40,6 @@ let compare a b =
   | _ -> Int.compare (tag a) (tag b)
 
 let hash = Hashtbl.hash
-
-let is_iri = function Iri _ -> true | Literal _ | Bnode _ -> false
-let is_literal = function Literal _ -> true | Iri _ | Bnode _ -> false
 
 (* The fragment / last path segment of an IRI: "http://ex.org/ns#person",
    "urn:label/person" and "urn:bib:person" all have local name "person"

@@ -14,7 +14,6 @@ val literal : ?datatype:string -> ?lang:string -> string -> t
 
 val bnode : string -> t
 val xsd_integer : string
-val xsd_decimal : string
 
 (** rdf:type, the predicate whose objects are a resource's classes. *)
 val rdf_type : t
@@ -25,8 +24,6 @@ val of_int : int -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val is_iri : t -> bool
-val is_literal : t -> bool
 
 (** Fragment / last path segment / last [:]-segment of an IRI (value of
     a literal, label of a bnode): how user-facing labels match IRIs. *)

@@ -155,14 +155,15 @@ let to_list t =
 (* The frozen view                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* ℓ names an IRI when it equals the full IRI or its local name. *)
-let names_iri label = function
-  | Term.Iri iri as term -> String.equal label iri || String.equal label (Term.local_name term)
-  | Term.Literal _ | Term.Bnode _ -> false
-
-let iri_label_sat universe id = function
-  | Atom.Label l -> names_iri (Const.to_string l) universe.(id)
-  | Atom.Prop _ | Atom.Feature _ -> false
+(* The constants that name a term in the view's label keys and
+   property keys: an IRI's full text and, when it differs, its local
+   name, each read with Const.of_string as .pg files and regexes read
+   constants; a literal or blank node names nothing. *)
+let iri_keys = function
+  | Term.Iri iri as term ->
+      let local = Term.local_name term in
+      Const.of_string iri :: (if String.equal local iri then [] else [ Const.of_string local ])
+  | Term.Literal _ | Term.Bnode _ -> []
 
 (* Edges of label [l] leaving node [v]: a binary search in the label's
    (source, target)-sorted range. *)
@@ -248,27 +249,20 @@ let freeze t =
   let node_labels = Array.make nodes [] in
   type_edges (fun s o -> node_labels.(s) <- type_id.(o) :: node_labels.(s));
   let predicates = Array.map (fun v -> terms.(v)) label_pred in
-  (* Node properties: a triple (v, p, "lit") is the entry (p, lit),
-     keyed by p's full IRI and, when it differs, by its local name,
-     each read with Const.of_string as .pg files and regexes read
-     constants. Rows are sorted by (key, value) and deduplicated. *)
+  (* Node properties: a triple (v, p, "lit") is the entry (p, lit)
+     under each key of p, its value read with Const.of_string. Rows are
+     sorted by (key, value) and deduplicated. *)
   let props = Array.make nodes [] in
   Array.iteri
     (fun l pred ->
-      match pred with
-      | Term.Iri iri ->
-          let local = Term.local_name pred in
-          let keys =
-            Const.of_string iri :: (if String.equal local iri then [] else [ Const.of_string local ])
-          in
-          for e = first_edge.(l) to first_edge.(l + 1) - 1 do
-            match terms.(edst.(e)) with
-            | Term.Literal { value; _ } ->
-                let value = Const.of_string value and v = esrc.(e) in
-                List.iter (fun k -> props.(v) <- (k, value) :: props.(v)) keys
-            | Term.Iri _ | Term.Bnode _ -> ()
-          done
-      | Term.Literal _ | Term.Bnode _ -> ())
+      let keys = iri_keys pred in
+      for e = first_edge.(l) to first_edge.(l + 1) - 1 do
+        match terms.(edst.(e)) with
+        | Term.Literal { value; _ } ->
+            let value = Const.of_string value and v = esrc.(e) in
+            List.iter (fun k -> props.(v) <- (k, value) :: props.(v)) keys
+        | Term.Iri _ | Term.Bnode _ -> ()
+      done)
     predicates;
   let by_entry (k, v) (k', v') =
     match Const.compare k k' with 0 -> Const.compare v v' | c -> c
@@ -278,13 +272,13 @@ let freeze t =
       ~node_props:(Array.map (fun r -> Array.of_list (List.sort_uniq by_entry r)) props)
       ~edge_props:[||] ~node_features:[||] ~edge_features:[||]
   in
+  let keys term = Array.of_list (iri_keys term) in
   let snap =
     Snapshot.make ~attrs ~num_nodes:nodes ~esrc ~edst ~num_labels ~elabel
       ~label_names:(Array.map Term.local_name predicates)
-      ~label_sat:(iri_label_sat predicates) ~num_node_labels:num_types
-      ~node_labels
+      ~label_keys:(Array.map keys predicates) ~num_node_labels:num_types ~node_labels
       ~node_label_names:(Array.map Term.local_name type_universe)
-      ~node_label_sat:(iri_label_sat type_universe)
+      ~node_label_keys:(Array.map keys type_universe)
       ~node_name:(fun v -> Term.to_string terms.(v))
       ~edge_name:(fun e -> Term.local_name predicates.(elabel.(e)))
   in

@@ -69,14 +69,15 @@ val copy : t -> t
     a subject or an object (in store-id order); terms that occur only
     as predicates follow. Each distinct predicate IRI is one edge label
     of the snapshot, and edge ids are grouped by label, then sorted by
-    (source, target). RDF reading of atoms: an edge satisfies label ℓ
-    when its predicate is ℓ or has local name ℓ; a node satisfies ℓ
-    when one of its rdf:type objects does (the objects are node-label
-    bitmaps); (p = v) holds on a node with a triple (node, q, "lit")
-    whose object is a literal, where [p] equals [Const.of_string] of
-    q's full IRI or of its local name and [v] equals
-    [Const.of_string "lit"] — the property-graph rule over the property
-    rows these triples freeze to. No edge has properties. *)
+    (source, target). RDF reading of atoms, the property-graph rule
+    over the label keys and property rows the view freezes to: an IRI
+    is named by [Const.of_string] of its full text and of its local
+    name, a literal or blank node by nothing. An edge satisfies label
+    ℓ when ℓ names its predicate; a node satisfies ℓ when ℓ names one
+    of its rdf:type objects (the objects are node-label bitmaps);
+    (p = v) holds on a node with a triple (node, q, "lit") whose object
+    is a literal, where [p] names q and [v] equals
+    [Const.of_string "lit"]. No edge has properties. *)
 
 (** RDF graphs as labeled graphs (Section 3): each triple (s, p, o) is
     an edge from s to o labeled p, with edges unnamed (identified by

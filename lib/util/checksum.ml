@@ -17,17 +17,22 @@ let add_int_array h a =
   !h
 
 (* Pack up to 8 chars per multiplication: one fold step per word, not
-   per byte, keeps name-table hashing off the profile. *)
-let add_string h s =
+   per byte, keeps name-table hashing off the profile.  The top two bits
+   of a word's eighth char land on bits 62 and 63, which the 62-bit
+   fold drops; [every_bit] gathers them, as base-5 digits (an odd base
+   keeps any one changed digit visible in the low bits), into one more
+   int folded last. *)
+let fold_string ~every_bit h s =
   let n = String.length s in
   let h = ref (add_int h n) in
-  let i = ref 0 in
+  let i = ref 0 and top = ref 0 in
   while n - !i >= 8 do
     let w = ref 0 in
     for k = 0 to 7 do
       w := !w lor (Char.code (String.unsafe_get s (!i + k)) lsl (8 * k))
     done;
     h := (!h lxor !w) * prime land max_int;
+    top := (!top * 5) + (Char.code (String.unsafe_get s (!i + 7)) lsr 6);
     i := !i + 8
   done;
   let w = ref 0 in
@@ -35,7 +40,11 @@ let add_string h s =
     w := (!w lsl 8) lor Char.code (String.unsafe_get s !i);
     incr i
   done;
-  add_int !h !w
+  let h = add_int !h !w in
+  if every_bit && n >= 8 then add_int h !top else h
+
+let add_string = fold_string ~every_bit:true
+let add_string_lossy = fold_string ~every_bit:false
 
 let finish h =
   (* splitmix-style avalanche so short inputs still spread bits *)

@@ -21,8 +21,12 @@ val add_int : int -> int -> int
 (** Fold an int array: length, then every element. *)
 val add_int_array : int -> int array -> int
 
-(** Fold a string: length, then 8 chars per multiplication. *)
+(** Fold a string: length, then 8 chars per multiplication, then the
+    top two bits of each eighth char, which a word's 62-bit fold drops. *)
 val add_string : int -> string -> int
+
+(** {!add_string} without its last step: checksums written before it. *)
+val add_string_lossy : int -> string -> int
 
 (** Final avalanche; result is non-negative (storable as an i64 field
     and comparable after reload). *)

@@ -22,8 +22,6 @@ let add_row t cells =
   if Array.length cells <> Array.length t.headers then invalid_arg "Table.add_row: width mismatch";
   t.rows <- cells :: t.rows
 
-let add_rowf t fmts = add_row t fmts
-
 let pad align width s =
   let n = String.length s in
   if n >= width then s

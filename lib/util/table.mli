@@ -9,7 +9,6 @@ val create : ?aligns:align list -> string list -> t
 (** Append a row; must match the header width. *)
 val add_row : t -> string list -> unit
 
-val add_rowf : t -> string list -> unit
 val render : t -> string
 val print : t -> unit
 

@@ -5,8 +5,6 @@
 type vec = float array
 type mat = { rows : int; cols : int; data : float array }
 
-let vec_zero n : vec = Array.make n 0.0
-
 let vec_add a b =
   if Array.length a <> Array.length b then invalid_arg "Vec.vec_add: dim mismatch";
   Array.mapi (fun i x -> x +. b.(i)) a
@@ -14,8 +12,6 @@ let vec_add a b =
 let vec_add_in_place ~into b =
   if Array.length into <> Array.length b then invalid_arg "Vec.vec_add_in_place: dim mismatch";
   Array.iteri (fun i x -> into.(i) <- into.(i) +. x) b
-
-let vec_scale c a = Array.map (fun x -> c *. x) a
 
 let dot a b =
   if Array.length a <> Array.length b then invalid_arg "Vec.dot: dim mismatch";
@@ -88,8 +84,6 @@ let mat_mul a b =
 let truncated_relu x = Float.min 1.0 (Float.max 0.0 x)
 
 let relu x = Float.max 0.0 x
-
-let map_vec f (v : vec) : vec = Array.map f v
 
 let vec_equal ?(eps = 1e-9) a b =
   Array.length a = Array.length b

@@ -4,10 +4,8 @@
 type vec = float array
 type mat = { rows : int; cols : int; data : float array }
 
-val vec_zero : int -> vec
 val vec_add : vec -> vec -> vec
 val vec_add_in_place : into:vec -> vec -> unit
-val vec_scale : float -> vec -> vec
 val dot : vec -> vec -> float
 val mat_create : rows:int -> cols:int -> mat
 
@@ -27,6 +25,5 @@ val mat_mul : mat -> mat -> mat
 val truncated_relu : float -> float
 
 val relu : float -> float
-val map_vec : (float -> float) -> vec -> vec
 val vec_equal : ?eps:float -> vec -> vec -> bool
 val pp_vec : Format.formatter -> vec -> unit

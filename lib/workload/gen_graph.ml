@@ -162,15 +162,13 @@ let grid ~rows ~cols =
 let stream_freeze ~nodes ~esrc ~edst ~elabel ~edge_label_names =
   let num_labels = Array.length edge_label_names in
   let label_universe = Array.map Const.str edge_label_names in
-  let node_universe = [| default_label |] in
-  let label_sat = Snapshot.const_label_sat label_universe in
-  let node_label_sat = Snapshot.const_label_sat node_universe in
   Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:nodes ~esrc ~edst ~num_labels
     ~elabel
     ~label_names:(Array.map Const.to_string label_universe)
-    ~label_sat ~num_node_labels:1 ~node_labels:(Array.make nodes [ 0 ])
+    ~label_keys:(Array.map (fun c -> [| c |]) label_universe)
+    ~num_node_labels:1 ~node_labels:(Array.make nodes [ 0 ])
     ~node_label_names:[| Const.to_string default_label |]
-    ~node_label_sat
+    ~node_label_keys:[| [| default_label |] |]
     ~node_name:(fun v -> "n" ^ string_of_int v)
     ~edge_name:(fun e -> "e" ^ string_of_int e)
 

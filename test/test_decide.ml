@@ -163,11 +163,11 @@ let snapshot_of_witness (w : Decide.witness) =
   Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:(k + 1) ~esrc ~edst
     ~num_labels:(Array.length edge_universe) ~elabel:(Array.map (index edge_universe) elabels)
     ~label_names:(Array.map Const.to_string edge_universe)
-    ~label_sat:(Snapshot.const_label_sat edge_universe)
+    ~label_keys:(Array.map (fun c -> [| c |]) edge_universe)
     ~num_node_labels:(Array.length node_universe)
     ~node_labels:(Array.map (List.map (index node_universe)) nodes)
     ~node_label_names:(Array.map Const.to_string node_universe)
-    ~node_label_sat:(Snapshot.const_label_sat node_universe)
+    ~node_label_keys:(Array.map (fun c -> [| c |]) node_universe)
     ~node_name:string_of_int ~edge_name:string_of_int
 
 let witness_refutes r1 r2 (w : Decide.witness) =

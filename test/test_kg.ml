@@ -599,24 +599,24 @@ let prop_store_reads_equal_inserted_set =
    triples with the property-graph value rule: a node satisfies label ℓ
    when one of its rdf:type objects is named ℓ, and (p = v) when a
    triple (node, q, "lit") has q named p and v = Const.of_string "lit".
-   An IRI is named by its full text or its local name. Keys compare as
-   rendered text, the columns compare constants: the two agree on names
-   that render back to themselves, which every name generated below
-   does. *)
-let names_iri name = function
-  | Term.Iri text as term -> String.equal name text || String.equal name (Term.local_name term)
+   An IRI is named by the constant its full text or its local name
+   reads as (Const.of_string, as the regex parser reads names). *)
+let names_iri c = function
+  | Term.Iri text as term ->
+      List.exists
+        (fun name -> Const.equal c (Const.of_string name))
+        [ text; Term.local_name term ]
   | Term.Literal _ | Term.Bnode _ -> false
 
 let oracle_node_atom own = function
   | Atom.Label l ->
       List.exists
-        (fun (tr : Triple_store.triple) ->
-          Term.equal tr.p Rdfs.rdf_type && names_iri (Const.to_string l) tr.o)
+        (fun (tr : Triple_store.triple) -> Term.equal tr.p Rdfs.rdf_type && names_iri l tr.o)
         own
   | Atom.Prop (p, v) ->
       List.exists
         (fun (tr : Triple_store.triple) ->
-          names_iri (Const.to_string p) tr.p
+          names_iri p tr.p
           &&
           match tr.o with
           | Term.Literal { value; _ } -> Const.equal v (Const.of_string value)
@@ -724,6 +724,29 @@ let test_rdf_prop_value_rule () =
       ("\"30\" <> the string 30", "b", "30", Const.str "30", false);
     ]
 
+(* The label rule compares constants too: a type whose local name reads
+   as the integer 30 is named by [Int 30], as a property-graph label
+   read from "030" is, and not by the string "030". *)
+let test_rdf_label_value_rule () =
+  let a = iri "urn:x/a" in
+  let view = Triple_store.view (store_with [ t3 a Rdfs.rdf_type (iri "urn:t/030") ]) in
+  let b = Property_graph.Builder.create () in
+  ignore (Property_graph.Builder.add_node b (Const.str "a") ~label:(Const.of_string "030"));
+  let pg = Snapshot.of_property (Property_graph.Builder.freeze b) in
+  let node = Triple_store.view_of_term view a in
+  List.iter
+    (fun (what, l, in_pg, expect) ->
+      let atom = Atom.Label l in
+      checkb (what ^ ": rdf view") expect (Snapshot.node_atom view.snap node atom);
+      if in_pg then checkb (what ^ ": property graph") expect (Snapshot.node_atom pg 0 atom))
+    [
+      ("30 names urn:t/030", Const.int 30, true, true);
+      ("the string 030 does not", Const.str "030", true, false);
+      ("the full iri does", Const.str "urn:t/030", false, true);
+    ];
+  checkb "the regex ?30 selects it" true
+    (Gqkg_core.Rpq.eval_pairs view.snap (Regex_parser.parse "?30") = [ (node, node) ])
+
 (* Section 3: a property graph and its RDF encoding answer every node
    label and property atom alike, node by node. *)
 let prop_section3_node_atoms =
@@ -743,8 +766,44 @@ let prop_section3_node_atoms =
           List.for_all (fun a -> Snapshot.node_atom pg v a = Snapshot.node_atom view.snap r a) atoms)
         (List.init pg.num_nodes Fun.id))
 
+(* Label atoms naming every IRI of a view, by full text and by local
+   name (each read as the regex parser reads it, and as a string), plus
+   one that names nothing. *)
+let iri_label_probes (view : Triple_store.view) =
+  Atom.label "ghost"
+  :: List.concat_map
+       (function
+         | Term.Iri text as term ->
+             List.concat_map
+               (fun name -> [ Atom.Label (Const.of_string name); Atom.label name ])
+               [ text; Term.local_name term ]
+         | Term.Literal _ | Term.Bnode _ -> [])
+       (Array.to_list view.terms)
+
+(* Every node and edge of the view answers the probes in [s] as in
+   the view. *)
+let check_labels_kept what (view : Triple_store.view) (s : Snapshot.t) =
+  let live = view.snap and probes = iri_label_probes view in
+  for v = 0 to live.num_nodes - 1 do
+    List.iter
+      (fun a ->
+        checkb
+          (Printf.sprintf "%s: node %s %s" what (live.node_name v) (Atom.to_string a))
+          (Snapshot.node_atom live v a) (Snapshot.node_atom s v a))
+      probes
+  done;
+  for e = 0 to live.num_edges - 1 do
+    List.iter
+      (fun a ->
+        checkb
+          (Printf.sprintf "%s: edge %d %s" what e (Atom.to_string a))
+          (Snapshot.edge_atom live e a) (Snapshot.edge_atom s e a))
+      probes
+  done
+
 (* A saved view is an ordinary .gqs: every Prop atom answers after a
-   reload, by full IRI and by local name, a multi-valued key included. *)
+   reload, by full IRI and by local name, a multi-valued key included,
+   and so does every node and edge Label atom. *)
 let test_rdf_view_save_load () =
   let julia = iri "urn:x/julia" and john = iri "urn:x/john" in
   let lit = Term.literal in
@@ -790,7 +849,55 @@ let test_rdf_view_save_load () =
   checkb "both ages" true
     (List.for_all
        (fun v -> Snapshot.node_atom loaded julia (Atom.prop "age" (Const.int v)))
-       [ 30; 31; 40 ])
+       [ 30; 31; 40 ]);
+  checkb "type by full iri" true (Snapshot.node_atom loaded julia (Atom.label "urn:t/person"));
+  checkb "type by local name" true (Snapshot.node_atom loaded julia (Atom.label "person"));
+  check_labels_kept "reload" view loaded
+
+(* A commit keeps every label's keys: the old nodes and edges of a view
+   answer Label by full IRI and by local name after a commit that adds
+   an edge label, one that adds a node label and one that reuses a
+   label, and each appended label is named by its own constant. Two
+   predicates share the local name "knows". *)
+let test_rdf_view_commit_keeps_labels () =
+  let ex name = iri ("http://ex.org/" ^ name) in
+  let view =
+    Triple_store.view
+      (store_with
+         [
+           t3 (ex "a") Rdfs.rdf_type (ex "C");
+           t3 (ex "C") Rdfs.rdf_type (ex "C");
+           t3 (ex "a") (ex "knows") (ex "C");
+           t3 (ex "a") (iri "http://ex2.org/knows") (ex "C");
+         ])
+  in
+  let live = view.snap in
+  let name term = Const.str (Term.to_string term) in
+  let a = Triple_store.view_of_term view (ex "a") in
+  List.iter
+    (fun l -> checkb ("live: a is " ^ l) true (Snapshot.node_atom live a (Atom.label l)))
+    [ "http://ex.org/C"; "C" ];
+  let commit base op =
+    let o = Overlay.create base in
+    Overlay.apply o op;
+    fst (Overlay.commit o)
+  in
+  let edge id label =
+    Mutation.Add_edge { id = Const.str id; src = name (ex "a"); dst = name (ex "C"); label }
+  in
+  let b1 = commit (Overlay.base_of_snapshot live) (edge "new" (Const.str "likes")) in
+  let b2 = commit b1 (Mutation.Add_node { id = name (ex "d"); label = Const.str "D" }) in
+  let b3 = commit b2 (edge "again" (Const.str "knows")) in
+  List.iter
+    (fun (what, b) -> check_labels_kept what view (Overlay.snapshot b))
+    [ ("new edge label", b1); ("new node label", b2); ("reused label", b3) ];
+  let s3 = Overlay.snapshot b3 in
+  let m = live.num_edges and n = live.num_nodes in
+  checkb "likes names the new edge" true (Snapshot.edge_atom s3 m (Atom.label "likes"));
+  checkb "knows does not" false (Snapshot.edge_atom s3 m (Atom.label "knows"));
+  checkb "D names the new node" true (Snapshot.node_atom s3 n (Atom.label "D"));
+  checkb "C does not" false (Snapshot.node_atom s3 n (Atom.label "C"));
+  checkb "a reused label answers by name" true (Snapshot.edge_atom s3 (m + 1) (Atom.label "knows"))
 
 (* Renumbering rebuilds the view from its columns, so it keeps every
    answer by name. *)
@@ -919,7 +1026,9 @@ let () =
           Alcotest.test_case "rpq over rdf" `Quick test_rdf_graph_rpq;
           Alcotest.test_case "atoms" `Quick test_rdf_graph_atoms;
           Alcotest.test_case "prop value rule" `Quick test_rdf_prop_value_rule;
+          Alcotest.test_case "label value rule" `Quick test_rdf_label_value_rule;
           Alcotest.test_case "save -> load answers every Prop" `Quick test_rdf_view_save_load;
+          Alcotest.test_case "commits keep label keys" `Quick test_rdf_view_commit_keeps_labels;
           Alcotest.test_case "label postings" `Quick test_rdf_label_postings;
           Alcotest.test_case "one view until an add" `Quick test_view_shared_until_add;
           Alcotest.test_case "view sees rdfs inference" `Quick test_view_sees_rdfs_inference;

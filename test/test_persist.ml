@@ -325,8 +325,8 @@ let test_corrupt_fixtures () =
 let test_unordered_rows () =
   let one_node attrs =
     Snapshot.make ~attrs ~num_nodes:1 ~esrc:[||] ~edst:[||] ~num_labels:0 ~elabel:[||]
-      ~label_names:[||] ~label_sat:(fun _ _ -> false) ~num_node_labels:0 ~node_labels:[| [] |]
-      ~node_label_names:[||] ~node_label_sat:(fun _ _ -> false) ~node_name:(fun _ -> "v")
+      ~label_names:[||] ~label_keys:[||] ~num_node_labels:0 ~node_labels:[| [] |]
+      ~node_label_names:[||] ~node_label_keys:[||] ~node_name:(fun _ -> "v")
       ~edge_name:string_of_int
   in
   (* ascending: "age" < 30 < 31 (strings before ints) *)
@@ -345,15 +345,126 @@ let test_unordered_rows () =
       checkb "descending entries" false (loads (props [ e 0 2; e 0 1 ]));
       checkb "a repeated feature key" false (loads (features [ e 2 0; e 2 1 ])))
 
+(* A saved file taken apart into its sections and written back with
+   [edit id payload] applied, int sections at width 8 and the checksum
+   refolded as the writer folds it (decoded values; the string tables'
+   blobs, sections [blob_ids], as strings) — so a hand-built section
+   reaches the loader's structural checks, not the checksum's. *)
+type section = Ints of int array | Blob of string
+
+let blob_ids = [ 9; 11; 17; 19; 23; 35; 38 ]
+
+let rewrite_sections path edit =
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let u32 o = Int32.to_int (String.get_int32_le image o) land 0xffffffff in
+  let i64 o = Int64.to_int (String.get_int64_le image o) in
+  let sections =
+    List.init (u32 40) (fun i ->
+        let b = 64 + (24 * i) in
+        let id = u32 b and width = u32 (b + 4) and off = i64 (b + 8) and len = i64 (b + 16) in
+        let element j =
+          match width with
+          | 1 -> Char.code image.[off + j]
+          | 4 -> u32 (off + (4 * j))
+          | _ -> i64 (off + (8 * j))
+        in
+        let payload =
+          if List.mem id blob_ids then Blob (String.sub image off len)
+          else Ints (Array.init (len / width) element)
+        in
+        (id, edit id payload))
+  in
+  let module C = Gqkg_util.Checksum in
+  let width = function Ints _ -> 8 | Blob _ -> 1 in
+  let header = [ u32 8; u32 12; i64 16; i64 24; u32 32; u32 36 ] in
+  let h = ref (List.fold_left C.add_int C.empty header) in
+  List.iter
+    (fun (id, p) ->
+      h := C.add_int (C.add_int !h id) (width p);
+      h := match p with Ints a -> C.add_int_array !h a | Blob s -> C.add_string !h s)
+    sections;
+  let header = Bytes.of_string (String.sub image 0 64) in
+  Bytes.set_int64_le header 48 (Int64.of_int (C.finish !h));
+  let table = Buffer.create 256 and data = Buffer.create 1024 in
+  let base = 64 + (24 * List.length sections) in
+  List.iter
+    (fun (id, p) ->
+      let bytes =
+        match p with
+        | Blob s -> s
+        | Ints a ->
+            let b = Bytes.create (8 * Array.length a) in
+            Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.of_int x)) a;
+            Bytes.to_string b
+      in
+      let entry = Bytes.make 24 '\000' in
+      Bytes.set_int32_le entry 0 (Int32.of_int id);
+      Bytes.set_int32_le entry 4 (Int32.of_int (width p));
+      Bytes.set_int64_le entry 8 (Int64.of_int (base + Buffer.length data));
+      Bytes.set_int64_le entry 16 (Int64.of_int (String.length bytes));
+      Buffer.add_bytes table entry;
+      Buffer.add_string data bytes)
+    sections;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_bytes oc header;
+      Buffer.output_buffer oc table;
+      Buffer.output_buffer oc data)
+
+(* Hand-built node-label key sections (36: per-label offsets into the
+   key list, 38: the keys' blob) the loader must refuse. One node with
+   three labels; the first is keyed by two constants, so the sections
+   are written. *)
+let test_corrupt_label_keys () =
+  let names = [| "a"; "b"; "c" |] in
+  let s =
+    Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:1 ~esrc:[||] ~edst:[||] ~num_labels:0
+      ~elabel:[||] ~label_names:[||] ~label_keys:[||] ~num_node_labels:3
+      ~node_labels:[| [ 0; 1; 2 ] |] ~node_label_names:names
+      ~node_label_keys:
+        [| [| Const.str "urn:t/a"; Const.str "a" |]; [| Const.str "b" |]; [| Const.str "c" |] |]
+      ~node_name:(fun _ -> "v") ~edge_name:string_of_int
+  in
+  with_temp_gqs (fun path ->
+      let loads edit =
+        ignore (Snapshot_io.save ~path s);
+        rewrite_sections path edit;
+        Snapshot_io.load path
+      in
+      let kept = loads (fun _ p -> p) in
+      checkb "a rewrite as saved loads" true
+        (kept.Snapshot.node_label_keys = s.Snapshot.node_label_keys);
+      let refused what edit =
+        match loads edit with
+        | _ -> Alcotest.fail (what ^ ": should have been rejected")
+        | exception Snapshot_io.Corrupt message ->
+            checkb (what ^ ": " ^ message) true
+              (String.starts_with ~prefix:"node label keys" message
+              || String.starts_with ~prefix:"malformed constant" message)
+      in
+      let first a id p = if id = 36 then Ints a else p in
+      refused "a malformed constant" (fun id p ->
+          match p with
+          | Blob text when id = 38 -> Blob ("q" ^ String.sub text 1 (String.length text - 1))
+          | _ -> p);
+      refused "a key offset out of range" (first [| 0; 2; 3; 5 |]);
+      refused "descending key offsets" (first [| 0; 3; 2; 4 |]);
+      refused "a wrong count" (first [| 0; 2; 4 |]))
+
 (* Every single-byte corruption of a valid file must raise [Corrupt] —
    no Invalid_argument, no out-of-bounds, no silent wrong graph.  The
    checksum is over decoded values, so any payload flip is caught; any
-   header/table flip must be caught structurally. *)
+   header/table flip must be caught structurally.  Half the files are an
+   RDF view's, whose label-key and property sections are flipped too. *)
 let prop_byte_flips =
-  QCheck2.Test.make ~name:"every single-byte flip raises Corrupt" ~count:120
-    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 10_000))
-    (fun (seed, flip_seed) ->
-      let s = make_snapshot (seed, 6, 12) in
+  QCheck2.Test.make ~name:"every single-byte flip raises Corrupt" ~count:240
+    QCheck2.Gen.(triple bool (int_bound 1_000_000) (int_bound 10_000))
+    (fun (rdf, seed, flip_seed) ->
+      let s =
+        if rdf then
+          let g = Attr_graphs.property_graph (seed, 4, 6) in
+          (Gqkg_kg.Triple_store.view (Gqkg_kg.Pg_rdf.of_property_graph g)).snap
+        else make_snapshot (seed, 6, 12)
+      in
       with_temp_gqs (fun path ->
           ignore (Snapshot_io.save ~path s);
           let ic = open_in_bin path in
@@ -411,5 +522,6 @@ let () =
         @ [
             Alcotest.test_case "committed fixtures" `Quick test_corrupt_fixtures;
             Alcotest.test_case "unordered rows" `Quick test_unordered_rows;
+            Alcotest.test_case "label keys" `Quick test_corrupt_label_keys;
           ] );
     ]

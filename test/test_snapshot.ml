@@ -1,6 +1,6 @@
 (* Tests for the columnar Snapshot: the CSR image must agree with a
    naive scan of the endpoint columns on arbitrary graphs, label
-   interning must satisfy the label_sat contract, the snapshot's atoms
+   interning must satisfy the label-key rule, the snapshot's atoms
    (read from its label, property and feature columns) must equal each
    model's own atom oracle, and the four Section 3 models of the Figure 2
    example must freeze to interchangeable snapshots (same shape, same
@@ -58,39 +58,43 @@ let prop_csr_agrees =
       done;
       true)
 
-let prop_label_sat_contract =
-  QCheck2.Test.make ~name:"label interning satisfies label_sat contract" ~count:300 graph_gen
+(* Each interned label id is keyed by exactly the model's label
+   constant, and the label atoms answer as the model's own labels. *)
+let prop_label_key_rule =
+  QCheck2.Test.make ~name:"label interning satisfies the key contract" ~count:300 graph_gen
     (fun g ->
-      let s = Snapshot.of_labeled (make_graph g) in
-      let atoms =
-        List.map (fun l -> Atom.Label (Const.of_string l)) [ "x"; "y"; "z"; "absent" ]
-      in
+      let lg = make_graph g in
+      let s = Snapshot.of_labeled lg in
+      let labels = List.map Const.of_string [ "x"; "y"; "z"; "absent" ] in
       for e = 0 to s.Snapshot.num_edges - 1 do
-        let id = s.Snapshot.elabel.(e) in
+        let id = s.Snapshot.elabel.(e) and c = Labeled_graph.edge_label lg e in
         checkb "id in range" true (0 <= id && id < s.Snapshot.num_labels);
+        checkb "keys = the edge's label" true (s.Snapshot.label_keys.(id) = [| c |]);
         List.iter
-          (fun at -> checkb "edge_atom = label_sat" (Snapshot.edge_atom s e at) (s.Snapshot.label_sat id at))
-          atoms
+          (fun l ->
+            checkb "edge_atom = label" (Const.equal l c) (Snapshot.edge_atom s e (Atom.Label l)))
+          labels
       done;
-      (* Node-label bitmaps answer exactly like the node oracle. *)
-      let node_atoms =
-        List.map (fun l -> Atom.Label (Const.of_string l)) [ "a"; "b"; "c"; "absent" ]
-      in
+      (* Node-label bitmaps answer exactly like the node's label. *)
+      let node_labels = List.map Const.of_string [ "a"; "b"; "c"; "absent" ] in
       for v = 0 to s.Snapshot.num_nodes - 1 do
+        let c = Labeled_graph.node_label lg v in
         List.iter
-          (fun at ->
+          (fun l ->
+            let at = Atom.Label l in
             let via_bits =
               let holds = ref false in
               for l = 0 to s.Snapshot.num_node_labels - 1 do
                 if
                   Gqkg_util.Bitset.raw_mem s.Snapshot.node_label_bits.(l) v
-                  && s.Snapshot.node_label_sat l at
+                  && Snapshot.node_label_holds s l at
                 then holds := true
               done;
               !holds
             in
-            checkb "node bitmap = node oracle" (Snapshot.node_atom s v at) via_bits)
-          node_atoms
+            checkb "node bitmap = node label" (Const.equal l c) via_bits;
+            checkb "node_atom = node label" (Const.equal l c) (Snapshot.node_atom s v at))
+          node_labels
       done;
       true)
 
@@ -185,7 +189,7 @@ let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_snapshot"
     [
-      ("csr", q [ prop_csr_agrees; prop_label_sat_contract; prop_label_counts ]);
+      ("csr", q [ prop_csr_agrees; prop_label_key_rule; prop_label_counts ]);
       ("atoms", q [ prop_atoms_match_models ]);
       ( "figure2",
         [

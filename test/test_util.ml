@@ -422,6 +422,30 @@ let test_parallel_sum_float_arrays () =
   checkb "in-place" true (result == into);
   check Alcotest.(array (float 1e-9)) "elementwise sum" [| 1.5; 2.0; 0.0 |] into
 
+(* Every single-bit flip of a string changes its fold, the top two
+   bits of each eighth char included; the lossy fold, kept to accept
+   old checksums, misses exactly those and agrees below 8 chars. *)
+let prop_checksum_every_bit =
+  QCheck2.Test.make ~name:"checksum: every string bit counts" ~count:200
+    QCheck2.Gen.(string_size (int_range 0 40))
+    (fun s ->
+      let module C = Gqkg_util.Checksum in
+      let fold = C.add_string C.empty and lossy = C.add_string_lossy C.empty in
+      let flipped i bit =
+        let b = Bytes.of_string s in
+        Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl bit)));
+        Bytes.to_string b
+      in
+      (String.length s >= 8 || fold s = lossy s)
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun bit ->
+                 let lost = i < String.length s / 8 * 8 && i mod 8 = 7 && bit >= 6 in
+                 fold (flipped i bit) <> fold s && (lossy (flipped i bit) = lossy s) = lost)
+               (List.init 8 Fun.id))
+           (List.init (String.length s) Fun.id))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_util"
@@ -493,6 +517,10 @@ let () =
           Alcotest.test_case "mat_mul" `Quick test_mat_mul;
         ] );
       ( "properties",
-        q [ prop_shuffle_permutation; prop_quantile_monotone; prop_union_find_transitive; prop_heap_min ]
+        q
+          [
+            prop_shuffle_permutation; prop_quantile_monotone; prop_union_find_transitive;
+            prop_heap_min; prop_checksum_every_bit;
+          ]
       );
     ]
