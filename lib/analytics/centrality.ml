@@ -9,12 +9,8 @@ open Gqkg_graph
    path counts σ and the shortest-path DAG; a reverse sweep accumulates
    the pair dependencies δ onto intermediate nodes.  With [directed:false]
    edges are treated as symmetric and, following convention, each
-   unordered pair is counted once (the directed sum is halved).
-
-   [brandes_range] runs the passes for sources in [first, last) with
-   private scratch state, returning the partial scores — the unit of
-   work both the sequential driver and the domain pool slice over. *)
-let brandes_range ~directed inst first last =
+   unordered pair is counted once (the directed sum is halved). *)
+let betweenness ?(directed = true) inst =
   let n = inst.Snapshot.num_nodes in
   let out_off = inst.Snapshot.out_off and out_nbr = inst.Snapshot.out_nbr in
   let in_off = inst.Snapshot.in_off and in_nbr = inst.Snapshot.in_nbr in
@@ -23,7 +19,7 @@ let brandes_range ~directed inst first last =
   let sigma = Array.make n 0.0 in
   let delta = Array.make n 0.0 in
   let preds = Array.make n [] in
-  for s = first to last - 1 do
+  for s = 0 to n - 1 do
     Array.fill dist 0 n (-1);
     Array.fill sigma 0 n 0.0;
     Array.fill delta 0 n 0.0;
@@ -71,49 +67,6 @@ let brandes_range ~directed inst first last =
           preds.(w);
         if w <> s then bc.(w) <- bc.(w) +. delta.(w))
       !order
-  done;
-  bc
-
-let betweenness ?(directed = true) inst =
-  let n = inst.Snapshot.num_nodes in
-  let bc = brandes_range ~directed inst 0 n in
-  if not directed then Array.map (fun x -> x /. 2.0) bc else bc
-
-(* Naive betweenness straight from Freeman's formula, by enumerating all
-   shortest paths pair by pair; exponential in the worst case, used as
-   the test oracle for Brandes. *)
-let betweenness_naive ?(directed = true) inst =
-  let n = inst.Snapshot.num_nodes in
-  let neighbors v =
-    if directed then Traversal.out_neighbors inst v else Traversal.all_neighbors inst v
-  in
-  let bc = Array.make n 0.0 in
-  for a = 0 to n - 1 do
-    let dist = Traversal.bfs_distances ~directed inst ~source:a in
-    for b = 0 to n - 1 do
-      if b <> a && dist.(b) > 0 then begin
-        (* All shortest a→b paths by DFS descending the BFS levels. *)
-        let through = Array.make n 0 in
-        let total = ref 0 in
-        let rec walk v visited =
-          if v = b then begin
-            incr total;
-            List.iter (fun x -> through.(x) <- through.(x) + 1) visited
-          end
-          else
-            Array.iter
-              (fun w -> if dist.(w) = dist.(v) + 1 && dist.(w) <= dist.(b) then
-                  walk w (if w <> b then w :: visited else visited))
-              (neighbors v)
-        in
-        walk a [];
-        if !total > 0 then
-          for x = 0 to n - 1 do
-            if x <> a && x <> b && through.(x) > 0 then
-              bc.(x) <- bc.(x) +. (float_of_int through.(x) /. float_of_int !total)
-          done
-      end
-    done
   done;
   if not directed then Array.map (fun x -> x /. 2.0) bc else bc
 
@@ -188,22 +141,3 @@ let ranking scores =
       if c <> 0 then c else Int.compare a b)
     order;
   order
-
-(* Multicore Brandes: per-source passes are independent, so sources are
-   sliced across the {!Gqkg_util.Parallel} domain pool and the per-slice
-   partial scores are summed in slice order (deterministic float
-   reduction).  The instance must be safe for concurrent reads (all
-   builtin models are immutable once frozen). *)
-let betweenness_parallel ?(domains = 0) ?(directed = true) inst =
-  let n = inst.Snapshot.num_nodes in
-  let domains = if domains > 0 then domains else Gqkg_util.Parallel.default_domains () in
-  if domains <= 1 || n < 64 then betweenness ~directed inst
-  else begin
-    let partials = Gqkg_util.Parallel.map_slices ~domains n (brandes_range ~directed inst) in
-    let total =
-      List.fold_left
-        (fun into partial -> Gqkg_util.Parallel.sum_float_arrays ~into partial)
-        (Array.make n 0.0) partials
-    in
-    if not directed then Array.map (fun x -> x /. 2.0) total else total
-  end

@@ -8,10 +8,6 @@ open Gqkg_graph
     each unordered pair is counted once. *)
 val betweenness : ?directed:bool -> Snapshot.t -> float array
 
-(** Freeman's formula by brute-force shortest-path enumeration: the test
-    oracle for {!betweenness}. *)
-val betweenness_naive : ?directed:bool -> Snapshot.t -> float array
-
 (** Power iteration with uniform teleportation; dangling mass
     redistributed uniformly. Sums to 1. *)
 val pagerank : ?damping:float -> ?tolerance:float -> ?max_iterations:int -> Snapshot.t -> float array
@@ -25,9 +21,3 @@ val closeness : ?directed:bool -> Snapshot.t -> float array
 
 (** Node indexes sorted by score descending, ties by index. *)
 val ranking : float array -> int array
-
-(** {!betweenness} with sources sliced across OCaml 5 domains
-    ([domains] 0 = auto). The instance must tolerate concurrent reads
-    (all builtin models do — they are immutable once frozen). Falls back
-    to the sequential pass on small graphs. *)
-val betweenness_parallel : ?domains:int -> ?directed:bool -> Snapshot.t -> float array

@@ -1,9 +1,9 @@
 (* Basic graph traversals over the frozen columnar snapshot: breadth-
-   first and depth-first orders, weakly connected components, and
-   Tarjan's strongly connected components.  These are the "global
-   properties" substrate of Section 2.1(iii) on which the analytics of
-   Section 4.2 build.  Inner loops index the snapshot's CSR arrays
-   directly — no per-node array materialization. *)
+   first order, weakly connected components, and Tarjan's strongly
+   connected components.  These are the "global properties" substrate
+   of Section 2.1(iii) on which the analytics of Section 4.2 build.
+   Inner loops index the snapshot's CSR arrays directly — no per-node
+   array materialization. *)
 
 open Gqkg_graph
 
@@ -51,47 +51,6 @@ let bfs ?(directed = true) inst ~source =
   (dist, List.rev !order)
 
 let bfs_distances ?directed inst ~source = fst (bfs ?directed inst ~source)
-
-(* The [i]-th neighbor of [v] in the directed (out) or symmetric
-   (out-then-in) neighborhood, or -1 past the end — lets the iterative
-   DFS walk adjacency without materializing neighbor arrays. *)
-let nth_neighbor inst ~directed v i =
-  let out_off = inst.Snapshot.out_off in
-  let odeg = out_off.(v + 1) - out_off.(v) in
-  if i < odeg then inst.Snapshot.out_nbr.(out_off.(v) + i)
-  else if directed then -1
-  else begin
-    let in_off = inst.Snapshot.in_off in
-    let j = i - odeg in
-    if j < in_off.(v + 1) - in_off.(v) then inst.Snapshot.in_nbr.(in_off.(v) + j) else -1
-  end
-
-(* Depth-first finishing order (used by SCC variants and as a generic
-   traversal); iterative to survive deep graphs. *)
-let dfs_finish_order ?(directed = true) inst =
-  let n = inst.Snapshot.num_nodes in
-  let visited = Array.make n false in
-  let order = ref [] in
-  for root = 0 to n - 1 do
-    if not visited.(root) then begin
-      let stack = Stack.create () in
-      Stack.push (root, 0) stack;
-      visited.(root) <- true;
-      while not (Stack.is_empty stack) do
-        let v, i = Stack.pop stack in
-        let w = nth_neighbor inst ~directed v i in
-        if w >= 0 then begin
-          Stack.push (v, i + 1) stack;
-          if not visited.(w) then begin
-            visited.(w) <- true;
-            Stack.push (w, 0) stack
-          end
-        end
-        else order := v :: !order
-      done
-    end
-  done;
-  !order (* reverse finishing order: last finished first *)
 
 (* Weakly connected components: labels in [0, count). *)
 let weakly_connected_components inst =

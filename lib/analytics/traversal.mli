@@ -1,4 +1,4 @@
-(** Basic traversals: BFS, DFS, weakly and strongly connected
+(** Basic traversals: BFS, weakly and strongly connected
     components — the "global properties" substrate of Section 2.1. *)
 
 open Gqkg_graph
@@ -17,9 +17,6 @@ val bfs : ?directed:bool -> Snapshot.t -> source:int -> int array * int list
     the batched product frontier instead:
     {!Shortest_paths.iter_distances}. *)
 val bfs_distances : ?directed:bool -> Snapshot.t -> source:int -> int array
-
-(** Reverse finishing order of a full DFS (last finished first). *)
-val dfs_finish_order : ?directed:bool -> Snapshot.t -> int list
 
 (** Component labels in [\[0, count)] and the component count. *)
 val weakly_connected_components : Snapshot.t -> int array * int

@@ -1,7 +1,6 @@
-(* Outcome-typed facade over the budget-aware kernels: run under the
-   given budget, then read its completeness off the sticky trip flag.
-   Soundness of each Partial value is the kernel's contract (subsets /
-   undercounts / enumeration prefixes) — see the per-module notes. *)
+(* Outcome-typed, cached all-pairs evaluation: run under the given
+   budget, then read its completeness off the sticky trip flag.  A
+   Partial answer is a subset of the pairs (the kernel's contract). *)
 
 module Budget = Gqkg_util.Budget
 
@@ -43,26 +42,6 @@ let eval_pairs ?use_cache ~budget ?max_length inst regex =
 let eval_relation ~budget ?max_length inst regex =
   let o = eval_answer ~budget ?max_length inst regex in
   { o with Budget.value = Join.relation_of_answer o.Budget.value }
-
-let reachable_many ~budget ?max_length inst regex ~sources =
-  outcome budget (Rpq.reachable_many ~budget ?max_length inst regex ~sources)
-
-let source_nodes ~budget ?max_length inst regex =
-  outcome budget (Rpq.source_nodes ~budget ?max_length inst regex)
-
-let count ~budget inst regex ~length = outcome budget (Count.count ~budget inst regex ~length)
-
-let count_all ~budget inst regex ~max_length =
-  outcome budget (Count.count_all ~budget inst regex ~max_length)
-
-let approx_count ~budget ?seed inst regex ~length ~epsilon =
-  outcome budget (Approx_count.count ~budget ?seed inst regex ~length ~epsilon)
-
-let paths ~budget ?sources inst regex ~length =
-  outcome budget (Enumerate.paths ~budget ?sources inst regex ~length)
-
-let shortest_path_length ~budget ?max_length inst regex ~source ~target =
-  outcome budget (Rpq.shortest_path_length ~budget ?max_length inst regex ~source ~target)
 
 (* Derived state lives on each snapshot, so a commit has nothing to
    invalidate: the governed write path is the epoch manager's. *)

@@ -7,39 +7,6 @@
    first searches over the lazy deterministic product. *)
 
 open Gqkg_graph
-open Gqkg_automata
-
-(* Does the concrete path conform to the expression?  Evaluated by running
-   the guarded NFA over the path — the reference semantics used by tests
-   and by the FPRAS membership oracle. *)
-let matches_path inst regex path =
-  let nfa = Nfa.of_regex regex in
-  let k = Path.length path in
-  let current = ref (Nfa.closure nfa ~node_sat:(Snapshot.node_atom inst (Path.node path 0)) [| Nfa.start nfa |]) in
-  let alive = ref true in
-  for i = 0 to k - 1 do
-    if !alive then begin
-      let e = Path.edge path i in
-      let v = Path.node path i and w = Path.node path (i + 1) in
-      let s, d = (Snapshot.endpoints inst) e in
-      let edge_sat = Snapshot.edge_atom inst e in
-      let fwd_moves, bwd_moves = Nfa.edge_moves nfa !current in
-      let targets = ref [] in
-      let add tests =
-        List.iter
-          (fun (test, q') ->
-            if Regex.eval_test edge_sat test && not (List.mem q' !targets) then targets := q' :: !targets)
-          tests
-      in
-      if s = v && d = w then add fwd_moves;
-      if s = w && d = v then add bwd_moves;
-      let arr = Array.of_list !targets in
-      Array.sort Int.compare arr;
-      let closed = Nfa.closure nfa ~node_sat:(Snapshot.node_atom inst w) arr in
-      if Array.length closed = 0 then alive := false else current := closed
-    end
-  done;
-  !alive && Nfa.is_accepting nfa !current
 
 (* Reachability from an explicit source set, batched [Frontier.word_bits]
    sources per pass; [result.(i)] lists the targets of [sources.(i)],

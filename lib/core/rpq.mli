@@ -4,12 +4,9 @@
     Every entry point takes an optional [budget]
     (default {!Gqkg_util.Budget.unlimited}): evaluation stops
     cooperatively when it trips and the answer returned is a subset of
-    the unbudgeted answer — inspect {!Gqkg_util.Budget.completeness} (or
-    use {!Governor} for outcome-typed wrappers). *)
-
-(** Reference semantics: does the concrete path conform to the
-    expression? Used as the oracle by tests and by the FPRAS. *)
-val matches_path : Gqkg_graph.Snapshot.t -> Gqkg_automata.Regex.t -> Path.t -> bool
+    the unbudgeted answer — inspect {!Gqkg_util.Budget.completeness}.
+    {!Governor.eval_pairs} is the outcome-typed, cached entry point for
+    all pairs. *)
 
 (** Nodes reachable from each of an explicit set of sources by a path
     in [[r]], batched {!Frontier.word_bits} sources per frontier pass:

@@ -26,13 +26,22 @@ module Ints = Set.Make (Int)
    by its rendering, which is what a snapshot's names store. *)
 let key = Const.to_string
 
+(* Names to base indices.  A name one object carries maps to it in
+   [one]; a name several carry (on a triple store's view, every edge of
+   one predicate) maps to all of them in [many]. *)
+type names = { one : int Ids.t; many : int list Ids.t }
+
 (* Writer-side id index: node and edge names to base indices, and back
-   (the names in index order, which a commit compacts by blits). *)
+   (the names in index order, which a commit compacts by blits); and
+   each constant to the label ids it names by the label rule — its
+   name read back as a constant, or one of its keys. *)
 type index = {
-  node_ix : int Ids.t;
-  edge_ix : int Ids.t;
+  node_ix : names;
+  edge_ix : names;
   node_names : string array;
   edge_names : string array;
+  node_labels : (Const.t, int list) Hashtbl.t;
+  edge_labels : (Const.t, int list) Hashtbl.t;
 }
 
 type base = {
@@ -66,21 +75,63 @@ let base_of_snapshot (s : Snapshot.t) =
 
 let base_of_property g = base_of_snapshot (Snapshot.of_property g)
 
+let names_index names =
+  let ix = { one = Ids.create (Array.length names + 16); many = Ids.create 16 } in
+  Array.iteri
+    (fun i name ->
+      match Ids.find_opt ix.one name with
+      | Some j ->
+          Ids.remove ix.one name;
+          Ids.replace ix.many name [ j; i ]
+      | None -> (
+          match Ids.find_opt ix.many name with
+          | Some is -> Ids.replace ix.many name (i :: is)
+          | None -> Ids.add ix.one name i))
+    names;
+  ix
+
+(* The live base indices carrying [name]. *)
+let live_indices ix ~dead name =
+  match Ids.find_opt ix.one name with
+  | Some i -> if Ints.mem i dead then [] else [ i ]
+  | None -> (
+      match Ids.find_opt ix.many name with
+      | Some is -> List.filter (fun i -> not (Ints.mem i dead)) is
+      | None -> [])
+
+let add_label tbl l c =
+  let ls = Option.value (Hashtbl.find_opt tbl c) ~default:[] in
+  if not (List.mem l ls) then Hashtbl.replace tbl c (l :: ls)
+
+(* Label [l] named [name] with [keys], under each constant that names it. *)
+let index_label tbl l name keys =
+  add_label tbl l (Const.of_string name);
+  Array.iter (add_label tbl l) keys
+
+let label_index names keys =
+  let tbl = Hashtbl.create ((2 * Array.length names) + 16) in
+  Array.iteri (fun l name -> index_label tbl l name keys.(l)) names;
+  tbl
+
 (* The base's id index, built on its first write (a fork's first write
    after [commit] moved it on rebuilds it). *)
 let index b =
   match b.index with
   | Some ix -> ix
   | None ->
-      let table names =
-        let tbl = Ids.create (Array.length names + 16) in
-        Array.iteri (fun i name -> Ids.replace tbl name i) names;
-        tbl
-      in
       let s = b.snap in
       let node_names = Array.init s.Snapshot.num_nodes s.Snapshot.node_name in
       let edge_names = Array.init s.Snapshot.num_edges s.Snapshot.edge_name in
-      let ix = { node_ix = table node_names; edge_ix = table edge_names; node_names; edge_names } in
+      let ix =
+        {
+          node_ix = names_index node_names;
+          edge_ix = names_index edge_names;
+          node_names;
+          edge_names;
+          node_labels = label_index s.Snapshot.node_label_names s.Snapshot.node_label_keys;
+          edge_labels = label_index s.Snapshot.label_names s.Snapshot.label_keys;
+        }
+      in
       b.index <- Some ix;
       ix
 
@@ -89,6 +140,7 @@ let index b =
 type new_node = {
   n_id : Const.t;
   n_label : Const.t;
+  n_label_id : int;
   mutable n_props : (Const.t * Const.t) list;
   mutable n_final : int; (* final index, assigned during commit *)
 }
@@ -98,11 +150,14 @@ type new_edge = {
   e_src : Const.t;
   e_dst : Const.t;
   e_label : Const.t;
+  e_label_id : int;
   mutable e_props : (Const.t * Const.t) list;
 }
 
-type node_handle = Bnode of int | Nnode of new_node | No_node
-type edge_handle = Bedge of int | Nedge of new_edge | No_edge
+(* [Several_nodes k], [Several_edges k]: [k] live base objects carry
+   the id, so no op may act on it. *)
+type node_handle = Bnode of int | Nnode of new_node | No_node | Several_nodes of int
+type edge_handle = Bedge of int | Nedge of new_edge | No_edge | Several_edges of int
 
 type t = {
   base : base;
@@ -112,6 +167,10 @@ type t = {
   mutable new_edges : new_edge list; (* reversed *)
   new_node_ids : new_node Ids.t; (* live new objects *)
   new_edge_ids : new_edge Ids.t;
+  mutable node_labels_added : Const.t list;
+      (* labels the delta appends, reversed; the k-th appended has id
+         k past the base's labels *)
+  mutable edge_labels_added : Const.t list;
   bprops_n : (int, (Const.t * Const.t) list) Hashtbl.t; (* touched base nodes: full current assoc *)
   bprops_e : (int, (Const.t * Const.t) list) Hashtbl.t;
   mutable ops : int;
@@ -126,6 +185,8 @@ let create base =
     new_edges = [];
     new_node_ids = Ids.create 16;
     new_edge_ids = Ids.create 16;
+    node_labels_added = [];
+    edge_labels_added = [];
     bprops_n = Hashtbl.create 16;
     bprops_e = Hashtbl.create 16;
     ops = 0;
@@ -146,24 +207,43 @@ let find_node t id =
   match Ids.find_opt t.new_node_ids k with
   | Some r -> Nnode r
   | None -> (
-      match Ids.find_opt (index t.base).node_ix k with
-      | Some i when not (Ints.mem i t.dead_nodes) -> Bnode i
-      | _ -> No_node)
+      match live_indices (index t.base).node_ix ~dead:t.dead_nodes k with
+      | [] -> No_node
+      | [ i ] -> Bnode i
+      | is -> Several_nodes (List.length is))
 
 let find_edge t id =
   let k = key id in
   match Ids.find_opt t.new_edge_ids k with
   | Some r -> Nedge r
   | None -> (
-      match Ids.find_opt (index t.base).edge_ix k with
-      | Some e when not (Ints.mem e t.dead_edges) -> Bedge e
-      | _ -> No_edge)
+      match live_indices (index t.base).edge_ix ~dead:t.dead_edges k with
+      | [] -> No_edge
+      | [ e ] -> Bedge e
+      | es -> Several_edges (List.length es))
 
 let mem_node t id = match find_node t id with No_node -> false | _ -> true
 let mem_edge t id = match find_edge t id with No_edge -> false | _ -> true
 
 let fail ?file line fmt =
   Printf.ksprintf (fun message -> raise (Journal.Replay_error { file; line; message })) fmt
+
+(* The label id a mutation's label [c] resolves to: the one label, of
+   the base's ([table]) or of those the delta appended ([added]), that
+   [c] names by the label rule; a label appended when none does.  [c]
+   naming several is refused. *)
+let resolve_label ?file line table ~base_count added c =
+  (* [index_label]'s rule for a label named by [a] with keys [[| a |]]. *)
+  let named a = Const.equal c a || Const.equal c (Const.of_string (Const.to_string a)) in
+  let appended =
+    List.concat (List.mapi (fun k a -> if named a then [ base_count + k ] else []) (List.rev added))
+  in
+  match Option.value (Hashtbl.find_opt table c) ~default:[] @ appended with
+  | [ l ] -> (l, added)
+  | [] -> (base_count + List.length added, c :: added)
+  | ls ->
+      fail ?file line "label %s is ambiguous: it names %d labels" (Const.to_string c)
+        (List.length ls)
 
 let assoc_set assoc prop value =
   (prop, value) :: List.filter (fun (p, _) -> not (Const.equal p prop)) assoc
@@ -187,42 +267,68 @@ let kill_new_edge t (r : new_edge) =
   Ids.remove t.new_edge_ids (key r.e_id)
 
 let apply ?file ?(line = 0) t op =
-  let attrs = t.base.snap.Snapshot.attrs in
+  let s = t.base.snap in
+  let attrs = s.Snapshot.attrs in
+  let several what id k =
+    fail ?file line "%s %s is ambiguous: %d live %ss carry it" what (Const.to_string id) k what
+  in
+  (* The live object [id] names, refusing an id several carry. *)
+  let node id =
+    match find_node t id with Several_nodes k -> several "node" id k | h -> h
+  in
+  let edge id =
+    match find_edge t id with Several_edges k -> several "edge" id k | h -> h
+  in
   let add_node id label =
     if mem_node t id then fail ?file line "node %s already exists" (Const.to_string id);
-    let r = { n_id = id; n_label = label; n_props = []; n_final = -1 } in
+    let l, added =
+      resolve_label ?file line (index t.base).node_labels ~base_count:s.Snapshot.num_node_labels
+        t.node_labels_added label
+    in
+    let r = { n_id = id; n_label = label; n_label_id = l; n_props = []; n_final = -1 } in
+    t.node_labels_added <- added;
     t.new_nodes <- r :: t.new_nodes;
     Ids.replace t.new_node_ids (key id) r
   in
   let add_edge id src dst label =
     if mem_edge t id then fail ?file line "edge %s already exists" (Const.to_string id);
-    if not (mem_node t src) then
-      fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string src);
-    if not (mem_node t dst) then
-      fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string dst);
-    let r = { e_id = id; e_src = src; e_dst = dst; e_label = label; e_props = [] } in
+    List.iter
+      (fun v ->
+        if node v = No_node then
+          fail ?file line "edge %s references missing node %s" (Const.to_string id)
+            (Const.to_string v))
+      [ src; dst ];
+    let l, added =
+      resolve_label ?file line (index t.base).edge_labels ~base_count:s.Snapshot.num_labels
+        t.edge_labels_added label
+    in
+    let r =
+      { e_id = id; e_src = src; e_dst = dst; e_label = label; e_label_id = l; e_props = [] }
+    in
+    t.edge_labels_added <- added;
     t.new_edges <- r :: t.new_edges;
     Ids.replace t.new_edge_ids (key id) r
   in
   let no_node id = fail ?file line "no node %s" (Const.to_string id) in
+  let no_edge id = fail ?file line "no edge %s" (Const.to_string id) in
   (* Rewrite the current props of a live object. *)
   let update_node_props id f =
-    match find_node t id with
+    match node id with
     | Bnode i -> Hashtbl.replace t.bprops_n i (f (base_props_assoc t t.bprops_n attrs.node_props i))
     | Nnode r -> r.n_props <- f r.n_props
-    | No_node -> no_node id
+    | No_node | Several_nodes _ -> no_node id
   in
   let update_edge_props id f =
-    match find_edge t id with
+    match edge id with
     | Bedge e -> Hashtbl.replace t.bprops_e e (f (base_props_assoc t t.bprops_e attrs.edge_props e))
     | Nedge r -> r.e_props <- f r.e_props
-    | No_edge -> fail ?file line "no edge %s" (Const.to_string id)
+    | No_edge | Several_edges _ -> no_edge id
   in
   (match op with
   | Mutation.Add_node { id; label } -> add_node id label
-  | Merge_node { id; label } -> if not (mem_node t id) then add_node id label
+  | Merge_node { id; label } -> if node id = No_node then add_node id label
   | Add_edge { id; src; dst; label } -> add_edge id src dst label
-  | Merge_edge { id; src; dst; label } -> if not (mem_edge t id) then add_edge id src dst label
+  | Merge_edge { id; src; dst; label } -> if edge id = No_edge then add_edge id src dst label
   | Set_node_prop { id; prop; value } -> update_node_props id (fun a -> assoc_set a prop value)
   | Set_edge_prop { id; prop; value } -> update_edge_props id (fun a -> assoc_set a prop value)
   | Del_node_prop { id; prop } -> update_node_props id (fun a -> assoc_del a prop)
@@ -231,8 +337,7 @@ let apply ?file ?(line = 0) t op =
       (* Cascade over incident live edges: base edges via the CSR
          adjacency of a base node, new edges by endpoint id (they are
          the only edges that can reference a new node). *)
-      let s = t.base.snap in
-      (match find_node t id with
+      (match node id with
       | Bnode i ->
           t.dead_nodes <- Ints.add i t.dead_nodes;
           Hashtbl.remove t.bprops_n i;
@@ -242,16 +347,16 @@ let apply ?file ?(line = 0) t op =
       | Nnode r ->
           t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes;
           Ids.remove t.new_node_ids (key id)
-      | No_node -> no_node id);
+      | No_node | Several_nodes _ -> no_node id);
       let doomed =
         List.filter (fun r -> Const.equal r.e_src id || Const.equal r.e_dst id) t.new_edges
       in
       List.iter (kill_new_edge t) doomed)
   | Del_edge { id } -> (
-      match find_edge t id with
+      match edge id with
       | Bedge e -> kill_base_edge t e
       | Nedge r -> kill_new_edge t r
-      | No_edge -> fail ?file line "no edge %s" (Const.to_string id)));
+      | No_edge | Several_edges _ -> no_edge id));
   t.ops <- t.ops + 1
 
 (* ---------------- Reads through the overlay --------------------------- *)
@@ -261,25 +366,25 @@ let node_label t id =
   match find_node t id with
   | Bnode i -> Some (Const.of_string s.Snapshot.node_label_names.(Snapshot.node_label s i))
   | Nnode r -> Some r.n_label
-  | No_node -> None
+  | No_node | Several_nodes _ -> None
 
 let node_prop t id prop =
   match find_node t id with
   | Bnode i ->
       assoc_find (base_props_assoc t t.bprops_n t.base.snap.Snapshot.attrs.node_props i) prop
   | Nnode r -> assoc_find r.n_props prop
-  | No_node -> None
+  | No_node | Several_nodes _ -> None
 
 let edge_prop t id prop =
   match find_edge t id with
   | Bedge e ->
       assoc_find (base_props_assoc t t.bprops_e t.base.snap.Snapshot.attrs.edge_props e) prop
   | Nedge r -> assoc_find r.e_props prop
-  | No_edge -> None
+  | No_edge | Several_edges _ -> None
 
 let adjacency t id ~out =
   match find_node t id with
-  | No_node -> None
+  | No_node | Several_nodes _ -> None
   | h ->
       let s = t.base.snap in
       let from_base = ref [] in
@@ -294,7 +399,7 @@ let adjacency t id ~out =
                 :: !from_base
           in
           if out then Snapshot.iter_out s i visit else Snapshot.iter_in s i visit
-      | Nnode _ | No_node -> ());
+      | Nnode _ | No_node | Several_nodes _ -> ());
       let mine r = Const.equal (if out then r.e_src else r.e_dst) id in
       let from_new =
         List.rev t.new_edges
@@ -321,33 +426,34 @@ let all_columns =
     "out_off"; "out_adj"; "in_off"; "in_adj"; "stats";
   ]
 
-(* Universe extension: the base labels, found by name (each name read
-   back as a constant), plus fresh ids for labels the delta introduced,
-   each named by its own constant.  Append-only, so surviving interned
-   columns stay valid; with nothing appended the base name and key
-   tables are returned as they are. *)
-let extend_universe names keys fresh_labels =
+(* The label universe extended by the labels the delta appended
+   ([added], reversed) that a surviving new object carries ([used]:
+   their ids as appended), each named by its own constant, in order of
+   first use: the name and key tables, the kept labels with their ids,
+   and the final id of each used id.  Append-only, so surviving
+   interned columns stay valid; with nothing kept the base tables are
+   returned as they are. *)
+let extend_universe names keys added used =
   let n = Array.length names in
-  let tbl = Hashtbl.create ((n * 2) + 16) in
-  Array.iteri (fun i name -> Hashtbl.replace tbl (Const.of_string name) i) names;
-  (* Ids are counted from [n], not taken from the table's size: two
-     base names may read back as one constant. *)
-  let next = ref n and extras = ref [] in
+  let added = Array.of_list (List.rev added) in
+  let final = Array.make (Array.length added) (-1) and kept = ref [] and next = ref n in
   List.iter
-    (fun c ->
-      if not (Hashtbl.mem tbl c) then begin
-        Hashtbl.replace tbl c !next;
-        incr next;
-        extras := c :: !extras
+    (fun l ->
+      if l >= n && final.(l - n) < 0 then begin
+        final.(l - n) <- !next;
+        kept := (!next, added.(l - n)) :: !kept;
+        incr next
       end)
-    fresh_labels;
-  if !extras = [] then (names, keys, tbl)
-  else begin
-    let extras = Array.of_list (List.rev !extras) in
+    used;
+  let kept = List.rev !kept in
+  let final l = if l < n then l else final.(l - n) in
+  if kept = [] then (names, keys, kept, final)
+  else
+    let extras = Array.of_list (List.map snd kept) in
     ( Array.append names (Array.map Const.to_string extras),
       Array.append keys (Array.map (fun c -> [| c |]) extras),
-      tbl )
-  end
+      kept,
+      final )
 
 (* Final index of surviving base index [v]: [v] minus the number of
    [dead] indices (sorted) below it. *)
@@ -460,24 +566,41 @@ let commit_attrs t ~node_struct ~edge_struct ~dn ~de new_nodes new_edges =
     a.node_props == attrs.node_props && a.node_features == attrs.node_features,
     a.edge_props == attrs.edge_props && a.edge_features == attrs.edge_features )
 
-(* Bring [tbl] (names of a base's [n0] objects to their indices) up to
+(* Bring [ix] (names of a base's [n0] objects to their indices) up to
    date with a commit: dead names out, survivors past the first dead
    index re-pointed to their compacted index, new names in at their
-   final index. *)
-let update_ids tbl names ~n0 ~dead fresh =
-  Array.iter (fun d -> Ids.remove tbl names.(d)) dead;
+   final index.  A name several objects carry keeps its survivors, and
+   moves to [one] when one is left.  No new name is a survivor's: an
+   add refuses a live id. *)
+let update_ids ix names ~n0 ~dead fresh =
+  Array.iter (fun d -> Ids.remove ix.one names.(d)) dead;
   let first = if Array.length dead > 0 then dead.(0) else n0 in
   let k = ref first and next = ref 0 in
   for v = first to n0 - 1 do
     if !next < Array.length dead && dead.(!next) = v then incr next
     else begin
-      Ids.replace tbl names.(v) !k;
+      if Ids.length ix.many = 0 || not (Ids.mem ix.many names.(v)) then
+        Ids.replace ix.one names.(v) !k;
       incr k
     end
   done;
+  if Array.length dead > 0 then
+    Ids.filter_map_inplace
+      (fun name is ->
+        let survivor v =
+          let below = v - shift dead v in
+          if below < Array.length dead && dead.(below) = v then None else Some (v - below)
+        in
+        match List.filter_map survivor is with
+        | [] -> None
+        | [ i ] ->
+            Ids.replace ix.one name i;
+            None
+        | is -> Some is)
+      ix.many;
   List.iter
     (fun id ->
-      Ids.replace tbl (key id) !k;
+      Ids.replace ix.one (key id) !k;
       incr k)
     fresh
 
@@ -521,9 +644,9 @@ let commit t =
       commit_attrs t ~node_struct ~edge_struct ~dn ~de new_nodes new_edges
     in
     col "node_props" node_attrs_shared;
-    let node_label_names, node_label_keys, ntbl =
-      extend_universe s.Snapshot.node_label_names s.Snapshot.node_label_keys
-        (List.map (fun r -> r.n_label) new_nodes)
+    let node_label_names, node_label_keys, node_labels_kept, node_label_of =
+      extend_universe s.Snapshot.node_label_names s.Snapshot.node_label_keys t.node_labels_added
+        (List.map (fun r -> r.n_label_id) new_nodes)
     in
     col "node_label_universe" (node_label_keys == s.Snapshot.node_label_keys);
     let num_node_labels = Array.length node_label_names in
@@ -537,7 +660,7 @@ let commit t =
           (fun l old ->
             B.raw_iter old (fun v -> if not (Ints.mem v dead) then B.raw_add bits.(l) (shift dn v)))
           s.Snapshot.node_label_bits;
-        List.iter (fun r -> B.raw_add bits.(Hashtbl.find ntbl r.n_label) r.n_final) new_nodes;
+        List.iter (fun r -> B.raw_add bits.(node_label_of r.n_label_id) r.n_final) new_nodes;
         bits
       end
     in
@@ -549,16 +672,19 @@ let commit t =
        rebuild (endpoint indices shift); otherwise everything is shared
        and label ids stay valid because universes only append. *)
     let edge_cols_fresh = edge_struct || renumber in
-    let label_names, label_keys, etbl =
-      extend_universe s.Snapshot.label_names s.Snapshot.label_keys
-        (List.map (fun r -> r.e_label) new_edges)
+    let label_names, label_keys, edge_labels_kept, label_of =
+      extend_universe s.Snapshot.label_names s.Snapshot.label_keys t.edge_labels_added
+        (List.map (fun r -> r.e_label_id) new_edges)
     in
     col "edge_label_universe" (label_keys == s.Snapshot.label_keys);
     let num_labels = Array.length label_names in
+    (* An added edge's endpoints resolved to one live node when it was
+       added, and still do: a node dies only with its edges. *)
     let final_of_node_id id =
-      match Ids.find_opt t.new_node_ids (key id) with
-      | Some r -> r.n_final
-      | None -> shift dn (Ids.find ix.node_ix (key id))
+      match find_node t id with
+      | Nnode r -> r.n_final
+      | Bnode v -> shift dn v
+      | No_node | Several_nodes _ -> invalid_arg "Overlay.commit: unresolved endpoint"
     in
     let edge_column name c dummy f =
       col name (not edge_cols_fresh);
@@ -575,7 +701,7 @@ let commit t =
     in
     let esrc = endpoint "esrc" s.Snapshot.esrc (fun r -> final_of_node_id r.e_src) in
     let edst = endpoint "edst" s.Snapshot.edst (fun r -> final_of_node_id r.e_dst) in
-    let elabel = edge_column "elabel" s.Snapshot.elabel 0 (fun r -> Hashtbl.find etbl r.e_label) in
+    let elabel = edge_column "elabel" s.Snapshot.elabel 0 (fun r -> label_of r.e_label_id) in
     col "edge_props" edge_attrs_shared;
     let edge_label_counts =
       let old = s.Snapshot.stats.Snapshot.edge_label_counts in
@@ -584,7 +710,7 @@ let commit t =
         let counts = Array.append old (Array.make (num_labels - Array.length old) 0) in
         let bump d l = counts.(l) <- counts.(l) + d in
         Array.iter (fun e -> bump (-1) s.Snapshot.elabel.(e)) de;
-        List.iter (fun r -> bump 1 (Hashtbl.find etbl r.e_label)) new_edges;
+        List.iter (fun r -> bump 1 (label_of r.e_label_id)) new_edges;
         counts
       end
     in
@@ -646,6 +772,9 @@ let commit t =
     b.index <- None;
     update_ids ix.node_ix ix.node_names ~n0 ~dead:dn (List.map (fun r -> r.n_id) new_nodes);
     update_ids ix.edge_ix ix.edge_names ~n0:m0 ~dead:de (List.map (fun r -> r.e_id) new_edges);
+    let index_labels tbl = List.iter (fun (l, c) -> index_label tbl l (Const.to_string c) [| c |]) in
+    index_labels ix.node_labels node_labels_kept;
+    index_labels ix.edge_labels edge_labels_kept;
     ( { snap = snap'; index = Some { ix with node_names; edge_names } },
       { reused = List.rev !reused; rebuilt = List.rev !rebuilt } )
   end

@@ -9,8 +9,15 @@
     base (or any pinned older epoch, see {!Epochs}).
 
     Ids resolve through the base's id index (node and edge names to base
-    indices; a mutation's id matches by its rendering). The base owns
-    it: it is built on the base's first write, and {!commit} updates it
+    indices; a mutation's id matches by its rendering). An id several
+    live objects carry (on a triple store's view, every edge of one
+    predicate) names none of them: the ops that act on one object
+    refuse it. A mutation's label resolves to the one label id it names
+    by {!Snapshot}'s label rule — the id's name read back as a
+    constant, or one of its keys — among the base's labels and those
+    the overlay appends; a label naming none is appended, named by its
+    own constant, and one naming several is refused. The base owns
+    the index: it is built on the base's first write, and {!commit} updates it
     by the delta and hands it to the new base.
     Only the serialized writer may touch it — the daemon's writer lock
     or the single-threaded CLI, i.e. whoever may call {!create},
@@ -65,10 +72,14 @@ val live_edges : t -> int
 (** Apply one mutation ({!Mutation} semantics: [Add_*] fails on a live
     id, [Merge_*] is match-or-create, [Del_node] cascades). Raises
     {!Journal.Replay_error} — with [file]/[line] context when given —
-    on invalid ops; the overlay is unchanged in that case. *)
+    on invalid ops, an ambiguous id or label among them; the overlay is
+    unchanged in that case. *)
 val apply : ?file:string -> ?line:int -> t -> Mutation.t -> unit
 
-(** {2 Reads through the overlay (base ∪ adds ∖ deletes)} *)
+(** {2 Reads through the overlay (base ∪ adds ∖ deletes)}
+
+    An id several live objects carry is a member, and the other reads
+    answer [None] on it. *)
 
 val mem_node : t -> Const.t -> bool
 val mem_edge : t -> Const.t -> bool

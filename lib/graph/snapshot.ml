@@ -12,7 +12,7 @@
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
    the hot fields are plain int arrays, so snapshots are shared freely
-   across OCaml 5 domains (betweenness_parallel, bc_r). *)
+   across OCaml 5 domains (the per-source slices of bc_r). *)
 
 module B = Gqkg_util.Bitset
 

@@ -17,7 +17,6 @@
    star-heavy patterns; answers are complete regardless because the
    product is finite); a negative one raises [Invalid_argument]. *)
 
-open Gqkg_graph
 open Gqkg_automata
 module Join = Gqkg_core.Join
 module Conjunctive = Gqkg_core.Conjunctive
@@ -213,37 +212,6 @@ let iter_answers_backtrack ?max_length inst q ~yield =
 let answers_backtrack ?max_length inst q =
   let out = ref [] in
   iter_answers_backtrack ?max_length inst q ~yield:(fun row -> out := row :: !out);
-  List.sort compare !out
-
-(* Reference evaluator: enumerate all assignments of body variables and
-   check every atom — exponential, the oracle for tests. *)
-let answers_naive ?max_length inst q =
-  let vars = Vars.elements (body_vars q.body) in
-  let relations =
-    List.map (fun a -> (a, materialize_atom ?max_length inst a.regex)) q.body
-  in
-  let n = inst.Snapshot.num_nodes in
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let rec assign env = function
-    | [] ->
-        if
-          List.for_all
-            (fun (a, rel) -> Hashtbl.mem rel.pair_set (List.assoc a.src env, List.assoc a.dst env))
-            relations
-        then begin
-          let answer = List.map (fun v -> List.assoc v env) q.head in
-          if not (Hashtbl.mem seen answer) then begin
-            Hashtbl.replace seen answer ();
-            out := answer :: !out
-          end
-        end
-    | v :: rest ->
-        for node = 0 to n - 1 do
-          assign ((v, node) :: env) rest
-        done
-  in
-  assign [] vars;
   List.sort compare !out
 
 (* Full solution mappings (every body variable bound), deduplicated. *)

@@ -48,18 +48,11 @@ val answers : ?budget:Gqkg_util.Budget.t -> ?max_length:int -> Snapshot.t -> t -
 val answer_nodes :
   ?budget:Gqkg_util.Budget.t -> ?max_length:int -> Snapshot.t -> t -> int list
 
-(** The pre-WCOJ greedy backtracking join over fully-indexed
-    materialized relations — the reference oracle for tests and the
-    bench A/B (int-slot environments, LIMIT honored).  [yield] fires
-    once per distinct head tuple, in discovery order. *)
-val iter_answers_backtrack :
-  ?max_length:int -> Snapshot.t -> t -> yield:(int list -> unit) -> unit
-
+(** Distinct head tuples, sorted, by the pre-WCOJ greedy backtracking
+    join over fully-indexed materialized relations — the reference
+    oracle for tests and the bench A/B (int-slot environments, LIMIT
+    honored). *)
 val answers_backtrack : ?max_length:int -> Snapshot.t -> t -> int list list
-
-(** Oracle: enumerate all variable assignments and filter. Exponential;
-    for tests and the E13 ablation. *)
-val answers_naive : ?max_length:int -> Snapshot.t -> t -> int list list
 
 (** Full solution mappings (every body variable bound), deduplicated. *)
 val solutions :

@@ -63,8 +63,8 @@ let eval ?use_cache ~budget snap { q; kind } =
         let o = Governor.eval_answer ?use_cache ~budget ?max_length snap q in
         (Pairs o.Budget.value, o.Budget.completeness)
     | Count { length } ->
-        let o = Governor.count ~budget snap q ~length in
-        (Path_count { length; count = o.Budget.value }, o.Budget.completeness)
+        let count = Gqkg_core.Count.count ~budget snap q ~length in
+        (Path_count { length; count }, Budget.completeness budget)
   in
   let diagnostic =
     match completeness with

@@ -100,7 +100,3 @@ let summarize xs =
     p50 = quantile xs 0.5;
     p95 = quantile xs 0.95;
   }
-
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g" s.count s.mean s.stddev
-    s.min s.p50 s.p95 s.max

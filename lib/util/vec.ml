@@ -83,8 +83,6 @@ let mat_mul a b =
    AC-GNNs: clamps to [0, 1] so boolean values are fixed points. *)
 let truncated_relu x = Float.min 1.0 (Float.max 0.0 x)
 
-let relu x = Float.max 0.0 x
-
 let vec_equal ?(eps = 1e-9) a b =
   Array.length a = Array.length b
   && begin
@@ -92,6 +90,3 @@ let vec_equal ?(eps = 1e-9) a b =
        Array.iteri (fun i x -> if Float.abs (x -. b.(i)) > eps then ok := false) a;
        !ok
      end
-
-let pp_vec ppf v =
-  Fmt.pf ppf "[%a]" Fmt.(array ~sep:(Fmt.any "; ") (fmt "%.3g")) v

@@ -24,6 +24,4 @@ val mat_mul : mat -> mat -> mat
 (** min(max(x, 0), 1) — the activation of the logic-capturing AC-GNNs. *)
 val truncated_relu : float -> float
 
-val relu : float -> float
 val vec_equal : ?eps:float -> vec -> vec -> bool
-val pp_vec : Format.formatter -> vec -> unit

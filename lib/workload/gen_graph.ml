@@ -188,45 +188,6 @@ let stream_gnm ?(edge_labels = [ "edge" ]) rng ~nodes ~edges =
   done;
   stream_freeze ~nodes ~esrc ~edst ~elabel ~edge_label_names:names
 
-(* Streaming preferential attachment (the repeated-endpoints trick over
-   a flat pool — no hash table, so a multigraph: duplicate targets are
-   kept).  Node v >= 1 attaches min(attach, v) edges to earlier nodes,
-   preferentially by current degree. *)
-let stream_preferential ?(edge_labels = [ "edge" ]) rng ~nodes ~attach =
-  if nodes < 2 || attach < 1 then
-    invalid_arg "Gen_graph.stream_preferential: need nodes >= 2, attach >= 1";
-  if edge_labels = [] then invalid_arg "Gen_graph.stream_preferential: empty vocabulary";
-  let names = Array.of_list edge_labels in
-  let k = Array.length names in
-  let edges = ref 0 in
-  for v = 1 to nodes - 1 do
-    edges := !edges + min attach v
-  done;
-  let m = !edges in
-  let esrc = Array.make m 0 and edst = Array.make m 0 in
-  let elabel = Array.make m 0 in
-  let pool = Array.make (2 * m) 0 in
-  let filled = ref 0 in
-  let cursor = ref 0 in
-  for v = 1 to nodes - 1 do
-    for _ = 1 to min attach v do
-      let t =
-        if !filled = 0 then 0 else
-        if Splitmix.bernoulli rng 0.5 then pool.(Splitmix.int rng !filled)
-        else Splitmix.int rng v
-      in
-      let t = if t = v then 0 else t in
-      esrc.(!cursor) <- v;
-      edst.(!cursor) <- t;
-      if k > 1 then elabel.(!cursor) <- Splitmix.int rng k;
-      pool.(!filled) <- v;
-      pool.(!filled + 1) <- t;
-      filled := !filled + 2;
-      incr cursor
-    done
-  done;
-  stream_freeze ~nodes ~esrc ~edst ~elabel ~edge_label_names:names
-
 (* Random labeled graph: ER topology with labels drawn uniformly from the
    given vocabularies — the workhorse of the property-test suites. *)
 let random_labeled rng ~nodes ~edges ~node_labels ~edge_labels =

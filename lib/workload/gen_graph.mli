@@ -57,9 +57,3 @@ val stream_freeze :
     (default a single ["edge"] label). *)
 val stream_gnm :
   ?edge_labels:string list -> Splitmix.t -> nodes:int -> edges:int -> Snapshot.t
-
-(** Streaming preferential attachment: node [v >= 1] attaches
-    [min attach v] edges to earlier nodes proportionally to degree
-    (repeated-endpoints pool; duplicate targets kept — a multigraph). *)
-val stream_preferential :
-  ?edge_labels:string list -> Splitmix.t -> nodes:int -> attach:int -> Snapshot.t

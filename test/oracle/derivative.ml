@@ -1,7 +1,7 @@
 (* Brzozowski derivatives for path regular expressions: a second,
-   independent implementation of the Section 4 path semantics, used to
-   cross-check the NFA/product engine in the test suite and discussed in
-   the ablation section.
+   independent implementation of the Section 4 path semantics, the
+   matcher the suites cross-check {!Reference.matches_path} (the NFA run
+   over a path) against.
 
    The derivative is taken directly on {!Regex.t}.  The two constants
    derivatives need are encoded as node tests:
@@ -14,6 +14,7 @@
    FROM a node both receive that node's atom oracle. *)
 
 open Gqkg_graph
+open Gqkg_automata
 
 let epsilon = Regex.Node_test Regex.any_test
 let empty = Regex.Node_test (Regex.And (Regex.any_test, Regex.Not Regex.any_test))

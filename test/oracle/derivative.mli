@@ -3,6 +3,7 @@
     backend). ε and ∅ are encoded as node tests. *)
 
 open Gqkg_graph
+open Gqkg_automata
 
 (** The zero-length-path-anywhere expression (ε). *)
 val epsilon : Regex.t

@@ -60,10 +60,6 @@ let random_test_of ~atom rng ~depth =
   in
   go depth
 
-let random_test rng labels ~depth =
-  let labels = Array.of_list labels in
-  random_test_of rng ~depth ~atom:(fun () -> Atom.Label (Const.str (Splitmix.choose rng labels)))
-
 let generate ?(params = default) rng =
   let test labels = random_test_of rng ~depth:2 ~atom:(fun () -> random_atom rng labels params) in
   let rec go depth =

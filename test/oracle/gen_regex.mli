@@ -18,7 +18,4 @@ type params = {
 
 val default : params
 
-(** Random boolean test over the labels. *)
-val random_test : Splitmix.t -> string list -> depth:int -> Regex.test
-
 val generate : ?params:params -> Splitmix.t -> Regex.t

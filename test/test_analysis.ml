@@ -239,29 +239,7 @@ let test_cold_read_runs_forward () =
 
 (* ---------- Regex reversal ---------- *)
 
-let make_regex rseed =
-  let params =
-    { Gqkg_workload.Gen_regex.default with
-      node_labels = [ "a"; "b" ];
-      edge_labels = [ "x"; "y" ];
-      max_depth = 3;
-    }
-  in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
-
-let make_instance (seed, nodes, edges) =
-  let rng = Gqkg_util.Splitmix.create seed in
-  Snapshot.of_labeled
-    (Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges ~node_labels:[ "a"; "b" ]
-       ~edge_labels:[ "x"; "y" ])
-
-let regex_and_graph_gen =
-  QCheck2.Gen.(
-    let* seed = int_bound 1_000_000 in
-    let* nodes = int_range 1 6 in
-    let* edges = int_range 0 10 in
-    let* rseed = int_bound 1_000_000 in
-    return ((seed, nodes, edges), rseed))
+open Gqkg_oracle.Small
 
 let prop_reverse_involution =
   QCheck2.Test.make ~name:"reverse (reverse r) = r" ~count:300
@@ -325,14 +303,14 @@ let make_property_instance (seed, nodes, edges) =
 let make_property_regex rseed =
   let params =
     {
-      Gqkg_workload.Gen_regex.default with
+      Gqkg_oracle.Gen_regex.default with
       node_labels = [ "a"; "b"; "c" ];
       edge_labels = [ "x"; "y"; "z" ];
       properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2"; "3" ]); ("all", [ "1" ]) ];
       max_depth = 3;
     }
   in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+  Gqkg_oracle.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
 
 (* The oracle the analyzer had before postings: count by scanning. *)
 let scan_count (inst : Snapshot.t) ~edge a =

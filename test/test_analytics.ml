@@ -5,6 +5,7 @@
 open Gqkg_graph
 open Gqkg_automata
 open Gqkg_analytics
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -182,27 +183,11 @@ let test_brandes_equals_naive () =
     let lg = Gqkg_workload.Gen_graph.erdos_renyi_gnm rng ~nodes:8 ~edges:14 in
     let inst = Snapshot.of_labeled lg in
     let fast = Centrality.betweenness ~directed:true inst in
-    let slow = Centrality.betweenness_naive ~directed:true inst in
+    let slow = Reference.betweenness ~directed:true inst in
     Array.iteri
       (fun v x -> checkb (Printf.sprintf "node %d" v) true (Float.abs (x -. slow.(v)) < 1e-9))
       fast
   done
-
-
-let test_betweenness_parallel_matches () =
-  let rng = Gqkg_util.Splitmix.create 91 in
-  let lg = Gqkg_workload.Gen_graph.erdos_renyi_gnm rng ~nodes:150 ~edges:500 in
-  let inst = Snapshot.of_labeled lg in
-  let sequential = Centrality.betweenness ~directed:true inst in
-  let parallel = Centrality.betweenness_parallel ~domains:4 ~directed:true inst in
-  Array.iteri
-    (fun v x -> checkb (Printf.sprintf "node %d" v) true (Float.abs (x -. parallel.(v)) < 1e-6))
-    sequential;
-  (* Undirected halving and the small-graph fallback. *)
-  let small = instance_of_edges ~nodes:3 [ (0, 1); (1, 2) ] in
-  checkb "fallback equals sequential" true
-    (Centrality.betweenness_parallel ~directed:false small
-    = Centrality.betweenness ~directed:false small)
 
 (* ---------- Regex-constrained betweenness (Section 4.2) ---------- *)
 
@@ -540,73 +525,6 @@ let test_stats_summary () =
   checki "components" 1 s.Graph_stats.components;
   checki "max degree (self loop counts twice)" 3 s.Graph_stats.max_degree
 
-(* ---------- Bisimulation structural index ---------- *)
-
-let test_bisimulation_star_collapses () =
-  (* All leaves of a star are bisimilar; the quotient has 2 blocks. *)
-  let b = Labeled_graph.Builder.create () in
-  let hub = Labeled_graph.Builder.add_node b (Const.str "hub") ~label:(Const.str "h") in
-  for i = 1 to 6 do
-    let leaf =
-      Labeled_graph.Builder.add_node b (Const.str (Printf.sprintf "l%d" i)) ~label:(Const.str "leaf")
-    in
-    ignore (Labeled_graph.Builder.fresh_edge b ~src:hub ~dst:leaf ~label:(Const.str "to"))
-  done;
-  let lg = Labeled_graph.Builder.freeze b in
-  let index = Bisimulation.compute lg in
-  checki "two blocks" 2 index.Bisimulation.num_blocks;
-  checki "quotient nodes" 2 (Labeled_graph.num_nodes index.Bisimulation.quotient);
-  checki "quotient edges" 1 (Labeled_graph.num_edges index.Bisimulation.quotient)
-
-let test_bisimulation_distinguishes_outgoing () =
-  (* Two 'a'-labeled nodes with different outgoing labels split. *)
-  let lg =
-    Labeled_graph.of_lists
-      ~nodes:
-        [ (Const.str "u", Const.str "a"); (Const.str "v", Const.str "a");
-          (Const.str "x", Const.str "b"); (Const.str "y", Const.str "c") ]
-      ~edges:
-        [ (Const.str "e1", Const.str "u", Const.str "x", Const.str "p");
-          (Const.str "e2", Const.str "v", Const.str "y", Const.str "p") ]
-  in
-  let index = Bisimulation.compute lg in
-  checkb "u and v split" true
-    (index.Bisimulation.block_of.(0) <> index.Bisimulation.block_of.(1))
-
-let test_bisimulation_fragment_check () =
-  checkb "forward ok" true (Bisimulation.forward_fragment (parse "?a/x/(y + z)*"));
-  checkb "backward rejected" false (Bisimulation.forward_fragment (parse "x^-"));
-  checkb "prop test rejected" false (Bisimulation.forward_fragment (parse "(x & p=1)"));
-  (match Bisimulation.source_nodes_via_quotient (Bisimulation.compute (Gqkg_graph.Figure2.labeled ())) (parse "rides^-") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "should reject backward steps")
-
-let test_bisimulation_source_extraction_exact () =
-  let rng = Gqkg_util.Splitmix.create 67 in
-  let rec forwardize r =
-    let open Gqkg_automata.Regex in
-    match r with
-    | Bwd t -> Fwd t
-    | Node_test _ | Fwd _ -> r
-    | Alt (a, b) -> Alt (forwardize a, forwardize b)
-    | Seq (a, b) -> Seq (forwardize a, forwardize b)
-    | Star a -> Star (forwardize a)
-  in
-  for trial = 1 to 20 do
-    let lg =
-      Gqkg_workload.Gen_graph.random_labeled rng ~nodes:12 ~edges:26 ~node_labels:[ "a"; "b" ]
-        ~edge_labels:[ "x"; "y" ]
-    in
-    let index = Bisimulation.compute lg in
-    let params =
-      { Gqkg_workload.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ] }
-    in
-    let r = forwardize (Gqkg_workload.Gen_regex.generate ~params rng) in
-    let direct = Gqkg_core.Rpq.source_nodes ~max_length:6 (Snapshot.of_labeled lg) r in
-    let via_index = Bisimulation.source_nodes_via_quotient ~max_length:6 index r in
-    checkb (Printf.sprintf "trial %d exact" trial) true (direct = via_index)
-  done
-
 (* ---------- QCheck ---------- *)
 
 let graph_gen =
@@ -624,7 +542,7 @@ let prop_brandes_naive =
   QCheck2.Test.make ~name:"brandes = naive betweenness" ~count:50 graph_gen (fun g ->
       let inst = make_inst g in
       let fast = Centrality.betweenness ~directed:true inst in
-      let slow = Centrality.betweenness_naive ~directed:true inst in
+      let slow = Reference.betweenness ~directed:true inst in
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) fast slow)
 
 let prop_pagerank_stochastic =
@@ -675,7 +593,6 @@ let () =
           Alcotest.test_case "star" `Quick test_betweenness_star;
           Alcotest.test_case "split paths" `Quick test_betweenness_split_paths;
           Alcotest.test_case "brandes=naive" `Quick test_brandes_equals_naive;
-          Alcotest.test_case "parallel=sequential" `Quick test_betweenness_parallel_matches;
         ] );
       ( "regex-centrality",
         [
@@ -726,13 +643,6 @@ let () =
           Alcotest.test_case "reciprocity" `Quick test_stats_reciprocity;
           Alcotest.test_case "assortativity" `Quick test_stats_assortativity_signs;
           Alcotest.test_case "summary" `Quick test_stats_summary;
-        ] );
-      ( "bisimulation",
-        [
-          Alcotest.test_case "star collapses" `Quick test_bisimulation_star_collapses;
-          Alcotest.test_case "splits by outgoing" `Quick test_bisimulation_distinguishes_outgoing;
-          Alcotest.test_case "fragment check" `Quick test_bisimulation_fragment_check;
-          Alcotest.test_case "source extraction exact" `Quick test_bisimulation_source_extraction_exact;
         ] );
       ( "properties",
         q [ prop_brandes_naive; prop_pagerank_stochastic; prop_components_partition; prop_charikar_half_optimal ]

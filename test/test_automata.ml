@@ -248,7 +248,7 @@ let test_simplify_identities () =
 let test_simplify_never_grows () =
   let rng = Gqkg_util.Splitmix.create 51 in
   for _ = 1 to 200 do
-    let r = Gqkg_workload.Gen_regex.generate rng in
+    let r = Gqkg_oracle.Gen_regex.generate rng in
     checkb "size monotone" true (Regex.size (Regex.simplify r) <= Regex.size r)
   done
 
@@ -263,9 +263,9 @@ let prop_simplify_preserves_semantics =
              ~nodes:5 ~edges:9 ~node_labels:[ "a"; "b" ] ~edge_labels:[ "x"; "y" ])
       in
       let params =
-        { Gqkg_workload.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ] }
+        { Gqkg_oracle.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ] }
       in
-      let r = Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed) in
+      let r = Gqkg_oracle.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed) in
       (* Wrap in optionality and duplication to feed the rewriter real
          work, then check path sets agree up to length 3. *)
       let messy = Regex.Alt (Regex.Star (Regex.Star r), Regex.Alt (r, r)) in
@@ -278,7 +278,7 @@ let prop_simplify_preserves_semantics =
 let regex_gen =
   QCheck2.Gen.(
     let* seed = int_bound 100_000 in
-    return (Gqkg_workload.Gen_regex.generate (Gqkg_util.Splitmix.create seed)))
+    return (Gqkg_oracle.Gen_regex.generate (Gqkg_util.Splitmix.create seed)))
 
 let prop_print_parse_roundtrip =
   QCheck2.Test.make ~name:"print/parse roundtrip on random regexes" ~count:300 regex_gen (fun r ->

@@ -7,6 +7,7 @@
 open Gqkg_graph
 open Gqkg_core
 module Budget = Gqkg_util.Budget
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -144,17 +145,12 @@ let test_cancel () =
 
 (* ---------- Shared fixture ---------- *)
 
-let make_instance (seed, nodes, edges) =
-  let rng = Gqkg_util.Splitmix.create seed in
-  Snapshot.of_labeled
-    (Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges ~node_labels:[ "a"; "b" ]
-       ~edge_labels:[ "x"; "y" ])
+let make_instance = Gqkg_oracle.Small.make_instance
+let make_regex = Gqkg_oracle.Small.make_regex
 
-let make_regex rseed =
-  let params =
-    { Gqkg_workload.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ]; max_depth = 3 }
-  in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+(* A kernel's value under [budget] with the budget's completeness, as
+   {!Governor.eval_pairs} reports it. *)
+let governed budget value = { Budget.value; completeness = Budget.completeness budget }
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
@@ -191,7 +187,7 @@ let prop_counts_sound =
       let r = make_regex rseed in
       let full = Count.count inst r ~length:3 in
       let budget = Budget.create ~max_steps () in
-      let out = Governor.count ~budget inst r ~length:3 in
+      let out = governed budget (Count.count ~budget inst r ~length:3) in
       out.Budget.value <= full +. 1e-9
       && (out.Budget.completeness <> Budget.Complete || abs_float (out.Budget.value -. full) < 1e-9))
 
@@ -240,44 +236,47 @@ let test_fault_injection () =
           sweep "Governor.eval_pairs" (fun b ->
               let out = Governor.eval_pairs ~budget:b ~max_length:3 inst r in
               subset out.Budget.value full_pairs);
-          sweep "Governor.reachable_many" (fun b ->
+          sweep "Rpq.reachable_many" (fun b ->
               let sources = Array.init inst.Snapshot.num_nodes Fun.id in
-              let out = Governor.reachable_many ~budget:b ~max_length:3 inst r ~sources in
+              let out = governed b (Rpq.reachable_many ~budget:b ~max_length:3 inst r ~sources) in
               Array.for_all
                 (fun i ->
                   subset
                     (List.map (fun t -> (i, t)) out.Budget.value.(i))
                     full_pairs)
                 sources);
-          sweep "Governor.source_nodes" (fun b ->
-              let out = Governor.source_nodes ~budget:b ~max_length:3 inst r in
+          sweep "Rpq.source_nodes" (fun b ->
+              let out = governed b (Rpq.source_nodes ~budget:b ~max_length:3 inst r) in
               subset out.Budget.value (List.map fst full_pairs));
-          sweep "Governor.count" (fun b ->
-              let out = Governor.count ~budget:b inst r ~length:3 in
+          sweep "Count.count" (fun b ->
+              let out = governed b (Count.count ~budget:b inst r ~length:3) in
               out.Budget.value <= full_count +. 1e-9);
-          sweep "Governor.count_all" (fun b ->
-              let out = Governor.count_all ~budget:b inst r ~max_length:3 in
+          sweep "Count.count_all" (fun b ->
+              let out = governed b (Count.count_all ~budget:b inst r ~max_length:3) in
               Array.for_all (fun c -> c >= 0.0) out.Budget.value);
-          sweep "Governor.approx_count" (fun b ->
-              let out = Governor.approx_count ~budget:b ~seed:5 inst r ~length:2 ~epsilon:0.5 in
+          sweep "Approx_count.count" (fun b ->
+              let out =
+                governed b (Approx_count.count ~budget:b ~seed:5 inst r ~length:2 ~epsilon:0.5)
+              in
               out.Budget.value >= 0.0);
-          sweep "Governor.paths" (fun b ->
-              let out = Governor.paths ~budget:b inst r ~length:2 in
+          sweep "Enumerate.paths" (fun b ->
+              let out = governed b (Enumerate.paths ~budget:b inst r ~length:2) in
               List.for_all (fun p -> List.exists (Path.equal p) full_paths) out.Budget.value);
-          sweep "Governor.shortest_path_length" (fun b ->
+          sweep "Rpq.shortest_path_length" (fun b ->
               let reference = Rpq.shortest_path_length inst ~max_length:3 r ~source:0 ~target:0 in
               let out =
-                Governor.shortest_path_length ~budget:b ~max_length:3 inst r ~source:0 ~target:0
+                governed b
+                  (Rpq.shortest_path_length ~budget:b ~max_length:3 inst r ~source:0 ~target:0)
               in
               match out.Budget.value with Some d -> reference = Some d | None -> true);
           sweep "Rpq.shortest_witness" (fun b ->
               match Rpq.shortest_witness ~budget:b ~max_length:3 inst r ~source:0 ~target:0 with
-              | Some p -> Rpq.matches_path inst r p
+              | Some p -> Reference.matches_path inst r p
               | None -> true);
           sweep "Uniform_gen" (fun b ->
               let gen = Uniform_gen.create ~budget:b inst r ~length:2 in
               let rng = Gqkg_util.Splitmix.create 3 in
-              List.for_all (fun p -> Rpq.matches_path inst r p) (Uniform_gen.samples gen rng 4));
+              List.for_all (Reference.matches_path inst r) (Uniform_gen.samples gen rng 4));
           sweep "Naive.pairs" (fun b ->
               subset (Naive.pairs ~budget:b inst r ~max_length:3) full_pairs);
           sweep "Gqkg_analytics.Regex_centrality.governed" (fun b ->
@@ -321,7 +320,10 @@ let test_seed_scan_check_site () =
     (fun k ->
       let before = Product.states_interned_total () in
       let pairs = Governor.eval_pairs ~budget:(Budget.create ~trip_after_checks:k ()) inst r in
-      let sources = Governor.source_nodes ~budget:(Budget.create ~trip_after_checks:k ()) inst r in
+      let sources =
+        let b = Budget.create ~trip_after_checks:k () in
+        governed b (Rpq.source_nodes ~budget:b inst r)
+      in
       let tripped o = o.Budget.completeness = Budget.Partial Budget.Injected in
       checkb (Printf.sprintf "pairs: empty partial at check %d" k) true
         (pairs.Budget.value = [] && tripped pairs);

@@ -7,6 +7,9 @@
 open Gqkg_graph
 open Gqkg_automata
 open Gqkg_core
+module Budget = Gqkg_util.Budget
+module Crpq = Gqkg_logic.Crpq
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -138,11 +141,11 @@ let test_matches_path_examples () =
   let e_r1 = edge_between n1 n3 and e_r2 = edge_between n2 n3 in
   let r = parse "?person/rides/?bus/rides^-/?infected" in
   checkb "bus path matches" true
-    (Rpq.matches_path inst r (Path.make ~nodes:[| n1; n3; n2 |] ~edges:[| e_r1; e_r2 |]));
+    (Reference.matches_path inst r (Path.make ~nodes:[| n1; n3; n2 |] ~edges:[| e_r1; e_r2 |]));
   checkb "contact path does not match r" false
-    (Rpq.matches_path inst r (Path.make ~nodes:[| n1; n2 |] ~edges:[| e_contact |]));
+    (Reference.matches_path inst r (Path.make ~nodes:[| n1; n2 |] ~edges:[| e_contact |]));
   checkb "query2 matches contact" true
-    (Rpq.matches_path inst (parse "?person/contact/?infected")
+    (Reference.matches_path inst (parse "?person/contact/?infected")
        (Path.make ~nodes:[| n1; n2 |] ~edges:[| e_contact |]))
 
 (* ---------- Self-loops are not double counted ---------- *)
@@ -291,7 +294,7 @@ let test_uniform_samples_are_answers () =
     (fun p ->
       checki "length" k (Path.length p);
       checkb "well formed" true (Path.well_formed inst p);
-      checkb "matches regex" true (Rpq.matches_path inst r p))
+      checkb "matches regex" true (Reference.matches_path inst r p))
     (Uniform_gen.samples gen rng 200)
 
 let test_uniform_distribution_chi_square () =
@@ -404,41 +407,69 @@ let test_source_nodes () =
 
 (* ---------- QCheck: engine agrees with the oracle ---------- *)
 
-let instance_gen =
-  QCheck2.Gen.(
-    let* seed = int_bound 1_000_000 in
-    let* nodes = int_range 1 6 in
-    let* edges = int_range 0 10 in
-    return (seed, nodes, edges))
+open Gqkg_oracle.Small
 
-let make_instance (seed, nodes, edges) =
-  let rng = Gqkg_util.Splitmix.create seed in
-  Snapshot.of_labeled
-    (Gqkg_workload.Gen_graph.random_labeled rng ~nodes ~edges ~node_labels:[ "a"; "b" ]
-       ~edge_labels:[ "x"; "y" ])
-
-let regex_and_graph_gen =
-  QCheck2.Gen.(
-    let* g = instance_gen in
-    let* rseed = int_bound 1_000_000 in
-    return (g, rseed))
-
-let make_regex rseed =
-  let params =
-    { Gqkg_workload.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ]; max_depth = 3 }
-  in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
-
-let prop_pairs_agree =
-  QCheck2.Test.make ~name:"eval_pairs = naive pairs" ~count:150 regex_and_graph_gen
-    (fun (g, rseed) ->
-      let inst = make_instance g in
-      let r = make_regex rseed in
-      let k = 3 in
-      let engine = Rpq.eval_pairs inst ~max_length:k r in
-      let naive = Naive.pairs inst r ~max_length:k in
-      (* The engine bounds exploration at k steps, like the oracle. *)
-      List.sort compare engine = naive)
+(* Every RPQ engine against the pair oracle on one draw: the planned
+   evaluation (minimized when the planner finds it smaller), the
+   unplanned product under the batched frontier, the governed entry
+   point cold and then from the result cache, the one-atom CRPQ
+   (x, r, y), and the planned evaluation over a degree-renumbered copy
+   (answers mapped back) and over a .gqs round trip of the graph.  The
+   governed and CRPQ runs get their own snapshot, so no cache warmed by
+   another engine answers for them. *)
+let prop_engines_agree =
+  QCheck2.Test.make ~name:"engines = pair oracle" ~count:150
+    QCheck2.Gen.(
+      triple (sized_instance_gen ~max_nodes:8 ~max_edges:14) (int_bound 1_000_000) (int_bound 4))
+    (fun (g, rseed, max_length) ->
+      let inst = make_instance g and r = make_regex rseed in
+      let oracle = Naive.pairs inst r ~max_length in
+      let agrees engine pairs =
+        List.sort compare pairs = oracle
+        || QCheck2.Test.fail_reportf "%s: %s, max_length %d: %d pairs, oracle %d" engine
+             (Regex.to_string r) max_length (List.length pairs) (List.length oracle)
+      in
+      let frontier () =
+        let sources = Array.init inst.Snapshot.num_nodes Fun.id in
+        Frontier.reachable ~max_length (Frontier.create (Product.create inst r)) ~sources
+        |> Array.to_list
+        |> List.mapi (fun a targets -> List.map (fun b -> (a, b)) targets)
+        |> List.concat
+      in
+      let governed = make_instance g in
+      let governor () =
+        (Governor.eval_pairs ~budget:Budget.unlimited ~max_length governed r).value
+      in
+      let result_hits () = (Semcache.stats ()).result_hits in
+      let crpq () =
+        let q = Crpq.query ~head:[ "x"; "y" ] ~body:[ Crpq.atom ~src:"x" ~regex:r ~dst:"y" ] () in
+        List.map
+          (function [ a; b ] -> (a, b) | _ -> assert false)
+          (Crpq.answers ~max_length (make_instance g) q)
+      in
+      let renumbered () =
+        let s, perm = Renumber.renumber Renumber.Degree inst in
+        let old v = perm.Renumber.old_of_new.(v) in
+        List.map (fun (a, b) -> (old a, old b)) (Rpq.eval_pairs ~max_length s r)
+      in
+      let reloaded () =
+        let path = Filename.temp_file "gqkg_engines" ".gqs" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            ignore (Snapshot_io.save ~path inst);
+            Rpq.eval_pairs ~max_length (Snapshot_io.load path) r)
+      in
+      agrees "Rpq.eval_pairs" (Rpq.eval_pairs ~max_length inst r)
+      && agrees "Frontier over Product.create" (frontier ())
+      && agrees "Governor.eval_pairs, cold" (governor ())
+      && (let hits = result_hits () in
+          agrees "Governor.eval_pairs, cached" (governor ())
+          && (Planner.semantic_key governed r = None || result_hits () = hits + 1
+             || QCheck2.Test.fail_reportf "second Governor.eval_pairs missed the result cache"))
+      && agrees "one-atom Crpq.answers" (crpq ())
+      && agrees "Rpq.eval_pairs, renumbered by degree" (renumbered ())
+      && agrees "Rpq.eval_pairs, .gqs round trip" (reloaded ()))
 
 (* The pair oracle is the path-set semantics read off at endpoints and
    lengths: its triples are exactly the (start, end, length) of
@@ -487,7 +518,7 @@ let prop_samples_match =
       let gen = Uniform_gen.create inst r ~length:k in
       let rng = Gqkg_util.Splitmix.create gseed in
       List.for_all
-        (fun p -> Path.length p = k && Path.well_formed inst p && Rpq.matches_path inst r p)
+        (fun p -> Path.length p = k && Path.well_formed inst p && Reference.matches_path inst r p)
         (Uniform_gen.samples gen rng 20))
 
 let prop_matches_path_iff_enumerated =
@@ -497,7 +528,7 @@ let prop_matches_path_iff_enumerated =
       let r = make_regex rseed in
       let k = 2 in
       let enumerated = Enumerate.paths inst r ~length:k in
-      List.for_all (fun p -> Rpq.matches_path inst r p) enumerated)
+      List.for_all (fun p -> Reference.matches_path inst r p) enumerated)
 
 (* Length of the shortest matching path from [a] to [b] among [Naive]'s
    paths, if any. *)
@@ -607,14 +638,16 @@ let steps_of_path inst p =
       let v = Path.node p i and w = Path.node p (i + 1) in
       let s, d = (Snapshot.endpoints inst) e in
       {
-        Derivative.edge_sat = Snapshot.edge_atom inst e;
+        Gqkg_oracle.Derivative.edge_sat = Snapshot.edge_atom inst e;
         forward_ok = s = v && d = w;
         backward_ok = s = w && d = v;
         dst_sat = Snapshot.node_atom inst w;
       })
 
 let derivative_matches inst r p =
-  Derivative.matches ~start_sat:(Snapshot.node_atom inst (Path.start_node p)) (steps_of_path inst p) r
+  Gqkg_oracle.Derivative.matches
+    ~start_sat:(Snapshot.node_atom inst (Path.start_node p))
+    (steps_of_path inst p) r
 
 let test_derivative_on_worked_examples () =
   let inst = fig2 () in
@@ -647,7 +680,7 @@ let prop_derivative_equals_nfa =
          both matchers. *)
       let universe = Naive.paths inst (Regex.Star (Regex.Alt (Regex.any_edge, Regex.Bwd Regex.any_test))) ~max_length:2 in
       List.for_all
-        (fun p -> derivative_matches inst r p = Rpq.matches_path inst r p)
+        (fun p -> derivative_matches inst r p = Reference.matches_path inst r p)
         universe)
 
 
@@ -739,7 +772,7 @@ let make_property_regex rseed =
   in
   let params =
     {
-      Gqkg_workload.Gen_regex.default with
+      Gqkg_oracle.Gen_regex.default with
       node_labels = [ "a"; "b" ];
       edge_labels = [ "x"; "y" ];
       properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2" ]) ];
@@ -747,7 +780,7 @@ let make_property_regex rseed =
     }
   in
   let first = node_test () in
-  let middle = Gqkg_workload.Gen_regex.generate ~params rng in
+  let middle = Gqkg_oracle.Gen_regex.generate ~params rng in
   Regex.Seq (Regex.Node_test first, Regex.Seq (middle, Regex.Node_test (node_test ())))
 
 let property_regex_gen =
@@ -838,7 +871,7 @@ let make_seeding_regex rseed =
   let rng = S.create rseed in
   let params =
     {
-      Gqkg_workload.Gen_regex.default with
+      Gqkg_oracle.Gen_regex.default with
       node_labels = [ "a"; "b" ];
       edge_labels = [ "x"; "y" ];
       properties = [ ("p", [ "1"; "2"; "3" ]); ("w", [ "1"; "2" ]) ];
@@ -846,7 +879,7 @@ let make_seeding_regex rseed =
     }
   in
   let guarded () =
-    Regex.Seq (Regex.Node_test (seeding_test rng 2), Gqkg_workload.Gen_regex.generate ~params rng)
+    Regex.Seq (Regex.Node_test (seeding_test rng 2), Gqkg_oracle.Gen_regex.generate ~params rng)
   in
   match S.int rng 4 with
   | 0 -> guarded ()
@@ -856,7 +889,7 @@ let make_seeding_regex rseed =
       Regex.Alt
         ( guarded (),
           Regex.Seq
-            (Regex.Fwd (Regex.Atom (Atom.label "x")), Gqkg_workload.Gen_regex.generate ~params rng)
+            (Regex.Fwd (Regex.Atom (Atom.label "x")), Gqkg_oracle.Gen_regex.generate ~params rng)
         )
 
 (* The candidates are strictly ascending, and walking them finds
@@ -1053,7 +1086,7 @@ let () =
       ( "properties",
         q
           [
-            prop_pairs_agree;
+            prop_engines_agree;
             prop_triples_agree;
             prop_count_agrees;
             prop_enumerate_agrees;

@@ -22,6 +22,7 @@ open Gqkg_core
 module Decide = Gqkg_analysis.Decide
 module Schema = Gqkg_analysis.Schema
 module Budget = Gqkg_util.Budget
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -174,7 +175,7 @@ let witness_refutes r1 r2 (w : Decide.witness) =
   let snap = snapshot_of_witness w in
   let k = List.length w.steps in
   let path = Path.make ~nodes:(Array.init (k + 1) Fun.id) ~edges:(Array.init k Fun.id) in
-  Rpq.matches_path snap r1 path && not (Rpq.matches_path snap r2 path)
+  Reference.matches_path snap r1 path && not (Reference.matches_path snap r2 path)
 
 let test_witness_unit () =
   let r1 = parse "a/(b + c)" and r2 = parse "a/b" in
@@ -327,14 +328,14 @@ let pw_graph seed =
 let make_pw_regex rseed =
   let params =
     {
-      Gqkg_workload.Gen_regex.default with
+      Gqkg_oracle.Gen_regex.default with
       node_labels = [ "a"; "b" ];
       edge_labels = [ "x"; "y" ];
       properties = [ ("p", [ "1"; "2"; "3"; "4" ]); ("w", [ "1"; "2"; "3"; "4" ]) ];
       max_depth = 3;
     }
   in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+  Gqkg_oracle.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
 
 (* An injective renaming of the values 1..4 (ints and their string
    forms alike): shifted up, order kept, or mirrored, order flipped. *)
@@ -468,15 +469,7 @@ let test_shape_cache_cold_reads () =
 
 (* ---------- QCheck properties ---------- *)
 
-let make_regex rseed =
-  let params =
-    { Gqkg_workload.Gen_regex.default with
-      node_labels = [ "a"; "b" ];
-      edge_labels = [ "x"; "y" ];
-      max_depth = 3;
-    }
-  in
-  Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create rseed)
+let make_regex = Gqkg_oracle.Small.make_regex
 
 let regex_pair_gen =
   QCheck2.Gen.(

@@ -18,9 +18,10 @@ module Bgp = Gqkg_kg.Bgp
 module Term = Gqkg_kg.Term
 module Triple_store = Gqkg_kg.Triple_store
 module Gen_graph = Gqkg_workload.Gen_graph
-module Gen_regex = Gqkg_workload.Gen_regex
+module Gen_regex = Gqkg_oracle.Gen_regex
 module Regex = Gqkg_automata.Regex
 module Regex_parser = Gqkg_automata.Regex_parser
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -248,7 +249,7 @@ let prop_cq_wcoj_equals_backtrack =
       | wcoj ->
           max_length <> Some (-1)
           && wcoj = Crpq.answers_backtrack ?max_length inst q
-          && (inst.Snapshot.num_nodes > 8 || wcoj = Crpq.answers_naive ?max_length inst q))
+          && (inst.Snapshot.num_nodes > 8 || wcoj = Reference.crpq_answers ?max_length inst q))
 
 (* The compile behind the property above: (v, ?a, v) reads the label's
    postings, and a negative [max_length] is rejected before any atom

@@ -856,9 +856,9 @@ let test_rdf_view_save_load () =
 
 (* A commit keeps every label's keys: the old nodes and edges of a view
    answer Label by full IRI and by local name after a commit that adds
-   an edge label, one that adds a node label and one that reuses a
-   label, and each appended label is named by its own constant. Two
-   predicates share the local name "knows". *)
+   an edge label, one that adds a node label and one that reuses the
+   appended edge label, and each appended label is named by its own
+   constant. Two predicates share the local name "knows". *)
 let test_rdf_view_commit_keeps_labels () =
   let ex name = iri ("http://ex.org/" ^ name) in
   let view =
@@ -887,7 +887,7 @@ let test_rdf_view_commit_keeps_labels () =
   in
   let b1 = commit (Overlay.base_of_snapshot live) (edge "new" (Const.str "likes")) in
   let b2 = commit b1 (Mutation.Add_node { id = name (ex "d"); label = Const.str "D" }) in
-  let b3 = commit b2 (edge "again" (Const.str "knows")) in
+  let b3 = commit b2 (edge "again" (Const.str "likes")) in
   List.iter
     (fun (what, b) -> check_labels_kept what view (Overlay.snapshot b))
     [ ("new edge label", b1); ("new node label", b2); ("reused label", b3) ];
@@ -897,7 +897,124 @@ let test_rdf_view_commit_keeps_labels () =
   checkb "knows does not" false (Snapshot.edge_atom s3 m (Atom.label "knows"));
   checkb "D names the new node" true (Snapshot.node_atom s3 n (Atom.label "D"));
   checkb "C does not" false (Snapshot.node_atom s3 n (Atom.label "C"));
-  checkb "a reused label answers by name" true (Snapshot.edge_atom s3 (m + 1) (Atom.label "knows"))
+  checkb "a reused label answers by name" true (Snapshot.edge_atom s3 (m + 1) (Atom.label "likes"));
+  checki "a reused label keeps its id" s3.elabel.(m) s3.elabel.(m + 1)
+
+(* [op] on [base] raises Replay_error at the op's line, for an
+   ambiguous id or label. *)
+let check_refused what base op =
+  match Overlay.apply ~line:7 (Overlay.create base) op with
+  | () -> Alcotest.fail (what ^ " was applied")
+  | exception Journal.Replay_error { line; message; _ } ->
+      checki (what ^ ": line") 7 line;
+      let word = "ambiguous" in
+      let rec at i =
+        i + String.length word <= String.length message
+        && (String.sub message i (String.length word) = word || at (i + 1))
+      in
+      checkb (what ^ ": " ^ message) true (at 0)
+
+(* A mutation's label is the one label it names by the label rule: the
+   full IRI of a predicate or type joins that label, which then answers
+   its local name too; a local name two predicates share ("knows") is
+   refused instead of joining whichever was interned last. *)
+let test_rdf_view_ambiguous_labels () =
+  let ex name = iri ("http://ex.org/" ^ name) in
+  let view =
+    Triple_store.view
+      (store_with
+         [
+           t3 (ex "a") Rdfs.rdf_type (ex "C");
+           t3 (ex "C") Rdfs.rdf_type (ex "C");
+           t3 (ex "a") (ex "knows") (ex "C");
+           t3 (ex "a") (iri "http://ex2.org/knows") (ex "C");
+         ])
+  in
+  let live = view.snap in
+  let name term = Const.str (Term.to_string term) in
+  let base = Overlay.base_of_snapshot live in
+  let edge label =
+    Mutation.Add_edge { id = Const.str "new"; src = name (ex "a"); dst = name (ex "C"); label }
+  in
+  check_refused "knows" base (edge (Const.str "knows"));
+  let o = Overlay.create base in
+  Overlay.apply o (edge (Const.str "http://ex.org/knows"));
+  Overlay.apply o (Mutation.Add_node { id = name (ex "d"); label = Const.str "http://ex.org/C" });
+  let s = Overlay.snapshot (fst (Overlay.commit o)) in
+  let m = live.num_edges and n = live.num_nodes in
+  checki "no edge label appended" live.num_labels s.num_labels;
+  checki "no node label appended" live.num_node_labels s.num_node_labels;
+  checkb "the new edge answers its local name" true (Snapshot.edge_atom s m (Atom.label "knows"));
+  checkb "and not the other predicate" false
+    (Snapshot.edge_atom s m (Atom.label "http://ex2.org/knows"));
+  checkb "the new node answers C" true (Snapshot.node_atom s n (Atom.label "C"))
+
+(* An id several live edges carry (every edge of one predicate, named
+   by its local name) is refused by the ops that act on one edge, and
+   the id index stays exact across commits: once a cascade leaves one
+   "knows" edge, deleting "knows" deletes it. *)
+let test_rdf_view_ambiguous_ids () =
+  let ex name = iri ("http://ex.org/" ^ name) in
+  let view =
+    Triple_store.view
+      (store_with
+         (List.map (fun v -> t3 (ex v) Rdfs.rdf_type (ex "P")) [ "a"; "b"; "c"; "P" ]
+         @ [
+             t3 (ex "a") (ex "knows") (ex "b");
+             t3 (ex "b") (ex "knows") (ex "c");
+             t3 (ex "c") (iri "http://ex2.org/knows") (ex "a");
+           ]))
+  in
+  let name term = Const.str (Term.to_string term) in
+  let knows = Const.str "knows" and p = Const.str "w" in
+  let base = Overlay.base_of_snapshot view.snap in
+  check_refused "Del_edge" base (Mutation.Del_edge { id = knows });
+  check_refused "Set_edge_prop" base
+    (Mutation.Set_edge_prop { id = knows; prop = p; value = Const.int 1 });
+  check_refused "Del_edge_prop" base (Mutation.Del_edge_prop { id = knows; prop = p });
+  check_refused "Merge_edge" base
+    (Mutation.Merge_edge { id = knows; src = name (ex "a"); dst = name (ex "b"); label = knows });
+  let o = Overlay.create base in
+  checkb "an ambiguous id is a member" true (Overlay.mem_edge o knows);
+  checkb "with no one property" true (Overlay.edge_prop o knows p = None);
+  let knows_edges (s : Snapshot.t) =
+    List.filter (fun e -> s.edge_name e = "knows") (List.init s.num_edges Fun.id)
+  in
+  Overlay.apply o (Mutation.Del_node { id = name (ex "a") });
+  let b1 = fst (Overlay.commit o) in
+  checki "the cascade leaves one knows edge" 1 (List.length (knows_edges (Overlay.snapshot b1)));
+  let o = Overlay.create b1 in
+  Overlay.apply o (Mutation.Set_edge_prop { id = knows; prop = p; value = Const.int 1 });
+  checkb "the survivor takes the property" true (Overlay.edge_prop o knows p = Some (Const.int 1));
+  Overlay.apply o (Mutation.Del_edge { id = knows });
+  let s2 = Overlay.snapshot (fst (Overlay.commit o)) in
+  checki "and is deleted" 0 (List.length (knows_edges s2));
+  checki "the type edges stay" 3 s2.num_edges
+
+(* The node ops refuse a node id two live nodes carry. *)
+let test_overlay_ambiguous_node () =
+  let a = Const.str "a" in
+  let snap =
+    Snapshot.make ~attrs:Snapshot.no_attrs ~num_nodes:3 ~esrc:[| 0 |] ~edst:[| 1 |] ~num_labels:1
+      ~elabel:[| 0 |] ~label_names:[| "x" |] ~label_keys:[| [| Const.str "x" |] |]
+      ~num_node_labels:1 ~node_labels:[| [ 0 ]; [ 0 ]; [ 0 ] |] ~node_label_names:[| "a" |]
+      ~node_label_keys:[| [| a |] |]
+      ~node_name:(fun v -> if v < 2 then "twin" else "solo")
+      ~edge_name:(fun _ -> "e")
+  in
+  let base = Overlay.base_of_snapshot snap in
+  let twin = Const.str "twin" in
+  check_refused "Del_node" base (Mutation.Del_node { id = twin });
+  check_refused "Merge_node" base (Mutation.Merge_node { id = twin; label = a });
+  check_refused "Set_node_prop" base (Mutation.Set_node_prop { id = twin; prop = a; value = a });
+  check_refused "Del_node_prop" base (Mutation.Del_node_prop { id = twin; prop = a });
+  check_refused "Add_edge from it" base
+    (Mutation.Add_edge
+       { id = Const.str "f"; src = twin; dst = Const.str "solo"; label = Const.str "x" });
+  let o = Overlay.create base in
+  Overlay.apply o (Mutation.Del_edge { id = Const.str "e" });
+  Overlay.apply o (Mutation.Del_node { id = Const.str "solo" });
+  checkb "the twins stay" true (Overlay.live_nodes o = 2)
 
 (* Renumbering rebuilds the view from its columns, so it keeps every
    answer by name. *)
@@ -1029,6 +1146,12 @@ let () =
           Alcotest.test_case "label value rule" `Quick test_rdf_label_value_rule;
           Alcotest.test_case "save -> load answers every Prop" `Quick test_rdf_view_save_load;
           Alcotest.test_case "commits keep label keys" `Quick test_rdf_view_commit_keeps_labels;
+          Alcotest.test_case "writes refuse an ambiguous label" `Quick
+            test_rdf_view_ambiguous_labels;
+          Alcotest.test_case "writes refuse an ambiguous edge id" `Quick
+            test_rdf_view_ambiguous_ids;
+          Alcotest.test_case "writes refuse an ambiguous node id" `Quick
+            test_overlay_ambiguous_node;
           Alcotest.test_case "label postings" `Quick test_rdf_label_postings;
           Alcotest.test_case "one view until an add" `Quick test_view_shared_until_add;
           Alcotest.test_case "view sees rdfs inference" `Quick test_view_sees_rdfs_inference;

@@ -6,6 +6,7 @@
 open Gqkg_graph
 open Gqkg_automata
 open Gqkg_logic
+module Reference = Gqkg_oracle.Reference
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -404,7 +405,7 @@ let test_crpq_agrees_with_naive () =
           ]
         ()
     in
-    checkb "greedy = naive" true (Crpq.answers inst q = Crpq.answers_naive inst q)
+    checkb "greedy = naive" true (Crpq.answers inst q = Reference.crpq_answers inst q)
   done
 
 let test_crpq_unbound_head_rejected () =
@@ -574,7 +575,7 @@ let test_crpq_witnesses () =
       List.iter
         (fun (a, p) ->
           checkb "witness well formed" true (Gqkg_core.Path.well_formed inst p);
-          checkb "witness matches its atom" true (Gqkg_core.Rpq.matches_path inst a.Crpq.regex p);
+          checkb "witness matches its atom" true (Reference.matches_path inst a.Crpq.regex p);
           checkb "witness endpoints bound" true
             (Gqkg_core.Path.start_node p = List.assoc a.Crpq.src env
             && Gqkg_core.Path.end_node p = List.assoc a.Crpq.dst env))
@@ -587,7 +588,7 @@ let test_rpq_shortest_witness () =
   (match Gqkg_core.Rpq.shortest_witness inst r ~source:(node inst "n1") ~target:(node inst "n2") with
   | Some p ->
       checkb "length 2" true (Gqkg_core.Path.length p = 2);
-      checkb "matches" true (Gqkg_core.Rpq.matches_path inst r p)
+      checkb "matches" true (Reference.matches_path inst r p)
   | None -> Alcotest.fail "expected a witness");
   checkb "no witness backwards" true
     (Gqkg_core.Rpq.shortest_witness inst (Regex_parser.parse "?person/contact/?infected")
@@ -724,9 +725,9 @@ let prop_crpq_greedy_equals_naive =
              ~nodes:5 ~edges:9 ~node_labels:[ "a"; "b" ] ~edge_labels:[ "x"; "y" ])
       in
       let params =
-        { Gqkg_workload.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ]; max_depth = 2 }
+        { Gqkg_oracle.Gen_regex.default with node_labels = [ "a"; "b" ]; edge_labels = [ "x"; "y" ]; max_depth = 2 }
       in
-      let regex seed = Gqkg_workload.Gen_regex.generate ~params (Gqkg_util.Splitmix.create seed) in
+      let regex seed = Gqkg_oracle.Gen_regex.generate ~params (Gqkg_util.Splitmix.create seed) in
       let body =
         match shape with
         | 0 -> [ Crpq.atom ~src:"x" ~regex:(regex r1) ~dst:"y" ]
@@ -738,7 +739,7 @@ let prop_crpq_greedy_equals_naive =
               Crpq.atom ~src:"x" ~regex:(regex r2) ~dst:"y" ]
       in
       let q = Crpq.query ~head:[ "x"; "y" ] ~body () in
-      Crpq.answers ~max_length:3 inst q = Crpq.answers_naive ~max_length:3 inst q)
+      Crpq.answers ~max_length:3 inst q = Reference.crpq_answers ~max_length:3 inst q)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in

@@ -703,12 +703,12 @@ let prop_cli_daemon_agree =
       Graph_io.save_property_graph graph (Property_graph.of_labeled lg);
       let params =
         {
-          Gqkg_workload.Gen_regex.default with
+          Gqkg_oracle.Gen_regex.default with
           node_labels = [ "a"; "b" ];
           edge_labels = [ "x"; "y" ];
         }
       in
-      let regex = Gqkg_workload.Gen_regex.generate ~params rng in
+      let regex = Gqkg_oracle.Gen_regex.generate ~params rng in
       let q = Gqkg_automata.Regex.to_string ~top:true regex in
       (* one request as argv and as a wire frame; [fields] are (CLI
          flag, wire field, value) triples *)

@@ -4,6 +4,7 @@
 open Gqkg_graph
 open Gqkg_automata
 open Gqkg_workload
+module Gen_regex = Gqkg_oracle.Gen_regex
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
