@@ -1,6 +1,6 @@
 (** Variable-order selection for the worst-case-optimal join engine.
 
-    The Leapfrog-Triejoin kernel ({!Gqkg_core.Join}) binds variables one
+    The trie-join kernel ({!Gqkg_core.Join}) binds variables one
     at a time in a single global order; every atom's trie must then be
     laid out with its variables in that order.  This module is the pure
     planning half: given per-atom cardinality statistics (relation sizes

@@ -1,8 +1,9 @@
-(* Worst-case-optimal multiway join over Snapshot CSR (Leapfrog Triejoin).
+(* Worst-case-optimal multiway join over Snapshot CSR (a trie join).
 
    The engine binds variables one at a time in a single global order; at
-   each level it leapfrogs the sorted iterators of every atom containing
-   that variable to their common values.  Atom relations become tries —
+   each level it merges the two shortest sorted slices of the atoms
+   containing that variable and seeks each common value in the rest,
+   O(atoms * shortest slice * log) per level.  Atom relations become tries —
    grouped sorted int columns of arity 1..3 — in two flavors:
 
    - binary relation sources read zero-copy from one of their two tries
@@ -47,7 +48,7 @@ let gallop (a : int array) lo hi key =
       prev := !prev + !step;
       step := !step * 2
     done;
-    lower_bound a (!prev + 1) (min (!prev + !step) hi) key
+    lower_bound a (!prev + 1) (Int.min (!prev + !step) hi) key
   end
 
 (* Whether the row ids [rows] are already in lexicographic order of
@@ -626,7 +627,9 @@ let rowset_add t row =
   let i = row_slot t row 0 and w = t.width in
   if t.slots.(i) >= 0 then false
   else begin
-    Array.blit row 0 t.data (t.rows * w) w;
+    for j = 0 to w - 1 do
+      t.data.((t.rows * w) + j) <- row.(j)
+    done;
     t.slots.(i) <- t.rows;
     t.rows <- t.rows + 1;
     if 2 * t.rows = Array.length t.slots then begin
@@ -639,12 +642,17 @@ let rowset_add t row =
     true
   end
 
-(* One level of the leapfrog: the trie columns bound at this variable,
-   one slot per participant.  A root column spans all of [keys.(i)];
-   a deeper one is the slice [offs.(i)] gives for its parent's position,
+(* Linear steps a seek on a column without a rank array takes before it
+   gallops: a merge of two slices of like length finds most targets a
+   step or two ahead, where a gallop would spend probes and a search. *)
+let linear_steps = 4
+
+(* One level of the join: the trie columns bound at this variable, one
+   slot per participant.  A root column spans all of [keys.(i)]; a
+   deeper one is the slice [offs.(i)] gives for its parent's position,
    which sits in slot [pslot.(i)] of level [plevel.(i)].  A dense root
-   seeks through its rank array [rank.(i)]; every other column gallops
-   ([rank.(i) = [||]]). *)
+   seeks through its rank array [rank.(i)]; every other column steps,
+   then gallops ([rank.(i) = [||]]). *)
 type level = {
   keys : int array array;
   offs : int array array;
@@ -653,8 +661,21 @@ type level = {
   pslot : int array;
   pos : int array;
   hi : int array;
-  ord : int array; (* slots by current key, ascending *)
 }
+
+(* The first position in [p, h) of the sorted [a] holding a key >= [x],
+   where every key before [p] is below [x]: one read of the rank array
+   [r] of a dense root, else up to [linear_steps] steps, then a gallop. *)
+let seek (a : int array) (r : int array) p h x =
+  if Array.length r > 0 then if x < Array.length r then r.(x) else h
+  else begin
+    let p = ref p in
+    let stop = if h - !p < linear_steps then h else !p + linear_steps in
+    while !p < stop && a.(!p) < x do
+      incr p
+    done;
+    if !p < stop then !p else gallop a !p h x
+  end
 
 let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
   match specs with
@@ -706,7 +727,6 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
               pslot = Array.map (fun (_, _, _, (_, s)) -> s) ps;
               pos = Array.make k 0;
               hi = Array.make k 0;
-              ord = Array.make k 0;
             })
           parts
       in
@@ -736,32 +756,25 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
         end
       in
       (* Budget plumbing: one step per variable binding, polled coarsely. *)
-      let pending = ref 0 in
-      let tick =
-        match budget with
-        | Some b when not (Budget.is_unlimited b) ->
-            fun () ->
-              incr pending;
-              if !pending land (budget_check_interval - 1) = 0 then begin
-                Budget.charge_steps b budget_check_interval;
-                if Budget.check b then raise Tripped
-              end
-        | _ -> fun () -> ()
+      let metered =
+        match budget with Some b when not (Budget.is_unlimited b) -> Some b | _ -> None
       in
-      let flush_pending () =
-        match budget with
-        | Some b when not (Budget.is_unlimited b) ->
-            Budget.charge_steps b (!pending land (budget_check_interval - 1))
-        | _ -> ()
+      let pending = ref 0 in
+      let tick b =
+        incr pending;
+        if !pending land (budget_check_interval - 1) = 0 then begin
+          Budget.charge_steps b budget_check_interval;
+          if Budget.check b then raise Tripped
+        end
       in
       let rec level g =
         if g = num_vars then emit ()
         else begin
-          let { keys; offs; rank; plevel; pslot; pos; hi; ord } = levels.(g) in
+          let { keys; offs; rank; plevel; pslot; pos; hi } = levels.(g) in
           let k = Array.length keys in
-          (* Open every participant and insertion-sort the slots by
-             their first key; stop at the first empty one. *)
-          let live = ref true and i = ref 0 in
+          (* Open every participant, stopping at the first empty one;
+             [a] and [b] are the two shortest slices ([b = a] alone). *)
+          let a = ref 0 and b = ref 0 and live = ref true and i = ref 0 in
           while !live && !i < k do
             let s = !i in
             if plevel.(s) < 0 then begin
@@ -773,42 +786,44 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
               pos.(s) <- offs.(s).(pp);
               hi.(s) <- offs.(s).(pp + 1)
             end;
-            if pos.(s) >= hi.(s) then live := false
-            else begin
-              let x = keys.(s).(pos.(s)) and j = ref s in
-              while !j > 0 && keys.(ord.(!j - 1)).(pos.(ord.(!j - 1))) > x do
-                ord.(!j) <- ord.(!j - 1);
-                decr j
-              done;
-              ord.(!j) <- s;
-              incr i
+            let n = hi.(s) - pos.(s) in
+            if n = 0 then live := false
+            else if n < hi.(!a) - pos.(!a) then begin
+              b := !a;
+              a := s
             end
+            else if !b = !a || n < hi.(!b) - pos.(!b) then b := s;
+            incr i
           done;
-          let p = ref 0 in
-          let xmax = ref (if !live then keys.(ord.(k - 1)).(pos.(ord.(k - 1))) else 0) in
-          let v = order.(g) in
-          while !live do
-            let s = ord.(!p) in
-            let a = keys.(s) in
-            if a.(pos.(s)) = !xmax then begin
-              (* All k iterators agree: bind and descend. *)
-              bnd.(v) <- !xmax;
-              tick ();
-              level (g + 1);
-              pos.(s) <- pos.(s) + 1
-            end
+          (* Merge [a] with [b]; a common value is sought in the other
+             participants, and bound when all of them hold it. *)
+          let a = !a and b = !b in
+          let ka = keys.(a) and kb = keys.(b) and ha = hi.(a) and hb = hi.(b) in
+          let ra = rank.(a) and rb = rank.(b) in
+          let pa = ref (if !live then pos.(a) else ha) and pb = ref pos.(b) in
+          while !pa < ha && !pb < hb do
+            let x = ka.(!pa) and y = kb.(!pb) in
+            if x < y then pa := seek ka ra (!pa + 1) ha y
+            else if y < x then pb := seek kb rb (!pb + 1) hb x
             else begin
-              (* a.(pos.(s)) < !xmax, so the target lies past pos.(s). *)
-              let r = rank.(s) in
-              pos.(s) <-
-                (if Array.length r = 0 then gallop a (pos.(s) + 1) hi.(s) !xmax
-                 else if !xmax < Array.length r then r.(!xmax)
-                 else hi.(s))
-            end;
-            if pos.(s) >= hi.(s) then live := false
-            else begin
-              xmax := a.(pos.(s));
-              p := if !p + 1 = k then 0 else !p + 1
+              pos.(a) <- !pa;
+              pos.(b) <- !pb;
+              let hit = ref true and s = ref 0 in
+              while !hit && !s < k do
+                let i = !s in
+                if i <> a && i <> b then begin
+                  pos.(i) <- seek keys.(i) rank.(i) pos.(i) hi.(i) x;
+                  hit := pos.(i) < hi.(i) && keys.(i).(pos.(i)) = x
+                end;
+                incr s
+              done;
+              if !hit then begin
+                bnd.(order.(g)) <- x;
+                (match metered with Some m -> tick m | None -> ());
+                level (g + 1)
+              end;
+              incr pa;
+              incr pb
             end
           done
         end
@@ -819,4 +834,6 @@ let solve ?budget ?snapshot ?order_hint specs ~vars ~yield =
         | _ -> level 0
       in
       (try run () with Tripped -> ());
-      flush_pending ()
+      Option.iter
+        (fun b -> Budget.charge_steps b (!pending land (budget_check_interval - 1)))
+        metered

@@ -1,14 +1,15 @@
 (** Worst-case-optimal multiway join over Snapshot CSR: a
-    Leapfrog-Triejoin engine shared by every conjunctive consumer (CRPQ,
+    trie-join engine shared by every conjunctive consumer (CRPQ,
     of which a conjunctive query over labels is a special case, and
     SPARQL BGP), whose atoms {!Conjunctive} compiles.
 
     Instead of joining relation-by-relation (whose intermediate results
     can be quadratically larger than the output — O(n²) on triangles), the
-    engine binds variables one at a time: at each level it leapfrogs the
-    sorted iterators of every atom containing that variable to their
-    common values, achieving the AGM worst-case-optimal bound (O(n^1.5)
-    on the triangle query).
+    engine binds variables one at a time: at each level it merges the two
+    shortest sorted key slices of the atoms containing that variable and
+    seeks each common value in the others, so a level costs
+    O(atoms * shortest slice * log), achieving the AGM worst-case-optimal
+    bound (O(n^1.5) on the triangle query).
 
     Atoms are specified over named variables with one of five relation
     sources; constants must be substituted away by the caller (or pinned
@@ -20,7 +21,8 @@
     atoms) by stable LSD radix passes over their columns, in time linear
     in the rows and with no per-row allocation.  A dense trie root (keys below
     4x its distinct count) has a rank array, so a seek on it is one
-    read; child slices and sparse roots gallop.  The variable order is chosen by
+    read; child slices and sparse roots take up to four linear steps,
+    then gallop.  The variable order is chosen by
     {!Gqkg_analysis.Joinplan.choose_order} from per-atom cardinality
     and size-biased fan-out estimates.
 

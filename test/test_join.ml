@@ -487,6 +487,96 @@ let prop_skewed_wcoj_equals_backtrack =
       wcoj = Crpq.answers_backtrack snap q
       && collect ~snapshot:snap ~order_hint:hint specs ~vars:head = wcoj)
 
+(* The per-level intersection on preferential-attachment graphs of
+   8-40 nodes (one label, p): 3- and 4-cliques, stars and paths, each
+   atom forward or inverse, and each variable maybe tested for node
+   label a, so a level has 1 to 4 participants.  Join.solve sees the edges under ids that are
+   dense, spread over 0..2^20, or dense below a cut and spread above it,
+   so roots with and without a rank array meet at one level; it is held
+   to the nested-loop oracle under the planner's order and a random one.
+   Crpq.answers over the graph itself is held to answers_backtrack. *)
+let prop_intersection_equals_oracles =
+  QCheck2.Test.make ~name:"PA cliques, stars, paths: merge = oracles" ~count:200
+    QCheck2.Gen.(
+      tup4 (int_bound 1_000_000) (int_range 8 40)
+        (oneofl [ `Dense; `Spread; `Mixed ])
+        (oneofl
+           [
+             [ ("x", "y"); ("y", "z"); ("x", "z") ];
+             [ ("x", "y"); ("y", "z"); ("x", "z"); ("x", "w"); ("y", "w"); ("z", "w") ];
+             [ ("x", "y"); ("x", "z"); ("x", "w") ];
+             [ ("x", "y"); ("y", "z"); ("z", "w") ];
+           ]))
+    (fun (seed, nodes, ids, shape) ->
+      let rng = Splitmix.create seed in
+      let tagged = Array.init nodes (fun _ -> Splitmix.bool rng) in
+      let b = Labeled_graph.Builder.create () in
+      Array.iteri
+        (fun v a ->
+          ignore
+            (Labeled_graph.Builder.add_node b (Const.str (string_of_int v))
+               ~label:(Const.str (if a then "a" else "b"))))
+        tagged;
+      let edges = ref [] and ends = ref [ 0 ] in
+      for v = 1 to nodes - 1 do
+        let pool = Array.of_list !ends in
+        for _ = 0 to Splitmix.int rng 3 do
+          let t = pool.(Splitmix.int rng (Array.length pool)) in
+          ignore (Labeled_graph.Builder.fresh_edge b ~src:v ~dst:t ~label:(Const.str "p"));
+          edges := (v, t) :: !edges;
+          ends := v :: t :: !ends
+        done
+      done;
+      let snap = Snapshot.of_labeled (Labeled_graph.Builder.freeze b) in
+      (* Node v's id: v below [cut], a fresh id in [cut, 2^20) above. *)
+      let cut = match ids with `Dense -> nodes | `Spread -> 0 | `Mixed -> nodes / 2 in
+      let taken = Hashtbl.create nodes in
+      let rec fresh () =
+        let i = cut + Splitmix.int rng ((1 lsl 20) - cut) in
+        if Hashtbl.mem taken i then fresh ()
+        else begin
+          Hashtbl.add taken i ();
+          i
+        end
+      in
+      let id = Array.init nodes (fun v -> if v < cut then v else fresh ()) in
+      let atoms = List.map (fun (u, v) -> (u, v, Splitmix.bool rng)) shape in
+      let vars = List.sort_uniq compare (List.concat_map (fun (u, v) -> [ u; v ]) shape) in
+      let tag = List.filteri (fun i _ -> i = Splitmix.int rng 8) vars in
+      let edge_rows inverse =
+        List.map
+          (fun (s, d) -> if inverse then [| id.(d); id.(s) |] else [| id.(s); id.(d) |])
+          !edges
+      in
+      let tagged_rows =
+        List.filter_map
+          (fun v -> if tagged.(v) then Some [| id.(v) |] else None)
+          (List.init nodes Fun.id)
+      in
+      let rows =
+        List.map (fun (u, v, inverse) -> ([| u; v |], edge_rows inverse)) atoms
+        @ List.map (fun t -> ([| t |], tagged_rows)) tag
+      in
+      let head = List.filteri (fun i _ -> i = 0 || Splitmix.bool rng) (shuffle rng vars) in
+      let expected =
+        List.sort_uniq compare
+          (List.map (fun env -> List.map (fun v -> List.assoc v env) head) (nested_loop_join rows))
+      in
+      let specs = List.map spec_of_rows rows in
+      let hint = Array.of_list (shuffle rng vars) in
+      let p = Regex.Atom (Atom.Label (Const.str "p")) in
+      let body =
+        List.map
+          (fun (u, v, inverse) ->
+            Crpq.atom ~src:u ~regex:(if inverse then Regex.Bwd p else Regex.Fwd p) ~dst:v)
+          atoms
+        @ List.map (fun t -> Crpq.atom ~src:t ~regex:(Regex.node_label "a") ~dst:t) tag
+      in
+      let q = Crpq.query ~head ~body () in
+      collect specs ~vars:head = expected
+      && collect ~order_hint:hint specs ~vars:head = expected
+      && Crpq.answers snap q = Crpq.answers_backtrack snap q)
+
 (* BGP: random tiny stores, mixed triple and path patterns. *)
 
 let bgp_subjects = [| Term.iri "s0"; Term.iri "s1"; Term.iri "s2"; Term.iri "s3" |]
@@ -1103,6 +1193,7 @@ let () =
             prop_crpq_transfers_to_bgp;
             prop_path_relation_cached;
           ] );
+      ("intersection", q [ prop_intersection_equals_oracles ]);
       ( "budget",
         [
           Alcotest.test_case "CQ fault sweep" `Quick test_budget_sweep_cq;

@@ -626,11 +626,14 @@ let count_line = function
   | Some c when Float.is_finite c -> Printf.sprintf "count %.17g" c
   | _ -> "count out of range"
 
+(* The CLI built beside this test binary, wherever the test runs from. *)
+let gqkg_exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/gqkg.exe"
+
 let cli_outcome graph (verb, text, opts) =
   let out = Filename.temp_file "gqkg" ".out" and err = Filename.temp_file "gqkg" ".err" in
   let code =
     Sys.command
-      (Filename.quote_command "../bin/gqkg.exe" ~stdout:out ~stderr:err
+      (Filename.quote_command gqkg_exe ~stdout:out ~stderr:err
          ((verb :: opts) @ [ "--"; graph; text ]))
   in
   let read f = In_channel.with_open_bin f In_channel.input_all in
@@ -764,7 +767,7 @@ let test_cli_bad_arguments () =
         (fun argv ->
           let name = String.concat " " argv in
           let code =
-            Sys.command (Filename.quote_command "../bin/gqkg.exe" ~stdout:out ~stderr:err argv)
+            Sys.command (Filename.quote_command gqkg_exe ~stdout:out ~stderr:err argv)
           in
           let read f = In_channel.with_open_bin f In_channel.input_all in
           checki name 2 code;

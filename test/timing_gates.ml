@@ -1,4 +1,4 @@
-(* Wall-clock gates: three throughput comparisons, each leg timed
+(* Wall-clock gates: four throughput comparisons, each leg timed
    best-of and interleaved with the other so machine drift cancels.
    Ratios of wall times are too noisy for every test run, so this is
    not part of [dune runtest]; run it on its own:
@@ -13,7 +13,12 @@
      automaton runs at least 0.9x as fast as over the trimmed one (or
      at most 2 ms slower), with identical answers;
    - commit: an incremental epoch commit of a small delta beats a full
-     from-scratch freeze of the same state. *)
+     from-scratch freeze of the same state;
+   - skew: a join whose short child slices meet a sparse root of 500k
+     keys, which has no rank array, runs at most 5x as long as the same
+     join renumbered so that the root is dense (or takes at most
+     5 ms): seeks into the root gallop, so the merge costs
+     O(shortest slice * log), which no answer test can see. *)
 
 open Gqkg_graph
 open Gqkg_core
@@ -149,8 +154,50 @@ let commit () =
     (Printf.sprintf "incremental %.2f ms vs full freeze %.2f ms (bar: incremental faster)"
        (ms !t_commit) (ms !t_full))
 
+(* 2,000 x bindings, each opening a 1-2-key child slice of (x, y) that
+   meets the root of (y, w): 500k keys spread as 8i + i mod 7, past the
+   4x of their count under which a root gets a rank array, or
+   renumbered to i, where seeks read the rank array.  Both relations
+   are prepared untimed. *)
+let skew () =
+  let keys = 500_000 and outer = 2_000 in
+  let rng = Splitmix.create 1500 in
+  let child =
+    List.concat_map
+      (fun x -> List.init (1 + Splitmix.int rng 2) (fun _ -> (x, Splitmix.int rng keys)))
+      (List.init outer Fun.id)
+  in
+  let join f =
+    let xy = Join.relation_of_pairs (List.map (fun (x, i) -> (x, f i)) child) in
+    let yw = Join.relation_of_pairs (List.init keys (fun i -> (f i, i))) in
+    let specs =
+      [ Join.atom [| "x"; "y" |] (Join.Relation xy); Join.atom [| "y"; "w" |] (Join.Relation yw) ]
+    in
+    fun () ->
+      let rows = ref 0 in
+      Join.solve ~order_hint:[| "x"; "y"; "w" |] specs ~vars:[ "x"; "y"; "w" ] ~yield:(fun _ ->
+          incr rows);
+      !rows
+  in
+  let sparse = join (fun i -> (8 * i) + (i mod 7)) and dense = join Fun.id in
+  let t_sparse = ref infinity and t_dense = ref infinity and agree = ref true in
+  for _ = 1 to 5 do
+    let a, t = wall sparse in
+    t_sparse := Float.min !t_sparse t;
+    let b, t = wall dense in
+    t_dense := Float.min !t_dense t;
+    if a <> b || a = 0 then agree := false
+  done;
+  let ratio = !t_sparse /. Float.max 1e-9 !t_dense in
+  gate "skew"
+    (!agree && (ratio <= 5.0 || !t_sparse <= 0.005))
+    (Printf.sprintf
+       "sparse root %.2f ms vs dense root %.2f ms (%.2fx), agree %b (bar <= 5x or sparse <= 5 ms)"
+       (ms !t_sparse) (ms !t_dense) ratio !agree)
+
 let () =
   let governor_ok = governor () in
   let minimize_ok = minimize () in
   let commit_ok = commit () in
-  if not (governor_ok && minimize_ok && commit_ok) then exit 1
+  let skew_ok = skew () in
+  if not (governor_ok && minimize_ok && commit_ok && skew_ok) then exit 1
