@@ -1,9 +1,12 @@
 (** Randomized approximation of Count(G, r, k) — the FPRAS of Section 4.1
     (Arenas-Croquevielle-Jayaram-Riveros), implemented as a level-by-level
     Karp–Luby union estimator over the non-determinized product (see
-    DESIGN.md §5). Estimates land within the requested relative error
-    with high probability; when every union has uniform run-multiplicity
-    the estimator is deterministic-exact. *)
+    DESIGN.md §5).  It runs on a private {!Product} of the Thompson NFA:
+    a configuration (node, NFA state) is the unclosed state
+    {!Product.config_state}, and a sample is the deterministic product
+    state its path reaches.  Estimates land within the requested relative
+    error with high probability; when every union has uniform
+    run-multiplicity the estimator is deterministic-exact. *)
 
 type t
 
@@ -17,9 +20,11 @@ val create :
   epsilon:float ->
   t
 
-(** Estimate Count(G, r, k).  A tripped budget answers 0.0 — an
-    interrupted level pass estimates shorter paths, which would not be a
-    sound partial answer for length [k]. *)
+(** Estimate Count(G, r, k).  The budget is checked once per level, after
+    noting the product's interned states, so a [max_states] cap governs
+    it.  A tripped budget answers 0.0 — an interrupted level pass
+    estimates shorter paths, which would not be a sound partial answer
+    for length [k]. *)
 val estimate : t -> length:int -> float
 
 (** One-shot estimation. *)

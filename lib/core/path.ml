@@ -39,9 +39,6 @@ let cat p p' =
     edges = Array.append p.edges p'.edges;
   }
 
-(* Extend by one step to [dst] via [edge]. *)
-let snoc p ~edge ~dst = { nodes = Array.append p.nodes [| dst |]; edges = Array.append p.edges [| edge |] }
-
 let equal p q = p.nodes = q.nodes && p.edges = q.edges
 
 let compare p q =

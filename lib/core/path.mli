@@ -34,9 +34,6 @@ val edge : t -> int -> int
 (** cat(p, p'): concatenation; raises unless end(p) = start(p'). *)
 val cat : t -> t -> t
 
-(** Extend by one traversal step. *)
-val snoc : t -> edge:int -> dst:int -> t
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int

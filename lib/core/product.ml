@@ -398,6 +398,13 @@ let start_state p node =
         p.start_id.(node) <- id;
         Some id
 
+(* The state (node, {q}), deliberately not closed: its moves are q's own
+   edge moves, each closed at the destination. *)
+let config_state p ~node q =
+  let ws = Array.make p.words 0 in
+  B.raw_add ws q;
+  intern_state p node (intern_set p ws)
+
 (* Direction codes packed into memo keys; self-loops merge both
    directions into one move, hence the third code. *)
 let c_fwd = 0

@@ -53,6 +53,15 @@ val is_accepting : t -> int -> bool
     [None] only for degenerate automata with an empty closure. *)
 val start_state : t -> int -> int option
 
+(** [config_state p ~node q] interns the state (node, \{q\}) {e without}
+    closing it: its moves are exactly NFA state [q]'s own edge moves at
+    the node, each closed at the destination, so it stands for the
+    single configuration (node, q) of the non-deterministic product.  It
+    breaks the closed-set invariant the other kernels rely on: call it
+    on a private product only ({!Approx_count}'s), never on one a plan
+    caches or another kernel reads. *)
+val config_state : t -> node:int -> int -> int
+
 (** Can a matching path start at this node?  True when the node's start
     closure is accepting or has an edge move at the node (some incident
     edge passes one of the closure's edge tests); every other node

@@ -369,6 +369,22 @@ let test_enumerate_fault () =
       (List.for_all (fun p -> List.exists (Path.equal p) full) partial)
   done
 
+(* [max_states] governs the FPRAS: each level pass notes the product's
+   interned states, so a small cap trips it at its first check, and the
+   trip answers 0.0; a cap above the run's states changes nothing. *)
+let test_approx_count_state_limit () =
+  let inst = Snapshot.of_property (Gqkg_workload.Contact_network.generate (Gqkg_util.Splitmix.create 3)) in
+  let r = Gqkg_automata.Regex_parser.parse "(contact + rides + rides^-)*" in
+  let run b = Approx_count.count ~budget:b ~seed:5 inst r ~length:3 ~epsilon:0.5 in
+  let full = run Budget.unlimited in
+  checkb "nonzero unbudgeted" true (full > 0.0);
+  let small = Budget.create ~max_states:5 () in
+  checkb "tripped answers 0.0" true (run small = 0.0);
+  checkb "state limit" true (Budget.exhausted small = Some Budget.State_limit);
+  let roomy = Budget.create ~max_states:1_000_000 () in
+  checkb "roomy cap: same estimate" true (run roomy = full);
+  checkb "roomy cap: complete" true (Budget.completeness roomy = Budget.Complete)
+
 (* The Regex_centrality ladder: an exact pass that trips must fall back
    to the approximate sampler and label the outcome accordingly. *)
 let test_degradation_ladder () =
@@ -408,6 +424,7 @@ let () =
           Alcotest.test_case "seed scan check site" `Quick test_seed_scan_check_site;
           Alcotest.test_case "candidate walk check site" `Quick test_candidate_walk_check_site;
           Alcotest.test_case "enumerate" `Quick test_enumerate_fault;
+          Alcotest.test_case "FPRAS state limit" `Quick test_approx_count_state_limit;
           Alcotest.test_case "degradation ladder" `Quick test_degradation_ladder;
         ] );
       ("properties", q [ prop_pairs_sound; prop_counts_sound ]);

@@ -39,12 +39,10 @@ let test_path_basics () =
   Alcotest.check_raises "cat mismatch" (Invalid_argument "Path.cat: endpoints do not meet") (fun () ->
       ignore (Path.cat q p))
 
-let test_path_trivial_and_snoc () =
+let test_path_trivial () =
   let p = Path.trivial 7 in
   checki "trivial length" 0 (Path.length p);
-  let p' = Path.snoc p ~edge:3 ~dst:9 in
-  checki "snoc length" 1 (Path.length p');
-  checki "snoc end" 9 (Path.end_node p')
+  checki "trivial end" 7 (Path.end_node p)
 
 let test_path_make_validation () =
   Alcotest.check_raises "bad arity" (Invalid_argument "Path.make: need one more node than edges")
@@ -496,6 +494,22 @@ let prop_count_agrees =
       let r = make_regex rseed in
       List.for_all
         (fun k -> Count.count inst r ~length:k = float_of_int (Naive.count inst r ~length:k))
+        [ 0; 1; 2; 3 ])
+
+(* The FPRAS against the naive count: 0.0 exactly when no path matches,
+   otherwise within ε.  The estimator's seed comes from the case. *)
+let prop_approx_count_within_epsilon =
+  QCheck2.Test.make ~name:"FPRAS = naive count within ε" ~count:150 regex_and_graph_gen
+    (fun (((gseed, _, _) as g), rseed) ->
+      let inst = make_instance g and r = make_regex rseed in
+      List.for_all
+        (fun k ->
+          let exact = float_of_int (Naive.count inst r ~length:k) in
+          let estimate = Approx_count.count ~seed:gseed inst r ~length:k ~epsilon:0.1 in
+          (if exact = 0.0 then estimate = 0.0
+           else Gqkg_util.Stats.relative_error ~truth:exact ~estimate <= 0.1)
+          || QCheck2.Test.fail_reportf "%s, k=%d: estimate %g, naive count %g"
+               (Regex.to_string r) k estimate exact)
         [ 0; 1; 2; 3 ])
 
 let prop_enumerate_agrees =
@@ -1026,7 +1040,7 @@ let () =
       ( "path",
         [
           Alcotest.test_case "basics" `Quick test_path_basics;
-          Alcotest.test_case "trivial/snoc" `Quick test_path_trivial_and_snoc;
+          Alcotest.test_case "trivial" `Quick test_path_trivial;
           Alcotest.test_case "validation" `Quick test_path_make_validation;
           Alcotest.test_case "well_formed" `Quick test_path_well_formed;
         ] );
@@ -1102,5 +1116,6 @@ let () =
             prop_seed_candidates_sound;
             prop_postings_equal_scan;
             prop_edge_postings_equal_scan;
+            prop_approx_count_within_epsilon;
           ] );
     ]
