@@ -1065,6 +1065,9 @@ let mutate_cmd =
 let serve_cmd =
   let run () path port max_clients workers queue_depth per_client default_timeout_ms
       default_max_states idle_timeout_ms fault_trip fault_drop =
+    if idle_timeout_ms < 1 then
+      fail_user ~code:"GQ046" ~subterm:"--idle-timeout-ms"
+        ~message:(Printf.sprintf "idle timeout %d ms is below 1" idle_timeout_ms);
     let mgr = Epochs.create (load_base path) in
     let config =
       {
@@ -1139,7 +1142,7 @@ let serve_cmd =
   in
   let idle_timeout_ms =
     int_flag 30_000 "idle-timeout-ms" ~docv:"MS"
-      ~doc:"Close connections silent for this long (GQ064 notice first)."
+      ~doc:"Close connections silent for this long (GQ064 notice first); at least 1."
   in
   let fault_trip =
     some_int_flag "fault-trip-after-checks" ~docv:"N"

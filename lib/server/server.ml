@@ -12,10 +12,7 @@ type config = {
   default_timeout_ms : int option;
   default_max_states : int option;
   idle_timeout_ms : int;
-  write_timeout_ms : int;
   max_line_bytes : int;
-  drain_grace_ms : int;
-  answer_limit : int;
   fault_trip_after_checks : int option;
   fault_drop_after : int option;
 }
@@ -29,20 +26,26 @@ let default_config =
     default_timeout_ms = Some 10_000;
     default_max_states = None;
     idle_timeout_ms = 30_000;
-    write_timeout_ms = 5_000;
     max_line_bytes = 1_048_576;
-    drain_grace_ms = 2_000;
-    answer_limit = 10_000;
     fault_trip_after_checks = None;
     fault_drop_after = None;
   }
+
+(* A blocked write to a client that stops reading fails after this. *)
+let write_timeout_s = 5.0
+
+(* The drain waits this long (2 s) for in-flight work before tripping it. *)
+let drain_grace_ns = 2_000_000_000L
+
+(* Pairs per response at most; ["truncated"] flags more. *)
+let answer_limit = 10_000
 
 type conn = {
   fd : Unix.file_descr;
   client : int;
   wlock : Mutex.t;
   dead : bool Atomic.t;
-      (* set by whoever hits a write error / drop injection / drain;
+      (* set by [kill]: a write error, a drop injection or the drain;
          only the connection's own reader thread ever closes [fd] *)
   sent : int Atomic.t;
   inflight : int Atomic.t;
@@ -63,7 +66,7 @@ type t = {
   metrics : Metrics.t;
   queue : job Admission.t;
   stopping : bool Atomic.t;  (** drain requested: accept loop exits *)
-  stopped : bool Atomic.t;  (** [stop] ran to completion *)
+  stop_lock : Mutex.t;  (** held by [stop]: a second call waits on it *)
   conns_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
   conn_threads : (int, Thread.t) Hashtbl.t;
@@ -99,11 +102,18 @@ let frame json =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
+(* Mark the connection dead and wake its reader, blocked in [read], with
+   EOF; the reader owns [fd] and closes it. *)
+let kill conn =
+  Atomic.set conn.dead true;
+  try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ()
+
 (* Whole-line writes under the connection's write lock so concurrent
    worker / reader responses never interleave mid-line.  A blocked
    write on a slow client fails via SO_SNDTIMEO instead of wedging the
-   worker; any write error marks the connection dead (its reader thread
-   notices and cleans up). *)
+   worker; any write error kills the connection.  Both kills below run
+   under [wlock], which the reader's close also takes, so the fd cannot
+   be closed and its number reused mid-shutdown. *)
 let write_frame t conn s =
   Mutex.lock conn.wlock;
   let ok =
@@ -122,7 +132,7 @@ let write_frame t conn s =
         done;
         true
       with _ ->
-        Atomic.set conn.dead true;
+        kill conn;
         false
   in
   if ok then begin
@@ -131,13 +141,10 @@ let write_frame t conn s =
     match t.config.fault_drop_after with
     | Some k when k > 0 && sent mod k = 0 ->
         (* deterministic fault injection: hard-drop the connection the
-           way a crashing client would — no goodbye, reader wakes on
-           EOF.  The soak test asserts the server survives this.  Still
-           under [wlock]: the reader's close also takes it, so the fd
-           cannot be closed and its number reused mid-shutdown. *)
+           way a crashing client would — no goodbye.  The soak test
+           asserts the server survives this. *)
         Metrics.incr_injected_drops t.metrics;
-        Atomic.set conn.dead true;
-        (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ())
+        kill conn
     | _ -> ()
   end;
   Mutex.unlock conn.wlock;
@@ -206,7 +213,7 @@ let handle_read t req ~id op =
       | Error e -> frame (request_error ~id e)
       | Ok checked ->
           let limit = Option.value (int_field req "limit") ~default:max_int in
-          let limit = min t.config.answer_limit (max 0 limit) in
+          let limit = min answer_limit (max 0 limit) in
           let budget =
             Request.budget ?timeout_ms:t.config.default_timeout_ms
               ?max_states:t.config.default_max_states
@@ -361,13 +368,18 @@ let handle_line t conn line =
                           ~extra:[ ("retry_after_ms", Jsonx.Num 100.0) ]
                           ()))))
 
+(* Idle reaping rides on the receive timeout: a read blocked this long
+   fails with EAGAIN.  SO_RCVTIMEO 0 means "never", hence the floor. *)
+let set_idle_timeout fd ms =
+  try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (float_of_int (max 1 ms) /. 1000.)
+  with Unix.Unix_error _ -> ()
+
 let conn_loop t conn =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let discarding = ref false in
   (* torn/oversized frames: skip to the next newline and recover, the
      wire-level mirror of the journal's GQ048 tolerate-partial rule *)
-  let idle_ns = Int64.mul (Int64.of_int t.config.idle_timeout_ms) 1_000_000L in
   (* bytes before [i] hold no newline, so each read scans only its own *)
   let rec drain_lines i =
     if i < Buffer.length buf && Buffer.nth buf i <> '\n' then drain_lines (i + 1)
@@ -398,44 +410,37 @@ let conn_loop t conn =
     end
   in
   let rec loop () =
-    if Atomic.get conn.dead then ()
-    else begin
-      match Unix.select [ conn.fd ] [] [] 0.25 with
+    if not (Atomic.get conn.dead) then
+      match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception _ -> ()
-      | [], _, _ ->
-          (* idle means no reads, no delivered responses AND nothing
-             queued or executing — a client silently awaiting a slow
-             answer must not be reaped mid-request *)
-          if
-            Atomic.get conn.inflight = 0
-            && Int64.compare
-                 (Int64.sub (Mclock.now_ns ()) (Atomic.get conn.last_activity))
-                 idle_ns > 0
-          then begin
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          (* the receive timeout.  Idle means no reads, no delivered
+             responses AND nothing queued or executing — a client
+             silently awaiting a slow answer must not be reaped
+             mid-request; otherwise wait out the time left. *)
+          let quiet_ns = Int64.sub (Mclock.now_ns ()) (Atomic.get conn.last_activity) in
+          let left_ms = t.config.idle_timeout_ms - Int64.to_int (Int64.div quiet_ns 1_000_000L) in
+          if Atomic.get conn.inflight > 0 || left_ms > 0 then begin
+            set_idle_timeout conn.fd (if left_ms > 0 then left_ms else t.config.idle_timeout_ms);
+            loop ()
+          end
+          else begin
             Metrics.incr_idle_closes t.metrics;
             ignore
               (write_json t conn
                  (error_json ~code:"GQ064"
-                    ~message:
-                      (Printf.sprintf "idle for %dms, closing"
-                         t.config.idle_timeout_ms)
+                    ~message:(Printf.sprintf "idle for %dms, closing" t.config.idle_timeout_ms)
                     ()))
           end
-          else loop ()
-      | _ -> (
-          match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-          | exception _ -> ()
-          | 0 ->
-              (* EOF; a torn trailing fragment is simply discarded *)
-              if Buffer.length buf > 0 then Metrics.incr_malformed t.metrics
-          | n ->
-              Atomic.set conn.last_activity (Mclock.now_ns ());
-              Buffer.add_subbytes buf chunk 0 n;
-              drain_lines (Buffer.length buf - n);
-              loop ())
-    end
+      | exception _ -> ()
+      | 0 ->
+          (* EOF; a torn trailing fragment is simply discarded *)
+          if Buffer.length buf > 0 then Metrics.incr_malformed t.metrics
+      | n ->
+          Atomic.set conn.last_activity (Mclock.now_ns ());
+          Buffer.add_subbytes buf chunk 0 n;
+          drain_lines (Buffer.length buf - n);
+          loop ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -466,52 +471,40 @@ let refuse_and_close t fd ~code ~message =
    with _ -> ());
   try Unix.close fd with _ -> ()
 
+(* Blocks in [accept]; [stop] wakes it with a connect of its own, and
+   the connection accepted once [stopping] is set is closed unanswered. *)
 let accept_loop t =
   let rec loop () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.select [ t.listen_fd ] [] [] 0.25 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception _ -> ()
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-          | exception _ -> ()
-          | fd, _addr ->
-              if Atomic.get t.stopping then
-                refuse_and_close t fd ~code:"GQ063"
-                  ~message:"server is draining, connection refused"
-              else if num_clients t >= t.config.max_clients then
-                refuse_and_close t fd ~code:"GQ061"
-                  ~message:
-                    (Printf.sprintf "too many clients (max %d), try later"
-                       t.config.max_clients)
-              else begin
-                (try
-                   Unix.setsockopt_float fd Unix.SO_SNDTIMEO
-                     (float_of_int t.config.write_timeout_ms /. 1000.)
-                 with _ -> ());
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-                let conn =
-                  {
-                    fd;
-                    client = Atomic.fetch_and_add t.next_client 1;
-                    wlock = Mutex.create ();
-                    dead = Atomic.make false;
-                    sent = Atomic.make 0;
-                    inflight = Atomic.make 0;
-                    last_activity = Atomic.make (Mclock.now_ns ());
-                  }
-                in
-                Mutex.lock t.conns_lock;
-                Hashtbl.replace t.conns conn.client conn;
-                let th = Thread.create (fun () -> conn_loop t conn) () in
-                Hashtbl.replace t.conn_threads conn.client th;
-                Mutex.unlock t.conns_lock
-              end;
-              loop ())
-    end
+    match Unix.accept t.listen_fd with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | exception _ -> ()
+    | fd, _ when Atomic.get t.stopping -> ( try Unix.close fd with _ -> ())
+    | fd, _ ->
+        if num_clients t >= t.config.max_clients then
+          refuse_and_close t fd ~code:"GQ061"
+            ~message:(Printf.sprintf "too many clients (max %d), try later" t.config.max_clients)
+        else begin
+          (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO write_timeout_s with _ -> ());
+          set_idle_timeout fd t.config.idle_timeout_ms;
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
+          let conn =
+            {
+              fd;
+              client = Atomic.fetch_and_add t.next_client 1;
+              wlock = Mutex.create ();
+              dead = Atomic.make false;
+              sent = Atomic.make 0;
+              inflight = Atomic.make 0;
+              last_activity = Atomic.make (Mclock.now_ns ());
+            }
+          in
+          Mutex.lock t.conns_lock;
+          Hashtbl.replace t.conns conn.client conn;
+          let th = Thread.create (fun () -> conn_loop t conn) () in
+          Hashtbl.replace t.conn_threads conn.client th;
+          Mutex.unlock t.conns_lock
+        end;
+        loop ()
   in
   loop ()
 
@@ -543,7 +536,7 @@ let start ?(host = "127.0.0.1") ~port ~config mgr =
         Admission.create ~depth:config.queue_depth
           ~per_client:config.per_client_depth;
       stopping = Atomic.make false;
-      stopped = Atomic.make false;
+      stop_lock = Mutex.create ();
       conns_lock = Mutex.create ();
       conns = Hashtbl.create 16;
       conn_threads = Hashtbl.create 16;
@@ -565,18 +558,29 @@ let start ?(host = "127.0.0.1") ~port ~config mgr =
 let port t = t.bound_port
 let clients t = num_clients t
 
+(* One connect to the listener's own address (loopback when it is bound
+   to any address) wakes the accept thread.  The socket stays open until
+   that thread has exited. *)
+let wake_accept t =
+  let waker = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close waker) @@ fun () ->
+  (match Unix.getsockname t.listen_fd with
+  | Unix.ADDR_INET (a, port) ->
+      let a = if a = Unix.inet_addr_any then Unix.inet_addr_loopback else a in
+      (try Unix.connect waker (Unix.ADDR_INET (a, port)) with Unix.Unix_error _ -> ())
+  | _ -> ());
+  Option.iter Thread.join t.accept_thread
+
 let stop t =
+  Mutex.protect t.stop_lock @@ fun () ->
   if not (Atomic.exchange t.stopping true) then begin
     (* 1. stop accepting *)
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
+    wake_accept t;
     (try Unix.close t.listen_fd with _ -> ());
     (* 2. refuse new requests, let workers finish the queue *)
     Admission.drain t.queue;
     (* 3. grace period for in-flight work... *)
-    let deadline =
-      Int64.add (Mclock.now_ns ())
-        (Int64.mul (Int64.of_int t.config.drain_grace_ms) 1_000_000L)
-    in
+    let deadline = Int64.add (Mclock.now_ns ()) drain_grace_ns in
     let busy () =
       Mutex.lock t.act_lock;
       let n = Hashtbl.length t.active in
@@ -596,16 +600,6 @@ let stop t =
     let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
     let threads = Hashtbl.fold (fun _ th acc -> th :: acc) t.conn_threads [] in
     Mutex.unlock t.conns_lock;
-    List.iter
-      (fun c ->
-        Atomic.set c.dead true;
-        try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with _ -> ())
-      conns;
-    List.iter Thread.join threads;
-    Atomic.set t.stopped true
+    List.iter kill conns;
+    List.iter Thread.join threads
   end
-  else
-    (* concurrent/second call: wait for the first to finish *)
-    while not (Atomic.get t.stopped) do
-      Thread.delay 0.01
-    done

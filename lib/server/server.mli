@@ -22,10 +22,14 @@
       GQ062 and the connection recovers on the next well-formed line
       (mirroring GQ048 torn-journal semantics); idle connections are
       closed with a GQ064 notice; blocked writes to slow clients time
-      out instead of wedging a worker.
+      out after 5 s instead of wedging a worker.
+    - {b Blocking sockets, no polling}: the accept thread blocks in
+      [accept] and each connection's reader thread in [read], so the
+      daemon serves whatever fd numbers its process holds.  Idle
+      reaping is the reader's receive timeout ([SO_RCVTIMEO]).
     - {b Graceful drain}: {!stop} stops accepting, finishes (or trips,
-      after a grace period) in-flight work, flushes every response, and
-      joins all threads; afterwards no epoch stays pinned.
+      after a 2 s grace period) in-flight work, flushes every response,
+      and joins all threads; afterwards no epoch stays pinned.
     - {b Fault injection}: deterministic budget trips and injected
       connection drops for the soak suite.
 
@@ -33,7 +37,8 @@
     under full queues), and [query], [count], [mutate]: scheduled
     through admission, adapted into a {!Request} and answered by the
     pipeline [gqkg query], [count] and [mutate] share.  Responses echo
-    the request's ["id"] member verbatim.
+    the request's ["id"] member verbatim.  A [query] page holds at most
+    10,000 pairs (["truncated"] flags more).
 
     Wire error codes introduced here: GQ060 overloaded (shed), GQ061
     connection refused (max-clients), GQ062 malformed request, GQ063
@@ -44,18 +49,15 @@ open Gqkg_graph
 
 type config = {
   max_clients : int;  (** concurrent connections; beyond: GQ061 + close *)
-  workers : int;  (** request-execution threads over the shared domain pool *)
+  workers : int;  (** request-execution threads (systhreads) *)
   queue_depth : int;  (** global admission capacity *)
   per_client_depth : int;  (** one client's share of the queue *)
   default_timeout_ms : int option;  (** per-request deadline unless overridden *)
   default_max_states : int option;
   idle_timeout_ms : int;
       (** close connections with no reads, no delivered responses and no
-          queued/in-flight requests for this long (GQ064) *)
-  write_timeout_ms : int;  (** give up on a blocked write (slow client) *)
+          queued/in-flight requests for this long (GQ064); at least 1 *)
   max_line_bytes : int;  (** frames above this answer GQ062 and are skipped *)
-  drain_grace_ms : int;  (** drain: wait this long before tripping in-flight budgets *)
-  answer_limit : int;  (** cap on pairs per response (["truncated"] flags more) *)
   fault_trip_after_checks : int option;  (** injector: arm every request budget *)
   fault_drop_after : int option;  (** injector: hard-drop a connection every N responses *)
 }
@@ -77,9 +79,11 @@ val clients : t -> int
 val metrics : t -> Jsonx.t
 (** The same object [{"op":"metrics"}] returns on the wire. *)
 
-(** Graceful drain: stop accepting, refuse new requests (GQ063), finish
-    queued and in-flight work (tripping budgets still running after
-    [drain_grace_ms] — their clients receive sound partial answers),
-    flush responses, join every thread, close every socket.
-    Idempotent; blocks until fully drained. *)
+(** Graceful drain: stop accepting (one connect of its own wakes the
+    accept thread), refuse new requests (GQ063), finish queued and
+    in-flight work (tripping budgets still running after 2 s — their
+    clients receive sound partial answers), flush responses, shut down
+    every connection (which wakes its reader), join every thread, close
+    every socket.  Idempotent: a second or concurrent call blocks until
+    the first has fully drained. *)
 val stop : t -> unit

@@ -755,7 +755,8 @@ let prop_cli_daemon_agree =
    or enumerate outside count's 0..1024, an FPRAS epsilon outside (0,1)
    and a generator scale below 1 are each a GQ046 with exit 2 and
    nothing on stdout, never an uncaught exception; so is a negative
-   [--max-length] for query and for match. *)
+   [--max-length] for query and for match, and a serve idle timeout
+   below 1 ms (a receive timeout of 0 would never reap). *)
 let test_cli_bad_arguments () =
   let graph = Filename.temp_file "gqkg" ".pg" and err = Filename.temp_file "gqkg" ".err" in
   let out = Filename.temp_file "gqkg" ".out" in
@@ -783,6 +784,7 @@ let test_cli_bad_arguments () =
           [ "generate"; "--scale=0"; out ];
           [ "query"; graph; "?person"; "--max-length=-1" ];
           [ "match"; graph; "SELECT x WHERE (x:person)"; "--max-length=-1" ];
+          [ "serve"; graph; "--port=0"; "--idle-timeout-ms=0" ];
         ])
 
 (* ---------- Wire-protocol fuzz ---------- *)
@@ -902,6 +904,53 @@ let test_idle_close () =
   checkb "then closed" true
     (match recv_line c with _ -> false | exception Closed -> true)
 
+let test_idle_after_answer () =
+  (* the reaper counts from the last delivered reply, not from the read
+     of the request: a reply leaves the server at least [elapsed_ms]
+     after the request was sent, and on a 608-person network the query
+     takes long enough that counting from the read would reap early *)
+  let pg = Gqkg_workload.Contact_network.scaled (Gqkg_util.Splitmix.create 42) ~scale:8 in
+  let mgr = Epochs.create (Overlay.base_of_property pg) in
+  let config = { Server.default_config with idle_timeout_ms = 300 } in
+  let srv = Server.start ~port:0 ~config mgr in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = connect (Server.port srv) in
+  Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+  let sent = Unix.gettimeofday () in
+  let r = rpc c {|{"op":"query","q":"(contact + rides + rides^-)*","limit":1}|} in
+  checkb "answered" true (obj_bool "ok" r);
+  let answered = sent +. (obj_num "elapsed_ms" r /. 1000.) in
+  let notice = Jsonx.parse (recv_line c) in
+  let after_ms = 1000. *. (Unix.gettimeofday () -. answered) in
+  checkb "idle notice is GQ064" true
+    (match notice with Ok v -> obj_str "code" v = "GQ064" | Error _ -> false);
+  checkb (Printf.sprintf "GQ064 %.1f ms after the answer, in [300, 1300]" after_ms) true
+    (after_ms >= 300. && after_ms <= 1300.)
+
+(* [select] cannot watch an fd numbered 1024 or more; the daemon must
+   serve past it. *)
+let test_past_fd_1024 () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  (* on Unix a file_descr is its fd number; fds are allocated lowest
+     first, so once a dup is numbered 1024 every later fd is above it *)
+  let rec fill acc =
+    let fd = Unix.dup null in
+    if (Obj.magic fd : int) >= 1024 then fd :: acc else fill (fd :: acc)
+  in
+  let dups = fill [ null ] in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close dups) @@ fun () ->
+  let mgr, srv = start_server Server.default_config in
+  let c1 = connect (Server.port srv) and c2 = connect (Server.port srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      close c1;
+      close c2)
+    (fun () ->
+      checkb "ping past fd 1024" true (obj_bool "ok" (rpc c1 {|{"op":"ping"}|}));
+      checkb "query past fd 1024" true (obj_bool "ok" (rpc c2 {|{"op":"query","q":"rides"}|})));
+  Server.stop srv;
+  checki "no pins after stop" 0 (Epochs.pins mgr)
+
 let test_fuzz_env_drain () =
   (* drain the fuzz server and assert it leaked nothing *)
   let mgr, srv = Lazy.force fuzz_env in
@@ -981,9 +1030,10 @@ let test_load_shedding () =
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let c = connect (Server.port srv) in
   Fun.protect ~finally:(fun () -> close c) @@ fun () ->
-  for _ = 1 to 20 do
-    send c {|{"op":"query","q":"rides/-rides/rides"}|}
-  done;
+  (* one write: the reader admits the lines of one read back to back, so
+     the queue overflows however the threads are scheduled; twenty
+     writes let the worker drain each line before the next arrived *)
+  send c (String.concat "\n" (List.init 20 (fun _ -> {|{"op":"query","q":"rides/-rides/rides"}|})));
   let shed = ref 0 and answered = ref 0 in
   for _ = 1 to 20 do
     match Jsonx.parse (recv_line c) with
@@ -1147,12 +1197,14 @@ let () =
             Alcotest.test_case "oversized line bounded" `Quick test_oversized_line;
             Alcotest.test_case "long line linear" `Quick test_long_line;
             Alcotest.test_case "idle close" `Quick test_idle_close;
+            Alcotest.test_case "idle after an answer" `Quick test_idle_after_answer;
             Alcotest.test_case "fuzz drain leak-free" `Quick test_fuzz_env_drain;
           ] );
       ( "overload",
         [
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
           Alcotest.test_case "saturation drain" `Quick test_saturation_drain;
+          Alcotest.test_case "serves past fd 1024" `Quick test_past_fd_1024;
         ] );
       ("soak", [ Alcotest.test_case "fault-injected soak" `Quick test_soak ]);
       (* last: its snapshots advance the process-wide epoch counter,

@@ -1,5 +1,6 @@
 (* Wall-clock gates: four throughput comparisons, each leg timed
-   best-of and interleaved with the other so machine drift cancels.
+   best-of and interleaved with the other so machine drift cancels,
+   and one latency bar.
    Ratios of wall times are too noisy for every test run, so this is
    not part of [dune runtest]; run it on its own:
 
@@ -18,7 +19,11 @@
      keys, which has no rank array, runs at most 5x as long as the same
      join renumbered so that the root is dense (or takes at most
      5 ms): seeks into the root gallop, so the merge costs
-     O(shortest slice * log), which no answer test can see. *)
+     O(shortest slice * log), which no answer test can see;
+   - stop: [Server.stop] with four connected, answered clients takes at
+     most 50 ms (best of 5): the accept thread and every reader block
+     on their sockets and the drain wakes them, so it waits out no
+     poll interval. *)
 
 open Gqkg_graph
 open Gqkg_core
@@ -27,6 +32,7 @@ module Decide = Gqkg_analysis.Decide
 module Budget = Gqkg_util.Budget
 module Splitmix = Gqkg_util.Splitmix
 module Contact_network = Gqkg_workload.Contact_network
+module Server = Gqkg_server.Server
 
 let parse = Gqkg_automata.Regex_parser.parse
 
@@ -195,9 +201,40 @@ let skew () =
        "sparse root %.2f ms vs dense root %.2f ms (%.2fx), agree %b (bar <= 5x or sparse <= 5 ms)"
        (ms !t_sparse) (ms !t_dense) ratio !agree)
 
+(* Each repetition starts a daemon on a fresh epoch manager, connects
+   four clients and reads each one's pong before timing the drain. *)
+let stop () =
+  let pg = Contact_network.scaled (Splitmix.create 42) ~scale:1 in
+  let ping port =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    let line = {|{"op":"ping"}|} ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    let buf = Bytes.create 256 in
+    let rec pong () =
+      let n = Unix.read fd buf 0 (Bytes.length buf) in
+      if n > 0 && not (Bytes.contains (Bytes.sub buf 0 n) '\n') then pong ()
+    in
+    pong ();
+    fd
+  in
+  let t_stop = ref infinity in
+  for _ = 1 to 5 do
+    let mgr = Epochs.create (Overlay.base_of_property pg) in
+    let srv = Server.start ~port:0 ~config:Server.default_config mgr in
+    let clients = List.init 4 (fun _ -> ping (Server.port srv)) in
+    let (), t = wall (fun () -> Server.stop srv) in
+    List.iter Unix.close clients;
+    t_stop := Float.min !t_stop t
+  done;
+  gate "stop" (!t_stop <= 0.050)
+    (Printf.sprintf "Server.stop with 4 clients %.2f ms, best of 5 (bar <= 50 ms)" (ms !t_stop))
+
 let () =
   let governor_ok = governor () in
   let minimize_ok = minimize () in
   let commit_ok = commit () in
   let skew_ok = skew () in
-  if not (governor_ok && minimize_ok && commit_ok && skew_ok) then exit 1
+  let stop_ok = stop () in
+  if not (governor_ok && minimize_ok && commit_ok && skew_ok && stop_ok) then exit 1
