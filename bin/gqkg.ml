@@ -1068,6 +1068,19 @@ let serve_cmd =
     if idle_timeout_ms < 1 then
       fail_user ~code:"GQ046" ~subterm:"--idle-timeout-ms"
         ~message:(Printf.sprintf "idle timeout %d ms is below 1" idle_timeout_ms);
+    (* SIGTERM/SIGINT request a graceful drain: stop accepting, finish
+       or trip in-flight work, flush every response, then exit 0.  Both
+       are blocked before any thread or domain starts, so every one
+       inherits the mask, and the main thread takes them in
+       [Thread.wait_signal]: a signal that arrives as soon as the first
+       request is answered still drains.  The handlers never run; they
+       make the kernel list both signals as caught (SigCgt), which tells
+       a supervisor the daemon is ready for SIGTERM. *)
+    let signals = [ Sys.sigint; Sys.sigterm ] in
+    ignore (Thread.sigmask Unix.SIG_BLOCK signals);
+    List.iter
+      (fun s -> try Sys.set_signal s (Sys.Signal_handle ignore) with Invalid_argument _ -> ())
+      signals;
     let mgr = Epochs.create (load_base path) in
     let config =
       {
@@ -1083,16 +1096,6 @@ let serve_cmd =
         fault_drop_after = fault_drop;
       }
     in
-    (* SIGTERM/SIGINT request a graceful drain: stop accepting, finish
-       or trip in-flight work, flush every response, then exit 0.  The
-       handlers go in before the listener opens, so a signal that
-       arrives as soon as the first request is answered still drains. *)
-    let stop_requested = ref false in
-    let request_stop _ = stop_requested := true in
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop)
-     with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop)
-     with Invalid_argument _ -> ());
     let server =
       match Gqkg_server.Server.start ~port ~config mgr with
       | s -> s
@@ -1104,9 +1107,7 @@ let serve_cmd =
     Printf.printf "gqkg serve: listening on 127.0.0.1:%d (epoch %d, %d nodes, %d edges)\n%!"
       (Gqkg_server.Server.port server)
       snap.Snapshot.epoch snap.Snapshot.num_nodes snap.Snapshot.num_edges;
-    while not !stop_requested do
-      try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done;
+    ignore (Thread.wait_signal signals);
     prerr_endline "gqkg serve: draining...";
     Gqkg_server.Server.stop server;
     print_json (Gqkg_server.Server.metrics server)

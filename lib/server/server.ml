@@ -471,16 +471,16 @@ let refuse_and_close t fd ~code ~message =
    with _ -> ());
   try Unix.close fd with _ -> ()
 
-(* Blocks in [accept]; [stop] wakes it with a connect of its own, and
-   the connection accepted once [stopping] is set is closed unanswered. *)
+(* Blocks in [accept]; [stop]'s shutdown of the listener fails it. *)
 let accept_loop t =
   let rec loop () =
     match Unix.accept t.listen_fd with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception _ -> ()
-    | fd, _ when Atomic.get t.stopping -> ( try Unix.close fd with _ -> ())
     | fd, _ ->
-        if num_clients t >= t.config.max_clients then
+        if Atomic.get t.stopping then
+          refuse_and_close t fd ~code:"GQ063" ~message:"server is draining, connection refused"
+        else if num_clients t >= t.config.max_clients then
           refuse_and_close t fd ~code:"GQ061"
             ~message:(Printf.sprintf "too many clients (max %d), try later" t.config.max_clients)
         else begin
@@ -558,24 +558,15 @@ let start ?(host = "127.0.0.1") ~port ~config mgr =
 let port t = t.bound_port
 let clients t = num_clients t
 
-(* One connect to the listener's own address (loopback when it is bound
-   to any address) wakes the accept thread.  The socket stays open until
-   that thread has exited. *)
-let wake_accept t =
-  let waker = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close waker) @@ fun () ->
-  (match Unix.getsockname t.listen_fd with
-  | Unix.ADDR_INET (a, port) ->
-      let a = if a = Unix.inet_addr_any then Unix.inet_addr_loopback else a in
-      (try Unix.connect waker (Unix.ADDR_INET (a, port)) with Unix.Unix_error _ -> ())
-  | _ -> ());
-  Option.iter Thread.join t.accept_thread
-
 let stop t =
   Mutex.protect t.stop_lock @@ fun () ->
   if not (Atomic.exchange t.stopping true) then begin
-    (* 1. stop accepting *)
-    wake_accept t;
+    (* 1. stop accepting: on Linux, shutting the listener down fails the
+       blocked [accept] (EINVAL) without opening an fd; where it does not
+       wake it, the thread is left behind rather than joined *)
+    (match Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with
+    | () -> Option.iter Thread.join t.accept_thread
+    | exception Unix.Unix_error _ -> ());
     (try Unix.close t.listen_fd with _ -> ());
     (* 2. refuse new requests, let workers finish the queue *)
     Admission.drain t.queue;

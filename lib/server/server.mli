@@ -79,8 +79,9 @@ val clients : t -> int
 val metrics : t -> Jsonx.t
 (** The same object [{"op":"metrics"}] returns on the wire. *)
 
-(** Graceful drain: stop accepting (one connect of its own wakes the
-    accept thread), refuse new requests (GQ063), finish queued and
+(** Graceful drain: stop accepting (shutting the listener down wakes
+    the accept thread; the drain opens no fd, so it also drains a
+    process at its fd limit), refuse new requests (GQ063), finish queued and
     in-flight work (tripping budgets still running after 2 s — their
     clients receive sound partial answers), flush responses, shut down
     every connection (which wakes its reader), join every thread, close
