@@ -39,9 +39,8 @@ type source_dag = {
   targets : (int, int * int list) Hashtbl.t;
   (* Target nodes in ascending order.  Consumers iterate this list, not
      the hash table: the iteration order is then a function of the graph
-     and query alone (product state ids depend on exploration history,
-     which differs between the shared sequential product and per-domain
-     copies), keeping accumulation and sampling order reproducible. *)
+     and query alone, not of the product's state ids, keeping
+     accumulation and sampling order reproducible. *)
   target_nodes : int list;
 }
 
@@ -167,23 +166,16 @@ let materialize_paths product dag ~target ~limit =
        with Done -> ());
       !out
 
-(* Plan the query once, before sources are sliced across domains: [None]
-   when statically empty (bc_r is all zeros — no matching path exists),
-   otherwise a product factory the per-domain workers call.  The trimmed
-   NFA is immutable and shared read-only across the copies. *)
-let plan_products ?budget inst regex =
+(* Plan the query once: [None] when statically empty (bc_r is all
+   zeros — no matching path exists), otherwise the product every source
+   is replayed over. *)
+let plan_product ?budget inst regex =
   let module Analyze = Gqkg_analysis.Analyze in
   let r = Analyze.plan inst regex in
-  Option.map
-    (fun nfa ->
-      (* One budget shared by every per-domain product copy: its
-         counters are atomics, so concurrent slices charge it together
-         and trip together. *)
-      fun () -> Product.create ?budget ~nfa inst r.Analyze.regex)
-    r.Analyze.nfa
+  Option.map (fun nfa -> Product.create ?budget ~nfa inst r.Analyze.regex) r.Analyze.nfa
 
 (* Per-source exact contribution, accumulated into [bc]. *)
-let exact_source product ~max_length ~pair_limit bc a =
+let exact_source ~max_length ~pair_limit product bc a =
   let dag = build_dag product ~source:a ~max_length in
   List.iter
     (fun b ->
@@ -201,25 +193,23 @@ let exact_source product ~max_length ~pair_limit bc a =
       end)
     dag.target_nodes
 
-(* Shared slice runner: sources [first, last) against one product copy,
-   in batches of [Frontier.word_bits].  Each batch first runs one
-   multi-source frontier pass whose only job is to *warm* the product —
-   every state any source of the batch can expand gets its CSR row
-   committed once, for the whole batch — then replays the per-source
-   DAG builds over the memoized rows.  The replay, not the batch pass,
-   produces the per-source structure, so results stay bit-identical to
-   the one-source-at-a-time loop regardless of batch composition (and
-   hence of the domain count). *)
-let run_slice mk_product ~max_length per_source n first last =
-  let product = mk_product () in
+(* Source runner: every source, in batches of [Frontier.word_bits].
+   Each batch first runs one multi-source frontier pass whose only job
+   is to *warm* the product — every state any source of the batch can
+   expand gets its CSR row committed once, for the whole batch — then
+   replays the per-source DAG builds over the memoized rows.  The
+   replay, not the batch pass, produces the per-source structure, so
+   results stay bit-identical to the one-source-at-a-time loop
+   regardless of batch composition. *)
+let run_sources product ~max_length per_source n =
   let budget = Product.budget product in
   let fr = Frontier.create product in
   let bc = Array.make n 0.0 in
-  let a = ref first in
+  let a = ref 0 in
   (* Budget check sites: per batch and per source.  A skipped source
      contributes nothing, so partial bc scores are undercounts. *)
-  while !a < last && not (Budget.check budget) do
-    let width = min Frontier.word_bits (last - !a) in
+  while !a < n && not (Budget.check budget) do
+    let width = min Frontier.word_bits (n - !a) in
     Frontier.run_batch ?max_length fr ~sources:(Array.init width (fun i -> !a + i));
     let i = ref 0 in
     while !i < width && not (Budget.check budget) do
@@ -230,75 +220,15 @@ let run_slice mk_product ~max_length per_source n first last =
   done;
   bc
 
-(* Warm ONE product over every source: after these batch passes, every
-   state any per-source replay can touch is expanded, every lazy memo
-   (move tables, start states, acceptance) is filled, and the product is
-   effectively read-only — see the safety argument in Frontier: both the
-   top-down and the bottom-up step expand the whole frontier at every
-   level below the bound, so batch coverage equals per-source BFS
-   coverage exactly. *)
-let warm_product product ~max_length n =
-  let budget = Product.budget product in
-  let fr = Frontier.create product in
-  let a = ref 0 in
-  while !a < n && not (Budget.check budget) do
-    let width = min Frontier.word_bits (n - !a) in
-    Frontier.run_batch ?max_length fr ~sources:(Array.init width (fun i -> !a + i));
-    a := !a + width
-  done
-
-(* Parallel strategy: warm the shared product once (sequential — the
-   lazy product is not safe for concurrent interning), then replay the
-   per-source DAG builds concurrently over the memoized rows.  Replays
-   only read: expansion, start-state and acceptance caches were all
-   filled by the warm pass, and the budget's counters are atomics.  The
-   old per-domain-product-copy design expanded the product once per
-   domain — duplicated work that made parallel bc_r *slower* than
-   sequential on small workloads; sharing the warm removes exactly that
-   duplication.  Per-slice partial scores merge in slice order, so the
-   result is deterministic for a fixed domain count. *)
-let run_sliced mk_product ~max_length ~domains per_source n =
-  if domains <= 1 || n < 8 then run_slice mk_product ~max_length per_source n 0 n
-  else begin
-    let product = mk_product () in
-    warm_product product ~max_length n;
-    let budget = Product.budget product in
-    let partials =
-      Parallel.map_slices ~domains ~grain:4 n (fun first last ->
-          let bc = Array.make n 0.0 in
-          let a = ref first in
-          (* Budget check site: per source; a skipped source contributes
-             nothing, so partial bc scores are undercounts. *)
-          while !a < last && not (Budget.check budget) do
-            per_source product bc !a;
-            incr a
-          done;
-          bc)
-    in
-    match partials with
-    | [] -> Array.make n 0.0
-    | first :: rest -> List.fold_left (fun into p -> Parallel.sum_float_arrays ~into p) first rest
-  end
-
 (* The exact bc_r of every node.  [max_length] bounds the product search
    for star-heavy expressions; [pair_limit] caps per-pair materialization
-   (when hit, the pair contributes its sampled prefix — the log warns).
-
-   Per-source passes are independent, so with [domains > 1] the sources
-   are sliced across OCaml 5 domains: one shared product is warmed by
-   [Frontier.word_bits]-wide batch passes, then the slices replay their
-   sources over the memoized (read-only) rows.  Per-domain partial
-   scores are summed in slice order, keeping the result deterministic
-   for a fixed domain count. *)
-let exact ?budget ?max_length ?pair_limit ?(domains = 0) inst regex =
+   (when hit, the pair contributes its sampled prefix — the log warns). *)
+let exact ?budget ?max_length ?pair_limit inst regex =
   let n = inst.Snapshot.num_nodes in
-  let domains = if domains > 0 then domains else Parallel.default_domains () in
-  match plan_products ?budget inst regex with
+  match plan_product ?budget inst regex with
   | None -> Array.make n 0.0
-  | Some mk_product ->
-      run_sliced mk_product ~max_length ~domains
-        (fun product bc a -> exact_source product ~max_length ~pair_limit bc a)
-        n
+  | Some product ->
+      run_sources product ~max_length (exact_source ~max_length ~pair_limit) n
 
 (* Uniform draw of one shortest matching path to [target] (as the list of
    its graph nodes): pick the accepting state proportionally to σ, then
@@ -323,8 +253,8 @@ let sample_path product dag rng ~target =
 
 (* Per-source sampled contribution.  The RNG is derived from (seed,
    source), so the estimate is a pure function of the inputs no matter
-   how sources are sliced across domains. *)
-let approximate_source product ~max_length ~samples ~seed bc a =
+   how sources are batched. *)
+let approximate_source ~max_length ~samples ~seed product bc a =
   let rng = Splitmix.create (seed + (0x9e3779b9 * (a + 1))) in
   let share = 1.0 /. float_of_int samples in
   let dag = build_dag product ~source:a ~max_length in
@@ -342,28 +272,24 @@ let approximate_source product ~max_length ~samples ~seed bc a =
 
 (* Randomized approximation of bc_r: per reachable pair, [samples] uniform
    members of S_{a,b,r} estimate the inclusion fractions.  Sources are
-   sliced across domains and batched exactly as in {!exact}. *)
-let approximate ?budget ?max_length ?(samples = 16) ?(seed = 7) ?(domains = 0) inst regex =
+   batched exactly as in {!exact}. *)
+let approximate ?budget ?max_length ?(samples = 16) ?(seed = 7) inst regex =
   let n = inst.Snapshot.num_nodes in
-  let domains = if domains > 0 then domains else Parallel.default_domains () in
-  match plan_products ?budget inst regex with
+  match plan_product ?budget inst regex with
   | None -> Array.make n 0.0
-  | Some mk_product ->
-      run_sliced mk_product ~max_length ~domains
-        (fun product bc a -> approximate_source product ~max_length ~samples ~seed bc a)
-        n
+  | Some product ->
+      run_sources product ~max_length (approximate_source ~max_length ~samples ~seed) n
 
 (* The degradation ladder: exact bc_r under the caller's budget; if the
    exact pass trips, fall back to the sampling approximation under a
    fresh budget with the same limits ([Budget.similar] — the injector is
    deliberately not copied).  The outcome's completeness reflects the
    pass that produced the returned scores. *)
-let governed ~budget ?max_length ?pair_limit ?(samples = 16) ?(seed = 7) ?(domains = 0) inst
-    regex =
-  let scores = exact ~budget ?max_length ?pair_limit ~domains inst regex in
+let governed ~budget ?max_length ?pair_limit ?(samples = 16) ?(seed = 7) inst regex =
+  let scores = exact ~budget ?max_length ?pair_limit inst regex in
   match Budget.exhausted budget with
   | None -> { Budget.value = (scores, `Exact); completeness = Budget.Complete }
   | Some _ ->
       let retry = Budget.similar budget in
-      let scores = approximate ~budget:retry ?max_length ~samples ~seed ~domains inst regex in
+      let scores = approximate ~budget:retry ?max_length ~samples ~seed inst regex in
       { Budget.value = (scores, `Approximate); completeness = Budget.completeness retry }

@@ -15,15 +15,14 @@ open Gqkg_graph
 (** Exact bc_r by materializing every shortest matching path per pair
     (|S| can be exponential — that is the paper's point). [max_length]
     bounds the product search; [pair_limit] caps per-pair
-    materialization as a safety valve. [domains] slices the independent
-    per-source passes across OCaml domains over one shared,
-    frontier-warmed product (replays are read-only); 0 or absent means
-    {!Gqkg_util.Parallel.default_domains}. *)
+    materialization as a safety valve. Sources run in
+    [Frontier.word_bits]-wide batches: one frontier pass warms the
+    product, then each source's shortest-path DAG is replayed over the
+    memoized rows. *)
 val exact :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->
   ?pair_limit:int ->
-  ?domains:int ->
   Snapshot.t ->
   Gqkg_automata.Regex.t ->
   float array
@@ -32,14 +31,12 @@ val exact :
     toolbox: [samples] uniform members of each S_{a,b,r} (backward
     sampling weighted by shortest-path counts) estimate the inclusion
     fractions. The RNG is derived per source from [seed], so the
-    estimate does not depend on [domains] (up to float summation
-    order). *)
+    estimate does not depend on how sources are batched. *)
 val approximate :
   ?budget:Gqkg_util.Budget.t ->
   ?max_length:int ->
   ?samples:int ->
   ?seed:int ->
-  ?domains:int ->
   Snapshot.t ->
   Gqkg_automata.Regex.t ->
   float array
@@ -55,7 +52,6 @@ val governed :
   ?pair_limit:int ->
   ?samples:int ->
   ?seed:int ->
-  ?domains:int ->
   Snapshot.t ->
   Gqkg_automata.Regex.t ->
   (float array * [ `Exact | `Approximate ]) Gqkg_util.Budget.outcome

@@ -11,8 +11,9 @@
 
    Everything in the record is immutable after [make] returns, except
    the memo of derived state, which only ever grows by compare-and-set;
-   the hot fields are plain int arrays, so snapshots are shared freely
-   across OCaml 5 domains (the per-source slices of bc_r). *)
+   the hot fields are plain int arrays, so one snapshot is shared freely
+   by every reader of an epoch (serve's workers, the writer's next
+   commit). *)
 
 module B = Gqkg_util.Bitset
 

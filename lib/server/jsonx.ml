@@ -290,12 +290,6 @@ let frame ~head ~total ~limit ~tail body =
   Buffer.blit buf cut dst (cut + n) (Buffer.length buf - cut);
   Bytes.unsafe_to_string dst
 
-let page_frame names ~head ~limit pairs ~tail =
-  let shown = List.filteri (fun i _ -> i < limit) pairs in
-  let column f = Array.of_list (List.map f shown) in
-  frame ~head ~total:(List.length pairs) ~limit ~tail
-    (body names (column fst) (column snd) (List.length shown))
-
 (* An answer's last rendered body, with the names (compared physically)
    and shown count it was rendered for. *)
 type page = { names : names; shown : int; body : string }

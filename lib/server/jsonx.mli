@@ -37,22 +37,17 @@ type names
 val names : Gqkg_graph.Snapshot.t -> names
 (** Built on first use and memoized on the snapshot: one per epoch. *)
 
-val page_frame :
-  names -> head:(string * t) list -> limit:int -> (int * int) list -> tail:(string * t) list ->
-  string
-(** [page_frame names ~head ~limit pairs ~tail] is byte for byte
-    [to_string (Obj (head @ [("total", int total); ("truncated", Bool (total > limit));
-    ("pairs", Arr page)] @ tail)) ^ "\n"], where [total] is the length of
-    [pairs] and [page] holds its first [limit] pairs [(a, b)] as
-    [Arr [Str (name a); Str (name b)]].  It is rendered into one string
-    of that exact size by blitting the literals of [names]. *)
-
 val answer_frame :
   names -> head:(string * t) list -> limit:int -> Gqkg_core.Answer.t -> tail:(string * t) list ->
   string
-(** {!page_frame} of the answer's pairs, byte for byte, with its body
-    from {!answer_body}: a cached answer renders it once per shown
-    count, and each frame after that copies it between the members. *)
+(** [answer_frame names ~head ~limit a ~tail] is byte for byte
+    [to_string (Obj (head @ [("total", int total); ("truncated", Bool (total > limit));
+    ("pairs", Arr page)] @ tail)) ^ "\n"], where [total] is the number
+    of the answer's pairs and [page] holds its first [limit] pairs
+    [(a, b)] as [Arr [Str (name a); Str (name b)]].  It is rendered into
+    one string of that exact size, with its body from {!answer_body}: a
+    cached answer renders it once per shown count, and each frame after
+    that copies it between the members. *)
 
 val answer_body : names -> Gqkg_core.Answer.t -> shown:int -> string
 (** The inside of the ["pairs"] array for the answer's first [shown]

@@ -471,12 +471,45 @@ let refuse_and_close t fd ~code ~message =
    with _ -> ());
   try Unix.close fd with _ -> ()
 
-(* Blocks in [accept]; [stop]'s shutdown of the listener fails it. *)
+let open_spare () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+let close_spare = Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* Blocks in [accept]; [stop]'s shutdown of the listener fails it, and
+   only then does the loop end: an error while not stopping is one
+   client's (or the fd limit's), never the listener's end. *)
 let accept_loop t =
+  (* At the fd limit [accept] fails at once for as long as a client
+     waits in the backlog, so retrying it would spin.  Instead the
+     thread gives up its spare fd, takes that client, refuses it
+     (GQ061) and holds the spare again: the next [accept] blocks.
+     Without a spare (another thread took its slot) it waits a little
+     before the next try. *)
+  let spare = ref (open_spare ()) and limit_logged = ref false in
+  let refuse_at_fd_limit () =
+    if not !limit_logged then begin
+      limit_logged := true;
+      Logs.warn (fun m -> m "serve: out of file descriptors, refusing new clients until some close")
+    end;
+    close_spare !spare;
+    (match Unix.accept t.listen_fd with
+    | fd, _ -> refuse_and_close t fd ~code:"GQ061" ~message:"out of file descriptors, try later"
+    | exception Unix.Unix_error _ -> ());
+    spare := open_spare ();
+    if !spare = None then Thread.delay 0.1
+  in
   let rec loop () =
     match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception _ -> ()
+    | exception _ when Atomic.get t.stopping -> ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        refuse_at_fd_limit ();
+        loop ()
+    | exception Unix.Unix_error ((Unix.ENOBUFS | Unix.ENOMEM), _, _) ->
+        Thread.delay 0.01;
+        loop ()
+    | exception Unix.Unix_error _ -> loop ()
     | fd, _ ->
         if Atomic.get t.stopping then
           refuse_and_close t fd ~code:"GQ063" ~message:"server is draining, connection refused"
@@ -506,7 +539,7 @@ let accept_loop t =
         end;
         loop ()
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> close_spare !spare) loop
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

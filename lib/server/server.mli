@@ -26,7 +26,9 @@
     - {b Blocking sockets, no polling}: the accept thread blocks in
       [accept] and each connection's reader thread in [read], so the
       daemon serves whatever fd numbers its process holds.  Idle
-      reaping is the reader's receive timeout ([SO_RCVTIMEO]).
+      reaping is the reader's receive timeout ([SO_RCVTIMEO]).  Out
+      of fds, the daemon refuses new clients (GQ061) and accepts again
+      once some close.
     - {b Graceful drain}: {!stop} stops accepting, finishes (or trips,
       after a 2 s grace period) in-flight work, flushes every response,
       and joins all threads; afterwards no epoch stays pinned.
@@ -41,7 +43,7 @@
     10,000 pairs (["truncated"] flags more).
 
     Wire error codes introduced here: GQ060 overloaded (shed), GQ061
-    connection refused (max-clients), GQ062 malformed request, GQ063
+    connection refused (max-clients, or out of fds), GQ062 malformed request, GQ063
     draining, GQ064 idle timeout, GQ069 internal error.  The full table
     lives in README.md. *)
 

@@ -9,9 +9,11 @@
     ([check] is sticky), so a kernel that misses one check site still
     stops at the next.
 
-    Budgets are shareable across OCaml domains: all mutable state is
-    held in [Atomic.t] cells, so the parallel slices of
-    [Regex_centrality] can charge against one budget.
+    Budgets are shared across threads: all mutable state is held in
+    [Atomic.t] cells, because a budget is tripped from outside the
+    evaluation that charges it: serve's drain cancels in-flight
+    requests from the thread that runs [stop], and the CLI cancels from
+    its Ctrl-C handler.
 
     Deadlines are computed on the monotonic clock ({!Mclock}), not wall
     time: stepping the host clock (NTP jump, operator reset) can

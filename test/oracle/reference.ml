@@ -75,6 +75,34 @@ let betweenness ?(directed = true) inst =
   done;
   if not directed then Array.map (fun x -> x /. 2.0) bc else bc
 
+(* bc_r from the path semantics: per ordered pair a ≠ b, the matching
+   paths of least length (up to the bound) are S_{a,b,r}; each credits
+   its distinct nodes other than a and b with 1/|S|.  A path is an edge
+   sequence, so parallel edges make distinct paths. *)
+let bcr ~max_length inst regex =
+  let least = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      let ends = (Path.start_node p, Path.end_node p) and k = Path.length p in
+      if fst ends <> snd ends then
+        match Hashtbl.find_opt least ends with
+        | Some (k', _) when k' < k -> ()
+        | Some (k', paths) when k' = k -> Hashtbl.replace least ends (k, p :: paths)
+        | Some _ | None -> Hashtbl.replace least ends (k, [ p ]))
+    (Naive.paths inst regex ~max_length);
+  let bc = Array.make inst.Snapshot.num_nodes 0.0 in
+  Hashtbl.iter
+    (fun (a, b) (_, paths) ->
+      let share = 1.0 /. float_of_int (List.length paths) in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun x -> if x <> a && x <> b then bc.(x) <- bc.(x) +. share)
+            (List.sort_uniq Int.compare (Array.to_list (Path.nodes p))))
+        paths)
+    least;
+  bc
+
 (* A shortest matching path never visits one (node, NFA state) twice
    after an edge step, so n times the states of a Thompson-style
    automaton (at most 2 per regex node, plus one) bounds it; a

@@ -241,19 +241,6 @@ let test_bcr_exact_unconstrained_matches_brandes () =
       constrained
   done
 
-let test_bcr_exact_domain_independent () =
-  (* Slicing sources across domains must not change bc_r beyond float
-     summation noise. *)
-  let rng = Gqkg_util.Splitmix.create 47 in
-  let pg = Gqkg_workload.Contact_network.generate rng in
-  let inst = Snapshot.of_property pg in
-  let r = parse "?person/rides/?bus/rides^-/?person" in
-  let seq = Regex_centrality.exact ~domains:1 inst r in
-  let par = Regex_centrality.exact ~domains:4 inst r in
-  Array.iteri
-    (fun v x -> checkb (Printf.sprintf "node %d" v) true (Float.abs (x -. par.(v)) < 1e-6))
-    seq
-
 let test_bcr_approximate_close_to_exact () =
   let rng = Gqkg_util.Splitmix.create 31 in
   let pg = Gqkg_workload.Contact_network.generate rng in
@@ -568,6 +555,27 @@ let prop_charikar_half_optimal =
       let _, dg = Densest.goldberg inst in
       dc >= (dg /. 2.0) -. 1e-9)
 
+(* Exact bc_r against the path semantics on small random graphs and
+   regexes, at every bound from 0 to 4.  Few draws give a node a
+   nonzero score (about 3%: it takes two edges through a third node), so
+   the count is high; a case takes ~25 us. *)
+let prop_bcr_oracle =
+  let open Gqkg_oracle.Small in
+  QCheck2.Test.make ~name:"bc_r exact = shortest-path oracle" ~count:2000
+    QCheck2.Gen.(pair regex_and_graph_gen (int_bound 4))
+    (fun ((g, rseed), max_length) ->
+      let inst = make_instance g and r = make_regex rseed in
+      let oracle = Reference.bcr ~max_length inst r in
+      let exact = Regex_centrality.exact ~max_length inst r in
+      let off = ref [] in
+      Array.iteri (fun v x -> if Float.abs (x -. exact.(v)) > 1e-9 then off := v :: !off) oracle;
+      !off = []
+      || QCheck2.Test.fail_reportf "%s, max_length %d: nodes %s: exact %s, oracle %s"
+           (Regex.to_string r) max_length
+           (String.concat "," (List.rev_map string_of_int !off))
+           (String.concat "," (Array.to_list (Array.map string_of_float exact)))
+           (String.concat "," (Array.to_list (Array.map string_of_float oracle))))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg_analytics"
@@ -598,7 +606,6 @@ let () =
         [
           Alcotest.test_case "figure2 bus" `Quick test_bcr_figure2_bus;
           Alcotest.test_case "bc vs bc_r" `Quick test_bcr_vs_plain_bc_differ;
-          Alcotest.test_case "bc_r domains=4 = domains=1" `Quick test_bcr_exact_domain_independent;
           Alcotest.test_case "unconstrained = brandes" `Quick test_bcr_exact_unconstrained_matches_brandes;
           Alcotest.test_case "approximate close" `Quick test_bcr_approximate_close_to_exact;
         ] );
@@ -645,6 +652,13 @@ let () =
           Alcotest.test_case "summary" `Quick test_stats_summary;
         ] );
       ( "properties",
-        q [ prop_brandes_naive; prop_pagerank_stochastic; prop_components_partition; prop_charikar_half_optimal ]
+        q
+          [
+            prop_brandes_naive;
+            prop_pagerank_stochastic;
+            prop_components_partition;
+            prop_charikar_half_optimal;
+            prop_bcr_oracle;
+          ]
       );
     ]

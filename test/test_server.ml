@@ -127,56 +127,7 @@ let print_page (ids, pairs, limit, id, elapsed, partial) =
     elapsed
     (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") partial)
 
-(* Distinct ids become the nodes of a snapshot, in order, and a page
-   names them by that snapshot's [node_name]. *)
-let snapshot_of_ids ids =
-  let ids = List.sort_uniq Const.compare (List.map Const.of_string ids) in
-  Snapshot.of_property
-    (Journal.replay_ops (List.map (fun id -> Journal.Add_node { id; label = Const.str "v" }) ids))
-
-let prop_page_bytes =
-  QCheck2.Test.make ~name:"a page frame is byte-identical to its Jsonx tree" ~count:300
-    ~print:print_page page_gen (fun (ids, pairs, limit, id, elapsed, partial) ->
-      let snap = snapshot_of_ids ids in
-      (* equal ids (007 and 7) merge, so there may be fewer nodes than ids *)
-      let n = snap.Snapshot.num_nodes in
-      let pairs = List.map (fun (a, b) -> (a mod n, b mod n)) pairs in
-      let name v = Jsonx.Str (snap.Snapshot.node_name v) in
-      let id = Option.fold ~none:[] ~some:(fun v -> [ ("id", v) ]) id in
-      let head =
-        [ ("ok", Jsonx.Bool true); ("op", Jsonx.Str "query") ]
-        @ id
-        @ [ ("epoch", Jsonx.int snap.Snapshot.epoch) ]
-      in
-      let completeness =
-        match partial with
-        | None -> [ ("complete", Jsonx.Bool true) ]
-        | Some subterm ->
-            let d =
-              Gqkg_analysis.Diagnostic.make ~code:"GQ032" ~severity:Warning ~subterm
-                ~message:"step limit reached"
-            in
-            [ ("complete", Jsonx.Bool false); ("diagnostic", Jsonx.of_diagnostic d) ]
-      in
-      let tail = ("elapsed_ms", Jsonx.Num elapsed) :: completeness in
-      let total = List.length pairs in
-      let shown = List.filteri (fun i _ -> i < limit) pairs in
-      let reference =
-        Jsonx.to_string
-          (Jsonx.Obj
-             (head
-             @ [
-                 ("total", Jsonx.int total);
-                 ("truncated", Jsonx.Bool (total > limit));
-                 ("pairs", Jsonx.Arr (List.map (fun (a, b) -> Jsonx.Arr [ name a; name b ]) shown));
-               ]
-             @ tail))
-        ^ "\n"
-      in
-      let frame = Jsonx.page_frame (Jsonx.names snap) ~head ~limit pairs ~tail in
-      frame = reference || QCheck2.Test.fail_reportf "frame:     %S\nreference: %S" frame reference)
-
-(* [page_frame]'s contract, from the Jsonx tree. *)
+(* [answer_frame]'s contract, from the Jsonx tree. *)
 let page_reference (snap : Snapshot.t) ~head ~limit pairs ~tail =
   let name v = Jsonx.Str (snap.Snapshot.node_name v) in
   let total = List.length pairs in
@@ -955,64 +906,142 @@ let test_past_fd_1024 () =
   Server.stop srv;
   checki "no pins after stop" 0 (Epochs.pins mgr)
 
-(* The drain opens no fd, so it drains a daemon that holds every fd
-   its limit allows.  Under [ulimit -n 32] the daemon's accept fails
-   once the clients below fill its fd table; SIGTERM must still drain
-   it: exit 0, and the final metrics show no epoch pinned. *)
-let test_stop_at_fd_limit () =
-  let graph = Filename.temp_file "gqkg" ".pg" in
+(* [gqkg serve] on the Figure 2 graph under [ulimit -n fd_limit], for
+   [f]; its stderr goes to a file.  A daemon [f] leaves running is
+   killed. *)
+type daemon = {
+  pid : int;
+  port : int;
+  out : in_channel;
+  err_file : string;
+  mutable status : Unix.process_status option;
+}
+
+let with_limited_daemon ~fd_limit f =
+  let graph = Filename.temp_file "gqkg" ".pg" and err_file = Filename.temp_file "gqkg" ".err" in
   Graph_io.save_property_graph graph (Figure2.property ());
-  Fun.protect ~finally:(fun () -> Sys.remove graph) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Sys.remove graph;
+      Sys.remove err_file)
+  @@ fun () ->
   let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0 in
   let serve = Filename.quote_command gqkg_exe [ "serve"; graph; "--port=0" ] in
   let pid =
     Unix.create_process "/bin/sh"
-      [| "/bin/sh"; "-c"; "ulimit -n 32 && exec " ^ serve |]
-      Unix.stdin out_w Unix.stderr
+      [| "/bin/sh"; "-c"; Printf.sprintf "ulimit -n %d && exec %s" fd_limit serve |]
+      Unix.stdin out_w err
   in
   Unix.close out_w;
+  Unix.close err;
   let out = Unix.in_channel_of_descr out_r in
-  (* a daemon the checks below leave running is killed *)
-  let exited = ref None in
-  let rec wait_exit tries =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ when tries > 0 ->
-        Unix.sleepf 0.01;
-        wait_exit (tries - 1)
-    | 0, _ -> ()
-    | _, status -> exited := Some status
-  in
-  Fun.protect ~finally:(fun () ->
+  let port = Scanf.sscanf (input_line out) "gqkg serve: listening on 127.0.0.1:%d" Fun.id in
+  let d = { pid; port; out; err_file; status = None } in
+  Fun.protect
+    ~finally:(fun () ->
       close_in out;
-      if !exited = None then begin
+      if d.status = None then begin
         Unix.kill pid Sys.sigkill;
         ignore (Unix.waitpid [] pid)
       end)
-  @@ fun () ->
-  let port = Scanf.sscanf (input_line out) "gqkg serve: listening on 127.0.0.1:%d" Fun.id in
-  (* connect until a ping goes unanswered for 0.5 s: its accept failed *)
-  let answered c =
-    Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 0.5;
-    send c {|{"op":"ping"}|};
-    match Unix.read c.fd (Bytes.create 64) 0 64 with
-    | n -> n > 0
-    | exception Unix.Unix_error _ -> false
+    (fun () -> f d)
+
+(* SIGTERM, then wait up to 10 s for the exit. *)
+let terminate d =
+  Unix.kill d.pid Sys.sigterm;
+  let rec wait tries =
+    match Unix.waitpid [ Unix.WNOHANG ] d.pid with
+    | 0, _ when tries > 0 ->
+        Unix.sleepf 0.01;
+        wait (tries - 1)
+    | 0, _ -> ()
+    | _, status -> d.status <- Some status
   in
+  wait 1000
+
+(* Does a ping on [c] draw a pong within [timeout] seconds?  A refusal
+   (GQ061), a reset or silence does not. *)
+let pong ?(timeout = 0.5) c =
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO timeout;
+  send c {|{"op":"ping"}|};
+  let reply = Bytes.create 64 in
+  match Unix.read c.fd reply 0 64 with
+  | n -> String.starts_with ~prefix:{|{"ok":true|} (Bytes.sub_string reply 0 n)
+  | exception Unix.Unix_error _ -> false
+
+(* Clients connected until one draws no pong (at most 64), that one
+   included: the daemon then holds every fd its limit allows. *)
+let fill_to_fd_limit port =
   let rec fill acc =
     let c = connect port in
-    if answered c && List.length acc < 64 then fill (c :: acc) else c :: acc
+    if pong c && List.length acc < 64 then fill (c :: acc) else c :: acc
   in
-  let clients = fill [] in
+  fill []
+
+(* The drain opens no fd, so it drains a daemon that holds every fd
+   its limit allows.  Under [ulimit -n 32] the clients below fill the
+   daemon's fd table; SIGTERM must still drain it: exit 0, and the final
+   metrics show no epoch pinned. *)
+let test_stop_at_fd_limit () =
+  with_limited_daemon ~fd_limit:32 @@ fun d ->
+  let clients = fill_to_fd_limit d.port in
   Fun.protect ~finally:(fun () -> List.iter close clients) @@ fun () ->
   checkb "the daemon ran out of fds" true (List.length clients < 32);
-  Unix.kill pid Sys.sigterm;
-  wait_exit 1000;
-  checkb "drained within 10 s: exit 0" true (!exited = Some (Unix.WEXITED 0));
-  let lines = String.split_on_char '\n' (String.trim (In_channel.input_all out)) in
+  terminate d;
+  checkb "drained within 10 s: exit 0" true (d.status = Some (Unix.WEXITED 0));
+  let lines = String.split_on_char '\n' (String.trim (In_channel.input_all d.out)) in
   checkb "metrics: no epoch pinned" true
     (match Jsonx.parse (List.hd (List.rev lines)) with
     | Ok m -> obj_num "pinned" m = 0.0
     | Error _ -> false)
+
+(* CPU seconds the process has used, from /proc/<pid>/stat: utime and
+   stime, the 12th and 13th fields after the parenthesized name, in
+   the kernel's fixed 100 ticks per second. *)
+let cpu_seconds pid =
+  let stat = In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all in
+  let name_end = String.rindex stat ')' in
+  let fields =
+    Array.of_list
+      (String.split_on_char ' ' (String.sub stat (name_end + 2) (String.length stat - name_end - 2)))
+  in
+  (float_of_string fields.(11) +. float_of_string fields.(12)) /. 100.
+
+(* Out of fds, the daemon keeps accepting: it refuses the clients it
+   cannot hold without spinning on [accept], logs the limit once, and
+   serves again once clients leave. *)
+let test_accept_after_fd_limit () =
+  with_limited_daemon ~fd_limit:24 @@ fun d ->
+  let clients = fill_to_fd_limit d.port in
+  Fun.protect
+    ~finally:(fun () -> List.iter close clients)
+    (fun () ->
+      checkb "the daemon ran out of fds" true (List.length clients < 24);
+      let before = cpu_seconds d.pid in
+      Unix.sleepf 1.0;
+      let used = cpu_seconds d.pid -. before in
+      checkb (Printf.sprintf "%.2f s of CPU in 1 s at the limit, under 0.1" used) true (used < 0.1));
+  (* the readers close their fds as they see the clients leave; until
+     then a new client may still be refused, so retry for 2 s *)
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec served () =
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.
+    &&
+    let c = connect d.port in
+    Fun.protect ~finally:(fun () -> close c) (fun () -> pong ~timeout:left c)
+    || (Unix.sleepf 0.01;
+        served ())
+  in
+  checkb "a ping after the clients left is answered within 2 s" true (served ());
+  terminate d;
+  checkb "drained: exit 0" true (d.status = Some (Unix.WEXITED 0));
+  let err = In_channel.with_open_bin d.err_file In_channel.input_all in
+  let logged =
+    List.length
+      (List.filter (contains ~sub:"out of file descriptors") (String.split_on_char '\n' err))
+  in
+  checki "the fd limit is logged once" 1 logged
 
 let test_fuzz_env_drain () =
   (* drain the fuzz server and assert it leaked nothing *)
@@ -1268,12 +1297,13 @@ let () =
           Alcotest.test_case "saturation drain" `Quick test_saturation_drain;
           Alcotest.test_case "serves past fd 1024" `Quick test_past_fd_1024;
           Alcotest.test_case "stop at the fd limit" `Quick test_stop_at_fd_limit;
+          Alcotest.test_case "accepts again after the fd limit" `Quick test_accept_after_fd_limit;
         ] );
       ("soak", [ Alcotest.test_case "fault-injected soak" `Quick test_soak ]);
       (* last: its snapshots advance the process-wide epoch counter,
          whose values [basics] checks *)
       ( "pages",
-        q [ prop_page_bytes; prop_answer_pages ]
+        q [ prop_answer_pages ]
         @ [ Alcotest.test_case "four domains share an answer's page and relation" `Quick
               test_answer_state_race ] );
     ]

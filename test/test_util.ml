@@ -1,5 +1,5 @@
 (* Tests for gqkg_util: PRNG, statistics, union-find, heap, alias
-   sampling, parallel slicing, dynamic arrays and table rendering. *)
+   sampling, dynamic arrays and table rendering. *)
 
 open Gqkg_util
 
@@ -381,47 +381,6 @@ let test_bitset_growable () =
   Bitset.clear s;
   checkb "cleared" true (Bitset.is_empty s)
 
-(* ---------- Parallel ---------- *)
-
-let test_parallel_slices_cover () =
-  List.iter
-    (fun (domains, n) ->
-      let slices = Parallel.slices ~domains ~n in
-      let covered = Array.make (max 1 n) 0 in
-      List.iter
-        (fun (first, last) ->
-          checkb "non-empty slice" true (first < last);
-          for i = first to last - 1 do
-            covered.(i) <- covered.(i) + 1
-          done)
-        slices;
-      if n > 0 then
-        Array.iteri (fun i c -> checki (Printf.sprintf "index %d covered once" i) 1 c) covered
-      else checki "no slices for empty range" 0 (List.length slices))
-    [ (1, 10); (4, 10); (8, 3); (3, 0); (2, 1) ]
-
-let test_parallel_map_slices_domain_independent () =
-  let sum_range first last =
-    let acc = ref 0 in
-    for i = first to last - 1 do
-      acc := !acc + (i * i)
-    done;
-    !acc
-  in
-  let total domains =
-    List.fold_left ( + ) 0 (Parallel.map_slices ~domains 100 sum_range)
-  in
-  let expected = total 1 in
-  List.iter
-    (fun d -> checki (Printf.sprintf "domains=%d" d) expected (total d))
-    [ 2; 3; 4; 8 ]
-
-let test_parallel_sum_float_arrays () =
-  let into = [| 1.0; 2.0; 3.0 |] in
-  let result = Parallel.sum_float_arrays ~into [| 0.5; 0.0; -3.0 |] in
-  checkb "in-place" true (result == into);
-  check Alcotest.(array (float 1e-9)) "elementwise sum" [| 1.5; 2.0; 0.0 |] into
-
 (* Every single-bit flip of a string changes its fold, the top two
    bits of each eighth char included; the lossy fold, kept to accept
    old checksums, misses exactly those and agrees below 8 chars. *)
@@ -471,13 +430,6 @@ let () =
           Alcotest.test_case "raw roundtrip" `Quick test_bitset_raw_roundtrip;
           Alcotest.test_case "raw union/equal/hash" `Quick test_bitset_raw_union_equal_hash;
           Alcotest.test_case "growable" `Quick test_bitset_growable;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "slices cover" `Quick test_parallel_slices_cover;
-          Alcotest.test_case "map_slices domain-independent" `Quick
-            test_parallel_map_slices_domain_independent;
-          Alcotest.test_case "sum_float_arrays" `Quick test_parallel_sum_float_arrays;
         ] );
       ( "stats",
         [
