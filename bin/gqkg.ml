@@ -128,6 +128,7 @@ let fail_request ?(script = "") = function
 
 let parse_regex text = match Request.parse text with Ok r -> r | Error e -> fail_request e
 let validate posed = match Request.validate posed with Ok v -> v | Error e -> fail_request e
+let evaluated = function Ok r -> r | Error e -> fail_request e
 
 (* --timeout-ms / --max-states: the resource governor's CLI face.  The
    budget itself is created inside each command right before evaluation
@@ -247,10 +248,11 @@ let print_cache_counters () =
   let s = Semcache.stats () in
   Printf.printf
     "semantic-cache: %d hits / %d lookups (plans: %d hits / %d lookups, shapes: %d hits / %d \
-     lookups)\n"
+     lookups, texts: %d hits / %d lookups)\n"
     s.Semcache.result_hits (s.Semcache.result_hits + s.Semcache.result_misses) s.Semcache.plan_hits
     (s.Semcache.plan_hits + s.Semcache.plan_misses) s.Semcache.shape_hits
     (s.Semcache.shape_hits + s.Semcache.shape_misses)
+    s.Semcache.text_hits (s.Semcache.text_hits + s.Semcache.text_misses)
 
 (* Resolve a --sources selector: comma-separated node names and/or
    [label:<name>] items (all nodes carrying that label, ascending).
@@ -290,13 +292,14 @@ let query_cmd =
     | None ->
         (* Through the request pipeline and the Governor, so repeated
            evaluations of the same (or a semantically equivalent) query
-           hit the semantic result cache; --repeat N demonstrates and
-           exercises it.  Budgeted runs never consult the cache, so
-           each repeat gets a fresh budget and really evaluates. *)
-        let req = validate { Request.q = regex; kind = Request.Query { max_length } } in
+           hit the semantic result cache, and a repeated text its memo;
+           --repeat N demonstrates and exercises both.  Budgeted runs
+           never consult the cache, so each repeat gets a fresh budget
+           and really evaluates. *)
+        let req = { Request.q = regex; kind = Request.Query { max_length } } in
         let eval () =
           let budget = Request.budget limits in
-          cancel_on_sigint budget (fun () -> Request.eval ~budget inst req)
+          evaluated (cancel_on_sigint budget (fun () -> Request.eval ~budget inst req))
         in
         let r = eval () in
         print_answer inst r.Request.answer;
@@ -366,8 +369,8 @@ let count_cmd =
     | _ -> ());
     let inst = load_instance path in
     (* One validation, the length rule included, for every count path. *)
-    let req = validate { Request.q = regex; kind = Request.Count { length } } in
-    let r = req.Request.q in
+    let posed = { Request.q = regex; kind = Request.Count { length } } in
+    let r = (validate posed).Request.q in
     let resolve = node_of_name inst in
     (match (from_node, to_node) with
     | Some a, Some b ->
@@ -380,7 +383,7 @@ let count_cmd =
     | None, Some _ -> fail_user ~code:"GQ046" ~subterm:"--to" ~message:"--to requires --from"
     | None, None ->
         let budget = Request.budget Request.no_limits in
-        print_answer inst (Request.eval ~budget inst req).Request.answer);
+        print_answer inst (evaluated (Request.eval ~budget inst posed)).Request.answer);
     match epsilon with
     | Some epsilon ->
         Printf.printf "fpras(eps=%.2g): %.1f\n" epsilon (Approx_count.count inst r ~length ~epsilon)
@@ -991,9 +994,9 @@ let mutate_cmd =
     | None -> ());
     Option.iter
       (fun regex ->
-        let req = validate { Request.q = regex; kind = Request.Query { max_length = None } } in
+        let req = { Request.q = regex; kind = Request.Query { max_length = None } } in
         let budget = Request.budget Request.no_limits in
-        print_answer snap (Request.eval ~budget snap req).Request.answer)
+        print_answer snap (evaluated (Request.eval ~budget snap req)).Request.answer)
       query;
     if !interrupted then begin
       prerr_diagnostic

@@ -72,8 +72,8 @@ let enum_cap = 4096
 (* ---- The satisfiability-signature alphabet --------------------------- *)
 
 type nletter = {
-  nvec : bool array;  (* outcome per node test: dedup key and formula input *)
-  nbits : bool array;  (* the generating assignment to the side's atoms *)
+  nvec : bool array;  (* outcome per node test: formula input *)
+  nbits : bool array;  (* the assignment to the side's atoms: the letter's identity *)
   nsat : Atom.t -> bool;  (* the assignment itself, for closures *)
   nrep : Const.t list option;  (* labels realizing the letter on a plain node *)
 }
@@ -161,7 +161,14 @@ let assignment pinned free mask =
   pinned @ List.mapi (fun i a -> (a, mask land (1 lsl i) <> 0)) free
   |> List.sort (fun (a, _) (b, _) -> Atom.compare a b)
 
-(* Enumerate node letters: every atom is pinned by the schema verdict or
+(* A letter is one assignment to a side's atoms, never a class of them
+   merged by the outcomes of one query's tests: the key renders a
+   letter by its assignment, and two queries over the same atoms that
+   merged different classes under the same representative would share
+   a key while their languages differ ([?(a | b)] and [?(a & !b)] when
+   each node carries one label).
+
+   Enumerate node letters: every atom is pinned by the schema verdict or
    a free bit.  Node Label bits are independent (multi-label nodes are
    realizable in the snapshot model), so the node side is exact exactly
    when no free Prop/Feature atom remains. *)
@@ -174,27 +181,25 @@ let node_letters schema ntests =
        (* a pinned-true Prop/Feature cannot be realized on a witness
           node, so treat it as lossy for the False direction too *)
   in
-  let seen = Hashtbl.create 32 in
-  let letters = ref [] in
-  for mask = 0 to (1 lsl nfree) - 1 do
-    let table = assignment fixed free mask in
-    let sat = sat_of_table table in
-    let vec = Array.map (fun t -> Regex.eval_test sat t) ntests in
-    if not (Hashtbl.mem seen vec) then begin
-      Hashtbl.add seen vec ();
-      let rep =
-        if List.for_all (fun (a, v) -> is_label_atom a || not v) table then
-          Some
-            (List.filter_map
-               (fun (a, v) -> match a with Atom.Label c when v -> Some c | _ -> None)
-               table)
-        else None
-      in
-      let bits = Array.of_list (List.map snd table) in
-      letters := { nvec = vec; nbits = bits; nsat = sat; nrep = rep } :: !letters
-    end
-  done;
-  let arr = Array.of_list !letters in
+  let arr =
+    Array.init (1 lsl nfree) (fun mask ->
+        let table = assignment fixed free mask in
+        let sat = sat_of_table table in
+        let rep =
+          if List.for_all (fun (a, v) -> is_label_atom a || not v) table then
+            Some
+              (List.filter_map
+                 (fun (a, v) -> match a with Atom.Label c when v -> Some c | _ -> None)
+                 table)
+          else None
+        in
+        {
+          nvec = Array.map (fun t -> Regex.eval_test sat t) ntests;
+          nbits = Array.of_list (List.map snd table);
+          nsat = sat;
+          nrep = rep;
+        })
+  in
   Array.sort (fun a b -> compare a.nbits b.nbits) arr;
   (Array.of_list atoms, arr, inexact)
 
@@ -202,7 +207,8 @@ let node_letters schema ntests =
    atoms are enumerated by label choice — over the closed schema
    universe when one exists, otherwise over the tested labels plus one
    "anything else" bucket.  Prop/Feature atoms are pinned or free
-   bits. *)
+   bits.  Choices of an untested label assign the atoms alike, so they
+   make one letter. *)
 let edge_letters schema etests =
   let atoms = atoms_of_tests (Array.to_list etests) in
   let label_consts =
@@ -222,7 +228,7 @@ let edge_letters schema etests =
   in
   if List.length choices * (1 lsl nfree) > enum_cap then
     raise (Gave_up (Printf.sprintf "edge letter space exceeds %d" enum_cap));
-  let seen : (bool array, eletter) Hashtbl.t = Hashtbl.create 32 in
+  let seen : (bool list, eletter) Hashtbl.t = Hashtbl.create 32 in
   let letters = ref [] in
   List.iter
     (fun choice ->
@@ -237,18 +243,19 @@ let edge_letters schema etests =
         let sat = sat_of_table table in
         let vec = Array.map (fun t -> Regex.eval_test sat t) etests in
         let realizable = mask = 0 && List.for_all (fun (_, v) -> not v) fixed in
-        match Hashtbl.find_opt seen vec with
+        let bits = List.map snd table in
+        match Hashtbl.find_opt seen bits with
         | Some l -> if l.erep = None && realizable then l.erep <- Some choice
         | None ->
             let l =
               {
                 evec = vec;
-                ebits = Array.of_list (List.map snd table);
+                ebits = Array.of_list bits;
                 esat = sat;
                 erep = (if realizable then Some choice else None);
               }
             in
-            Hashtbl.add seen vec l;
+            Hashtbl.add seen bits l;
             letters := l :: !letters
       done)
     choices;
@@ -543,9 +550,11 @@ let letter_formula tests vecs sel =
           | [] -> assert false
           | p :: rest -> List.fold_left (fun a b -> Regex.And (a, b)) p rest
         in
+        (* letters with one outcome vector make one disjunct *)
         let sels = ref [] in
         for s = total - 1 downto 0 do
-          if sel.(s) then sels := s :: !sels
+          if sel.(s) && not (List.exists (fun s' -> vecs.(s') = vecs.(s)) !sels) then
+            sels := s :: !sels
         done;
         let d =
           match !sels with

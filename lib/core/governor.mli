@@ -33,6 +33,22 @@ val eval_answer :
   Regex.t ->
   Answer.t Budget.outcome
 
+(** {!eval_answer} of a query text, read by [parse] (its error is
+    returned as is).  Whenever {!eval_answer} would consult the result
+    cache, a per-snapshot memo ({!Semcache.find_text}) maps [text] and
+    [max_length] to the result key a [Complete] answer was stored under,
+    so a repeated text is answered with no parse and no plan (and no
+    budget check, like any cache hit).  Each call makes one result-cache
+    lookup at most, as {!eval_answer} does. *)
+val eval_text :
+  ?use_cache:bool ->
+  budget:Budget.t ->
+  ?max_length:int ->
+  parse:(string -> (Regex.t, 'e) result) ->
+  Snapshot.t ->
+  string ->
+  (Answer.t Budget.outcome, 'e) result
+
 (** {!eval_answer} as a sorted pair list. *)
 val eval_pairs :
   ?use_cache:bool ->

@@ -13,11 +13,13 @@
     a tripped budget is never served back.
 
     A third table holds the planner's canonical forms per query shape
-    ([Planner]'s shape cache, DESIGN.md §5g), so every kind of derived
-    plan state has this one owner and one eviction policy.
+    ([Planner]'s shape cache, DESIGN.md §5g), and a fourth maps query
+    texts to result keys ({!Governor.eval_text}'s memo), so every kind
+    of derived plan state has this one owner and one eviction policy.
 
     The caches are bounded per snapshot (drop-oldest: 32 plans, 128
-    results, 64 shapes). The hit/miss counters are process-global. *)
+    results, 64 shapes, 256 texts). The hit/miss counters are
+    process-global. *)
 
 open Gqkg_graph
 
@@ -28,6 +30,8 @@ type stats = {
   result_misses : int;
   shape_hits : int;
   shape_misses : int;
+  text_hits : int;
+  text_misses : int;
 }
 
 val stats : unit -> stats
@@ -61,3 +65,11 @@ type shape = Atom.t array * Gqkg_analysis.Decide.canonical option
 
 val find_shape : Snapshot.t -> key:string -> shape option
 val store_shape : Snapshot.t -> key:string -> shape -> unit
+
+(** Text memo: a query text, with its [max_length] folded in, to the
+    result key it was answered [Complete] under on this snapshot, so a
+    repeated text finds its {!find_answer} entry without a parse or a
+    plan. *)
+val find_text : Snapshot.t -> key:string -> string option
+
+val store_text : Snapshot.t -> key:string -> string -> unit

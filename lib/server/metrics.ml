@@ -127,5 +127,7 @@ let to_json t ~queue_depth ~queue_peak ~clients ~workers ~epoch ~live_epochs
             ("plan_lookups", num (cache.plan_hits + cache.plan_misses));
             ("shape_hits", num cache.shape_hits);
             ("shape_lookups", num (cache.shape_hits + cache.shape_misses));
+            ("text_hits", num cache.text_hits);
+            ("text_lookups", num (cache.text_hits + cache.text_misses));
           ] );
     ]

@@ -46,8 +46,8 @@ val observe_latency_ms : t -> float -> unit
 (** [to_json t ~queue_depth ~queue_peak ~clients ~workers ~epoch
     ~live_epochs ~pins ~cache] renders the full metrics object: uptime,
     qps, p50/p99 latency, every counter, queue and epoch gauges, and the
-    semantic caches' counters — result hits, lookups and hit rate, plan
-    and shape hits and lookups. *)
+    semantic caches' counters — result hits, lookups and hit rate, plan,
+    shape and text-memo hits and lookups. *)
 val to_json :
   t ->
   queue_depth:int ->

@@ -57,21 +57,24 @@ type response = {
 }
 
 let eval ?use_cache ~budget snap { q; kind } =
-  let answer, completeness =
+  let ( let* ) = Result.bind in
+  let* () = check kind in
+  let* answer, completeness =
     match kind with
     | Query { max_length } ->
-        let o = Governor.eval_answer ?use_cache ~budget ?max_length snap q in
-        (Pairs o.Budget.value, o.Budget.completeness)
+        let* o = Governor.eval_text ?use_cache ~budget ?max_length ~parse snap q in
+        Ok (Pairs o.Budget.value, o.Budget.completeness)
     | Count { length } ->
+        let* q = parse q in
         let count = Gqkg_core.Count.count ~budget snap q ~length in
-        (Path_count { length; count }, Budget.completeness budget)
+        Ok (Path_count { length; count }, Budget.completeness budget)
   in
   let diagnostic =
     match completeness with
     | Budget.Complete -> None
     | Budget.Partial _ -> Diagnostic.of_budget budget
   in
-  { answer; completeness; diagnostic }
+  Ok { answer; completeness; diagnostic }
 
 type mutated = { applied : int; ops : int; commits : int; reused : int; rebuilt : int }
 

@@ -60,8 +60,11 @@ type response = {
 }
 
 val eval :
-  ?use_cache:bool -> budget:Budget.t -> Snapshot.t -> Gqkg_automata.Regex.t t -> response
-(** [use_cache] is {!Gqkg_core.Governor.eval_answer}'s. *)
+  ?use_cache:bool -> budget:Budget.t -> Snapshot.t -> string t -> (response, error) result
+(** {!validate} and evaluate on the snapshot: a query through
+    {!Gqkg_core.Governor.eval_text}, whose memo answers a text already
+    answered [Complete] on this snapshot without a parse; a count with
+    no cache.  [use_cache] is {!Gqkg_core.Governor.eval_answer}'s. *)
 
 type mutated = {
   applied : int;

@@ -204,30 +204,28 @@ let read_reply t ~id ~limit ~budget snap (r : Request.response) =
 let handle_read t req ~id op =
   match Option.bind (Jsonx.member "q" req) Jsonx.str with
   | None -> frame (error_json ~id ~code:"GQ062" ~message:(op ^ {| needs a "q" string field|}) ())
-  | Some q -> (
+  | Some q ->
       let kind =
         if op = "query" then Request.Query { max_length = int_field req "max_length" }
         else Request.Count { length = Option.value (int_field req "length") ~default:3 }
       in
-      match Request.validate { Request.q; kind } with
-      | Error e -> frame (request_error ~id e)
-      | Ok checked ->
-          let limit = Option.value (int_field req "limit") ~default:max_int in
-          let limit = min answer_limit (max 0 limit) in
-          let budget =
-            Request.budget ?timeout_ms:t.config.default_timeout_ms
-              ?max_states:t.config.default_max_states
-              ?trip_after_checks:t.config.fault_trip_after_checks
-              {
-                Request.timeout_ms = int_field req "timeout_ms";
-                max_states = int_field req "max_states";
-                max_steps = int_field req "max_steps";
-              }
-          in
-          with_active t budget (fun () ->
-              Epochs.with_pinned t.mgr (fun snap ->
-                  read_reply t ~id ~limit ~budget snap
-                    (Request.eval ~use_cache:true ~budget snap checked))))
+      let limit = Option.value (int_field req "limit") ~default:max_int in
+      let limit = min answer_limit (max 0 limit) in
+      let budget =
+        Request.budget ?timeout_ms:t.config.default_timeout_ms
+          ?max_states:t.config.default_max_states
+          ?trip_after_checks:t.config.fault_trip_after_checks
+          {
+            Request.timeout_ms = int_field req "timeout_ms";
+            max_states = int_field req "max_states";
+            max_steps = int_field req "max_steps";
+          }
+      in
+      with_active t budget (fun () ->
+          Epochs.with_pinned t.mgr (fun snap ->
+              match Request.eval ~use_cache:true ~budget snap { Request.q; kind } with
+              | Ok r -> read_reply t ~id ~limit ~budget snap r
+              | Error e -> frame (request_error ~id e)))
 
 (* Mutations are atomic per request: either every op applies and one
    epoch is committed, or (on the first bad op) the whole overlay is

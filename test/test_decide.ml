@@ -284,6 +284,29 @@ let test_cache_partial_never_stored () =
   checkb "partial is subset" true
     (List.for_all (fun p -> List.mem p o2.Budget.value) o1.Budget.value)
 
+(* Two queries over the same atoms whose tests merge different
+   assignments into one outcome class must not share a key: on a graph
+   where each node and edge carries one label, [?(a | b)] and
+   [?(a & !b)] (and [(x | y)] and [(x & !y)]) agree on the assignments
+   a first-come class representative would keep, and differ on the
+   rest.  Each is answered through the result cache after the other. *)
+let test_cache_inequivalent_keys () =
+  let inst = xy_instance 23 10 30 in
+  List.iter
+    (fun (q, q') ->
+      let r = parse q and r' = parse q' in
+      checkb (q ^ " vs " ^ q' ^ ": keys differ") true
+        (Planner.semantic_key inst r <> Planner.semantic_key inst r');
+      List.iter
+        (fun r ->
+          checkb
+            (Regex.to_string r ^ " after the other = naive")
+            true
+            ((Governor.eval_pairs ~budget:Budget.unlimited inst r).Budget.value
+            = Naive.pairs inst r ~max_length:1))
+        [ r; r'; r ])
+    [ ("?(a | b)", "?(a & !b)"); ("(x | y)", "(x & !y)"); ("?(a | b)/x", "?(a & !b)/x") ]
+
 let test_cache_epoch_isolation () =
   Semcache.reset ();
   let g =
@@ -603,6 +626,7 @@ let () =
           Alcotest.test_case "equivalent-query hit" `Quick test_cache_hit_and_equivalence;
           Alcotest.test_case "partial never stored" `Quick test_cache_partial_never_stored;
           Alcotest.test_case "epoch isolation" `Quick test_cache_epoch_isolation;
+          Alcotest.test_case "inequivalent keys differ" `Quick test_cache_inequivalent_keys;
           Alcotest.test_case "shape cache instantiation" `Quick test_shape_cache_cold_reads;
         ] );
       ( "properties",

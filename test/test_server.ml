@@ -1114,7 +1114,11 @@ let test_saturation_drain () =
 (* ---------- Load shedding ---------- *)
 
 let test_load_shedding () =
-  (* one worker, tiny queue: a pipelining client must see GQ060 *)
+  (* one worker, tiny queue: a pipelining client must see GQ060.  Each
+     request is an uncached count over 1024 steps (milliseconds of the
+     worker's time), and the burst goes in one write, so the reader
+     admits the whole burst from one read long before the worker
+     answers the first request. *)
   let config =
     { Server.default_config with workers = 1; queue_depth = 2; per_client_depth = 2 }
   in
@@ -1122,9 +1126,11 @@ let test_load_shedding () =
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let c = connect (Server.port srv) in
   Fun.protect ~finally:(fun () -> close c) @@ fun () ->
-  for _ = 1 to 20 do
-    send c {|{"op":"query","q":"rides/-rides/rides"}|}
-  done;
+  let count =
+    Printf.sprintf {|{"op":"count","q":"%s","length":%d}|}
+      "(rides + rides^- + contact + lives + lives^-)*" Gqkg_server.Request.max_count_length
+  in
+  send c (String.concat "\n" (List.init 20 (fun _ -> count)));
   let shed = ref 0 and answered = ref 0 in
   for _ = 1 to 20 do
     match Jsonx.parse (recv_line c) with
@@ -1256,6 +1262,288 @@ let test_soak () =
         true
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true)
 
+(* ---------- The text memo against the pair oracle ---------- *)
+
+module Request = Gqkg_server.Request
+module Regex = Gqkg_automata.Regex
+module Sm = Gqkg_util.Splitmix
+
+(* Texts of one language: as printed, parenthesized, spaced out, and
+   with every alternation reordered, twice over so that they outweigh
+   the two malformed ones. *)
+let rec swap_alts = function
+  | Regex.Alt (a, b) -> Regex.Alt (swap_alts b, swap_alts a)
+  | Regex.Seq (a, b) -> Regex.Seq (swap_alts a, swap_alts b)
+  | Regex.Star r -> Regex.Star (swap_alts r)
+  | (Regex.Node_test _ | Regex.Fwd _ | Regex.Bwd _) as r -> r
+
+let memo_texts r =
+  let s = Regex.to_string r in
+  let spaced c s = String.concat (Printf.sprintf " %c " c) (String.split_on_char c s) in
+  let variants = [ s; "(" ^ s ^ ")"; spaced '+' (spaced '/' s); Regex.to_string (swap_alts r) ] in
+  variants @ variants @ [ "(" ^ s; s ^ " +" ]
+
+(* How a step is asked: as serve asks (a deadline, [use_cache]), as the
+   CLI asks (no limit, no [use_cache]), budgeted without the cache, or
+   served under a budget that trips after a few checks.  Only the
+   budgeted ask leaves both caches alone. *)
+type memo_mode = Served | Cli | Budgeted | Tripping of int
+
+let memo_mode_name = function
+  | Served -> "served"
+  | Cli -> "cli"
+  | Budgeted -> "budgeted"
+  | Tripping k -> Printf.sprintf "tripping after %d" k
+
+let memo_eval mode snap posed =
+  let use_cache, budget =
+    match mode with
+    | Served -> (true, Request.budget ~timeout_ms:10_000 Request.no_limits)
+    | Cli -> (false, Request.budget Request.no_limits)
+    | Budgeted -> (false, Request.budget ~timeout_ms:10_000 Request.no_limits)
+    | Tripping k -> (true, Request.budget ~trip_after_checks:k Request.no_limits)
+  in
+  Request.eval ~use_cache ~budget snap posed
+
+(* Cache-free pairs; unbounded, a shortest matching path visits each
+   (node, NFA state) once, so that product's size bounds its length. *)
+let naive_pairs snap r max_length =
+  let bound =
+    snap.Snapshot.num_nodes * Gqkg_automata.Nfa.num_states (Gqkg_automata.Nfa.of_regex r)
+  in
+  Gqkg_core.Naive.pairs snap r ~max_length:(Option.value max_length ~default:bound)
+
+let error_code = function
+  | Request.Parse_error _ -> "GQ042"
+  | Request.Bad_length _ | Request.Negative_bound _ -> "GQ062"
+  | Request.Script_error _ -> "GQ048"
+
+(* Counter deltas over [f]: text lookups, text hits, result lookups,
+   result hits, shape lookups. *)
+let cache_deltas f =
+  let s0 = Semcache.stats () in
+  let v = f () in
+  let s1 = Semcache.stats () in
+  let d get = get s1 - get s0 in
+  ( v,
+    d (fun s -> s.Semcache.text_hits + s.Semcache.text_misses),
+    d (fun s -> s.Semcache.text_hits),
+    d (fun s -> s.Semcache.result_hits + s.Semcache.result_misses),
+    d (fun s -> s.Semcache.result_hits),
+    d (fun s -> s.Semcache.shape_hits + s.Semcache.shape_misses) )
+
+(* Random asks and commits on one graph through [Request], each answer
+   against [Naive] on the epoch it was asked on, and the counters
+   against a model of the memo and the result cache: a memoized
+   (text, max_length) is a text hit that plans nothing; a canonical key
+   answered Complete before is a result hit; each ask that consults the
+   caches makes one text lookup and at most one result lookup, and a
+   count or an uncached ask makes none.  A negative [max_length] is
+   GQ062 and a malformed text GQ042, memoized or not. *)
+let prop_text_memo =
+  QCheck2.Test.make ~name:"text memo answers = pair oracle across commits" ~count:200
+    ~print:(fun ((seed, nodes, edges), steps) ->
+      Printf.sprintf "graph (%d, %d, %d), steps seed %d" seed nodes edges steps)
+    QCheck2.Gen.(
+      pair (Gqkg_oracle.Small.sized_instance_gen ~max_nodes:5 ~max_edges:8) (int_bound 1_000_000))
+    (fun ((seed, nodes, edges), steps) ->
+      let rng = Sm.create steps and graph_rng = Sm.create seed in
+      let pick l = List.nth l (Sm.int rng (List.length l)) in
+      let node i = Const.str (Printf.sprintf "n%d" i) in
+      let live_nodes = ref (List.init nodes Fun.id) and live_edges = ref [] and fresh = ref 0 in
+      let add_edge () =
+        incr fresh;
+        let id = Const.str (Printf.sprintf "e%d" !fresh) in
+        live_edges := id :: !live_edges;
+        let src = node (pick !live_nodes) and dst = node (pick !live_nodes) in
+        Journal.Add_edge { id; src; dst; label = Const.str (pick [ "x"; "y" ]) }
+      in
+      let initial =
+        List.init nodes (fun i ->
+            let label = Const.str (if Sm.bool graph_rng then "a" else "b") in
+            Journal.Add_node { id = node i; label })
+        @ List.init edges (fun _ -> add_edge ())
+      in
+      let mgr = Epochs.create (Overlay.base_of_property (Journal.replay_ops initial)) in
+      let texts =
+        List.init 3 (fun _ -> memo_texts (Gqkg_oracle.Small.make_regex (Sm.int rng 1_000_000)))
+      in
+      (* the model, for the current epoch *)
+      let memoized = Hashtbl.create 16 and answered = Hashtbl.create 16 in
+      let asked = ref [] in
+      let commit () =
+        let op () =
+          match Sm.int rng 3 with
+          | 0 ->
+              let i = List.length !live_nodes + !fresh in
+              live_nodes := i :: !live_nodes;
+              Journal.Add_node { id = node i; label = Const.str (pick [ "a"; "b" ]) }
+          | 1 when !live_edges <> [] ->
+              let id = pick !live_edges in
+              live_edges := List.filter (fun e -> not (Const.equal e id)) !live_edges;
+              Journal.Del_edge { id }
+          | _ -> add_edge ()
+        in
+        let ops = List.init (1 + Sm.int rng 3) (fun _ -> op ()) in
+        match Request.mutate mgr (List.map Journal.op_to_line ops) with
+        | Ok _ ->
+            Hashtbl.reset memoized;
+            Hashtbl.reset answered;
+            true
+        | Error e -> QCheck2.Test.fail_reportf "commit refused: %s" (Request.error_message e)
+      in
+      let ask () =
+        let text, max_length =
+          match !asked with
+          | _ :: _ when Sm.bool rng -> pick !asked
+          | _ ->
+              (pick (pick texts), pick [ None; None; None; Some 0; Some 1; Some 2; Some 3; Some (-1) ])
+        in
+        asked := (text, max_length) :: !asked;
+        let mode = pick [ Served; Served; Cli; Budgeted; Tripping (1 + Sm.int rng 6) ] in
+        let consults = mode <> Budgeted in
+        let snap = Epochs.snapshot mgr in
+        let parsed = Request.parse text in
+        let key =
+          Result.fold ~error:(fun _ -> None) ~ok:(Gqkg_core.Planner.semantic_key snap) parsed
+        in
+        let o, text_lookups, text_hits, result_lookups, result_hits, shape_lookups =
+          cache_deltas (fun () ->
+              memo_eval mode snap { Request.q = text; kind = Request.Query { max_length } })
+        in
+        let fail fmt =
+          QCheck2.Test.fail_reportf
+            ("%S, max_length %s, %s, epoch %d: " ^^ fmt)
+            text
+            (Option.fold ~none:"none" ~some:string_of_int max_length)
+            (memo_mode_name mode) snap.Snapshot.epoch
+        in
+        let lookups = Bool.to_int consults in
+        match (max_length, parsed, o) with
+        | Some m, _, Error e when m < 0 ->
+            (error_code e = "GQ062" && text_lookups = 0 && result_lookups = 0)
+            || fail "%s, %d text lookups" (error_code e) text_lookups
+        | Some m, _, Ok _ when m < 0 -> fail "answered"
+        | _, Error _, Error e ->
+            (error_code e = "GQ042" && text_lookups = lookups && text_hits = 0
+           && result_lookups = 0)
+            || fail "%s, %d text lookups, %d hits" (error_code e) text_lookups text_hits
+        | _, Error _, Ok _ -> fail "a malformed text answered"
+        | _, Ok _, Error e -> fail "refused: %s" (error_code e)
+        | _, Ok r, Ok resp -> (
+            let pairs =
+              match resp.Request.answer with
+              | Request.Pairs a -> Gqkg_core.Answer.to_pairs a
+              | Request.Path_count _ -> fail "a count answer"
+            in
+            let oracle = naive_pairs snap r max_length in
+            let complete = resp.Request.completeness = Gqkg_util.Budget.Complete in
+            let entry = Option.map (fun k -> (k, max_length)) key in
+            let text_hit = consults && Hashtbl.mem memoized (text, max_length) in
+            let result_hit =
+              text_hit || (consults && Option.fold ~none:false ~some:(Hashtbl.mem answered) entry)
+            in
+            (if complete then
+               pairs = oracle || fail "%d pairs, oracle %d" (List.length pairs) (List.length oracle)
+             else
+               List.for_all (fun p -> List.mem p oracle) pairs
+               || fail "a Partial answer outside the oracle")
+            && (text_lookups = lookups || fail "%d text lookups" text_lookups)
+            && (text_hits = Bool.to_int text_hit || fail "%d text hits" text_hits)
+            && (result_lookups = lookups * Bool.to_int (key <> None)
+               || fail "%d result lookups" result_lookups)
+            && (result_hits = Bool.to_int result_hit || fail "%d result hits" result_hits)
+            && ((not text_hit) || (shape_lookups = 0 && complete)
+               || fail "a text hit planned (%d shape lookups)" shape_lookups)
+            &&
+            match entry with
+            | Some entry when consults && complete ->
+                Hashtbl.replace memoized (text, max_length) ();
+                Hashtbl.replace answered entry ();
+                true
+            | _ -> true)
+      in
+      let count () =
+        let text = pick (pick texts) and length = Sm.int rng 4 in
+        let snap = Epochs.snapshot mgr in
+        let o, text_lookups, _, result_lookups, _, _ =
+          cache_deltas (fun () ->
+              memo_eval Served snap { Request.q = text; kind = Request.Count { length } })
+        in
+        (text_lookups + result_lookups = 0
+        || QCheck2.Test.fail_reportf "count %S touched the caches" text)
+        &&
+        match (Request.parse text, o) with
+        | Ok r, Ok { Request.answer = Request.Path_count { count; _ }; _ } ->
+            count = float_of_int (Gqkg_core.Naive.count snap r ~length)
+            || QCheck2.Test.fail_reportf "count %S length %d: %.0f" text length count
+        | Error _, Error (Request.Parse_error _) -> true
+        | _ -> QCheck2.Test.fail_reportf "count %S: wrong outcome" text
+      in
+      List.for_all
+        (fun _ -> match Sm.int rng 10 with 0 -> commit () | 1 -> count () | _ -> ask ())
+        (List.init 30 Fun.id))
+
+(* A memoized text whose answer was evicted from the result cache (128
+   entries) costs one result lookup, a miss, and is stored again; the
+   next ask is a text hit and a result hit. *)
+let test_memo_evicted () =
+  let snap =
+    Snapshot.of_labeled
+      (Gqkg_workload.Gen_graph.random_labeled (Gqkg_util.Splitmix.create 3) ~nodes:20 ~edges:40
+         ~node_labels:[ "a" ] ~edge_labels:[ "x"; "y" ])
+  in
+  (* a distinct word over x and y for each k, of 3 to 8 letters *)
+  let path k =
+    let rec letters k =
+      if k < 2 then [] else (if k land 1 = 0 then "x" else "y") :: letters (k / 2)
+    in
+    String.concat "/" (letters (k + 8))
+  in
+  let ask text =
+    match
+      cache_deltas (fun () ->
+          memo_eval Cli snap { Request.q = text; kind = Request.Query { max_length = None } })
+    with
+    | Ok { Request.answer = Request.Pairs a; _ }, _, text_hits, lookups, hits, _ ->
+        (Gqkg_core.Answer.to_pairs a, text_hits, lookups, hits)
+    | _ -> Alcotest.fail ("no answer for " ^ text)
+  in
+  let first, _, _, _ = ask "x/x" in
+  for k = 1 to 140 do
+    ignore (ask (path k))
+  done;
+  let evicted, text_hits, lookups, hits = ask "x/x" in
+  checkb "evicted: the same pairs" true (evicted = first);
+  checki "evicted: a text hit" 1 text_hits;
+  checki "evicted: one result lookup" 1 lookups;
+  checki "evicted: a result miss" 0 hits;
+  let again, text_hits, lookups, hits = ask "x/x" in
+  checkb "stored again: the same pairs" true (again = first);
+  checki "stored again: a text hit" 1 text_hits;
+  checki "stored again: one result lookup" 1 lookups;
+  checki "stored again: a result hit" 1 hits
+
+(* [query --repeat 3] asks one text three times: the memo misses once,
+   then hits twice, and the result cache hits twice in three lookups. *)
+let test_cli_repeat_counters () =
+  let graph = Filename.temp_file "gqkg" ".pg" and out = Filename.temp_file "gqkg" ".out" in
+  Graph_io.save_property_graph graph (Figure2.property ());
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ graph; out ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command gqkg_exe ~stdout:out
+             [ "query"; graph; "rides/rides^-"; "--repeat"; "3" ])
+      in
+      checki "exit" 0 code;
+      let lines = In_channel.with_open_bin out In_channel.input_lines in
+      Alcotest.(check string)
+        "counters" "semantic-cache: 2 hits / 3 lookups (plans: 0 hits / 2 lookups, shapes: 0 hits \
+                    / 1 lookups, texts: 2 hits / 3 lookups)"
+        (List.nth lines (List.length lines - 1)))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "gqkg server"
@@ -1306,4 +1594,11 @@ let () =
         q [ prop_answer_pages ]
         @ [ Alcotest.test_case "four domains share an answer's page and relation" `Quick
               test_answer_state_race ] );
+      ( "memo",
+        q [ prop_text_memo ]
+        @ [
+            Alcotest.test_case "an evicted answer is one lookup" `Quick test_memo_evicted;
+            Alcotest.test_case "query --repeat 3 counts two text hits" `Quick
+              test_cli_repeat_counters;
+          ] );
     ]
